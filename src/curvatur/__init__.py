@@ -2,10 +2,10 @@
 
 The package is organized bottom-up:
 
-- :mod:`curvatur.numkit` -- forward-mode jets, an embedded RK45 integrator,
-  quadrature wrappers, Richardson extrapolation, and a symmetric generalized
-  eigensolver.  Everything above differentiates through jets, never by
-  finite differences.
+- :mod:`curvatur.numkit` -- forward-mode jets, an embedded Dormand-Prince
+  4(5) integrator, batched Gauss-Legendre quadrature, Richardson
+  extrapolation, and a 2x2 generalized symmetric eigensolver.  Everything
+  above differentiates through jets, never by finite differences.
 - :mod:`curvatur.curves` -- parametric curves: length, curvature, torsion,
   Frenet frames, and reconstruction from curvature data.
 - :mod:`curvatur.surface_patch` -- embedded surface patches: fundamental

@@ -18,7 +18,6 @@ import csv
 import io
 import json
 import math
-import os
 import re
 import sys
 
@@ -650,9 +649,6 @@ def _add_common(p, geometry=True):
                    help="output format (default json)")
     p.add_argument("--output", metavar="PATH",
                    help="write output to PATH instead of stdout")
-    p.add_argument("--threads", type=int, default=None,
-                   help="thread count for data-parallel sweeps "
-                        "(mirrors CURVATUR_THREADS)")
     if geometry:
         p.add_argument("--builtin", metavar="NAME",
                        help="use a catalog builtin geometry")
@@ -828,17 +824,6 @@ def main(argv=None):
         return 2
     except SystemExit as exc:
         return int(exc.code or 0)
-
-    threads = args.threads if getattr(args, "threads", None) is not None \
-        else os.environ.get("CURVATUR_THREADS")
-    if threads is not None:
-        try:
-            nk.set_thread_count(int(threads))
-        except ValueError:
-            _error_doc(command, UsageError(
-                f"thread count must be an integer, got {threads!r}"),
-                extra={"exit_code": 2})
-            return 2
 
     command = " ".join(p for p in (args.group, getattr(args, "op", None)) if p)
     try:

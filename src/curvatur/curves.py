@@ -49,13 +49,7 @@ class ParamCurve:
     def jets(self, t, order=3):
         """Coordinate jets at parameter value(s) ``t``."""
         tj, = Jet.variables(np.asarray(t, dtype=float)[None], order)
-        comps = self._fn(tj)
-        out = []
-        for c in comps:
-            if not isinstance(c, Jet):
-                c = tj._like_const(np.asarray(c, dtype=float)
-                                   * np.ones_like(tj.coef[0]))
-            out.append(c)
+        out = [nk.as_jet(c, tj) for c in self._fn(tj)]
         if len(out) != self.dim:
             raise PreconditionError("curve evaluator returned wrong dimension")
         return out
@@ -244,14 +238,7 @@ class _FrameODECurve(ParamCurve):
 def _as_jet_fn(fn):
     """Wrap user curvature data so constants and plain callables both work."""
 
-    def wrapped(s_jet):
-        out = fn(s_jet)
-        if isinstance(out, Jet):
-            return out
-        return s_jet._like_const(np.asarray(out, dtype=float)
-                                 * np.ones_like(s_jet.coef[0]))
-
-    return wrapped
+    return lambda s_jet: nk.as_jet(fn(s_jet), s_jet)
 
 
 def reconstruct_plane_curve(kbar, s_max, rtol=1e-10, atol=1e-12) -> ParamCurve:

@@ -78,22 +78,16 @@ class MetricChart:
             ok &= (x[i] >= lo + margin) & (x[i] <= hi - margin)
         return ok
 
+    def entries(self, xj):
+        """Metric matrix as nested lists of jets at the seed variables
+        ``xj`` (from :meth:`Jet.variables`), constants promoted to jets."""
+        rows = self._gfn(list(xj))
+        return [[nk.as_jet(rows[i][j], xj[0]) for j in range(self.dim)]
+                for i in range(self.dim)]
+
     def metric_jets(self, x, order=1):
         """Metric entries as jets of the given order at point(s) x."""
-        x = np.asarray(x, dtype=float)
-        xj = Jet.variables(x, order)
-        rows = self._gfn(xj)
-        out = []
-        for i in range(self.dim):
-            row = []
-            for j in range(self.dim):
-                e = rows[i][j]
-                if not isinstance(e, Jet):
-                    e = xj[0]._like_const(np.asarray(e, dtype=float)
-                                          * np.ones_like(xj[0].coef[0]))
-                row.append(e)
-            out.append(row)
-        return out
+        return self.entries(Jet.variables(np.asarray(x, dtype=float), order))
 
     def g_at(self, x):
         """Metric matrix, shape (n, n, ...batch)."""
@@ -172,22 +166,13 @@ def pullback_metric(surface) -> MetricChart:
                        np.asarray(vj.value, dtype=float)
                        * np.ones_like(uj.value)])
         bu, bv = Jet.variables(uv, m + 1)
-        r = surface._fn(bu, bv)
-        r = [c if isinstance(c, Jet)
-             else bu._like_const(np.asarray(c, dtype=float)
-                                 * np.ones_like(bu.coef[0])) for c in r]
-        ru = [nk.derivative_nd(c, 0) for c in r]
-        rv = [nk.derivative_nd(c, 1) for c in r]
-        basis = (ru, rv)
-        inner = list(xj) if m == uj.order else [nk.truncate(c, m) for c in xj]
-        rows = []
-        for i in range(2):
-            row = []
-            for j in range(2):
-                e = nk.vdot(basis[i], basis[j])
-                row.append(nk.compose_nd(e, inner))
-            rows.append(row)
-        return rows
+        r = [nk.as_jet(c, bu) for c in surface._fn(bu, bv)]
+        # the entries are jets in seed variables at the chart's point, the
+        # same variables as xj truncated to order m
+        basis = ([nk.derivative_nd(c, 0) for c in r],
+                 [nk.derivative_nd(c, 1) for c in r])
+        return [[nk.vdot(basis[i], basis[j]) for j in range(2)]
+                for i in range(2)]
 
     return MetricChart(2, surface.domain, gfn,
                        provenance="pullback-from-patch",

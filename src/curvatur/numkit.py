@@ -15,20 +15,21 @@ steps and cubic Hermite dense output.  It integrates flat state vectors;
 callers that want many geodesics at once flatten a (lanes, dim) state and
 share step control across lanes, which is how the circle and volume
 routines stay fast.
+
+Quadrature is a tensor Gauss-Legendre rule that doubles its nodes per axis
+until two successive rules agree.  Integrands see whole node arrays, so a
+surface integral costs a few batched jet evaluations, not one per point.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass, field
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.integrate
 
 
 MAX_VARS = 4
@@ -382,6 +383,15 @@ class Jet:
                 f"value={np.asarray(self.coef[0])!r})")
 
 
+def as_jet(x, like: Jet) -> Jet:
+    """``x`` itself if it is a jet, else the constant jet ``x`` shaped like
+    ``like`` (same variables, order and batch shape)."""
+    if isinstance(x, Jet):
+        return x
+    return like._like_const(np.asarray(x, dtype=float)
+                            * np.ones_like(like.coef[0]))
+
+
 def compose1d(outer: Jet, inner: Jet) -> Jet:
     """Compose a univariate jet with an arbitrary jet: ``outer(inner)``.
 
@@ -406,8 +416,6 @@ def invert_univariate(j: Jet, t0: float) -> Jet:
     if j.order > 3:
         raise PreconditionError("inversion implemented through order 3")
     s1 = j.partial((1,))
-    out = np.zeros_like(j.coef)
-    out[0] = t0
     derivs = [np.asarray(t0, dtype=float), 1.0 / s1]
     if j.order >= 2:
         s2 = j.partial((2,))
@@ -415,7 +423,6 @@ def invert_univariate(j: Jet, t0: float) -> Jet:
     if j.order >= 3:
         s3 = j.partial((3,))
         derivs.append((3 * s2 ** 2 - s1 * s3) / s1 ** 5)
-    K = j.coef.shape[0]
     coef = np.zeros_like(j.coef)
     for k in range(j.order + 1):
         coef[k] = derivs[k] / math.factorial(k) if k < len(derivs) else 0.0
@@ -768,31 +775,49 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
 # ---------------------------------------------------------------------------
 
 
+def _gauss_legendre_rule(fn, box, tol):
+    """Tensor Gauss-Legendre integral of ``fn`` over ``box``, a list of
+    (lo, hi) intervals.
+
+    ``fn`` receives one node array per axis (the ``indexing="ij"`` grid)
+    and returns values of the grid's shape, optionally with leading
+    component axes.  The nodes per axis double from 8 to 256 until two
+    successive rules agree within ``max(tol, tol * max|value|)``; the finer
+    rule's value is returned with that difference as its error estimate.
+    """
+    previous = None
+    for n in (8, 16, 32, 64, 128, 256):
+        rules = [gauss_legendre(n, lo, hi) for lo, hi in box]
+        nodes = np.meshgrid(*(x for x, _ in rules), indexing="ij")
+        weights = rules[0][1]
+        for _, w in rules[1:]:
+            weights = np.multiply.outer(weights, w)
+        value = np.tensordot(np.asarray(fn(*nodes), dtype=float), weights,
+                             axes=len(box))
+        if previous is not None:
+            err = float(np.max(np.abs(value - previous)))
+            if err <= max(tol, tol * float(np.max(np.abs(value)))):
+                return (float(value) if value.ndim == 0 else value), err
+        previous = value
+    raise QuadratureError(
+        f"Gauss-Legendre rule did not converge at {n} nodes per axis "
+        f"(error estimate {err:.3g})", value, err)
+
+
 def quadrature(fn, a, b, tol=1e-10):
-    """Adaptive quadrature of ``fn`` on [a, b] to absolute tolerance ``tol``.
+    """Integral of ``fn`` on [a, b]; ``fn`` maps an array of nodes to an
+    array of values (with optional leading component axes).
 
     Returns (value, error_estimate).  Raises :class:`QuadratureError` when
-    the estimate cannot be certified to the tolerance.
+    256 Gauss-Legendre nodes do not reach the tolerance.
     """
-    out = scipy.integrate.quad(fn, a, b, epsabs=tol, epsrel=tol, limit=200,
-                               full_output=1)
-    value, err = out[0], out[1]
-    if len(out) > 3:
-        raise QuadratureError(f"quadrature did not converge: {out[3]}", value, err)
-    if err > max(tol, 10 * tol * abs(value)) * 10:
-        raise QuadratureError(
-            f"quadrature error estimate {err:.3g} above tolerance", value, err)
-    return value, err
+    return _gauss_legendre_rule(fn, [(a, b)], tol)
 
 
 def quadrature2d(fn, a, b, c, d, tol=1e-9):
-    """Double integral of fn(u, v) over [a,b] x [c,d]."""
-    value, err = scipy.integrate.dblquad(
-        lambda v, u: fn(u, v), a, b, c, d, epsabs=tol, epsrel=tol)
-    if err > max(tol, 10 * tol * abs(value)) * 10:
-        raise QuadratureError(
-            f"2d quadrature error estimate {err:.3g} above tolerance", value, err)
-    return value, err
+    """Double integral of fn(u, v) over [a,b] x [c,d]; ``u`` and ``v`` are
+    the node grids and the result is as for :func:`quadrature`."""
+    return _gauss_legendre_rule(fn, [(a, b), (c, d)], tol)
 
 
 def gauss_legendre(n, a, b):
@@ -928,32 +953,3 @@ def generalized_symmetric_eigen(q, g, tie_tol=1e-10):
         v = np.array([-m[r, 1], m[r, 0]])
         vecs.append(g_normalize(v))
     return np.array([lam_hi, lam_lo]), np.column_stack(vecs), False
-
-
-# ---------------------------------------------------------------------------
-# optional threading for embarrassingly parallel sweeps
-# ---------------------------------------------------------------------------
-
-_THREADS = max(1, int(os.environ.get("CURVATUR_THREADS", "1") or 1))
-
-
-def set_thread_count(n: int):
-    global _THREADS
-    _THREADS = max(1, int(n))
-
-
-def get_thread_count() -> int:
-    return _THREADS
-
-
-def pmap(fn, items):
-    """Order-preserving map, threaded when a thread count above 1 is set.
-
-    Results are identical to the serial map; threading only helps for
-    independent heavyweight items (per-geometry verification sweeps).
-    """
-    items = list(items)
-    if _THREADS <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=_THREADS) as ex:
-        return list(ex.map(fn, items))

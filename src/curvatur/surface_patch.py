@@ -78,13 +78,7 @@ class SurfacePatch:
         """Three coordinate jets in the two surface parameters."""
         uv = np.stack([np.asarray(u, dtype=float), np.asarray(v, dtype=float)])
         uj, vj = Jet.variables(uv, order)
-        comps = self._fn(uj, vj)
-        out = []
-        for c in comps:
-            if not isinstance(c, Jet):
-                c = uj._like_const(np.asarray(c, dtype=float)
-                                   * np.ones_like(uj.coef[0]))
-            out.append(c)
+        out = [nk.as_jet(c, uj) for c in self._fn(uj, vj)]
         if len(out) != 3:
             raise PreconditionError("surface evaluator must return 3 components")
         return out
@@ -313,13 +307,13 @@ def section_curvature(surface: SurfacePatch, uv, phi, theta, method="euler"):
 
 
 def area(surface: SurfacePatch, tol=1e-9):
-    """Patch area by adaptive 2D quadrature of |r_u x r_v|."""
+    """Patch area by 2D Gauss-Legendre quadrature of |r_u x r_v|."""
     (u0, u1), (v0, v1) = surface.domain
 
     def integrand(u, v):
         basis = surface.tangent_basis(u, v)
         n = np.cross(basis[0], basis[1], axis=0)
-        return float(np.sqrt((n * n).sum(axis=0)))
+        return np.sqrt((n * n).sum(axis=0))
 
     value, _ = nk.quadrature2d(integrand, u0, u1, v0, v1, tol=tol)
     return value
@@ -348,7 +342,7 @@ def offset_surface(surface: SurfacePatch, eps, focal_grid=16) -> SurfacePatch:
         uv = np.stack([np.asarray(uj.value, dtype=float) * np.ones_like(vj.value),
                        np.asarray(vj.value, dtype=float) * np.ones_like(uj.value)])
         bu, bv = Jet.variables(uv, order)
-        r = surface._fn(bu, bv)
+        r = [nk.as_jet(c, bu) for c in surface._fn(bu, bv)]
         ru = [nk.derivative_nd(c, 0) for c in r]
         rv = [nk.derivative_nd(c, 1) for c in r]
         cr = nk.vcross(ru, rv)
@@ -403,7 +397,7 @@ def gauss_map_signed_area(surface: SurfacePatch, tol=1e-9):
         n = [c.value for c in nj]
         n_u = [c.partial((1, 0)) for c in nj]
         n_v = [c.partial((0, 1)) for c in nj]
-        return sign * float(nk.vtriple(n_u, n_v, n))
+        return sign * nk.vtriple(n_u, n_v, n)
 
     value, _ = nk.quadrature2d(integrand, u0, u1, v0, v1, tol=tol)
     return value
@@ -427,6 +421,7 @@ def total_curvatures(surface: SurfacePatch, fit_tol=1e-4,
     sign = -1.0 if surface.flip_normal else 1.0
 
     def integrands(u, v):
+        """(|r_u x r_v|, mean density, Gauss density) from one evaluation."""
         nj = surface.normal_jets(u, v, order=1)
         r = surface.jets(u, v, order=1)
         n = [c.value for c in nj]
@@ -434,13 +429,13 @@ def total_curvatures(surface: SurfacePatch, fit_tol=1e-4,
         n_v = [c.partial((0, 1)) for c in nj]
         r_u = [c.partial((1, 0)) for c in r]
         r_v = [c.partial((0, 1)) for c in r]
+        cr = nk.vcross(r_u, r_v)
         h = nk.vtriple(r_u, n_v, n) + nk.vtriple(n_u, r_v, n)
         k = nk.vtriple(n_u, n_v, n)
-        return sign * float(h), sign * float(k)
+        return np.stack([np.sqrt(nk.vdot(cr, cr)), sign * h, sign * k])
 
-    S = area(surface, tol=tol)
-    H, _ = nk.quadrature2d(lambda u, v: integrands(u, v)[0], u0, u1, v0, v1, tol=tol)
-    K, _ = nk.quadrature2d(lambda u, v: integrands(u, v)[1], u0, u1, v0, v1, tol=tol)
+    totals, _ = nk.quadrature2d(integrands, u0, u1, v0, v1, tol=tol)
+    S, H, K = map(float, totals)
 
     eps_ladder = sorted(set(abs(e) for e in epsilons), reverse=True)
     eps_all = [e for mag in eps_ladder for e in (mag, -mag)]

@@ -347,17 +347,7 @@ def _inv_jet_matrix(g):
 def christoffel_jets(chart: ig.MetricChart, xj):
     """Christoffel symbols as jets, one order below the metric entries."""
     n = chart.dim
-    rows = chart._gfn(list(xj))
-    gj = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = rows[i][j]
-            if not isinstance(e, Jet):
-                e = xj[0]._like_const(np.asarray(e, dtype=float)
-                                      * np.ones_like(xj[0].coef[0]))
-            row.append(e)
-        gj.append(row)
+    gj = chart.entries(xj)
     m = min(gj[i][j].order for i in range(n) for j in range(n)) - 1
     dg = [[[nk.truncate(nk.derivative_nd(gj[i][j], k), m)
             for j in range(n)] for i in range(n)] for k in range(n)]
@@ -524,22 +514,7 @@ def directional(chart: ig.MetricChart, X: Field, field: Field) -> Field:
 def metric_field(chart: ig.MetricChart) -> Field:
     """The metric itself as a bilinear field."""
 
-    def fn(xj):
-        n = chart.dim
-        rows = chart._gfn(list(xj))
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                e = rows[i][j]
-                if not isinstance(e, Jet):
-                    e = xj[0]._like_const(np.asarray(e, dtype=float)
-                                          * np.ones_like(xj[0].coef[0]))
-                row.append(e)
-            out.append(row)
-        return out
-
-    return Field("bilinear", fn, name="g")
+    return Field("bilinear", chart.entries, name="g")
 
 
 def exterior_derivative(phi: Field) -> Field:
@@ -589,11 +564,11 @@ def potential_on_box(phi: Field, box, base=None, tol=1e-10):
 
     def comp(k, x):
         def f(s):
-            pt = x.copy()
-            pt[k] = s
+            pts = np.repeat(x[:, None], len(s), axis=1)
+            pts[k] = s
             # order 2 leaves headroom for phi being itself a derived field
-            jets = list(Jet.variables(pt, 2))
-            return float(phi.fn(jets)[k].value)
+            jets = list(Jet.variables(pts, 2))
+            return phi.fn(jets)[k].value
         return f
 
     def f(x):

@@ -246,12 +246,10 @@ def suite_offset_expansion(seed=0):
     for name, patch in patches:
         try:
             rep = sp.total_curvatures(patch)
-            out.append(_check(suite, f"offset fit vs totals on {name}",
-                              rep.rel_mismatch, 1e-4))
         except sp.VerificationError as exc:
-            rep = exc.args[1]
-            out.append(_check(suite, f"offset fit vs totals on {name}",
-                              rep.rel_mismatch, 1e-4))
+            rep = exc.report      # a failed fit still reports its numbers
+        out.append(_check(suite, f"offset fit vs totals on {name}",
+                          rep.rel_mismatch, 1e-4))
         if name.startswith("sphere"):
             dev = max(abs(rep.area - 4 * math.pi),
                       abs(rep.mean_total - 8 * math.pi),

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import curvatur.catalog as cat
-import curvatur.numkit as nk
 import curvatur.verify as vf
 from curvatur import cli
 
@@ -248,17 +247,11 @@ def test_negative_coordinates_accepted(capsys):
     assert doc["results"]["tau"] == pytest.approx(-2.0, abs=2e-3)
 
 
-def test_threads_flag_and_env(capsys, monkeypatch):
-    old = nk.get_thread_count()
-    try:
-        run_json(capsys, "surface", "area", "--builtin", "torus",
-                 "--threads", "3")
-        assert nk.get_thread_count() == 3
-        monkeypatch.setenv("CURVATUR_THREADS", "2")
-        run_json(capsys, "surface", "area", "--builtin", "torus")
-        assert nk.get_thread_count() == 2
-    finally:
-        nk.set_thread_count(old)
+def test_unknown_flag_is_usage_error(capsys):
+    code, _, err = run(capsys, "surface", "area", "--builtin", "torus",
+                       "--threads", "3")
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "UsageError"
 
 
 def test_help_exits_zero(capsys):

@@ -1,6 +1,9 @@
 """Jets, quadrature, ODE integration, extrapolation, and eigen helpers."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -77,15 +80,44 @@ def test_gauss_legendre_polynomial_exactness():
 
 
 def test_quadrature_smooth():
-    val, err = nk.quadrature(math.exp, 0.0, 1.0, tol=1e-12)
+    val, err = nk.quadrature(np.exp, 0.0, 1.0, tol=1e-12)
     assert val == pytest.approx(math.e - 1.0, abs=1e-12)
     assert err < 1e-10
 
 
 def test_quadrature2d_separable():
-    val, _ = nk.quadrature2d(lambda x, y: math.sin(x) * y,
+    val, _ = nk.quadrature2d(lambda x, y: np.sin(x) * y,
                              0.0, math.pi, 0.0, 2.0, tol=1e-10)
     assert val == pytest.approx(4.0, abs=1e-8)
+
+
+def test_quadrature2d_vector_valued():
+    # leading component axis: (1, x y, exp(x) cos(y)) on [0,1] x [0,pi/2]
+    val, err = nk.quadrature2d(
+        lambda x, y: np.stack([np.ones_like(x), x * y, np.exp(x) * np.cos(y)]),
+        0.0, 1.0, 0.0, math.pi / 2, tol=1e-12)
+    want = [math.pi / 2, math.pi ** 2 / 16, math.e - 1.0]
+    assert val.shape == (3,)
+    assert np.allclose(val, want, rtol=0.0, atol=1e-12)
+    assert err < 1e-10
+
+
+def test_quadrature_nonconvergence_carries_estimate():
+    with pytest.raises(nk.QuadratureError) as info:
+        nk.quadrature(lambda x: np.sqrt(np.abs(x - 1.0 / 3.0)), 0.0, 1.0,
+                      tol=1e-14)
+    exact = 2.0 / 3.0 * ((1.0 / 3.0) ** 1.5 + (2.0 / 3.0) ** 1.5)
+    assert info.value.estimate == pytest.approx(exact, abs=1e-4)
+    assert 1e-14 < info.value.error_estimate < 1e-3
+
+
+def test_import_leaves_scipy_out():
+    code = "import sys, curvatur; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                             sys.path)})
+    assert out.stdout.strip() == "False"
 
 
 def test_integrate_ode_exponential():
@@ -155,12 +187,3 @@ def test_vector_helpers():
     assert nk.vtriple([1, 0, 0], [2, 0, 0], [0, 0, 1]) == pytest.approx(0.0)
     assert np.allclose(nk.vcross([1, 0, 0], [0, 1, 0]), [0, 0, 1])
     assert nk.vdot([1, 2, 3], [4, 5, 6]) == pytest.approx(32.0)
-
-
-def test_pmap_preserves_order():
-    old = nk.get_thread_count()
-    try:
-        nk.set_thread_count(3)
-        assert nk.pmap(lambda k: k * k, range(10)) == [k * k for k in range(10)]
-    finally:
-        nk.set_thread_count(old)

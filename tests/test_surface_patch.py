@@ -115,6 +115,13 @@ def test_offset_sphere_area_shrinks_inward(sphere):
                                          abs=1e-8)
 
 
+def test_offset_of_constant_component_patch():
+    plane = cat.builtin("plane").build()          # (u, v, 0)
+    off = sp.offset_surface(plane, 0.3)
+    assert off.point(0.5, -1.0) == pytest.approx([0.5, -1.0, 0.3], abs=1e-15)
+    assert sp.area(off) == pytest.approx(sp.area(plane), abs=1e-12)
+
+
 def test_offset_beyond_focal_distance_rejected(sphere):
     with pytest.raises(nk.PreconditionError):
         sp.offset_surface(sphere, 1.2)
