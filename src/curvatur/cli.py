@@ -109,6 +109,11 @@ def _emit_csv(args, header, rows):
 
 def _error_doc(command, exc, extra=None):
     info = {"type": type(exc).__name__, "message": str(exc)}
+    # diagnostic state carried by numerical failures (see numkit)
+    for key in ("t", "y", "nan_seen", "estimate", "error_estimate", "best",
+                "residual"):
+        if getattr(exc, key, None) is not None:
+            info[key] = getattr(exc, key)
     if extra:
         info.update(extra)
     sys.stderr.write(_dump({"command": command, "error": info}) + "\n")
@@ -603,7 +608,14 @@ def _cmd_hyperbolic_distance(args):
 def _cmd_verify(args):
     _require_csv_off(args, "verify")
     names = args.suite or ["all"]
-    checks = vf.run_suites(names, seed=args.seed)
+    stream = args.format != "json" and not args.output
+
+    def report(c):
+        sys.stdout.write(vf.format_check(c) + "\n")
+        sys.stdout.flush()
+
+    checks = vf.run_suites(names, seed=args.seed,
+                           report=report if stream else None)
     failed = [c for c in checks if not c.passed]
     if args.format == "json":
         rows = [{"suite": c.suite, "name": c.name, "value": c.value,
@@ -616,7 +628,7 @@ def _cmd_verify(args):
               {"checks": rows,
                "passed": len(checks) - len(failed),
                "failed": len(failed)})
-    else:
+    elif not stream:
         _write(args, "\n".join(vf.format_check(c) for c in checks))
     if failed:
         _error_doc("verify", nk.NumericalError(

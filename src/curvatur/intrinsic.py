@@ -1,9 +1,15 @@
 """Intrinsic geometry over metric charts.
 
 A :class:`MetricChart` is a coordinate box with a metric evaluator that
-produces jet-valued entries, so Christoffel symbols and their first
-derivatives are exact (within roundoff) rather than differenced.  On top of
-that sit geodesics, the exponential map (with optional variational state for
+produces jet-valued entries.  The Christoffel symbols have one derivation,
+:func:`christoffel_jet`: the entries are stacked into one matrix-valued jet,
+differentiated, and contracted with the jet inverse of the metric, so the
+symbols come out as one jet, exact (within roundoff) rather than
+differenced.  Every consumer reads off that jet: :func:`christoffel_at`
+takes its value, :func:`christoffel_and_grad` its value and gradient (which
+is all the Riemann tensor needs), and the covariant calculus of
+:mod:`curvatur.tensors` its higher coefficients.  On top of that sit
+geodesics, the exponential map (with optional variational state for
 derivatives of exp), parallel transport, holonomy, geodesic circles, the
 comparison-limit scalar curvature, and two-point distance by shooting.
 
@@ -89,30 +95,26 @@ class MetricChart:
         """Metric entries as jets of the given order at point(s) x."""
         return self.entries(Jet.variables(np.asarray(x, dtype=float), order))
 
+    def metric_jet(self, xj):
+        """The metric as one jet with coefficients (K, n, n, ...batch),
+        truncated to the common order of its entries."""
+        rows = self.entries(xj)
+        m = min(e.order for row in rows for e in row)
+        return Jet(self.dim, m, np.stack([np.stack(
+            [nk.truncate(e, m).coef for e in row], axis=1) for row in rows],
+            axis=1))
+
     def g_at(self, x):
         """Metric matrix, shape (n, n, ...batch)."""
-        jets = self.metric_jets(np.asarray(x, dtype=float), order=1)
-        return np.stack([np.stack([jets[i][j].value for j in range(self.dim)])
-                         for i in range(self.dim)])
+        return self.metric_jet(Jet.variables(np.asarray(x, dtype=float),
+                                             1)).value
 
     def metric_arrays(self, x, order=1):
         """(g, dg[, d2g]) arrays; dg[k,i,j] = d g_ij / d x_k, batch axes last."""
-        n = self.dim
-        jets = self.metric_jets(np.asarray(x, dtype=float), order=order)
-        g = np.stack([np.stack([jets[i][j].value for j in range(n)])
-                      for i in range(n)])
-        unit = lambda k: tuple(1 if a == k else 0 for a in range(n))
-        dg = np.stack([np.stack([np.stack([jets[i][j].partial(unit(k))
-                                           for j in range(n)])
-                                 for i in range(n)]) for k in range(n)])
+        G = self.metric_jet(Jet.variables(np.asarray(x, dtype=float), order))
         if order == 1:
-            return g, dg
-        two = lambda k, l: tuple((1 if a == k else 0) + (1 if a == l else 0)
-                                 for a in range(n))
-        d2g = np.stack([np.stack([np.stack([np.stack(
-            [jets[i][j].partial(two(k, l)) for j in range(n)])
-            for i in range(n)]) for l in range(n)]) for k in range(n)])
-        return g, dg, d2g
+            return G.value, G.grad()
+        return G.value, G.grad(), G.hessian()
 
     def orthonormal_basis(self, x):
         """Columns form a positively oriented g-orthonormal basis at x."""
@@ -122,35 +124,33 @@ class MetricChart:
         return np.moveaxis(E, (-2, -1), (0, 1))
 
 
-def _inv_batched(g):
-    """Inverse of (n, n, ...batch) matrices."""
-    gi = np.linalg.inv(np.moveaxis(g, (0, 1), (-2, -1)))
-    return np.moveaxis(gi, (-2, -1), (0, 1))
+def christoffel_jet(chart: MetricChart, xj):
+    """Christoffel symbols as one jet, one order below the metric entries.
+
+    Coefficients have shape (K, k, i, j, ...batch) and hold
+    Gamma^k_ij = g^kl (d_i g_lj + d_j g_li - d_l g_ij) / 2 at the seed
+    variables ``xj``.  This is the only derivation of the symbols: values,
+    gradients and higher jets are all read off it.
+    """
+    g = chart.metric_jet(xj)
+    dg = np.stack([nk.derivative_nd(g, a).coef for a in range(chart.dim)],
+                  axis=1)                                # d_a g_ij at [:, a, i, j]
+    sym = (np.einsum('Kilj...->Klij...', dg) + np.einsum('Kjli...->Klij...', dg)
+           - dg)
+    ginv = nk.jet_inv(nk.truncate(g, g.order - 1))
+    return 0.5 * nk.jet_matmul(ginv, Jet(g.nvars, g.order - 1, sym))
 
 
 def christoffel_at(chart: MetricChart, x):
     """Christoffel symbols, shape (n, n, n, ...batch), index order [k, i, j]."""
-    g, dg = chart.metric_arrays(x, order=1)
-    ginv = _inv_batched(g)
-    sym = (np.einsum('ilj...->lij...', dg) + np.einsum('jli...->lij...', dg)
-           - dg)
-    return 0.5 * np.einsum('kl...,lij...->kij...', ginv, sym)
+    return christoffel_jet(chart, Jet.variables(np.asarray(x, dtype=float),
+                                                1)).value
 
 
 def christoffel_and_grad(chart: MetricChart, x):
     """(Gamma, dGamma) with dGamma[a,k,i,j] = d Gamma^k_ij / d x_a."""
-    g, dg, d2g = chart.metric_arrays(x, order=2)
-    ginv = _inv_batched(g)
-    sym = (np.einsum('ilj...->lij...', dg) + np.einsum('jli...->lij...', dg)
-           - dg)
-    gamma = 0.5 * np.einsum('kl...,lij...->kij...', ginv, sym)
-    dginv = -np.einsum('km...,amn...,nl...->akl...', ginv, dg, ginv)
-    dsym = (np.einsum('ailj...->alij...', d2g)
-            + np.einsum('ajli...->alij...', d2g)
-            - np.einsum('alij...->alij...', d2g))
-    dgamma = 0.5 * (np.einsum('akl...,lij...->akij...', dginv, sym)
-                    + np.einsum('kl...,alij...->akij...', ginv, dsym))
-    return gamma, dgamma
+    gamma = christoffel_jet(chart, Jet.variables(np.asarray(x, dtype=float), 2))
+    return gamma.value, gamma.grad()
 
 
 def pullback_metric(surface) -> MetricChart:
@@ -587,8 +587,9 @@ def _polygon_length(chart: MetricChart, pts):
     return float(seg.sum())
 
 
-def _circle_lengths(chart: MetricChart, P, radii, M):
-    """Geodesic-circle lengths at the given radii with M direction samples.
+def _circle_lengths(chart: MetricChart, P, radii, M, frame):
+    """Geodesic-circle lengths at the given radii with M direction samples
+    in the plane of the g-orthonormal ``frame`` (n, 2).
 
     One batched integration serves every radius: lanes are directions, the
     mesh is forced through t = r/r_max, and circle points are read off at
@@ -596,33 +597,33 @@ def _circle_lengths(chart: MetricChart, P, radii, M):
     """
     P = np.asarray(P, dtype=float)
     n = chart.dim
-    E = chart.orthonormal_basis(P)
     rmax = max(radii)
     phis = 2.0 * math.pi * np.arange(M) / M
-    dirs = np.cos(phis) * E[:, :1] + np.sin(phis) * E[:, 1:2]   # (n, M)
+    dirs = np.cos(phis) * frame[:, :1] + np.sin(phis) * frame[:, 1:2]  # (n, M)
     hits = sorted(set(float(r) / rmax for r in radii if r < rmax))
     traj = _exp_batch(chart, P, rmax * dirs, must_hit=hits)
     out = {}
     for r in radii:
-        t = float(r) / rmax
-        i = int(np.argmin(np.abs(traj.ts - t)))
-        if abs(traj.ts[i] - t) > 1e-13:
-            raise nk.NumericalError("forced node missing from the mesh")
-        pts = traj.ys[i].reshape(M, 2, n)[:, 0, :]
+        pts = traj.at_node(float(r) / rmax).reshape(M, 2, n)[:, 0, :]
         out[float(r)] = _polygon_length(chart, pts)
     return out
 
 
-def geodesic_circle_lengths(chart: MetricChart, P, radii, samples=256):
+def geodesic_circle_lengths(chart: MetricChart, P, radii, samples=256,
+                            frame=None):
     """Richardson-refined circle lengths L(r) for each radius.
 
-    Returns (lengths dict, error dict): the polygon law has only even
-    powers of 1/M, so one doubling of the direction count removes the
-    leading term and leaves ~ (1/M)^4.
+    The circles lie in exp_P of the plane spanned by the g-orthonormal
+    columns of ``frame`` (n, 2), by default the first two columns of
+    :meth:`MetricChart.orthonormal_basis`.  Returns (lengths dict, error
+    dict): the polygon law has only even powers of 1/M, so one doubling of
+    the direction count removes the leading term and leaves ~ (1/M)^4.
     """
     radii = [float(r) for r in radii]
-    lo = _circle_lengths(chart, P, radii, samples)
-    hi = _circle_lengths(chart, P, radii, 2 * samples)
+    if frame is None:
+        frame = chart.orthonormal_basis(np.asarray(P, dtype=float))[:, :2]
+    lo = _circle_lengths(chart, P, radii, samples, frame)
+    hi = _circle_lengths(chart, P, radii, 2 * samples, frame)
     out, err = {}, {}
     for r in radii:
         out[r] = (4.0 * hi[r] - lo[r]) / 3.0
@@ -805,9 +806,7 @@ def _geodesic_sphere_areas(chart: MetricChart, P, radii, n_theta=24,
     W = (tw[:, None] * np.full(n_phi, pw)[None, :]).ravel()
     out = {}
     for r in radii:
-        t = float(r) / rmax
-        i = int(np.argmin(np.abs(traj.ts - t)))
-        z = traj.ys[i].reshape(lanes, 2 + 2 * 2, n)
+        z = traj.at_node(float(r) / rmax).reshape(lanes, 2 + 2 * 2, n)
         x = z[:, 0, :].T
         J = np.moveaxis(z[:, 2:4, :], 0, -1)        # (2, n, lanes)
         g = chart.g_at(x)
@@ -837,25 +836,10 @@ def plane_scalar_estimate(chart: MetricChart, P, u, v, r0=0.2, rungs=3,
         raise PreconditionError("directions do not span a plane")
     f2 = w / nv
     ladder = [float(r0) / 2 ** k for k in range(rungs)]
-
-    defects = []
-    for M in (samples, 2 * samples):
-        phis = 2.0 * math.pi * np.arange(M) / M
-        dirs = np.outer(f1, np.cos(phis)) + np.outer(f2, np.sin(phis))
-        rmax = max(ladder)
-        hits = sorted(set(r / rmax for r in ladder if r < rmax))
-        traj = _exp_batch(chart, P, rmax * dirs, must_hit=hits)
-        row = {}
-        for r in ladder:
-            t = r / rmax
-            i = int(np.argmin(np.abs(traj.ts - t)))
-            pts = traj.ys[i].reshape(M, 2, chart.dim)[:, 0, :]
-            row[r] = _polygon_length(chart, pts)
-        defects.append(row)
-    d = []
-    for r in ladder:
-        L = (4.0 * defects[1][r] - defects[0][r]) / 3.0
-        d.append(6.0 * (2 * math.pi * r - L) / (math.pi * r ** 3))
+    lengths, _ = geodesic_circle_lengths(chart, P, ladder, samples,
+                                         np.stack([f1, f2], axis=1))
+    d = [6.0 * (2 * math.pi * r - lengths[r]) / (math.pi * r ** 3)
+         for r in ladder]
     rr = nk.richardson(nk.ExtrapolationLadder(np.array(ladder), np.array(d),
                                               p=2))
     return rr.value, rr.error

@@ -7,8 +7,11 @@ multivariate Taylor expansion with numpy-array coefficients.  A jet carries
 every mixed partial of its function up to ``order`` at one point (or at a
 whole batch of points at once: coefficients may have trailing batch axes).
 Arithmetic on jets is exact Taylor arithmetic, so no step-size tuning and no
-cancellation error ever enters a derivative.  Finite differences appear in
-this package only inside clearly named cross-check oracles.
+cancellation error ever enters a derivative.  A jet whose batch axes start
+with matrix axes is a matrix-valued jet: :func:`jet_matmul` multiplies two
+of them and :func:`jet_inv` inverts one, each in a single batched pass.
+Finite differences appear in this package only inside clearly named
+cross-check oracles.
 
 The ODE integrator is an embedded Dormand-Prince 4(5) pair with adaptive
 steps and cubic Hermite dense output.  It integrates flat state vectors;
@@ -108,8 +111,8 @@ def _index_space(nvars: int, order: int):
     """
     if not (1 <= nvars <= MAX_VARS):
         raise PreconditionError(f"jet supports 1..{MAX_VARS} variables, got {nvars}")
-    if not (1 <= order <= MAX_ORDER):
-        raise PreconditionError(f"jet supports order 1..{MAX_ORDER}, got {order}")
+    if not (0 <= order <= MAX_ORDER):
+        raise PreconditionError(f"jet supports order 0..{MAX_ORDER}, got {order}")
     all_idx = [a for a in product(range(order + 1), repeat=nvars) if sum(a) <= order]
     all_idx.sort(key=lambda a: (sum(a), a))
     idx = tuple(all_idx)
@@ -141,7 +144,7 @@ class Jet:
     nvars : int
         Number of independent variables (1..4).
     order : int
-        Truncation order (1..4).
+        Truncation order (0..4).
     coef : ndarray, shape (K, ...) with K = number of multi-indices
         Taylor coefficients; trailing axes are batch axes.
     """
@@ -177,6 +180,8 @@ class Jet:
         -------
         list of Jet, one per variable
         """
+        if order < 1:
+            raise PreconditionError(f"seed variables need order >= 1, got {order}")
         values = np.asarray(values, dtype=float)
         nvars = values.shape[0]
         idx, pos, _, _, _ = _index_space(nvars, order)
@@ -482,8 +487,8 @@ def antiderivative1d(j: Jet, value0) -> Jet:
 
 def derivative_nd(j: Jet, axis: int) -> Jet:
     """Jet of the partial derivative along ``axis`` (order drops by one)."""
-    if j.order < 2:
-        raise PreconditionError("cannot lower a first order jet")
+    if j.order < 1:
+        raise PreconditionError("cannot lower an order-0 jet")
     idx_lo, pos_lo, _, _, _ = _index_space(j.nvars, j.order - 1)
     _, pos_hi, _, _, _ = _index_space(j.nvars, j.order)
     coef = np.zeros((len(idx_lo),) + j.coef.shape[1:])
@@ -528,6 +533,35 @@ def compose_nd(outer: Jet, inners: Sequence[Jet]) -> Jet:
             pj = pows[pred] * deltas[i]
         pows[a] = pj
         out = out + pj * outer.coef[pos[a]]
+    return out
+
+
+def jet_matmul(a: Jet, b: Jet) -> Jet:
+    """Matrix product of matrix-valued jets, truncated at their order.
+
+    ``a`` has coefficients (K, r, s, ...batch) and ``b`` (K, s, ...); the
+    product (K, r, ...) contracts ``s`` inside the Cauchy product of the
+    Taylor coefficients.  Trailing axes broadcast as in ``np.einsum``.
+    """
+    _, _, gather, mask, _ = _index_space(a.nvars, a.order)
+    return Jet(a.nvars, a.order,
+               np.einsum('kq,kqrs...,qs...->kr...', mask, a.coef[gather], b.coef))
+
+
+def jet_inv(a: Jet) -> Jet:
+    """Inverse of a matrix-valued jet with coefficients (K, n, n, ...batch).
+
+    With a = a0 (1 + a0^-1 d), where d = a - a0 has no constant term,
+    a^-1 = sum_p (-a0^-1 d)^p a0^-1; the series ends at the jet order
+    because d^(order+1) truncates to zero.
+    """
+    a0 = np.linalg.inv(np.moveaxis(a.coef[0], (0, 1), (-2, -1)))
+    inv0 = Jet.constant(np.moveaxis(a0, (-2, -1), (0, 1)), a.nvars, a.order)
+    d = Jet(a.nvars, a.order, a.coef.copy())
+    d.coef[0] = 0.0
+    out = inv0
+    for _ in range(a.order):
+        out = inv0 - jet_matmul(inv0, jet_matmul(d, out))
     return out
 
 
@@ -620,6 +654,15 @@ class Trajectory:
     @property
     def t_final(self):
         return float(self.ts[-1])
+
+    def at_node(self, t):
+        """State at the accepted node at time ``t``, a time the solve was
+        forced through with ``must_hit``; raises :class:`NumericalError`
+        when no node lies within 1e-13 of ``t``."""
+        i = int(np.argmin(np.abs(self.ts - t)))
+        if abs(self.ts[i] - t) > 1e-13:
+            raise NumericalError(f"forced node t={t:.17g} missing from the mesh")
+        return self.ys[i]
 
     def eval(self, t):
         """Hermite evaluation at scalar or array times inside the span."""

@@ -323,17 +323,37 @@ def offset_surface(surface: SurfacePatch, eps, focal_grid=16) -> SurfacePatch:
     """Parallel surface r + eps * n with jets routed through the normal.
 
     Fails when |eps| reaches the focal distance (|eps * lambda| >= 1 at a
-    sample point), where the offset stops being an immersion.
+    sample point), where the offset stops being an immersion.  The check
+    runs on one batched jet evaluation over a focal_grid x focal_grid grid,
+    with max |lambda| = |H| + sqrt(H^2 - K) from the fundamental forms.
     """
     eps = float(eps)
     (u0, u1), (v0, v1) = surface.domain
-    for u in np.linspace(u0, u1, focal_grid):
-        for v in np.linspace(v0, v1, focal_grid):
-            rep = principal_at(surface, (u, v))
-            m = max(abs(rep.lam_plus), abs(rep.lam_minus))
-            if abs(eps) * m >= 1.0:
-                raise PreconditionError(
-                    f"offset {eps} crosses the focal set at (u,v)=({u:.4g},{v:.4g})")
+    U, V = np.meshgrid(np.linspace(u0, u1, focal_grid),
+                       np.linspace(v0, v1, focal_grid), indexing="ij")
+    js = surface.jets(U.ravel(), V.ravel(), order=2)
+    d = {a: np.stack([c.partial(a) for c in js])
+         for a in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
+    ru, rv = d[(1, 0)], d[(0, 1)]
+    E, F, G = (ru * ru).sum(axis=0), (ru * rv).sum(axis=0), (rv * rv).sum(axis=0)
+    cr = np.cross(ru, rv, axis=0)
+    nrm = np.sqrt((cr * cr).sum(axis=0))
+    regular = nrm > 1e-12 * np.sqrt(np.maximum(np.maximum(E, G), 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = cr / nrm
+        L, M, N = ((d[a] * n).sum(axis=0) for a in ((2, 0), (1, 1), (0, 2)))
+        det = E * G - F * F
+        H = (E * N - 2.0 * F * M + G * L) / (2.0 * det)
+        lam = np.abs(H) + np.sqrt(np.maximum(H * H - (L * N - M * M) / det, 0.0))
+    bad = ~regular | (abs(eps) * lam >= 1.0)
+    if bad.any():
+        i = int(np.argmax(bad))               # first offender, u-major order
+        u, v = U.flat[i], V.flat[i]
+        if not regular[i]:
+            raise PreconditionError(
+                f"patch is not regular at (u,v)=({u:.4g},{v:.4g})")
+        raise PreconditionError(
+            f"offset {eps} crosses the focal set at (u,v)=({u:.4g},{v:.4g})")
 
     sign = -1.0 if surface.flip_normal else 1.0
 

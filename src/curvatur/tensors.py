@@ -1,7 +1,9 @@
 """Curvature tensors and covariant calculus on metric charts.
 
-The Riemann tensor here is assembled from Christoffel symbols and their
-exact derivatives, with the index convention
+The Riemann tensor here is assembled from the Christoffel symbols and their
+exact first derivatives, both read off the one Christoffel jet of
+:func:`intrinsic.christoffel_jet` through :func:`intrinsic.christoffel_and_grad`,
+with the index convention
 
     R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj}
                 + sum_m (Gamma^i_{km} Gamma^m_{lj} - Gamma^i_{lm} Gamma^m_{kj})
@@ -11,12 +13,14 @@ sphere has R_1212 = +sin^2(rho) and sectional curvature +1, and the
 holonomy of a small parallelogram spanned by (h u, h v), traversed with the
 v-side first, is E + h^2 R(u, v) + O(h^3).  Two independent oracles are
 provided: parallelogram holonomy for the full tensor and geodesic-cube
-volumes for the Ricci form.  Neither shares code with the Christoffel
-route beyond the geodesic integrator itself.
+volumes for the Ricci form.  They reach Gamma and dGamma only through the
+geodesic and variational right-hand sides of :mod:`curvatur.intrinsic`;
+they never assemble curvature from the symbols.
 
 Fields (scalar, vector, covector, bilinear) are callables from coordinate
 jets to jet components, which makes covariant derivatives composable to
-the depth the jet order allows.
+the depth the jet order allows.  Covariant derivatives take their
+Christoffel symbols as order-m slices of the same Christoffel jet.
 """
 
 from __future__ import annotations
@@ -196,9 +200,7 @@ def _cube_volume_ladder(chart, P, cols, hs, grid):
     lanes = XI.shape[1]
     out = {}
     for h in hs:
-        t = h / hmax
-        i = int(np.argmin(np.abs(traj.ts - t)))
-        z = traj.ys[i].reshape(lanes, 2 + 2 * n, n)
+        z = traj.at_node(h / hmax).reshape(lanes, 2 + 2 * n, n)
         xpt = z[:, 0, :].T
         J = np.moveaxis(z[:, 2:2 + n, :], 0, -1)      # (n cols, n, lanes)
         g = chart.g_at(xpt)
@@ -317,57 +319,15 @@ def _align(jets):
     return [nk.truncate(j, m) for j in jets]
 
 
-def _inv_jet_matrix(g):
-    """Inverse of a 2x2 or 3x3 jet matrix via the adjugate."""
-    n = len(g)
-    if n == 2:
-        det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
-        inv = det.reciprocal()
-        return [[g[1][1] * inv, -(g[0][1] * inv)],
-                [-(g[1][0] * inv), g[0][0] * inv]]
-    a, b, c = g[0]
-    d, e, f = g[1]
-    gg, h, i = g[2]
-    A = e * i - f * h
-    B = -(d * i - f * gg)
-    C = d * h - e * gg
-    det = a * A + b * B + c * C
-    inv = det.reciprocal()
-    D = -(b * i - c * h)
-    E = a * i - c * gg
-    F = -(a * h - b * gg)
-    G = b * f - c * e
-    H = -(a * f - c * d)
-    I = a * e - b * d
-    return [[A * inv, D * inv, G * inv],
-            [B * inv, E * inv, H * inv],
-            [C * inv, F * inv, I * inv]]
-
-
-def christoffel_jets(chart: ig.MetricChart, xj):
-    """Christoffel symbols as jets, one order below the metric entries."""
+def _christoffel_slices(chart: ig.MetricChart, xj, m):
+    """Christoffel symbols [k][i][j] as scalar jets, read off the one
+    Christoffel jet at order min(m, its own order); returns (order, symbols)."""
+    gamma = ig.christoffel_jet(chart, xj)
+    gamma = nk.truncate(gamma, min(m, gamma.order))
     n = chart.dim
-    gj = chart.entries(xj)
-    m = min(gj[i][j].order for i in range(n) for j in range(n)) - 1
-    dg = [[[nk.truncate(nk.derivative_nd(gj[i][j], k), m)
-            for j in range(n)] for i in range(n)] for k in range(n)]
-    gtr = [[nk.truncate(gj[i][j], m) for j in range(n)] for i in range(n)]
-    ginv = _inv_jet_matrix(gtr)
-    gamma = []
-    for k in range(n):
-        mat = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = None
-                for l in range(n):
-                    term = ginv[k][l] * (dg[i][l][j] + dg[j][l][i]
-                                         - dg[l][i][j])
-                    acc = term if acc is None else acc + term
-                row.append(acc * 0.5)
-            mat.append(row)
-        gamma.append(mat)
-    return gamma                                   # [k][i][j]
+    return gamma.order, [[[Jet(n, gamma.order, gamma.coef[:, k, i, j])
+                           for j in range(n)] for i in range(n)]
+                         for k in range(n)]
 
 
 def commutator(X: Field, Y: Field) -> Field:
@@ -413,8 +373,8 @@ def covariant_derivative(chart: ig.MetricChart, field: Field) -> Field:
     if field.kind == "vector":
         def fn(xj):
             v = field.fn(list(xj))
-            gamma = christoffel_jets(chart, xj)
-            m = min(min(c.order for c in v) - 1, gamma[0][0][0].order)
+            m, gamma = _christoffel_slices(chart, xj,
+                                           min(c.order for c in v) - 1)
             vt = [nk.truncate(c, m) for c in v]
             out = []
             for i in range(n):
@@ -422,7 +382,7 @@ def covariant_derivative(chart: ig.MetricChart, field: Field) -> Field:
                 for j in range(n):
                     acc = nk.truncate(nk.derivative_nd(v[i], j), m)
                     for k in range(n):
-                        acc = acc + nk.truncate(gamma[i][k][j], m) * vt[k]
+                        acc = acc + gamma[i][k][j] * vt[k]
                     row.append(acc)
                 out.append(row)
             return out
@@ -431,8 +391,8 @@ def covariant_derivative(chart: ig.MetricChart, field: Field) -> Field:
     if field.kind == "covector":
         def fn(xj):
             ph = field.fn(list(xj))
-            gamma = christoffel_jets(chart, xj)
-            m = min(min(c.order for c in ph) - 1, gamma[0][0][0].order)
+            m, gamma = _christoffel_slices(chart, xj,
+                                           min(c.order for c in ph) - 1)
             pt = [nk.truncate(c, m) for c in ph]
             out = []
             for i in range(n):
@@ -440,7 +400,7 @@ def covariant_derivative(chart: ig.MetricChart, field: Field) -> Field:
                 for j in range(n):
                     acc = nk.truncate(nk.derivative_nd(ph[i], j), m)
                     for k in range(n):
-                        acc = acc - nk.truncate(gamma[k][i][j], m) * pt[k]
+                        acc = acc - gamma[k][i][j] * pt[k]
                     row.append(acc)
                 out.append(row)
             return out
@@ -449,9 +409,8 @@ def covariant_derivative(chart: ig.MetricChart, field: Field) -> Field:
     if field.kind == "bilinear":
         def fn(xj):
             b = field.fn(list(xj))
-            gamma = christoffel_jets(chart, xj)
-            m = min(min(b[i][j].order for i in range(n) for j in range(n))
-                    - 1, gamma[0][0][0].order)
+            m, gamma = _christoffel_slices(
+                chart, xj, min(c.order for row in b for c in row) - 1)
             bt = [[nk.truncate(b[i][j], m) for j in range(n)]
                   for i in range(n)]
             out = []
@@ -462,10 +421,8 @@ def covariant_derivative(chart: ig.MetricChart, field: Field) -> Field:
                     for k in range(n):
                         acc = nk.truncate(nk.derivative_nd(b[i][j], k), m)
                         for l in range(n):
-                            acc = acc - nk.truncate(gamma[l][k][i], m) \
-                                * bt[l][j]
-                            acc = acc - nk.truncate(gamma[l][k][j], m) \
-                                * bt[i][l]
+                            acc = acc - gamma[l][k][i] * bt[l][j]
+                            acc = acc - gamma[l][k][j] * bt[i][l]
                         row.append(acc)
                     mat.append(row)
                 out.append(mat)

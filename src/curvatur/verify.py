@@ -1,10 +1,11 @@
 """Executable verification suites for the library's mathematical claims.
 
-Each suite exercises one cluster of results at fixed tolerances and returns
-a list of :class:`CheckResult`.  The command line front end prints one line
-per check and signals failure with a dedicated exit code; the test suite
-asserts the same records, so there is a single source of truth for what the
-package promises numerically.
+Each suite exercises one cluster of results at fixed tolerances and yields
+one :class:`CheckResult` per claim as soon as it is measured.  The command
+line front end prints one line per check as it lands and signals failure
+with a dedicated exit code; the test suite asserts the same records, so
+there is a single source of truth for what the package promises
+numerically.
 """
 
 import math
@@ -100,12 +101,10 @@ def suite_circle_law(seed=0):
     worst_l = max(worst_l, abs(res.length - TWO_PI * math.sin(1.0)))
     worst_s = max(worst_s, abs(res.disk_area - TWO_PI * (1 - math.cos(1.0))))
     elapsed = time.perf_counter() - t0
-    return [
-        _check(suite, "L(R) vs 2 pi sin R for R in 0.1..1.0", worst_l, 1e-6),
-        _check(suite, "S(R) vs 2 pi (1 - cos R)", worst_s, 1e-6),
-        _check(suite, "derivative law S'(R) = L(R)", res.ds_dr_residual, 1e-5),
-        _check(suite, "runtime in seconds", elapsed, 10.0),
-    ]
+    yield _check(suite, "L(R) vs 2 pi sin R for R in 0.1..1.0", worst_l, 1e-6)
+    yield _check(suite, "S(R) vs 2 pi (1 - cos R)", worst_s, 1e-6)
+    yield _check(suite, "derivative law S'(R) = L(R)", res.ds_dr_residual, 1e-5)
+    yield _check(suite, "runtime in seconds", elapsed, 10.0)
 
 
 # -- scalar-curvature -----------------------------------------------------
@@ -123,15 +122,13 @@ def suite_scalar_curvature(seed=0):
         ("hyperboloid pullback", cat.builtin("hyperboloid_pullback").build(),
          np.array([0.4, -0.3]), -2.0, 5e-3),
     ]
-    out = []
     for name, chart, P, target, tol in cases:
         est = ig.scalar_curvature_estimate(chart, P)
-        out.append(_check(suite, f"tau on {name}", abs(est.tau - target), tol,
-                          detail=f"tau={est.tau:.6f}"))
-        out.append(_check(suite, f"circle and disk routes agree on {name}",
-                          abs(est.tau_circle - est.tau_disk),
-                          max(est.error, 1e-9)))
-    return out
+        yield _check(suite, f"tau on {name}", abs(est.tau - target), tol,
+                     detail=f"tau={est.tau:.6f}")
+        yield _check(suite, f"circle and disk routes agree on {name}",
+                     abs(est.tau_circle - est.tau_disk),
+                     max(est.error, 1e-9))
 
 
 # -- egregium -------------------------------------------------------------
@@ -149,7 +146,6 @@ def suite_egregium(seed=0):
     area of the enclosed piece of surface.
     """
     suite = "egregium"
-    out = []
     torus_pts = [(u, v) for u in np.linspace(0.6, 5.6, 5)
                  for v in (0.0, math.pi, 0.9, 2.3)]
     cases = [
@@ -167,9 +163,9 @@ def suite_egregium(seed=0):
             rep = sp.principal_at(surf, uv)
             est = ig.scalar_curvature_estimate(chart, np.array(uv))
             worst = max(worst, abs(est.tau - 2.0 * rep.gauss))
-        out.append(_check(suite,
-                          f"tau = 2 lam+ lam- at {len(pts)} points on {name}",
-                          worst, 2e-3))
+        yield _check(suite,
+                     f"tau = 2 lam+ lam- at {len(pts)} points on {name}",
+                     worst, 2e-3)
 
     rng = np.random.default_rng([seed, 3])
     surfs = [cat.builtin(n).build() for n in ("sphere", "torus", "saddle")]
@@ -188,10 +184,9 @@ def suite_egregium(seed=0):
                               flip_normal=surf.flip_normal)
         ga = sp.gauss_map_signed_area(sub)
         worst = max(worst, abs(h.angle - ga))
-    out.append(_check(suite,
-                      "holonomy angle = Gauss-map signed area, 10 loops",
-                      worst, 1e-3))
-    return out
+    yield _check(suite,
+                 "holonomy angle = Gauss-map signed area, 10 loops",
+                 worst, 1e-3)
 
 
 # -- euler-meusnier -------------------------------------------------------
@@ -199,7 +194,6 @@ def suite_egregium(seed=0):
 def suite_euler_meusnier(seed=0):
     """Normal and inclined plane sections against the slicing oracle."""
     suite = "euler-meusnier"
-    out = []
     cases = [("sphere", (1.0, 1.1)), ("torus", (0.7, 0.9)),
              ("saddle", (0.2, -0.3))]
     for name, uv in cases:
@@ -209,8 +203,8 @@ def suite_euler_meusnier(seed=0):
             kn = sp.section_curvature(surf, uv, phi, 0.0, method="euler")
             ks = sp.section_curvature(surf, uv, phi, 0.0, method="slice")
             worst = max(worst, abs(kn - ks))
-        out.append(_check(suite, f"Euler formula vs slices on {name}, 64 angles",
-                          worst, 1e-6))
+        yield _check(suite, f"Euler formula vs slices on {name}, 64 angles",
+                     worst, 1e-6)
     for name, uv in (("sphere", (1.0, 1.1)), ("torus", (0.7, 0.9))):
         surf = cat.builtin(name).build()
         worst = 0.0
@@ -219,10 +213,9 @@ def suite_euler_meusnier(seed=0):
             for theta in (0.2, 0.6, 1.0):
                 k = sp.section_curvature(surf, uv, phi, theta, method="slice")
                 worst = max(worst, abs(k * math.cos(theta) - kn))
-        out.append(_check(suite,
-                          f"inclined sections k cos(theta) = k_n on {name}",
-                          worst, 1e-6))
-    return out
+        yield _check(suite,
+                     f"inclined sections k cos(theta) = k_n on {name}",
+                     worst, 1e-6)
 
 
 # -- offset-expansion -----------------------------------------------------
@@ -230,7 +223,6 @@ def suite_euler_meusnier(seed=0):
 def suite_offset_expansion(seed=0):
     """Offset-area quadratic fit against the direct curvature totals."""
     suite = "offset-expansion"
-    out = []
 
     m = 1e-4
 
@@ -248,18 +240,17 @@ def suite_offset_expansion(seed=0):
             rep = sp.total_curvatures(patch)
         except sp.VerificationError as exc:
             rep = exc.report      # a failed fit still reports its numbers
-        out.append(_check(suite, f"offset fit vs totals on {name}",
-                          rep.rel_mismatch, 1e-4))
+        yield _check(suite, f"offset fit vs totals on {name}",
+                     rep.rel_mismatch, 1e-4)
         if name.startswith("sphere"):
             dev = max(abs(rep.area - 4 * math.pi),
                       abs(rep.mean_total - 8 * math.pi),
                       abs(rep.gauss_total - 4 * math.pi))
-            out.append(_check(suite, "sphere totals are (4pi, 8pi, 4pi)",
-                              dev, 1e-6))
+            yield _check(suite, "sphere totals are (4pi, 8pi, 4pi)",
+                         dev, 1e-6)
         if name == "torus":
-            out.append(_check(suite, "closed torus has zero total Gaussian "
-                              "curvature", abs(rep.gauss_total), 1e-6))
-    return out
+            yield _check(suite, "closed torus has zero total Gaussian "
+                         "curvature", abs(rep.gauss_total), 1e-6)
 
 
 # -- geodesic -------------------------------------------------------------
@@ -267,16 +258,15 @@ def suite_offset_expansion(seed=0):
 def suite_geodesic(seed=0):
     """Geodesic integration quality: closure, Clairaut, speed."""
     suite = "geodesic"
-    out = []
 
     sphere = ig.pullback_metric(cat.builtin("sphere").build())
     path = ig.geodesic_trace(sphere, np.array([0.3, math.pi / 2]),
                              np.array([1.0, 0.0]), TWO_PI)
     defect = ig._closure_defect(sphere, path.end, path.start)
-    out.append(_check(suite, "great-circle closure after length 2 pi",
-                      defect, 1e-7))
-    out.append(_check(suite, "great-circle speed drift",
-                      path.speed_drift(), 1e-8))
+    yield _check(suite, "great-circle closure after length 2 pi",
+                 defect, 1e-7)
+    yield _check(suite, "great-circle speed drift",
+                 path.speed_drift(), 1e-8)
 
     rev = cat.builtin("revolution").build()
     chart = ig.pullback_metric(rev)
@@ -284,26 +274,25 @@ def suite_geodesic(seed=0):
     v0 = np.array([1.0, 0.25])
     path = ig.geodesic_trace(chart, x0, v0, 50.0, rtol=1e-12, atol=1e-14)
     if path.reason != "completed":
-        out.append(_check(suite, "revolution geodesic stays in the chart",
-                          1.0, 0.0, detail=f"reason={path.reason}"))
+        yield _check(suite, "revolution geodesic stays in the chart",
+                     1.0, 0.0, detail=f"reason={path.reason}")
     ts = np.linspace(path.ts[0], path.ts[-1], 400)
     xs = np.stack([path.position(t) for t in ts], axis=1)
     vs = np.stack([path.velocity(t) for t in ts], axis=1)
     g11 = chart.g_at(xs)[0, 0]
     inv = g11 * vs[0]
-    out.append(_check(suite,
-                      "Clairaut invariant drift over length 50 (revolution)",
-                      np.abs(inv - inv[0]).max(), 1e-7))
-    out.append(_check(suite, "revolution geodesic speed drift",
-                      path.speed_drift(), 1e-8))
+    yield _check(suite,
+                 "Clairaut invariant drift over length 50 (revolution)",
+                 np.abs(inv - inv[0]).max(), 1e-7)
+    yield _check(suite, "revolution geodesic speed drift",
+                 path.speed_drift(), 1e-8)
 
     torus = ig.pullback_metric(cat.builtin("torus").build())
     path = ig.geodesic_trace(torus, np.array([1.0, 0.7]),
                              np.array([0.6, 1.0]), 30.0,
                              rtol=1e-12, atol=1e-14)
-    out.append(_check(suite, "torus geodesic speed drift",
-                      path.speed_drift(), 1e-8))
-    return out
+    yield _check(suite, "torus geodesic speed drift",
+                 path.speed_drift(), 1e-8)
 
 
 # -- transport ------------------------------------------------------------
@@ -339,7 +328,6 @@ def _tilted_sphere_chart():
 def suite_transport(seed=0):
     """Holonomy of classic loops against closed-form rotation angles."""
     suite = "transport"
-    out = []
 
     chart, to_chart, chart_vel = _tilted_sphere_chart()
     verts = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
@@ -355,12 +343,12 @@ def suite_transport(seed=0):
                                        math.pi / 2))
         miss = max(miss, float(np.abs(sides[i].end
                                       - to_chart(q)).max()))
-    out.append(_check(suite, "octant triangle vertex hits", miss, 1e-8))
+    yield _check(suite, "octant triangle vertex hits", miss, 1e-8)
     h = ig.holonomy(chart, sides)
-    out.append(_check(suite, "octant triangle rotation = pi/2",
-                      abs(abs(h.angle) - math.pi / 2), 1e-4))
-    out.append(_check(suite, "octant holonomy orthogonality",
-                      h.orthogonality_residual, 1e-8))
+    yield _check(suite, "octant triangle rotation = pi/2",
+                 abs(abs(h.angle) - math.pi / 2), 1e-4)
+    yield _check(suite, "octant holonomy orthogonality",
+                 h.orthogonality_residual, 1e-8)
 
     # unrolling oracle: the cone (v cos u, v sin u, v) flattens to a sector
     # of angle 2 pi * radius / slant, so one turn rotates by the complement
@@ -368,20 +356,19 @@ def suite_transport(seed=0):
     slant = math.sqrt(2.0)
     expected = TWO_PI - TWO_PI / slant
     h = ig.holonomy(cone, np.array([[0.0, 1.0], [TWO_PI, 1.0]]))
-    out.append(_check(suite, "cone parallel rotation vs unrolling",
-                      abs(abs(h.angle) - expected), 1e-4))
-    out.append(_check(suite, "cone holonomy orthogonality",
-                      h.orthogonality_residual, 1e-8))
+    yield _check(suite, "cone parallel rotation vs unrolling",
+                 abs(abs(h.angle) - expected), 1e-4)
+    yield _check(suite, "cone holonomy orthogonality",
+                 h.orthogonality_residual, 1e-8)
 
     sphere = ig.pullback_metric(cat.builtin("sphere").build())
     theta0 = 1.1
     h = ig.holonomy(sphere, np.array([[0.0, theta0], [TWO_PI, theta0]]))
     expect = TWO_PI * (1 - math.cos(theta0))
     dev = min(abs(abs(h.angle) - expect), abs(TWO_PI - abs(h.angle) - expect))
-    out.append(_check(suite, "sphere parallel circle rotation", dev, 1e-6))
-    out.append(_check(suite, "transport preserves inner products",
-                      h.gram_drift, 1e-9))
-    return out
+    yield _check(suite, "sphere parallel circle rotation", dev, 1e-6)
+    yield _check(suite, "transport preserves inner products",
+                 h.gram_drift, 1e-9)
 
 
 # -- riemann --------------------------------------------------------------
@@ -389,7 +376,6 @@ def suite_transport(seed=0):
 def suite_riemann(seed=0):
     """Riemann tensor: holonomy oracle, symmetries, Bianchi, space forms."""
     suite = "riemann"
-    out = []
     charts = _catalog_charts()
     rng = np.random.default_rng([seed, 8])
 
@@ -408,8 +394,8 @@ def suite_riemann(seed=0):
             dev = float(np.abs(mat - riem.operator(u, v)).max())
             if dev > worst_oracle:
                 worst_oracle, worst_name = dev, f"{name} ({i},{j})"
-    out.append(_check(suite, "components vs holonomy oracle, all geometries",
-                      worst_oracle, 1e-3, detail=f"worst at {worst_name}"))
+    yield _check(suite, "components vs holonomy oracle, all geometries",
+                 worst_oracle, 1e-3, detail=f"worst at {worst_name}")
 
     worst_sym = worst_b2 = 0.0
     for name, chart in charts:
@@ -429,9 +415,9 @@ def suite_riemann(seed=0):
             x = _interior_point(chart, rng, band=(0.35, 0.65))
             resid, _ = tn.second_bianchi_residual(chart, x)
             worst_b2 = max(worst_b2, resid)
-    out.append(_check(suite, "symmetries and first Bianchi, 20 points each",
-                      worst_sym, 1e-9))
-    out.append(_check(suite, "second Bianchi residual", worst_b2, 1e-4))
+    yield _check(suite, "symmetries and first Bianchi, 20 points each",
+                 worst_sym, 1e-9)
+    yield _check(suite, "second Bianchi residual", worst_b2, 1e-4)
 
     s3 = cat.builtin("s3_round").build()
     worst = 0.0
@@ -443,8 +429,7 @@ def suite_riemann(seed=0):
             lhs = riem.action(u, v, w)
             rhs = (g @ w @ v) * u - (g @ w @ u) * v
             worst = max(worst, float(np.abs(lhs - rhs).max()))
-    out.append(_check(suite, "round 3-sphere curvature formula", worst, 1e-6))
-    return out
+    yield _check(suite, "round 3-sphere curvature formula", worst, 1e-6)
 
 
 # -- ricci ----------------------------------------------------------------
@@ -452,7 +437,6 @@ def suite_riemann(seed=0):
 def suite_ricci(seed=0):
     """Ricci form: volume oracle, trace identities, section sums."""
     suite = "ricci"
-    out = []
     rng = np.random.default_rng([seed, 9])
 
     cases = [("half-plane", cat.builtin("lobachevsky_halfplane").build(),
@@ -466,8 +450,8 @@ def suite_ricci(seed=0):
         rho, _ = tn.ricci_volume_oracle(chart, x)
         riem = tn.ricci_at(chart, x)
         worst = max(worst, float(np.abs(rho - riem.rho).max()))
-    out.append(_check(suite, "contraction vs volume-defect oracle",
-                      worst, 5e-3))
+    yield _check(suite, "contraction vs volume-defect oracle",
+                 worst, 5e-3)
 
     worst_tr = worst_2d = 0.0
     for name, chart in _catalog_charts():
@@ -480,9 +464,9 @@ def suite_ricci(seed=0):
             g = chart.g_at(x)
             worst_2d = max(worst_2d,
                            float(np.abs(2.0 * r.rho - r.tau * g).max()))
-    out.append(_check(suite, "tau equals trace of the mixed Ricci form",
-                      worst_tr, 1e-9))
-    out.append(_check(suite, "2 rho = tau g on 2D charts", worst_2d, 1e-6))
+    yield _check(suite, "tau equals trace of the mixed Ricci form",
+                 worst_tr, 1e-9)
+    yield _check(suite, "2 rho = tau g on 2D charts", worst_2d, 1e-6)
 
     s3 = cat.builtin("s3_round").build()
     x = np.array([0.1, -0.2, 0.25])
@@ -505,10 +489,9 @@ def suite_ricci(seed=0):
     tau13, _ = ig.plane_scalar_estimate(s3, x, basis[0], basis[2])
     r = tn.ricci_at(s3, x)
     lhs = 2.0 * float(u @ r.rho @ u)
-    out.append(_check(suite, "2 rho(u,u) equals the sum of section scalars",
-                      abs(lhs - (tau12 + tau13)), 2e-3,
-                      detail=f"lhs={lhs:.6f}"))
-    return out
+    yield _check(suite, "2 rho(u,u) equals the sum of section scalars",
+                 abs(lhs - (tau12 + tau13)), 2e-3,
+                 detail=f"lhs={lhs:.6f}")
 
 
 # -- curve-roundtrip ------------------------------------------------------
@@ -516,7 +499,6 @@ def suite_ricci(seed=0):
 def suite_curve_roundtrip(seed=0):
     """Curves rebuilt from curvature data reproduce that data."""
     suite = "curve-roundtrip"
-    out = []
     s_max = 6.0
     grid = np.linspace(0.05, s_max - 0.05, 40)
 
@@ -529,9 +511,9 @@ def suite_curve_roundtrip(seed=0):
         worst = max(abs(cv.plane_curvature(curve, s)
                         - float(nk.value_of(kbar(s)))) for s in grid)
         speed_dev = max(abs(cv.speed(curve, s) - 1.0) for s in grid)
-        out.append(_check(suite, f"plane curvature round-trip ({name})",
-                          worst, 1e-7))
-        out.append(_check(suite, f"unit speed ({name})", speed_dev, 1e-9))
+        yield _check(suite, f"plane curvature round-trip ({name})",
+                     worst, 1e-7)
+        yield _check(suite, f"unit speed ({name})", speed_dev, 1e-9)
 
     kfn = lambda s: nk.sin(s) * 0.3 + 1.0          # noqa: E731
     taufn = lambda s: nk.cos(s) * 0.4              # noqa: E731
@@ -541,8 +523,8 @@ def suite_curve_roundtrip(seed=0):
         k, tau = cv.space_curvature_torsion(curve, s)
         worst_k = max(worst_k, abs(k - float(nk.value_of(kfn(s)))))
         worst_tau = max(worst_tau, abs(tau - float(nk.value_of(taufn(s)))))
-    out.append(_check(suite, "space curvature round-trip", worst_k, 1e-6))
-    out.append(_check(suite, "space torsion round-trip", worst_tau, 1e-6))
+    yield _check(suite, "space curvature round-trip", worst_k, 1e-6)
+    yield _check(suite, "space torsion round-trip", worst_tau, 1e-6)
 
     rng = np.random.default_rng([seed, 10])
     worst = 0.0
@@ -554,9 +536,8 @@ def suite_curve_roundtrip(seed=0):
         t = rng.uniform(*hel.domain)
         _, tau = cv.space_curvature_torsion(hel, t)
         worst = max(worst, abs(tau - vz * om / (r * r * om * om + vz * vz)))
-    out.append(_check(suite, "helix torsion closed form, 10 draws",
-                      worst, 1e-9))
-    return out
+    yield _check(suite, "helix torsion closed form, 10 draws",
+                 worst, 1e-9)
 
 
 # -- hyperbolic -----------------------------------------------------------
@@ -564,7 +545,6 @@ def suite_curve_roundtrip(seed=0):
 def suite_hyperbolic(seed=0):
     """Lobachevsky half-plane: distances, Pythagoras, circles."""
     suite = "hyperbolic"
-    out = []
     rng = np.random.default_rng([seed, 11])
     chart = cat.builtin("lobachevsky_halfplane").build()
 
@@ -576,8 +556,8 @@ def suite_hyperbolic(seed=0):
                                        np.array([x2, y2]))
         d_closed = cat.hyperbolic_distance(complex(x1, y1), complex(x2, y2))
         worst = max(worst, abs(d_shoot - d_closed))
-    out.append(_check(suite, "shooting vs closed-form distance, 100 pairs",
-                      worst, 1e-6))
+    yield _check(suite, "shooting vs closed-form distance, 100 pairs",
+                 worst, 1e-6)
 
     worst_leg = worst_pyth = 0.0
     for _ in range(50):
@@ -590,9 +570,9 @@ def suite_hyperbolic(seed=0):
         worst_leg = max(worst_leg, abs(a - la), abs(b - lb))
         worst_pyth = max(worst_pyth,
                          abs(math.cosh(c) - math.cosh(a) * math.cosh(b)))
-    out.append(_check(suite, "right-triangle legs are exact", worst_leg, 1e-12))
-    out.append(_check(suite, "Pythagoras ch c = ch a ch b, 50 triangles",
-                      worst_pyth, 1e-9))
+    yield _check(suite, "right-triangle legs are exact", worst_leg, 1e-12)
+    yield _check(suite, "Pythagoras ch c = ch a ch b, 50 triangles",
+                 worst_pyth, 1e-9)
 
     worst_shift = worst_inv = 0.0
     for _ in range(20):
@@ -604,19 +584,18 @@ def suite_hyperbolic(seed=0):
                           abs(cat.hyperbolic_distance(z1 + a, z2 + a) - d0))
         worst_inv = max(worst_inv,
                         abs(cat.hyperbolic_distance(-1 / z1, -1 / z2) - d0))
-    out.append(_check(suite, "distance invariance under shifts",
-                      worst_shift, 1e-10))
-    out.append(_check(suite, "distance invariance under inversion",
-                      worst_inv, 1e-10))
+    yield _check(suite, "distance invariance under shifts",
+                 worst_shift, 1e-10)
+    yield _check(suite, "distance invariance under inversion",
+                 worst_inv, 1e-10)
 
     P = np.array([0.0, 2.0])
     worst = 0.0
     for R in (0.5, 1.0, 1.5):
         res = ig.geodesic_circle(chart, P, R)
         worst = max(worst, abs(res.length - cat.hyperbolic_circle_length(R)))
-    out.append(_check(suite, "circle length 2 pi sinh R up to R=1.5",
-                      worst, 1e-6))
-    return out
+    yield _check(suite, "circle length 2 pi sinh R up to R=1.5",
+                 worst, 1e-6)
 
 
 # -- calculus -------------------------------------------------------------
@@ -645,7 +624,6 @@ def _poly_field(rng, n, kind):
 def suite_calculus(seed=0):
     """Covariant-calculus identities on seeded polynomial fields."""
     suite = "calculus"
-    out = []
     charts = [("half-plane", cat.builtin("lobachevsky_halfplane").build(),
                [(0.5, 2.0), (0.8, 2.2)]),
               ("round 3-sphere", cat.builtin("s3_round").build(),
@@ -727,29 +705,29 @@ def suite_calculus(seed=0):
                 d2 = tn.field_values(tn.alt_of_nabla(chart, phi), x, order=3)
                 res["alt-nabla"] = max(res["alt-nabla"],
                                        float(np.abs(d1 - d2).max()))
-        out.append(_check(suite, f"bracket = nabla antisymmetrized ({label})",
-                          res["bracket"], 1e-9))
-        out.append(_check(suite, f"Leibniz rule for products ({label})",
-                          res["leibniz-product"], 1e-9))
-        out.append(_check(suite, f"Leibniz rule for the pairing ({label})",
-                          res["leibniz-pairing"], 1e-9))
-        out.append(_check(suite, f"curvature commutator identity ({label})",
-                          res["curvature-commutator"], 1e-9))
-        out.append(_check(suite, f"d phi = Alt(nabla phi) ({label})",
-                          res["alt-nabla"], 1e-12))
+        yield _check(suite, f"bracket = nabla antisymmetrized ({label})",
+                     res["bracket"], 1e-9)
+        yield _check(suite, f"Leibniz rule for products ({label})",
+                     res["leibniz-product"], 1e-9)
+        yield _check(suite, f"Leibniz rule for the pairing ({label})",
+                     res["leibniz-pairing"], 1e-9)
+        yield _check(suite, f"curvature commutator identity ({label})",
+                     res["curvature-commutator"], 1e-9)
+        yield _check(suite, f"d phi = Alt(nabla phi) ({label})",
+                     res["alt-nabla"], 1e-12)
 
         ng = tn.field_values(
             tn.covariant_derivative(chart, tn.metric_field(chart)), pts[0],
             order=3)
-        out.append(_check(suite, f"metric compatibility nabla g = 0 ({label})",
-                          float(np.abs(ng).max()), 1e-12))
+        yield _check(suite, f"metric compatibility nabla g = 0 ({label})",
+                     float(np.abs(ng).max()), 1e-12)
 
         f = _poly_field(rng, n, "scalar")
         exact = tn.Field("covector",
                          tn.covariant_derivative(chart, f).fn)
         dex = tn.field_values(tn.exterior_derivative(exact), pts[0], order=3)
-        out.append(_check(suite, f"exact covectors are closed ({label})",
-                          float(np.abs(dex).max()), 1e-12))
+        yield _check(suite, f"exact covectors are closed ({label})",
+                     float(np.abs(dex).max()), 1e-12)
         F = tn.potential_on_box(exact, box)
         worst = 0.0
         for _ in range(3):
@@ -762,8 +740,8 @@ def suite_calculus(seed=0):
                 e[k] = h
                 gk = (F(pt + e) - F(pt - e)) / (2 * h)
                 worst = max(worst, abs(gk - grad[k]))
-        out.append(_check(suite, f"closed covectors integrate back ({label})",
-                          worst, 1e-8))
+        yield _check(suite, f"closed covectors integrate back ({label})",
+                     worst, 1e-8)
 
         def bad_fn(xj):
             zero = xj[0]._like_const(np.zeros_like(xj[0].coef[0]))
@@ -771,9 +749,8 @@ def suite_calculus(seed=0):
         dbad = tn.field_values(tn.exterior_derivative(
             tn.Field("covector", bad_fn)), pts[0], order=2)
         flagged = float(np.abs(dbad).max()) > 1e-6
-        out.append(_check(suite, f"non-closed covector is flagged ({label})",
-                          0.0 if flagged else 1.0, 0.5))
-    return out
+        yield _check(suite, f"non-closed covector is flagged ({label})",
+                     0.0 if flagged else 1.0, 0.5)
 
 
 # -- parser ---------------------------------------------------------------
@@ -809,7 +786,6 @@ _MALFORMED = [
 def suite_parser(seed=0):
     """Expression round-trips, diagnostics, and builtin twins."""
     suite = "parser"
-    out = []
     import random as _random
     rng = _random.Random(seed + 13)
     bad = 0
@@ -820,8 +796,8 @@ def suite_parser(seed=0):
         e2 = p.parse_expr()
         if p.peek().kind != "eof" or e2 != e:
             bad += 1
-    out.append(_check(suite, "1000 printed expressions parse back exactly",
-                      float(bad), 0.0))
+    yield _check(suite, "1000 printed expressions parse back exactly",
+                 float(bad), 0.0)
 
     wrong = 0
     for text, needle in _MALFORMED:
@@ -831,8 +807,8 @@ def suite_parser(seed=0):
         except cat.ParseError as exc:
             if exc.line < 1 or exc.col < 1 or needle not in str(exc):
                 wrong += 1
-    out.append(_check(suite, "malformed inputs give line/column diagnostics",
-                      float(wrong), 0.0))
+    yield _check(suite, "malformed inputs give line/column diagnostics",
+                 float(wrong), 0.0)
 
     sph = cat.parse_geometry(
         "surface sph (u,v in [0.1,3.04]x[0,6.28]) = "
@@ -848,8 +824,8 @@ def suite_parser(seed=0):
                     abs(a.lam_minus - b.lam_minus),
                     abs(a.gauss - b.gauss),
                     abs(a.mean_density - b.mean_density))
-    out.append(_check(suite, "parsed sphere matches the builtin twin",
-                      worst, 1e-10))
+    yield _check(suite, "parsed sphere matches the builtin twin",
+                 worst, 1e-10)
 
     hyp = cat.parse_geometry(
         "metric hyp (x,y in [-5,5]x[0.1,10]) = "
@@ -862,8 +838,8 @@ def suite_parser(seed=0):
                     float(np.abs(hyp.g_at(x) - twin.g_at(x)).max()),
                     float(np.abs(ig.christoffel_at(hyp, x)
                                  - ig.christoffel_at(twin, x)).max()))
-    out.append(_check(suite, "parsed half-plane matches the builtin twin",
-                      worst, 1e-10))
+    yield _check(suite, "parsed half-plane matches the builtin twin",
+                 worst, 1e-10)
 
     hel = cat.parse_geometry(
         "curve helix (t in [0,10]) = (cos(t), sin(t), 0.5*t)").build()
@@ -876,9 +852,8 @@ def suite_parser(seed=0):
                     float(np.abs(a.point - b.point).max()),
                     abs(a.curvature - b.curvature),
                     abs(a.torsion - b.torsion))
-    out.append(_check(suite, "parsed helix matches the builtin twin",
-                      worst, 1e-10))
-    return out
+    yield _check(suite, "parsed helix matches the builtin twin",
+                 worst, 1e-10)
 
 
 SUITES = {
@@ -903,10 +878,11 @@ def run_suite(name, seed=0, report=None):
     if name not in SUITES:
         known = ", ".join(sorted(SUITES))
         raise nk.PreconditionError(f"unknown suite {name!r} (known: {known})")
-    results = SUITES[name](seed=seed)
-    if report is not None:
-        for c in results:
+    results = []
+    for c in SUITES[name](seed=seed):
+        if report is not None:
             report(c)
+        results.append(c)
     return results
 
 

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import curvatur.catalog as cat
+import curvatur.intrinsic as ig
+import curvatur.numkit as nk
 import curvatur.verify as vf
 from curvatur import cli
 
@@ -214,6 +216,35 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
     assert out.startswith("FAIL")
     info = json.loads(err)["error"]
     assert "1 of 1" in info["message"]
+
+
+def test_verify_streams_each_check(capsys, monkeypatch):
+    printed = []
+
+    def suite(seed=0):
+        yield vf.CheckResult("demo", "first", 0.0, 1.0, True)
+        printed.append(capsys.readouterr().out)
+        yield vf.CheckResult("demo", "second", 0.0, 1.0, True)
+
+    monkeypatch.setitem(vf.SUITES, "demo", suite)
+    code, out, _ = run(capsys, "verify", "--suite", "demo")
+    assert code == 0
+    assert printed == ["PASS demo: first (value 0, bound 1)\n"]
+    assert out == "PASS demo: second (value 0, bound 1)\n"
+
+
+def test_numerical_failure_keeps_diagnostics(capsys, monkeypatch):
+    def stalled(*args, **kwargs):
+        raise nk.NonConvergenceError("forced stall", residual=0.5)
+
+    monkeypatch.setattr(ig, "geodesic_distance", stalled)
+    code, _, err = run(capsys, "geodesic", "distance", "--builtin", "plane",
+                       "--from", "0,0", "--to", "1,1")
+    assert code == 1
+    info = json.loads(err)["error"]
+    assert info["type"] == "NonConvergenceError"
+    assert info["residual"] == 0.5
+    assert "best" not in info
 
 
 def test_usage_errors_exit_2(capsys):

@@ -33,15 +33,36 @@ def test_sphere_pullback_metric(sphere_chart):
 
 def test_halfplane_christoffel_closed_form(halfplane):
     x = np.array([0.4, 2.0])
-    gamma = ig.christoffel_at(halfplane, x)
     y = x[1]
-    expected = np.zeros((2, 2, 2))
     # for g = diag(1/y^2, 1/y^2): G^x_xy = G^x_yx = -1/y,
-    # G^y_xx = 1/y, G^y_yy = -1/y
-    expected[0, 0, 1] = expected[0, 1, 0] = -1 / y
-    expected[1, 0, 0] = 1 / y
-    expected[1, 1, 1] = -1 / y
-    assert np.allclose(gamma, expected, atol=1e-12)
+    # G^y_xx = 1/y, G^y_yy = -1/y, so Gamma = C / y
+    C = np.zeros((2, 2, 2))
+    C[0, 0, 1] = C[0, 1, 0] = -1.0
+    C[1, 0, 0] = 1.0
+    C[1, 1, 1] = -1.0
+    assert np.allclose(ig.christoffel_at(halfplane, x), C / y, atol=1e-12)
+    gamma, dgamma = ig.christoffel_and_grad(halfplane, x)
+    assert np.allclose(gamma, C / y, atol=1e-12)
+    assert np.allclose(dgamma[0], 0.0, atol=1e-12)
+    assert np.allclose(dgamma[1], -C / y ** 2, atol=1e-12)
+    jet = ig.christoffel_jet(halfplane, nk.Jet.variables(x, 3))
+    assert jet.order == 2
+    assert np.allclose(jet.partial((0, 2)), 2 * C / y ** 3, atol=1e-12)
+    for alpha in ((1, 0), (2, 0), (1, 1)):
+        assert np.allclose(jet.partial(alpha), 0.0, atol=1e-12)
+
+
+def test_sphere_christoffel_gradient_closed_form(sphere_chart):
+    v = 1.1
+    gamma, dgamma = ig.christoffel_and_grad(sphere_chart, np.array([0.7, v]))
+    # g = diag(sin^2 v, 1): G^u_uv = cot v and G^v_uu = -sin v cos v
+    assert gamma[0, 0, 1] == pytest.approx(1 / math.tan(v), abs=1e-13)
+    assert gamma[1, 0, 0] == pytest.approx(-math.sin(v) * math.cos(v),
+                                           abs=1e-13)
+    expected = np.zeros((2, 2, 2, 2))
+    expected[1, 0, 0, 1] = expected[1, 0, 1, 0] = -1 / math.sin(v) ** 2
+    expected[1, 1, 0, 0] = -math.cos(2 * v)
+    assert np.allclose(dgamma, expected, atol=1e-13)
 
 
 def test_christoffel_routes_agree_on_sphere(sphere_chart):
@@ -50,6 +71,16 @@ def test_christoffel_routes_agree_on_sphere(sphere_chart):
     a = ig.christoffel_at(sphere_chart, uv)
     b = ig.christoffel_embedded(surface, uv)
     assert np.abs(a - b).max() < 1e-10
+
+
+def test_christoffel_matches_embedded_on_torus():
+    surface = cat.builtin("torus").build()
+    uvs = np.array([[0.3, 0.0], [1.7, 2.2], [3.0, 4.4], [4.6, 1.1],
+                    [5.9, 5.3]]).T
+    batch = ig.christoffel_at(ig.pullback_metric(surface), uvs)
+    for c in range(uvs.shape[1]):
+        ref = ig.christoffel_embedded(surface, uvs[:, c])
+        assert np.abs(batch[..., c] - ref).max() < 1e-12
 
 
 def test_plane_geodesics_are_straight(plane):

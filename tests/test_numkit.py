@@ -73,6 +73,38 @@ def test_jet_order_bounds():
         nk.Jet.variables([0.0], order=0)
 
 
+@pytest.mark.parametrize("nvars,order,n", [(2, 3, 2), (3, 2, 3)])
+def test_matrix_jets_match_scalar_jet_arithmetic(nvars, order, n):
+    rng = np.random.default_rng([nvars, order])
+    K = len(nk._index_space(nvars, order)[0])
+    a = nk.Jet(nvars, order, rng.uniform(-1, 1, (K, n, n, 4)))
+    a.coef[0] += 3.0 * np.eye(n)[:, :, None]        # keep a0 well conditioned
+    b = nk.Jet(nvars, order, rng.uniform(-1, 1, (K, n, n, 4)))
+
+    def entry(m, r, c):
+        return nk.Jet(nvars, order, m.coef[:, r, c])
+
+    prod = nk.jet_matmul(a, b)
+    ainv = nk.jet_inv(a)
+    for r in range(n):
+        for c in range(n):
+            ref = sum(entry(a, r, s) * entry(b, s, c) for s in range(n))
+            assert np.allclose(prod.coef[:, r, c], ref.coef, atol=1e-14)
+            eye = sum(entry(a, r, s) * entry(ainv, s, c) for s in range(n))
+            assert np.allclose(eye.coef[0], float(r == c), atol=1e-14)
+            assert np.allclose(eye.coef[1:], 0.0, atol=1e-13)
+
+
+def test_forced_node_read_off():
+    prob = nk.OdeProblem(lambda t, y: -y, np.array([1.0]), (0.0, 1.0))
+    forced = nk.integrate_ode(prob, must_hit=[0.3])
+    assert forced.at_node(0.3)[0] == pytest.approx(math.exp(-0.3), abs=1e-9)
+    free = nk.integrate_ode(prob)
+    assert np.abs(free.ts - 0.3).min() > 1e-13
+    with pytest.raises(nk.NumericalError):
+        free.at_node(0.3)
+
+
 def test_gauss_legendre_polynomial_exactness():
     xs, ws = nk.gauss_legendre(5, 0.0, 2.0)
     # 5 nodes integrate degree 9 exactly: int_0^2 x^9 dx = 102.4

@@ -127,6 +127,13 @@ def test_offset_beyond_focal_distance_rejected(sphere):
         sp.offset_surface(sphere, 1.2)
 
 
+def test_offset_of_patch_through_cone_apex_rejected():
+    cone = sp.SurfacePatch(lambda u, v: [v * u.cos(), v * u.sin(), v],
+                           [(0.0, 2 * math.pi), (0.0, 2.0)])
+    with pytest.raises(nk.PreconditionError, match="not regular"):
+        sp.offset_surface(cone, 0.01)
+
+
 def test_total_curvatures_orientation_consistency(sphere):
     natural = sp.total_curvatures(sphere)
     flipped = sp.total_curvatures(sphere.flipped())

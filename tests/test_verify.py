@@ -16,7 +16,7 @@ def test_failed_offset_fit_reports_fail(monkeypatch):
         raise sp.VerificationError("forced offset-fit mismatch", bad)
 
     monkeypatch.setattr(sp, "total_curvatures", mismatched)
-    checks = vf.suite_offset_expansion()
+    checks = list(vf.suite_offset_expansion())
     fits = [c for c in checks if c.name.startswith("offset fit vs totals")]
     assert len(fits) == 3
     assert all(not c.passed and c.value == 0.5 for c in fits)
