@@ -15,7 +15,9 @@ comparison-limit scalar curvature, and two-point distance by shooting.
 
 Heavy sampling paths (circles, spheres, volume grids) integrate whole
 batches of geodesics in one flat ODE system with shared step control, which
-is what keeps the limit-based estimators fast.
+is what keeps the limit-based estimators fast.  Polyline transport is
+batched the same way: every segment's transport map is one lane of a single
+solve, and the segments are chained afterwards.
 """
 
 from __future__ import annotations
@@ -444,6 +446,37 @@ def _transport_gram_drift(chart, ts, xs, vecs):
     return float(np.abs(gram - gram[0]).max() / scale)
 
 
+def _segment_propagators(chart: MetricChart, P0, DQ, rtol=1e-10, atol=1e-12):
+    """Transport maps of the coordinate segments p_s + t dq_s, t in [0, 1].
+
+    Transport is linear in the transported vectors, so each segment's
+    propagator Phi_s (started from the identity) is independent of the
+    others, and all S segments integrate as the lanes of one batched solve
+    with one :func:`christoffel_at` call over every lane per RHS.  The
+    solver's error norm is an RMS over the whole state, so the tolerances
+    are divided by sqrt(S): that bounds each lane's own RMS error by
+    ``rtol``/``atol``, as if it had been solved alone.
+
+    ``P0`` and ``DQ`` have shape (S, n).  Returns the shared mesh ``taus``
+    (T,) and ``Phi`` (T, S, n, n), Phi[m, s] = Phi_s(taus[m]).
+    """
+    n = chart.dim
+    S = len(P0)
+    x0, dq = np.ascontiguousarray(P0.T), np.ascontiguousarray(DQ.T)   # (n, S)
+
+    def rhs(t, y):
+        gamma = christoffel_at(chart, x0 + t * dq)
+        # row c of lane s holds column c of Phi_s
+        return -np.einsum('kijS,iS,Scj->Sck', gamma, dq,
+                          y.reshape(S, n, n)).ravel()
+
+    y0 = np.tile(np.eye(n), (S, 1, 1)).ravel()
+    scale = math.sqrt(S)
+    traj = nk.integrate_ode(nk.OdeProblem(rhs, y0, (0.0, 1.0), rtol / scale,
+                                          atol / scale))
+    return traj.ts, traj.ys.reshape(len(traj.ts), S, n, n).swapaxes(-2, -1)
+
+
 def parallel_transport(chart: MetricChart, path, a0, rtol=1e-10,
                        atol=1e-12) -> TransportResult:
     """Transport vector(s) a0 along a geodesic path or a coordinate polyline.
@@ -452,6 +485,14 @@ def parallel_transport(chart: MetricChart, path, a0, rtol=1e-10,
     augmented system so positions and vectors share one error control) or an
     (M, n) array of waypoints joined by straight coordinate segments.
     ``a0`` may be a single vector (n,) or a matrix of columns (n, k).
+
+    A polyline is one solve: :func:`_segment_propagators` integrates every
+    segment's propagator Phi_s as a lane of one batch (each lane held to
+    ``rtol``/``atol``), and the vectors chain as A_{s+1} = Phi_s(1) A_s.
+    The samples are the shared mesh on every segment, at times s + tau, with
+    vectors Phi_s(tau) A_s.  Waypoints outside the chart's box raise
+    :class:`PreconditionError` (the box is convex, so the segments stay
+    inside too).
     """
     a0 = np.asarray(a0, dtype=float)
     single = a0.ndim == 1
@@ -479,32 +520,25 @@ def parallel_transport(chart: MetricChart, path, a0, rtol=1e-10,
         kind = "geodesic"
     else:
         pts = np.asarray(path, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != n:
-            raise PreconditionError("polyline must be an (M, n) array")
-        ts_all = [np.array([0.0])]
-        xs_all = [pts[:1]]
-        vecs_all = [A0[None]]
-        A = A0.copy()
-        t_off = 0.0
-        for seg in range(len(pts) - 1):
-            p, dq = pts[seg], pts[seg + 1] - pts[seg]
-
-            def rhs(t, y, p=p, dq=dq):
-                x = p + t * dq
-                gamma = christoffel_at(chart, x[:, None])[..., 0]
-                Z = y.reshape(k, n)
-                return (-np.einsum('kij,i,cj->ck', gamma, dq, Z)).ravel()
-
-            traj = nk.integrate_ode(nk.OdeProblem(rhs, A.T.ravel(),
-                                                  (0.0, 1.0), rtol, atol))
-            A = traj.final.reshape(k, n).T
-            ts_all.append(t_off + traj.ts[1:])
-            xs_all.append(p + traj.ts[1:, None] * dq)
-            vecs_all.append(traj.ys[1:].reshape(-1, k, n).swapaxes(1, 2))
-            t_off += 1.0
-        ts = np.concatenate(ts_all)
-        xs = np.vstack(xs_all)
-        vecs = np.concatenate(vecs_all)
+        if pts.ndim != 2 or pts.shape[1] != n or len(pts) < 2:
+            raise PreconditionError("polyline must be an (M, n) array, M >= 2")
+        outside = ~chart.contains(pts.T)
+        if outside.any():
+            i = int(np.argmax(outside))
+            at = ",".join(f"{c:.4g}" for c in pts[i])
+            raise PreconditionError(
+                f"polyline waypoint {i} ({at}) lies outside the chart domain")
+        dq = np.diff(pts, axis=0)
+        taus, Phi = _segment_propagators(chart, pts[:-1], dq, rtol, atol)
+        A = [A0]
+        for P in Phi[-1]:
+            A.append(P @ A[-1])
+        vecs = np.einsum('msij,sjc->smic', Phi[1:], np.stack(A[:-1]))
+        ts = np.concatenate([[0.0], (np.arange(len(dq))[:, None]
+                                     + taus[1:]).ravel()])
+        xs = np.vstack([pts[:1], (pts[:-1, None] + taus[1:, None] * dq[:, None])
+                        .reshape(-1, n)])
+        vecs = np.concatenate([A0[None], vecs.reshape(-1, n, k)])
         kind = "polyline"
 
     drift = _transport_gram_drift(chart, ts, xs, vecs)

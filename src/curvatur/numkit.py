@@ -637,7 +637,9 @@ class Trajectory:
     Stores accepted nodes and their derivatives; evaluation between nodes
     uses cubic Hermite interpolation, which at the tolerances used here is
     accurate to a few parts in 1e8 or better.  Node values themselves carry
-    the full integrator accuracy.
+    the full integrator accuracy.  ``n_rhs`` counts right-hand-side
+    evaluations, ``n_accepted`` accepted steps and ``n_rejected`` steps
+    retried with a smaller size (failed error test or non-finite stage).
     """
 
     ts: np.ndarray
@@ -646,6 +648,8 @@ class Trajectory:
     status: str = "completed"
     message: str = ""
     n_rhs: int = 0
+    n_accepted: int = 0
+    n_rejected: int = 0
 
     @property
     def final(self):
@@ -752,6 +756,7 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
     hmin = 1e-14 * max(abs(t0), abs(t1), 1.0)
     hit_i = 0
     nan_fail = 0
+    n_rejected = 0
 
     while t < t1 - hmin:
         while hit_i < len(hits) and hits[hit_i] <= t + hmin:
@@ -779,6 +784,7 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
             ks.append(ki)
         if bad:
             nan_fail += 1
+            n_rejected += 1
             h *= 0.5
             if h < hmin:
                 raise StepUnderflowError(
@@ -804,13 +810,15 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
                 factor = max(factor, 1.0)
             h = min(h * factor, problem.max_step)
         else:
+            n_rejected += 1
             h *= min(1.0, max(0.1, 0.9 * err ** -0.2))
             if h < hmin:
                 raise StepUnderflowError(
                     f"error control stalled at t={t:.6g}", t, y, nan_seen=False)
 
     return Trajectory(np.array(ts), np.array(ys), np.array(fs),
-                      status="completed", n_rhs=n_rhs)
+                      status="completed", n_rhs=n_rhs,
+                      n_accepted=len(ts) - 1, n_rejected=n_rejected)
 
 
 # ---------------------------------------------------------------------------

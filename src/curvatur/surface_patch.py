@@ -139,7 +139,8 @@ def forms_at(surface: SurfacePatch, uv) -> FormsAtPoint:
     n = np.cross(ru, rv)
     nrm = np.linalg.norm(n)
     if nrm <= 1e-12 * max(np.linalg.norm(ru), np.linalg.norm(rv), 1.0):
-        raise PreconditionError(f"patch is not regular at {uv}")
+        raise PreconditionError(
+            f"patch is not regular at (u,v)=({u:.4g},{v:.4g})")
     n = n / nrm
     if surface.flip_normal:
         n = -n

@@ -133,8 +133,13 @@ def riemann_holonomy_oracle(chart: ig.MetricChart, x, u, v,
     The loop exp_x of the boundary of the parallelogram spanned by
     (h u, h v), traversed v-side first, transports the coordinate basis to
     sigma(h) = E + h^2 R(u, v) + O(h^3); the quotient is Richardson
-    extrapolated over the halving ladder ``hs``.  Parallel u, v give the
-    zero operator by convention.  Returns (matrix, error_estimate).
+    extrapolated over the halving ladder ``hs``.  The whole ladder costs
+    two solves: one exponential-map batch for the loop vertices of every
+    rung, and one batch of segment propagators
+    (:func:`intrinsic._segment_propagators`, each segment held to the
+    transport tolerance on its own) whose per-rung products are the
+    holonomies.  Parallel u, v give the zero operator by convention.
+    Returns (matrix, error_estimate).
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -145,19 +150,24 @@ def riemann_holonomy_oracle(chart: ig.MetricChart, x, u, v,
     if np.linalg.det(gram) <= 1e-12 * max(gram[0, 0] * gram[1, 1], 1e-300):
         return np.zeros((n, n)), 0.0
 
-    mats = []
+    ss = np.linspace(0.0, 1.0, side_samples, endpoint=False)
+    loops = []
     for h in hs:
         corners = [np.zeros(n), h * v, h * (u + v), h * u, np.zeros(n)]
-        tang = []
-        for a, b in zip(corners[:-1], corners[1:]):
-            ss = np.linspace(0.0, 1.0, side_samples, endpoint=False)
-            tang.append(a[None, :] + ss[:, None] * (b - a)[None, :])
-        tang.append(np.zeros((1, n)))
-        T = np.vstack(tang)                       # (4 S + 1, n)
-        traj = ig._exp_batch(chart, x, T.T)
-        pts = traj.final.reshape(len(T), 2, n)[:, 0, :]
-        res = ig.parallel_transport(chart, pts, np.eye(n))
-        mats.append((res.final - np.eye(n)) / h ** 2)
+        loops += [a[None, :] + ss[:, None] * (b - a)[None, :]
+                  for a, b in zip(corners[:-1], corners[1:])]
+        loops.append(np.zeros((1, n)))
+    T = np.vstack(loops)                          # (rungs * (4 S + 1), n)
+    traj = ig._exp_batch(chart, x, T.T)
+    pts = traj.final.reshape(len(hs), -1, 2, n)[:, :, 0, :]
+    _, Phi = ig._segment_propagators(chart, pts[:, :-1].reshape(-1, n),
+                                     np.diff(pts, axis=1).reshape(-1, n))
+    mats = []
+    for h, props in zip(hs, Phi[-1].reshape(len(hs), -1, n, n)):
+        M = np.eye(n)
+        for P in props:
+            M = P @ M
+        mats.append((M - np.eye(n)) / h ** 2)
 
     out = np.zeros((n, n))
     err = 0.0

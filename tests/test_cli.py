@@ -114,6 +114,17 @@ def test_transport_along_plane_is_identity(capsys):
                                                           abs=1e-10)
 
 
+def test_transport_along_outside_chart_exits_1(capsys):
+    code, out, err = run(capsys, "transport", "along", "--builtin",
+                         "lobachevsky_halfplane", "--via", "0,1", "--via",
+                         "0,-0.5", "--via", "1,1", "--vector", "1,0")
+    assert code == 1
+    assert out == ""
+    info = json.loads(err)["error"]
+    assert info["type"] == "PreconditionError"
+    assert "outside the chart domain" in info["message"]
+
+
 def test_transport_holonomy_closes_loop(capsys):
     doc = run_json(capsys, "transport", "holonomy", "--builtin", "sphere",
                    "--loop", "0,1.4707963267948965", "--loop", "0,0.1",

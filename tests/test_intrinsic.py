@@ -25,6 +25,11 @@ def sphere_chart():
     return ig.pullback_metric(cat.builtin("sphere").build())
 
 
+@pytest.fixture(scope="module")
+def s3():
+    return cat.builtin("s3_round").build()
+
+
 def test_sphere_pullback_metric(sphere_chart):
     x = np.array([1.2, 0.8])
     g = sphere_chart.g_at(x)
@@ -138,6 +143,75 @@ def test_latitude_holonomy_closed_form(sphere_chart):
     expected = 2 * math.pi * (1 - math.cos(v0))
     assert abs(res.angle) == pytest.approx(expected, abs=1e-8)
     assert res.orthogonality_residual < 1e-9
+
+
+def _segment_chain(chart, pts, a0):
+    a = a0
+    for p, q in zip(pts[:-1], pts[1:]):
+        a = ig.parallel_transport(chart, np.array([p, q]), a).final
+    return a
+
+
+@pytest.mark.parametrize("a0", [np.array([1.0, 0.5]),
+                                np.array([[1.0, 0.3], [0.5, -1.0]])],
+                         ids=["k=1", "k=n"])
+def test_polyline_transport_matches_segment_chain(sphere_chart, a0):
+    pts = np.array([[0.2, 1.0], [1.0, 1.3], [1.5, 0.9], [2.4, 1.6],
+                    [3.0, 1.1], [3.1, 0.4]])
+    res = ig.parallel_transport(sphere_chart, pts, a0)
+    assert res.final.shape == a0.shape
+    assert np.abs(res.final - _segment_chain(sphere_chart, pts, a0)).max() \
+        < 1e-10
+
+
+def test_polyline_transport_matches_segment_chain_s3(s3):
+    pts = np.array([[0.3, 0.2, 0.1], [-0.5, 0.4, 0.2], [0.1, -0.6, 0.7],
+                    [0.8, 0.3, -0.4], [0.0, 0.0, 0.0]])
+    res = ig.parallel_transport(s3, pts, np.eye(3))
+    assert np.abs(res.final - _segment_chain(s3, pts, np.eye(3))).max() < 1e-10
+    assert res.gram_drift < 1e-9
+
+
+def test_uneven_polyline_latitude_holonomy(sphere_chart):
+    # 40 short segments in u in [0, 0.01], then one segment round to 2 pi:
+    # every segment shares one mesh, yet each keeps its own tolerance
+    u = np.append(np.linspace(0.0, 0.01, 41), 2 * math.pi)
+    loop = np.stack([u, np.ones_like(u)], axis=1)
+    res = ig.holonomy(sphere_chart, loop)
+    assert abs(res.angle) == pytest.approx(2 * math.pi * (1 - math.cos(1.0)),
+                                           abs=1e-10)
+    assert res.gram_drift < 1e-9
+    final = ig.parallel_transport(sphere_chart, loop, np.eye(2)).final
+    assert np.abs(final - _segment_chain(sphere_chart, loop, np.eye(2))).max() \
+        < 1e-10
+
+
+def test_polyline_transport_samples(sphere_chart):
+    pts = np.array([[0.2, 1.0], [1.0, 1.3], [1.0, 1.3005], [1.5, 0.9]])
+    res = ig.parallel_transport(sphere_chart, pts, np.eye(2))
+    assert np.all(np.diff(res.ts) > 0)
+    assert res.ts[0] == 0.0 and res.ts[-1] == len(pts) - 1
+    at = [int(np.argmin(np.abs(res.ts - i))) for i in range(len(pts))]
+    assert np.array_equal(res.ts[at], np.arange(len(pts)))
+    assert np.abs(res.positions[at] - pts).max() < 1e-14
+    assert res.vectors.shape == (len(res.ts), 2, 2)
+    assert np.array_equal(res.vectors[0], np.eye(2))
+
+
+def test_polyline_transport_is_one_solve(sphere_chart, monkeypatch):
+    solves = []
+    integrate = nk.integrate_ode
+    monkeypatch.setattr(nk, "integrate_ode",
+                        lambda *a, **kw: solves.append(1) or integrate(*a, **kw))
+    pts = np.array([[0.2, 1.0], [1.0, 1.3], [1.5, 0.9], [2.4, 1.6]])
+    ig.parallel_transport(sphere_chart, pts, np.eye(2))
+    assert len(solves) == 1
+
+
+def test_polyline_outside_chart_rejected(halfplane):
+    pts = np.array([[0.0, 1.0], [0.0, -0.5], [1.0, 1.0]])
+    with pytest.raises(nk.PreconditionError, match="waypoint 1"):
+        ig.parallel_transport(halfplane, pts, np.array([1.0, 0.0]))
 
 
 def test_holonomy_rejects_open_loops(plane):

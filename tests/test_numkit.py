@@ -160,6 +160,18 @@ def test_integrate_ode_exponential():
     assert traj.eval(0.5)[0] == pytest.approx(math.sqrt(math.e), abs=1e-9)
 
 
+def test_integrate_ode_step_counters():
+    # harmonic oscillator y'' = -25 y: smooth, but the controller rejects
+    # a few steps on the way
+    prob = nk.OdeProblem(lambda t, y: np.array([y[1], -25.0 * y[0]]),
+                         np.array([1.0, 0.0]), (0.0, 3.0),
+                         rtol=1e-10, atol=1e-12)
+    traj = nk.integrate_ode(prob)
+    assert traj.n_accepted == len(traj.ts) - 1
+    assert traj.n_rejected > 0
+    assert traj.n_rhs == 1 + 6 * (traj.n_accepted + traj.n_rejected)
+
+
 def test_integrate_ode_must_hit_and_forward_only():
     prob = nk.OdeProblem(lambda t, y: -y, np.array([1.0]), (0.0, 2.0),
                          rtol=1e-10, atol=1e-12)

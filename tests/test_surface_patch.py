@@ -134,6 +134,14 @@ def test_offset_of_patch_through_cone_apex_rejected():
         sp.offset_surface(cone, 0.01)
 
 
+def test_forms_at_cone_apex_names_the_point():
+    cone = sp.SurfacePatch(lambda u, v: [v * u.cos(), v * u.sin(), v],
+                           [(0.0, 2 * math.pi), (0.0, 2.0)])
+    with pytest.raises(nk.PreconditionError) as exc:
+        sp.forms_at(cone, tuple(np.zeros(2)))   # numpy scalars
+    assert str(exc.value) == "patch is not regular at (u,v)=(0,0)"
+
+
 def test_total_curvatures_orientation_consistency(sphere):
     natural = sp.total_curvatures(sphere)
     flipped = sp.total_curvatures(sphere.flipped())

@@ -7,6 +7,7 @@ import pytest
 
 import curvatur.catalog as cat
 import curvatur.intrinsic as ig
+import curvatur.numkit as nk
 import curvatur.tensors as tn
 
 
@@ -84,6 +85,23 @@ def test_holonomy_oracle_matches_components(halfplane):
     riem = tn.riemann_at(halfplane, x)
     m, err = tn.riemann_holonomy_oracle(halfplane, x, u, v)
     assert np.abs(m - riem.operator(u, v)).max() < max(1e-3, 10 * err)
+
+
+def test_holonomy_oracle_matches_components_3d(s3):
+    x = np.array([0.3, -0.2, 0.4])
+    u, v = np.eye(3)[0], np.eye(3)[2]
+    m, err = tn.riemann_holonomy_oracle(s3, x, u, v)
+    assert np.abs(m - tn.riemann_at(s3, x).operator(u, v)).max() < 1e-3
+
+
+def test_holonomy_oracle_is_two_solves(halfplane, monkeypatch):
+    solves = []
+    integrate = nk.integrate_ode
+    monkeypatch.setattr(nk, "integrate_ode",
+                        lambda *a, **kw: solves.append(1) or integrate(*a, **kw))
+    tn.riemann_holonomy_oracle(halfplane, np.array([0.3, 2.0]),
+                               np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    assert len(solves) == 2
 
 
 def test_volume_oracle_matches_ricci():
