@@ -394,10 +394,6 @@ class GeometrySpec:
     provenance: str = "parsed"
     warnings: list = field(default_factory=list)
 
-    def with_domain(self, domain):
-        return replace(self, domain=tuple((float(a), float(b))
-                                          for a, b in domain))
-
     def with_params(self, **params):
         merged = dict(self.params)
         merged.update(params)
@@ -592,24 +588,6 @@ def _parse_declaration(p: _Parser, kind, params):
                         tuple(rows), dict(params))
 
 
-def print_geometry(spec: GeometrySpec) -> str:
-    """Render a spec back to source text (inverse of parse_geometry)."""
-    if spec.builder is not None:
-        raise PreconditionError("builder-backed geometries have no source "
-                                "form")
-    lines = [f"param {k} = {repr(float(v))}" for k, v in spec.params.items()]
-    coords = ",".join(spec.coords)
-    ranges = "x".join(f"[{repr(lo)},{repr(hi)}]" for lo, hi in spec.domain)
-    head = f"{spec.kind} {spec.name} ({coords} in {ranges}) = "
-    if spec.kind in ("curve", "surface"):
-        body = "(" + ", ".join(print_expr(e) for e in spec.exprs) + ")"
-    else:
-        body = "[[" + ", ".join(print_expr(e) for e in spec.exprs[0]) + \
-            "], [" + ", ".join(print_expr(e) for e in spec.exprs[1]) + "]]"
-    lines.append(head + body)
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # builtins
 # ---------------------------------------------------------------------------
@@ -702,9 +680,8 @@ def _s3_builder(spec: GeometrySpec) -> MetricChart:
     def gfn(xj):
         x, y, z = xj
         r2 = x * x + y * y + z * z
-        one = x._like_const(np.ones_like(x.coef[0]))
-        f = ((one + 0.25 * r2) ** 2).reciprocal()
-        zero = x._like_const(np.zeros_like(x.coef[0]))
+        f = ((nk.as_jet(1.0, x) + 0.25 * r2) ** 2).reciprocal()
+        zero = nk.as_jet(0.0, x)
         return [[f, zero, zero], [zero, f, zero], [zero, zero, f]]
 
     return MetricChart(3, spec.domain, gfn, provenance="builtin",
@@ -778,26 +755,6 @@ def builtin(name, params=None) -> GeometrySpec:
     return spec
 
 
-def sphere_atlas(R=1.0):
-    """Two rotated polar patches that jointly cover the sphere.
-
-    The first chart's poles are on the z-axis, the second's on the x-axis,
-    so each chart's excluded caps are interior to the other.  Both use the
-    same inward orientation; overlap consistency is a catalog invariant.
-    """
-    R = float(R)
-    if R <= 0:
-        raise PreconditionError("sphere radius must be positive")
-    a = builtin("sphere", {"R": R}).build()
-
-    def fn(u, v):
-        return [R * v.cos(), R * v.sin() * u.cos(), R * v.sin() * u.sin()]
-
-    b = SurfacePatch(fn, [(0.0, 2 * math.pi), (0.1, math.pi - 0.1)],
-                     periods=(2 * math.pi, None), name="sphere-xaxis")
-    return a, b
-
-
 # ---------------------------------------------------------------------------
 # hyperbolic closed forms
 # ---------------------------------------------------------------------------
@@ -821,20 +778,6 @@ def hyperbolic_distance(z1, z2) -> float:
         raise PreconditionError("points must have positive imaginary part")
     q = 1.0 + abs(z1 - z2) ** 2 / (2.0 * z1.imag * z2.imag)
     return math.acosh(max(q, 1.0))
-
-
-def halfplane_from_hyperboloid(x, y) -> complex:
-    """Map a hyperboloid-chart point to the half-plane model.
-
-    (x, y) are the chart coordinates of (x, y, sqrt(1 + x^2 + y^2)) on the
-    upper hyperboloid sheet; the point goes through the Poincare disk
-    (zeta = (x + i y) / (1 + z)) and the Cayley transform
-    w = i (1 + zeta) / (1 - zeta).
-    """
-    z = math.sqrt(1.0 + x * x + y * y)
-    zeta = complex(x, y) / (1.0 + z)
-    w = 1j * (1 + zeta) / (1 - zeta)
-    return w
 
 
 def hyperbolic_circle_length(R) -> float:

@@ -270,20 +270,12 @@ def reconstruct_plane_curve(kbar, s_max, rtol=1e-10, atol=1e-12) -> ParamCurve:
         for k in range(min(order, kj.order + 1)):
             acoef[k + 1] = kj.coef[k] / (k + 1)
         alpha = Jet(1, order, acoef)
-        xj = _integrate_component(nk.cos(alpha), state[..., 0])
-        yj = _integrate_component(nk.sin(alpha), state[..., 1])
+        xj = nk.antiderivative1d(nk.cos(alpha), state[..., 0])
+        yj = nk.antiderivative1d(nk.sin(alpha), state[..., 1])
         inner = [nk.compose1d(c, s_jet) for c in (xj, yj)]
         return inner
 
     return _FrameODECurve(traj, 2, float(s_max), build)
-
-
-def _integrate_component(deriv_jet: Jet, value0):
-    coef = np.zeros((deriv_jet.order + 2,) + np.shape(deriv_jet.coef[0]))
-    coef[0] = value0
-    for k in range(deriv_jet.order + 1):
-        coef[k + 1] = deriv_jet.coef[k] / (k + 1)
-    return Jet(1, deriv_jet.order + 1, coef)
 
 
 def reconstruct_space_curve(kbar, taubar, s_max, rtol=1e-10, atol=1e-12) -> ParamCurve:

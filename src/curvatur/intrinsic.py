@@ -220,7 +220,10 @@ class GeodesicPath:
     """A traced geodesic with dense output.
 
     ``ts`` is arc length (the trace normalizes to unit speed), ``xs`` and
-    ``vs`` are coordinates and coordinate velocities at the accepted nodes.
+    ``vs`` are coordinates and coordinate velocities at the accepted nodes
+    (plus the exit point after a domain exit).  ``trajectory`` is the
+    solver's own dense output; after a domain exit it may run past
+    ``length``, so it is read on [0, length] only.
     """
 
     chart: MetricChart
@@ -287,7 +290,7 @@ def g_norm(chart: MetricChart, x, v):
 
 
 def geodesic_trace(chart: MetricChart, x0, v0, length, rtol=1e-10,
-                   atol=1e-12, must_hit=()) -> GeodesicPath:
+                   atol=1e-12) -> GeodesicPath:
     """Trace the unit-speed geodesic from x0 in direction v0 for ``length``.
 
     The initial velocity is normalized in g, so the parameter is arc
@@ -296,6 +299,8 @@ def geodesic_trace(chart: MetricChart, x0, v0, length, rtol=1e-10,
     """
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
+    if not chart.contains(x0[:, None])[0]:
+        raise PreconditionError("geodesic start point lies outside the chart")
     nrm = g_norm(chart, x0, v0)
     if nrm <= 0 or not np.isfinite(nrm):
         raise PreconditionError("initial velocity must have positive g-norm")
@@ -306,18 +311,15 @@ def geodesic_trace(chart: MetricChart, x0, v0, length, rtol=1e-10,
     reason = "completed"
     try:
         traj = nk.integrate_ode(nk.OdeProblem(rhs, y0, (0.0, float(length)),
-                                              rtol, atol), must_hit=must_hit)
+                                              rtol, atol))
     except nk.StepUnderflowError as e:
         if not e.nan_seen:
             raise
-        traj = nk.Trajectory(np.array([0.0, max(e.t, 1e-300)]),
-                             np.array([y0, e.y]),
-                             np.array([rhs(0.0, y0), rhs(e.t, e.y)]),
-                             status="domain-exit")
+        traj = e.trajectory
         reason = "domain-exit"
 
-    xs = traj.ys[:, :n]
-    inside = chart.contains(xs.T)
+    ts, ys = traj.ts, traj.ys
+    inside = chart.contains(ys[:, :n].T)
     if not inside.all():
         first_out = int(np.argmax(~inside))
         t_lo = traj.ts[max(first_out - 1, 0)]
@@ -331,12 +333,10 @@ def geodesic_trace(chart: MetricChart, x0, v0, length, rtol=1e-10,
         keep = traj.ts <= t_lo
         ts = np.append(traj.ts[keep], t_lo)
         ys = np.vstack([traj.ys[keep], traj.eval(t_lo)])
-        fs = np.vstack([traj.fs[keep], traj.eval_derivative(t_lo)])
-        traj = nk.Trajectory(ts, ys, fs, status="domain-exit")
         reason = "domain-exit"
 
-    return GeodesicPath(chart, traj.ts, traj.ys[:, :n], traj.ys[:, n:],
-                        float(traj.ts[-1]), reason, traj)
+    return GeodesicPath(chart, ts, ys[:, :n], ys[:, n:], float(ts[-1]),
+                        reason, traj)
 
 
 def exp_map(chart: MetricChart, P, u):
@@ -353,8 +353,7 @@ def exp_map(chart: MetricChart, P, u):
     return path.end
 
 
-def _exp_batch(chart: MetricChart, P, U, rtol=1e-10, atol=1e-12,
-               must_hit=()):
+def _exp_batch(chart: MetricChart, P, U, rtol=1e-10, atol=1e-12):
     """Integrate exp_P(t U) for a batch of velocities U (n, L), t in [0,1].
 
     Returns the flat trajectory; callers reshape states as (L, 2, n).
@@ -364,8 +363,7 @@ def _exp_batch(chart: MetricChart, P, U, rtol=1e-10, atol=1e-12,
     y0 = np.stack([np.tile(np.asarray(P, dtype=float), (L, 1)),
                    np.ascontiguousarray(U.T)], axis=1).ravel()
     rhs = _geodesic_rhs(chart, L)
-    return nk.integrate_ode(nk.OdeProblem(rhs, y0, (0.0, 1.0), rtol, atol),
-                            must_hit=must_hit)
+    return nk.integrate_ode(nk.OdeProblem(rhs, y0, (0.0, 1.0), rtol, atol))
 
 
 def _variational_rhs(chart: MetricChart, lanes: int, ncols: int):
@@ -398,7 +396,7 @@ def _variational_rhs(chart: MetricChart, lanes: int, ncols: int):
 
 
 def _exp_batch_variational(chart: MetricChart, P, U, dU, rtol=1e-10,
-                           atol=1e-12, must_hit=()):
+                           atol=1e-12):
     """Like :func:`_exp_batch` but carrying J = dx/d(param_c) columns.
 
     ``dU`` has shape (ncols, n, L): derivative of the initial velocity with
@@ -412,7 +410,7 @@ def _exp_batch_variational(chart: MetricChart, P, U, dU, rtol=1e-10,
     z0[:, 2 + ncols:, :] = np.moveaxis(dU, -1, 0)
     rhs = _variational_rhs(chart, L, ncols)
     return nk.integrate_ode(nk.OdeProblem(rhs, z0.ravel(), (0.0, 1.0),
-                                          rtol, atol), must_hit=must_hit)
+                                          rtol, atol))
 
 
 # ---------------------------------------------------------------------------
@@ -625,20 +623,18 @@ def _circle_lengths(chart: MetricChart, P, radii, M, frame):
     """Geodesic-circle lengths at the given radii with M direction samples
     in the plane of the g-orthonormal ``frame`` (n, 2).
 
-    One batched integration serves every radius: lanes are directions, the
-    mesh is forced through t = r/r_max, and circle points are read off at
-    the forced nodes.
+    One batched integration serves every radius: lanes are directions and
+    circle points are read off the solver's dense output at t = r/r_max.
     """
     P = np.asarray(P, dtype=float)
     n = chart.dim
     rmax = max(radii)
     phis = 2.0 * math.pi * np.arange(M) / M
     dirs = np.cos(phis) * frame[:, :1] + np.sin(phis) * frame[:, 1:2]  # (n, M)
-    hits = sorted(set(float(r) / rmax for r in radii if r < rmax))
-    traj = _exp_batch(chart, P, rmax * dirs, must_hit=hits)
+    traj = _exp_batch(chart, P, rmax * dirs)
     out = {}
     for r in radii:
-        pts = traj.at_node(float(r) / rmax).reshape(M, 2, n)[:, 0, :]
+        pts = traj.eval(float(r) / rmax).reshape(M, 2, n)[:, 0, :]
         out[float(r)] = _polygon_length(chart, pts)
     return out
 
@@ -649,9 +645,11 @@ def geodesic_circle_lengths(chart: MetricChart, P, radii, samples=256,
 
     The circles lie in exp_P of the plane spanned by the g-orthonormal
     columns of ``frame`` (n, 2), by default the first two columns of
-    :meth:`MetricChart.orthonormal_basis`.  Returns (lengths dict, error
-    dict): the polygon law has only even powers of 1/M, so one doubling of
-    the direction count removes the leading term and leaves ~ (1/M)^4.
+    :meth:`MetricChart.orthonormal_basis`.  Every radius is read from the
+    same two geodesic fans (M and 2M directions out to the largest radius).
+    Returns (lengths dict, error dict): the polygon law has only even
+    powers of 1/M, so one doubling of the direction count removes the
+    leading term and leaves ~ (1/M)^4.
     """
     radii = [float(r) for r in radii]
     if frame is None:
@@ -663,6 +661,27 @@ def geodesic_circle_lengths(chart: MetricChart, P, radii, samples=256,
         out[r] = (4.0 * hi[r] - lo[r]) / 3.0
         err[r] = abs(hi[r] - lo[r]) / 3.0
     return out, err
+
+
+def circles_and_disks(chart: MetricChart, P, radii, samples=256,
+                      radial_nodes=24):
+    """Circle lengths L(R), disk areas S(R) and the lengths' error
+    estimates for each R in ``radii``, as three dicts keyed by R.
+
+    S(R) integrates L(rho) over [0, R] with ``radial_nodes`` Gauss-Legendre
+    nodes; every length comes from one :func:`geodesic_circle_lengths`
+    call over the union of the radii and their nodes.
+    """
+    radii = [float(R) for R in radii]
+    rules = {R: nk.gauss_legendre(radial_nodes, 0.0, R) for R in radii}
+    all_r = sorted(set(radii) | set(float(x) for xs, _ in rules.values()
+                                    for x in xs))
+    lengths, errors = geodesic_circle_lengths(chart, P, all_r,
+                                              samples=samples)
+    areas = {R: float(sum(w * lengths[float(x)] for x, w in zip(xs, ws)))
+             for R, (xs, ws) in rules.items()}
+    return ({R: lengths[R] for R in radii}, areas,
+            {R: errors[R] for R in radii})
 
 
 @dataclass
@@ -692,20 +711,8 @@ def geodesic_circle(chart: MetricChart, P, R, samples=256,
     if R <= 0:
         raise PreconditionError("radius must be positive")
     delta = 1e-3 * R
-    nodes = {}
-    weights = {}
-    for Rq in (R - delta, R, R + delta):
-        xs, ws = nk.gauss_legendre(radial_nodes, 0.0, Rq)
-        nodes[Rq] = xs
-        weights[Rq] = ws
-    all_radii = sorted(set([R - delta, R, R + delta])
-                       | set(float(x) for xs in nodes.values() for x in xs))
-    lengths, errors = geodesic_circle_lengths(chart, P, all_radii,
-                                              samples=samples)
-    areas = {}
-    for Rq in (R - delta, R, R + delta):
-        areas[Rq] = float(sum(w * lengths[float(x)]
-                              for x, w in zip(nodes[Rq], weights[Rq])))
+    lengths, areas, errors = circles_and_disks(
+        chart, P, (R - delta, R, R + delta), samples, radial_nodes)
     dS = (areas[R + delta] - areas[R - delta]) / (2 * delta)
     resid = abs(dS - lengths[R]) / max(abs(lengths[R]), 1e-300)
     warnings = []
@@ -772,18 +779,10 @@ def scalar_curvature_estimate(chart: MetricChart, P, r0=0.2, rungs=3,
     warnings = []
 
     if chart.dim == 2:
-        nodes, weights = {}, {}
-        for R in ladder:
-            nodes[R], weights[R] = nk.gauss_legendre(24, 0.0, R)
-        all_r = sorted(set(ladder) | set(float(x) for R in ladder
-                                         for x in nodes[R]))
-        lengths, lerr = geodesic_circle_lengths(chart, P, all_r,
-                                                samples=samples)
+        lengths, areas, _ = circles_and_disks(chart, P, ladder, samples)
         d_circle, d_disk = [], []
         for R in ladder:
-            L = lengths[R]
-            S = float(sum(w * lengths[float(x)]
-                          for x, w in zip(nodes[R], weights[R])))
+            L, S = lengths[R], areas[R]
             d_circle.append(6.0 * (2 * math.pi * R - L) / (math.pi * R ** 3))
             d_disk.append(24.0 * (math.pi * R ** 2 - S) / (math.pi * R ** 4))
         rc = nk.richardson(nk.ExtrapolationLadder(np.array(ladder),
@@ -833,14 +832,13 @@ def _geodesic_sphere_areas(chart: MetricChart, P, radii, n_theta=24,
                       np.zeros_like(Tf)])
     U = rmax * (E @ u)
     dU = np.stack([rmax * (E @ du_dT), rmax * (E @ du_dF)])
-    hits = sorted(set(float(r) / rmax for r in radii if r < rmax))
-    traj = _exp_batch_variational(chart, P, U, dU, must_hit=hits)
+    traj = _exp_batch_variational(chart, P, U, dU)
     lanes = U.shape[1]
     n = chart.dim
     W = (tw[:, None] * np.full(n_phi, pw)[None, :]).ravel()
     out = {}
     for r in radii:
-        z = traj.at_node(float(r) / rmax).reshape(lanes, 2 + 2 * 2, n)
+        z = traj.eval(float(r) / rmax).reshape(lanes, 2 + 2 * 2, n)
         x = z[:, 0, :].T
         J = np.moveaxis(z[:, 2:4, :], 0, -1)        # (2, n, lanes)
         g = chart.g_at(x)
@@ -1031,41 +1029,3 @@ def geodesic_distance(chart: MetricChart, P, Q, tol=1e-10, max_iter=64):
     raise nk.NonConvergenceError(
         f"distance shooting did not converge (best miss {best_miss:.3g})",
         residual=best_miss)
-
-
-def normal_coordinates_check(chart: MetricChart, P, step=1e-3):
-    """FD check that exp-normal coordinates flatten the metric at P.
-
-    Returns (gram_residual, first_partial_max): the metric of the normal
-    chart at the origin minus the identity, and the max first partial by
-    central differences of variational pushforwards (the one deliberate
-    finite-difference oracle in this module).
-    """
-    P = np.asarray(P, dtype=float)
-    n = chart.dim
-    E = chart.orthonormal_basis(P)
-
-    def metric_in_normal_coords(xi):
-        xi = np.asarray(xi, dtype=float)
-        r = np.linalg.norm(xi)
-        if r < 1e-14:
-            return np.eye(n)
-        U = E @ xi
-        dU = E.T[:, :, None]                    # dU/dxi_c = E column c
-        traj = _exp_batch_variational(chart, P, U[:, None], dU)
-        z = traj.final.reshape(1, 2 + 2 * n, n)[0]
-        x = z[0]
-        J = z[2:2 + n].T                        # dx/dxi, columns per xi axis
-        g = chart.g_at(x)
-        return J.T @ g @ J
-
-    gram0 = metric_in_normal_coords(np.zeros(n))
-    resid0 = float(np.abs(gram0 - np.eye(n)).max())
-    worst = 0.0
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = step
-        gp = metric_in_normal_coords(e)
-        gm = metric_in_normal_coords(-e)
-        worst = max(worst, float(np.abs((gp - gm) / (2 * step)).max()))
-    return resid0, worst

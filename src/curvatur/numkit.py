@@ -14,10 +14,10 @@ Finite differences appear in this package only inside clearly named
 cross-check oracles.
 
 The ODE integrator is an embedded Dormand-Prince 4(5) pair with adaptive
-steps and cubic Hermite dense output.  It integrates flat state vectors;
-callers that want many geodesics at once flatten a (lanes, dim) state and
-share step control across lanes, which is how the circle and volume
-routines stay fast.
+steps and the pair's own 4th-order dense output.  It integrates flat state
+vectors; callers that want many geodesics at once flatten a (lanes, dim)
+state and share step control across lanes, which is how the circle and
+volume routines stay fast.
 
 Quadrature is a tensor Gauss-Legendre rule that doubles its nodes per axis
 until two successive rules agree.  Integrands see whole node arrays, so a
@@ -56,13 +56,16 @@ class StepUnderflowError(NumericalError):
         True when failure was driven by NaN/inf in the right hand side
         (typically the trajectory left the domain of the problem), False
         when the error estimate itself refused to shrink.
+    trajectory : Trajectory
+        The accepted steps up to ``t``, with their dense output.
     """
 
-    def __init__(self, message, t, y, nan_seen):
+    def __init__(self, message, t, y, nan_seen, trajectory):
         super().__init__(message)
         self.t = t
         self.y = np.asarray(y)
         self.nan_seen = nan_seen
+        self.trajectory = trajectory
 
 
 class QuadratureError(NumericalError):
@@ -600,6 +603,10 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                    187 / 2100, 1 / 40])
 _DP_E = _DP_B5 - _DP_B4
+# continuous extension (Hairer, Norsett & Wanner, Solving ODEs I, II.6)
+_DP_D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+                  -10690763975 / 1880347072, 701980252875 / 199316789632,
+                  -1453857185 / 822651844, 69997945 / 29380423])
 
 
 @dataclass
@@ -634,19 +641,20 @@ class OdeProblem:
 class Trajectory:
     """Dense solution of an :class:`OdeProblem`.
 
-    Stores accepted nodes and their derivatives; evaluation between nodes
-    uses cubic Hermite interpolation, which at the tolerances used here is
-    accurate to a few parts in 1e8 or better.  Node values themselves carry
-    the full integrator accuracy.  ``n_rhs`` counts right-hand-side
-    evaluations, ``n_accepted`` accepted steps and ``n_rejected`` steps
-    retried with a smaller size (failed error test or non-finite stage).
+    Stores the accepted nodes ``ts``, states ``ys`` and derivatives ``fs``,
+    plus one vector per step, ``dense``, that lifts the cubic Hermite
+    interpolant of the step to Dormand-Prince's 4th-order continuous
+    extension.  :meth:`eval` is therefore accurate to the integrator's
+    tolerance everywhere and returns ``ys`` exactly at the nodes.
+    ``n_rhs`` counts right-hand-side evaluations, ``n_accepted`` accepted
+    steps and ``n_rejected`` steps retried with a smaller size (failed
+    error test or non-finite stage).
     """
 
     ts: np.ndarray
     ys: np.ndarray
     fs: np.ndarray
-    status: str = "completed"
-    message: str = ""
+    dense: np.ndarray
     n_rhs: int = 0
     n_accepted: int = 0
     n_rejected: int = 0
@@ -655,21 +663,8 @@ class Trajectory:
     def final(self):
         return self.ys[-1]
 
-    @property
-    def t_final(self):
-        return float(self.ts[-1])
-
-    def at_node(self, t):
-        """State at the accepted node at time ``t``, a time the solve was
-        forced through with ``must_hit``; raises :class:`NumericalError`
-        when no node lies within 1e-13 of ``t``."""
-        i = int(np.argmin(np.abs(self.ts - t)))
-        if abs(self.ts[i] - t) > 1e-13:
-            raise NumericalError(f"forced node t={t:.17g} missing from the mesh")
-        return self.ys[i]
-
     def eval(self, t):
-        """Hermite evaluation at scalar or array times inside the span."""
+        """Dense output at scalar or array times inside the span."""
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         tq = np.atleast_1d(t)
@@ -684,27 +679,8 @@ class Trajectory:
         h10 = s * (1 - s) ** 2
         h01 = s * s * (3 - 2 * s)
         h11 = s * s * (s - 1)
-        out = h00 * y0 + h10 * h[..., None] * f0 + h01 * y1 + h11 * h[..., None] * f1
-        return out[0] if scalar else out
-
-    def eval_derivative(self, t):
-        """Hermite derivative dy/dt at scalar or array times."""
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        tq = np.atleast_1d(t)
-        k = np.clip(np.searchsorted(self.ts, tq, side="right") - 1, 0,
-                    len(self.ts) - 2)
-        t0, t1 = self.ts[k], self.ts[k + 1]
-        h = t1 - t0
-        s = ((tq - t0) / h)[..., None]
-        y0, y1 = self.ys[k], self.ys[k + 1]
-        f0, f1 = self.fs[k], self.fs[k + 1]
-        d00 = 6 * s * (s - 1)
-        d10 = (1 - s) * (1 - 3 * s)
-        d01 = -d00
-        d11 = s * (3 * s - 2)
-        out = (d00 * y0 / h[..., None] + d10 * f0 + d01 * y1 / h[..., None]
-               + d11 * f1)
+        out = (h00 * y0 + h10 * h[..., None] * f0 + h01 * y1
+               + h11 * h[..., None] * f1 + (s * (1 - s)) ** 2 * self.dense[k])
         return out[0] if scalar else out
 
 
@@ -715,8 +691,7 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
     ----------
     problem : OdeProblem
     must_hit : sequence of float
-        Interior times the accepted mesh must land on exactly (useful when
-        node values, not Hermite interpolants, are wanted at given times).
+        Interior times the accepted mesh must land on exactly.
 
     Returns
     -------
@@ -726,7 +701,8 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
     ------
     StepUnderflowError
         When the controller cannot make progress; the exception carries the
-        last accepted state and whether NaNs drove the failure.
+        accepted part of the trajectory, its last state and whether NaNs
+        drove the failure.
     """
     t0, t1 = map(float, problem.t_span)
     if not t1 > t0:
@@ -751,12 +727,21 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
     h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
     h = min(h, t1 - t0, problem.max_step)
 
-    ts, ys, fs = [t0], [y.copy()], [k1.copy()]
+    ts, ys, fs, dense = [t0], [y.copy()], [k1.copy()], []
     t = t0
     hmin = 1e-14 * max(abs(t0), abs(t1), 1.0)
     hit_i = 0
     nan_fail = 0
     n_rejected = 0
+
+    def trajectory():
+        return Trajectory(np.array(ts), np.array(ys), np.array(fs),
+                          np.reshape(dense, (len(ts) - 1,) + y.shape),
+                          n_rhs=n_rhs, n_accepted=len(ts) - 1,
+                          n_rejected=n_rejected)
+
+    def underflow(message, nan_seen):
+        return StepUnderflowError(message, t, y, nan_seen, trajectory())
 
     while t < t1 - hmin:
         while hit_i < len(hits) and hits[hit_i] <= t + hmin:
@@ -767,8 +752,7 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
             h = target - t
             clamped = True
         if h < hmin:
-            raise StepUnderflowError(
-                f"step size underflow at t={t:.6g}", t, y, nan_seen=nan_fail > 0)
+            raise underflow(f"step size underflow at t={t:.6g}", nan_fail > 0)
 
         ks = [k1]
         bad = False
@@ -787,9 +771,8 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
             n_rejected += 1
             h *= 0.5
             if h < hmin:
-                raise StepUnderflowError(
-                    f"right hand side produced non-finite values near t={t:.6g}",
-                    t, y, nan_seen=True)
+                raise underflow("right hand side produced non-finite values "
+                                f"near t={t:.6g}", True)
             continue
 
         y_new = yi  # stage 7 state equals the 5th order solution (FSAL)
@@ -798,6 +781,7 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
         err = np.sqrt(np.mean((err_vec / scale) ** 2))
 
         if err <= 1.0:
+            dense.append(h * sum(d * k for d, k in zip(_DP_D, ks)))
             t = t + h
             y = y_new
             k1 = ks[6]
@@ -813,12 +797,9 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
             n_rejected += 1
             h *= min(1.0, max(0.1, 0.9 * err ** -0.2))
             if h < hmin:
-                raise StepUnderflowError(
-                    f"error control stalled at t={t:.6g}", t, y, nan_seen=False)
+                raise underflow(f"error control stalled at t={t:.6g}", False)
 
-    return Trajectory(np.array(ts), np.array(ys), np.array(fs),
-                      status="completed", n_rhs=n_rhs,
-                      n_accepted=len(ts) - 1, n_rejected=n_rejected)
+    return trajectory()
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,8 @@ def _cube_volume_ladder(chart, P, cols, hs, grid):
 
     ``cols`` (n, n) spans the cube in tangent coordinates.  One variational
     batch per cube provides exact Jacobians d exp / d xi, so the volume is
-    a pure Gauss-Legendre sum, with interior h read off forced mesh nodes.
+    a pure Gauss-Legendre sum, with each h read off the solver's dense
+    output.
     """
     n = chart.dim
     hmax = max(hs)
@@ -205,12 +206,11 @@ def _cube_volume_ladder(chart, P, cols, hs, grid):
 
     U = hmax * (cols @ XI)                            # (n, lanes)
     dU = np.repeat((hmax * cols).T[:, :, None], XI.shape[1], axis=2)
-    hits = sorted(set(h / hmax for h in hs if h < hmax))
-    traj = ig._exp_batch_variational(chart, P, U, dU, must_hit=hits)
+    traj = ig._exp_batch_variational(chart, P, U, dU)
     lanes = XI.shape[1]
     out = {}
     for h in hs:
-        z = traj.at_node(h / hmax).reshape(lanes, 2 + 2 * n, n)
+        z = traj.eval(h / hmax).reshape(lanes, 2 + 2 * n, n)
         xpt = z[:, 0, :].T
         J = np.moveaxis(z[:, 2:2 + n, :], 0, -1)      # (n cols, n, lanes)
         g = chart.g_at(xpt)

@@ -77,26 +77,19 @@ def suite_circle_law(seed=0):
     """Geodesic circle length and disk area laws on the unit sphere.
 
     The ten radii share one batched geodesic fan through
-    :func:`intrinsic.geodesic_circle_lengths`; the full single-radius
-    entry point is exercised separately at R = 1.
+    :func:`intrinsic.circles_and_disks`; the full single-radius entry
+    point is exercised separately at R = 1.
     """
     suite = "circle-law"
     t0 = time.perf_counter()
     chart = ig.pullback_metric(cat.builtin("sphere").build())
     P = np.array([1.0, math.pi / 2])
     radii = [0.1 * k for k in range(1, 11)]
-    nodes, weights = {}, {}
-    for R in radii:
-        nodes[R], weights[R] = nk.gauss_legendre(24, 0.0, R)
-    all_r = sorted(set(radii)
-                   | set(float(x) for xs in nodes.values() for x in xs))
-    lengths, _ = ig.geodesic_circle_lengths(chart, P, all_r, samples=128)
+    lengths, areas, _ = ig.circles_and_disks(chart, P, radii, samples=128)
     worst_l = worst_s = 0.0
     for R in radii:
-        S = float(sum(w * lengths[float(x)]
-                      for x, w in zip(nodes[R], weights[R])))
         worst_l = max(worst_l, abs(lengths[R] - TWO_PI * math.sin(R)))
-        worst_s = max(worst_s, abs(S - TWO_PI * (1 - math.cos(R))))
+        worst_s = max(worst_s, abs(areas[R] - TWO_PI * (1 - math.cos(R))))
     res = ig.geodesic_circle(chart, P, 1.0)
     worst_l = max(worst_l, abs(res.length - TWO_PI * math.sin(1.0)))
     worst_s = max(worst_s, abs(res.disk_area - TWO_PI * (1 - math.cos(1.0))))
@@ -502,8 +495,8 @@ def suite_curve_roundtrip(seed=0):
     s_max = 6.0
     grid = np.linspace(0.05, s_max - 0.05, 40)
 
-    profiles = [("constant", lambda s: 0.7 if not isinstance(s, nk.Jet)
-                 else s._like_const(0.7 * np.ones_like(s.coef[0]))),
+    profiles = [("constant", lambda s: nk.as_jet(0.7, s)
+                 if isinstance(s, nk.Jet) else 0.7),
                 ("linear", lambda s: s * 0.2 + 0.3),
                 ("sinusoidal", lambda s: nk.sin(s))]
     for name, kbar in profiles:
@@ -608,8 +601,7 @@ def _poly_field(rng, n, kind):
     cq = rng.uniform(-1, 1, size=(rows, n, n))
 
     def comp(xj, r):
-        one = xj[0]._like_const(np.ones_like(xj[0].coef[0]))
-        acc = c0[r] * one
+        acc = c0[r] * nk.as_jet(1.0, xj[0])
         for i in range(n):
             acc = acc + cl[r, i] * xj[i]
             for j in range(n):
@@ -744,8 +736,7 @@ def suite_calculus(seed=0):
                      worst, 1e-8)
 
         def bad_fn(xj):
-            zero = xj[0]._like_const(np.zeros_like(xj[0].coef[0]))
-            return [xj[1] * 1.0] + [zero] * (n - 1)
+            return [xj[1] * 1.0] + [nk.as_jet(0.0, xj[0])] * (n - 1)
         dbad = tn.field_values(tn.exterior_derivative(
             tn.Field("covector", bad_fn)), pts[0], order=2)
         flagged = float(np.abs(dbad).max()) > 1e-6

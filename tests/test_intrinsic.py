@@ -108,6 +108,22 @@ def test_trace_reports_domain_exit(plane):
     assert path.end[0] == pytest.approx(2.0, abs=1e-6)
 
 
+def test_domain_exit_keeps_accepted_path(halfplane):
+    # the vertical geodesic y = e^-t leaves the chart at y = 0.05
+    path = ig.geodesic_trace(halfplane, [0.0, 1.0], [0.0, -1.0], 5.0)
+    assert path.reason == "domain-exit"
+    assert path.length == pytest.approx(-math.log(0.05), abs=1e-8)
+    assert len(path.ts) > 10
+    ts = np.linspace(0.0, path.length, 201)
+    exact = np.stack([np.zeros_like(ts), np.exp(-ts)], axis=1)
+    assert np.abs(path.position(ts) - exact).max() < 1e-8
+
+
+def test_trace_from_outside_chart_rejected(halfplane):
+    with pytest.raises(nk.PreconditionError):
+        ig.geodesic_trace(halfplane, [0.0, 0.01], [0.0, 1.0], 1.0)
+
+
 def test_exp_map_matches_trace(halfplane):
     P = np.array([0.3, 1.0])
     u = np.array([0.0, 0.7])

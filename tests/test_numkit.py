@@ -95,14 +95,17 @@ def test_matrix_jets_match_scalar_jet_arithmetic(nvars, order, n):
             assert np.allclose(eye.coef[1:], 0.0, atol=1e-13)
 
 
-def test_forced_node_read_off():
-    prob = nk.OdeProblem(lambda t, y: -y, np.array([1.0]), (0.0, 1.0))
-    forced = nk.integrate_ode(prob, must_hit=[0.3])
-    assert forced.at_node(0.3)[0] == pytest.approx(math.exp(-0.3), abs=1e-9)
-    free = nk.integrate_ode(prob)
-    assert np.abs(free.ts - 0.3).min() > 1e-13
-    with pytest.raises(nk.NumericalError):
-        free.at_node(0.3)
+def test_dense_output_accuracy():
+    # harmonic oscillator y'' = -y: the continuous extension keeps the
+    # integrator's accuracy between nodes (cubic Hermite reaches ~4e-9)
+    prob = nk.OdeProblem(lambda t, y: np.array([y[1], -y[0]]),
+                         np.array([0.0, 1.0]), (0.0, 10.0),
+                         rtol=1e-10, atol=1e-12)
+    traj = nk.integrate_ode(prob)
+    ts = np.linspace(0.0, 10.0, 1001)
+    exact = np.stack([np.sin(ts), np.cos(ts)], axis=1)
+    assert np.abs(traj.eval(ts) - exact).max() < 5e-10
+    assert np.array_equal(traj.eval(traj.ts), traj.ys)
 
 
 def test_gauss_legendre_polynomial_exactness():
