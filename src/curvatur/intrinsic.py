@@ -17,7 +17,7 @@ Heavy sampling paths (circles, spheres, volume grids) integrate whole
 batches of geodesics in one flat ODE system with shared step control, which
 is what keeps the limit-based estimators fast.  Polyline transport is
 batched the same way: every segment's transport map is one lane of a single
-solve, and the segments are chained afterwards.
+solve, and the segments are chained afterwards; so is distance shooting.
 """
 
 from __future__ import annotations
@@ -186,28 +186,16 @@ def christoffel_embedded(surface, uv):
     """Christoffel symbols of a patch from ambient second derivatives.
 
     Independent of the metric-derivative formula: solves the tangential
-    part of r_ij = Gamma^1_ij r_1 + Gamma^2_ij r_2 + q_ij n through the
-    2x2 cofactor expression.  Used as a cross-check oracle for
+    part of r_ij = Gamma^1_ij r_1 + Gamma^2_ij r_2 + q_ij n through its
+    2x2 normal equations.  Used as a cross-check oracle for
     :func:`christoffel_at` on pullback charts.
     """
     js = surface.jets(float(uv[0]), float(uv[1]), order=2)
-    r1 = np.array([c.partial((1, 0)) for c in js])
-    r2 = np.array([c.partial((0, 1)) for c in js])
-    rdd = {(0, 0): np.array([c.partial((2, 0)) for c in js]),
-           (0, 1): np.array([c.partial((1, 1)) for c in js]),
-           (1, 1): np.array([c.partial((0, 2)) for c in js])}
-    rdd[(1, 0)] = rdd[(0, 1)]
-    basis = [r1, r2]
-    g = np.array([[r1 @ r1, r1 @ r2], [r1 @ r2, r2 @ r2]])
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    gamma = np.zeros((2, 2, 2))
-    for k in range(2):
-        o = 1 - k
-        for i in range(2):
-            for j in range(2):
-                gamma[k, i, j] = (g[o, o] * (basis[k] @ rdd[(i, j)])
-                                  - g[k, o] * (basis[o] @ rdd[(i, j)])) / det
-    return gamma
+    r = np.array([[c.partial(a) for c in js] for a in ((1, 0), (0, 1))])
+    rdd = np.array([[[c.partial((2 - i - j, i + j)) for c in js]
+                     for j in range(2)] for i in range(2)])
+    return np.linalg.solve(r @ r.T, np.einsum('la,ija->lij', r, rdd)
+                           .reshape(2, 4)).reshape(2, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -356,21 +344,25 @@ def exp_map(chart: MetricChart, P, u):
 def _exp_batch(chart: MetricChart, P, U, rtol=1e-10, atol=1e-12):
     """Integrate exp_P(t U) for a batch of velocities U (n, L), t in [0,1].
 
-    Returns the flat trajectory; callers reshape states as (L, 2, n).
+    ``P`` is one base point (n,) or one per lane (n, L).  Returns the flat
+    trajectory; callers reshape states as (L, 2, n).
     """
     n = chart.dim
     L = U.shape[1]
-    y0 = np.stack([np.tile(np.asarray(P, dtype=float), (L, 1)),
+    y0 = np.stack([np.broadcast_to(np.asarray(P, dtype=float).T, (L, n)),
                    np.ascontiguousarray(U.T)], axis=1).ravel()
     rhs = _geodesic_rhs(chart, L)
     return nk.integrate_ode(nk.OdeProblem(rhs, y0, (0.0, 1.0), rtol, atol))
 
 
-def _variational_rhs(chart: MetricChart, lanes: int, ncols: int):
+def _variational_rhs(chart: MetricChart, lanes: int, ncols: int,
+                     freeze=False):
     """RHS for geodesics carrying d(exp)/d(parameters) columns.
 
     State per lane: x (n), v (n), J (n x ncols), Jdot (n x ncols) where J
-    solves the linearized geodesic equation along the lane.
+    solves the linearized geodesic equation along the lane.  With
+    ``freeze`` a lane outside the box or with a non-finite derivative stops
+    (zero derivative) instead of stalling the step all lanes share.
     """
     n = chart.dim
 
@@ -390,27 +382,33 @@ def _variational_rhs(chart: MetricChart, lanes: int, ncols: int):
         out[:, 1, :] = acc.T
         out[:, 2:2 + ncols, :] = np.moveaxis(Jd, -1, 0)
         out[:, 2 + ncols:, :] = np.moveaxis(Jdd, -1, 0)
+        if freeze:
+            out[~(chart.contains(x, margin=-1e-9)
+                  & np.isfinite(out).all(axis=(1, 2)))] = 0.0
         return out.ravel()
 
     return rhs
 
 
 def _exp_batch_variational(chart: MetricChart, P, U, dU, rtol=1e-10,
-                           atol=1e-12):
+                           atol=1e-12, shooting=False):
     """Like :func:`_exp_batch` but carrying J = dx/d(param_c) columns.
 
     ``dU`` has shape (ncols, n, L): derivative of the initial velocity with
-    respect to each variation parameter.  J(0) = 0, Jdot(0) = dU.
+    respect to each variation parameter.  J(0) = 0, Jdot(0) = dU.  With
+    ``shooting`` lanes freeze outside the box and the error norm covers
+    x and v only, for callers that read lane endpoints and columns.
     """
     n = chart.dim
     ncols, _, L = dU.shape
     z0 = np.zeros((L, 2 + 2 * ncols, n))
-    z0[:, 0, :] = np.tile(np.asarray(P, dtype=float), (L, 1))
+    z0[:, 0, :] = np.asarray(P, dtype=float).T
     z0[:, 1, :] = U.T
     z0[:, 2 + ncols:, :] = np.moveaxis(dU, -1, 0)
-    rhs = _variational_rhs(chart, L, ncols)
-    return nk.integrate_ode(nk.OdeProblem(rhs, z0.ravel(), (0.0, 1.0),
-                                          rtol, atol))
+    norm = np.flatnonzero(np.indices(z0.shape)[1] < 2) if shooting else None
+    return nk.integrate_ode(nk.OdeProblem(
+        _variational_rhs(chart, L, ncols, freeze=shooting), z0.ravel(),
+        (0.0, 1.0), rtol, atol, error_index=norm))
 
 
 # ---------------------------------------------------------------------------
@@ -882,150 +880,145 @@ def plane_scalar_estimate(chart: MetricChart, P, u, v, r0=0.2, rungs=3,
 # ---------------------------------------------------------------------------
 
 
-def _chart_line_length(chart: MetricChart, P, Q, samples=16):
-    """g-length of the straight coordinate segment from P to Q."""
-    ts, ws = nk.gauss_legendre(samples, 0.0, 1.0)
-    d = Q - P
-    pts = P[:, None] + d[:, None] * ts[None, :]
-    g = chart.g_at(pts)
-    sp = np.sqrt(np.einsum('ijL,i,j->L', g, d, d))
-    return float(np.sum(ws * sp))
-
-
-def _nearest_representative(chart: MetricChart, P, Q):
-    Q = np.asarray(Q, dtype=float).copy()
+def _nearest_representatives(chart: MetricChart, P, Q):
+    Q = Q.copy()
     for i, per in enumerate(chart.periods):
         if per is not None:
-            k = round((Q[i] - P[i]) / per)
-            Q[i] -= k * per
+            Q[:, i] -= np.round((Q[:, i] - P[:, i]) / per) * per
     return Q
 
 
-def geodesic_distance(chart: MetricChart, P, Q, tol=1e-10, max_iter=64):
-    """Two-point geodesic distance by Newton shooting on the initial data.
+@dataclass
+class DistanceBatch:
+    """Per pair: the distance (NaN if shooting failed), and the initial
+    coordinate velocity (N, n) and endpoint miss (max-norm) of the
+    converged shot, else of the least-miss shot (NaN, inf if none)."""
 
-    Unknowns are the initial direction angles in a g-orthonormal basis at P
-    plus the length; the residual is the endpoint miss in coordinates.
-    The straight chart segment provides both the initial guess and an
-    upper-bound sanity value.  Raises :class:`NonConvergenceError` with the
-    best miss when shooting stalls.
+    distance: np.ndarray
+    velocity: np.ndarray
+    miss: np.ndarray
+
+
+_HALVINGS = 0.5 ** np.arange(1, 7)          # backtracking step fractions
+_RETRY_TURNS = (0.15, -0.15, 0.4, -0.4)     # radians
+_RTOLS = np.array([1e-6, 1e-8, 1e-10])      # shot rtol (atol 1e-2 rtol)
+
+
+def _shoot(chart, P, Q, E, first, pair, tol, max_iter, out):
+    """Newton shooting for tasks in lockstep, one solve per iterate.
+
+    Task t shoots pair ``pair[t]`` from w = 0 (endpoint P) with the step
+    ``first[t]``.  A step that lowers the miss is taken, and its Jacobi
+    columns give the next Newton step; one that does not is retried at
+    1/2 ... 1/64 as lanes of the next solve, and if none of those helps
+    the task stops.  Inexact Newton: a task asks for the loosest of
+    ``_RTOLS`` at or below 1e-2 miss^2 and only a shot at the last one can
+    converge.  Each solve runs the tasks that ask for the loosest one
+    present, so the dear tight solves come last and carry every pair.
     """
-    P = np.asarray(P, dtype=float)
-    Q = _nearest_representative(chart, P, np.asarray(Q, dtype=float))
     n = chart.dim
-    if np.allclose(P, Q, atol=1e-14):
-        return 0.0
-    E = chart.orthonormal_basis(P)
-    Einv = np.linalg.inv(E)
-    d0 = Einv @ (Q - P)
-
-    def angles_of(w):
-        if n == 2:
-            return np.array([math.atan2(w[1], w[0])])
-        r = np.linalg.norm(w)
-        return np.array([math.acos(np.clip(w[2] / r, -1, 1)),
-                         math.atan2(w[1], w[0])])
-
-    def dir_of(ang):
-        if n == 2:
-            return E @ np.array([math.cos(ang[0]), math.sin(ang[0])])
-        st, ct = math.sin(ang[0]), math.cos(ang[0])
-        return E @ np.array([st * math.cos(ang[1]), st * math.sin(ang[1]), ct])
-
-    line_len = _chart_line_length(chart, P, Q)
-
-    def endpoints(param_list):
-        """Exp endpoints for several (angles, length) tuples in one batch."""
-        U = np.stack([dir_of(p[:-1]) * max(p[-1], 1e-12)
-                      for p in param_list], axis=1)
+    w = np.zeros((len(pair), n))
+    miss = np.abs(P[pair] - Q[pair]).max(axis=1)
+    step, iters = np.array(first, dtype=float), np.zeros(len(pair), int)
+    halving, live = np.zeros(len(pair), bool), np.ones(len(pair), bool)
+    while True:
+        live &= np.isnan(out.distance[pair]) & (iters < max_iter)
+        if not live.any():
+            return
+        level = np.minimum(np.searchsorted(-_RTOLS, -1e-2 * miss ** 2),
+                           len(_RTOLS) - 1)
+        tasks = np.flatnonzero(live & (level == level[live].min()))
+        rtol = _RTOLS[level[tasks[0]]]
+        iters[tasks] += 1
+        lanes = np.repeat(tasks, np.where(halving[tasks], len(_HALVINGS), 1))
+        W = w[lanes] + step[lanes] * np.concatenate(
+            [_HALVINGS if halving[t] else [1.0] for t in tasks])[:, None]
+        p, El = pair[lanes], E[pair[lanes]]
         try:
-            traj = _exp_batch(chart, P, U)
-            return traj.final.reshape(len(param_list), 2, n)[:, 0, :]
+            z = _exp_batch_variational(
+                chart, P[p].T, np.einsum('Lic,Lc->iL', El, W),
+                np.transpose(El, (2, 1, 0)), rtol, 1e-2 * rtol,
+                shooting=True).final
         except nk.StepUnderflowError:
-            out = np.full((len(param_list), n), np.nan)
-            for i in range(U.shape[1]):
+            z = np.full(len(lanes) * (2 + 2 * n) * n, np.nan)
+        z = z.reshape(len(lanes), 2 + 2 * n, n)
+        X, Jac = z[:, 0], np.swapaxes(z[:, 2:2 + n], 1, 2)   # columns dx/dw_c
+        lane_miss = np.abs(X - Q[p]).max(axis=1)
+        lane_miss[~(chart.contains(X.T) & np.isfinite(Jac).all(axis=(1, 2))
+                    & np.isfinite(lane_miss))] = np.inf
+        for t in tasks:
+            k = np.flatnonzero(lanes == t)[np.argmin(lane_miss[lanes == t])]
+            m, q = lane_miss[k], pair[t]
+            if not np.isnan(out.distance[q]):
+                continue                         # a sibling task converged
+            if m <= tol[q] and rtol == _RTOLS[-1]:
+                out.distance[q] = np.linalg.norm(W[k])
+            if m < out.miss[q] or not np.isnan(out.distance[q]):
+                out.miss[q], out.velocity[q] = m, El[k] @ W[k]
+            if m < miss[t]:
+                w[t], miss[t], halving[t] = W[k], m, False
                 try:
-                    tr = _exp_batch(chart, P, U[:, i:i + 1])
-                    out[i] = tr.final.reshape(1, 2, n)[0, 0]
-                except nk.StepUnderflowError:
-                    pass
-            return out
+                    step[t] = np.linalg.solve(Jac[k], Q[q] - X[k])
+                except np.linalg.LinAlgError:
+                    live[t] = False
+            else:
+                live[t], halving[t] = not halving[t], True
 
-    def solve_from(params0):
-        params = params0.copy()
-        best = (math.inf, None)
-        scale = max(np.abs(Q - P).max(), 1e-6)
-        h = 1e-6
-        # the straight-line length can overshoot badly on curved charts and
-        # push the trial geodesic out of the domain; back the length off
-        # until the endpoint is defined before starting Newton
-        for _ in range(24):
-            if np.isfinite(endpoints([params])[0]).all():
-                break
-            params[-1] *= 0.6
-        else:
-            return None, math.inf
-        for _ in range(max_iter):
-            batch = [params]
-            for c in range(n):
-                pp = params.copy()
-                pm = params.copy()
-                pp[c] += h
-                pm[c] -= h
-                batch.extend([pp, pm])
-            pts = endpoints(batch)
-            X = pts[0]
-            if not np.isfinite(X).all():
-                break
-            miss = X - Q
-            m = float(np.abs(miss).max())
-            if m < best[0]:
-                best = (m, params.copy())
-            if m <= max(tol, 1e-12 * scale):
-                return params, m
-            Jac = np.stack([(pts[1 + 2 * c] - pts[2 + 2 * c]) / (2 * h)
-                            for c in range(n)], axis=1)
-            if not np.isfinite(Jac).all():
-                break
-            try:
-                step = np.linalg.solve(Jac, -miss)
-            except np.linalg.LinAlgError:
-                break
-            lams = [1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625]
-            trials = []
-            for lam in lams:
-                t = params + lam * step
-                t[-1] = max(t[-1], 1e-9)
-                trials.append(t)
-            tpts = endpoints(trials)
-            tm = np.abs(tpts - Q).max(axis=1)
-            tm = np.where(np.isfinite(tm), tm, np.inf)
-            i = int(np.argmin(tm))
-            if tm[i] >= m:
-                break
-            params = trials[i]
-        return best[1], best[0]
 
-    start = np.concatenate([angles_of(d0), [line_len]])
-    tries = [start]
-    if n == 2:
-        for dd in (0.15, -0.15, 0.4, -0.4):
-            tries.append(start + np.array([dd, 0.0]))
-    else:
-        for dd in (0.15, -0.15):
-            tries.append(start + np.array([dd, 0.0, 0.0]))
-            tries.append(start + np.array([0.0, dd, 0.0]))
+def geodesic_distances(chart: MetricChart, Ps, Qs, tol=1e-10, max_iter=64):
+    """Geodesic distances of (P, Q) pairs, (N, n) each: a DistanceBatch.
 
-    best_miss = math.inf
-    scale = max(np.abs(Q - P).max(), 1e-6)
-    for t0 in tries:
-        try:
-            params, m = solve_from(t0)
-        except (DomainExitError, nk.NumericalError):
-            continue
-        if m <= max(tol, 1e-12 * scale):
-            return float(params[-1])
-        best_miss = min(best_miss, m)
-    raise nk.NonConvergenceError(
-        f"distance shooting did not converge (best miss {best_miss:.3g})",
-        residual=best_miss)
+    The unknown is w, the initial velocity in the g-orthonormal frame E at
+    P; the distance is |w| once exp_P(E w) meets Q (nearest representative
+    on periodic charts) within ``max(tol, 1e-12 |Q - P|)`` per coordinate.
+    The Jacobian d exp_P(E w)/dw is exact: Jacobi fields with J(0) = 0,
+    J'(0) = E, integrated with each geodesic (do Carmo, *Riemannian
+    Geometry*, ch. 5).  All pairs iterate in lockstep (:func:`_shoot`), each
+    start for at most ``max_iter`` solves.  The first shot is the Newton
+    step from w = 0, where the Jacobian is E: w = E^-1 (Q - P); unconverged
+    pairs retry, as one batch, from it turned by ``_RETRY_TURNS`` about each
+    normal axis.  Pairs with an end outside the box, or that fail, read NaN.
+    """
+    P = np.asarray(Ps, dtype=float).reshape(-1, chart.dim)
+    Q = _nearest_representatives(
+        chart, P, np.asarray(Qs, dtype=float).reshape(P.shape))
+    N, n = P.shape
+    out = DistanceBatch(np.full(N, np.nan), np.full((N, n), np.nan),
+                        np.full(N, np.inf))
+    todo = np.flatnonzero(chart.contains(P.T) & chart.contains(Q.T))
+    if not todo.size:
+        return out
+    E = np.full((N, n, n), np.nan)
+    E[todo] = np.moveaxis(chart.orthonormal_basis(P[todo].T), -1, 0)
+    gap = np.abs(Q - P).max(axis=1)
+    tol = np.maximum(tol, 1e-12 * np.maximum(gap, 1e-6))
+    aim = np.linalg.solve(E[todo], (Q - P)[todo, :, None])[..., 0]
+    _shoot(chart, P, Q, E, aim, todo, tol, max_iter, out)
+    retry = np.isnan(out.distance[todo])
+    turned = [math.cos(a) * w + math.sin(a) * np.linalg.norm(w) * e
+              for w in aim[retry] for a in _RETRY_TURNS
+              for e in np.linalg.svd(w[None])[2][1:]]
+    if turned:
+        _shoot(chart, P, Q, E, turned,
+               np.repeat(todo[retry], len(_RETRY_TURNS) * (n - 1)), tol,
+               max_iter, out)
+    return out
+
+
+def geodesic_distance(chart: MetricChart, P, Q, tol=1e-10, max_iter=64):
+    """Two-point geodesic distance: the one-pair :func:`geodesic_distances`.
+
+    Raises :class:`PreconditionError` when P or Q lies outside the box, and
+    :class:`NonConvergenceError` with the best miss (``residual``) and its
+    initial coordinate velocity (``best``) when shooting fails.
+    """
+    P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
+    if not chart.contains(np.stack([P, Q], axis=1)).all():
+        raise PreconditionError("distance end points must lie in the chart")
+    res = geodesic_distances(chart, P[None], Q[None], tol, max_iter)
+    d, best, m = res.distance[0], res.velocity[0], float(res.miss[0])
+    if np.isnan(d):
+        raise nk.NonConvergenceError(
+            f"distance shooting did not converge (best miss {m:.3g})",
+            best=best if np.isfinite(best).all() else None, residual=m)
+    return float(d)

@@ -625,8 +625,9 @@ class OdeProblem:
         Integration interval; t1 > t0.
     rtol, atol : float
         Error-control tolerances for the embedded pair.
-    max_step : float
-        Optional step-size cap.
+    error_index : ndarray of int or None
+        State components the error norm covers (all when None), so that
+        sensitivities can stay out of step control, as in CVODES.
     """
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
@@ -634,7 +635,7 @@ class OdeProblem:
     t_span: tuple[float, float]
     rtol: float = 1e-10
     atol: float = 1e-12
-    max_step: float = math.inf
+    error_index: np.ndarray | None = None
 
 
 @dataclass
@@ -665,6 +666,8 @@ class Trajectory:
 
     def eval(self, t):
         """Dense output at scalar or array times inside the span."""
+        if len(self.ts) < 2:
+            raise PreconditionError("no accepted step to interpolate")
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         tq = np.atleast_1d(t)
@@ -709,6 +712,7 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
         raise PreconditionError("t_span must satisfy t1 > t0")
     y = np.array(problem.y0, dtype=float)
     rtol, atol = problem.rtol, problem.atol
+    sel = slice(None) if problem.error_index is None else problem.error_index
     hits = sorted(t for t in set(float(t) for t in must_hit) if t0 < t < t1)
     hits.append(t1)
 
@@ -722,10 +726,10 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
 
     k1 = f(t0, y)
     scale0 = atol + rtol * np.abs(y)
-    d0 = np.sqrt(np.mean((y / scale0) ** 2)) if y.size else 0.0
-    d1 = np.sqrt(np.mean((k1 / scale0) ** 2))
+    d0 = np.sqrt(np.mean((y[sel] / scale0[sel]) ** 2)) if y.size else 0.0
+    d1 = np.sqrt(np.mean((k1[sel] / scale0[sel]) ** 2))
     h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
-    h = min(h, t1 - t0, problem.max_step)
+    h = min(h, t1 - t0)
 
     ts, ys, fs, dense = [t0], [y.copy()], [k1.copy()], []
     t = t0
@@ -778,7 +782,7 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
         y_new = yi  # stage 7 state equals the 5th order solution (FSAL)
         err_vec = h * sum(e * k for e, k in zip(_DP_E, ks))
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = np.sqrt(np.mean((err_vec / scale) ** 2))
+        err = np.sqrt(np.mean((err_vec[sel] / scale[sel]) ** 2))
 
         if err <= 1.0:
             dense.append(h * sum(d * k for d, k in zip(_DP_D, ks)))
@@ -792,7 +796,7 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
             if clamped:
                 factor = max(factor, 1.0)
-            h = min(h * factor, problem.max_step)
+            h = h * factor
         else:
             n_rejected += 1
             h *= min(1.0, max(0.1, 0.9 * err ** -0.2))

@@ -558,8 +558,8 @@ def second_bianchi_residual(chart: ig.MetricChart, x, step=1e-3):
     """Max residual of the cyclic identity for the covariant derivative of R.
 
     nabla_m R^i_jkl is built from central differences of :func:`riemann_at`
-    (the one finite-difference step in this module, by design) plus the
-    exact Christoffel correction terms; the residual of
+    (the one finite-difference derivative in the library, by design) plus
+    the exact Christoffel correction terms; the residual of
 
         nabla_m R^i_jkl + nabla_k R^i_jlm + nabla_l R^i_jmk = 0
 

@@ -258,6 +258,19 @@ def test_numerical_failure_keeps_diagnostics(capsys, monkeypatch):
     assert "best" not in info
 
 
+def test_failed_shooting_reports_best_velocity(capsys, monkeypatch):
+    shoot = ig.geodesic_distance
+    monkeypatch.setattr(ig, "geodesic_distance",
+                        lambda *a, **kw: shoot(*a, **kw, max_iter=1))
+    code, _, err = run(capsys, "geodesic", "distance", "--builtin",
+                       "lobachevsky_halfplane", "--from", "0,1", "--to", "3,1")
+    assert code == 1
+    info = json.loads(err)["error"]
+    assert info["type"] == "NonConvergenceError"
+    assert len(info["best"]) == 2
+    assert 0.0 < info["residual"] < 3.0
+
+
 def test_usage_errors_exit_2(capsys):
     cases = [
         ("surface", "report", "--at", "1,1"),

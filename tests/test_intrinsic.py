@@ -279,3 +279,95 @@ def test_halfplane_distance_closed_form(halfplane):
     d = ig.geodesic_distance(halfplane, [z1.real, z1.imag],
                              [z2.real, z2.imag])
     assert d == pytest.approx(cat.hyperbolic_distance(z1, z2), abs=1e-8)
+
+
+def _s3_closed_form(p, q):
+    # s3_round is the unit 3-sphere through stereographic coordinates x/2
+    def lift(x):
+        y = np.asarray(x, dtype=float) / 2.0
+        r2 = y @ y
+        return np.append(2.0 * y, r2 - 1.0) / (r2 + 1.0)
+
+    return math.acos(np.clip(lift(p) @ lift(q), -1.0, 1.0))
+
+
+@pytest.mark.parametrize("name,P,w", [
+    ("lobachevsky_halfplane", [0.2, 1.1], [0.9, -0.4]),
+    ("s3_round", [0.3, -0.2, 0.1], [0.5, 0.6, -0.4]),
+])
+def test_jacobi_columns_match_exp_differences(name, P, w):
+    chart = cat.builtin(name).build()
+    P, w = np.array(P), np.array(w)
+    E = chart.orthonormal_basis(P)
+    traj = ig._exp_batch_variational(chart, P, (E @ w)[:, None],
+                                     E.T[:, :, None], shooting=True)
+    n = chart.dim
+    jac = traj.final.reshape(2 + 2 * n, n)[2:2 + n].T      # columns d/dw_c
+    h = 1e-4
+    fd = np.stack([(ig.exp_map(chart, P, E @ (w + h * e))
+                    - ig.exp_map(chart, P, E @ (w - h * e))) / (2 * h)
+                   for e in np.eye(n)], axis=1)
+    assert np.abs(jac - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
+def test_shooting_solve_freezes_a_lane_that_leaves(halfplane):
+    # lane 1 heads for y = e^-5, below the box; it must stop outside the
+    # box without stalling lane 0, which keeps its solo endpoint
+    P = np.array([0.0, 1.0])
+    U = np.array([[0.5, 0.0], [0.2, -5.0]])
+    dU = np.repeat(np.eye(2)[:, :, None], 2, axis=2)
+    both = ig._exp_batch_variational(halfplane, P, U, dU, shooting=True)
+    solo = ig._exp_batch_variational(halfplane, P, U[:, :1], dU[..., :1],
+                                     shooting=True)
+    z = both.final.reshape(2, 6, 2)
+    assert np.isfinite(z).all()
+    assert not halfplane.contains(z[1, 0][:, None])[0]
+    assert np.abs(z[0, 0] - solo.final[:2]).max() < 1e-9
+
+
+def test_distance_of_nearby_points_is_not_zero(halfplane):
+    # points 1e-6 apart are distinct: no relative closeness test may
+    # round their distance to 0
+    d = ig.geodesic_distance(halfplane, [1.0, 1.0], [1.0, 1.000001])
+    assert d == pytest.approx(math.log(1.000001), abs=1e-10)
+    assert ig.geodesic_distance(halfplane, [1.0, 1.0], [1.0, 1.0]) == 0.0
+
+
+def test_s3_distance_closed_form(s3):
+    P, Q = np.array([0.4, -0.3, 0.2]), np.array([-0.5, 0.6, 0.7])
+    d = ig.geodesic_distance(s3, P, Q)
+    assert d == pytest.approx(_s3_closed_form(P, Q), abs=1e-8)
+
+
+def test_distance_batch_matches_single_pairs(halfplane):
+    P = np.array([[0.0, 1.0], [-1.5, 0.4], [1.2, 2.5]])
+    Q = np.array([[3.0, 1.0], [0.5, 2.2], [0.9, 0.6]])
+    res = ig.geodesic_distances(halfplane, P, Q)
+    single = [ig.geodesic_distance(halfplane, p, q) for p, q in zip(P, Q)]
+    assert np.abs(res.distance - single).max() <= 1e-10
+    assert (res.miss <= 1e-10).all()
+    for p, u, d in zip(P, res.velocity, res.distance):
+        assert ig.g_norm(halfplane, p, u) == pytest.approx(d, rel=1e-12)
+
+
+def test_distance_batch_fails_only_the_pair_outside(halfplane):
+    P = np.array([[0.0, 1.0], [0.5, 1.0], [-1.0, 2.0]])
+    Q = np.array([[1.0, 1.5], [0.5, 0.01], [0.0, 0.5]])     # 0.01 < 0.05
+    res = ig.geodesic_distances(halfplane, P, Q)
+    assert np.isnan(res.distance[1]) and res.miss[1] == math.inf
+    for i in (0, 2):
+        exact = cat.hyperbolic_distance(complex(*P[i]), complex(*Q[i]))
+        assert res.distance[i] == pytest.approx(exact, abs=1e-8)
+    with pytest.raises(nk.PreconditionError):
+        ig.geodesic_distance(halfplane, P[1], Q[1])
+
+
+def test_failed_shooting_keeps_best_velocity(halfplane):
+    P, Q = np.array([0.0, 1.0]), np.array([3.0, 1.0])
+    with pytest.raises(nk.NonConvergenceError) as info:
+        ig.geodesic_distance(halfplane, P, Q, max_iter=1)
+    best, miss = info.value.best, info.value.residual
+    assert best.shape == (2,) and np.isfinite(best).all()
+    assert 0.0 < miss < np.abs(Q - P).max()
+    end = ig.exp_map(halfplane, P, best)
+    assert np.abs(end - Q).max() == pytest.approx(miss, rel=1e-3)

@@ -186,6 +186,36 @@ def test_integrate_ode_must_hit_and_forward_only():
         nk.integrate_ode(back)
 
 
+def test_zero_step_trajectory_eval_raises_precondition():
+    prob = nk.OdeProblem(lambda t, y: np.full_like(y, np.nan),
+                         np.array([1.0, 2.0]), (0.0, 1.0))
+    with pytest.raises(nk.StepUnderflowError) as info:
+        nk.integrate_ode(prob)
+    traj = info.value.trajectory
+    assert traj.n_accepted == 0
+    assert np.array_equal(traj.ys, [[1.0, 2.0]])
+    for t in (0.0, 0.5):
+        with pytest.raises(nk.PreconditionError):
+            traj.eval(t)
+
+
+def test_error_index_limits_step_control():
+    # component 1 oscillates fast; left out of the norm it no longer sets
+    # the step, and component 0 still meets the tolerance
+    def rhs(t, y):
+        return np.array([-y[0], 50.0 * math.cos(50.0 * t)])
+
+    y0 = np.array([1.0, 0.0])
+    full = nk.integrate_ode(nk.OdeProblem(rhs, y0, (0.0, 1.0)))
+    same = nk.integrate_ode(nk.OdeProblem(rhs, y0, (0.0, 1.0),
+                                          error_index=np.array([0, 1])))
+    part = nk.integrate_ode(nk.OdeProblem(rhs, y0, (0.0, 1.0),
+                                          error_index=np.array([0])))
+    assert np.array_equal(same.ys, full.ys)
+    assert part.n_accepted < full.n_accepted / 2
+    assert part.final[0] == pytest.approx(math.exp(-1.0), abs=1e-9)
+
+
 def test_integrate_ode_blowup_raises():
     prob = nk.OdeProblem(lambda t, y: y * y, np.array([1.0]), (0.0, 2.0),
                          rtol=1e-10, atol=1e-12)
