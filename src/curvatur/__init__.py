@@ -5,9 +5,8 @@ The package is organized bottom-up:
 - :mod:`curvatur.numkit` -- forward-mode jets, an embedded Dormand-Prince
   4(5) integrator, batched Gauss-Legendre quadrature, Richardson
   extrapolation, and a 2x2 generalized symmetric eigensolver.  Everything
-  above differentiates through jets, except nabla R in
-  :func:`curvatur.tensors.second_bianchi_residual`; other differences only
-  check results.
+  above differentiates through jets; finite differences only check
+  results.
 - :mod:`curvatur.curves` -- parametric curves: length, curvature, torsion,
   Frenet frames, and reconstruction from curvature data.
 - :mod:`curvatur.surface_patch` -- embedded surface patches: fundamental

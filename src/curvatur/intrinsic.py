@@ -6,9 +6,10 @@ produces jet-valued entries.  The Christoffel symbols have one derivation,
 differentiated, and contracted with the jet inverse of the metric, so the
 symbols come out as one jet, exact (within roundoff) rather than
 differenced.  Every consumer reads off that jet: :func:`christoffel_at`
-takes its value, :func:`christoffel_and_grad` its value and gradient (which
-is all the Riemann tensor needs), and the covariant calculus of
-:mod:`curvatur.tensors` its higher coefficients.  On top of that sit
+takes its value, :func:`christoffel_and_grad` its value and gradient (for
+the variational equations), :func:`riemann_jet` builds the curvature tensor
+as one jet from it, and the covariant calculus of :mod:`curvatur.tensors`
+uses its higher coefficients.  On top of that sit
 geodesics, the exponential map (with optional variational state for
 derivatives of exp), parallel transport, holonomy, geodesic circles, the
 comparison-limit scalar curvature, and two-point distance by shooting.
@@ -100,11 +101,7 @@ class MetricChart:
     def metric_jet(self, xj):
         """The metric as one jet with coefficients (K, n, n, ...batch),
         truncated to the common order of its entries."""
-        rows = self.entries(xj)
-        m = min(e.order for row in rows for e in row)
-        return Jet(self.dim, m, np.stack([np.stack(
-            [nk.truncate(e, m).coef for e in row], axis=1) for row in rows],
-            axis=1))
+        return nk.jet_stack(self.entries(xj))
 
     def g_at(self, x):
         """Metric matrix, shape (n, n, ...batch)."""
@@ -140,7 +137,31 @@ def christoffel_jet(chart: MetricChart, xj):
     sym = (np.einsum('Kilj...->Klij...', dg) + np.einsum('Kjli...->Klij...', dg)
            - dg)
     ginv = nk.jet_inv(nk.truncate(g, g.order - 1))
-    return 0.5 * nk.jet_matmul(ginv, Jet(g.nvars, g.order - 1, sym))
+    return 0.5 * nk.jet_einsum("rs...,s...->r...", ginv,
+                               Jet(g.nvars, g.order - 1, sym))
+
+
+def riemann_jet(chart: MetricChart, xj):
+    """Curvature tensor as one jet, two orders below the metric entries.
+
+    Coefficients have shape (K, i, j, k, l, ...batch) and hold
+
+        R^i_jkl = d_k Gamma^i_lj - d_l Gamma^i_kj
+                  + Gamma^i_km Gamma^m_lj - Gamma^i_lm Gamma^m_kj
+
+    with every term read off :func:`christoffel_jet`, so the tensor and its
+    derivatives are exact Taylor coefficients.
+    """
+    gamma = christoffel_jet(chart, xj)
+    # d_a Gamma^i_lj at [:, a, i, l, j]
+    dgamma = np.stack([nk.derivative_nd(gamma, a).coef
+                       for a in range(chart.dim)], axis=1)
+    low = nk.truncate(gamma, gamma.order - 1)
+    quad = nk.jet_einsum("ikm...,mlj...->ijkl...", low, low).coef
+    return Jet(gamma.nvars, low.order,
+               np.einsum('Kkilj...->Kijkl...', dgamma)
+               - np.einsum('Klikj...->Kijkl...', dgamma)
+               + quad - np.einsum('Kijlk...->Kijkl...', quad))
 
 
 def christoffel_at(chart: MetricChart, x):

@@ -8,8 +8,10 @@ every mixed partial of its function up to ``order`` at one point (or at a
 whole batch of points at once: coefficients may have trailing batch axes).
 Arithmetic on jets is exact Taylor arithmetic, so no step-size tuning and no
 cancellation error ever enters a derivative.  A jet whose batch axes start
-with matrix axes is a matrix-valued jet: :func:`jet_matmul` multiplies two
-of them and :func:`jet_inv` inverts one, each in a single batched pass.
+with tensor axes is a tensor-valued jet: :func:`jet_stack` builds one from
+nested lists of scalar jets and :func:`jet_unstack` takes it apart,
+:func:`jet_einsum` contracts two of them and :func:`jet_inv` inverts a
+matrix-valued one, each in a single batched pass.
 Finite differences appear in this package only inside clearly named
 cross-check oracles.
 
@@ -539,16 +541,42 @@ def compose_nd(outer: Jet, inners: Sequence[Jet]) -> Jet:
     return out
 
 
-def jet_matmul(a: Jet, b: Jet) -> Jet:
-    """Matrix product of matrix-valued jets, truncated at their order.
+def jet_einsum(subscripts: str, a: Jet, b: Jet) -> Jet:
+    """Contraction of two tensor-valued jets, truncated at their order.
 
-    ``a`` has coefficients (K, r, s, ...batch) and ``b`` (K, s, ...); the
-    product (K, r, ...) contracts ``s`` inside the Cauchy product of the
-    Taylor coefficients.  Trailing axes broadcast as in ``np.einsum``.
+    ``subscripts`` is an ``np.einsum`` spec over the tensor and batch axes
+    only, e.g. ``"rs...,s...->r..."`` for a matrix product; the Taylor axis
+    is contracted inside the Cauchy product under the reserved labels K and
+    Q.  Trailing axes broadcast as in ``np.einsum``.
     """
     _, _, gather, mask, _ = _index_space(a.nvars, a.order)
-    return Jet(a.nvars, a.order,
-               np.einsum('kq,kqrs...,qs...->kr...', mask, a.coef[gather], b.coef))
+    inputs, out = subscripts.split("->")
+    sa, sb = inputs.split(",")
+    return Jet(a.nvars, a.order, np.einsum(f"KQ,KQ{sa},Q{sb}->K{out}", mask,
+                                           a.coef[gather], b.coef))
+
+
+def jet_stack(nested) -> Jet:
+    """One jet from nested lists of jets, at their common (lowest) order.
+
+    Each level of nesting becomes a tensor axis right after the Taylor
+    axis, so ``[[g11, g12], [g21, g22]]`` gives coefficients (K, 2, 2, ...).
+    """
+    if isinstance(nested, Jet):
+        return nested
+    parts = [jet_stack(p) for p in nested]
+    m = min(p.order for p in parts)
+    return Jet(parts[0].nvars, m,
+               np.stack([truncate(p, m).coef for p in parts], axis=1))
+
+
+def jet_unstack(j: Jet, rank: int):
+    """Nested lists of scalar jets from the first ``rank`` tensor axes of
+    ``j``; the inverse of :func:`jet_stack`."""
+    if rank == 0:
+        return j
+    return [jet_unstack(Jet(j.nvars, j.order, j.coef[:, i]), rank - 1)
+            for i in range(j.coef.shape[1])]
 
 
 def jet_inv(a: Jet) -> Jet:
@@ -564,7 +592,8 @@ def jet_inv(a: Jet) -> Jet:
     d.coef[0] = 0.0
     out = inv0
     for _ in range(a.order):
-        out = inv0 - jet_matmul(inv0, jet_matmul(d, out))
+        out = inv0 - jet_einsum("rs...,s...->r...", inv0,
+                                 jet_einsum("rs...,s...->r...", d, out))
     return out
 
 

@@ -1,9 +1,8 @@
 """Curvature tensors and covariant calculus on metric charts.
 
-The Riemann tensor here is assembled from the Christoffel symbols and their
-exact first derivatives, both read off the one Christoffel jet of
-:func:`intrinsic.christoffel_jet` through :func:`intrinsic.christoffel_and_grad`,
-with the index convention
+The Riemann tensor here is the value of :func:`intrinsic.riemann_jet`, which
+contracts the one Christoffel jet of :func:`intrinsic.christoffel_jet` with
+itself and adds its exact derivatives, with the index convention
 
     R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj}
                 + sum_m (Gamma^i_{km} Gamma^m_{lj} - Gamma^i_{lm} Gamma^m_{kj})
@@ -19,8 +18,10 @@ they never assemble curvature from the symbols.
 
 Fields (scalar, vector, covector, bilinear) are callables from coordinate
 jets to jet components, which makes covariant derivatives composable to
-the depth the jet order allows.  Covariant derivatives take their
-Christoffel symbols as order-m slices of the same Christoffel jet.
+the depth the jet order allows.  Every covariant derivative, of a field or
+of the curvature tensor itself (second Bianchi identity), is one rule: the
+components are stacked into one tensor jet and contracted with the
+Christoffel jet through :func:`numkit.jet_einsum`.
 """
 
 from __future__ import annotations
@@ -69,15 +70,10 @@ class RiemannAt:
 
 
 def riemann_at(chart: ig.MetricChart, x) -> RiemannAt:
-    """Curvature tensor from Christoffel symbols and their derivatives."""
+    """Curvature tensor at x: the value of :func:`intrinsic.riemann_jet`."""
     x = np.asarray(x, dtype=float)
-    gamma, dgamma = ig.christoffel_and_grad(chart, x[:, None])
-    gamma = gamma[..., 0]
-    dgamma = dgamma[..., 0]
+    R = ig.riemann_jet(chart, Jet.variables(x, 2)).value
     g = chart.g_at(x)
-    R = (np.einsum('kilj->ijkl', dgamma) - np.einsum('likj->ijkl', dgamma)
-         + np.einsum('ikm,mlj->ijkl', gamma, gamma)
-         - np.einsum('ilm,mkj->ijkl', gamma, gamma))
     R_down = np.einsum('im,mjkl->ijkl', g, R)
     return RiemannAt(x, g, R, R_down)
 
@@ -295,7 +291,7 @@ class Field:
 
     ``fn`` maps a list of coordinate jets to components: a single jet for
     scalars, a list for vectors/covectors, nested lists for bilinear
-    forms and (1,1) tensors.  Evaluating through jets keeps fields
+    forms and (1,1) tensors; constant components may be plain numbers.  Evaluating through jets keeps fields
     composable under differentiation; each covariant derivative consumes
     one order of the incoming jets.
     """
@@ -305,22 +301,25 @@ class Field:
     name: str = ""
 
     def __call__(self, xj):
-        return self.fn(xj)
+        """Components at the coordinate jets ``xj``, constants promoted."""
+        xj = list(xj)
+
+        def promote(c):
+            if isinstance(c, (list, tuple)):
+                return [promote(e) for e in c]
+            return nk.as_jet(c, xj[0])
+
+        return promote(self.fn(xj))
 
     def at(self, x, order=0):
         x = np.asarray(x, dtype=float)
-        return self.fn(list(Jet.variables(x, max(order, 1))))
-
-
-def _vals(obj):
-    if isinstance(obj, Jet):
-        return obj.value
-    return np.array([_vals(o) for o in obj])
+        return self(Jet.variables(x, max(order, 1)))
 
 
 def field_values(field: Field, x, order=1):
     """Component values of a field at a point (plain arrays)."""
-    return _vals(field.at(np.asarray(x, dtype=float), order=order))
+    return nk.jet_stack(field.at(np.asarray(x, dtype=float),
+                                 order=order)).value
 
 
 def _align(jets):
@@ -329,15 +328,12 @@ def _align(jets):
     return [nk.truncate(j, m) for j in jets]
 
 
-def _christoffel_slices(chart: ig.MetricChart, xj, m):
-    """Christoffel symbols [k][i][j] as scalar jets, read off the one
-    Christoffel jet at order min(m, its own order); returns (order, symbols)."""
-    gamma = ig.christoffel_jet(chart, xj)
-    gamma = nk.truncate(gamma, min(m, gamma.order))
-    n = chart.dim
-    return gamma.order, [[[Jet(n, gamma.order, gamma.coef[:, k, i, j])
-                           for j in range(n)] for i in range(n)]
-                         for k in range(n)]
+def _partials(T: Jet, rank: int, m: int) -> Jet:
+    """d_c T of a tensor jet with ``rank`` slots, c as the new last slot,
+    truncated to order m."""
+    return Jet(T.nvars, m, np.stack(
+        [nk.truncate(nk.derivative_nd(T, c), m).coef for c in range(T.nvars)],
+        axis=rank + 1))
 
 
 def commutator(X: Field, Y: Field) -> Field:
@@ -346,136 +342,85 @@ def commutator(X: Field, Y: Field) -> Field:
         raise PreconditionError("commutator takes vector fields")
 
     def fn(xj):
-        n = len(xj)
-        Xc = X.fn(list(xj))
-        Yc = Y.fn(list(xj))
-        m = min(c.order for c in list(Xc) + list(Yc)) - 1
-        out = []
-        for i in range(n):
-            acc = None
-            for j in range(n):
-                t = (nk.truncate(Xc[j], m) * nk.truncate(
-                    nk.derivative_nd(Yc[i], j), m)
-                    - nk.truncate(Yc[j], m) * nk.truncate(
-                        nk.derivative_nd(Xc[i], j), m))
-                acc = t if acc is None else acc + t
-            out.append(acc)
-        return out
+        Xs, Ys = _align([nk.jet_stack(X(xj)), nk.jet_stack(Y(xj))])
+        m = Xs.order - 1
+        Xm, Ym = nk.truncate(Xs, m), nk.truncate(Ys, m)
+        return nk.jet_unstack(
+            nk.jet_einsum("j...,ij...->i...", Xm, _partials(Ys, 1, m))
+            - nk.jet_einsum("j...,ij...->i...", Ym, _partials(Xs, 1, m)), 1)
 
     return Field("vector", fn, name=f"[{X.name},{Y.name}]")
+
+
+def _nabla(gamma: Jet, T: Jet, rank: int, up) -> Jet:
+    """Covariant derivative of a tensor jet T with coefficients
+    (K, a_1..a_rank, ...batch): d_z T, plus Gamma^a_yz T[..y..] for each
+    upper slot a (its position in ``up``), minus Gamma^y_az T[..y..] for each
+    lower slot a.  The direction z becomes the new last slot; the order
+    drops by one.
+    """
+    m = min(T.order - 1, gamma.order)
+    G = nk.truncate(gamma, m)
+    Tm = nk.truncate(T, m)
+    out = _partials(T, rank, m)
+    slots = "abcdefgh"[:rank]
+    for s, a in enumerate(slots):
+        sign, g = (1.0, f"{a}yz") if s in up else (-1.0, f"y{a}z")
+        moved = slots[:s] + "y" + slots[s + 1:]
+        out = out + sign * nk.jet_einsum(
+            f"{g}...,{moved}...->{slots}z...", G, Tm)
+    return out
+
+
+# kind -> (rank, upper slots, kind of the covariant derivative)
+_NABLA_KINDS = {"vector": (1, (0,), "mixed"),
+                "covector": (1, (), "bilinear"),
+                "bilinear": (2, (), "trilinear")}
 
 
 def covariant_derivative(chart: ig.MetricChart, field: Field) -> Field:
     """Covariant derivative; the extra (last) index is the direction.
 
-    Layouts: scalar -> covector (d_j f); vector -> mixed T^i_j; covector
-    -> bilinear T_ij = d_j phi_i - Gamma^k_ij phi_k; bilinear ->
-    T_ijk = d_k b_ij - Gamma^l_ki b_lj - Gamma^l_kj b_il.
+    Layouts: scalar -> covector (d_j f); vector -> mixed T^i_j = d_j v^i +
+    Gamma^i_kj v^k; covector -> bilinear T_ij = d_j phi_i - Gamma^k_ij phi_k;
+    bilinear -> T_ijk = d_k b_ij - Gamma^l_ik b_lj - Gamma^l_jk b_il.
     """
     n = chart.dim
 
     if field.kind == "scalar":
         def fn(xj):
-            f = field.fn(list(xj))
+            f = field(xj)
             return [nk.derivative_nd(f, j) for j in range(n)]
         return Field("covector", fn, name=f"grad {field.name}")
 
-    if field.kind == "vector":
-        def fn(xj):
-            v = field.fn(list(xj))
-            m, gamma = _christoffel_slices(chart, xj,
-                                           min(c.order for c in v) - 1)
-            vt = [nk.truncate(c, m) for c in v]
-            out = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    acc = nk.truncate(nk.derivative_nd(v[i], j), m)
-                    for k in range(n):
-                        acc = acc + gamma[i][k][j] * vt[k]
-                    row.append(acc)
-                out.append(row)
-            return out
-        return Field("mixed", fn, name=f"nabla {field.name}")
+    if field.kind not in _NABLA_KINDS:
+        raise PreconditionError(
+            f"cannot differentiate field kind {field.kind}")
+    rank, up, kind = _NABLA_KINDS[field.kind]
 
-    if field.kind == "covector":
-        def fn(xj):
-            ph = field.fn(list(xj))
-            m, gamma = _christoffel_slices(chart, xj,
-                                           min(c.order for c in ph) - 1)
-            pt = [nk.truncate(c, m) for c in ph]
-            out = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    acc = nk.truncate(nk.derivative_nd(ph[i], j), m)
-                    for k in range(n):
-                        acc = acc - gamma[k][i][j] * pt[k]
-                    row.append(acc)
-                out.append(row)
-            return out
-        return Field("bilinear", fn, name=f"nabla {field.name}")
+    def fn(xj):
+        T = nk.jet_stack(field(xj))
+        return nk.jet_unstack(
+            _nabla(ig.christoffel_jet(chart, xj), T, rank, up), rank + 1)
 
-    if field.kind == "bilinear":
-        def fn(xj):
-            b = field.fn(list(xj))
-            m, gamma = _christoffel_slices(
-                chart, xj, min(c.order for row in b for c in row) - 1)
-            bt = [[nk.truncate(b[i][j], m) for j in range(n)]
-                  for i in range(n)]
-            out = []
-            for i in range(n):
-                mat = []
-                for j in range(n):
-                    row = []
-                    for k in range(n):
-                        acc = nk.truncate(nk.derivative_nd(b[i][j], k), m)
-                        for l in range(n):
-                            acc = acc - gamma[l][k][i] * bt[l][j]
-                            acc = acc - gamma[l][k][j] * bt[i][l]
-                        row.append(acc)
-                    mat.append(row)
-                out.append(mat)
-            return out
-        return Field("trilinear", fn, name=f"nabla {field.name}")
-
-    raise PreconditionError(f"cannot differentiate field kind {field.kind}")
+    return Field(kind, fn, name=f"nabla {field.name}")
 
 
 def directional(chart: ig.MetricChart, X: Field, field: Field) -> Field:
     """nabla_X of a scalar or vector field, as a field."""
-    n = chart.dim
+    if field.kind not in ("scalar", "vector"):
+        raise PreconditionError("directional derivative supports scalar and "
+                                "vector fields")
     D = covariant_derivative(chart, field)
+    rank = 0 if field.kind == "scalar" else 1
+    free = "i" * rank
 
-    if field.kind == "scalar":
-        def fn(xj):
-            d = D.fn(list(xj))
-            Xc = X.fn(list(xj))
-            js = _align(list(d) + list(Xc))
-            acc = None
-            for j in range(n):
-                t = js[n + j] * js[j]
-                acc = t if acc is None else acc + t
-            return acc
-        return Field("scalar", fn, name=f"D_{X.name} {field.name}")
+    def fn(xj):
+        T, Xs = _align([nk.jet_stack(D(xj)), nk.jet_stack(X(xj))])
+        return nk.jet_unstack(
+            nk.jet_einsum(f"{free}j...,j...->{free}...", T, Xs), rank)
 
-    if field.kind == "vector":
-        def fn(xj):
-            d = D.fn(list(xj))            # T^i_j
-            Xc = X.fn(list(xj))
-            m = min(d[0][0].order, min(c.order for c in Xc))
-            out = []
-            for i in range(n):
-                acc = None
-                for j in range(n):
-                    t = nk.truncate(d[i][j], m) * nk.truncate(Xc[j], m)
-                    acc = t if acc is None else acc + t
-                out.append(acc)
-            return out
-        return Field("vector", fn, name=f"D_{X.name} {field.name}")
-
-    raise PreconditionError("directional derivative supports scalar and "
-                            "vector fields")
+    return Field(field.kind, fn, name=f"D_{X.name} {field.name}")
 
 
 def metric_field(chart: ig.MetricChart) -> Field:
@@ -490,17 +435,10 @@ def exterior_derivative(phi: Field) -> Field:
         raise PreconditionError("exterior derivative here takes covectors")
 
     def fn(xj):
-        n = len(xj)
-        p = phi.fn(list(xj))
-        m = min(c.order for c in p) - 1
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                row.append(nk.truncate(nk.derivative_nd(p[j], i), m)
-                           - nk.truncate(nk.derivative_nd(p[i], j), m))
-            out.append(row)
-        return out
+        P = nk.jet_stack(phi(xj))
+        dP = _partials(P, 1, P.order - 1).coef     # d_j phi_i at [:, i, j]
+        return nk.jet_unstack(Jet(P.nvars, P.order - 1,
+                                  np.swapaxes(dP, 1, 2) - dP), 2)
 
     return Field("bilinear", fn, name=f"d {phi.name}")
 
@@ -511,7 +449,7 @@ def alt_of_nabla(chart: ig.MetricChart, phi: Field) -> Field:
 
     def fn(xj):
         n = len(xj)
-        t = D.fn(list(xj))
+        t = D(xj)
         return [[t[j][i] - t[i][j] for j in range(n)] for i in range(n)]
 
     return Field("bilinear", fn, name=f"alt nabla {phi.name}")
@@ -535,7 +473,7 @@ def potential_on_box(phi: Field, box, base=None, tol=1e-10):
             pts[k] = s
             # order 2 leaves headroom for phi being itself a derived field
             jets = list(Jet.variables(pts, 2))
-            return phi.fn(jets)[k].value
+            return phi(jets)[k].value
         return f
 
     def f(x):
@@ -554,43 +492,25 @@ def potential_on_box(phi: Field, box, base=None, tol=1e-10):
     return f
 
 
-def second_bianchi_residual(chart: ig.MetricChart, x, step=1e-3):
+def second_bianchi_residual(chart: ig.MetricChart, x):
     """Max residual of the cyclic identity for the covariant derivative of R.
 
-    nabla_m R^i_jkl is built from central differences of :func:`riemann_at`
-    (the one finite-difference derivative in the library, by design) plus
-    the exact Christoffel correction terms; the residual of
+    nabla_m R^i_jkl is the covariant derivative rule of every field here,
+    applied to the order-1 jet of :func:`intrinsic.riemann_jet`, so no
+    finite difference enters; the residual of
 
         nabla_m R^i_jkl + nabla_k R^i_jlm + nabla_l R^i_jmk = 0
 
-    is returned relative to the largest component of nabla R.
+    is returned relative to the largest component of nabla R, together
+    with that component.
     """
-    x = np.asarray(x, dtype=float)
-    n = chart.dim
-    R0 = riemann_at(chart, x)
-    gamma = ig.christoffel_at(chart, x[:, None])[..., 0]
-
-    dR = np.zeros((n, n, n, n, n))
-    for m in range(n):
-        e = np.zeros(n)
-        e[m] = step
-        Rp = riemann_at(chart, x + e).R_up
-        Rm = riemann_at(chart, x - e).R_up
-        dR[m] = (Rp - Rm) / (2 * step)
-
-    R = R0.R_up
-    # nabla_m R^i_jkl = d_m R + Gamma^i_am R^a_jkl - Gamma^a_jm R^i_akl
-    #                   - Gamma^a_km R^i_jal - Gamma^a_lm R^i_jka
-    nab = (dR
-           + np.einsum('iam,ajkl->mijkl', gamma, R)
-           - np.einsum('ajm,iakl->mijkl', gamma, R)
-           - np.einsum('akm,ijal->mijkl', gamma, R)
-           - np.einsum('alm,ijka->mijkl', gamma, R))
-    # cyclic in (m, k, l): add nabla_k R^i_jlm and nabla_l R^i_jmk
-    term2 = np.einsum('kijlm->mijkl', nab)
-    term3 = np.einsum('lijmk->mijkl', nab)
-    resid = nab + term2 + term3
+    xj = Jet.variables(np.asarray(x, dtype=float), 3)
+    R = ig.riemann_jet(chart, xj)
+    nab = _nabla(ig.christoffel_jet(chart, xj), R, 4, (0,)).value
+    # nab[i, j, k, l, m] = nabla_m R^i_jkl; add nabla_k R^i_jlm, nabla_l R^i_jmk
+    resid = (nab + np.einsum('ijlmk->ijklm', nab)
+             + np.einsum('ijmkl->ijklm', nab))
     # locally symmetric spaces have nabla R = 0, so guard the scale with
     # the tensor magnitude itself
-    scale = max(np.abs(nab).max(), np.abs(R).max(), 1e-300)
+    scale = max(np.abs(nab).max(), np.abs(R.value).max(), 1e-300)
     return float(np.abs(resid).max() / scale), float(np.abs(nab).max())

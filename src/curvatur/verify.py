@@ -644,7 +644,7 @@ def suite_calculus(seed=0):
                                      float(np.abs(lhs - rhs).max()))
 
                 fX = tn.Field("vector", lambda xj, f=f, X=X: [
-                    f.fn(list(xj)) * c for c in X.fn(list(xj))])
+                    f(xj) * c for c in X(xj)])
                 L = tn.field_values(tn.covariant_derivative(chart, fX), x,
                                     order=3)
                 df = tn.field_values(tn.covariant_derivative(chart, f), x,
@@ -660,7 +660,7 @@ def suite_calculus(seed=0):
                 def pair_fn(xj, X=X, Y=Y):
                     g = chart.metric_jets(np.stack([c.value for c in xj]),
                                           order=xj[0].order)
-                    Xj, Yj = X.fn(list(xj)), Y.fn(list(xj))
+                    Xj, Yj = X(xj), Y(xj)
                     acc = None
                     for a in range(n):
                         for b in range(n):
@@ -737,7 +737,7 @@ def suite_calculus(seed=0):
                      worst, 1e-8)
 
         def bad_fn(xj):
-            return [xj[1] * 1.0] + [nk.as_jet(0.0, xj[0])] * (n - 1)
+            return [xj[1]] + [0.0] * (n - 1)
         dbad = tn.field_values(tn.exterior_derivative(
             tn.Field("covector", bad_fn)), pts[0], order=2)
         flagged = float(np.abs(dbad).max()) > 1e-6

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import product
 
 import numpy as np
 import pytest
@@ -84,7 +85,7 @@ def test_matrix_jets_match_scalar_jet_arithmetic(nvars, order, n):
     def entry(m, r, c):
         return nk.Jet(nvars, order, m.coef[:, r, c])
 
-    prod = nk.jet_matmul(a, b)
+    prod = nk.jet_einsum("rs...,s...->r...", a, b)
     ainv = nk.jet_inv(a)
     for r in range(n):
         for c in range(n):
@@ -93,6 +94,23 @@ def test_matrix_jets_match_scalar_jet_arithmetic(nvars, order, n):
             eye = sum(entry(a, r, s) * entry(ainv, s, c) for s in range(n))
             assert np.allclose(eye.coef[0], float(r == c), atol=1e-14)
             assert np.allclose(eye.coef[1:], 0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("nvars,order,n", [(2, 3, 2), (3, 2, 3)])
+def test_jet_einsum_contracts_tensor_slots(nvars, order, n):
+    # the quadratic term of the curvature tensor, on batched 3-index jets
+    rng = np.random.default_rng([nvars, order, n])
+    K = len(nk._index_space(nvars, order)[0])
+    a = nk.Jet(nvars, order, rng.uniform(-1, 1, (K, n, n, n, 4)))
+    b = nk.Jet(nvars, order, rng.uniform(-1, 1, (K, n, n, n, 4)))
+    out = nk.jet_einsum("ikm...,mlj...->ijkl...", a, b)
+    for i, j, k, l in product(range(n), repeat=4):
+        ref = sum(nk.Jet(nvars, order, a.coef[:, i, k, m])
+                  * nk.Jet(nvars, order, b.coef[:, m, l, j]) for m in range(n))
+        assert np.allclose(out.coef[:, i, j, k, l], ref.coef, atol=1e-14)
+    assert np.array_equal(nk.jet_stack(nk.jet_unstack(out, 4)).coef, out.coef)
+    mixed = nk.jet_stack([a, nk.truncate(b, 1)])
+    assert mixed.order == 1 and mixed.coef.shape[:2] == (nvars + 1, 2)
 
 
 def test_dense_output_accuracy():

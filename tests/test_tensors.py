@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import curvatur.catalog as cat
 import curvatur.intrinsic as ig
@@ -117,6 +118,64 @@ def test_second_bianchi_residual(halfplane):
     assert resid < 1e-4
 
 
+def varying_chart():
+    """A 3D metric whose curvature varies, so nabla R does not vanish."""
+    def gfn(xj):
+        x, y, z = xj
+        return [[1 + x ** 2 / 4, y / 5, 0.0],
+                [y / 5, nk.exp(x / 3), z / 7],
+                [0.0, z / 7, 1 + y ** 2 / 5]]
+    return ig.MetricChart(3, [(-1.0, 1.0)] * 3, gfn, name="varying")
+
+
+def test_second_bianchi_identity_with_varying_curvature():
+    chart = varying_chart()
+    x = np.array([0.3, -0.2, 0.4])
+    resid, nabla_max = tn.second_bianchi_residual(chart, x)
+    assert nabla_max > 0.05
+    assert resid < 1e-13
+    # the order-1 Riemann coefficients are its derivatives
+    dR = ig.riemann_jet(chart, nk.Jet.variables(x, 3)).grad()
+    h = 1e-3
+    for a in range(3):
+        e = h * np.eye(3)[a]
+        fd = (tn.riemann_at(chart, x + e).R_up
+              - tn.riemann_at(chart, x - e).R_up) / (2 * h)
+        assert np.abs(dR[a] - fd).max() < 1e-6
+
+
+_PAIRS = [(i, j) for i in range(3) for j in range(i, 3)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(diag=st.lists(st.integers(5, 20), min_size=3, max_size=3),
+       coeffs=st.lists(st.integers(-100, 100), min_size=18, max_size=18),
+       point=st.lists(st.integers(-50, 50), min_size=3, max_size=3))
+def test_curvature_identities_on_random_metrics(diag, coeffs, point):
+    # diagonal SPD constant plus small symmetric polynomial terms; with
+    # |x_i| <= 0.5 every entry moves by at most 0.1, so g stays diagonally
+    # dominant at x
+    c = np.array(coeffs).reshape(6, 3) / 1000
+
+    def gfn(xj):
+        g = [[0.0] * 3 for _ in range(3)]
+        for p, (i, j) in enumerate(_PAIRS):
+            a, b, d = xj[p % 3], xj[(p + 1) % 3], xj[(p + 2) % 3]
+            g[i][j] = g[j][i] = (diag[i] / 10 if i == j else 0.0) + (
+                c[p, 0] * a ** 2 + c[p, 1] * b * d + c[p, 2] * a)
+        return g
+
+    chart = ig.MetricChart(3, [(-1.0, 1.0)] * 3, gfn, name="random")
+    x = np.array(point) / 100
+    r = tn.riemann_at(chart, x).R_down
+    assert np.abs(r + r.transpose(1, 0, 2, 3)).max() < 1e-12
+    assert np.abs(r + r.transpose(0, 1, 3, 2)).max() < 1e-12
+    assert np.abs(r - r.transpose(2, 3, 0, 1)).max() < 1e-12
+    assert np.abs(r + r.transpose(0, 2, 3, 1)
+                  + r.transpose(0, 3, 1, 2)).max() < 1e-12
+    assert tn.second_bianchi_residual(chart, x)[0] < 1e-12
+
+
 def linear_field(coeffs, const):
     coeffs = np.asarray(coeffs, dtype=float)
     const = np.asarray(const, dtype=float)
@@ -138,10 +197,51 @@ def test_commutator_is_antisymmetrized_derivative(halfplane):
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
-def test_metric_is_parallel(halfplane):
-    nabla_g = tn.covariant_derivative(halfplane, tn.metric_field(halfplane))
-    vals = tn.field_values(nabla_g, np.array([0.7, 2.2]), order=3)
+@pytest.mark.parametrize("name,x", [("halfplane", [0.7, 2.2]),
+                                    ("s3", [0.2, -0.3, 0.5])],
+                         ids=["halfplane", "s3"])
+def test_metric_is_parallel(name, x, request):
+    chart = request.getfixturevalue(name)
+    nabla_g = tn.covariant_derivative(chart, tn.metric_field(chart))
+    vals = tn.field_values(nabla_g, np.array(x), order=3)
     assert np.abs(vals).max() < 1e-12
+
+
+def test_hessian_of_a_function_is_symmetric(s3):
+    f = tn.Field("scalar", lambda xj: nk.sin(xj[0]) * xj[1] + xj[2] ** 3)
+    hess = tn.covariant_derivative(s3, tn.covariant_derivative(s3, f))
+    vals = tn.field_values(hess, np.array([0.2, -0.3, 0.5]), order=3)
+    assert np.abs(vals).max() > 0.5
+    assert np.abs(vals - vals.T).max() < 1e-12
+
+
+def test_mixed_field_has_no_covariant_derivative(halfplane):
+    X = linear_field([[0.5, -0.2], [0.1, 0.3]], [1.0, 0.2])
+    mixed = tn.covariant_derivative(halfplane, X)
+    assert mixed.kind == "mixed"
+    with pytest.raises(nk.PreconditionError):
+        tn.covariant_derivative(halfplane, mixed)
+
+
+def test_constant_field_components_are_promoted(halfplane):
+    x = np.array([0.5, 1.5])
+    phi = tn.Field("covector", lambda xj: [xj[1], 0.0])
+    phi_jet = tn.Field("covector", lambda xj: [xj[1], 0.0 * xj[0]])
+    assert np.array_equal(
+        tn.field_values(tn.covariant_derivative(halfplane, phi), x, order=2),
+        tn.field_values(tn.covariant_derivative(halfplane, phi_jet), x,
+                        order=2))
+    d = tn.field_values(tn.exterior_derivative(phi), x, order=2)
+    assert np.array_equal(d, [[0.0, -1.0], [1.0, 0.0]])
+    X = tn.Field("vector", lambda xj: [1.0, xj[0]])
+    Y = tn.Field("vector", lambda xj: [xj[1], 0.0])
+    bracket = tn.field_values(tn.commutator(X, Y), x, order=2)
+    assert np.allclose(bracket, [0.5, -1.5], atol=1e-15)
+    # d(2 x + y^2 / 2) has a constant first component
+    pot = tn.potential_on_box(tn.Field("covector", lambda xj: [2.0, xj[1]]),
+                              [(0.2, 1.0), (1.0, 2.0)])
+    got = pot(x) - pot(np.array([0.2, 1.0]))
+    assert got == pytest.approx(2 * 0.3 + (1.5 ** 2 - 1.0) / 2, abs=1e-10)
 
 
 def test_exact_covector_is_closed(halfplane):
