@@ -394,10 +394,14 @@ def _variational_rhs(chart: MetricChart, lanes: int, ncols: int,
         J = np.moveaxis(z[:, 2:2 + ncols, :], 0, -1)        # (ncols, n, L)
         Jd = np.moveaxis(z[:, 2 + ncols:, :], 0, -1)
         gamma, dgamma = christoffel_and_grad(chart, x)
-        acc = -np.einsum('kij...,i...,j...->k...', gamma, v, v)
-        # linearized: Jdd^k = -dGamma^k_ij/dx_a J^a v^i v^j - 2 Gamma^k_ij v^i Jd^j
-        Jdd = (-np.einsum('akijL,caL,iL,jL->ckL', dgamma, J, v, v)
-               - 2.0 * np.einsum('kijL,iL,cjL->ckL', gamma, v, Jd))
+        # contracted one index at a time; gv^k_j = Gamma^k_ij v^i serves both
+        # acc and the linearized equation
+        # Jdd^k = -dGamma^k_ij/dx_a J^a v^i v^j - 2 Gamma^k_ij v^i Jd^j
+        gv = (gamma * v[:, None]).sum(1)                     # (k, j, L)
+        acc = -(gv * v).sum(1)
+        dgvv = ((dgamma * v[:, None]).sum(2) * v).sum(2)     # (a, k, L)
+        Jdd = (-(dgvv * J[:, :, None]).sum(1)
+               - 2.0 * (gv * Jd[:, None]).sum(2))
         out = np.empty_like(z)
         out[:, 0, :] = v.T
         out[:, 1, :] = acc.T

@@ -7,7 +7,14 @@ multivariate Taylor expansion with numpy-array coefficients.  A jet carries
 every mixed partial of its function up to ``order`` at one point (or at a
 whole batch of points at once: coefficients may have trailing batch axes).
 Arithmetic on jets is exact Taylor arithmetic, so no step-size tuning and no
-cancellation error ever enters a derivative.  A jet whose batch axes start
+cancellation error ever enters a derivative.  Every Taylor product, in
+``Jet.__mul__`` and in :func:`jet_einsum`, runs over the valid (k, i, j)
+triples of the truncated Cauchy product only (Griewank & Walther, Evaluating
+Derivatives, 2nd ed., ch. 13): one gather of the P products a_i b_j per call,
+then one (K x P) 0/1 matrix that sums them into their K output slots.  The
+triples are cached per (nvars, order) by :func:`_index_space`.  Batch axes
+of two operands broadcast as numpy broadcasts array axes, aligned from the
+right.  A jet whose batch axes start
 with tensor axes is a tensor-valued jet: :func:`jet_stack` builds one from
 nested lists of scalar jets and :func:`jet_unstack` takes it apart,
 :func:`jet_einsum` contracts two of them and :func:`jet_inv` inverts a
@@ -110,8 +117,12 @@ def _index_space(nvars: int, order: int):
     -------
     idx : tuple of multi-indices, graded lexicographic
     pos : dict multi-index -> slot
-    gather : (K, K) int array, gather[k, j] = slot of idx[k] - idx[j], or 0
-    mask : (K, K) float array, 1.0 where the subtraction above is valid
+    triples : (I, J, M), the P valid triples (k, i, j) with idx[i] + idx[j]
+        = idx[k], ordered by k, then j: ``I`` and ``J`` are (P,) int arrays
+        of the slots i and j, and ``M`` is the (K, P) 0/1 matrix that sums
+        each triple's product into slot k
+    mask : (K, K) float array, 1.0 where idx[k] - idx[j] is a multi-index
+        (P = mask.sum())
     fact : (K,) float array of multi-index factorials
     """
     if not (1 <= nvars <= MAX_VARS):
@@ -123,16 +134,34 @@ def _index_space(nvars: int, order: int):
     idx = tuple(all_idx)
     pos = {a: i for i, a in enumerate(idx)}
     K = len(idx)
-    gather = np.zeros((K, K), dtype=np.intp)
     mask = np.zeros((K, K))
+    I = []
     for k, ak in enumerate(idx):
         for j, aj in enumerate(idx):
             diff = tuple(x - y for x, y in zip(ak, aj))
             if min(diff) >= 0:
-                gather[k, j] = pos[diff]
                 mask[k, j] = 1.0
+                I.append(pos[diff])
+    rows, J = np.nonzero(mask)
+    M = (rows == np.arange(K)[:, None]).astype(float)
     fact = np.array([math.prod(math.factorial(e) for e in a) for a in idx], dtype=float)
-    return idx, pos, gather, mask, fact
+    return idx, pos, (np.array(I, dtype=np.intp), J, M), mask, fact
+
+
+def _taylor_sum(M, terms):
+    """Sum the per-triple products ``terms`` (P, ...) into their K slots."""
+    return (M @ terms.reshape(len(terms), -1)).reshape(M.shape[:1] + terms.shape[1:])
+
+
+def _broadcast(a, b):
+    """Two coefficient arrays with their batch axes aligned from the right:
+    the lower-rank one gains unit axes right after its Taylor axis."""
+    d = a.ndim - b.ndim
+    if d > 0:
+        b = b.reshape(b.shape[:1] + (1,) * d + b.shape[1:])
+    elif d < 0:
+        a = a.reshape(a.shape[:1] + (1,) * -d + a.shape[1:])
+    return a, b
 
 
 class Jet:
@@ -252,7 +281,8 @@ class Jet:
     def __add__(self, other):
         o = self._coerce(other)
         if o is not None:
-            return Jet(self.nvars, self.order, self.coef + o.coef)
+            a, b = _broadcast(self.coef, o.coef)
+            return Jet(self.nvars, self.order, a + b)
         coef = self.coef.copy()
         coef[0] = coef[0] + other
         return Jet(self.nvars, self.order, coef)
@@ -272,13 +302,9 @@ class Jet:
         o = self._coerce(other)
         if o is None:
             return Jet(self.nvars, self.order, self.coef * np.asarray(other))
-        _, _, gather, mask, _ = _index_space(self.nvars, self.order)
-        a = self.coef[gather]                     # (K, K, ...batch)
-        if a.ndim > 2:
-            m = mask.reshape(mask.shape + (1,) * (a.ndim - 2))
-        else:
-            m = mask
-        return Jet(self.nvars, self.order, np.sum(a * m * o.coef[None], axis=1))
+        a, b = _broadcast(self.coef, o.coef)
+        _, _, (I, J, M), _, _ = _index_space(self.nvars, self.order)
+        return Jet(self.nvars, self.order, _taylor_sum(M, a[I] * b[J]))
 
     __rmul__ = __mul__
 
@@ -490,17 +516,24 @@ def antiderivative1d(j: Jet, value0) -> Jet:
     return Jet(1, j.order + 1, coef)
 
 
+@lru_cache(maxsize=None)
+def _derivative_table(nvars: int, order: int, axis: int):
+    """Slots of an order-``order`` jet that d/d(axis) moves into the slots of
+    an order ``order - 1`` jet, and the exponent factor of each."""
+    idx_lo, _, _, _, _ = _index_space(nvars, order - 1)
+    _, pos_hi, _, _, _ = _index_space(nvars, order)
+    up = [tuple(e + (i == axis) for i, e in enumerate(a)) for a in idx_lo]
+    return (np.array([pos_hi[u] for u in up], dtype=np.intp),
+            np.array([u[axis] for u in up], dtype=float))
+
+
 def derivative_nd(j: Jet, axis: int) -> Jet:
     """Jet of the partial derivative along ``axis`` (order drops by one)."""
     if j.order < 1:
         raise PreconditionError("cannot lower an order-0 jet")
-    idx_lo, pos_lo, _, _, _ = _index_space(j.nvars, j.order - 1)
-    _, pos_hi, _, _, _ = _index_space(j.nvars, j.order)
-    coef = np.zeros((len(idx_lo),) + j.coef.shape[1:])
-    for a in idx_lo:
-        up = tuple(e + (1 if i == axis else 0) for i, e in enumerate(a))
-        coef[pos_lo[a]] = j.coef[pos_hi[up]] * up[axis]
-    return Jet(j.nvars, j.order - 1, coef)
+    src, factor = _derivative_table(j.nvars, j.order, axis)
+    return Jet(j.nvars, j.order - 1,
+               j.coef[src] * factor.reshape(factor.shape + (1,) * (j.coef.ndim - 1)))
 
 
 def truncate(j: Jet, order: int) -> Jet:
@@ -541,19 +574,25 @@ def compose_nd(outer: Jet, inners: Sequence[Jet]) -> Jet:
     return out
 
 
+@lru_cache(maxsize=None)
+def _triple_spec(subscripts: str) -> str:
+    """``subscripts`` with the triple axis P prepended to every operand."""
+    inputs, out = subscripts.split("->")
+    sa, sb = inputs.split(",")
+    return f"P{sa},P{sb}->P{out}"
+
+
 def jet_einsum(subscripts: str, a: Jet, b: Jet) -> Jet:
     """Contraction of two tensor-valued jets, truncated at their order.
 
     ``subscripts`` is an ``np.einsum`` spec over the tensor and batch axes
-    only, e.g. ``"rs...,s...->r..."`` for a matrix product; the Taylor axis
-    is contracted inside the Cauchy product under the reserved labels K and
-    Q.  Trailing axes broadcast as in ``np.einsum``.
+    only, e.g. ``"rs...,s...->r..."`` for a matrix product; the Taylor axes
+    are contracted inside the Cauchy product, over the valid triples under
+    the reserved label P.  Trailing axes broadcast as in ``np.einsum``.
     """
-    _, _, gather, mask, _ = _index_space(a.nvars, a.order)
-    inputs, out = subscripts.split("->")
-    sa, sb = inputs.split(",")
-    return Jet(a.nvars, a.order, np.einsum(f"KQ,KQ{sa},Q{sb}->K{out}", mask,
-                                           a.coef[gather], b.coef))
+    _, _, (I, J, M), _, _ = _index_space(a.nvars, a.order)
+    return Jet(a.nvars, a.order, _taylor_sum(
+        M, np.einsum(_triple_spec(subscripts), a.coef[I], b.coef[J])))
 
 
 def jet_stack(nested) -> Jet:

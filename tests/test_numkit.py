@@ -74,6 +74,89 @@ def test_jet_order_bounds():
         nk.Jet.variables([0.0], order=0)
 
 
+def _cauchy_terms(nvars, order):
+    """(k, i, j) slot triples of the truncated product, found by plain
+    multi-index arithmetic over ``idx`` and ``pos`` alone."""
+    idx, pos = nk._index_space(nvars, order)[:2]
+    return [(k, pos[tuple(x - y for x, y in zip(ak, aj))], j)
+            for k, ak in enumerate(idx) for j, aj in enumerate(idx)
+            if all(x >= y for x, y in zip(ak, aj))]
+
+
+@pytest.mark.parametrize("nvars,order", list(product(range(1, 5), range(5))))
+def test_jet_product_matches_python_cauchy_product(nvars, order):
+    rng = np.random.default_rng([nvars, order])
+    K = len(nk._index_space(nvars, order)[0])
+    terms = _cauchy_terms(nvars, order)
+    for batch in ((), (3,), (2, 3)):
+        a = rng.uniform(-1, 1, (K,) + batch)
+        b = rng.uniform(-1, 1, (K,) + batch)
+        got = (nk.Jet(nvars, order, a) * nk.Jet(nvars, order, b)).coef
+        assert got.shape == a.shape
+        for lane in np.ndindex(batch):
+            ref, scale = [0.0] * K, [0.0] * K
+            for k, i, j in terms:
+                t = float(a[(i,) + lane]) * float(b[(j,) + lane])
+                ref[k] += t
+                scale[k] += abs(t)
+            for k in range(K):
+                assert abs(got[(k,) + lane] - ref[k]) <= 1e-15 * scale[k]
+
+
+@pytest.mark.parametrize("nvars,order", [(1, 4), (2, 3), (3, 2), (4, 1)])
+def test_jet_einsum_matches_per_slot_loop(nvars, order):
+    rng = np.random.default_rng([nvars, order, 7])
+    K = len(nk._index_space(nvars, order)[0])
+    terms = _cauchy_terms(nvars, order)
+    for spec, sa, sb in (("rs...,s...->r...", (2, 3, 4), (3, 3, 4)),
+                         ("j...,ij...->i...", (3, 4), (2, 3, 4)),
+                         ("ikm...,mlj...->ijkl...", (2, 2, 2, 4), (2, 2, 2, 1))):
+        a = rng.uniform(-1, 1, (K,) + sa)
+        b = rng.uniform(-1, 1, (K,) + sb)
+        got = nk.jet_einsum(spec, nk.Jet(nvars, order, a),
+                            nk.Jet(nvars, order, b)).coef
+        ref = np.zeros_like(got)
+        scale = np.zeros_like(got)
+        for k, i, j in terms:
+            ref[k] += np.einsum(spec, a[i], b[j])
+            scale[k] += np.einsum(spec, np.abs(a[i]), np.abs(b[j]))
+        assert np.all(np.abs(got - ref) <= 1e-15 * scale)
+
+
+@pytest.mark.parametrize("lanes", [3, 5])
+def test_mixed_batch_products_broadcast_per_lane(lanes):
+    # an unbatched jet against a batch whose length equals K (3) or not
+    rng = np.random.default_rng(lanes)
+    x = nk.Jet(2, 1, [0.3, 1.0, 0.0])
+    y = nk.Jet(2, 1, rng.uniform(-1, 1, (3, lanes)))
+    for got in (x * y, y * x):
+        assert got.coef.shape == (3, lanes)
+        for lane in range(lanes):
+            ref = x * nk.Jet(2, 1, y.coef[:, lane])
+            assert np.array_equal(got.coef[:, lane], ref.coef)
+    for got in (x + y, y + x):
+        assert np.array_equal(got.coef, x.coef[:, None] + y.coef)
+    # a lane-batched scalar jet scales a lane-batched vector jet per lane
+    v = nk.Jet(2, 1, rng.uniform(-1, 1, (3, 2, lanes)))
+    for got in (y * v, v * y):
+        for c in range(2):
+            ref = y * nk.Jet(2, 1, v.coef[:, c])
+            assert np.array_equal(got.coef[:, c], ref.coef)
+
+
+@pytest.mark.parametrize("nvars,order", [(1, 4), (2, 3), (3, 4), (4, 2)])
+def test_derivative_nd_moves_each_slot(nvars, order):
+    idx, pos_hi = nk._index_space(nvars, order)[:2]
+    idx_lo, pos_lo = nk._index_space(nvars, order - 1)[:2]
+    j = nk.Jet(nvars, order, np.arange(len(idx) * 2.0).reshape(len(idx), 2))
+    for axis in range(nvars):
+        d = nk.derivative_nd(j, axis)
+        for a in idx_lo:
+            up = tuple(e + (i == axis) for i, e in enumerate(a))
+            assert np.array_equal(d.coef[pos_lo[a]],
+                                  j.coef[pos_hi[up]] * up[axis])
+
+
 @pytest.mark.parametrize("nvars,order,n", [(2, 3, 2), (3, 2, 3)])
 def test_matrix_jets_match_scalar_jet_arithmetic(nvars, order, n):
     rng = np.random.default_rng([nvars, order])
