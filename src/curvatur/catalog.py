@@ -714,22 +714,14 @@ def builtin(name, params=None) -> GeometrySpec:
                 exprs[k] = str(v)
             else:
                 numeric[k] = float(v)
-        src = template.format(**exprs)
-        spec = parse_geometry(src)
-        extra = set()
-        if spec.kind == "surface":
-            for e in spec.exprs:
-                extra |= free_names(e)
-        else:
-            for row in spec.exprs:
-                for e in row:
-                    extra |= free_names(e)
-        extra -= set(spec.coords) | {"pi"}
-        missing = extra - set(numeric)
-        if missing:
-            raise PreconditionError(
-                f"{name} expression uses unbound names {sorted(missing)}")
-        spec.params.update(numeric)
+        spec = parse_geometry("".join(f"param {k} = {v!r}\n"
+                                      for k, v in numeric.items())
+                              + template.format(**exprs))
+        used = {t.text for e in exprs.values() for t in tokenize(e)
+                if t.kind == "ident"} - set(spec.coords)
+        for k in numeric:
+            if k not in used:
+                raise PreconditionError(f"{name} has no parameter {k!r}")
         spec.provenance = "builtin"
         if name in _BUILTIN_PERIODS:
             spec.periods = _BUILTIN_PERIODS[name]

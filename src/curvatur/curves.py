@@ -197,7 +197,7 @@ class NaturalCurve(ParamCurve):
         coef = np.zeros((order + 1,) + np.shape(tj.coef[0]))
         coef[0] = s_jet.value
         if order >= 2:
-            vel = [nk.derivative1d(c) for c in comps]
+            vel = [nk.derivative_nd(c, 0) for c in comps]
             spj = nk.sqrt(nk.vdot(vel, vel))
             for k in range(order):
                 coef[k + 1] = spj.coef[k] / (k + 1)

@@ -14,18 +14,21 @@ geodesics, the exponential map (with optional variational state for
 derivatives of exp), parallel transport, holonomy, geodesic circles, the
 comparison-limit scalar curvature, and two-point distance by shooting.
 
-Heavy sampling paths (circles, spheres, volume grids) integrate whole
-batches of geodesics in one flat ODE system with shared step control, which
-is what keeps the limit-based estimators fast.  Polyline transport is
-batched the same way: every segment's transport map is one lane of a single
-solve, and the segments are chained afterwards; so is distance shooting.
+Each job is one batched solve: whole batches of geodesics integrate in one
+flat ODE system with shared step control, which is what keeps the
+limit-based estimators fast (circles, spheres, volume grids, and the radius
+probes before them).  Transport has one rule: a path is pieces on
+tau in [0, 1], polyline segments or geodesic sides, every piece's transport
+map is one lane of a single solve, and the pieces are chained afterwards;
+holonomy is that transport around a closed path.  Distance shooting
+batches its pairs the same way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -445,10 +448,12 @@ def _exp_batch_variational(chart: MetricChart, P, U, dU, rtol=1e-10,
 class TransportResult:
     """Vectors parallel-transported along a path.
 
-    ``vectors`` holds the transported columns at each sample; ``final`` is
-    the last sample.  ``gram_drift`` is the max relative drift of the
-    g-Gram matrix of the transported columns, which transport should
-    preserve.
+    The path is S pieces (polyline segments or geodesic sides), each run on
+    tau in [0, 1]; ``ts`` holds piece index + tau at every sample, and
+    ``positions`` and ``vectors`` the point and the transported columns
+    there.  ``final`` is the last sample.  ``gram_drift`` is the max
+    relative drift of the g-Gram matrix of the transported columns, which
+    transport should preserve.
     """
 
     chart: MetricChart
@@ -467,28 +472,27 @@ def _transport_gram_drift(chart, ts, xs, vecs):
     return float(np.abs(gram - gram[0]).max() / scale)
 
 
-def _segment_propagators(chart: MetricChart, P0, DQ, rtol=1e-10, atol=1e-12):
-    """Transport maps of the coordinate segments p_s + t dq_s, t in [0, 1].
+def _propagators(chart: MetricChart, curve, S, rtol=1e-10, atol=1e-12):
+    """Transport maps along S curves on tau in [0, 1], as one batched solve.
 
-    Transport is linear in the transported vectors, so each segment's
+    ``curve(tau)`` returns the curves' positions and velocities, (n, S)
+    each.  Transport is linear in the transported vectors, so each curve's
     propagator Phi_s (started from the identity) is independent of the
-    others, and all S segments integrate as the lanes of one batched solve
-    with one :func:`christoffel_at` call over every lane per RHS.  The
-    solver's error norm is an RMS over the whole state, so the tolerances
-    are divided by sqrt(S): that bounds each lane's own RMS error by
-    ``rtol``/``atol``, as if it had been solved alone.
+    others, and all S integrate as the lanes of one solve with one
+    :func:`christoffel_at` call over every lane per RHS.  The solver's
+    error norm is an RMS over the whole state, so the tolerances are divided
+    by sqrt(S): that bounds each lane's own RMS error by ``rtol``/``atol``,
+    as if it had been solved alone.
 
-    ``P0`` and ``DQ`` have shape (S, n).  Returns the shared mesh ``taus``
-    (T,) and ``Phi`` (T, S, n, n), Phi[m, s] = Phi_s(taus[m]).
+    Returns the shared mesh ``taus`` (T,) and ``Phi`` (T, S, n, n),
+    Phi[m, s] = Phi_s(taus[m]).
     """
     n = chart.dim
-    S = len(P0)
-    x0, dq = np.ascontiguousarray(P0.T), np.ascontiguousarray(DQ.T)   # (n, S)
 
     def rhs(t, y):
-        gamma = christoffel_at(chart, x0 + t * dq)
+        x, dx = curve(t)
         # row c of lane s holds column c of Phi_s
-        return -np.einsum('kijS,iS,Scj->Sck', gamma, dq,
+        return -np.einsum('kijS,iS,Scj->Sck', christoffel_at(chart, x), dx,
                           y.reshape(S, n, n)).ravel()
 
     y0 = np.tile(np.eye(n), (S, 1, 1)).ravel()
@@ -498,19 +502,63 @@ def _segment_propagators(chart: MetricChart, P0, DQ, rtol=1e-10, atol=1e-12):
     return traj.ts, traj.ys.reshape(len(traj.ts), S, n, n).swapaxes(-2, -1)
 
 
+def _pieces(chart: MetricChart, path):
+    """A transport path as S pieces on tau in [0, 1].
+
+    Returns (start, end, S, curve, kind) with ``curve`` as
+    :func:`_propagators` takes it.  A polyline's segments are
+    p_s + tau dq_s; a geodesic side of length L is x(tau L), and its
+    velocity L v(tau L), read off the side's own dense output.
+    """
+    n = chart.dim
+    if isinstance(path, GeodesicPath):
+        path = [path]
+    if isinstance(path, (list, tuple)) and path and isinstance(path[0],
+                                                               GeodesicPath):
+        for i in range(1, len(path)):
+            gap = _closure_defect(chart, path[i - 1].end, path[i].start)
+            if gap > 1e-9:
+                raise PreconditionError(
+                    f"geodesic side {i} starts {gap:.3g} away from the end "
+                    f"of side {i - 1}")
+        lengths = np.array([p.length for p in path])
+
+        def curve(t):
+            y = np.stack([p.trajectory.eval(t * p.length) for p in path],
+                         axis=1)
+            return y[:n], lengths * y[n:2 * n]
+
+        return path[0].start, path[-1].end, len(path), curve, "geodesic"
+
+    pts = np.asarray(path, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != n or len(pts) < 2:
+        raise PreconditionError("polyline must be an (M, n) array, M >= 2")
+    outside = ~chart.contains(pts.T)
+    if outside.any():
+        i = int(np.argmax(outside))
+        at = ",".join(f"{c:.4g}" for c in pts[i])
+        raise PreconditionError(
+            f"polyline waypoint {i} ({at}) lies outside the chart domain")
+    x0 = np.ascontiguousarray(pts[:-1].T)
+    dq = np.ascontiguousarray(np.diff(pts, axis=0).T)
+    return pts[0], pts[-1], len(pts) - 1, lambda t: (x0 + t * dq, dq), \
+        "polyline"
+
+
 def parallel_transport(chart: MetricChart, path, a0, rtol=1e-10,
                        atol=1e-12) -> TransportResult:
-    """Transport vector(s) a0 along a geodesic path or a coordinate polyline.
+    """Transport vector(s) a0 along a coordinate polyline or geodesic sides.
 
-    ``path`` is either a :class:`GeodesicPath` (the geodesic is re-run as an
-    augmented system so positions and vectors share one error control) or an
-    (M, n) array of waypoints joined by straight coordinate segments.
-    ``a0`` may be a single vector (n,) or a matrix of columns (n, k).
+    ``path`` is an (M, n) array of waypoints joined by straight coordinate
+    segments, a :class:`GeodesicPath`, or a list of them that join end to
+    start (within 1e-9, modulo the chart's periods, else
+    :class:`PreconditionError` names the side).  ``a0`` may be a single
+    vector (n,) or a matrix of columns (n, k).
 
-    A polyline is one solve: :func:`_segment_propagators` integrates every
-    segment's propagator Phi_s as a lane of one batch (each lane held to
+    Every path is one solve: :func:`_propagators` integrates each piece's
+    propagator Phi_s as a lane of one batch (each lane held to
     ``rtol``/``atol``), and the vectors chain as A_{s+1} = Phi_s(1) A_s.
-    The samples are the shared mesh on every segment, at times s + tau, with
+    The samples are the shared mesh on every piece, at times s + tau, with
     vectors Phi_s(tau) A_s.  Waypoints outside the chart's box raise
     :class:`PreconditionError` (the box is convex, so the segments stay
     inside too).
@@ -520,63 +568,20 @@ def parallel_transport(chart: MetricChart, path, a0, rtol=1e-10,
     A0 = a0[:, None] if single else a0
     n = chart.dim
     k = A0.shape[1]
-
-    if isinstance(path, GeodesicPath):
-        x0, v0 = path.xs[0], path.vs[0]
-
-        def rhs(t, y):
-            z = y.reshape(2 + k, n)
-            x, v = z[0], z[1]
-            gamma = christoffel_at(chart, x[:, None])[..., 0]
-            acc = -np.einsum('kij,i,j->k', gamma, v, v)
-            dA = -np.einsum('kij,i,cj->ck', gamma, v, z[2:])
-            return np.concatenate([v, acc, dA.ravel()])
-
-        y0 = np.concatenate([x0, v0, A0.T.ravel()])
-        traj = nk.integrate_ode(nk.OdeProblem(rhs, y0,
-                                              (0.0, path.length), rtol, atol))
-        ts = traj.ts
-        xs = traj.ys[:, :n]
-        vecs = traj.ys[:, 2 * n:].reshape(len(ts), k, n).swapaxes(1, 2)
-        kind = "geodesic"
-    else:
-        pts = np.asarray(path, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != n or len(pts) < 2:
-            raise PreconditionError("polyline must be an (M, n) array, M >= 2")
-        outside = ~chart.contains(pts.T)
-        if outside.any():
-            i = int(np.argmax(outside))
-            at = ",".join(f"{c:.4g}" for c in pts[i])
-            raise PreconditionError(
-                f"polyline waypoint {i} ({at}) lies outside the chart domain")
-        dq = np.diff(pts, axis=0)
-        taus, Phi = _segment_propagators(chart, pts[:-1], dq, rtol, atol)
-        A = [A0]
-        for P in Phi[-1]:
-            A.append(P @ A[-1])
-        vecs = np.einsum('msij,sjc->smic', Phi[1:], np.stack(A[:-1]))
-        ts = np.concatenate([[0.0], (np.arange(len(dq))[:, None]
-                                     + taus[1:]).ravel()])
-        xs = np.vstack([pts[:1], (pts[:-1, None] + taus[1:, None] * dq[:, None])
-                        .reshape(-1, n)])
-        vecs = np.concatenate([A0[None], vecs.reshape(-1, n, k)])
-        kind = "polyline"
-
+    start, _, S, curve, kind = _pieces(chart, path)
+    taus, Phi = _propagators(chart, curve, S, rtol, atol)
+    A = [A0]
+    for P in Phi[-1]:
+        A.append(P @ A[-1])
+    vecs = np.einsum('msij,sjc->smic', Phi[1:], np.stack(A[:-1]))
+    ts = np.concatenate([[0.0], (np.arange(S)[:, None] + taus[1:]).ravel()])
+    xs = np.stack([curve(t)[0] for t in taus[1:]], axis=1)    # (n, T-1, S)
+    xs = np.vstack([start[None], xs.T.reshape(-1, n)])
+    vecs = np.concatenate([A0[None], vecs.reshape(-1, n, k)])
     drift = _transport_gram_drift(chart, ts, xs, vecs)
     final = vecs[-1]
     return TransportResult(chart, ts, xs, vecs,
                            final[:, 0] if single else final, kind, drift)
-
-
-def transport_chain(chart: MetricChart, paths: Sequence[GeodesicPath], a0):
-    """Transport a0 along consecutive geodesic paths; returns final vector(s)."""
-    a = np.asarray(a0, dtype=float)
-    drift = 0.0
-    for p in paths:
-        res = parallel_transport(chart, p, a)
-        a = res.final
-        drift = max(drift, res.gram_drift)
-    return a, drift
 
 
 @dataclass
@@ -597,34 +602,24 @@ def _closure_defect(chart: MetricChart, a, b):
 
 
 def holonomy(chart: MetricChart, loop, closure_tol=1e-9) -> HolonomyResult:
-    """Parallel transport around a closed coordinate polyline.
+    """Parallel transport around a closed loop.
 
-    The loop must close within ``closure_tol`` (coordinates compared modulo
-    the chart's periods).  The returned matrix expresses the transport in a
-    positively oriented g-orthonormal basis at the basepoint; for 2D charts
-    the rotation angle atan2(M[1,0], M[0,0]) is included.  A loop of
-    geodesic sides can be passed as a list of :class:`GeodesicPath`.
+    ``loop`` is any path :func:`parallel_transport` takes: a coordinate
+    polyline or a list of geodesic sides.  It must close within
+    ``closure_tol`` (coordinates compared modulo the chart's periods).  The
+    returned matrix expresses the transport in a positively oriented
+    g-orthonormal basis at the basepoint; for 2D charts the rotation angle
+    atan2(M[1,0], M[0,0]) is included.
     """
-    if isinstance(loop, (list, tuple)) and loop and isinstance(loop[0],
-                                                               GeodesicPath):
-        paths = list(loop)
-        base = paths[0].xs[0]
-        endpt = paths[-1].xs[-1]
-        if _closure_defect(chart, base, endpt) > closure_tol:
-            raise PreconditionError("geodesic loop does not close")
-        E = chart.orthonormal_basis(base)
-        final, drift = transport_chain(chart, paths, E)
-    else:
-        pts = np.asarray(loop, dtype=float)
-        if _closure_defect(chart, pts[0], pts[-1]) > closure_tol:
-            raise PreconditionError("loop is not closed in chart coordinates")
-        E = chart.orthonormal_basis(pts[0])
-        res = parallel_transport(chart, pts, E)
-        final, drift = res.final, res.gram_drift
-    M = np.linalg.solve(E, final)
+    start, end, _, _, _ = _pieces(chart, loop)
+    if _closure_defect(chart, start, end) > closure_tol:
+        raise PreconditionError("loop is not closed in chart coordinates")
+    E = chart.orthonormal_basis(start)
+    res = parallel_transport(chart, loop, E)
+    M = np.linalg.solve(E, res.final)
     orth = float(np.abs(M.T @ M - np.eye(chart.dim)).max())
     ang = float(math.atan2(M[1, 0], M[0, 0])) if chart.dim == 2 else None
-    return HolonomyResult(M, ang, E, orth, drift)
+    return HolonomyResult(M, ang, E, orth, res.gram_drift)
 
 
 # ---------------------------------------------------------------------------
@@ -771,17 +766,21 @@ class TauEstimate:
 
 
 def _shrink_radii(chart: MetricChart, P, r0):
-    """Scale the ladder down until the largest circle stays in the domain."""
+    """Halve r0 until the geodesics exp_P(+-E r0) along the orthonormal
+    frame E stay in the domain, probed as one batch: an attempt fails on a
+    numerical failure or when an accepted node leaves the box."""
     P = np.asarray(P, dtype=float)
+    n = chart.dim
+    E = chart.orthonormal_basis(P)
     for _ in range(8):
         try:
-            E = chart.orthonormal_basis(P)
-            probe = np.concatenate([E, -E], axis=1) * r0
-            for c in range(probe.shape[1]):
-                exp_map(chart, P, probe[:, c])
-            return r0
-        except (DomainExitError, nk.NumericalError):
-            r0 *= 0.5
+            traj = _exp_batch(chart, P, np.concatenate([E, -E], axis=1) * r0)
+            x = traj.ys.reshape(len(traj.ts), 2 * n, 2, n)[:, :, 0, :]
+            if chart.contains(x.T).all():
+                return r0
+        except nk.NumericalError:
+            pass
+        r0 *= 0.5
     raise PreconditionError("no usable circle radius inside the domain")
 
 

@@ -495,16 +495,6 @@ def value_of(x):
     return x.value if isinstance(x, Jet) else x
 
 
-def derivative1d(j: Jet) -> Jet:
-    """Jet of the derivative of a univariate jet (order drops by one)."""
-    if j.nvars != 1:
-        raise PreconditionError("derivative1d needs a univariate jet")
-    if j.order < 2:
-        raise PreconditionError("cannot lower a first order jet")
-    coef = np.array([j.coef[k + 1] * (k + 1) for k in range(j.order)])
-    return Jet(1, j.order - 1, coef)
-
-
 def antiderivative1d(j: Jet, value0) -> Jet:
     """Jet of the antiderivative of a univariate jet (order grows by one)."""
     if j.nvars != 1:

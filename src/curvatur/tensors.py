@@ -132,8 +132,8 @@ def riemann_holonomy_oracle(chart: ig.MetricChart, x, u, v,
     extrapolated over the halving ladder ``hs``.  The whole ladder costs
     two solves: one exponential-map batch for the loop vertices of every
     rung, and one batch of segment propagators
-    (:func:`intrinsic._segment_propagators`, each segment held to the
-    transport tolerance on its own) whose per-rung products are the
+    (:func:`intrinsic._propagators`, each segment held to the transport
+    tolerance on its own) whose per-rung products are the
     holonomies.  Parallel u, v give the zero operator by convention.
     Returns (matrix, error_estimate).
     """
@@ -156,8 +156,9 @@ def riemann_holonomy_oracle(chart: ig.MetricChart, x, u, v,
     T = np.vstack(loops)                          # (rungs * (4 S + 1), n)
     traj = ig._exp_batch(chart, x, T.T)
     pts = traj.final.reshape(len(hs), -1, 2, n)[:, :, 0, :]
-    _, Phi = ig._segment_propagators(chart, pts[:, :-1].reshape(-1, n),
-                                     np.diff(pts, axis=1).reshape(-1, n))
+    x0 = np.ascontiguousarray(pts[:, :-1].reshape(-1, n).T)
+    dq = np.ascontiguousarray(np.diff(pts, axis=1).reshape(-1, n).T)
+    _, Phi = ig._propagators(chart, lambda t: (x0 + t * dq, dq), x0.shape[1])
     mats = []
     for h, props in zip(hs, Phi[-1].reshape(len(hs), -1, n, n)):
         M = np.eye(n)

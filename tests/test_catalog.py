@@ -158,9 +158,12 @@ def test_unknown_builtin_message_lists_names():
     assert "sphere" in str(exc.value)
 
 
-def test_unknown_parameter_rejected():
-    with pytest.raises(nk.PreconditionError):
-        cat.builtin("sphere", {"Q": 2.0})
+@pytest.mark.parametrize("name, params", [("sphere", {"Q": 2.0}),
+                                          ("conformal", {"R": 2.0})],
+                         ids=["sphere", "conformal"])
+def test_unknown_parameter_rejected(name, params):
+    with pytest.raises(nk.PreconditionError, match="no parameter"):
+        cat.builtin(name, params)
 
 
 def test_builtin_periods_attached():
@@ -170,14 +173,14 @@ def test_builtin_periods_attached():
 
 
 def test_expression_parameter_builtin():
-    spec = cat.builtin("revolution", {"f": "3+cos(v)"})
-    patch = spec.build()
     # K = -f'' / (f (1 + f'^2)^2) at v = 0.2
     v = 0.2
     f, fp, fpp = 3 + math.cos(v), -math.sin(v), -math.cos(v)
-    rep = sp.principal_at(patch, (0.5, v))
-    assert rep.gauss == pytest.approx(-fpp / (f * (1 + fp * fp) ** 2),
-                                      abs=1e-10)
+    for params in ({"f": "3+cos(v)"}, {"f": "a + cos(v)", "a": 3}):
+        patch = cat.builtin("revolution", params).build()
+        rep = sp.principal_at(patch, (0.5, v))
+        assert rep.gauss == pytest.approx(-fpp / (f * (1 + fp * fp) ** 2),
+                                          abs=1e-10)
 
 
 def test_scaled_sphere_params():

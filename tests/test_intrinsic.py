@@ -8,6 +8,7 @@ import pytest
 import curvatur.catalog as cat
 import curvatur.intrinsic as ig
 import curvatur.numkit as nk
+import curvatur.verify as vf
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +29,19 @@ def sphere_chart():
 @pytest.fixture(scope="module")
 def s3():
     return cat.builtin("s3_round").build()
+
+
+@pytest.fixture(scope="module")
+def octant():
+    """The geodesic octant triangle of the unit sphere on a tilted chart."""
+    chart, to_chart, chart_vel = vf._tilted_sphere_chart()
+    verts = np.eye(3)
+    sides = []
+    for p, q in zip(verts, np.roll(verts, -1, axis=0)):
+        uv = to_chart(p)
+        sides.append(ig.geodesic_trace(chart, uv, chart_vel(uv, q),
+                                       math.pi / 2))
+    return chart, sides
 
 
 def test_sphere_pullback_metric(sphere_chart):
@@ -214,14 +228,46 @@ def test_polyline_transport_samples(sphere_chart):
     assert np.array_equal(res.vectors[0], np.eye(2))
 
 
-def test_polyline_transport_is_one_solve(sphere_chart, monkeypatch):
-    solves = []
-    integrate = nk.integrate_ode
-    monkeypatch.setattr(nk, "integrate_ode",
-                        lambda *a, **kw: solves.append(1) or integrate(*a, **kw))
+def test_polyline_transport_is_one_solve(sphere_chart, solves):
     pts = np.array([[0.2, 1.0], [1.0, 1.3], [1.5, 0.9], [2.4, 1.6]])
     ig.parallel_transport(sphere_chart, pts, np.eye(2))
     assert len(solves) == 1
+
+
+@pytest.mark.parametrize("name, x0, v0, length",
+                         [("sphere_chart", [0.3, 1.0], [1.0, 0.4], 2.0),
+                          ("halfplane", [0.0, 1.0], [1.0, 0.5], 2.5)])
+def test_geodesic_transports_its_velocity(request, name, x0, v0, length):
+    chart = request.getfixturevalue(name)
+    path = ig.geodesic_trace(chart, x0, v0, length)
+    assert path.reason == "completed"
+    res = ig.parallel_transport(chart, path, path.vs[0])
+    assert res.path_kind == "geodesic"
+    assert res.ts[0] == 0.0 and res.ts[-1] == 1.0
+    assert np.array_equal(res.positions[0], path.start)
+    assert np.abs(res.final - path.end_velocity).max() < 1e-9
+
+
+def test_octant_holonomy_is_one_solve(octant, solves):
+    chart, sides = octant
+    h = ig.holonomy(chart, sides)
+    assert len(solves) == 1
+    assert abs(abs(h.angle) - math.pi / 2) < 1e-9
+    assert h.orthogonality_residual < 1e-8
+
+
+def test_geodesic_sides_must_join(octant, sphere_chart):
+    chart, sides = octant
+    short = ig.geodesic_trace(chart, sides[1].start, sides[1].vs[0],
+                              math.pi / 2 - 1e-3)
+    with pytest.raises(nk.PreconditionError, match="side 2"):
+        ig.holonomy(chart, [sides[0], short, sides[2]])
+    # along the equator the second side starts one period back
+    a = ig.geodesic_trace(sphere_chart, [5.0, math.pi / 2], [1.0, 0.0], 1.5)
+    b = ig.geodesic_trace(sphere_chart, a.end - [2 * math.pi, 0.0],
+                          [1.0, 0.0], 1.0)
+    res = ig.parallel_transport(sphere_chart, [a, b], [1.0, 0.0])
+    assert np.abs(res.final - [1.0, 0.0]).max() < 1e-9
 
 
 def test_polyline_outside_chart_rejected(halfplane):
@@ -250,6 +296,21 @@ def test_circle_lengths_batch_matches_single(halfplane):
     single = ig.geodesic_circle(halfplane, P, 0.6)
     assert lengths[0.6] == pytest.approx(single.length, abs=1e-9)
     assert all(e < 1e-3 for e in errs.values())
+
+
+@pytest.mark.parametrize("name, P, count", [("halfplane", [0.5, 2.0], 3),
+                                            ("s3", [0.2, -0.3, 0.5], 2)])
+def test_scalar_curvature_solve_count(request, solves, name, P, count):
+    ig.scalar_curvature_estimate(request.getfixturevalue(name), P)
+    assert len(solves) == count
+
+
+def test_shrink_radii_at_chart_edges(sphere_chart, halfplane):
+    hyperboloid = cat.builtin("hyperboloid_pullback").build()
+    for chart, P, r0 in ((sphere_chart, [1.0, 0.25], 0.1),
+                         (hyperboloid, [1.9, 0.0], 0.025),
+                         (halfplane, [0.0, 0.12], 0.2)):
+        assert ig._shrink_radii(chart, np.array(P), 0.2) == r0
 
 
 def test_scalar_curvature_plane_and_halfplane(plane, halfplane):

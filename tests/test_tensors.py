@@ -95,11 +95,7 @@ def test_holonomy_oracle_matches_components_3d(s3):
     assert np.abs(m - tn.riemann_at(s3, x).operator(u, v)).max() < 1e-3
 
 
-def test_holonomy_oracle_is_two_solves(halfplane, monkeypatch):
-    solves = []
-    integrate = nk.integrate_ode
-    monkeypatch.setattr(nk, "integrate_ode",
-                        lambda *a, **kw: solves.append(1) or integrate(*a, **kw))
+def test_holonomy_oracle_is_two_solves(halfplane, solves):
     tn.riemann_holonomy_oracle(halfplane, np.array([0.3, 2.0]),
                                np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     assert len(solves) == 2
