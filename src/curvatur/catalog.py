@@ -21,11 +21,21 @@ Most builtins are defined as source text in this same language and go
 through the parser; the exceptions are the 3D round-sphere chart (the
 grammar is two-dimensional) and function-shaped builtins whose defining
 expressions arrive as parameters.
+
+``GeometrySpec.build`` compiles all component expressions of a geometry
+once into one straight-line :class:`Program`: parameters and constant
+subtrees fold to floats, and a subtree shared by several components is
+evaluated once per call.  A metric's program writes the whole matrix into
+one stacked jet, which is what :class:`~curvatur.intrinsic.MetricChart`
+evaluators return.  :func:`eval_expr` walks the tree instead; it is the
+reference the programs are tested against, and it evaluates domain bounds
+and the constants the compiler folds.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -112,10 +122,7 @@ def eval_expr(e, env):
         return _FN_TABLE[e.fn](eval_expr(e.arg, env))
     a = eval_expr(e.lhs, env)
     if e.op == "^":
-        b = eval_expr(e.rhs, env)
-        if isinstance(b, float) and float(b).is_integer():
-            b = int(b)
-        return a ** b
+        return a ** _exponent(eval_expr(e.rhs, env))
     b = eval_expr(e.rhs, env)
     if e.op == "+":
         return a + b
@@ -159,6 +166,138 @@ def print_expr(e, parent_prec=0):
 
 
 # ---------------------------------------------------------------------------
+# compiled programs
+# ---------------------------------------------------------------------------
+
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _exponent(b):
+    """An integral float exponent as an int, so that a jet power is a
+    product chain."""
+    return int(b) if isinstance(b, float) and float(b).is_integer() else b
+
+
+def _power(a, b):
+    return a ** _exponent(b)
+
+
+def _reciprocal(b):
+    return b.reciprocal() if isinstance(b, Jet) else 1.0 / b
+
+
+def _divide(a, b, rb):
+    """``a / b`` given ``rb = _reciprocal(b)``.  A jet quotient is
+    ``a * b.reciprocal()``, as ``Jet.__truediv__`` computes it, so every
+    quotient by one jet shares its reciprocal."""
+    return a * rb if isinstance(b, Jet) else a / b
+
+
+class Program:
+    """Expressions compiled once into a straight-line program over one
+    register list (Griewank & Walther, Evaluating Derivatives, 2nd ed.,
+    ch. 2).
+
+    Registers hold the inputs, then the constants, then one value per
+    instruction.  Every subtree free of input names (numbers, parameters,
+    ``pi``) folds to a constant through :func:`eval_expr`, the reference
+    evaluator, and constant exponents are resolved as it resolves them.
+    Structurally equal subtrees share one register across all the
+    expressions, and quotients by one divisor share its reciprocal, so each
+    is evaluated once per call.  An instruction is an operator or a
+    :mod:`numkit` function applied at run time, the operation
+    :func:`eval_expr` applies, so on floats, arrays and jets alike a
+    program's outputs are bit-identical to it.
+
+    Calling a program with one value per input returns the list of the
+    expressions' values; ``outputs`` holds their registers.
+    """
+
+    def __init__(self, exprs, inputs, params):
+        self.inputs = tuple(inputs)
+        self.consts = []
+        self._params = dict(params)
+        # compile to (kind, index) references, numbered at the end
+        self._memo = {Name(v): ("in", k) for k, v in enumerate(self.inputs)}
+        self._tape = []
+        refs = [self._emit(e) for e in exprs]
+        base = {"in": 0, "c": len(self.inputs),
+                "t": len(self.inputs) + len(self.consts)}
+
+        def reg(ref):
+            return base[ref[0]] + ref[1]
+
+        self.tape = [(fn, tuple(map(reg, args))) for fn, args in self._tape]
+        self.outputs = [reg(r) for r in refs]
+        del self._memo, self._tape, self._params
+
+    def constant(self, reg):
+        """The value of a register folded at compile time, else None."""
+        k = reg - len(self.inputs)
+        return self.consts[k] if 0 <= k < len(self.consts) else None
+
+    def run(self, inputs):
+        """All registers for one value per input."""
+        if len(inputs) != len(self.inputs):
+            raise PreconditionError(f"program takes {len(self.inputs)} "
+                                    f"inputs, got {len(inputs)}")
+        regs = [*inputs, *self.consts]
+        for fn, args in self.tape:
+            regs.append(fn(*[regs[k] for k in args]))
+        return regs
+
+    def __call__(self, *inputs):
+        regs = self.run(inputs)
+        return [regs[k] for k in self.outputs]
+
+    # -- compilation ----------------------------------------------------
+
+    def _constant(self, value):
+        self.consts.append(value)
+        return ("c", len(self.consts) - 1)
+
+    def _op(self, fn, *args):
+        self._tape.append((fn, args))
+        return ("t", len(self._tape) - 1)
+
+    def _memoized(self, key, make):
+        ref = self._memo.get(key)
+        if ref is None:
+            ref = self._memo[key] = make()
+        return ref
+
+    def _emit(self, e):
+        return self._memoized(e, lambda: self._compile(e))
+
+    def _compile(self, e):
+        if free_names(e).isdisjoint(self.inputs):
+            try:
+                return self._constant(eval_expr(e, self._params))
+            except KeyError as k:
+                raise PreconditionError(f"unbound name {k.args[0]!r}") \
+                    from None
+        if isinstance(e, Unary):
+            return self._op(operator.neg, self._emit(e.arg))
+        if isinstance(e, Call):
+            return self._op(_FN_TABLE[e.fn], self._emit(e.arg))
+        lhs = self._emit(e.lhs)
+        if e.op == "^":
+            if free_names(e.rhs).isdisjoint(self.inputs):
+                b = self._memoized(("^", e.rhs), lambda: self._constant(
+                    _exponent(eval_expr(e.rhs, self._params))))
+                return self._op(operator.pow, lhs, b)
+            return self._op(_power, lhs, self._emit(e.rhs))
+        rhs = self._emit(e.rhs)
+        if e.op != "/":
+            return self._op(_OPERATORS[e.op], lhs, rhs)
+        if rhs[0] == "c":
+            return self._op(operator.truediv, lhs, rhs)
+        rb = self._memoized(("1/", rhs), lambda: self._op(_reciprocal, rhs))
+        return self._op(_divide, lhs, rhs, rb)
+
+
+# ---------------------------------------------------------------------------
 # tokenizer and parser
 # ---------------------------------------------------------------------------
 
@@ -167,6 +306,7 @@ class ParseError(ValueError):
     """Syntax error with location and the token set that was expected."""
 
     def __init__(self, message, line, col, expected=()):
+        self.message = message
         self.line = line
         self.col = col
         self.expected = tuple(sorted(expected))
@@ -351,6 +491,15 @@ class _Parser:
         return (lo, hi)
 
 
+def _check_bound(e, names):
+    """``e``, or a ParseError at its first name outside ``names`` and pi."""
+    unbound = sorted(free_names(e) - set(names) - {"pi"})
+    if unbound:
+        raise ParseError(f"unbound name {unbound[0]!r}",
+                         *_node_pos(e, unbound[0]))
+    return e
+
+
 def _node_pos(e, ident):
     """Position of the first occurrence of an identifier in an expression."""
     if isinstance(e, Name):
@@ -403,48 +552,30 @@ class GeometrySpec:
     def dim(self):
         return len(self.coords)
 
-    def _env(self, jets):
-        env = dict(self.params)
-        for cname, j in zip(self.coords, jets):
-            env[cname] = j
-        return env
-
     def build(self):
-        """Compile to a ParamCurve, SurfacePatch, or MetricChart."""
+        """Compile to a ParamCurve, SurfacePatch, or MetricChart.
+
+        All component expressions compile into one :class:`Program`; a
+        metric's program writes each distinct entry once into the stacked
+        metric jet."""
         if self.builder is not None:
             return self.builder(self)
         periods = self.periods or (None,) * self.dim
 
         if self.kind == "curve":
-            exprs = self.exprs
-
-            def cfn(t):
-                env = self._env([t])
-                return [eval_expr(e, env) for e in exprs]
-
-            return ParamCurve(cfn, self.domain[0], dim=len(exprs))
+            return ParamCurve(Program(self.exprs, self.coords, self.params),
+                              self.domain[0], dim=len(self.exprs))
 
         if self.kind == "surface":
-            exprs = self.exprs
-
-            def sfn(u, v):
-                env = self._env([u, v])
-                return [eval_expr(e, env) for e in exprs]
-
-            return SurfacePatch(sfn, self.domain, flip_normal=
-                                self.flip_normal, periods=periods,
-                                name=self.name)
+            return SurfacePatch(Program(self.exprs, self.coords, self.params),
+                                self.domain, flip_normal=self.flip_normal,
+                                periods=periods, name=self.name)
 
         if self.kind == "metric":
-            exprs = self.exprs
-            n = self.dim
-
-            def gfn(xj):
-                env = self._env(list(xj))
-                return [[eval_expr(exprs[i][j], env) for j in range(n)]
-                        for i in range(n)]
-
-            chart = MetricChart(n, self.domain, gfn,
+            program = Program([e for row in self.exprs for e in row],
+                              self.coords, self.params)
+            chart = MetricChart(self.dim, self.domain,
+                                _metric_fn(program, self.dim),
                                 provenance=self.provenance, periods=periods,
                                 name=self.name)
             self._spd_check(chart)
@@ -467,6 +598,33 @@ class GeometrySpec:
             self.warnings.append(
                 "metric is not positive definite at some domain samples "
                 f"(min eigenvalue {eig.min():.3g})")
+
+
+def _metric_fn(program, n):
+    """A chart evaluator that runs ``program`` (the n x n entries, row by
+    row) and writes each distinct entry once into the stacked metric jet:
+    equal entries share one register, and constant ones are written as
+    constants."""
+    consts, slots = [], {}
+    for k, r in enumerate(program.outputs):
+        c = program.constant(r)
+        if c is not None:
+            consts.append((divmod(k, n), c))
+        else:
+            slots.setdefault(r, []).append(divmod(k, n))
+    writes = [(r, tuple(zip(*ij))) for r, ij in slots.items()]
+
+    def gfn(xj):
+        regs = program.run(xj)
+        like = xj[0]
+        coef = np.zeros(like.coef.shape[:1] + (n, n) + like.coef.shape[1:])
+        for (i, j), c in consts:
+            coef[0, i, j] = c
+        for r, (rows, cols) in writes:
+            coef[:, rows, cols] = regs[r].coef[:, None]
+        return Jet(like.nvars, like.order, coef)
+
+    return gfn
 
 
 def parse_geometry(text) -> GeometrySpec:
@@ -500,30 +658,32 @@ def parse_geometry(text) -> GeometrySpec:
     return spec
 
 
-def parse_expression(text, variables=("s",), params=None):
-    """Compile a single expression into a callable of ``variables``.
-
-    The expression uses the same grammar as geometry component
-    expressions.  ``params`` supplies extra bound constants.
-    """
+def _parse_alone(text):
+    """The expression that makes up all of ``text``."""
     p = _Parser(tokenize(text))
     expr = p.parse_expr()
     tok = p.peek()
     if tok.kind != "eof":
         raise ParseError(f"unexpected trailing input {tok.text!r}",
                          tok.line, tok.col)
+    return expr
+
+
+def parse_expression(text, variables=("s",), params=None):
+    """Compile a single expression into a callable of ``variables``.
+
+    The expression uses the same grammar as geometry component
+    expressions and compiles to a :class:`Program`.  ``params`` supplies
+    extra bound constants.
+    """
+    expr = _parse_alone(text)
     bound = dict(params or {})
     unknown = free_names(expr) - set(bound) - set(variables) - {"pi"}
     if unknown:
         raise PreconditionError(
             f"expression uses unbound names: {', '.join(sorted(unknown))}")
-
-    def fn(*vals):
-        env = dict(bound)
-        env.update(zip(variables, vals))
-        return eval_expr(expr, env)
-
-    return fn
+    program = Program([expr], variables, bound)
+    return lambda *vals: program(*vals)[0]
 
 
 def _parse_declaration(p: _Parser, kind, params):
@@ -545,24 +705,14 @@ def _parse_declaration(p: _Parser, kind, params):
         ranges.append(p.parse_range(coords, params))
     p.expect_sym(")")
     p.expect_sym("=")
-
-    def check(e):
-        extra = free_names(e) - set(coords) - set(params) - {"pi"}
-        if extra:
-            nm = sorted(extra)[0]
-            try:
-                line, col = _node_pos(e, nm)
-            except LookupError:
-                line, col = p.peek().line, p.peek().col
-            raise ParseError(f"unbound name {nm!r}", line, col)
-        return e
+    names = set(coords) | set(params)
 
     if kind in ("curve", "surface"):
         p.expect_sym("(")
-        comps = [check(p.parse_expr())]
+        comps = [_check_bound(p.parse_expr(), names)]
         while p.peek().kind == "sym" and p.peek().text == ",":
             p.advance()
-            comps.append(check(p.parse_expr()))
+            comps.append(_check_bound(p.parse_expr(), names))
         p.expect_sym(")")
         want = (2, 3) if kind == "curve" else (3,)
         if len(comps) not in want:
@@ -576,9 +726,9 @@ def _parse_declaration(p: _Parser, kind, params):
     rows = []
     for i in range(2):
         p.expect_sym("[")
-        row = [check(p.parse_expr())]
+        row = [_check_bound(p.parse_expr(), names)]
         p.expect_sym(",")
-        row.append(check(p.parse_expr()))
+        row.append(_check_bound(p.parse_expr(), names))
         p.expect_sym("]")
         rows.append(tuple(row))
         if i == 0:
@@ -662,14 +812,15 @@ _BUILTIN_PERIODS = {
 }
 
 _EXPR_PARAM_BUILTINS = {
-    # name: (template, expression parameter defaults)
+    # name: (template, its coordinates, expression parameter defaults)
     "graph": ("surface graph (u,v in [-1,1]x[-1,1]) = (u, v, {f})",
-              {"f": "u^2 + v^2"}),
+              ("u", "v"), {"f": "u^2 + v^2"}),
     "revolution": (f"surface revolution (u,v in [0,{_TWO_PI}]x[-1.2,1.2]) = "
                    "(({f})*cos(u), ({f})*sin(u), {h})",
-                   {"f": "2 + cos(v)", "h": "v"}),
+                   ("u", "v"), {"f": "2 + cos(v)", "h": "v"}),
     "conformal": ("metric conformal (x,y in [-1.5,1.5]x[-1.5,1.5]) = "
-                  "[[{lam}, 0], [0, {lam}]]", {"lam": "1 + x^2 + y^2"}),
+                  "[[{lam}, 0], [0, {lam}]]", ("x", "y"),
+                  {"lam": "1 + x^2 + y^2"}),
 }
 
 BUILTIN_NAMES = tuple(sorted(list(_BUILTIN_SOURCES) +
@@ -681,11 +832,26 @@ def _s3_builder(spec: GeometrySpec) -> MetricChart:
         x, y, z = xj
         r2 = x * x + y * y + z * z
         f = ((nk.as_jet(1.0, x) + 0.25 * r2) ** 2).reciprocal()
-        zero = nk.as_jet(0.0, x)
-        return [[f, zero, zero], [zero, f, zero], [zero, zero, f]]
+        # f times the identity; the off-diagonal zeros are written, not
+        # computed as 0 * f, which can give -0.0
+        coef = np.zeros(f.coef.shape[:1] + (3, 3) + f.coef.shape[1:])
+        for i in range(3):
+            coef[:, i, i] = f.coef
+        return Jet(f.nvars, f.order, coef)
 
     return MetricChart(3, spec.domain, gfn, provenance="builtin",
                        name="s3_round")
+
+
+def _expression_parameter(key, text, names):
+    """An expression-valued builtin parameter, parsed on its own so that a
+    ParseError names the parameter and points into the caller's string;
+    ``names`` are the names it may use besides ``pi``."""
+    try:
+        return _check_bound(_parse_alone(text), names)
+    except ParseError as exc:
+        raise ParseError(f"parameter {key!r}: {exc.message}", exc.line,
+                         exc.col, exc.expected) from None
 
 
 def builtin(name, params=None) -> GeometrySpec:
@@ -706,22 +872,25 @@ def builtin(name, params=None) -> GeometrySpec:
         return spec
 
     if name in _EXPR_PARAM_BUILTINS:
-        template, defaults = _EXPR_PARAM_BUILTINS[name]
-        exprs = dict(defaults)
+        template, coords, defaults = _EXPR_PARAM_BUILTINS[name]
+        texts = dict(defaults)
         numeric = {}
         for k, v in params.items():
-            if k in exprs:
-                exprs[k] = str(v)
+            if k in texts:
+                texts[k] = str(v)
             else:
                 numeric[k] = float(v)
-        spec = parse_geometry("".join(f"param {k} = {v!r}\n"
-                                      for k, v in numeric.items())
-                              + template.format(**exprs))
-        used = {t.text for e in exprs.values() for t in tokenize(e)
-                if t.kind == "ident"} - set(spec.coords)
+        exprs = {k: _expression_parameter(k, text, set(coords) | set(numeric))
+                 for k, text in texts.items()}
+        used = set().union(*map(free_names, exprs.values())) - set(coords)
         for k in numeric:
             if k not in used:
                 raise PreconditionError(f"{name} has no parameter {k!r}")
+        # the printed expressions parse back to the same trees
+        spec = parse_geometry("".join(f"param {k} = {v!r}\n"
+                                      for k, v in numeric.items())
+                              + template.format(**{k: print_expr(e) for k, e
+                                                   in exprs.items()}))
         spec.provenance = "builtin"
         if name in _BUILTIN_PERIODS:
             spec.periods = _BUILTIN_PERIODS[name]

@@ -1,18 +1,21 @@
 """Intrinsic geometry over metric charts.
 
 A :class:`MetricChart` is a coordinate box with a metric evaluator that
-produces jet-valued entries.  The Christoffel symbols have one derivation,
-:func:`christoffel_jet`: the entries are stacked into one matrix-valued jet,
-differentiated, and contracted with the jet inverse of the metric, so the
-symbols come out as one jet, exact (within roundoff) rather than
-differenced.  Every consumer reads off that jet: :func:`christoffel_at`
-takes its value, :func:`christoffel_and_grad` its value and gradient (for
-the variational equations), :func:`riemann_jet` builds the curvature tensor
-as one jet from it, and the covariant calculus of :mod:`curvatur.tensors`
-uses its higher coefficients.  On top of that sit
-geodesics, the exponential map (with optional variational state for
-derivatives of exp), parallel transport, holonomy, geodesic circles, the
-comparison-limit scalar curvature, and two-point distance by shooting.
+returns the whole metric as one matrix-valued jet per call: parsed charts
+run a compiled program of :mod:`curvatur.catalog`, pullback charts contract
+the stacked tangent jets of their patch, and builder charts write their
+entries into the stacked coefficients directly.  The Christoffel symbols
+have one derivation, :func:`christoffel_jet`: the metric jet is
+differentiated and contracted with its jet inverse, so the symbols come out
+as one jet, exact (within roundoff) rather than differenced.  Every consumer
+reads off that jet: :func:`christoffel_at` takes its value,
+:func:`christoffel_and_grad` its value and gradient (for the variational
+equations), :func:`riemann_jet` builds the curvature tensor as one jet from
+it, and the covariant calculus of :mod:`curvatur.tensors` uses its higher
+coefficients.  On top of that sit geodesics, the exponential map (with
+optional variational state for derivatives of exp), parallel transport,
+holonomy, geodesic circles, the comparison-limit scalar curvature, and
+two-point distance by shooting.
 
 Each job is one batched solve: whole batches of geodesics integrate in one
 flat ODE system with shared step control, which is what keeps the
@@ -53,8 +56,10 @@ class MetricChart:
     domain : sequence of (lo, hi) pairs, one per coordinate
     gfn : callable
         Receives a list of ``dim`` fresh coordinate jets (possibly batched)
-        and returns the metric matrix as nested lists of jets (constants
-        allowed).  Entries must be symmetric.
+        and returns the metric as one jet with coefficients
+        (K, dim, dim, ...batch), written once per call.  Hand-written
+        evaluators may return nested lists of jets and constants instead;
+        :meth:`metric_jet` stacks those.  Entries must be symmetric.
     provenance : str
         One of "pullback-from-patch", "builtin", "parsed".
     periods : tuple of float or None
@@ -90,21 +95,21 @@ class MetricChart:
             ok &= (x[i] >= lo + margin) & (x[i] <= hi - margin)
         return ok
 
+    def metric_jet(self, xj):
+        """The metric as one jet with coefficients (K, n, n, ...batch) at
+        the seed variables ``xj`` (from :meth:`Jet.variables`)."""
+        g = self._gfn(list(xj))
+        if isinstance(g, Jet):
+            return g
+        return nk.jet_stack([[nk.as_jet(c, xj[0]) for c in row] for row in g])
+
     def entries(self, xj):
-        """Metric matrix as nested lists of jets at the seed variables
-        ``xj`` (from :meth:`Jet.variables`), constants promoted to jets."""
-        rows = self._gfn(list(xj))
-        return [[nk.as_jet(rows[i][j], xj[0]) for j in range(self.dim)]
-                for i in range(self.dim)]
+        """Metric matrix as nested lists of scalar jets at ``xj``."""
+        return nk.jet_unstack(self.metric_jet(xj), 2)
 
     def metric_jets(self, x, order=1):
         """Metric entries as jets of the given order at point(s) x."""
         return self.entries(Jet.variables(np.asarray(x, dtype=float), order))
-
-    def metric_jet(self, xj):
-        """The metric as one jet with coefficients (K, n, n, ...batch),
-        truncated to the common order of its entries."""
-        return nk.jet_stack(self.entries(xj))
 
     def g_at(self, x):
         """Metric matrix, shape (n, n, ...batch)."""
@@ -192,13 +197,14 @@ def pullback_metric(surface) -> MetricChart:
                        np.asarray(vj.value, dtype=float)
                        * np.ones_like(uj.value)])
         bu, bv = Jet.variables(uv, m + 1)
-        r = [nk.as_jet(c, bu) for c in surface._fn(bu, bv)]
-        # the entries are jets in seed variables at the chart's point, the
-        # same variables as xj truncated to order m
-        basis = ([nk.derivative_nd(c, 0) for c in r],
-                 [nk.derivative_nd(c, 1) for c in r])
-        return [[nk.vdot(basis[i], basis[j]) for j in range(2)]
-                for i in range(2)]
+        r = nk.jet_stack([nk.as_jet(c, bu) for c in surface._fn(bu, bv)])
+        # r_u and r_v, coefficients (K, 3, ...): jets in seed variables at
+        # the chart's point, the same variables as xj truncated to order m
+        ru, rv = nk.derivative_nd(r, 0), nk.derivative_nd(r, 1)
+        E, F, G = ((a * b).coef.sum(axis=1)
+                   for a, b in ((ru, ru), (ru, rv), (rv, rv)))
+        return Jet(2, m, np.stack([np.stack([E, F], 1),
+                                   np.stack([F, G], 1)], 1))
 
     return MetricChart(2, surface.domain, gfn,
                        provenance="pullback-from-patch",

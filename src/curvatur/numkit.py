@@ -608,15 +608,40 @@ def jet_unstack(j: Jet, rank: int):
             for i in range(j.coef.shape[1])]
 
 
+_NEXT, _AFTER = [1, 2, 0], [2, 0, 1]
+
+
+def _matrix_inv(m):
+    """Inverses of the (n, n, ...batch) matrices ``m``, n in {2, 3}, from the
+    adjugate: whole-array products over the batch axes, no per-lane solve."""
+    n = m.shape[0]
+    if n == 2:
+        adj = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    elif n == 3:
+        # cyclic cofactors carry their own signs: C_ij = m[i+1, j+1] m[i+2, j+2]
+        # - m[i+1, j+2] m[i+2, j+1], indices mod 3
+        m1, m2 = m.take(_NEXT, 0), m.take(_AFTER, 0)
+        cof = (m1.take(_NEXT, 1) * m2.take(_AFTER, 1)
+               - m1.take(_AFTER, 1) * m2.take(_NEXT, 1))
+        adj = cof.swapaxes(0, 1)
+        det = (m[0] * cof[0]).sum(axis=0)
+    else:
+        raise PreconditionError(f"matrix inverse supports n = 2 or 3, got {n}")
+    if not np.all(det):
+        raise np.linalg.LinAlgError("Singular matrix")
+    return adj / det
+
+
 def jet_inv(a: Jet) -> Jet:
-    """Inverse of a matrix-valued jet with coefficients (K, n, n, ...batch).
+    """Inverse of a matrix-valued jet with coefficients (K, n, n, ...batch),
+    n in {2, 3}.
 
     With a = a0 (1 + a0^-1 d), where d = a - a0 has no constant term,
     a^-1 = sum_p (-a0^-1 d)^p a0^-1; the series ends at the jet order
     because d^(order+1) truncates to zero.
     """
-    a0 = np.linalg.inv(np.moveaxis(a.coef[0], (0, 1), (-2, -1)))
-    inv0 = Jet.constant(np.moveaxis(a0, (-2, -1), (0, 1)), a.nvars, a.order)
+    inv0 = Jet.constant(_matrix_inv(a.coef[0]), a.nvars, a.order)
     d = Jet(a.nvars, a.order, a.coef.copy())
     d.coef[0] = 0.0
     out = inv0

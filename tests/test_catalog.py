@@ -74,6 +74,96 @@ def test_printed_expressions_parse_back(e):
 
 
 # ---------------------------------------------------------------------------
+# compiled programs
+# ---------------------------------------------------------------------------
+
+
+_PARSED = {
+    "curve": "param a = 0.5\ncurve c (t in [0.1,2]) = "
+             "(a*t^3 - 2*t/(1 + t^2), exp(-t)/t + log(t), "
+             "sqrt(1 + t^2)*cosh(t) - sinh(a*t)/(1 + t^2))",
+    "surface": "param k = 3\nsurface s (u,v in [0.1,1]x[0.1,1]) = "
+               "(u*cos(v)^2, tan(u/k)*v, (u - v)^-2 + (u - v)^0.5*pi)",
+    "metric": "metric m (x,y in [0.1,1]x[0.1,1]) = "
+              "[[exp(x*y)/(1 + x^2), -x*y/(1 + x^2)], "
+              "[-x*y/(1 + x^2), 2 + sin(pi*y)]]",
+}
+
+
+def _specs():
+    for name in cat.BUILTIN_NAMES:
+        spec = cat.builtin(name)
+        if spec.builder is None:
+            yield name, spec
+    for kind, text in _PARSED.items():
+        yield "parsed " + kind, cat.parse_geometry(text)
+
+
+def _bits(v):
+    """Type, shape and bytes of a float, array or jet value."""
+    a = np.asarray(v.coef if isinstance(v, nk.Jet) else v)
+    return type(v), a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("lanes", [None, 1, 7])
+def test_compiled_programs_match_eval_expr(lanes):
+    rng = np.random.default_rng(7)
+    for name, spec in _specs():
+        flat = ([e for row in spec.exprs for e in row]
+                if spec.kind == "metric" else list(spec.exprs))
+        program = cat.Program(flat, spec.coords, spec.params)
+        lo, hi = np.array(spec.domain).T[:, :, None]
+        x = lo + rng.uniform(0.2, 0.8, (spec.dim, lanes or 1)) * (hi - lo)
+        if lanes is None:
+            x = x[:, 0]
+        inputs = [[float(c) for c in x]] if lanes is None else []
+        inputs += [nk.Jet.variables(x, order) for order in (1, 2, 3, 4)]
+        for xs in inputs:
+            env = dict(spec.params, **dict(zip(spec.coords, xs)))
+            ref = [cat.eval_expr(e, env) for e in flat]
+            got = program(*xs)
+            assert list(map(_bits, got)) == list(map(_bits, ref)), name
+            if spec.kind == "metric" and isinstance(xs[0], nk.Jet):
+                # the stacked write equals the stack of the promoted entries
+                stacked = nk.jet_stack([[nk.as_jet(ref[2 * i + j], xs[0])
+                                         for j in range(2)] for i in range(2)])
+                assert (_bits(spec.build().metric_jet(xs))
+                        == _bits(stacked)), name
+
+
+def test_pi_parameter_shadows_the_constant():
+    assert cat.parse_expression("pi*s")(2.0) == 2 * math.pi
+    assert cat.parse_expression("pi*s", params={"pi": 3.0})(2.0) == 6.0
+    spec = cat.parse_geometry("param pi = 3\n"
+                              "curve c (t in [0,1]) = (pi*t, t)")
+    assert spec.build().jets(0.5, order=1)[0].value == 1.5
+
+
+def test_programs_share_subexpressions(monkeypatch):
+    halfplane = cat.builtin("lobachevsky_halfplane").build()
+    hyperboloid = cat.builtin("hyperboloid_pullback").build()
+    calls = {"reciprocal": 0, "__radd__": 0}
+    for method in calls:
+        original = getattr(nk.Jet, method)
+
+        def counted(*args, _method=method, _original=original):
+            calls[_method] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(nk.Jet, method, counted)
+    xj = nk.Jet.variables(np.array([0.3, 1.2]), 2)
+    halfplane.metric_jet(xj)
+    # 1/y^2 appears in both diagonal entries
+    assert calls["reciprocal"] == 1
+    calls.update(reciprocal=0, __radd__=0)
+    hyperboloid.metric_jet(xj)
+    # 1 + x^2 is the only float + jet sum of the hyperboloid metric, so it
+    # and 1 + x^2 + y^2 are evaluated once, and the three quotients by that
+    # sum share one reciprocal
+    assert calls == {"reciprocal": 1, "__radd__": 1}
+
+
+# ---------------------------------------------------------------------------
 # documents
 # ---------------------------------------------------------------------------
 
@@ -181,6 +271,22 @@ def test_expression_parameter_builtin():
         rep = sp.principal_at(patch, (0.5, v))
         assert rep.gauss == pytest.approx(-fpp / (f * (1 + fp * fp) ** 2),
                                           abs=1e-10)
+
+
+@pytest.mark.parametrize("params, col, needle", [
+    ({"f": "b*u^2"}, 1, "unbound name 'b'"),
+    ({"f": "b*u^2", "R": 2.0}, 1, "unbound name 'b'"),
+    ({"f": "a*u^2 + b*v", "a": 2.0}, 9, "unbound name 'b'"),
+    ({"f": "u^2 +"}, 6, "end of input"),
+    ({"f": "u^2 +", "a": 2.0}, 6, "end of input"),
+])
+def test_expression_parameter_errors_point_into_the_parameter(params, col,
+                                                              needle):
+    with pytest.raises(cat.ParseError) as exc:
+        cat.builtin("graph", params)
+    assert (exc.value.line, exc.value.col) == (1, col)
+    assert str(exc.value).startswith(f"line 1, column {col}: parameter 'f': ")
+    assert needle in str(exc.value)
 
 
 def test_scaled_sphere_params():

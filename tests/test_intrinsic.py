@@ -102,6 +102,24 @@ def test_christoffel_matches_embedded_on_torus():
         assert np.abs(batch[..., c] - ref).max() < 1e-12
 
 
+def test_christoffel_jet_constructions(monkeypatch, halfplane, sphere_chart):
+    # deterministic cost guard: Jet objects built per Christoffel evaluation
+    # stay at the counts of metrics written as one stacked jet per call
+    built = []
+    init = nk.Jet.__init__
+
+    def counted(jet, nvars, order, coef):
+        built.append(1)
+        init(jet, nvars, order, coef)
+
+    monkeypatch.setattr(nk.Jet, "__init__", counted)
+    ig.christoffel_and_grad(halfplane, np.array([0.2, 1.3]))
+    assert len(built) <= 24
+    built.clear()
+    ig.christoffel_at(sphere_chart, np.array([0.2, 1.3]))
+    assert len(built) <= 52
+
+
 def test_plane_geodesics_are_straight(plane):
     path = ig.geodesic_trace(plane, [0.0, 0.0], [3.0, 4.0], 1.0)
     assert path.reason == "completed"

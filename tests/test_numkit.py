@@ -179,6 +179,21 @@ def test_matrix_jets_match_scalar_jet_arithmetic(nvars, order, n):
             assert np.allclose(eye.coef[1:], 0.0, atol=1e-13)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("lanes", [1, 512])
+def test_order_zero_inverse_matches_lapack(n, lanes):
+    rng = np.random.default_rng([n, lanes])
+    a = rng.uniform(-1, 1, (n, n, lanes)) + 4.0 * np.eye(n)[:, :, None]
+    ref = np.moveaxis(np.linalg.inv(np.moveaxis(a, -1, 0)), 0, -1)
+    got = nk.jet_inv(nk.Jet(2, 0, a[None])).coef[0]
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    with pytest.raises(nk.PreconditionError):
+        nk.jet_inv(nk.Jet(2, 0, np.eye(4)[None]))
+    a[:, :, -1] = 0.0                   # one singular lane, as np.linalg.inv
+    with pytest.raises(np.linalg.LinAlgError):
+        nk.jet_inv(nk.Jet(2, 0, a[None]))
+
+
 @pytest.mark.parametrize("nvars,order,n", [(2, 3, 2), (3, 2, 3)])
 def test_jet_einsum_contracts_tensor_slots(nvars, order, n):
     # the quadratic term of the curvature tensor, on batched 3-index jets
