@@ -148,6 +148,13 @@ def _floats(text, n=None, label="value"):
     return np.array(vals, dtype=float)
 
 
+def _fan_samples(text):
+    try:
+        return ig.fan_samples(int(text))
+    except (ValueError, nk.PreconditionError) as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _parse_param(text):
     if "=" not in text:
         raise UsageError(f"--param expects name=value, got {text!r}")
@@ -751,8 +758,9 @@ def build_parser():
     _add_common(p)
     p.add_argument("--at", required=True, metavar="P", help="center")
     p.add_argument("--radius", required=True, type=float)
-    p.add_argument("--samples", type=int, default=256,
-                   help="directions around the center")
+    p.add_argument("--samples", type=_fan_samples, default=24,
+                   help="directions around the center (even, >= 8; "
+                   "every other one gives the error estimate)")
     p.set_defaults(func=_cmd_geodesic_circle)
 
     trans = sub.add_parser("transport", help="parallel transport")
@@ -781,7 +789,9 @@ def build_parser():
                    help="largest ladder radius")
     p.add_argument("--rungs", type=int, default=3,
                    help="halving ladder length")
-    p.add_argument("--samples", type=int, default=256)
+    p.add_argument("--samples", type=_fan_samples, default=24,
+                   help="directions per circle in 2D, azimuths by "
+                   "samples/2 polar nodes per sphere in 3D (even, >= 8)")
     p.set_defaults(func=_cmd_curvature_scalar)
     p = ksub.add_parser("riemann", help="Riemann tensor components")
     _add_common(p)

@@ -114,7 +114,7 @@ class MetricChart:
     def g_at(self, x):
         """Metric matrix, shape (n, n, ...batch)."""
         return self.metric_jet(Jet.variables(np.asarray(x, dtype=float),
-                                             1)).value
+                                             0)).value
 
     def metric_arrays(self, x, order=1):
         """(g, dg[, d2g]) arrays; dg[k,i,j] = d g_ij / d x_k, batch axes last."""
@@ -390,9 +390,10 @@ def _variational_rhs(chart: MetricChart, lanes: int, ncols: int,
     """RHS for geodesics carrying d(exp)/d(parameters) columns.
 
     State per lane: x (n), v (n), J (n x ncols), Jdot (n x ncols) where J
-    solves the linearized geodesic equation along the lane.  With
-    ``freeze`` a lane outside the box or with a non-finite derivative stops
-    (zero derivative) instead of stalling the step all lanes share.
+    solves the linearized geodesic equation along the lane.  A lane outside
+    the box has a NaN derivative, as in :func:`_geodesic_rhs`, unless
+    ``freeze``: then it stops (zero derivative), as does a lane with a
+    non-finite derivative, instead of stalling the step all lanes share.
     """
     n = chart.dim
 
@@ -402,6 +403,7 @@ def _variational_rhs(chart: MetricChart, lanes: int, ncols: int,
         v = np.ascontiguousarray(z[:, 1, :].T)
         J = np.moveaxis(z[:, 2:2 + ncols, :], 0, -1)        # (ncols, n, L)
         Jd = np.moveaxis(z[:, 2 + ncols:, :], 0, -1)
+        inside = chart.contains(x, margin=-1e-9)
         gamma, dgamma = christoffel_and_grad(chart, x)
         # contracted one index at a time; gv^k_j = Gamma^k_ij v^i serves both
         # acc and the linearized equation
@@ -417,21 +419,24 @@ def _variational_rhs(chart: MetricChart, lanes: int, ncols: int,
         out[:, 2:2 + ncols, :] = np.moveaxis(Jd, -1, 0)
         out[:, 2 + ncols:, :] = np.moveaxis(Jdd, -1, 0)
         if freeze:
-            out[~(chart.contains(x, margin=-1e-9)
-                  & np.isfinite(out).all(axis=(1, 2)))] = 0.0
+            out[~(inside & np.isfinite(out).all(axis=(1, 2)))] = 0.0
+        else:
+            out[~inside] = np.nan
         return out.ravel()
 
     return rhs
 
 
 def _exp_batch_variational(chart: MetricChart, P, U, dU, rtol=1e-10,
-                           atol=1e-12, shooting=False):
+                           atol=1e-12, freeze=False, steer=True):
     """Like :func:`_exp_batch` but carrying J = dx/d(param_c) columns.
 
     ``dU`` has shape (ncols, n, L): derivative of the initial velocity with
     respect to each variation parameter.  J(0) = 0, Jdot(0) = dU.  With
-    ``shooting`` lanes freeze outside the box and the error norm covers
-    x and v only, for callers that read lane endpoints and columns.
+    ``freeze`` lanes stop outside the box (see :func:`_variational_rhs`).
+    Unless ``steer``, the error norm covers x and v only and the columns,
+    which solve a linear equation along each lane, leave step control to
+    the geodesics (as sensitivities do in CVODES).
     """
     n = chart.dim
     ncols, _, L = dU.shape
@@ -439,10 +444,10 @@ def _exp_batch_variational(chart: MetricChart, P, U, dU, rtol=1e-10,
     z0[:, 0, :] = np.asarray(P, dtype=float).T
     z0[:, 1, :] = U.T
     z0[:, 2 + ncols:, :] = np.moveaxis(dU, -1, 0)
-    norm = np.flatnonzero(np.indices(z0.shape)[1] < 2) if shooting else None
+    norm = None if steer else np.flatnonzero(np.indices(z0.shape)[1] < 2)
     return nk.integrate_ode(nk.OdeProblem(
-        _variational_rhs(chart, L, ncols, freeze=shooting), z0.ravel(),
-        (0.0, 1.0), rtol, atol, error_index=norm))
+        _variational_rhs(chart, L, ncols, freeze), z0.ravel(), (0.0, 1.0),
+        rtol, atol, error_index=norm))
 
 
 # ---------------------------------------------------------------------------
@@ -633,61 +638,72 @@ def holonomy(chart: MetricChart, loop, closure_tol=1e-9) -> HolonomyResult:
 # ---------------------------------------------------------------------------
 
 
-def _polygon_length(chart: MetricChart, pts):
-    """Metric length of the closed polygon through pts (L, n), midpoint rule."""
-    nxt = np.roll(pts, -1, axis=0)
-    mid = 0.5 * (pts + nxt)
-    d = nxt - pts
-    g = chart.g_at(mid.T)
-    seg = np.sqrt(np.einsum('ijL,Li,Lj->L', g, d, d))
-    return float(seg.sum())
+_FAN_RTOL = 1e-10                           # rtol of every Jacobi fan
 
 
-def _circle_lengths(chart: MetricChart, P, radii, M, frame):
-    """Geodesic-circle lengths at the given radii with M direction samples
-    in the plane of the g-orthonormal ``frame`` (n, 2).
+def fan_samples(samples):
+    """Check a fan's direction count M, an even integer >= 8: M directions
+    per geodesic circle, M azimuths by M/2 polar nodes per sphere."""
+    if samples != int(samples) or samples < 8 or samples % 2:
+        raise PreconditionError(
+            f"samples must be an even integer >= 8, got {samples}")
+    return int(samples)
 
-    One batched integration serves every radius: lanes are directions and
-    circle points are read off the solver's dense output at t = r/r_max.
+
+def _jacobi_elements(chart: MetricChart, P, radii, U, dU, steer):
+    """Length, area or volume elements of exp_P(r U) at every radius r.
+
+    ``U`` (n, L) are directions and ``dU`` (c, n, L) their derivatives in
+    the c parameters of a circle (c = 1), sphere (c = 2) or cube (c = n).
+    One variational fan out to the largest radius carries the Jacobi
+    columns J = d exp_P(r U) / d(params), every radius is read off its
+    dense output, and one metric read gives sqrt(det(J^T g J)), shape
+    (radii, L).  ``steer`` goes to :func:`_exp_batch_variational`.
     """
-    P = np.asarray(P, dtype=float)
+    radii = np.asarray(radii, dtype=float)
+    rmax = radii.max()
     n = chart.dim
-    rmax = max(radii)
-    phis = 2.0 * math.pi * np.arange(M) / M
-    dirs = np.cos(phis) * frame[:, :1] + np.sin(phis) * frame[:, 1:2]  # (n, M)
-    traj = _exp_batch(chart, P, rmax * dirs)
-    out = {}
-    for r in radii:
-        pts = traj.eval(float(r) / rmax).reshape(M, 2, n)[:, 0, :]
-        out[float(r)] = _polygon_length(chart, pts)
-    return out
+    c, _, L = dU.shape
+    traj = _exp_batch_variational(chart, P, rmax * U, rmax * dU, _FAN_RTOL,
+                                  steer=steer)
+    z = traj.eval(radii / rmax).reshape(len(radii), L, 2 + 2 * c, n)
+    J = z[:, :, 2:2 + c]                                  # (R, L, c, n)
+    gram = np.einsum('RLcn,nmRL,RLdm->RLcd', J,
+                     chart.g_at(np.moveaxis(z[:, :, 0], -1, 0)), J)
+    return np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
 
 
-def geodesic_circle_lengths(chart: MetricChart, P, radii, samples=256,
+def geodesic_circle_lengths(chart: MetricChart, P, radii, samples=24,
                             frame=None):
-    """Richardson-refined circle lengths L(r) for each radius.
+    """Circle lengths L(r) for each radius, with error estimates.
 
     The circles lie in exp_P of the plane spanned by the g-orthonormal
     columns of ``frame`` (n, 2), by default the first two columns of
-    :meth:`MetricChart.orthonormal_basis`.  Every radius is read from the
-    same two geodesic fans (M and 2M directions out to the largest radius).
-    Returns (lengths dict, error dict): the polygon law has only even
-    powers of 1/M, so one doubling of the direction count removes the
-    leading term and leaves ~ (1/M)^4.
+    :meth:`MetricChart.orthonormal_basis`.  L(r) is the trapezoid sum of
+    |J_theta(r)|_g over M = ``samples`` directions u(theta), where
+    J_theta = d exp_P(r u(theta)) / d theta is the Jacobi column of one
+    variational fan (do Carmo, Riemannian Geometry, ch. 5).  The rule
+    converges geometrically in M for a smooth periodic integrand
+    (Trefethen & Weideman, SIAM Review 56, 2014), so the error estimate is
+    |L_M - L_{M/2}| (every other direction) plus the fan's rtol times L.
+    Returns (lengths dict, error dict).
     """
+    M = fan_samples(samples)
     radii = [float(r) for r in radii]
     if frame is None:
         frame = chart.orthonormal_basis(np.asarray(P, dtype=float))[:, :2]
-    lo = _circle_lengths(chart, P, radii, samples, frame)
-    hi = _circle_lengths(chart, P, radii, 2 * samples, frame)
-    out, err = {}, {}
-    for r in radii:
-        out[r] = (4.0 * hi[r] - lo[r]) / 3.0
-        err[r] = abs(hi[r] - lo[r]) / 3.0
-    return out, err
+    phis = 2.0 * math.pi * np.arange(M) / M
+    c, s = np.cos(phis), np.sin(phis)
+    U = c * frame[:, :1] + s * frame[:, 1:2]
+    dU = (c * frame[:, 1:2] - s * frame[:, :1])[None]
+    speed = _jacobi_elements(chart, P, radii, U, dU, steer=False)
+    full = 2.0 * math.pi * speed.mean(axis=1)
+    half = 2.0 * math.pi * speed[:, ::2].mean(axis=1)
+    err = np.abs(full - half) + _FAN_RTOL * full
+    return dict(zip(radii, full.tolist())), dict(zip(radii, err.tolist()))
 
 
-def circles_and_disks(chart: MetricChart, P, radii, samples=256,
+def circles_and_disks(chart: MetricChart, P, radii, samples=24,
                       radial_nodes=24):
     """Circle lengths L(R), disk areas S(R) and the lengths' error
     estimates for each R in ``radii``, as three dicts keyed by R.
@@ -720,14 +736,15 @@ class CircleResult:
     warnings: list
 
 
-def geodesic_circle(chart: MetricChart, P, R, samples=256,
+def geodesic_circle(chart: MetricChart, P, R, samples=24,
                     radial_nodes=24) -> CircleResult:
     """Circumference L(R) and disk area S(R) of a geodesic circle.
 
-    L comes from Richardson-refined polygon lengths over direction samples;
-    S integrates L(rho) over [0, R] with Gauss-Legendre nodes read from the
-    same batched geodesic fan.  The derivative law S'(R) = L(R) is checked
-    by central differences and reported as ``ds_dr_residual``.
+    L integrates the Jacobi-column speed over ``samples`` directions
+    (:func:`geodesic_circle_lengths`); S integrates L(rho) over [0, R] with
+    Gauss-Legendre nodes read from the same batched geodesic fan.  The
+    derivative law S'(R) = L(R) is checked by central differences and
+    reported as ``ds_dr_residual``.
     """
     if chart.dim != 2:
         raise PreconditionError("geodesic circles are defined on 2D charts")
@@ -791,7 +808,7 @@ def _shrink_radii(chart: MetricChart, P, r0):
 
 
 def scalar_curvature_estimate(chart: MetricChart, P, r0=0.2, rungs=3,
-                              samples=256) -> TauEstimate:
+                              samples=24) -> TauEstimate:
     """Scalar curvature at P from comparison limits of circles or spheres.
 
     For 2D charts: both 6 (2 pi R - L(R)) / (pi R^3) and the disk variant
@@ -799,7 +816,9 @@ def scalar_curvature_estimate(chart: MetricChart, P, r0=0.2, rungs=3,
     halving ladder {r0, r0/2, ...}; the circle route is the headline value
     and the two routes must agree within the combined error.  For 3D
     charts the geodesic-sphere area defect 6 (4 pi R^2 - S(R)) /
-    ((4 pi / 3) R^4) is used instead.
+    ((4 pi / 3) R^4) is used instead.  ``samples`` is the fan's direction
+    count M (:func:`fan_samples`): M directions per circle, M azimuths by
+    M/2 polar nodes per sphere.
     """
     P = np.asarray(P, dtype=float)
     r0 = _shrink_radii(chart, P, float(r0))
@@ -825,7 +844,7 @@ def scalar_curvature_estimate(chart: MetricChart, P, r0=0.2, rungs=3,
                            warnings)
 
     # 3D: geodesic-sphere area defect
-    areas = _geodesic_sphere_areas(chart, P, ladder)
+    areas = _geodesic_sphere_areas(chart, P, ladder, samples)
     defect = [6.0 * (4 * math.pi * R ** 2 - areas[R])
               / (MetricChart.BALL_VOLUME[3] * R ** 4) for R in ladder]
     rr = nk.richardson(nk.ExtrapolationLadder(np.array(ladder),
@@ -836,48 +855,30 @@ def scalar_curvature_estimate(chart: MetricChart, P, r0=0.2, rungs=3,
                        rr.monotone, warnings)
 
 
-def _geodesic_sphere_areas(chart: MetricChart, P, radii, n_theta=24,
-                           n_phi=48):
+def _geodesic_sphere_areas(chart: MetricChart, P, radii, samples=24):
     """Areas of geodesic spheres via one variational geodesic fan.
 
-    Directions are a Gauss-Legendre (polar) x trapezoid (azimuth) grid on
-    the unit g-sphere; the surface element uses d(exp)/d(direction) from
-    the variational state, so no differencing across lanes is needed.
+    Directions are a Gauss-Legendre (M/2 polar nodes) x trapezoid (M =
+    ``samples`` azimuths) grid on the unit g-sphere; the surface element
+    uses d(exp)/d(direction) from the variational state, so no differencing
+    across lanes is needed.
     """
-    P = np.asarray(P, dtype=float)
-    E = chart.orthonormal_basis(P)
-    rmax = max(radii)
-    thetas, tw = nk.gauss_legendre(n_theta, 0.0, math.pi)
-    phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    pw = 2.0 * math.pi / n_phi
-    T, F = np.meshgrid(thetas, phis, indexing="ij")
-    Tf, Ff = T.ravel(), F.ravel()
-    u = np.stack([np.sin(Tf) * np.cos(Ff), np.sin(Tf) * np.sin(Ff),
-                  np.cos(Tf)])
-    du_dT = np.stack([np.cos(Tf) * np.cos(Ff), np.cos(Tf) * np.sin(Ff),
-                      -np.sin(Tf)])
-    du_dF = np.stack([-np.sin(Tf) * np.sin(Ff), np.sin(Tf) * np.cos(Ff),
-                      np.zeros_like(Tf)])
-    U = rmax * (E @ u)
-    dU = np.stack([rmax * (E @ du_dT), rmax * (E @ du_dF)])
-    traj = _exp_batch_variational(chart, P, U, dU)
-    lanes = U.shape[1]
-    n = chart.dim
-    W = (tw[:, None] * np.full(n_phi, pw)[None, :]).ravel()
-    out = {}
-    for r in radii:
-        z = traj.eval(float(r) / rmax).reshape(lanes, 2 + 2 * 2, n)
-        x = z[:, 0, :].T
-        J = np.moveaxis(z[:, 2:4, :], 0, -1)        # (2, n, lanes)
-        g = chart.g_at(x)
-        a = np.einsum('cnL,nmL,dmL->cdL', J, g, J)
-        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        out[float(r)] = float(np.sum(W * np.sqrt(np.maximum(det, 0.0))))
-    return out
+    M = fan_samples(samples)
+    E = chart.orthonormal_basis(np.asarray(P, dtype=float))
+    thetas, tw = nk.gauss_legendre(M // 2, 0.0, math.pi)
+    T, F = np.meshgrid(thetas, 2.0 * math.pi * np.arange(M) / M,
+                       indexing="ij")
+    st, ct = np.sin(T.ravel()), np.cos(T.ravel())
+    sf, cf = np.sin(F.ravel()), np.cos(F.ravel())
+    u = np.stack([st * cf, st * sf, ct])
+    du = np.stack([[ct * cf, ct * sf, -st], [-st * sf, st * cf, 0.0 * st]])
+    area = _jacobi_elements(chart, P, radii, E @ u, E @ du, steer=True)
+    W = np.repeat(tw * (2.0 * math.pi / M), M)
+    return dict(zip([float(r) for r in radii], (area @ W).tolist()))
 
 
 def plane_scalar_estimate(chart: MetricChart, P, u, v, r0=0.2, rungs=3,
-                          samples=256):
+                          samples=24):
     """Scalar curvature of the geodesic surface spanned by u, v at P.
 
     Radial geodesics of the ambient chart lying in exp(span(u, v)) are
@@ -968,7 +969,7 @@ def _shoot(chart, P, Q, E, first, pair, tol, max_iter, out):
             z = _exp_batch_variational(
                 chart, P[p].T, np.einsum('Lic,Lc->iL', El, W),
                 np.transpose(El, (2, 1, 0)), rtol, 1e-2 * rtol,
-                shooting=True).final
+                freeze=True, steer=False).final
         except nk.StepUnderflowError:
             z = np.full(len(lanes) * (2 + 2 * n) * n, np.nan)
         z = z.reshape(len(lanes), 2 + 2 * n, n)

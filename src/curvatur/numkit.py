@@ -209,13 +209,12 @@ class Jet:
         values : array_like, shape (nvars, ...) or sequence of scalars
             Expansion point; trailing axes become batch axes.
         order : int
+            0..MAX_ORDER; order 0 carries values only, for plain reads
 
         Returns
         -------
         list of Jet, one per variable
         """
-        if order < 1:
-            raise PreconditionError(f"seed variables need order >= 1, got {order}")
         values = np.asarray(values, dtype=float)
         nvars = values.shape[0]
         idx, pos, _, _, _ = _index_space(nvars, order)
@@ -224,8 +223,8 @@ class Jet:
         for i in range(nvars):
             coef = np.zeros((K,) + values.shape[1:])
             coef[0] = values[i]
-            unit = tuple(1 if j == i else 0 for j in range(nvars))
-            coef[pos[unit]] = 1.0
+            if order:
+                coef[pos[tuple(int(j == i) for j in range(nvars))]] = 1.0
             out.append(Jet(nvars, order, coef))
         return out
 

@@ -187,35 +187,18 @@ def _cube_volume_ladder(chart, P, cols, hs, grid):
     """Riemannian volumes of exp_P(h * cols * [0,1]^n) for each h in hs.
 
     ``cols`` (n, n) spans the cube in tangent coordinates.  One variational
-    batch per cube provides exact Jacobians d exp / d xi, so the volume is
-    a pure Gauss-Legendre sum, with each h read off the solver's dense
-    output.
+    batch per cube provides exact Jacobians d exp / d xi
+    (:func:`intrinsic._jacobi_elements`), so the volume is a pure
+    Gauss-Legendre sum, with each h read off the solver's dense output.
     """
     n = chart.dim
-    hmax = max(hs)
     xs, ws = nk.gauss_legendre(grid, 0.0, 1.0)
-    axes = np.meshgrid(*([xs] * n), indexing="ij")
-    XI = np.stack([a.ravel() for a in axes])          # (n, grid^n)
-    Wgrid = np.ones_like(axes[0])
-    for w in np.meshgrid(*([ws] * n), indexing="ij"):
-        Wgrid = Wgrid * w
-    Wgrid = Wgrid.ravel()
-
-    U = hmax * (cols @ XI)                            # (n, lanes)
-    dU = np.repeat((hmax * cols).T[:, :, None], XI.shape[1], axis=2)
-    traj = ig._exp_batch_variational(chart, P, U, dU)
-    lanes = XI.shape[1]
-    out = {}
-    for h in hs:
-        z = traj.eval(h / hmax).reshape(lanes, 2 + 2 * n, n)
-        xpt = z[:, 0, :].T
-        J = np.moveaxis(z[:, 2:2 + n, :], 0, -1)      # (n cols, n, lanes)
-        g = chart.g_at(xpt)
-        detg = np.linalg.det(np.moveaxis(g, (0, 1), (-2, -1)))
-        Jmat = np.moveaxis(J, (0, 1), (-1, -2))       # (lanes, n, n) cols last
-        detJ = np.abs(np.linalg.det(Jmat))
-        out[h] = float(np.sum(Wgrid * np.sqrt(np.maximum(detg, 0.0)) * detJ))
-    return out
+    XI = np.stack([a.ravel() for a in
+                   np.meshgrid(*([xs] * n), indexing="ij")])  # (n, grid^n)
+    W = np.prod(np.meshgrid(*([ws] * n), indexing="ij"), axis=0).ravel()
+    dU = np.repeat(cols.T[:, :, None], XI.shape[1], axis=2)
+    vols = ig._jacobi_elements(chart, P, hs, cols @ XI, dU, steer=True) @ W
+    return dict(zip(hs, vols.tolist()))
 
 
 def _cube_systems(n):

@@ -86,6 +86,23 @@ def test_geodesic_circle_plane(capsys):
     assert "length" in doc["diagnostics"]["error_estimates"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("geodesic", "circle", "--builtin", "plane", "--at", "0,0",
+     "--radius", "0.5", "--samples", "0"),
+    ("geodesic", "circle", "--builtin", "plane", "--at", "0,0",
+     "--radius", "0.5", "--samples", "-4"),
+    ("curvature", "scalar", "--builtin", "s3_round", "--at", "0,0,0",
+     "--samples", "9"),
+])
+def test_fan_samples_are_validated(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    info = json.loads(err)["error"]
+    assert info["type"] == "UsageError"
+    assert "even integer >= 8" in info["message"]
+
+
 def test_curve_analyze_helix(capsys):
     doc = run_json(capsys, "curve", "analyze", "--builtin", "helix",
                    "--at", "0.5")

@@ -44,6 +44,16 @@ def octant():
     return chart, sides
 
 
+def test_metric_reads_at_order_0_match_order_1():
+    rng = np.random.default_rng(4)
+    for name, chart in vf._catalog_charts():
+        box = np.array(chart.domain)
+        x = box[:, :1] + (box[:, 1:] - box[:, :1]) * rng.uniform(
+            0.2, 0.8, size=(chart.dim, 50))
+        first = chart.metric_jet(nk.Jet.variables(x, 1)).value
+        assert np.array_equal(chart.g_at(x), first), name
+
+
 def test_sphere_pullback_metric(sphere_chart):
     x = np.array([1.2, 0.8])
     g = sphere_chart.g_at(x)
@@ -316,7 +326,67 @@ def test_circle_lengths_batch_matches_single(halfplane):
     assert all(e < 1e-3 for e in errs.values())
 
 
-@pytest.mark.parametrize("name, P, count", [("halfplane", [0.5, 2.0], 3),
+@pytest.mark.parametrize("name, P, law", [
+    ("sphere_chart", [1.0, 1.2], math.sin),
+    ("halfplane", [0.0, 2.0], math.sinh),
+    ("plane", [0.1, -0.2], lambda r: r),
+])
+def test_circle_length_error_covers_true_error(request, name, P, law):
+    radii = [0.1, 0.3, 0.6]
+    lengths, errors = ig.geodesic_circle_lengths(
+        request.getfixturevalue(name), P, radii)
+    for r in radii:
+        true = abs(lengths[r] - 2 * math.pi * law(r))
+        assert true <= errors[r] <= max(100 * true, 1e-9)
+
+
+def test_jacobi_circle_length_matches_polygon():
+    """L(R) from Jacobi columns against the elementary definition: fine
+    polygons through exp_P(R u(theta)), midpoint metric, one Richardson
+    step over the point count."""
+    chart = ig.pullback_metric(cat.builtin("torus").build())
+    P, R, N = np.array([0.6, 0.9]), 0.4, 512
+    E = chart.orthonormal_basis(P)
+    th = 2 * math.pi * np.arange(N) / N
+    fan = ig._exp_batch(chart, P, R * (np.cos(th) * E[:, :1]
+                                       + np.sin(th) * E[:, 1:]))
+    pts = fan.final.reshape(N, 2, 2)[:, 0].T
+
+    def polygon(q):
+        d = np.roll(q, -1, axis=1) - q
+        return np.sqrt(np.einsum('ijL,iL,jL->L', chart.g_at(q + d / 2),
+                                 d, d)).sum()
+
+    lengths, _ = ig.geodesic_circle_lengths(chart, P, [R])
+    fine = (4 * polygon(pts) - polygon(pts[:, ::2])) / 3
+    assert lengths[R] == pytest.approx(fine, rel=1e-9)
+
+
+def test_sphere_areas_converge_in_samples(s3):
+    s2r = ig.MetricChart(3, [(0.3, 2.8), (-3.0, 3.0), (-2.0, 2.0)],
+                         lambda x: [[1.0, 0.0, 0.0],
+                                    [0.0, nk.sin(x[0]) ** 2, 0.0],
+                                    [0.0, 0.0, 1.0]], name="S2xR")
+    radii = [0.05, 0.1, 0.2]
+    for chart, P in ((s3, [0.2, -0.3, 0.5]), (s2r, [1.1, 0.4, 0.2])):
+        coarse = ig._geodesic_sphere_areas(chart, np.array(P), radii, 24)
+        fine = ig._geodesic_sphere_areas(chart, np.array(P), radii, 48)
+        for r in radii:
+            assert coarse[r] == pytest.approx(fine[r], rel=1e-12)
+
+
+def test_circle_leaving_the_chart_fails(halfplane):
+    with pytest.raises(nk.StepUnderflowError, match="non-finite"):
+        ig.geodesic_circle(halfplane, [0.0, 0.1], 2.0)
+
+
+@pytest.mark.parametrize("samples", [0, -4, 6, 9, 12.5])
+def test_fan_samples_must_be_even_and_at_least_8(plane, samples):
+    with pytest.raises(nk.PreconditionError, match="even integer >= 8"):
+        ig.geodesic_circle(plane, [0.0, 0.0], 0.5, samples=samples)
+
+
+@pytest.mark.parametrize("name, P, count", [("halfplane", [0.5, 2.0], 2),
                                             ("s3", [0.2, -0.3, 0.5], 2)])
 def test_scalar_curvature_solve_count(request, solves, name, P, count):
     ig.scalar_curvature_estimate(request.getfixturevalue(name), P)
@@ -379,7 +449,8 @@ def test_jacobi_columns_match_exp_differences(name, P, w):
     P, w = np.array(P), np.array(w)
     E = chart.orthonormal_basis(P)
     traj = ig._exp_batch_variational(chart, P, (E @ w)[:, None],
-                                     E.T[:, :, None], shooting=True)
+                                     E.T[:, :, None], freeze=True,
+                                     steer=False)
     n = chart.dim
     jac = traj.final.reshape(2 + 2 * n, n)[2:2 + n].T      # columns d/dw_c
     h = 1e-4
@@ -395,9 +466,10 @@ def test_shooting_solve_freezes_a_lane_that_leaves(halfplane):
     P = np.array([0.0, 1.0])
     U = np.array([[0.5, 0.0], [0.2, -5.0]])
     dU = np.repeat(np.eye(2)[:, :, None], 2, axis=2)
-    both = ig._exp_batch_variational(halfplane, P, U, dU, shooting=True)
+    both = ig._exp_batch_variational(halfplane, P, U, dU, freeze=True,
+                                     steer=False)
     solo = ig._exp_batch_variational(halfplane, P, U[:, :1], dU[..., :1],
-                                     shooting=True)
+                                     freeze=True, steer=False)
     z = both.final.reshape(2, 6, 2)
     assert np.isfinite(z).all()
     assert not halfplane.contains(z[1, 0][:, None])[0]

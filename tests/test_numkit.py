@@ -69,9 +69,14 @@ def test_derivative_antiderivative_round_trip():
 
 def test_jet_order_bounds():
     with pytest.raises(nk.PreconditionError):
-        nk.Jet.variables([0.0, 0.0], order=5)
+        nk.Jet.variables([0.0, 0.0], order=nk.MAX_ORDER + 1)
     with pytest.raises(nk.PreconditionError):
-        nk.Jet.variables([0.0], order=0)
+        nk.Jet.variables([0.0], order=-1)
+    # order 0 carries values only
+    x, y = nk.Jet.variables([[0.3, 1.0], [2.0, -0.5]], order=0)
+    assert x.order == 0 and x.coef.shape == (1, 2)
+    assert np.array_equal((nk.sin(x) * y + 1.0).value,
+                          np.sin([0.3, 1.0]) * [2.0, -0.5] + 1.0)
 
 
 def _cauchy_terms(nvars, order):
