@@ -2,9 +2,10 @@
 
 The package is organized bottom-up:
 
-- :mod:`curvatur.numkit` -- forward-mode jets, an embedded Dormand-Prince
-  4(5) integrator, batched Gauss-Legendre quadrature, Richardson
-  extrapolation, and a 2x2 generalized symmetric eigensolver.  Everything
+- :mod:`curvatur.numkit` -- forward-mode jets, an adaptive ODE integrator
+  with two embedded Runge-Kutta pairs (Dormand-Prince 5(4) and 8(5,3)),
+  batched Gauss-Legendre quadrature, Richardson extrapolation, and a 2x2
+  generalized symmetric eigensolver.  Everything
   above differentiates through jets; finite differences only check
   results.
 - :mod:`curvatur.curves` -- parametric curves: length, curvature, torsion,

@@ -10,7 +10,9 @@ Numbers are serialized with 17 significant digits so identical invocations
 produce byte-identical output.  Angles are radians; coordinates are listed
 in chart order as declared.  Exit codes: 0 success, 1 computation failure,
 2 usage error, 3 verification-suite failure.  Every failure also writes a
-JSON error document to stderr.
+JSON error document to stderr.  Commands that integrate ODEs may add a
+``cost`` block to ``diagnostics``: solver counters, integers only.  Wall
+times appear only in ``verify``'s text mode, never in JSON.
 """
 
 import argparse
@@ -20,6 +22,7 @@ import json
 import math
 import re
 import sys
+import time
 
 import numpy as np
 
@@ -83,7 +86,7 @@ def _write(args, text):
 
 
 def _emit(args, command, geometry, inputs, results, tolerances=None,
-          error_estimates=None, warnings=None):
+          error_estimates=None, warnings=None, cost=None):
     doc = {
         "command": command,
         "geometry": geometry,
@@ -95,6 +98,8 @@ def _emit(args, command, geometry, inputs, results, tolerances=None,
             "warnings": [str(w) for w in (warnings or [])],
         },
     }
+    if cost is not None:
+        doc["diagnostics"]["cost"] = cost
     _write(args, _dump(doc))
 
 
@@ -424,6 +429,8 @@ def _cmd_geodesic_trace(args):
     if path.reason != "completed":
         warnings.append(f"trace stopped early ({path.reason}) "
                         f"at length {path.length:.17g}")
+    drift = path.speed_drift()
+    traj = path.trajectory         # read last: dense output adds RHS calls
     _emit(args, "geodesic trace",
           _geometry_doc(spec, note="surface pullback" if surface else None),
           {"from": x0, "dir": v0, "length": length, "samples": n},
@@ -433,8 +440,10 @@ def _cmd_geodesic_trace(args):
            "end_velocity": path.end_velocity,
            "samples": {"columns": header, "rows": rows}},
           tolerances={"ode_rtol": args.rtol, "ode_atol": args.atol},
-          error_estimates={"speed_drift": path.speed_drift()},
-          warnings=warnings)
+          error_estimates={"speed_drift": drift},
+          warnings=warnings,
+          cost={"solves": 1, "accepted_steps": traj.n_accepted,
+                "rejected_steps": traj.n_rejected, "rhs_evals": traj.n_rhs})
     return 0
 
 
@@ -615,14 +624,23 @@ def _cmd_hyperbolic_distance(args):
 def _cmd_verify(args):
     _require_csv_off(args, "verify")
     names = args.suite or ["all"]
-    stream = args.format != "json" and not args.output
+    text = args.format != "json"
+    stream = text and not args.output
+    lines, checks = [], []
 
-    def report(c):
-        sys.stdout.write(vf.format_check(c) + "\n")
-        sys.stdout.flush()
+    def say(line):
+        if stream:
+            sys.stdout.write(line + "\n")
+            sys.stdout.flush()
+        else:
+            lines.append(line)
 
-    checks = vf.run_suites(names, seed=args.seed,
-                           report=report if stream else None)
+    for name in vf.suite_names(names):
+        t0 = time.perf_counter()
+        checks += vf.run_suite(name, seed=args.seed, report=(
+            lambda c: say(vf.format_check(c))) if text else None)
+        if text:
+            say(f"TIME {name}: {time.perf_counter() - t0:.2f} s")
     failed = [c for c in checks if not c.passed]
     if args.format == "json":
         rows = [{"suite": c.suite, "name": c.name, "value": c.value,
@@ -636,7 +654,7 @@ def _cmd_verify(args):
                "passed": len(checks) - len(failed),
                "failed": len(failed)})
     elif not stream:
-        _write(args, "\n".join(vf.format_check(c) for c in checks))
+        _write(args, "\n".join(lines))
     if failed:
         _error_doc("verify", nk.NumericalError(
             f"{len(failed)} of {len(checks)} checks failed"),

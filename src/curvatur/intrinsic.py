@@ -39,14 +39,6 @@ from . import numkit as nk
 from .numkit import Jet, PreconditionError
 
 
-class DomainExitError(nk.NumericalError):
-    """A trace left the chart's coordinate box; carries the partial path."""
-
-    def __init__(self, message, path=None):
-        super().__init__(message)
-        self.path = path
-
-
 class MetricChart:
     """A metric on a coordinate box in R^n, n in {2, 3}.
 
@@ -329,7 +321,7 @@ def geodesic_trace(chart: MetricChart, x0, v0, length, rtol=1e-10,
     reason = "completed"
     try:
         traj = nk.integrate_ode(nk.OdeProblem(rhs, y0, (0.0, float(length)),
-                                              rtol, atol))
+                                              rtol, atol, pair=nk.DOP853))
     except nk.StepUnderflowError as e:
         if not e.nan_seen:
             raise
@@ -355,20 +347,6 @@ def geodesic_trace(chart: MetricChart, x0, v0, length, rtol=1e-10,
 
     return GeodesicPath(chart, ts, ys[:, :n], ys[:, n:], float(ts[-1]),
                         reason, traj)
-
-
-def exp_map(chart: MetricChart, P, u):
-    """Endpoint of the geodesic with initial velocity u at parameter 1."""
-    P = np.asarray(P, dtype=float)
-    u = np.asarray(u, dtype=float)
-    nrm = g_norm(chart, P, u)
-    if nrm == 0.0:
-        return P.copy()
-    path = geodesic_trace(chart, P, u, nrm)
-    if path.reason != "completed":
-        raise DomainExitError("geodesic left the chart before parameter 1",
-                              path)
-    return path.end
 
 
 def _exp_batch(chart: MetricChart, P, U, rtol=1e-10, atol=1e-12):
@@ -428,7 +406,8 @@ def _variational_rhs(chart: MetricChart, lanes: int, ncols: int,
 
 
 def _exp_batch_variational(chart: MetricChart, P, U, dU, rtol=1e-10,
-                           atol=1e-12, freeze=False, steer=True):
+                           atol=1e-12, freeze=False, steer=True,
+                           pair=nk.DOPRI5):
     """Like :func:`_exp_batch` but carrying J = dx/d(param_c) columns.
 
     ``dU`` has shape (ncols, n, L): derivative of the initial velocity with
@@ -447,7 +426,7 @@ def _exp_batch_variational(chart: MetricChart, P, U, dU, rtol=1e-10,
     norm = None if steer else np.flatnonzero(np.indices(z0.shape)[1] < 2)
     return nk.integrate_ode(nk.OdeProblem(
         _variational_rhs(chart, L, ncols, freeze), z0.ravel(), (0.0, 1.0),
-        rtol, atol, error_index=norm))
+        rtol, atol, error_index=norm, pair=pair))
 
 
 # ---------------------------------------------------------------------------
@@ -932,7 +911,11 @@ class DistanceBatch:
 
 _HALVINGS = 0.5 ** np.arange(1, 7)          # backtracking step fractions
 _RETRY_TURNS = (0.15, -0.15, 0.4, -0.4)     # radians
-_RTOLS = np.array([1e-6, 1e-8, 1e-10])      # shot rtol (atol 1e-2 rtol)
+# Newton levels: shot rtol (atol 1e-2 rtol) and pair.  The loose level
+# stays on DOPRI5: frozen lanes put jumps in the derivative of its wide
+# early shots, which cost DOP853 about twice the RHS evaluations.
+_LEVELS = ((1e-6, nk.DOPRI5), (1e-8, nk.DOP853), (1e-10, nk.DOP853))
+_RTOLS = np.array([rtol for rtol, _ in _LEVELS])
 
 
 def _shoot(chart, P, Q, E, first, pair, tol, max_iter, out):
@@ -943,7 +926,8 @@ def _shoot(chart, P, Q, E, first, pair, tol, max_iter, out):
     columns give the next Newton step; one that does not is retried at
     1/2 ... 1/64 as lanes of the next solve, and if none of those helps
     the task stops.  Inexact Newton: a task asks for the loosest of
-    ``_RTOLS`` at or below 1e-2 miss^2 and only a shot at the last one can
+    ``_RTOLS`` at or below 1e-2 miss^2, solved with that level's
+    Runge-Kutta pair in ``_LEVELS``, and only a shot at the last one can
     converge.  Each solve runs the tasks that ask for the loosest one
     present, so the dear tight solves come last and carry every pair.
     """
@@ -959,7 +943,8 @@ def _shoot(chart, P, Q, E, first, pair, tol, max_iter, out):
         level = np.minimum(np.searchsorted(-_RTOLS, -1e-2 * miss ** 2),
                            len(_RTOLS) - 1)
         tasks = np.flatnonzero(live & (level == level[live].min()))
-        rtol = _RTOLS[level[tasks[0]]]
+        rtol, rk = _LEVELS[level[tasks[0]]]
+        last = level[tasks[0]] == len(_LEVELS) - 1
         iters[tasks] += 1
         lanes = np.repeat(tasks, np.where(halving[tasks], len(_HALVINGS), 1))
         W = w[lanes] + step[lanes] * np.concatenate(
@@ -969,7 +954,7 @@ def _shoot(chart, P, Q, E, first, pair, tol, max_iter, out):
             z = _exp_batch_variational(
                 chart, P[p].T, np.einsum('Lic,Lc->iL', El, W),
                 np.transpose(El, (2, 1, 0)), rtol, 1e-2 * rtol,
-                freeze=True, steer=False).final
+                freeze=True, steer=False, pair=rk).final
         except nk.StepUnderflowError:
             z = np.full(len(lanes) * (2 + 2 * n) * n, np.nan)
         z = z.reshape(len(lanes), 2 + 2 * n, n)
@@ -982,7 +967,7 @@ def _shoot(chart, P, Q, E, first, pair, tol, max_iter, out):
             m, q = lane_miss[k], pair[t]
             if not np.isnan(out.distance[q]):
                 continue                         # a sibling task converged
-            if m <= tol[q] and rtol == _RTOLS[-1]:
+            if m <= tol[q] and last:
                 out.distance[q] = np.linalg.norm(W[k])
             if m < out.miss[q] or not np.isnan(out.distance[q]):
                 out.miss[q], out.velocity[q] = m, El[k] @ W[k]

@@ -22,8 +22,11 @@ matrix-valued one, each in a single batched pass.
 Finite differences appear in this package only inside clearly named
 cross-check oracles.
 
-The ODE integrator is an embedded Dormand-Prince 4(5) pair with adaptive
-steps and the pair's own 4th-order dense output.  It integrates flat state
+The ODE integrator is one adaptive step loop over two embedded pairs,
+Dormand-Prince 5(4) (DOPRI5, the default, with its 4th-order dense output)
+and 8(5,3) (DOP853, with its 7th-order dense output computed on first
+read).  DOP853 serves the long tight geodesic traces and the tight distance
+shots; DOPRI5 the short fans and everything else.  It integrates flat state
 vectors; callers that want many geodesics at once flatten a (lanes, dim)
 state and share step control across lanes, which is how the circle and
 volume routines stay fast.
@@ -668,27 +671,206 @@ def vtriple(a, b, c):
 
 
 # ---------------------------------------------------------------------------
-# ODE integration: embedded Dormand-Prince 4(5)
+# ODE integration: embedded Runge-Kutta pairs DOPRI5 and DOP853
 # ---------------------------------------------------------------------------
+# Tableau rows keep their nonzero entries only, as {stage: coefficient}.
+
+
+def _stage_sum(row, ks):
+    """sum_j row[j] ks[j] over the nonzero entries of a tableau row."""
+    return sum(a * ks[j] for j, a in row.items())
+
+
+class RungeKuttaPair:
+    """An explicit embedded Runge-Kutta pair in first-same-as-last form.
+
+    Stage i of a step of size h from (t, y) is
+    k_i = f(t + c_i h, y + h sum_j a_ij k_j).  The last row of ``a`` holds
+    the solution weights, so the last stage is f(t + h, y_new) and starts
+    the next step.  ``exponent`` is -1/(q + 1) for an error estimate of
+    order q, and ``grow`` the largest factor by which h grows after an
+    accepted step.  A pair picks its first step, computes its scaled error
+    norm, says what an accepted step stores for dense output and
+    interpolates between two nodes.
+    """
+
+    def __init__(self, c, a, exponent, grow):
+        self.c, self.a, self.exponent, self.grow = c, a, exponent, grow
+
+    def first_step(self, f, t0, y, k1, h, rms):
+        return h
+
+
+class _Dopri5(RungeKuttaPair):
+    """Dormand-Prince 5(4): 6 new stages per step and the pair's 4th-order
+    continuous extension, one stored vector per step."""
+
+    def error_norm(self, h, ks, scale, sel):
+        err_vec = h * _stage_sum(_DP_E, ks)
+        return np.sqrt(np.mean((err_vec[sel] / scale[sel]) ** 2))
+
+    def step_dense(self, h, ks):
+        return h * _stage_sum(_DP_D, ks)
+
+    def interpolate(self, traj, k, s):
+        """Cubic Hermite on the step plus s^2 (1 - s)^2 times its vector."""
+        h = (traj.ts[k + 1] - traj.ts[k])[..., None]
+        y0, y1 = traj.ys[k], traj.ys[k + 1]
+        f0, f1 = traj.fs[k], traj.fs[k + 1]
+        h00 = (1 + 2 * s) * (1 - s) ** 2
+        h10 = s * (1 - s) ** 2
+        h01 = s * s * (3 - 2 * s)
+        h11 = s * s * (s - 1)
+        return (h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
+                + (s * (1 - s)) ** 2 * np.array([traj.dense[i] for i in k]))
+
+
+class _Dop853(RungeKuttaPair):
+    """Dormand-Prince 8(5,3): 12 new stages per step, and the 7th-order
+    interpolant, whose 3 extra stages are computed on the first read of a
+    step (Hairer, Norsett & Wanner, Solving ODEs I, II.10)."""
+
+    def first_step(self, f, t0, y, k1, h, rms):
+        """Hairer's starting step for order 8: one explicit Euler probe of
+        size ``h`` estimates y'' (Solving ODEs I, II.4)."""
+        d2 = rms(f(t0 + h, y + h * k1) - k1) / h
+        if not np.isfinite(d2):
+            return h
+        d = max(rms(k1), d2)
+        return min(100 * h, (0.01 / d) ** (1 / 8) if d > 1e-15
+                   else max(1e-6, 1e-3 * h))
+
+    def error_norm(self, h, ks, scale, sel):
+        """The 5th- and 3rd-order estimates combined as in dop853.f."""
+        e5 = _stage_sum(_DOP853_E5, ks)[sel] / scale[sel]
+        e3 = _stage_sum(_DOP853_E3, ks)[sel] / scale[sel]
+        n5, n3 = float(e5 @ e5), float(e3 @ e3)
+        den = n5 + 0.01 * n3
+        return abs(h) * n5 / math.sqrt(den * e5.size) if den > 0 else 0.0
+
+    def step_dense(self, h, ks):
+        return ks                 # the stages, until the step is first read
+
+    def interpolate(self, traj, k, s):
+        """r y0 + s y1 + s r (F1 + s (F2 + r (F3 + s (F4 + r (F5 + s F6)))))
+        with r = 1 - s, F3..F6 the step's dense vectors and F1, F2 from the
+        end values and slopes; exact at both nodes."""
+        for i in np.unique(k):
+            if isinstance(traj.dense[i], list):
+                traj.dense[i] = self._dense_vectors(traj, i)
+        F = np.array([traj.dense[i] for i in k])             # (Q, 4, N)
+        h = (traj.ts[k + 1] - traj.ts[k])[:, None]
+        y0, y1 = traj.ys[k], traj.ys[k + 1]
+        dy = y1 - y0
+        r = 1 - s
+        p = F[:, 2] + s * F[:, 3]
+        p = F[:, 1] + r * p
+        p = F[:, 0] + s * p
+        p = 2 * dy - h * (traj.fs[k] + traj.fs[k + 1]) + r * p
+        p = h * traj.fs[k] - dy + s * p
+        return r * y0 + s * y1 + s * r * p
+
+    def _dense_vectors(self, traj, i):
+        ks = traj.dense[i]
+        t, h, y = traj.ts[i], traj.ts[i + 1] - traj.ts[i], traj.ys[i]
+        for c, row in zip(_DOP853_C[13:], _DOP853_A[13:]):
+            yc = y + h * _stage_sum(row, ks)
+            ks.append(np.asarray(traj.rhs(t + c * h, yc), dtype=float))
+        traj.n_rhs += 3
+        return np.stack([h * _stage_sum(row, ks) for row in _DOP853_D])
+
 
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+    {},
+    {0: 1 / 5},
+    {0: 3 / 40, 1: 9 / 40},
+    {0: 44 / 45, 1: -56 / 15, 2: 32 / 9},
+    {0: 19372 / 6561, 1: -25360 / 2187, 2: 64448 / 6561, 3: -212 / 729},
+    {0: 9017 / 3168, 1: -355 / 33, 2: 46732 / 5247, 3: 49 / 176,
+     4: -5103 / 18656},
+    {0: 35 / 384, 2: 500 / 1113, 3: 125 / 192, 4: -2187 / 6784, 5: 11 / 84},
 ]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                   187 / 2100, 1 / 40])
-_DP_E = _DP_B5 - _DP_B4
+_DP_B4 = {0: 5179 / 57600, 2: 7571 / 16695, 3: 393 / 640, 4: -92097 / 339200,
+          5: 187 / 2100, 6: 1 / 40}
+_DP_E = {j: _DP_A[6].get(j, 0.0) - b for j, b in _DP_B4.items()}
 # continuous extension (Hairer, Norsett & Wanner, Solving ODEs I, II.6)
-_DP_D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
-                  -10690763975 / 1880347072, 701980252875 / 199316789632,
-                  -1453857185 / 822651844, 69997945 / 29380423])
+_DP_D = {0: -12715105075 / 11282082432, 2: 87487479700 / 32700410799,
+         3: -10690763975 / 1880347072, 4: 701980252875 / 199316789632,
+         5: -1453857185 / 822651844, 6: 69997945 / 29380423}
+
+# DOP853 (Hairer's dop853.f), rounded to the nearest double.  Rows 0-12 are
+# the step, row 12 the solution weights; rows 13-15 are the dense stages.
+_DOP853_C = np.array([
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+    0.7777777777777778])
+_DOP853_A = [
+    {},
+    {0: 0.05260015195876773},
+    {0: 0.0197250569845379, 1: 0.0591751709536137},
+    {0: 0.02958758547680685, 2: 0.08876275643042054},
+    {0: 0.2413651341592667, 2: -0.8845494793282861, 3: 0.924834003261792},
+    {0: 0.037037037037037035, 3: 0.17082860872947386, 4: 0.12546768756682242},
+    {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596,
+     5: -0.017578125},
+    {0: 0.03709200011850479, 3: 0.17038392571223998, 4: 0.10726203044637328,
+     5: -0.015319437748624402, 6: 0.008273789163814023},
+    {0: 0.6241109587160757, 3: -3.3608926294469414, 4: -0.868219346841726,
+     5: 27.59209969944671, 6: 20.154067550477894, 7: -43.48988418106996},
+    {0: 0.47766253643826434, 3: -2.4881146199716677, 4: -0.590290826836843,
+     5: 21.230051448181193, 6: 15.279233632882423, 7: -33.28821096898486,
+     8: -0.020331201708508627},
+    {0: -0.9371424300859873, 3: 5.186372428844064, 4: 1.0914373489967295,
+     5: -8.149787010746927, 6: -18.52006565999696, 7: 22.739487099350505,
+     8: 2.4936055526796523, 9: -3.0467644718982196},
+    {0: 2.273310147516538, 3: -10.53449546673725, 4: -2.0008720582248625,
+     5: -17.9589318631188, 6: 27.94888452941996, 7: -2.8589982771350235,
+     8: -8.87285693353063, 9: 12.360567175794303, 10: 0.6433927460157636},
+    {0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003,
+     7: -5.801203960010585, 8: 0.3111643669578199, 9: -0.1521609496625161,
+     10: 0.20136540080403034, 11: 0.04471061572777259},
+    {0: 0.056167502283047954, 6: 0.25350021021662483, 7: -0.2462390374708025,
+     8: -0.12419142326381637, 9: 0.15329179827876568, 10: 0.00820105229563469,
+     11: 0.007567897660545699, 12: -0.008298},
+    {0: 0.03183464816350214, 5: 0.028300909672366776, 6: 0.053541988307438566,
+     7: -0.05492374857139099, 10: -0.00010834732869724932,
+     11: 0.0003825710908356584, 12: -0.00034046500868740456,
+     13: 0.1413124436746325},
+    {0: -0.42889630158379194, 5: -4.697621415361164, 6: 7.683421196062599,
+     7: 4.06898981839711, 8: 0.3567271874552811, 12: -0.0013990241651590145,
+     13: 2.9475147891527724, 14: -9.15095847217987},
+]
+_DOP853_E5 = {0: 0.01312004499419488, 5: -1.2251564463762044,
+              6: -0.4957589496572502, 7: 1.6643771824549864,
+              8: -0.35032884874997366, 9: 0.3341791187130175,
+              10: 0.08192320648511571, 11: -0.022355307863886294}
+_DOP853_D = [
+    {0: -8.428938276109013, 5: 0.5667149535193777, 6: -3.0689499459498917,
+     7: 2.38466765651207, 8: 2.117034582445028, 9: -0.871391583777973,
+     10: 2.2404374302607883, 11: 0.6315787787694688, 12: -0.08899033645133331,
+     13: 18.148505520854727, 14: -9.194632392478356, 15: -4.436036387594894},
+    {0: 10.427508642579134, 5: 242.28349177525817, 6: 165.20045171727028,
+     7: -374.5467547226902, 8: -22.113666853125306, 9: 7.733432668472264,
+     10: -30.674084731089398, 11: -9.332130526430229, 12: 15.697238121770845,
+     13: -31.139403219565178, 14: -9.35292435884448, 15: 35.81684148639408},
+    {0: 19.985053242002433, 5: -387.0373087493518, 6: -189.17813819516758,
+     7: 527.8081592054236, 8: -11.57390253995963, 9: 6.8812326946963,
+     10: -1.0006050966910838, 11: 0.7777137798053443, 12: -2.778205752353508,
+     13: -60.19669523126412, 14: 84.32040550667716, 15: 11.99229113618279},
+    {0: -25.69393346270375, 5: -154.18974869023643, 6: -231.5293791760455,
+     7: 357.6391179106141, 8: 93.40532418362432, 9: -37.45832313645163,
+     10: 104.0996495089623, 11: 29.8402934266605, 12: -43.53345659001114,
+     13: 96.32455395918828, 14: -39.17726167561544, 15: -149.72683625798564},
+]
+# 3rd-order estimate: the solution weights less dop853.f's bhh1..bhh3
+_DOP853_E3 = {**_DOP853_A[12], 0: _DOP853_A[12][0] - 0.2440944881889764,
+              8: _DOP853_A[12][8] - 0.7338466882816118,
+              11: _DOP853_A[12][11] - 0.022058823529411766}
+
+DOPRI5 = _Dopri5(_DP_C, _DP_A, -0.2, 5.0)
+DOP853 = _Dop853(_DOP853_C, _DOP853_A[:13], -1 / 8, 10.0)
 
 
 @dataclass
@@ -710,6 +892,15 @@ class OdeProblem:
     error_index : ndarray of int or None
         State components the error norm covers (all when None), so that
         sensitivities can stay out of step control, as in CVODES.
+    pair : RungeKuttaPair
+        :data:`DOPRI5` (6 RHS evaluations per step) or :data:`DOP853` (12
+        per step, plus 3 for each step whose dense output is read).  Since
+        a pair of order p takes steps growing like tol^(-1/p), DOP853 pays
+        at tight tolerances on smooth right-hand sides: the geodesic traces
+        and the distance shots at rtol 1e-8 and 1e-10.  DOPRI5 stays
+        cheaper on short solves (fans, transport) and on right-hand sides
+        with derivative jumps, such as the loose distance shots whose lanes
+        freeze at the chart's edge.
     """
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
@@ -718,6 +909,7 @@ class OdeProblem:
     rtol: float = 1e-10
     atol: float = 1e-12
     error_index: np.ndarray | None = None
+    pair: RungeKuttaPair = DOPRI5
 
 
 @dataclass
@@ -725,19 +917,24 @@ class Trajectory:
     """Dense solution of an :class:`OdeProblem`.
 
     Stores the accepted nodes ``ts``, states ``ys`` and derivatives ``fs``,
-    plus one vector per step, ``dense``, that lifts the cubic Hermite
-    interpolant of the step to Dormand-Prince's 4th-order continuous
-    extension.  :meth:`eval` is therefore accurate to the integrator's
-    tolerance everywhere and returns ``ys`` exactly at the nodes.
-    ``n_rhs`` counts right-hand-side evaluations, ``n_accepted`` accepted
-    steps and ``n_rejected`` steps retried with a smaller size (failed
-    error test or non-finite stage).
+    plus per step the ``dense`` data of the pair's interpolant: under
+    DOPRI5 one vector that lifts the cubic Hermite interpolant of the step
+    to the pair's 4th-order continuous extension; under DOP853 the step's
+    stages, replaced by its four 7th-order dense vectors when :meth:`eval`
+    first reads the step (3 more RHS evaluations, through ``rhs``).
+    :meth:`eval` is therefore accurate to the integrator's tolerance
+    everywhere and returns ``ys`` exactly at the nodes.  ``n_rhs`` counts
+    right-hand-side evaluations, dense stages included, ``n_accepted``
+    accepted steps and ``n_rejected`` steps retried with a smaller size
+    (failed error test or non-finite stage).
     """
 
     ts: np.ndarray
     ys: np.ndarray
     fs: np.ndarray
-    dense: np.ndarray
+    dense: list
+    pair: RungeKuttaPair
+    rhs: Callable[[float, np.ndarray], np.ndarray]
     n_rhs: int = 0
     n_accepted: int = 0
     n_rejected: int = 0
@@ -755,22 +952,23 @@ class Trajectory:
         tq = np.atleast_1d(t)
         k = np.clip(np.searchsorted(self.ts, tq, side="right") - 1, 0,
                     len(self.ts) - 2)
-        t0, t1 = self.ts[k], self.ts[k + 1]
-        h = t1 - t0
-        s = ((tq - t0) / h)[..., None]
-        y0, y1 = self.ys[k], self.ys[k + 1]
-        f0, f1 = self.fs[k], self.fs[k + 1]
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        out = (h00 * y0 + h10 * h[..., None] * f0 + h01 * y1
-               + h11 * h[..., None] * f1 + (s * (1 - s)) ** 2 * self.dense[k])
+        s = ((tq - self.ts[k]) / (self.ts[k + 1] - self.ts[k]))[..., None]
+        out = self.pair.interpolate(self, k, s)
         return out[0] if scalar else out
 
 
 def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajectory:
-    """Integrate an :class:`OdeProblem` with the Dormand-Prince 4(5) pair.
+    """Integrate an :class:`OdeProblem` with its embedded pair.
+
+    One adaptive step loop serves both pairs: each attempt evaluates the
+    pair's stages, accepts the step when the scaled error norm is at most
+    1, and scales h by 0.9 err^(-1/(q+1)) within [0.2, grow] after an
+    accepted step (grow 5 for DOPRI5, 10 for DOP853) and within [0.1, 1]
+    after a rejected one.  A step with a non-finite stage is halved.
+    DOP853 refines the first step with one Euler probe.  Without
+    non-finite stages, ``n_rhs`` is 1 + 6 (accepted + rejected) under
+    DOPRI5 and 2 + 12 (accepted + rejected) under DOP853, before any dense
+    stage is read.
 
     Parameters
     ----------
@@ -793,7 +991,7 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
     if not t1 > t0:
         raise PreconditionError("t_span must satisfy t1 > t0")
     y = np.array(problem.y0, dtype=float)
-    rtol, atol = problem.rtol, problem.atol
+    rtol, atol, pair = problem.rtol, problem.atol, problem.pair
     sel = slice(None) if problem.error_index is None else problem.error_index
     hits = sorted(t for t in set(float(t) for t in must_hit) if t0 < t < t1)
     hits.append(t1)
@@ -808,10 +1006,14 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
 
     k1 = f(t0, y)
     scale0 = atol + rtol * np.abs(y)
-    d0 = np.sqrt(np.mean((y[sel] / scale0[sel]) ** 2)) if y.size else 0.0
-    d1 = np.sqrt(np.mean((k1[sel] / scale0[sel]) ** 2))
+
+    def rms(v):
+        return np.sqrt(np.mean((v[sel] / scale0[sel]) ** 2))
+
+    d0 = rms(y) if y.size else 0.0
+    d1 = rms(k1)
     h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
-    h = min(h, t1 - t0)
+    h = min(pair.first_step(f, t0, y, k1, h, rms), t1 - t0)
 
     ts, ys, fs, dense = [t0], [y.copy()], [k1.copy()], []
     t = t0
@@ -821,10 +1023,9 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
     n_rejected = 0
 
     def trajectory():
-        return Trajectory(np.array(ts), np.array(ys), np.array(fs),
-                          np.reshape(dense, (len(ts) - 1,) + y.shape),
-                          n_rhs=n_rhs, n_accepted=len(ts) - 1,
-                          n_rejected=n_rejected)
+        return Trajectory(np.array(ts), np.array(ys), np.array(fs), dense,
+                          pair, problem.rhs, n_rhs=n_rhs,
+                          n_accepted=len(ts) - 1, n_rejected=n_rejected)
 
     def underflow(message, nan_seen):
         return StepUnderflowError(message, t, y, nan_seen, trajectory())
@@ -842,12 +1043,12 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
 
         ks = [k1]
         bad = False
-        for i in range(1, 7):
-            yi = y + h * sum(a * k for a, k in zip(_DP_A[i], ks))
+        for i in range(1, len(pair.a)):
+            yi = y + h * _stage_sum(pair.a[i], ks)
             if not np.all(np.isfinite(yi)):
                 bad = True
                 break
-            ki = f(t + _DP_C[i] * h, yi)
+            ki = f(t + pair.c[i] * h, yi)
             if not np.all(np.isfinite(ki)):
                 bad = True
                 break
@@ -861,27 +1062,27 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
                                 f"near t={t:.6g}", True)
             continue
 
-        y_new = yi  # stage 7 state equals the 5th order solution (FSAL)
-        err_vec = h * sum(e * k for e, k in zip(_DP_E, ks))
+        y_new = yi  # the last stage's state is the solution (FSAL)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = np.sqrt(np.mean((err_vec[sel] / scale[sel]) ** 2))
+        err = pair.error_norm(h, ks, scale, sel)
 
         if err <= 1.0:
-            dense.append(h * sum(d * k for d, k in zip(_DP_D, ks)))
+            dense.append(pair.step_dense(h, ks))
             t = t + h
             y = y_new
-            k1 = ks[6]
+            k1 = ks[-1]
             ts.append(t)
             ys.append(y.copy())
             fs.append(k1.copy())
             nan_fail = 0
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+            factor = pair.grow if err == 0.0 else min(
+                pair.grow, max(0.2, 0.9 * err ** pair.exponent))
             if clamped:
                 factor = max(factor, 1.0)
             h = h * factor
         else:
             n_rejected += 1
-            h *= min(1.0, max(0.1, 0.9 * err ** -0.2))
+            h *= min(1.0, max(0.1, 0.9 * err ** pair.exponent))
             if h < hmin:
                 raise underflow(f"error control stalled at t={t:.6g}", False)
 

@@ -878,8 +878,8 @@ def run_suite(name, seed=0, report=None):
     return results
 
 
-def run_suites(names, seed=0, report=None):
-    """Run several suites in order; 'all' expands to every suite."""
+def suite_names(names):
+    """Suite names in run order; 'all' expands to every suite."""
     if isinstance(names, str):
         names = [names]
     expanded = []
@@ -888,7 +888,4 @@ def run_suites(names, seed=0, report=None):
             expanded.extend(SUITES)
         else:
             expanded.append(n)
-    results = []
-    for n in expanded:
-        results.extend(run_suite(n, seed=seed, report=report))
-    return results
+    return expanded

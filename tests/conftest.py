@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+import dataclasses
+
 import pytest
 
 import curvatur.numkit as nk
@@ -12,4 +14,20 @@ def solves(monkeypatch):
     integrate = nk.integrate_ode
     monkeypatch.setattr(nk, "integrate_ode",
                         lambda *a, **kw: calls.append(1) or integrate(*a, **kw))
+    return calls
+
+
+@pytest.fixture
+def rhs_evals(monkeypatch):
+    """A list that gains one entry per right-hand-side evaluation of any
+    ``nk.integrate_ode`` solve, dense-output stages read later included."""
+    calls = []
+    integrate = nk.integrate_ode
+
+    def counted(problem, *a, **kw):
+        rhs = problem.rhs
+        return integrate(dataclasses.replace(
+            problem, rhs=lambda t, y: calls.append(1) or rhs(t, y)), *a, **kw)
+
+    monkeypatch.setattr(nk, "integrate_ode", counted)
     return calls

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,24 @@ def test_trace_json_reports_early_exit(capsys):
     assert doc["results"]["reason"] == "domain-exit"
     assert doc["diagnostics"]["warnings"]
     assert doc["diagnostics"]["tolerances"]["ode_rtol"] == 1e-10
+
+
+def test_trace_cost_block_is_deterministic(capsys):
+    argv = ("geodesic", "trace", "--builtin", "torus", "--param", "R=2",
+            "--param", "r=1", "--from", "0,0", "--dir", "1,1",
+            "--length", "20", "--samples", "40")
+    _, first, _ = run(capsys, *argv)
+    _, second, _ = run(capsys, *argv)
+    assert first == second
+    cost = json.loads(first)["diagnostics"]["cost"]
+    assert set(cost) == {"solves", "accepted_steps", "rejected_steps",
+                         "rhs_evals"}
+    assert all(type(v) is int for v in cost.values())
+    assert cost["solves"] == 1 and cost["accepted_steps"] > 0
+    # DOP853: 2 + 12 per attempted step, plus 3 per step read densely
+    steps = cost["accepted_steps"] + cost["rejected_steps"]
+    assert (2 + 12 * steps < cost["rhs_evals"]
+            <= 2 + 12 * steps + 3 * cost["accepted_steps"])
 
 
 def test_geodesic_distance_plane(capsys):
@@ -224,7 +243,31 @@ def test_verify_text_lines(capsys):
     code, out, err = run(capsys, "verify", "--suite", "euler-meusnier")
     assert code == 0 and err == ""
     lines = out.strip().splitlines()
-    assert lines and all(line.startswith("PASS") for line in lines)
+    assert lines[:-1] and all(line.startswith("PASS") for line in lines[:-1])
+    assert re.fullmatch(r"TIME euler-meusnier: \d+\.\d\d s", lines[-1])
+
+
+def test_verify_times_suites_in_text_mode_only(capsys):
+    # text: each suite's time follows its last check; JSON: no times, and
+    # a rerun gives the same bytes
+    code, out, _ = run(capsys, "verify", "--suite", "parser",
+                       "--suite", "curve-roundtrip")
+    assert code == 0
+    lines = out.splitlines()
+    stamps = [i for i, line in enumerate(lines) if line.startswith("TIME")]
+    assert [lines[i].split(":")[0] for i in stamps] == [
+        "TIME parser", "TIME curve-roundtrip"]
+    assert stamps[1] == len(lines) - 1
+    assert all(line.startswith("PASS parser")
+               for line in lines[:stamps[0]])
+    assert all(line.startswith("PASS curve-roundtrip")
+               for line in lines[stamps[0] + 1:stamps[1]])
+    argv = ("verify", "--suite", "parser", "--suite", "curve-roundtrip",
+            "--format", "json")
+    _, first, _ = run(capsys, *argv)
+    _, second, _ = run(capsys, *argv)
+    assert first == second
+    assert "TIME" not in first
 
 
 def test_verify_json_document(capsys):
@@ -258,7 +301,9 @@ def test_verify_streams_each_check(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "demo")
     assert code == 0
     assert printed == ["PASS demo: first (value 0, bound 1)\n"]
-    assert out == "PASS demo: second (value 0, bound 1)\n"
+    second, stamp = out.splitlines()
+    assert second == "PASS demo: second (value 0, bound 1)"
+    assert re.fullmatch(r"TIME demo: \d+\.\d\d s", stamp)
 
 
 def test_numerical_failure_keeps_diagnostics(capsys, monkeypatch):

@@ -130,6 +130,26 @@ def test_christoffel_jet_constructions(monkeypatch, halfplane, sphere_chart):
     assert len(built) <= 52
 
 
+def test_distance_rhs_budget(halfplane, rhs_evals):
+    # deterministic cost guard: the 1e-8 and 1e-10 shots run DOP853 (1,883
+    # RHS evaluations here; 2,798 with DOPRI5 at every level)
+    ig.geodesic_distance(halfplane, [0.0, 1.0], [3.0, 1.0])
+    assert len(rhs_evals) <= 1950
+
+
+def test_revolution_trace_rhs_budget(rhs_evals):
+    # deterministic cost guard on criterion 06's rtol 1e-12 trace: 2,414 RHS
+    # evaluations under DOP853 (12,127 under DOPRI5), and 3 more per step
+    # only once its dense output is read
+    chart = ig.pullback_metric(cat.builtin("revolution").build())
+    path = ig.geodesic_trace(chart, [0.5, 0.2], [1.0, 0.25], 50.0,
+                             rtol=1e-12, atol=1e-14)
+    assert len(rhs_evals) <= 2450
+    path.position(np.linspace(0.0, path.length, 400))
+    assert len(rhs_evals) <= 3050
+    assert len(rhs_evals) == path.trajectory.n_rhs
+
+
 def test_plane_geodesics_are_straight(plane):
     path = ig.geodesic_trace(plane, [0.0, 0.0], [3.0, 4.0], 1.0)
     assert path.reason == "completed"
@@ -169,9 +189,13 @@ def test_trace_from_outside_chart_rejected(halfplane):
 def test_exp_map_matches_trace(halfplane):
     P = np.array([0.3, 1.0])
     u = np.array([0.0, 0.7])
-    end = ig.exp_map(halfplane, P, u)
-    # g-norm of (0, 0.7) at y=1 is 0.7, so exp lands at (0.3, e^0.7)
-    assert np.allclose(end, [0.3, math.exp(0.7)], atol=1e-8)
+    # exp_P(u) as a one-lane batch and as the unit-speed trace of length
+    # |u|_g: the g-norm of (0, 0.7) at y=1 is 0.7, so both land at
+    # (0.3, e^0.7)
+    end = ig._exp_batch(halfplane, P, u[:, None]).final[:2]
+    path = ig.geodesic_trace(halfplane, P, u, ig.g_norm(halfplane, P, u))
+    for x in (end, path.end):
+        assert np.allclose(x, [0.3, math.exp(0.7)], atol=1e-8)
 
 
 def test_transport_single_vector_polyline(plane):
@@ -454,9 +478,10 @@ def test_jacobi_columns_match_exp_differences(name, P, w):
     n = chart.dim
     jac = traj.final.reshape(2 + 2 * n, n)[2:2 + n].T      # columns d/dw_c
     h = 1e-4
-    fd = np.stack([(ig.exp_map(chart, P, E @ (w + h * e))
-                    - ig.exp_map(chart, P, E @ (w - h * e))) / (2 * h)
-                   for e in np.eye(n)], axis=1)
+    U = np.stack([E @ (w + sign * h * e) for e in np.eye(n)
+                  for sign in (1, -1)], axis=1)
+    ends = ig._exp_batch(chart, P, U).final.reshape(n, 2, 2, n)[:, :, 0]
+    fd = ((ends[:, 0] - ends[:, 1]) / (2 * h)).T
     assert np.abs(jac - fd).max() <= 1e-6 * np.abs(fd).max()
 
 
@@ -520,5 +545,5 @@ def test_failed_shooting_keeps_best_velocity(halfplane):
     best, miss = info.value.best, info.value.residual
     assert best.shape == (2,) and np.isfinite(best).all()
     assert 0.0 < miss < np.abs(Q - P).max()
-    end = ig.exp_map(halfplane, P, best)
+    end = ig._exp_batch(halfplane, P, best[:, None]).final[:2]
     assert np.abs(end - Q).max() == pytest.approx(miss, rel=1e-3)

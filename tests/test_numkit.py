@@ -296,6 +296,38 @@ def test_integrate_ode_step_counters():
     assert traj.n_rhs == 1 + 6 * (traj.n_accepted + traj.n_rejected)
 
 
+def _oscillator(pair, rtol, T=20.0):
+    return nk.integrate_ode(nk.OdeProblem(
+        lambda t, y: np.array([y[1], -y[0]]), np.array([0.0, 1.0]),
+        (0.0, T), rtol=rtol, atol=rtol, pair=pair))
+
+
+@pytest.mark.parametrize("pair,order", [(nk.DOPRI5, 5), (nk.DOP853, 8)],
+                         ids=["DOPRI5", "DOP853"])
+def test_empirical_order(pair, order):
+    # y'' = -y: the global error falls like steps^-order as rtol tightens
+    runs = [_oscillator(pair, rtol) for rtol in (1e-10, 1e-13)]
+    errs = [np.abs(tr.final - [math.sin(20.0), math.cos(20.0)]).max()
+            for tr in runs]
+    slope = (math.log(errs[0] / errs[1])
+             / math.log(runs[1].n_accepted / runs[0].n_accepted))
+    assert abs(slope - order) < 0.5
+
+
+def test_dop853_counts_and_lazy_dense_output():
+    traj = _oscillator(nk.DOP853, 1e-10)
+    # one start derivative, one Euler probe for the first step, 12 per step
+    assert traj.n_rhs == 2 + 12 * (traj.n_accepted + traj.n_rejected)
+    solve = traj.n_rhs
+    # reading every step adds its 3 dense stages once
+    assert np.array_equal(traj.eval(traj.ts), traj.ys)
+    assert traj.n_rhs == solve + 3 * traj.n_accepted
+    ts = np.linspace(0.0, 20.0, 2001)
+    exact = np.stack([np.sin(ts), np.cos(ts)], axis=1)
+    assert np.abs(traj.eval(ts) - exact).max() < 1e-9
+    assert traj.n_rhs == solve + 3 * traj.n_accepted
+
+
 def test_integrate_ode_must_hit_and_forward_only():
     prob = nk.OdeProblem(lambda t, y: -y, np.array([1.0]), (0.0, 2.0),
                          rtol=1e-10, atol=1e-12)
