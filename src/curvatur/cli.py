@@ -643,7 +643,8 @@ def _cmd_verify(args):
             say(f"TIME {name}: {time.perf_counter() - t0:.2f} s")
     failed = [c for c in checks if not c.passed]
     if args.format == "json":
-        rows = [{"suite": c.suite, "name": c.name, "value": c.value,
+        rows = [{"suite": c.suite, "name": c.name,
+                 "value": None if c.timed else c.value,
                  "bound": c.bound, "passed": c.passed, "detail": c.detail}
                 for c in checks]
         geometry = {"name": "catalog", "kind": "suite", "coords": [],

@@ -1139,9 +1139,17 @@ def quadrature2d(fn, a, b, c, d, tol=1e-9):
     return _gauss_legendre_rule(fn, [(a, b), (c, d)], tol)
 
 
-def gauss_legendre(n, a, b):
-    """Nodes and weights on [a, b]."""
+@lru_cache(maxsize=None)
+def _legendre_rule(n):
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def gauss_legendre(n, a, b):
+    """Nodes and weights on [a, b], scaled from the n-point rule on
+    [-1, 1], which is computed once per ``n`` and cached read-only."""
+    x, w = _legendre_rule(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 

@@ -109,7 +109,10 @@ class SurfacePatch:
         """
         if order > 3:
             raise PreconditionError("normal jets available up to order 3")
-        r = self.jets(u, v, order + 1)
+        return self._unit_normal(self.jets(u, v, order + 1))
+
+    def _unit_normal(self, r):
+        """Cooriented unit-normal jets, one order below immersion jets r."""
         ru = [nk.derivative_nd(c, 0) for c in r]
         rv = [nk.derivative_nd(c, 1) for c in r]
         cr = nk.vcross(ru, rv)
@@ -320,15 +323,8 @@ def area(surface: SurfacePatch, tol=1e-9):
     return value
 
 
-def offset_surface(surface: SurfacePatch, eps, focal_grid=16) -> SurfacePatch:
-    """Parallel surface r + eps * n with jets routed through the normal.
-
-    Fails when |eps| reaches the focal distance (|eps * lambda| >= 1 at a
-    sample point), where the offset stops being an immersion.  The check
-    runs on one batched jet evaluation over a focal_grid x focal_grid grid,
-    with max |lambda| = |H| + sqrt(H^2 - K) from the fundamental forms.
-    """
-    eps = float(eps)
+def _check_focal(surface: SurfacePatch, eps, focal_grid=16):
+    """The focal-set check of :func:`offset_surface`."""
     (u0, u1), (v0, v1) = surface.domain
     U, V = np.meshgrid(np.linspace(u0, u1, focal_grid),
                        np.linspace(v0, v1, focal_grid), indexing="ij")
@@ -356,23 +352,24 @@ def offset_surface(surface: SurfacePatch, eps, focal_grid=16) -> SurfacePatch:
         raise PreconditionError(
             f"offset {eps} crosses the focal set at (u,v)=({u:.4g},{v:.4g})")
 
-    sign = -1.0 if surface.flip_normal else 1.0
+
+def offset_surface(surface: SurfacePatch, eps, focal_grid=16) -> SurfacePatch:
+    """Parallel surface r + eps * n with jets routed through the normal.
+
+    Fails when |eps| reaches the focal distance (|eps * lambda| >= 1 at a
+    sample point), where the offset stops being an immersion.  The check
+    runs on one batched jet evaluation over a focal_grid x focal_grid grid,
+    with max |lambda| = |H| + sqrt(H^2 - K) from the fundamental forms.
+    """
+    eps = float(eps)
+    _check_focal(surface, eps, focal_grid)
 
     def fn(uj: Jet, vj: Jet):
         order = min(uj.order + 1, nk.MAX_ORDER)
-        uv = np.stack([np.asarray(uj.value, dtype=float) * np.ones_like(vj.value),
-                       np.asarray(vj.value, dtype=float) * np.ones_like(uj.value)])
-        bu, bv = Jet.variables(uv, order)
-        r = [nk.as_jet(c, bu) for c in surface._fn(bu, bv)]
-        ru = [nk.derivative_nd(c, 0) for c in r]
-        rv = [nk.derivative_nd(c, 1) for c in r]
-        cr = nk.vcross(ru, rv)
-        inv = nk.vdot(cr, cr).sqrt().reciprocal()
-        comps = []
-        for ri, ni in zip(r, cr):
-            c = nk.truncate(ri, order - 1) + ni * inv * (sign * eps)
-            comps.append(nk.compose_nd(c, [uj, vj]))
-        return comps
+        r = surface.jets(uj.value * np.ones_like(vj.value),
+                         vj.value * np.ones_like(uj.value), order)
+        return [nk.compose_nd(nk.truncate(ri, order - 1) + ni * eps, [uj, vj])
+                for ri, ni in zip(r, surface._unit_normal(r))]
 
     return SurfacePatch(fn, surface.domain, flip_normal=surface.flip_normal,
                         periods=surface.periods,
@@ -386,9 +383,9 @@ class TotalCurvatureReport:
 
     ``area``, ``mean_total`` and ``gauss_total`` are the direct integrals;
     the fit fields come from a least-squares quadratic in eps through the
-    measured offset areas.  ``rel_mismatch`` is the worst relative deviation
-    between the two routes and ``ok`` records whether it stayed under the
-    verification tolerance.
+    measured ``offset_areas``, one per entry of ``epsilons``.
+    ``rel_mismatch`` is the worst relative deviation between the two routes
+    and ``ok`` records whether it stayed under the verification tolerance.
     """
 
     area: float
@@ -401,6 +398,7 @@ class TotalCurvatureReport:
     rel_mismatch: float
     ok: bool
     orientation: str
+    offset_areas: tuple = ()
 
 
 def gauss_map_signed_area(surface: SurfacePatch, tol=1e-9):
@@ -431,36 +429,41 @@ def total_curvatures(surface: SurfacePatch, fit_tol=1e-4,
     The two curvature totals are the surface integrals whose first-order
     and second-order roles in the offset-area expansion
     area(eps) = area + mean_total * eps + gauss_total * eps^2
-    are verified against a quadratic fit through measured offset areas at
-    +-epsilons.  A mismatch above ``fit_tol`` (relative) raises
+    are verified against a quadratic fit through the report's
+    ``offset_areas`` at +-epsilons.  A mismatch above ``fit_tol`` (relative) raises
     :class:`VerificationError` carrying the report.
+
+    One quadrature takes the area element, both curvature densities and
+    each offset's |(r_u + eps n_u) x (r_v + eps n_v)| from one order-2 jet
+    evaluation per node.  :func:`offset_surface`'s focal-set check runs
+    once, at the largest |eps|, and raises the same error.
     """
     (u0, u1), (v0, v1) = surface.domain
     # The offset walks along the cooriented normal, but the signed area
     # element must stay positive against the natural r_u x r_v direction,
     # so flipped patches need the projection sign compensated.
     sign = -1.0 if surface.flip_normal else 1.0
+    eps_ladder = sorted({abs(float(e)) for e in epsilons}, reverse=True)
+    eps_all = [e for mag in eps_ladder for e in (mag, -mag)]
+    _check_focal(surface, eps_ladder[0])
 
     def integrands(u, v):
-        """(|r_u x r_v|, mean density, Gauss density) from one evaluation."""
-        nj = surface.normal_jets(u, v, order=1)
-        r = surface.jets(u, v, order=1)
+        """|r_u x r_v|, mean density, Gauss density, offset area elements."""
+        r = surface.jets(u, v, order=2)
+        nj = surface._unit_normal(r)
         n = [c.value for c in nj]
-        n_u = [c.partial((1, 0)) for c in nj]
-        n_v = [c.partial((0, 1)) for c in nj]
-        r_u = [c.partial((1, 0)) for c in r]
-        r_v = [c.partial((0, 1)) for c in r]
+        n_u, n_v, r_u, r_v = (np.stack([c.partial(a) for c in js])
+                              for js in (nj, r) for a in ((1, 0), (0, 1)))
         cr = nk.vcross(r_u, r_v)
         h = nk.vtriple(r_u, n_v, n) + nk.vtriple(n_u, r_v, n)
         k = nk.vtriple(n_u, n_v, n)
-        return np.stack([np.sqrt(nk.vdot(cr, cr)), sign * h, sign * k])
+        offsets = [nk.vcross(r_u + e * n_u, r_v + e * n_v) for e in eps_all]
+        return np.stack([np.sqrt(nk.vdot(cr, cr)), sign * h, sign * k]
+                        + [np.sqrt(nk.vdot(c, c)) for c in offsets])
 
     totals, _ = nk.quadrature2d(integrands, u0, u1, v0, v1, tol=tol)
-    S, H, K = map(float, totals)
-
-    eps_ladder = sorted(set(abs(e) for e in epsilons), reverse=True)
-    eps_all = [e for mag in eps_ladder for e in (mag, -mag)]
-    areas = [area(offset_surface(surface, e), tol=tol) for e in eps_all]
+    S, H, K = map(float, totals[:3])
+    areas = tuple(map(float, totals[3:]))
     A = np.column_stack([np.ones(len(eps_all)), eps_all,
                          np.square(eps_all)])
     coeffs, *_ = np.linalg.lstsq(A, np.array(areas), rcond=None)
@@ -470,7 +473,7 @@ def total_curvatures(surface: SurfacePatch, fit_tol=1e-4,
     mism = max(abs(fit_area - S), abs(fit_mean - H), abs(fit_gauss - K)) / scale
     report = TotalCurvatureReport(S, H, K, fit_area, fit_mean, fit_gauss,
                                   tuple(eps_all), float(mism), mism <= fit_tol,
-                                  surface.orientation)
+                                  surface.orientation, areas)
     if not report.ok:
         raise VerificationError(
             f"offset-area fit disagrees with curvature totals "

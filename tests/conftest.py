@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 import curvatur.numkit as nk
@@ -30,4 +31,21 @@ def rhs_evals(monkeypatch):
             problem, rhs=lambda t, y: calls.append(1) or rhs(t, y)), *a, **kw)
 
     monkeypatch.setattr(nk, "integrate_ode", counted)
+    return calls
+
+
+@pytest.fixture
+def quad_grids(monkeypatch):
+    """A list that gains one list per ``nk.quadrature2d`` call, holding the
+    node-grid shape of each of that call's integrand evaluations."""
+    calls = []
+    quadrature2d = nk.quadrature2d
+
+    def recorded(fn, *a, **kw):
+        grids = []
+        calls.append(grids)
+        return quadrature2d(
+            lambda u, v: grids.append(np.shape(u)) or fn(u, v), *a, **kw)
+
+    monkeypatch.setattr(nk, "quadrature2d", recorded)
     return calls

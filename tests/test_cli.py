@@ -1,8 +1,10 @@
 """End-to-end command line behavior: schemas, formats, exit codes."""
 
+import itertools
 import json
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -268,6 +270,38 @@ def test_verify_times_suites_in_text_mode_only(capsys):
     _, second, _ = run(capsys, *argv)
     assert first == second
     assert "TIME" not in first
+
+
+def test_verify_circle_law_json_is_byte_stable(capsys):
+    argv = ("verify", "--suite", "circle-law", "--format", "json")
+    code, first, _ = run(capsys, *argv)
+    _, second, _ = run(capsys, *argv)
+    assert code == 0 and first == second
+    rows = {c["name"]: c for c in json.loads(first)["results"]["checks"]}
+    assert rows["runtime in seconds"]["value"] is None
+    assert rows["runtime in seconds"]["passed"]
+
+
+def test_verify_circle_law_fails_over_its_time_bound(capsys, monkeypatch):
+    clock = itertools.count(0.0, 11.0)     # every reading 11 s later
+    monkeypatch.setattr(vf, "time",
+                        types.SimpleNamespace(perf_counter=lambda: next(clock)))
+    code, out, _ = run(capsys, "verify", "--suite", "circle-law")
+    assert code == 3
+    assert ("FAIL circle-law: runtime in seconds (value 11, bound 10)"
+            in out.splitlines())
+
+
+def test_surface_offset_sphere(capsys):
+    argv = ("surface", "offset", "--builtin", "sphere", "--eps", "0.1")
+    doc = run_json(capsys, *argv)
+    res = doc["results"]
+    assert doc["diagnostics"]["warnings"] == []
+    assert res["offset_area"] == pytest.approx(res["predicted_area"],
+                                               rel=1e-6, abs=0.0)
+    _, first, _ = run(capsys, *argv)
+    _, second, _ = run(capsys, *argv)
+    assert first == second
 
 
 def test_verify_json_document(capsys):

@@ -235,6 +235,22 @@ def test_gauss_legendre_polynomial_exactness():
     assert float(np.sum(ws * xs ** 9)) == pytest.approx(102.4, abs=1e-11)
 
 
+def test_gauss_legendre_rules_are_cached(monkeypatch):
+    built = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: built.append(n) or leggauss(n))
+    nk._legendre_rule.cache_clear()
+    first, _ = nk.gauss_legendre(7, 0.0, 1.0)
+    expected = first.copy()
+    first[:] = -1.0                 # the caller owns the returned arrays
+    for _ in range(3):
+        xs, _ = nk.gauss_legendre(7, 0.0, 1.0)
+        assert np.array_equal(xs, expected)
+        nk.gauss_legendre(9, -1.0, 2.0)
+    assert built == [7, 9]
+
+
 def test_quadrature_smooth():
     val, err = nk.quadrature(np.exp, 0.0, 1.0, tol=1e-12)
     assert val == pytest.approx(math.e - 1.0, abs=1e-12)

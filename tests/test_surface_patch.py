@@ -167,3 +167,39 @@ def test_graph_normal_is_unit_and_orthogonal():
         f = sp.forms_at(graph, uv)
         assert np.linalg.norm(f.normal) == pytest.approx(1.0, abs=1e-12)
         assert np.abs(f.basis @ f.normal).max() < 1e-12
+
+
+def _outward_near_full_sphere():
+    """The outward unit sphere minus polar caps of 1e-4, as in criterion 05."""
+    m = 1e-4
+    patch = sp.SurfacePatch(
+        lambda u, v: [u.cos() * v.sin(), u.sin() * v.sin(), v.cos()],
+        [(0, 2 * math.pi), (m, math.pi - m)], periods=(2 * math.pi, None))
+    return patch.flipped()
+
+
+@pytest.mark.parametrize("name", ["torus", "cylinder", "sphere"])
+def test_fused_offset_areas_match_offset_patches(name):
+    patch = (_outward_near_full_sphere() if name == "sphere"
+             else cat.builtin(name).build())
+    rep = sp.total_curvatures(patch)
+    assert len(rep.offset_areas) == len(rep.epsilons) == 6
+    for eps, fused in zip(rep.epsilons, rep.offset_areas):
+        direct = sp.area(sp.offset_surface(patch, eps))
+        assert fused == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+
+def test_total_curvatures_keeps_the_focal_error():
+    small = cat.builtin("sphere").with_params(R=0.008).build()
+    with pytest.raises(nk.PreconditionError) as via_offset:
+        sp.offset_surface(small, 0.01)
+    with pytest.raises(nk.PreconditionError) as via_totals:
+        sp.total_curvatures(small)
+    assert str(via_totals.value) == str(via_offset.value)
+    assert str(via_totals.value) == (
+        "offset 0.01 crosses the focal set at (u,v)=(0,0.1)")
+
+
+def test_total_curvatures_is_one_quadrature(torus, quad_grids):
+    sp.total_curvatures(torus)
+    assert quad_grids == [[(8, 8), (16, 16)]]
