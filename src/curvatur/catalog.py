@@ -91,21 +91,24 @@ class Call:
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh")
 
 _FN_TABLE = {name: getattr(nk, name) for name in FUNCTIONS}
+_SINCOS = {"sin": operator.itemgetter(0), "cos": operator.itemgetter(1)}
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv}
+
+
+def _subtrees(e):
+    """Every node of an expression, the root first."""
+    if not isinstance(e, (Num, Name, Unary, Binary, Call)):
+        raise PreconditionError(f"not an expression node: {e!r}")
+    yield e
+    for k in ("arg", "lhs", "rhs"):
+        if hasattr(e, k):
+            yield from _subtrees(getattr(e, k))
 
 
 def free_names(e):
     """All identifiers appearing in an expression."""
-    if isinstance(e, Num):
-        return set()
-    if isinstance(e, Name):
-        return {e.ident}
-    if isinstance(e, Unary):
-        return free_names(e.arg)
-    if isinstance(e, Binary):
-        return free_names(e.lhs) | free_names(e.rhs)
-    if isinstance(e, Call):
-        return free_names(e.arg)
-    raise PreconditionError(f"not an expression node: {e!r}")
+    return {s.ident for s in _subtrees(e) if isinstance(s, Name)}
 
 
 def eval_expr(e, env):
@@ -123,16 +126,9 @@ def eval_expr(e, env):
     a = eval_expr(e.lhs, env)
     if e.op == "^":
         return a ** _exponent(eval_expr(e.rhs, env))
-    b = eval_expr(e.rhs, env)
-    if e.op == "+":
-        return a + b
-    if e.op == "-":
-        return a - b
-    if e.op == "*":
-        return a * b
-    if e.op == "/":
-        return a / b
-    raise PreconditionError(f"unknown operator {e.op}")
+    if e.op not in _OPERATORS:
+        raise PreconditionError(f"unknown operator {e.op}")
+    return _OPERATORS[e.op](a, eval_expr(e.rhs, env))
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
@@ -170,9 +166,6 @@ def print_expr(e, parent_prec=0):
 # ---------------------------------------------------------------------------
 
 
-_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-
-
 def _exponent(b):
     """An integral float exponent as an int, so that a jet power is a
     product chain."""
@@ -185,6 +178,10 @@ def _power(a, b):
 
 def _reciprocal(b):
     return b.reciprocal() if isinstance(b, Jet) else 1.0 / b
+
+
+def _sincos(a):
+    return a.sincos() if isinstance(a, Jet) else (nk.sin(a), nk.cos(a))
 
 
 def _divide(a, b, rb):
@@ -204,8 +201,9 @@ class Program:
     ``pi``) folds to a constant through :func:`eval_expr`, the reference
     evaluator, and constant exponents are resolved as it resolves them.
     Structurally equal subtrees share one register across all the
-    expressions, and quotients by one divisor share its reciprocal, so each
-    is evaluated once per call.  An instruction is an operator or a
+    expressions, quotients by one divisor share its reciprocal, and sin and
+    cos of one argument share one :meth:`numkit.Jet.sincos`, so each is
+    evaluated once per call.  An instruction is an operator or a
     :mod:`numkit` function applied at run time, the operation
     :func:`eval_expr` applies, so on floats, arrays and jets alike a
     program's outputs are bit-identical to it.
@@ -221,6 +219,10 @@ class Program:
         # compile to (kind, index) references, numbered at the end
         self._memo = {Name(v): ("in", k) for k, v in enumerate(self.inputs)}
         self._tape = []
+        calls = {(s.fn, s.arg) for e in exprs for s in _subtrees(e)
+                 if isinstance(s, Call)}
+        self._paired = {a for f, a in calls if f == "sin"
+                        and ("cos", a) in calls}
         refs = [self._emit(e) for e in exprs]
         base = {"in": 0, "c": len(self.inputs),
                 "t": len(self.inputs) + len(self.consts)}
@@ -230,7 +232,7 @@ class Program:
 
         self.tape = [(fn, tuple(map(reg, args))) for fn, args in self._tape]
         self.outputs = [reg(r) for r in refs]
-        del self._memo, self._tape, self._params
+        del self._memo, self._tape, self._params, self._paired
 
     def constant(self, reg):
         """The value of a register folded at compile time, else None."""
@@ -279,6 +281,10 @@ class Program:
                     from None
         if isinstance(e, Unary):
             return self._op(operator.neg, self._emit(e.arg))
+        if isinstance(e, Call) and e.fn in _SINCOS and e.arg in self._paired:
+            pair = self._memoized(("sincos", e.arg), lambda: self._op(
+                _sincos, self._emit(e.arg)))
+            return self._op(_SINCOS[e.fn], pair)
         if isinstance(e, Call):
             return self._op(_FN_TABLE[e.fn], self._emit(e.arg))
         lhs = self._emit(e.lhs)

@@ -550,7 +550,7 @@ def _cmd_curvature_scalar(args):
            "monotone": est.monotone},
           tolerances={"radii": list(est.radii)},
           error_estimates={"tau": est.error},
-          warnings=est.warnings)
+          warnings=est.warnings, cost=est.cost)
     return 0
 
 

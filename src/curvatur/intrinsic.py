@@ -19,12 +19,12 @@ two-point distance by shooting.
 
 Each job is one batched solve: whole batches of geodesics integrate in one
 flat ODE system with shared step control, which is what keeps the
-limit-based estimators fast (circles, spheres, volume grids, and the radius
-probes before them).  Transport has one rule: a path is pieces on
-tau in [0, 1], polyline segments or geodesic sides, every piece's transport
-map is one lane of a single solve, and the pieces are chained afterwards;
-holonomy is that transport around a closed path.  Distance shooting
-batches its pairs the same way.
+limit-based estimators fast (circles, spheres, volume grids: one Jacobi fan
+each, which is its own radius probe).  Transport has one rule: a path is
+pieces on tau in [0, 1], polyline segments or geodesic sides, every piece's
+transport map is one lane of a single solve, and the pieces are chained
+afterwards; holonomy is that transport around a closed path.  Distance
+shooting batches its pairs the same way.
 """
 
 from __future__ import annotations
@@ -618,6 +618,11 @@ def holonomy(chart: MetricChart, loop, closure_tol=1e-9) -> HolonomyResult:
 
 
 _FAN_RTOL = 1e-10                           # rtol of every Jacobi fan
+_COST = ("solves", "accepted_steps", "rejected_steps", "rhs_evals")
+
+
+class _FanExit(Exception):
+    """A fan failed; args[0]: the share of its radius every lane kept in."""
 
 
 def fan_samples(samples):
@@ -629,7 +634,7 @@ def fan_samples(samples):
     return int(samples)
 
 
-def _jacobi_elements(chart: MetricChart, P, radii, U, dU, steer):
+def _jacobi_elements(chart: MetricChart, P, radii, U, dU, steer, cost=None):
     """Length, area or volume elements of exp_P(r U) at every radius r.
 
     ``U`` (n, L) are directions and ``dU`` (c, n, L) their derivatives in
@@ -638,13 +643,26 @@ def _jacobi_elements(chart: MetricChart, P, radii, U, dU, steer):
     columns J = d exp_P(r U) / d(params), every radius is read off its
     dense output, and one metric read gives sqrt(det(J^T g J)), shape
     (radii, L).  ``steer`` goes to :func:`_exp_batch_variational`.
+    Given ``cost`` (int array, ``_COST``) it adds its counters, and a failed
+    solve or an accepted node outside the box raises :class:`_FanExit`.
     """
     radii = np.asarray(radii, dtype=float)
     rmax = radii.max()
     n = chart.dim
     c, _, L = dU.shape
-    traj = _exp_batch_variational(chart, P, rmax * U, rmax * dU, _FAN_RTOL,
-                                  steer=steer)
+    try:
+        traj, failed = _exp_batch_variational(
+            chart, P, rmax * U, rmax * dU, _FAN_RTOL, steer=steer), False
+    except nk.StepUnderflowError as e:
+        if cost is None:
+            raise
+        traj, failed = e.trajectory, True
+    if cost is not None:
+        cost += (1, traj.n_accepted, traj.n_rejected, traj.n_rhs)
+        x = traj.ys.reshape(len(traj.ts), L, 2 + 2 * c, n)[:, :, 0]
+        inside = np.append(chart.contains(x.T).all(axis=0), not failed)
+        if not inside.all():     # reach: the node before the first one out
+            raise _FanExit(traj.ts[max(np.argmin(inside) - 1, 0)])
     z = traj.eval(radii / rmax).reshape(len(radii), L, 2 + 2 * c, n)
     J = z[:, :, 2:2 + c]                                  # (R, L, c, n)
     gram = np.einsum('RLcn,nmRL,RLdm->RLcd', J,
@@ -653,7 +671,7 @@ def _jacobi_elements(chart: MetricChart, P, radii, U, dU, steer):
 
 
 def geodesic_circle_lengths(chart: MetricChart, P, radii, samples=24,
-                            frame=None):
+                            frame=None, cost=None):
     """Circle lengths L(r) for each radius, with error estimates.
 
     The circles lie in exp_P of the plane spanned by the g-orthonormal
@@ -665,7 +683,7 @@ def geodesic_circle_lengths(chart: MetricChart, P, radii, samples=24,
     converges geometrically in M for a smooth periodic integrand
     (Trefethen & Weideman, SIAM Review 56, 2014), so the error estimate is
     |L_M - L_{M/2}| (every other direction) plus the fan's rtol times L.
-    Returns (lengths dict, error dict).
+    Returns (lengths dict, error dict); ``cost`` goes to the fan.
     """
     M = fan_samples(samples)
     radii = [float(r) for r in radii]
@@ -675,7 +693,7 @@ def geodesic_circle_lengths(chart: MetricChart, P, radii, samples=24,
     c, s = np.cos(phis), np.sin(phis)
     U = c * frame[:, :1] + s * frame[:, 1:2]
     dU = (c * frame[:, 1:2] - s * frame[:, :1])[None]
-    speed = _jacobi_elements(chart, P, radii, U, dU, steer=False)
+    speed = _jacobi_elements(chart, P, radii, U, dU, False, cost)
     full = 2.0 * math.pi * speed.mean(axis=1)
     half = 2.0 * math.pi * speed[:, ::2].mean(axis=1)
     err = np.abs(full - half) + _FAN_RTOL * full
@@ -683,20 +701,20 @@ def geodesic_circle_lengths(chart: MetricChart, P, radii, samples=24,
 
 
 def circles_and_disks(chart: MetricChart, P, radii, samples=24,
-                      radial_nodes=24):
+                      radial_nodes=24, cost=None):
     """Circle lengths L(R), disk areas S(R) and the lengths' error
     estimates for each R in ``radii``, as three dicts keyed by R.
 
     S(R) integrates L(rho) over [0, R] with ``radial_nodes`` Gauss-Legendre
     nodes; every length comes from one :func:`geodesic_circle_lengths`
-    call over the union of the radii and their nodes.
+    call (given ``cost``) over the union of the radii and their nodes.
     """
     radii = [float(R) for R in radii]
     rules = {R: nk.gauss_legendre(radial_nodes, 0.0, R) for R in radii}
     all_r = sorted(set(radii) | set(float(x) for xs, _ in rules.values()
                                     for x in xs))
-    lengths, errors = geodesic_circle_lengths(chart, P, all_r,
-                                              samples=samples)
+    lengths, errors = geodesic_circle_lengths(chart, P, all_r, samples,
+                                              cost=cost)
     areas = {R: float(sum(w * lengths[float(x)] for x, w in zip(xs, ws)))
              for R, (xs, ws) in rules.items()}
     return ({R: lengths[R] for R in radii}, areas,
@@ -749,7 +767,7 @@ class TauEstimate:
     ``tau`` is the headline estimate (circle route for 2D, sphere-area
     route for 3D).  For 2D charts ``tau_circle`` and ``tau_disk`` hold the
     two independent comparison limits, which must agree within the combined
-    ``error``.
+    ``error``.  ``cost`` sums the solver counters of every radius attempt.
     """
 
     tau: float
@@ -759,31 +777,13 @@ class TauEstimate:
     radii: tuple
     monotone: bool
     warnings: list
+    cost: dict
 
     @property
     def routes_agree(self):
         if self.tau_circle is None or self.tau_disk is None:
             return True
         return abs(self.tau_circle - self.tau_disk) <= max(self.error, 1e-9)
-
-
-def _shrink_radii(chart: MetricChart, P, r0):
-    """Halve r0 until the geodesics exp_P(+-E r0) along the orthonormal
-    frame E stay in the domain, probed as one batch: an attempt fails on a
-    numerical failure or when an accepted node leaves the box."""
-    P = np.asarray(P, dtype=float)
-    n = chart.dim
-    E = chart.orthonormal_basis(P)
-    for _ in range(8):
-        try:
-            traj = _exp_batch(chart, P, np.concatenate([E, -E], axis=1) * r0)
-            x = traj.ys.reshape(len(traj.ts), 2 * n, 2, n)[:, :, 0, :]
-            if chart.contains(x.T).all():
-                return r0
-        except nk.NumericalError:
-            pass
-        r0 *= 0.5
-    raise PreconditionError("no usable circle radius inside the domain")
 
 
 def scalar_curvature_estimate(chart: MetricChart, P, r0=0.2, rungs=3,
@@ -798,49 +798,56 @@ def scalar_curvature_estimate(chart: MetricChart, P, r0=0.2, rungs=3,
     ((4 pi / 3) R^4) is used instead.  ``samples`` is the fan's direction
     count M (:func:`fan_samples`): M directions per circle, M azimuths by
     M/2 polar nodes per sphere.
+
+    The fan is its own radius probe: the ladder starts at r0, and a fan
+    that fails or leaves the box at an accepted node runs again at the
+    largest r0 / 2^k, k <= 7, that all its lanes reached inside (at least
+    one halving lower).  ``cost`` sums the solver counters of every attempt.
     """
     P = np.asarray(P, dtype=float)
-    r0 = _shrink_radii(chart, P, float(r0))
-    ladder = [r0 / 2 ** k for k in range(rungs)]
-    warnings = []
+    fan = circles_and_disks if chart.dim == 2 else _geodesic_sphere_areas
+    counts, k = np.zeros(len(_COST), int), 0
+    while k < 8:
+        ladder = [float(r0) / 2 ** (k + j) for j in range(rungs)]
+        try:
+            out = fan(chart, P, ladder, samples, cost=counts)
+            break
+        except _FanExit as e:   # the largest r0 / 2^k within its reach
+            k += max(1, math.ceil(-math.log2(max(e.args[0], 2.0 ** -8))))
+    else:
+        raise PreconditionError("no usable circle radius inside the domain")
+
+    def extrapolate(defects):
+        return nk.richardson(nk.ExtrapolationLadder(np.array(ladder),
+                                                    np.array(defects), p=2))
 
     if chart.dim == 2:
-        lengths, areas, _ = circles_and_disks(chart, P, ladder, samples)
-        d_circle, d_disk = [], []
-        for R in ladder:
-            L, S = lengths[R], areas[R]
-            d_circle.append(6.0 * (2 * math.pi * R - L) / (math.pi * R ** 3))
-            d_disk.append(24.0 * (math.pi * R ** 2 - S) / (math.pi * R ** 4))
-        rc = nk.richardson(nk.ExtrapolationLadder(np.array(ladder),
-                                                  np.array(d_circle), p=2))
-        rd = nk.richardson(nk.ExtrapolationLadder(np.array(ladder),
-                                                  np.array(d_disk), p=2))
-        err = rc.error + rd.error + abs(rc.value - rd.value)
-        if not (rc.monotone and rd.monotone):
-            warnings.append("extrapolation ladder not monotone")
-        return TauEstimate(rc.value, float(err), rc.value, rd.value,
-                           tuple(ladder), rc.monotone and rd.monotone,
-                           warnings)
-
-    # 3D: geodesic-sphere area defect
-    areas = _geodesic_sphere_areas(chart, P, ladder, samples)
-    defect = [6.0 * (4 * math.pi * R ** 2 - areas[R])
-              / (MetricChart.BALL_VOLUME[3] * R ** 4) for R in ladder]
-    rr = nk.richardson(nk.ExtrapolationLadder(np.array(ladder),
-                                              np.array(defect), p=2))
-    if not rr.monotone:
-        warnings.append("extrapolation ladder not monotone")
-    return TauEstimate(rr.value, float(rr.error), None, None, tuple(ladder),
-                       rr.monotone, warnings)
+        lengths, areas, _ = out
+        head = extrapolate([6.0 * (2 * math.pi * R - lengths[R])
+                            / (math.pi * R ** 3) for R in ladder])
+        rd = extrapolate([24.0 * (math.pi * R ** 2 - areas[R])
+                          / (math.pi * R ** 4) for R in ladder])
+        err = head.error + rd.error + abs(head.value - rd.value)
+        routes = (head.value, rd.value)
+        monotone = head.monotone and rd.monotone
+    else:                              # 3D: geodesic-sphere area defect
+        head = extrapolate([6.0 * (4 * math.pi * R ** 2 - out[R])
+                            / (MetricChart.BALL_VOLUME[3] * R ** 4)
+                            for R in ladder])
+        err, routes, monotone = head.error, (None, None), head.monotone
+    warnings = [] if monotone else ["extrapolation ladder not monotone"]
+    return TauEstimate(head.value, float(err), *routes, tuple(ladder),
+                       monotone, warnings, dict(zip(_COST, counts.tolist())))
 
 
-def _geodesic_sphere_areas(chart: MetricChart, P, radii, samples=24):
+def _geodesic_sphere_areas(chart: MetricChart, P, radii, samples=24,
+                           cost=None):
     """Areas of geodesic spheres via one variational geodesic fan.
 
     Directions are a Gauss-Legendre (M/2 polar nodes) x trapezoid (M =
     ``samples`` azimuths) grid on the unit g-sphere; the surface element
     uses d(exp)/d(direction) from the variational state, so no differencing
-    across lanes is needed.
+    across lanes is needed.  ``cost`` goes to :func:`_jacobi_elements`.
     """
     M = fan_samples(samples)
     E = chart.orthonormal_basis(np.asarray(P, dtype=float))
@@ -851,7 +858,7 @@ def _geodesic_sphere_areas(chart: MetricChart, P, radii, samples=24):
     sf, cf = np.sin(F.ravel()), np.cos(F.ravel())
     u = np.stack([st * cf, st * sf, ct])
     du = np.stack([[ct * cf, ct * sf, -st], [-st * sf, st * cf, 0.0 * st]])
-    area = _jacobi_elements(chart, P, radii, E @ u, E @ du, steer=True)
+    area = _jacobi_elements(chart, P, radii, E @ u, E @ du, True, cost)
     W = np.repeat(tw * (2.0 * math.pi / M), M)
     return dict(zip([float(r) for r in radii], (area @ W).tolist()))
 

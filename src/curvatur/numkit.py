@@ -14,11 +14,12 @@ Derivatives, 2nd ed., ch. 13): one gather of the P products a_i b_j per call,
 then one (K x P) 0/1 matrix that sums them into their K output slots.  The
 triples are cached per (nvars, order) by :func:`_index_space`.  Batch axes
 of two operands broadcast as numpy broadcasts array axes, aligned from the
-right.  A jet whose batch axes start
-with tensor axes is a tensor-valued jet: :func:`jet_stack` builds one from
-nested lists of scalar jets and :func:`jet_unstack` takes it apart,
-:func:`jet_einsum` contracts two of them and :func:`jet_inv` inverts a
-matrix-valued one, each in a single batched pass.
+right.  Elementary functions compose over one power chain (u - u0)^k,
+which :meth:`Jet.sincos` shares between sin and cos.  A jet whose batch
+axes start with tensor axes is a tensor-valued jet: :func:`jet_stack`
+builds one from nested lists of scalar jets and :func:`jet_unstack` takes
+it apart, :func:`jet_einsum` contracts two of them and :func:`jet_inv`
+inverts a matrix-valued one, each in a single batched pass.
 Finite differences appear in this package only inside clearly named
 cross-check oracles.
 
@@ -191,7 +192,8 @@ class Jet:
     def __init__(self, nvars, order, coef):
         self.nvars = nvars
         self.order = order
-        self.coef = np.asarray(coef, dtype=float)
+        self.coef = coef if type(coef) is np.ndarray and coef.dtype == float \
+            else np.asarray(coef, dtype=float)
 
     # -- construction -------------------------------------------------
 
@@ -316,7 +318,7 @@ class Jet:
             derivs = [1.0 / v]
             for k in range(1, self.order + 1):
                 derivs.append(derivs[-1] * (-k) / v)
-        return self._compose(derivs)
+        return self._compose(derivs)[0]
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -345,46 +347,55 @@ class Jet:
             for k in range(1, self.order + 1):
                 derivs.append(derivs[0] * c / np.power(v, k))
                 c = c * (p - k)
-        return self._compose(derivs)
+        return self._compose(derivs)[0]
 
     # -- composition with a scalar function ---------------------------
 
-    def _compose(self, derivs):
-        """Compose ``f(self)`` given derivatives of f at ``self.value``.
-
-        ``derivs[k]`` is the k-th derivative of f at the point value;
-        entries beyond ``self.order`` are ignored.
+    def _compose(self, *series):
+        """Compose ``f(self)`` for each series of derivatives f^(k) of an f
+        at ``self.value``, k = 0, 1, ... (entries beyond ``self.order`` are
+        ignored): a list of one jet per series, all summed term by term
+        over one power chain (self - value)^k.
         """
-        u = Jet(self.nvars, self.order, self.coef.copy())
-        u.coef[0] = np.zeros_like(u.coef[0])
-        out = self._like_const(np.asarray(derivs[0], dtype=float)
-                               * np.ones_like(self.coef[0]))
-        upow = None
+        _, _, (I, J, M), _, _ = _index_space(self.nvars, self.order)
+        u = self.coef.copy()
+        u[0] = 0.0
+        outs = [np.zeros_like(u) for _ in series]
+        for out, derivs in zip(outs, series):
+            out[0] = derivs[0]
         for k in range(1, self.order + 1):
-            upow = u if upow is None else upow * u
-            out = out + upow * (np.asarray(derivs[k], dtype=float) / math.factorial(k))
-        return out
+            upow = u if k == 1 else _taylor_sum(M, upow[I] * u[J])
+            for out, derivs in zip(outs, series):
+                out += upow * (np.asarray(derivs[k], dtype=float)
+                               / math.factorial(k))
+        return [Jet(self.nvars, self.order, out) for out in outs]
+
+    def _cycle(self, f, g, sign, *starts):
+        """One jet per start (0: f, 1: g) of the cycle f, g, sign f, sign g."""
+        a, b = f(self.coef[0]), g(self.coef[0])
+        cycle = [a, b, sign * a, sign * b] * 2
+        return self._compose(*[cycle[m:m + self.order + 1] for m in starts])
 
     def sin(self):
-        v = self.coef[0]
-        s, c = np.sin(v), np.cos(v)
-        return self._compose([s, c, -s, -c, s][: self.order + 1])
+        return self._cycle(np.sin, np.cos, -1, 0)[0]
 
     def cos(self):
-        v = self.coef[0]
-        s, c = np.sin(v), np.cos(v)
-        return self._compose([c, -s, -c, s, c][: self.order + 1])
+        return self._cycle(np.sin, np.cos, -1, 1)[0]
+
+    def sincos(self):
+        """``(self.sin(), self.cos())`` over one shared power chain."""
+        return tuple(self._cycle(np.sin, np.cos, -1, 0, 1))
 
     def tan(self):
         t = np.tan(self.coef[0])
         sec2 = 1.0 + t * t
         derivs = [t, sec2, 2 * t * sec2, sec2 * (2 + 6 * t * t),
                   sec2 * (16 * t + 24 * t ** 3)]
-        return self._compose(derivs[: self.order + 1])
+        return self._compose(derivs[: self.order + 1])[0]
 
     def exp(self):
         e = np.exp(self.coef[0])
-        return self._compose([e] * (self.order + 1))
+        return self._compose([e] * (self.order + 1))[0]
 
     def log(self):
         v = self.coef[0]
@@ -393,7 +404,7 @@ class Jet:
             for k in range(1, self.order + 1):
                 derivs.append(((-1.0) ** (k - 1)) * math.factorial(k - 1)
                               / np.power(v, k))
-        return self._compose(derivs)
+        return self._compose(derivs)[0]
 
     def sqrt(self):
         v = self.coef[0]
@@ -404,17 +415,13 @@ class Jet:
             for k in range(1, self.order + 1):
                 derivs.append(c * s / np.power(v, k))
                 c = c * (0.5 - k)
-        return self._compose(derivs)
+        return self._compose(derivs)[0]
 
     def sinh(self):
-        v = self.coef[0]
-        s, c = np.sinh(v), np.cosh(v)
-        return self._compose([s, c, s, c, s][: self.order + 1])
+        return self._cycle(np.sinh, np.cosh, 1, 0)[0]
 
     def cosh(self):
-        v = self.coef[0]
-        s, c = np.sinh(v), np.cosh(v)
-        return self._compose([c, s, c, s, c][: self.order + 1])
+        return self._cycle(np.sinh, np.cosh, 1, 1)[0]
 
     def __repr__(self):
         return (f"Jet(nvars={self.nvars}, order={self.order}, "
@@ -439,7 +446,7 @@ def compose1d(outer: Jet, inner: Jet) -> Jet:
         raise PreconditionError("outer jet must be univariate")
     derivs = [outer.partial((k,)) for k in range(min(outer.order, inner.order) + 1)]
     derivs += [np.zeros_like(derivs[0])] * (inner.order - len(derivs) + 1)
-    return inner._compose(derivs)
+    return inner._compose(derivs)[0]
 
 
 def invert_univariate(j: Jet, t0: float) -> Jet:

@@ -163,6 +163,26 @@ def test_programs_share_subexpressions(monkeypatch):
     assert calls == {"reciprocal": 1, "__radd__": 1}
 
 
+def test_programs_share_sin_and_cos(monkeypatch):
+    calls = {"sin": 0, "cos": 0, "sincos": 0}
+    for method in calls:
+        original = getattr(nk.Jet, method)
+
+        def counted(*args, _method=method, _original=original):
+            calls[_method] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(nk.Jet, method, counted)
+    spec = cat.parse_geometry("surface s (u,v in [0,1]x[0,1]) = "
+                              "(sin(u)*v, cos(u)*v, sin(2*v))")
+    spec.build().jets(0.3, 0.6, order=2)
+    # sin and cos of u share one chain; sin(2*v) has no cos partner
+    assert calls == {"sin": 1, "cos": 0, "sincos": 1}
+    calls.update(sin=0, cos=0, sincos=0)
+    cat.builtin("sphere").build().jets(0.3, 1.2, order=2)
+    assert calls == {"sin": 0, "cos": 0, "sincos": 2}
+
+
 # ---------------------------------------------------------------------------
 # documents
 # ---------------------------------------------------------------------------

@@ -93,6 +93,21 @@ def test_trace_cost_block_is_deterministic(capsys):
             <= 2 + 12 * steps + 3 * cost["accepted_steps"])
 
 
+def test_scalar_cost_block_is_deterministic(capsys):
+    argv = ("curvature", "scalar", "--builtin", "sphere", "--at", "1.0,1.2")
+    _, first, _ = run(capsys, *argv)
+    _, second, _ = run(capsys, *argv)
+    assert first == second
+    cost = json.loads(first)["diagnostics"]["cost"]
+    assert list(cost) == ["solves", "accepted_steps", "rejected_steps",
+                          "rhs_evals"]
+    assert all(type(v) is int for v in cost.values())
+    # one DOPRI5 fan: 1 + 6 RHS evaluations per attempted step
+    assert cost["solves"] == 1 and cost["accepted_steps"] > 0
+    assert cost["rhs_evals"] == 1 + 6 * (cost["accepted_steps"]
+                                         + cost["rejected_steps"])
+
+
 def test_geodesic_distance_plane(capsys):
     doc = run_json(capsys, "geodesic", "distance", "--builtin", "plane",
                    "--from", "0,0", "--to", "1.0,1.2")

@@ -127,7 +127,7 @@ def test_christoffel_jet_constructions(monkeypatch, halfplane, sphere_chart):
     assert len(built) <= 24
     built.clear()
     ig.christoffel_at(sphere_chart, np.array([0.2, 1.3]))
-    assert len(built) <= 52
+    assert len(built) <= 28         # sin and cos of one angle: one sincos
 
 
 def test_distance_rhs_budget(halfplane, rhs_evals):
@@ -410,19 +410,58 @@ def test_fan_samples_must_be_even_and_at_least_8(plane, samples):
         ig.geodesic_circle(plane, [0.0, 0.0], 0.5, samples=samples)
 
 
-@pytest.mark.parametrize("name, P, count", [("halfplane", [0.5, 2.0], 2),
-                                            ("s3", [0.2, -0.3, 0.5], 2)])
+@pytest.mark.parametrize("name, P, count", [("halfplane", [0.5, 2.0], 1),
+                                            ("s3", [0.2, -0.3, 0.5], 1)])
 def test_scalar_curvature_solve_count(request, solves, name, P, count):
-    ig.scalar_curvature_estimate(request.getfixturevalue(name), P)
-    assert len(solves) == count
+    # the Jacobi fan is its own radius probe
+    est = ig.scalar_curvature_estimate(request.getfixturevalue(name), P)
+    assert len(solves) == count == est.cost["solves"]
+
+
+@pytest.mark.parametrize("name, P, budget", [("sphere_chart", [1.0, 1.2], 45),
+                                             ("halfplane", [0.5, 2.0], 70),
+                                             ("s3", [0.2, -0.3, 0.5], 70)])
+def test_scalar_curvature_rhs_budget(request, rhs_evals, name, P, budget):
+    # deterministic cost guard: one fan, no probe solve (43, 67 and 67 RHS
+    # evaluations here; the probe added 55, 73 and 43)
+    est = ig.scalar_curvature_estimate(request.getfixturevalue(name), P)
+    assert len(rhs_evals) == est.cost["rhs_evals"] <= budget
+
+
+@pytest.mark.parametrize("samples", [6, 9])
+def test_scalar_curvature_checks_samples_before_solving(halfplane, s3, solves,
+                                                        samples):
+    for chart, P in ((halfplane, [0.5, 2.0]), (s3, [0.2, -0.3, 0.5])):
+        with pytest.raises(nk.PreconditionError, match="even integer >= 8"):
+            ig.scalar_curvature_estimate(chart, P, samples=samples)
+    assert not solves
 
 
 def test_shrink_radii_at_chart_edges(sphere_chart, halfplane):
+    # a fan that leaves the box reruns at the largest r0 / 2^k its lanes
+    # reached, which is the radius a separate probe found
     hyperboloid = cat.builtin("hyperboloid_pullback").build()
     for chart, P, r0 in ((sphere_chart, [1.0, 0.25], 0.1),
                          (hyperboloid, [1.9, 0.0], 0.025),
                          (halfplane, [0.0, 0.12], 0.2)):
-        assert ig._shrink_radii(chart, np.array(P), 0.2) == r0
+        est = ig.scalar_curvature_estimate(chart, np.array(P), 0.2)
+        assert est.radii[0] == r0
+        assert est.cost["solves"] == (1 if r0 == 0.2 else 2)
+
+
+def test_scalar_curvature_on_a_skewed_chart_edge():
+    # probing the +-E frame directions passed here, and then a fan lane
+    # between them left the box; the fan now finds the radius itself
+    skew = ig.MetricChart(2, [(-1.0, 1.0), (-1.0, 1.0)],
+                          lambda x: [[1.0, 0.9], [0.9, 1.0]])
+    est = ig.scalar_curvature_estimate(skew, np.array([0.55, 0.0]))
+    assert est.radii[0] == 0.1
+    assert abs(est.tau) < 1e-9 and est.cost["solves"] == 2
+
+
+def test_scalar_curvature_outside_the_chart_fails(halfplane):
+    with pytest.raises(nk.PreconditionError, match="no usable circle radius"):
+        ig.scalar_curvature_estimate(halfplane, np.array([0.0, -1.0]))
 
 
 def test_scalar_curvature_plane_and_halfplane(plane, halfplane):

@@ -39,6 +39,16 @@ def test_jet_division_and_sqrt():
     assert j.partial((1,)) == pytest.approx(expected, abs=1e-14)
 
 
+def test_sincos_is_sin_and_cos_bit_for_bit():
+    x = np.array([[0.3, -1.2, 2.5], [0.7, 0.1, -0.4]])
+    for order in range(nk.MAX_ORDER + 1):
+        u, v = nk.Jet.variables(x, order)
+        arg = u * v + 0.5 * u
+        s, c = arg.sincos()
+        assert s.coef.tobytes() == arg.sin().coef.tobytes()
+        assert c.coef.tobytes() == arg.cos().coef.tobytes()
+
+
 def test_compose1d_chain_rule():
     t = nk.Jet.variable(0.4, 0, 1, 3)
     inner = t * t + 1.0
