@@ -219,8 +219,17 @@ class Program:
         # compile to (kind, index) references, numbered at the end
         self._memo = {Name(v): ("in", k) for k, v in enumerate(self.inputs)}
         self._tape = []
-        calls = {(s.fn, s.arg) for e in exprs for s in _subtrees(e)
-                 if isinstance(s, Call)}
+        # one walk, children before parents: which subtrees hold an input
+        # name (keyed by id, as hashing a node walks its whole subtree),
+        # and the arguments of sin and cos calls
+        self._varies, calls = {}, set()
+        for s in reversed([s for e in exprs for s in _subtrees(e)]):
+            self._varies[id(s)] = s.ident in self.inputs if isinstance(
+                s, Name) else any(self._varies[id(getattr(s, k))]
+                                  for k in ("arg", "lhs", "rhs")
+                                  if hasattr(s, k))
+            if isinstance(s, Call):
+                calls.add((s.fn, s.arg))
         self._paired = {a for f, a in calls if f == "sin"
                         and ("cos", a) in calls}
         refs = [self._emit(e) for e in exprs]
@@ -232,7 +241,8 @@ class Program:
 
         self.tape = [(fn, tuple(map(reg, args))) for fn, args in self._tape]
         self.outputs = [reg(r) for r in refs]
-        del self._memo, self._tape, self._params, self._paired
+        del self._memo, self._tape, self._params, self._paired, \
+            self._varies
 
     def constant(self, reg):
         """The value of a register folded at compile time, else None."""
@@ -263,17 +273,18 @@ class Program:
         self._tape.append((fn, args))
         return ("t", len(self._tape) - 1)
 
-    def _memoized(self, key, make):
+    def _memoized(self, key, make, *args):
         ref = self._memo.get(key)
         if ref is None:
-            ref = self._memo[key] = make()
+            ref = self._memo[key] = make(*args)
         return ref
 
     def _emit(self, e):
-        return self._memoized(e, lambda: self._compile(e))
+        # three frames per nesting level, so a 300-term sum compiles
+        return self._memoized(e, self._compile, e)
 
     def _compile(self, e):
-        if free_names(e).isdisjoint(self.inputs):
+        if not self._varies[id(e)]:
             try:
                 return self._constant(eval_expr(e, self._params))
             except KeyError as k:
@@ -289,7 +300,7 @@ class Program:
             return self._op(_FN_TABLE[e.fn], self._emit(e.arg))
         lhs = self._emit(e.lhs)
         if e.op == "^":
-            if free_names(e.rhs).isdisjoint(self.inputs):
+            if not self._varies[id(e.rhs)]:
                 b = self._memoized(("^", e.rhs), lambda: self._constant(
                     _exponent(eval_expr(e.rhs, self._params))))
                 return self._op(operator.pow, lhs, b)

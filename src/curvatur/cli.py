@@ -453,12 +453,16 @@ def _cmd_geodesic_distance(args):
     chart, surface = _as_chart(spec)
     p = _floats(getattr(args, "from"), chart.dim, "--from")
     q = _floats(args.to, chart.dim, "--to")
-    dist = ig.geodesic_distance(chart, p, q, tol=args.tol)
+    cost, miss = np.zeros(len(ig._COST), int), np.zeros(1)
+    dist = ig.geodesic_distance(chart, p, q, tol=args.tol, cost=cost,
+                                miss=miss)
     _emit(args, "geodesic distance",
           _geometry_doc(spec, note="surface pullback" if surface else None),
           {"from": p, "to": q},
           {"distance": dist},
-          tolerances={"shooting_tol": args.tol})
+          tolerances={"shooting_tol": args.tol},
+          error_estimates={"miss": float(miss[0])},
+          cost=dict(zip(ig._COST, cost.tolist())))
     return 0
 
 

@@ -275,24 +275,6 @@ class GeodesicPath:
         return float(np.abs(sq - sq[0]).max() / abs(sq[0]))
 
 
-def _geodesic_rhs(chart: MetricChart, lanes: int):
-    n = chart.dim
-
-    def rhs(t, y):
-        z = y.reshape(lanes, 2, n)
-        x = np.ascontiguousarray(z[:, 0, :].T)
-        v = np.ascontiguousarray(z[:, 1, :].T)
-        inside = chart.contains(x, margin=-1e-9)
-        gamma = christoffel_at(chart, x)
-        acc = -np.einsum('kij...,i...,j...->k...', gamma, v, v)
-        out = np.empty_like(z)
-        out[:, 0, :] = v.T
-        out[:, 1, :] = np.where(inside[:, None], acc.T, np.nan)
-        return out.ravel()
-
-    return rhs
-
-
 def g_norm(chart: MetricChart, x, v):
     g = chart.g_at(np.asarray(x, dtype=float))
     v = np.asarray(v, dtype=float)
@@ -317,7 +299,7 @@ def geodesic_trace(chart: MetricChart, x0, v0, length, rtol=1e-10,
     v0 = v0 / nrm
     n = chart.dim
     y0 = np.concatenate([x0, v0])
-    rhs = _geodesic_rhs(chart, 1)
+    rhs = _variational_rhs(chart, 1, 0)
     reason = "completed"
     try:
         traj = nk.integrate_ode(nk.OdeProblem(rhs, y0, (0.0, float(length)),
@@ -349,29 +331,16 @@ def geodesic_trace(chart: MetricChart, x0, v0, length, rtol=1e-10,
                         reason, traj)
 
 
-def _exp_batch(chart: MetricChart, P, U, rtol=1e-10, atol=1e-12):
-    """Integrate exp_P(t U) for a batch of velocities U (n, L), t in [0,1].
-
-    ``P`` is one base point (n,) or one per lane (n, L).  Returns the flat
-    trajectory; callers reshape states as (L, 2, n).
-    """
-    n = chart.dim
-    L = U.shape[1]
-    y0 = np.stack([np.broadcast_to(np.asarray(P, dtype=float).T, (L, n)),
-                   np.ascontiguousarray(U.T)], axis=1).ravel()
-    rhs = _geodesic_rhs(chart, L)
-    return nk.integrate_ode(nk.OdeProblem(rhs, y0, (0.0, 1.0), rtol, atol))
-
-
 def _variational_rhs(chart: MetricChart, lanes: int, ncols: int,
                      freeze=False):
     """RHS for geodesics carrying d(exp)/d(parameters) columns.
 
     State per lane: x (n), v (n), J (n x ncols), Jdot (n x ncols) where J
-    solves the linearized geodesic equation along the lane.  A lane outside
-    the box has a NaN derivative, as in :func:`_geodesic_rhs`, unless
-    ``freeze``: then it stops (zero derivative), as does a lane with a
-    non-finite derivative, instead of stalling the step all lanes share.
+    solves the linearized geodesic equation along the lane; with ``ncols``
+    = 0 it is the geodesic equation alone, which reads Gamma only.  A lane
+    outside the box has a NaN derivative, unless ``freeze``: then it stops
+    (zero derivative), as does a lane with a non-finite derivative, instead
+    of stalling the step all lanes share.
     """
     n = chart.dim
 
@@ -379,23 +348,27 @@ def _variational_rhs(chart: MetricChart, lanes: int, ncols: int,
         z = y.reshape(lanes, 2 + 2 * ncols, n)
         x = np.ascontiguousarray(z[:, 0, :].T)
         v = np.ascontiguousarray(z[:, 1, :].T)
-        J = np.moveaxis(z[:, 2:2 + ncols, :], 0, -1)        # (ncols, n, L)
-        Jd = np.moveaxis(z[:, 2 + ncols:, :], 0, -1)
         inside = chart.contains(x, margin=-1e-9)
-        gamma, dgamma = christoffel_and_grad(chart, x)
-        # contracted one index at a time; gv^k_j = Gamma^k_ij v^i serves both
-        # acc and the linearized equation
-        # Jdd^k = -dGamma^k_ij/dx_a J^a v^i v^j - 2 Gamma^k_ij v^i Jd^j
-        gv = (gamma * v[:, None]).sum(1)                     # (k, j, L)
-        acc = -(gv * v).sum(1)
-        dgvv = ((dgamma * v[:, None]).sum(2) * v).sum(2)     # (a, k, L)
-        Jdd = (-(dgvv * J[:, :, None]).sum(1)
-               - 2.0 * (gv * Jd[:, None]).sum(2))
         out = np.empty_like(z)
         out[:, 0, :] = v.T
-        out[:, 1, :] = acc.T
-        out[:, 2:2 + ncols, :] = np.moveaxis(Jd, -1, 0)
-        out[:, 2 + ncols:, :] = np.moveaxis(Jdd, -1, 0)
+        if not ncols:
+            gamma = christoffel_at(chart, x)
+            out[:, 1, :] = -np.einsum('kij...,i...,j...->k...',
+                                      gamma, v, v).T
+        else:
+            J = np.moveaxis(z[:, 2:2 + ncols, :], 0, -1)    # (ncols, n, L)
+            Jd = np.moveaxis(z[:, 2 + ncols:, :], 0, -1)
+            gamma, dgamma = christoffel_and_grad(chart, x)
+            # contracted one index at a time; gv^k_j = Gamma^k_ij v^i serves
+            # acc and the linearized equation
+            # Jdd^k = -dGamma^k_ij/dx_a J^a v^i v^j - 2 Gamma^k_ij v^i Jd^j
+            gv = (gamma * v[:, None]).sum(1)                 # (k, j, L)
+            dgvv = ((dgamma * v[:, None]).sum(2) * v).sum(2)  # (a, k, L)
+            Jdd = (-(dgvv * J[:, :, None]).sum(1)
+                   - 2.0 * (gv * Jd[:, None]).sum(2))
+            out[:, 1, :] = -(gv * v).sum(1).T
+            out[:, 2:2 + ncols, :] = np.moveaxis(Jd, -1, 0)
+            out[:, 2 + ncols:, :] = np.moveaxis(Jdd, -1, 0)
         if freeze:
             out[~(inside & np.isfinite(out).all(axis=(1, 2)))] = 0.0
         else:
@@ -405,25 +378,29 @@ def _variational_rhs(chart: MetricChart, lanes: int, ncols: int,
     return rhs
 
 
-def _exp_batch_variational(chart: MetricChart, P, U, dU, rtol=1e-10,
-                           atol=1e-12, freeze=False, steer=True,
-                           pair=nk.DOPRI5):
-    """Like :func:`_exp_batch` but carrying J = dx/d(param_c) columns.
+def _exp_batch(chart: MetricChart, P, U, dU=None, rtol=1e-10, atol=1e-12,
+               freeze=False, steer=True, pair=nk.DOPRI5):
+    """Integrate exp_P(t U) for a batch of velocities U (n, L), t in [0,1].
 
-    ``dU`` has shape (ncols, n, L): derivative of the initial velocity with
-    respect to each variation parameter.  J(0) = 0, Jdot(0) = dU.  With
-    ``freeze`` lanes stop outside the box (see :func:`_variational_rhs`).
-    Unless ``steer``, the error norm covers x and v only and the columns,
-    which solve a linear equation along each lane, leave step control to
-    the geodesics (as sensitivities do in CVODES).
+    ``P`` is one base point (n,) or one per lane (n, L).  Given ``dU``
+    (ncols, n, L), the derivative of the initial velocity in each variation
+    parameter, each lane also carries the columns J = dx/d(param_c), with
+    J(0) = 0 and Jdot(0) = dU.  With ``freeze`` lanes stop outside the box
+    (see :func:`_variational_rhs`).  Unless ``steer``, the error norm covers
+    x and v only and the columns, which solve a linear equation along each
+    lane, leave step control to the geodesics (as sensitivities do in
+    CVODES).  Returns the trajectory; states reshape as (L, 2 + 2 ncols, n).
     """
     n = chart.dim
-    ncols, _, L = dU.shape
+    L = U.shape[1]
+    ncols = 0 if dU is None else len(dU)
     z0 = np.zeros((L, 2 + 2 * ncols, n))
     z0[:, 0, :] = np.asarray(P, dtype=float).T
     z0[:, 1, :] = U.T
-    z0[:, 2 + ncols:, :] = np.moveaxis(dU, -1, 0)
-    norm = None if steer else np.flatnonzero(np.indices(z0.shape)[1] < 2)
+    if ncols:
+        z0[:, 2 + ncols:, :] = np.moveaxis(dU, -1, 0)
+    norm = None if steer or not ncols else np.flatnonzero(
+        np.indices(z0.shape)[1] < 2)
     return nk.integrate_ode(nk.OdeProblem(
         _variational_rhs(chart, L, ncols, freeze), z0.ravel(), (0.0, 1.0),
         rtol, atol, error_index=norm, pair=pair))
@@ -642,7 +619,7 @@ def _jacobi_elements(chart: MetricChart, P, radii, U, dU, steer, cost=None):
     One variational fan out to the largest radius carries the Jacobi
     columns J = d exp_P(r U) / d(params), every radius is read off its
     dense output, and one metric read gives sqrt(det(J^T g J)), shape
-    (radii, L).  ``steer`` goes to :func:`_exp_batch_variational`.
+    (radii, L).  ``steer`` goes to :func:`_exp_batch`.
     Given ``cost`` (int array, ``_COST``) it adds its counters, and a failed
     solve or an accepted node outside the box raises :class:`_FanExit`.
     """
@@ -651,7 +628,7 @@ def _jacobi_elements(chart: MetricChart, P, radii, U, dU, steer, cost=None):
     n = chart.dim
     c, _, L = dU.shape
     try:
-        traj, failed = _exp_batch_variational(
+        traj, failed = _exp_batch(
             chart, P, rmax * U, rmax * dU, _FAN_RTOL, steer=steer), False
     except nk.StepUnderflowError as e:
         if cost is None:
@@ -918,14 +895,15 @@ class DistanceBatch:
 
 _HALVINGS = 0.5 ** np.arange(1, 7)          # backtracking step fractions
 _RETRY_TURNS = (0.15, -0.15, 0.4, -0.4)     # radians
-# Newton levels: shot rtol (atol 1e-2 rtol) and pair.  The loose level
-# stays on DOPRI5: frozen lanes put jumps in the derivative of its wide
-# early shots, which cost DOP853 about twice the RHS evaluations.
-_LEVELS = ((1e-6, nk.DOPRI5), (1e-8, nk.DOP853), (1e-10, nk.DOP853))
+# Newton levels: shot rtol (atol 1e-2 rtol) and pair.  The loose levels
+# stay on DOPRI5: frozen lanes put jumps in the derivative of their wide
+# early shots, which cost DOP853 about twice the RHS evaluations.  Once a
+# shot at the last level improves, its Jacobian is kept for chord steps.
+_LEVELS = ((1e-4, nk.DOPRI5), (1e-6, nk.DOPRI5), (1e-10, nk.DOP853))
 _RTOLS = np.array([rtol for rtol, _ in _LEVELS])
 
 
-def _shoot(chart, P, Q, E, first, pair, tol, max_iter, out):
+def _shoot(chart, P, Q, E, first, pair, tol, max_iter, out, cost=None):
     """Newton shooting for tasks in lockstep, one solve per iterate.
 
     Task t shoots pair ``pair[t]`` from w = 0 (endpoint P) with the step
@@ -935,37 +913,50 @@ def _shoot(chart, P, Q, E, first, pair, tol, max_iter, out):
     the task stops.  Inexact Newton: a task asks for the loosest of
     ``_RTOLS`` at or below 1e-2 miss^2, solved with that level's
     Runge-Kutta pair in ``_LEVELS``, and only a shot at the last one can
-    converge.  Each solve runs the tasks that ask for the loosest one
-    present, so the dear tight solves come last and carry every pair.
+    converge.  A task whose last improving shot ran at the last level
+    shoots without columns and steps with that shot's Jacobian (a chord
+    step; Deuflhard, *Newton Methods for Nonlinear Problems*, 2.1).  Each
+    solve runs the tasks that ask for the loosest level present, column
+    shots before chord shots, so the dear tight solves come last and carry
+    every pair.  Given ``cost`` (int array, ``_COST``) it adds the
+    counters of every solve.
     """
     n = chart.dim
-    w = np.zeros((len(pair), n))
+    w, jac = np.zeros((len(pair), n)), np.zeros((len(pair), n, n))
     miss = np.abs(P[pair] - Q[pair]).max(axis=1)
     step, iters = np.array(first, dtype=float), np.zeros(len(pair), int)
     halving, live = np.zeros(len(pair), bool), np.ones(len(pair), bool)
+    chord = np.zeros(len(pair), bool)
     while True:
         live &= np.isnan(out.distance[pair]) & (iters < max_iter)
         if not live.any():
             return
         level = np.minimum(np.searchsorted(-_RTOLS, -1e-2 * miss ** 2),
                            len(_RTOLS) - 1)
-        tasks = np.flatnonzero(live & (level == level[live].min()))
+        key = 2 * level + chord
+        tasks = np.flatnonzero(live & (key == key[live].min()))
         rtol, rk = _LEVELS[level[tasks[0]]]
         last = level[tasks[0]] == len(_LEVELS) - 1
+        c = 0 if chord[tasks[0]] else n
         iters[tasks] += 1
         lanes = np.repeat(tasks, np.where(halving[tasks], len(_HALVINGS), 1))
         W = w[lanes] + step[lanes] * np.concatenate(
             [_HALVINGS if halving[t] else [1.0] for t in tasks])[:, None]
         p, El = pair[lanes], E[pair[lanes]]
         try:
-            z = _exp_batch_variational(
+            traj = _exp_batch(
                 chart, P[p].T, np.einsum('Lic,Lc->iL', El, W),
-                np.transpose(El, (2, 1, 0)), rtol, 1e-2 * rtol,
-                freeze=True, steer=False, pair=rk).final
-        except nk.StepUnderflowError:
-            z = np.full(len(lanes) * (2 + 2 * n) * n, np.nan)
-        z = z.reshape(len(lanes), 2 + 2 * n, n)
-        X, Jac = z[:, 0], np.swapaxes(z[:, 2:2 + n], 1, 2)   # columns dx/dw_c
+                np.transpose(El, (2, 1, 0))[:c], rtol, 1e-2 * rtol,
+                freeze=True, steer=False, pair=rk)
+            z = traj.final
+        except nk.StepUnderflowError as e:
+            traj, z = e.trajectory, np.full(len(lanes) * (2 + 2 * c) * n,
+                                            np.nan)
+        if cost is not None:
+            cost += (1, traj.n_accepted, traj.n_rejected, traj.n_rhs)
+        z = z.reshape(len(lanes), 2 + 2 * c, n)
+        X = z[:, 0]
+        Jac = np.swapaxes(z[:, 2:2 + c], 1, 2) if c else jac[lanes]
         lane_miss = np.abs(X - Q[p]).max(axis=1)
         lane_miss[~(chart.contains(X.T) & np.isfinite(Jac).all(axis=(1, 2))
                     & np.isfinite(lane_miss))] = np.inf
@@ -980,15 +971,17 @@ def _shoot(chart, P, Q, E, first, pair, tol, max_iter, out):
                 out.miss[q], out.velocity[q] = m, El[k] @ W[k]
             if m < miss[t]:
                 w[t], miss[t], halving[t] = W[k], m, False
+                jac[t], chord[t] = Jac[k], last
                 try:
-                    step[t] = np.linalg.solve(Jac[k], Q[q] - X[k])
+                    step[t] = np.linalg.solve(jac[t], Q[q] - X[k])
                 except np.linalg.LinAlgError:
                     live[t] = False
             else:
                 live[t], halving[t] = not halving[t], True
 
 
-def geodesic_distances(chart: MetricChart, Ps, Qs, tol=1e-10, max_iter=64):
+def geodesic_distances(chart: MetricChart, Ps, Qs, tol=1e-10, max_iter=64,
+                       cost=None):
     """Geodesic distances of (P, Q) pairs, (N, n) each: a DistanceBatch.
 
     The unknown is w, the initial velocity in the g-orthonormal frame E at
@@ -1001,6 +994,7 @@ def geodesic_distances(chart: MetricChart, Ps, Qs, tol=1e-10, max_iter=64):
     step from w = 0, where the Jacobian is E: w = E^-1 (Q - P); unconverged
     pairs retry, as one batch, from it turned by ``_RETRY_TURNS`` about each
     normal axis.  Pairs with an end outside the box, or that fail, read NaN.
+    ``cost`` goes to every :func:`_shoot`.
     """
     P = np.asarray(Ps, dtype=float).reshape(-1, chart.dim)
     Q = _nearest_representatives(
@@ -1016,7 +1010,7 @@ def geodesic_distances(chart: MetricChart, Ps, Qs, tol=1e-10, max_iter=64):
     gap = np.abs(Q - P).max(axis=1)
     tol = np.maximum(tol, 1e-12 * np.maximum(gap, 1e-6))
     aim = np.linalg.solve(E[todo], (Q - P)[todo, :, None])[..., 0]
-    _shoot(chart, P, Q, E, aim, todo, tol, max_iter, out)
+    _shoot(chart, P, Q, E, aim, todo, tol, max_iter, out, cost)
     retry = np.isnan(out.distance[todo])
     turned = [math.cos(a) * w + math.sin(a) * np.linalg.norm(w) * e
               for w in aim[retry] for a in _RETRY_TURNS
@@ -1024,24 +1018,29 @@ def geodesic_distances(chart: MetricChart, Ps, Qs, tol=1e-10, max_iter=64):
     if turned:
         _shoot(chart, P, Q, E, turned,
                np.repeat(todo[retry], len(_RETRY_TURNS) * (n - 1)), tol,
-               max_iter, out)
+               max_iter, out, cost)
     return out
 
 
-def geodesic_distance(chart: MetricChart, P, Q, tol=1e-10, max_iter=64):
+def geodesic_distance(chart: MetricChart, P, Q, tol=1e-10, max_iter=64,
+                      cost=None, miss=None):
     """Two-point geodesic distance: the one-pair :func:`geodesic_distances`.
 
     Raises :class:`PreconditionError` when P or Q lies outside the box, and
     :class:`NonConvergenceError` with the best miss (``residual``) and its
-    initial coordinate velocity (``best``) when shooting fails.
+    initial coordinate velocity (``best``) when shooting fails.  ``cost``
+    goes to :func:`geodesic_distances`; given ``miss`` (float array of one
+    entry) it stores there the endpoint miss of the converged shot.
     """
     P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
     if not chart.contains(np.stack([P, Q], axis=1)).all():
         raise PreconditionError("distance end points must lie in the chart")
-    res = geodesic_distances(chart, P[None], Q[None], tol, max_iter)
+    res = geodesic_distances(chart, P[None], Q[None], tol, max_iter, cost)
     d, best, m = res.distance[0], res.velocity[0], float(res.miss[0])
     if np.isnan(d):
         raise nk.NonConvergenceError(
             f"distance shooting did not converge (best miss {m:.3g})",
             best=best if np.isfinite(best).all() else None, residual=m)
+    if miss is not None:
+        miss[0] = m
     return float(d)

@@ -904,10 +904,10 @@ class OdeProblem:
         per step, plus 3 for each step whose dense output is read).  Since
         a pair of order p takes steps growing like tol^(-1/p), DOP853 pays
         at tight tolerances on smooth right-hand sides: the geodesic traces
-        and the distance shots at rtol 1e-8 and 1e-10.  DOPRI5 stays
-        cheaper on short solves (fans, transport) and on right-hand sides
-        with derivative jumps, such as the loose distance shots whose lanes
-        freeze at the chart's edge.
+        and the distance shots at rtol 1e-10.  DOPRI5 stays cheaper on
+        short solves (fans, transport) and on right-hand sides with
+        derivative jumps, such as the loose distance shots (rtol 1e-4 and
+        1e-6) whose lanes freeze at the chart's edge.
     """
 
     rhs: Callable[[float, np.ndarray], np.ndarray]

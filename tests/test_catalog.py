@@ -163,6 +163,20 @@ def test_programs_share_subexpressions(monkeypatch):
     assert calls == {"reciprocal": 1, "__radd__": 1}
 
 
+def test_compile_is_linear_in_expression_size(monkeypatch):
+    # a 300-term sum nests 300 deep; compiling it walks each node once
+    # (274,206 node visits when every node's free names were re-walked)
+    e = cat._parse_alone(" + ".join(f"{k}*x^{k % 3}" for k in range(1, 301)))
+    nodes = sum(1 for _ in cat._subtrees(e))
+    visits = []
+    subtrees = cat._subtrees
+    monkeypatch.setattr(cat, "_subtrees",
+                        lambda s: visits.append(s) or subtrees(s))
+    program = cat.Program([e], ["x"], {})
+    assert len(visits) <= 2 * nodes
+    assert program(0.7) == [cat.eval_expr(e, {"x": 0.7})]
+
+
 def test_programs_share_sin_and_cos(monkeypatch):
     calls = {"sin": 0, "cos": 0, "sincos": 0}
     for method in calls:

@@ -108,6 +108,21 @@ def test_scalar_cost_block_is_deterministic(capsys):
                                          + cost["rejected_steps"])
 
 
+def test_distance_cost_block_is_deterministic(capsys):
+    argv = ("geodesic", "distance", "--builtin", "lobachevsky_halfplane",
+            "--from", "0,1", "--to", "3,1")
+    _, first, _ = run(capsys, *argv)
+    _, second, _ = run(capsys, *argv)
+    assert first == second
+    diag = json.loads(first)["diagnostics"]
+    cost = diag["cost"]
+    assert list(cost) == ["solves", "accepted_steps", "rejected_steps",
+                          "rhs_evals"]
+    assert all(type(v) is int for v in cost.values())
+    assert 1 <= cost["solves"] <= 7 and cost["rhs_evals"] > 0
+    assert 0.0 <= diag["error_estimates"]["miss"] <= 1e-10
+
+
 def test_geodesic_distance_plane(capsys):
     doc = run_json(capsys, "geodesic", "distance", "--builtin", "plane",
                    "--from", "0,0", "--to", "1.0,1.2")

@@ -130,11 +130,18 @@ def test_christoffel_jet_constructions(monkeypatch, halfplane, sphere_chart):
     assert len(built) <= 28         # sin and cos of one angle: one sincos
 
 
-def test_distance_rhs_budget(halfplane, rhs_evals):
-    # deterministic cost guard: the 1e-8 and 1e-10 shots run DOP853 (1,883
-    # RHS evaluations here; 2,798 with DOPRI5 at every level)
+def test_distance_rhs_budget(halfplane, rhs_evals, monkeypatch):
+    # deterministic cost guard: 1,287 RHS evaluations here (1,883 with
+    # levels 1e-6, 1e-8, 1e-10 and Jacobi columns in every shot); after the
+    # first improving 1e-10 shot, chord shots carry x and v only
+    shots = []
+    integrate = nk.integrate_ode
+    monkeypatch.setattr(nk, "integrate_ode", lambda problem, *a: shots.append(
+        (problem.rtol, problem.y0.size)) or integrate(problem, *a))
     ig.geodesic_distance(halfplane, [0.0, 1.0], [3.0, 1.0])
-    assert len(rhs_evals) <= 1950
+    assert len(rhs_evals) <= 1325
+    tight = [size for rtol, size in shots if rtol == 1e-10]
+    assert sum(size > 4 for size in tight) == 1     # 4: x and v, one lane
 
 
 def test_revolution_trace_rhs_budget(rhs_evals):
@@ -511,9 +518,8 @@ def test_jacobi_columns_match_exp_differences(name, P, w):
     chart = cat.builtin(name).build()
     P, w = np.array(P), np.array(w)
     E = chart.orthonormal_basis(P)
-    traj = ig._exp_batch_variational(chart, P, (E @ w)[:, None],
-                                     E.T[:, :, None], freeze=True,
-                                     steer=False)
+    traj = ig._exp_batch(chart, P, (E @ w)[:, None], E.T[:, :, None],
+                         freeze=True, steer=False)
     n = chart.dim
     jac = traj.final.reshape(2 + 2 * n, n)[2:2 + n].T      # columns d/dw_c
     h = 1e-4
@@ -524,17 +530,18 @@ def test_jacobi_columns_match_exp_differences(name, P, w):
     assert np.abs(jac - fd).max() <= 1e-6 * np.abs(fd).max()
 
 
-def test_shooting_solve_freezes_a_lane_that_leaves(halfplane):
+@pytest.mark.parametrize("ncols", [2, 0])
+def test_shooting_solve_freezes_a_lane_that_leaves(halfplane, ncols):
     # lane 1 heads for y = e^-5, below the box; it must stop outside the
-    # box without stalling lane 0, which keeps its solo endpoint
+    # box without stalling lane 0, which keeps its solo endpoint, with
+    # Jacobi columns and without them (a chord shot)
     P = np.array([0.0, 1.0])
     U = np.array([[0.5, 0.0], [0.2, -5.0]])
-    dU = np.repeat(np.eye(2)[:, :, None], 2, axis=2)
-    both = ig._exp_batch_variational(halfplane, P, U, dU, freeze=True,
-                                     steer=False)
-    solo = ig._exp_batch_variational(halfplane, P, U[:, :1], dU[..., :1],
-                                     freeze=True, steer=False)
-    z = both.final.reshape(2, 6, 2)
+    dU = np.repeat(np.eye(2)[:, :, None], 2, axis=2)[:ncols]
+    both = ig._exp_batch(halfplane, P, U, dU, freeze=True, steer=False)
+    solo = ig._exp_batch(halfplane, P, U[:, :1], dU[..., :1], freeze=True,
+                         steer=False)
+    z = both.final.reshape(2, 2 + 2 * ncols, 2)
     assert np.isfinite(z).all()
     assert not halfplane.contains(z[1, 0][:, None])[0]
     assert np.abs(z[0, 0] - solo.final[:2]).max() < 1e-9
