@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -54,26 +54,39 @@ from .intrinsic import MetricChart
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen expression-node dataclass, equal by structure, whose hash is
+    cached when a node is built, from its children's cached hashes."""
+    def cache_hash(self):
+        object.__setattr__(self, "_hash", hash((cls.__name__, *(
+            getattr(self, f.name) for f in fields(self) if f.compare))))
+
+    cls.__post_init__ = cache_hash
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = lambda self: self._hash
+    return cls
+
+
+@_node
 class Num:
     value: float
     pos: tuple = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True)
+@_node
 class Name:
     ident: str
     pos: tuple = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True)
+@_node
 class Unary:
     op: str                       # "-"
     arg: object
     pos: tuple = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True)
+@_node
 class Binary:
     op: str                       # + - * / ^
     lhs: object
@@ -81,7 +94,7 @@ class Binary:
     pos: tuple = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True)
+@_node
 class Call:
     fn: str
     arg: object
@@ -97,13 +110,16 @@ _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 
 
 def _subtrees(e):
-    """Every node of an expression, the root first."""
-    if not isinstance(e, (Num, Name, Unary, Binary, Call)):
-        raise PreconditionError(f"not an expression node: {e!r}")
-    yield e
-    for k in ("arg", "lhs", "rhs"):
-        if hasattr(e, k):
-            yield from _subtrees(getattr(e, k))
+    """Every node of an expression, the root first, then each child's
+    subtree in turn, walked with an explicit stack."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if not isinstance(e, (Num, Name, Unary, Binary, Call)):
+            raise PreconditionError(f"not an expression node: {e!r}")
+        yield e
+        stack.extend(getattr(e, k) for k in ("rhs", "lhs", "arg")
+                     if hasattr(e, k))
 
 
 def free_names(e):

@@ -479,7 +479,7 @@ def _cmd_geodesic_circle(args):
           {"length": res.length, "disk_area": res.disk_area},
           error_estimates={"length": res.length_error,
                            "ds_dr_residual": res.ds_dr_residual},
-          warnings=res.warnings)
+          warnings=res.warnings, cost=res.cost)
     return 0
 
 

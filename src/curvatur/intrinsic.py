@@ -6,9 +6,9 @@ run a compiled program of :mod:`curvatur.catalog`, pullback charts contract
 the stacked tangent jets of their patch, and builder charts write their
 entries into the stacked coefficients directly.  The Christoffel symbols
 have one derivation, :func:`christoffel_jet`: the metric jet is
-differentiated and contracted with its jet inverse, so the symbols come out
-as one jet, exact (within roundoff) rather than differenced.  Every consumer
-reads off that jet: :func:`christoffel_at` takes its value,
+differentiated and the symbols solved against it order by order, so they
+come out as one jet, exact (within roundoff) rather than differenced.
+Every consumer reads off that jet: :func:`christoffel_at` takes its value,
 :func:`christoffel_and_grad` its value and gradient (for the variational
 equations), :func:`riemann_jet` builds the curvature tensor as one jet from
 it, and the covariant calculus of :mod:`curvatur.tensors` uses its higher
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -77,15 +78,15 @@ class MetricChart:
         self.provenance = provenance
         self.periods = tuple(periods) if periods is not None else (None,) * dim
         self.name = name
+        self._box = np.array([(-np.inf, np.inf) if p is not None else b
+                              for p, b in zip(self.periods, self.domain)])
 
     def contains(self, x, margin=0.0):
+        """Whether the points x (n, ...batch) lie in the box shrunk by
+        ``margin`` (periodic axes never bound), shape (...batch)."""
         x = np.asarray(x, dtype=float)
-        ok = np.ones(x.shape[1:], dtype=bool)
-        for i, (lo, hi) in enumerate(self.domain):
-            if self.periods[i] is not None:
-                continue
-            ok &= (x[i] >= lo + margin) & (x[i] <= hi - margin)
-        return ok
+        lo, hi = self._box.T.reshape((2, self.dim) + (1,) * (x.ndim - 1))
+        return ((x >= lo + margin) & (x <= hi - margin)).all(axis=0)
 
     def metric_jet(self, xj):
         """The metric as one jet with coefficients (K, n, n, ...batch) at
@@ -123,22 +124,46 @@ class MetricChart:
         return np.moveaxis(E, (-2, -1), (0, 1))
 
 
+@lru_cache(maxsize=None)
+def _christoffel_tables(nvars: int, order: int):
+    """For a metric jet of ``order``: the derivative tables of every axis,
+    stacked (K, nvars), and per degree d = 1 .. order - 1 of the symbols its
+    slot range (lo, hi) and Taylor triples (I, J, M) with i != 0."""
+    src, fac = zip(*(nk._derivative_table(nvars, order, a)
+                     for a in range(nvars)))
+    idx, _, (I, J, M), mask, _ = nk._index_space(nvars, order - 1)
+    deg = np.array([sum(a) for a in idx])
+    k = deg[np.nonzero(mask)[0]]                  # degree of each triple's k
+    sel = [(k == d) & (I != 0) for d in range(1, order)]
+    return np.stack(src, 1), np.stack(fac, 1), tuple(
+        (*np.searchsorted(deg, (d, d + 1)), I[s], J[s], M[deg == d][:, s])
+        for d, s in enumerate(sel, 1))
+
+
 def christoffel_jet(chart: MetricChart, xj):
     """Christoffel symbols as one jet, one order below the metric entries.
 
-    Coefficients have shape (K, k, i, j, ...batch) and hold
-    Gamma^k_ij = g^kl (d_i g_lj + d_j g_li - d_l g_ij) / 2 at the seed
-    variables ``xj``.  This is the only derivation of the symbols: values,
-    gradients and higher jets are all read off it.
+    Coefficients have shape (K, k, i, j, ...batch) and hold Gamma^k_ij =
+    g^kl S_lij, S_lij = (d_i g_lj + d_j g_li - d_l g_ij) / 2, at the seed
+    variables ``xj``, solved from g Gamma = S degree by degree: Gamma_d =
+    g_0^-1 (S_d - sum_{i != 0} g_i Gamma_j) (jet division; Griewank &
+    Walther, Evaluating Derivatives, ch. 13).  This is the only derivation
+    of the symbols: values, gradients and higher jets are all read off it.
     """
-    g = chart.metric_jet(xj)
-    dg = np.stack([nk.derivative_nd(g, a).coef for a in range(chart.dim)],
-                  axis=1)                                # d_a g_ij at [:, a, i, j]
-    sym = (np.einsum('Kilj...->Klij...', dg) + np.einsum('Kjli...->Klij...', dg)
-           - dg)
-    ginv = nk.jet_inv(nk.truncate(g, g.order - 1))
-    return 0.5 * nk.jet_einsum("rs...,s...->r...", ginv,
-                               Jet(g.nvars, g.order - 1, sym))
+    G = chart.metric_jet(xj)
+    src, fac, degrees = _christoffel_tables(G.nvars, G.order)
+    g = G.coef
+    dg = g[src] * fac.reshape(fac.shape + (1,) * (g.ndim - 1))   # d_a g_ij
+    A = dg.swapaxes(1, 2)                            # d_i g_lj at [:, l, i, j]
+    S = 0.5 * (A + A.swapaxes(2, 3) - dg)
+    ginv = nk._matrix_inv(g[0])
+    gamma = np.empty_like(S)
+    gamma[0] = np.einsum('rs...,s...->r...', ginv, S[0])
+    for lo, hi, I, J, M in degrees:
+        known = nk._taylor_sum(M, np.einsum('Prs...,Ps...->Pr...', g[I],
+                                            gamma[J]))
+        gamma[lo:hi] = np.einsum('rs...,Ps...->Pr...', ginv, S[lo:hi] - known)
+    return Jet(G.nvars, G.order - 1, gamma)
 
 
 def riemann_jet(chart: MetricChart, xj):
@@ -202,22 +227,6 @@ def pullback_metric(surface) -> MetricChart:
                        provenance="pullback-from-patch",
                        periods=surface.periods,
                        name=surface.name or "pullback")
-
-
-def christoffel_embedded(surface, uv):
-    """Christoffel symbols of a patch from ambient second derivatives.
-
-    Independent of the metric-derivative formula: solves the tangential
-    part of r_ij = Gamma^1_ij r_1 + Gamma^2_ij r_2 + q_ij n through its
-    2x2 normal equations.  Used as a cross-check oracle for
-    :func:`christoffel_at` on pullback charts.
-    """
-    js = surface.jets(float(uv[0]), float(uv[1]), order=2)
-    r = np.array([[c.partial(a) for c in js] for a in ((1, 0), (0, 1))])
-    rdd = np.array([[[c.partial((2 - i - j, i + j)) for c in js]
-                     for j in range(2)] for i in range(2)])
-    return np.linalg.solve(r @ r.T, np.einsum('la,ija->lij', r, rdd)
-                           .reshape(2, 4)).reshape(2, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -345,30 +354,28 @@ def _variational_rhs(chart: MetricChart, lanes: int, ncols: int,
     n = chart.dim
 
     def rhs(t, y):
-        z = y.reshape(lanes, 2 + 2 * ncols, n)
-        x = np.ascontiguousarray(z[:, 0, :].T)
-        v = np.ascontiguousarray(z[:, 1, :].T)
+        # (n, 2 + 2 ncols, lanes) views of the state and of the derivative
+        z = y.reshape(lanes, 2 + 2 * ncols, n).transpose(2, 1, 0)
+        out = np.empty((lanes, 2 + 2 * ncols, n))
+        dz = out.transpose(2, 1, 0)
+        x, v = z[:, 0], z[:, 1]
         inside = chart.contains(x, margin=-1e-9)
-        out = np.empty_like(z)
-        out[:, 0, :] = v.T
+        dz[:, 0] = v
         if not ncols:
             gamma = christoffel_at(chart, x)
-            out[:, 1, :] = -np.einsum('kij...,i...,j...->k...',
-                                      gamma, v, v).T
+            dz[:, 1] = -np.einsum('kij...,i...,j...->k...', gamma, v, v)
         else:
-            J = np.moveaxis(z[:, 2:2 + ncols, :], 0, -1)    # (ncols, n, L)
-            Jd = np.moveaxis(z[:, 2 + ncols:, :], 0, -1)
+            J, Jd = z[:, 2:2 + ncols], z[:, 2 + ncols:]       # (n, ncols, L)
             gamma, dgamma = christoffel_and_grad(chart, x)
             # contracted one index at a time; gv^k_j = Gamma^k_ij v^i serves
             # acc and the linearized equation
             # Jdd^k = -dGamma^k_ij/dx_a J^a v^i v^j - 2 Gamma^k_ij v^i Jd^j
             gv = (gamma * v[:, None]).sum(1)                 # (k, j, L)
             dgvv = ((dgamma * v[:, None]).sum(2) * v).sum(2)  # (a, k, L)
-            Jdd = (-(dgvv * J[:, :, None]).sum(1)
-                   - 2.0 * (gv * Jd[:, None]).sum(2))
-            out[:, 1, :] = -(gv * v).sum(1).T
-            out[:, 2:2 + ncols, :] = np.moveaxis(Jd, -1, 0)
-            out[:, 2 + ncols:, :] = np.moveaxis(Jdd, -1, 0)
+            dz[:, 1] = -(gv * v).sum(1)
+            dz[:, 2:2 + ncols] = Jd
+            dz[:, 2 + ncols:] = (-(dgvv[:, :, None] * J[:, None]).sum(0)
+                                 - 2.0 * (gv[:, :, None] * Jd).sum(1))
         if freeze:
             out[~(inside & np.isfinite(out).all(axis=(1, 2)))] = 0.0
         else:
@@ -621,7 +628,8 @@ def _jacobi_elements(chart: MetricChart, P, radii, U, dU, steer, cost=None):
     dense output, and one metric read gives sqrt(det(J^T g J)), shape
     (radii, L).  ``steer`` goes to :func:`_exp_batch`.
     Given ``cost`` (int array, ``_COST``) it adds its counters, and a failed
-    solve or an accepted node outside the box raises :class:`_FanExit`.
+    solve (the exit's cause) or an accepted node outside the box raises
+    :class:`_FanExit`.
     """
     radii = np.asarray(radii, dtype=float)
     rmax = radii.max()
@@ -629,17 +637,18 @@ def _jacobi_elements(chart: MetricChart, P, radii, U, dU, steer, cost=None):
     c, _, L = dU.shape
     try:
         traj, failed = _exp_batch(
-            chart, P, rmax * U, rmax * dU, _FAN_RTOL, steer=steer), False
+            chart, P, rmax * U, rmax * dU, _FAN_RTOL, steer=steer), None
     except nk.StepUnderflowError as e:
         if cost is None:
             raise
-        traj, failed = e.trajectory, True
+        traj, failed = e.trajectory, e
     if cost is not None:
         cost += (1, traj.n_accepted, traj.n_rejected, traj.n_rhs)
         x = traj.ys.reshape(len(traj.ts), L, 2 + 2 * c, n)[:, :, 0]
-        inside = np.append(chart.contains(x.T).all(axis=0), not failed)
+        inside = np.append(chart.contains(x.T).all(axis=0), failed is None)
         if not inside.all():     # reach: the node before the first one out
-            raise _FanExit(traj.ts[max(np.argmin(inside) - 1, 0)])
+            raise _FanExit(traj.ts[max(np.argmin(inside) - 1, 0)]) \
+                from failed
     z = traj.eval(radii / rmax).reshape(len(radii), L, 2 + 2 * c, n)
     J = z[:, :, 2:2 + c]                                  # (R, L, c, n)
     gram = np.einsum('RLcn,nmRL,RLdm->RLcd', J,
@@ -708,6 +717,7 @@ class CircleResult:
     length_error: float
     ds_dr_residual: float
     warnings: list
+    cost: dict
 
 
 def geodesic_circle(chart: MetricChart, P, R, samples=24,
@@ -718,7 +728,7 @@ def geodesic_circle(chart: MetricChart, P, R, samples=24,
     (:func:`geodesic_circle_lengths`); S integrates L(rho) over [0, R] with
     Gauss-Legendre nodes read from the same batched geodesic fan.  The
     derivative law S'(R) = L(R) is checked by central differences and
-    reported as ``ds_dr_residual``.
+    reported as ``ds_dr_residual``; ``cost`` counts the fan's solver work.
     """
     if chart.dim != 2:
         raise PreconditionError("geodesic circles are defined on 2D charts")
@@ -726,15 +736,19 @@ def geodesic_circle(chart: MetricChart, P, R, samples=24,
     if R <= 0:
         raise PreconditionError("radius must be positive")
     delta = 1e-3 * R
-    lengths, areas, errors = circles_and_disks(
-        chart, P, (R - delta, R, R + delta), samples, radial_nodes)
+    counts = np.zeros(len(_COST), int)
+    try:
+        lengths, areas, errors = circles_and_disks(
+            chart, P, (R - delta, R, R + delta), samples, radial_nodes, counts)
+    except _FanExit as e:       # the solver's own error, where it failed
+        raise e.__cause__ or PreconditionError("the circle leaves the chart")
     dS = (areas[R + delta] - areas[R - delta]) / (2 * delta)
     resid = abs(dS - lengths[R]) / max(abs(lengths[R]), 1e-300)
     warnings = []
     if resid > 1e-5:
         warnings.append(f"dS/dR check off by {resid:.3g} relative")
     return CircleResult(R, lengths[R], areas[R], errors[R], float(resid),
-                        warnings)
+                        warnings, dict(zip(_COST, counts.tolist())))
 
 
 @dataclass

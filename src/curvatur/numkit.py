@@ -18,8 +18,9 @@ right.  Elementary functions compose over one power chain (u - u0)^k,
 which :meth:`Jet.sincos` shares between sin and cos.  A jet whose batch
 axes start with tensor axes is a tensor-valued jet: :func:`jet_stack`
 builds one from nested lists of scalar jets and :func:`jet_unstack` takes
-it apart, :func:`jet_einsum` contracts two of them and :func:`jet_inv`
-inverts a matrix-valued one, each in a single batched pass.
+it apart and :func:`jet_einsum` contracts two of them, each in a single
+batched pass; a jet solved against a matrix-valued one (the Christoffel
+symbols against the metric) is solved order by order.
 Finite differences appear in this package only inside clearly named
 cross-check oracles.
 
@@ -618,6 +619,7 @@ def jet_unstack(j: Jet, rank: int):
 
 
 _NEXT, _AFTER = [1, 2, 0], [2, 0, 1]
+_CHECKER = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def _matrix_inv(m):
@@ -625,7 +627,9 @@ def _matrix_inv(m):
     adjugate: whole-array products over the batch axes, no per-lane solve."""
     n = m.shape[0]
     if n == 2:
-        adj = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+        # [[m11, -m01], [-m10, m00]]: m flipped on both axes, transposed
+        adj = m[::-1, ::-1].swapaxes(0, 1) * _CHECKER.reshape(
+            (2, 2) + (1,) * (m.ndim - 2))
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     elif n == 3:
         # cyclic cofactors carry their own signs: C_ij = m[i+1, j+1] m[i+2, j+2]
@@ -640,24 +644,6 @@ def _matrix_inv(m):
     if not np.all(det):
         raise np.linalg.LinAlgError("Singular matrix")
     return adj / det
-
-
-def jet_inv(a: Jet) -> Jet:
-    """Inverse of a matrix-valued jet with coefficients (K, n, n, ...batch),
-    n in {2, 3}.
-
-    With a = a0 (1 + a0^-1 d), where d = a - a0 has no constant term,
-    a^-1 = sum_p (-a0^-1 d)^p a0^-1; the series ends at the jet order
-    because d^(order+1) truncates to zero.
-    """
-    inv0 = Jet.constant(_matrix_inv(a.coef[0]), a.nvars, a.order)
-    d = Jet(a.nvars, a.order, a.coef.copy())
-    d.coef[0] = 0.0
-    out = inv0
-    for _ in range(a.order):
-        out = inv0 - jet_einsum("rs...,s...->r...", inv0,
-                                 jet_einsum("rs...,s...->r...", d, out))
-    return out
 
 
 # small vector helpers that work on sequences of jets or plain numbers

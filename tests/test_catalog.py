@@ -177,6 +177,28 @@ def test_compile_is_linear_in_expression_size(monkeypatch):
     assert program(0.7) == [cat.eval_expr(e, {"x": 0.7})]
 
 
+def test_compile_hashes_each_node_a_constant_number_of_times(monkeypatch):
+    # a node's hash is cached from its children's, so a memo lookup does
+    # not rehash the subtree (2.17 M hash calls for a 600-term sum when it
+    # did); equality stays structural, which common subexpressions rely on
+    hashes = []
+    for cls in (cat.Num, cat.Name, cat.Unary, cat.Binary, cat.Call):
+        monkeypatch.setattr(cls, "__hash__", lambda s, _h=cls.__hash__:
+                            hashes.append(1) or _h(s))
+    per_node = []
+    for terms in (100, 300):
+        e = cat._parse_alone(" + ".join(f"sin({k}*x)*cos({k}*x)/(1 + x^2)"
+                                        for k in range(1, terms + 1)))
+        hashes.clear()
+        program = cat.Program([e], ["x"], {})
+        per_node.append(len(hashes) / sum(1 for _ in cat._subtrees(e)))
+        assert program(0.7) == [cat.eval_expr(e, {"x": 0.7})]
+    assert max(per_node) <= 2.0
+    assert per_node[1] <= per_node[0] + 0.01
+    a, b = cat._parse_alone("x*(1 + y)"), cat._parse_alone(" x * ( 1+y )")
+    assert a == b and hash(a) == hash(b) and a.pos != b.pos
+
+
 def test_programs_share_sin_and_cos(monkeypatch):
     calls = {"sin": 0, "cos": 0, "sincos": 0}
     for method in calls:

@@ -108,6 +108,22 @@ def test_scalar_cost_block_is_deterministic(capsys):
                                          + cost["rejected_steps"])
 
 
+def test_circle_cost_block_is_deterministic(capsys):
+    argv = ("geodesic", "circle", "--builtin", "sphere", "--at", "1.0,1.2",
+            "--radius", "0.4")
+    _, first, _ = run(capsys, *argv)
+    _, second, _ = run(capsys, *argv)
+    assert first == second
+    cost = json.loads(first)["diagnostics"]["cost"]
+    assert list(cost) == ["solves", "accepted_steps", "rejected_steps",
+                          "rhs_evals"]
+    assert all(type(v) is int for v in cost.values())
+    # one DOPRI5 fan: 1 + 6 RHS evaluations per attempted step
+    assert cost["solves"] == 1 and cost["accepted_steps"] > 0
+    assert cost["rhs_evals"] == 1 + 6 * (cost["accepted_steps"]
+                                         + cost["rejected_steps"])
+
+
 def test_distance_cost_block_is_deterministic(capsys):
     argv = ("geodesic", "distance", "--builtin", "lobachevsky_halfplane",
             "--from", "0,1", "--to", "3,1")

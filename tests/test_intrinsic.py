@@ -94,11 +94,26 @@ def test_sphere_christoffel_gradient_closed_form(sphere_chart):
     assert np.allclose(dgamma, expected, atol=1e-13)
 
 
+def _christoffel_embedded(surface, uv):
+    """Christoffel symbols of a patch from ambient second derivatives.
+
+    Independent of the metric-derivative formula: solves the tangential
+    part of r_ij = Gamma^1_ij r_1 + Gamma^2_ij r_2 + q_ij n through its
+    2x2 normal equations.
+    """
+    js = surface.jets(float(uv[0]), float(uv[1]), order=2)
+    r = np.array([[c.partial(a) for c in js] for a in ((1, 0), (0, 1))])
+    rdd = np.array([[[c.partial((2 - i - j, i + j)) for c in js]
+                     for j in range(2)] for i in range(2)])
+    return np.linalg.solve(r @ r.T, np.einsum('la,ija->lij', r, rdd)
+                           .reshape(2, 4)).reshape(2, 2, 2)
+
+
 def test_christoffel_routes_agree_on_sphere(sphere_chart):
     surface = cat.builtin("sphere").build()
     uv = np.array([2.0, 1.1])
     a = ig.christoffel_at(sphere_chart, uv)
-    b = ig.christoffel_embedded(surface, uv)
+    b = _christoffel_embedded(surface, uv)
     assert np.abs(a - b).max() < 1e-10
 
 
@@ -108,13 +123,56 @@ def test_christoffel_matches_embedded_on_torus():
                     [5.9, 5.3]]).T
     batch = ig.christoffel_at(ig.pullback_metric(surface), uvs)
     for c in range(uvs.shape[1]):
-        ref = ig.christoffel_embedded(surface, uvs[:, c])
+        ref = _christoffel_embedded(surface, uvs[:, c])
         assert np.abs(batch[..., c] - ref).max() < 1e-12
 
 
-def test_christoffel_jet_constructions(monkeypatch, halfplane, sphere_chart):
+def _christoffel_by_inverse_series(chart, xj):
+    """Reference Christoffel jet: the metric's jet inverse, from the series
+    a^-1 = sum_p (-a0^-1 d)^p a0^-1 with d = a - a0, contracted with the
+    lowered symbols as Taylor products."""
+    g = chart.metric_jet(xj)
+    dg = np.stack([nk.derivative_nd(g, a).coef for a in range(chart.dim)],
+                  axis=1)
+    sym = (np.einsum('Kilj...->Klij...', dg)
+           + np.einsum('Kjli...->Klij...', dg) - dg)
+    low = nk.truncate(g, g.order - 1)
+    inv0 = nk.Jet.constant(nk._matrix_inv(low.coef[0]), low.nvars, low.order)
+    d = nk.Jet(low.nvars, low.order, low.coef.copy())
+    d.coef[0] = 0.0
+    ginv = inv0
+    for _ in range(low.order):
+        ginv = inv0 - nk.jet_einsum("rs...,s...->r...", inv0, nk.jet_einsum(
+            "rs...,s...->r...", d, ginv))
+    return 0.5 * nk.jet_einsum("rs...,s...->r...", ginv,
+                               nk.Jet(g.nvars, low.order, sym))
+
+
+@pytest.mark.parametrize("lanes", [1, 24])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_christoffel_jet_matches_inverse_series(order, lanes, halfplane,
+                                                sphere_chart, s3):
+    # the symbols solved against g degree by degree equal the inverse-series
+    # derivation: the values exactly, every coefficient to roundoff
+    rng = np.random.default_rng([order, lanes])
+    torus = ig.pullback_metric(cat.builtin("torus").build())
+    for chart in (halfplane, sphere_chart, torus, s3):
+        box = np.array(chart.domain)
+        x = box[:, :1] + (box[:, 1:] - box[:, :1]) * rng.uniform(
+            0.2, 0.8, (chart.dim, lanes))
+        got = ig.christoffel_jet(chart, nk.Jet.variables(x, order))
+        ref = _christoffel_by_inverse_series(chart, nk.Jet.variables(x, order))
+        assert got.order == ref.order == order - 1
+        assert np.array_equal(got.coef[0], ref.coef[0]), chart.name
+        assert (np.abs(got.coef - ref.coef).max()
+                <= 1e-14 * np.abs(ref.coef).max()), chart.name
+
+
+def test_christoffel_jet_constructions(monkeypatch, halfplane, sphere_chart,
+                                       s3):
     # deterministic cost guard: Jet objects built per Christoffel evaluation
-    # stay at the counts of metrics written as one stacked jet per call
+    # stay at the counts of metrics written as one stacked jet per call and
+    # symbols assembled on whole coefficient arrays
     built = []
     init = nk.Jet.__init__
 
@@ -124,10 +182,13 @@ def test_christoffel_jet_constructions(monkeypatch, halfplane, sphere_chart):
 
     monkeypatch.setattr(nk.Jet, "__init__", counted)
     ig.christoffel_and_grad(halfplane, np.array([0.2, 1.3]))
-    assert len(built) <= 24
+    assert len(built) <= 8
     built.clear()
     ig.christoffel_at(sphere_chart, np.array([0.2, 1.3]))
-    assert len(built) <= 28         # sin and cos of one angle: one sincos
+    assert len(built) <= 22         # sin and cos of one angle: one sincos
+    built.clear()
+    ig.christoffel_and_grad(s3, np.array([1.0, 0.5, 0.3]))
+    assert len(built) <= 16
 
 
 def test_distance_rhs_budget(halfplane, rhs_evals, monkeypatch):

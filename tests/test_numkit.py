@@ -177,21 +177,16 @@ def test_matrix_jets_match_scalar_jet_arithmetic(nvars, order, n):
     rng = np.random.default_rng([nvars, order])
     K = len(nk._index_space(nvars, order)[0])
     a = nk.Jet(nvars, order, rng.uniform(-1, 1, (K, n, n, 4)))
-    a.coef[0] += 3.0 * np.eye(n)[:, :, None]        # keep a0 well conditioned
     b = nk.Jet(nvars, order, rng.uniform(-1, 1, (K, n, n, 4)))
 
     def entry(m, r, c):
         return nk.Jet(nvars, order, m.coef[:, r, c])
 
     prod = nk.jet_einsum("rs...,s...->r...", a, b)
-    ainv = nk.jet_inv(a)
     for r in range(n):
         for c in range(n):
             ref = sum(entry(a, r, s) * entry(b, s, c) for s in range(n))
             assert np.allclose(prod.coef[:, r, c], ref.coef, atol=1e-14)
-            eye = sum(entry(a, r, s) * entry(ainv, s, c) for s in range(n))
-            assert np.allclose(eye.coef[0], float(r == c), atol=1e-14)
-            assert np.allclose(eye.coef[1:], 0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -200,13 +195,13 @@ def test_order_zero_inverse_matches_lapack(n, lanes):
     rng = np.random.default_rng([n, lanes])
     a = rng.uniform(-1, 1, (n, n, lanes)) + 4.0 * np.eye(n)[:, :, None]
     ref = np.moveaxis(np.linalg.inv(np.moveaxis(a, -1, 0)), 0, -1)
-    got = nk.jet_inv(nk.Jet(2, 0, a[None])).coef[0]
+    got = nk._matrix_inv(a)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
     with pytest.raises(nk.PreconditionError):
-        nk.jet_inv(nk.Jet(2, 0, np.eye(4)[None]))
+        nk._matrix_inv(np.eye(4))
     a[:, :, -1] = 0.0                   # one singular lane, as np.linalg.inv
     with pytest.raises(np.linalg.LinAlgError):
-        nk.jet_inv(nk.Jet(2, 0, a[None]))
+        nk._matrix_inv(a)
 
 
 @pytest.mark.parametrize("nvars,order,n", [(2, 3, 2), (3, 2, 3)])
