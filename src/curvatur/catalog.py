@@ -56,13 +56,30 @@ from .intrinsic import MetricChart
 
 def _node(cls):
     """A frozen expression-node dataclass, equal by structure, whose hash is
-    cached when a node is built, from its children's cached hashes."""
+    cached when a node is built, from its children's cached hashes.
+    Equality walks both trees with an explicit stack, so deep trees compare
+    without recursion."""
     def cache_hash(self):
         object.__setattr__(self, "_hash", hash((cls.__name__, *(
             getattr(self, f.name) for f in fields(self) if f.compare))))
 
+    def equal(self, other):
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash or any(
+                    getattr(a, k) != getattr(b, k) for k in a._leaves):
+                return False
+            stack.extend(zip(_children(a), _children(b)))
+        return True
+
     cls.__post_init__ = cache_hash
-    cls = dataclass(frozen=True)(cls)
+    cls = dataclass(frozen=True, eq=False)(cls)
+    cls._leaves = tuple(f.name for f in fields(cls) if f.compare
+                        and f.name not in ("arg", "lhs", "rhs"))
+    cls.__eq__ = equal
     cls.__hash__ = lambda self: self._hash
     return cls
 
@@ -109,17 +126,25 @@ _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
               "/": operator.truediv}
 
 
+def _children(e):
+    """The operands of an expression node, left to right."""
+    if isinstance(e, (Unary, Call)):
+        return (e.arg,)
+    if isinstance(e, Binary):
+        return (e.lhs, e.rhs)
+    if isinstance(e, (Num, Name)):
+        return ()
+    raise PreconditionError(f"not an expression node: {e!r}")
+
+
 def _subtrees(e):
     """Every node of an expression, the root first, then each child's
     subtree in turn, walked with an explicit stack."""
     stack = [e]
     while stack:
         e = stack.pop()
-        if not isinstance(e, (Num, Name, Unary, Binary, Call)):
-            raise PreconditionError(f"not an expression node: {e!r}")
+        stack.extend(reversed(_children(e)))
         yield e
-        stack.extend(getattr(e, k) for k in ("rhs", "lhs", "arg")
-                     if hasattr(e, k))
 
 
 def free_names(e):
@@ -127,54 +152,85 @@ def free_names(e):
     return {s.ident for s in _subtrees(e) if isinstance(s, Name)}
 
 
+def _fold(e, apply, operands=_children, known=None):
+    """``apply(node, *results of its operands)`` for every node of ``e``,
+    operands first and left to right, on an explicit stack, so that deep
+    trees need no recursion.  A node that ``known`` maps to a result is not
+    walked.  Returns the root's result."""
+    results, stack = [], [(e, None)]
+    while stack:
+        e, arity = stack.pop()
+        if arity is not None:
+            k = len(results) - arity
+            r = apply(e, *results[k:])
+            del results[k:]
+        elif known is None or (r := known(e)) is None:
+            ops = operands(e)
+            stack.append((e, len(ops)))
+            stack.extend((c, None) for c in reversed(ops))
+            continue
+        results.append(r)
+    return results[0]
+
+
 def eval_expr(e, env):
     """Evaluate an expression over floats or jets."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Name):
-        if e.ident == "pi" and "pi" not in env:
-            return math.pi
-        return env[e.ident]
-    if isinstance(e, Unary):
-        return -eval_expr(e.arg, env)
-    if isinstance(e, Call):
-        return _FN_TABLE[e.fn](eval_expr(e.arg, env))
-    a = eval_expr(e.lhs, env)
-    if e.op == "^":
-        return a ** _exponent(eval_expr(e.rhs, env))
-    if e.op not in _OPERATORS:
-        raise PreconditionError(f"unknown operator {e.op}")
-    return _OPERATORS[e.op](a, eval_expr(e.rhs, env))
+    def apply(e, *args):
+        if isinstance(e, Num):
+            return e.value
+        if isinstance(e, Name):
+            if e.ident == "pi" and "pi" not in env:
+                return math.pi
+            return env[e.ident]
+        if isinstance(e, Unary):
+            return -args[0]
+        if isinstance(e, Call):
+            return _FN_TABLE[e.fn](*args)
+        a, b = args
+        if e.op == "^":
+            return a ** _exponent(b)
+        if e.op not in _OPERATORS:
+            raise PreconditionError(f"unknown operator {e.op}")
+        return _OPERATORS[e.op](a, b)
+
+    return _fold(e, apply)
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
+def _wrap(text_prec, prec):
+    """A rendered operand, in parentheses where it binds looser than
+    ``prec``."""
+    text, own = text_prec
+    return f"({text})" if prec > own else text
+
+
 def print_expr(e, parent_prec=0):
     """Render an expression; parse(print(e)) reproduces e exactly."""
-    if isinstance(e, Num):
-        s = repr(float(e.value))
-        if s.endswith(".0"):
-            s = s[:-2]
-        # negative literals re-enter the parser through unary minus, so
-        # they need parens anywhere an operator could grab the sign
-        return f"({s})" if e.value < 0 and parent_prec > 0 else s
-    if isinstance(e, Name):
-        return e.ident
-    if isinstance(e, Call):
-        return f"{e.fn}({print_expr(e.arg)})"
-    if isinstance(e, Unary):
-        s = f"-{print_expr(e.arg, _PREC['neg'])}"
-        return f"({s})" if parent_prec > _PREC["neg"] else s
-    p = _PREC[e.op]
-    if e.op == "^":
-        ls = print_expr(e.lhs, p + 1)      # right-associative
-        rs = print_expr(e.rhs, p)
-    else:
-        ls = print_expr(e.lhs, p)          # left-associative
-        rs = print_expr(e.rhs, p + 1)
-    s = f"{ls} {e.op} {rs}" if e.op in ("+", "-") else f"{ls}{e.op}{rs}"
-    return f"({s})" if parent_prec > p else s
+    def apply(e, *args):            # (text, how tightly the text binds)
+        if isinstance(e, Num):
+            s = repr(float(e.value))
+            if s.endswith(".0"):
+                s = s[:-2]
+            # negative literals re-enter the parser through unary minus, so
+            # they need parens anywhere an operator could grab the sign
+            return s, 0 if e.value < 0 else math.inf
+        if isinstance(e, Name):
+            return e.ident, math.inf
+        if isinstance(e, Call):
+            return f"{e.fn}({args[0][0]})", math.inf
+        if isinstance(e, Unary):
+            return f"-{_wrap(args[0], _PREC['neg'])}", _PREC["neg"]
+        p = _PREC[e.op]
+        if e.op == "^":
+            ls, rs = _wrap(args[0], p + 1), _wrap(args[1], p)  # right-assoc.
+        else:
+            ls, rs = _wrap(args[0], p), _wrap(args[1], p + 1)  # left-assoc.
+        return (f"{ls} {e.op} {rs}" if e.op in ("+", "-")
+                else f"{ls}{e.op}{rs}"), p
+
+    return _wrap(_fold(e, apply), parent_prec)
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +297,7 @@ class Program:
         self._varies, calls = {}, set()
         for s in reversed([s for e in exprs for s in _subtrees(e)]):
             self._varies[id(s)] = s.ident in self.inputs if isinstance(
-                s, Name) else any(self._varies[id(getattr(s, k))]
-                                  for k in ("arg", "lhs", "rhs")
-                                  if hasattr(s, k))
+                s, Name) else any(self._varies[id(c)] for c in _children(s))
             if isinstance(s, Call):
                 calls.add((s.fn, s.arg))
         self._paired = {a for f, a in calls if f == "sin"
@@ -296,10 +350,23 @@ class Program:
         return ref
 
     def _emit(self, e):
-        # three frames per nesting level, so a 300-term sum compiles
-        return self._memoized(e, self._compile, e)
+        """The reference of ``e``, compiling every subtree not compiled
+        yet after its operands."""
+        return _fold(e, lambda s, *args: self._memo.setdefault(
+            s, self._compile(s, *args)), self._operands, self._memo.get)
 
-    def _compile(self, e):
+    def _operands(self, e):
+        """The subtrees whose references :meth:`_compile` takes: none for a
+        constant, which folds whole, and no constant exponent."""
+        if not self._varies[id(e)]:
+            return ()
+        if isinstance(e, Binary) and e.op == "^" \
+                and not self._varies[id(e.rhs)]:
+            return (e.lhs,)
+        return _children(e)
+
+    def _compile(self, e, *args):
+        """The reference of node ``e``, given those of its operands."""
         if not self._varies[id(e)]:
             try:
                 return self._constant(eval_expr(e, self._params))
@@ -307,21 +374,20 @@ class Program:
                 raise PreconditionError(f"unbound name {k.args[0]!r}") \
                     from None
         if isinstance(e, Unary):
-            return self._op(operator.neg, self._emit(e.arg))
+            return self._op(operator.neg, *args)
         if isinstance(e, Call) and e.fn in _SINCOS and e.arg in self._paired:
-            pair = self._memoized(("sincos", e.arg), lambda: self._op(
-                _sincos, self._emit(e.arg)))
+            pair = self._memoized(("sincos", e.arg),
+                                  lambda: self._op(_sincos, *args))
             return self._op(_SINCOS[e.fn], pair)
         if isinstance(e, Call):
-            return self._op(_FN_TABLE[e.fn], self._emit(e.arg))
-        lhs = self._emit(e.lhs)
+            return self._op(_FN_TABLE[e.fn], *args)
         if e.op == "^":
-            if not self._varies[id(e.rhs)]:
+            if len(args) == 1:
                 b = self._memoized(("^", e.rhs), lambda: self._constant(
                     _exponent(eval_expr(e.rhs, self._params))))
-                return self._op(operator.pow, lhs, b)
-            return self._op(_power, lhs, self._emit(e.rhs))
-        rhs = self._emit(e.rhs)
+                return self._op(operator.pow, *args, b)
+            return self._op(_power, *args)
+        lhs, rhs = args
         if e.op != "/":
             return self._op(_OPERATORS[e.op], lhs, rhs)
         if rhs[0] == "c":
@@ -390,10 +456,17 @@ def tokenize(text):
     return tokens
 
 
+# nesting levels an expression may open (parentheses, function calls,
+# unary minus, exponents): the parser recurses through up to six frames per
+# level, and this keeps it well inside the interpreter's recursion limit
+MAX_NESTING = 128
+
+
 class _Parser:
     def __init__(self, tokens):
         self.toks = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -450,11 +523,18 @@ class _Parser:
         return e
 
     def parse_unary(self):
+        # every nesting level passes here
+        if self.depth == MAX_NESTING:
+            self.fail(f"expression nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
         t = self.peek()
         if t.kind == "sym" and t.text == "-":
             self.advance()
-            return Unary("-", self.parse_unary(), (t.line, t.col))
-        return self.parse_power()
+            e = Unary("-", self.parse_unary(), (t.line, t.col))
+        else:
+            e = self.parse_power()
+        self.depth -= 1
+        return e
 
     def parse_power(self):
         base = self.parse_atom()
@@ -525,27 +605,14 @@ class _Parser:
 
 
 def _check_bound(e, names):
-    """``e``, or a ParseError at its first name outside ``names`` and pi."""
+    """``e``, or a ParseError at the first occurrence of its first name
+    outside ``names`` and pi."""
     unbound = sorted(free_names(e) - set(names) - {"pi"})
     if unbound:
-        raise ParseError(f"unbound name {unbound[0]!r}",
-                         *_node_pos(e, unbound[0]))
+        raise ParseError(f"unbound name {unbound[0]!r}", *next(
+            s.pos for s in _subtrees(e)
+            if isinstance(s, Name) and s.ident == unbound[0]))
     return e
-
-
-def _node_pos(e, ident):
-    """Position of the first occurrence of an identifier in an expression."""
-    if isinstance(e, Name):
-        if e.ident == ident:
-            return e.pos
-    elif isinstance(e, (Unary, Call)):
-        return _node_pos(e.arg, ident)
-    elif isinstance(e, Binary):
-        try:
-            return _node_pos(e.lhs, ident)
-        except LookupError:
-            return _node_pos(e.rhs, ident)
-    raise LookupError(ident)
 
 
 # ---------------------------------------------------------------------------

@@ -442,8 +442,7 @@ def _cmd_geodesic_trace(args):
           tolerances={"ode_rtol": args.rtol, "ode_atol": args.atol},
           error_estimates={"speed_drift": drift},
           warnings=warnings,
-          cost={"solves": 1, "accepted_steps": traj.n_accepted,
-                "rejected_steps": traj.n_rejected, "rhs_evals": traj.n_rhs})
+          cost=dict(zip(ig._COST, ig._counters(traj))))
     return 0
 
 
@@ -507,7 +506,7 @@ def _cmd_transport_along(args):
           {"via": pts, "vector": a0},
           {"transported": res.final,
            "path_kind": res.path_kind},
-          error_estimates={"gram_drift": res.gram_drift})
+          error_estimates={"gram_drift": res.gram_drift}, cost=res.cost)
     return 0
 
 
@@ -526,7 +525,8 @@ def _cmd_transport_holonomy(args):
            "angle": res.angle,
            "basis": res.basis},
           error_estimates={"orthogonality_residual": res.orthogonality_residual,
-                           "gram_drift": res.gram_drift})
+                           "gram_drift": res.gram_drift},
+          cost=res.cost)
     return 0
 
 

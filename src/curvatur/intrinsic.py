@@ -9,13 +9,13 @@ have one derivation, :func:`christoffel_jet`: the metric jet is
 differentiated and the symbols solved against it order by order, so they
 come out as one jet, exact (within roundoff) rather than differenced.
 Every consumer reads off that jet: :func:`christoffel_at` takes its value,
-:func:`christoffel_and_grad` its value and gradient (for the variational
-equations), :func:`riemann_jet` builds the curvature tensor as one jet from
-it, and the covariant calculus of :mod:`curvatur.tensors` uses its higher
-coefficients.  On top of that sit geodesics, the exponential map (with
-optional variational state for derivatives of exp), parallel transport,
-holonomy, geodesic circles, the comparison-limit scalar curvature, and
-two-point distance by shooting.
+the variational equations the jet of Gamma^k_ij v^i that the same
+derivation solves for a given velocity v, :func:`riemann_jet` builds the
+curvature tensor as one jet from it, and the covariant calculus of
+:mod:`curvatur.tensors` uses its higher coefficients.  On top of that sit
+geodesics, the exponential map (with optional variational state for
+derivatives of exp), parallel transport, holonomy, geodesic circles, the
+comparison-limit scalar curvature, and two-point distance by shooting.
 
 Each job is one batched solve: whole batches of geodesics integrate in one
 flat ODE system with shared step control, which is what keeps the
@@ -140,7 +140,7 @@ def _christoffel_tables(nvars: int, order: int):
         for d, s in enumerate(sel, 1))
 
 
-def christoffel_jet(chart: MetricChart, xj):
+def christoffel_jet(chart: MetricChart, xj, v=None):
     """Christoffel symbols as one jet, one order below the metric entries.
 
     Coefficients have shape (K, k, i, j, ...batch) and hold Gamma^k_ij =
@@ -149,13 +149,31 @@ def christoffel_jet(chart: MetricChart, xj):
     g_0^-1 (S_d - sum_{i != 0} g_i Gamma_j) (jet division; Griewank &
     Walther, Evaluating Derivatives, ch. 13).  This is the only derivation
     of the symbols: values, gradients and higher jets are all read off it.
+
+    Given a vector field ``v`` (n, ...batch), constant in x, the jet is
+    that of Gamma^k_ij v^i instead, coefficients (K, k, j, ...batch): the
+    same division solves it against S(v)_lj = S_lij v^i = (d_v g_lj +
+    d_j (g v)_l - d_l (g v)_j) / 2, a right-hand side n times smaller, with
+    d_v g summed one axis at a time.
     """
     G = chart.metric_jet(xj)
     src, fac, degrees = _christoffel_tables(G.nvars, G.order)
     g = G.coef
-    dg = g[src] * fac.reshape(fac.shape + (1,) * (g.ndim - 1))   # d_a g_ij
-    A = dg.swapaxes(1, 2)                            # d_i g_lj at [:, l, i, j]
-    S = 0.5 * (A + A.swapaxes(2, 3) - dg)
+
+    def grad(c):                # d_a c at [:, a], c of the metric's order
+        return c[src] * fac.reshape(fac.shape + (1,) * (c.ndim - 1))
+
+    if v is None:
+        dg = grad(g)                                 # d_a g_ij at [:, a, i, j]
+        A = dg.swapaxes(1, 2)                        # d_i g_lj at [:, l, i, j]
+        S = 0.5 * (A + A.swapaxes(2, 3) - dg)
+    else:                       # S(v) at [:, l, j], its 1/2 folded into v
+        v = 0.5 * v
+        dgv = grad(np.einsum('Kls...,s...->Kl...', g, v))  # d_j (g v)_l
+        S = dgv.swapaxes(1, 2) - dgv
+        w = fac.reshape(fac.shape + (1,) * (v.ndim - 1)) * v
+        for a in range(G.nvars):                # d_v g, one axis at a time
+            S += g[src[:, a]] * w[:, a, None, None]
     ginv = nk._matrix_inv(g[0])
     gamma = np.empty_like(S)
     gamma[0] = np.einsum('rs...,s...->r...', ginv, S[0])
@@ -232,6 +250,14 @@ def pullback_metric(surface) -> MetricChart:
 # ---------------------------------------------------------------------------
 # geodesics
 # ---------------------------------------------------------------------------
+
+
+_COST = ("solves", "accepted_steps", "rejected_steps", "rhs_evals")
+
+
+def _counters(traj):
+    """One solve's solver counters, in the order of ``_COST``."""
+    return (1, traj.n_accepted, traj.n_rejected, traj.n_rhs)
 
 
 @dataclass
@@ -345,7 +371,9 @@ def _variational_rhs(chart: MetricChart, lanes: int, ncols: int,
     """RHS for geodesics carrying d(exp)/d(parameters) columns.
 
     State per lane: x (n), v (n), J (n x ncols), Jdot (n x ncols) where J
-    solves the linearized geodesic equation along the lane; with ``ncols``
+    solves the linearized geodesic equation along the lane, which reads
+    Gamma^k_ij v^i and its gradient only: one :func:`christoffel_jet` with
+    the lanes' velocities, no full symbols and no dGamma.  With ``ncols``
     = 0 it is the geodesic equation alone, which reads Gamma only.  A lane
     outside the box has a NaN derivative, unless ``freeze``: then it stops
     (zero derivative), as does a lane with a non-finite derivative, instead
@@ -366,12 +394,12 @@ def _variational_rhs(chart: MetricChart, lanes: int, ncols: int,
             dz[:, 1] = -np.einsum('kij...,i...,j...->k...', gamma, v, v)
         else:
             J, Jd = z[:, 2:2 + ncols], z[:, 2 + ncols:]       # (n, ncols, L)
-            gamma, dgamma = christoffel_and_grad(chart, x)
-            # contracted one index at a time; gv^k_j = Gamma^k_ij v^i serves
-            # acc and the linearized equation
+            # gv^k_j = Gamma^k_ij v^i, as one jet with v held constant,
+            # serves acc and the linearized equation
             # Jdd^k = -dGamma^k_ij/dx_a J^a v^i v^j - 2 Gamma^k_ij v^i Jd^j
-            gv = (gamma * v[:, None]).sum(1)                 # (k, j, L)
-            dgvv = ((dgamma * v[:, None]).sum(2) * v).sum(2)  # (a, k, L)
+            Gv = christoffel_jet(chart, Jet.variables(x, 2), v)
+            gv = Gv.value                                    # (k, j, L)
+            dgvv = (Gv.grad() * v).sum(2)                    # (a, k, L)
             dz[:, 1] = -(gv * v).sum(1)
             dz[:, 2:2 + ncols] = Jd
             dz[:, 2 + ncols:] = (-(dgvv[:, :, None] * J[:, None]).sum(0)
@@ -427,7 +455,8 @@ class TransportResult:
     ``positions`` and ``vectors`` the point and the transported columns
     there.  ``final`` is the last sample.  ``gram_drift`` is the max
     relative drift of the g-Gram matrix of the transported columns, which
-    transport should preserve.
+    transport should preserve.  ``cost`` holds the solve's counters, keyed
+    by ``_COST``.
     """
 
     chart: MetricChart
@@ -437,6 +466,7 @@ class TransportResult:
     final: np.ndarray            # (n, ncols)
     path_kind: str
     gram_drift: float
+    cost: dict
 
 
 def _transport_gram_drift(chart, ts, xs, vecs):
@@ -458,8 +488,8 @@ def _propagators(chart: MetricChart, curve, S, rtol=1e-10, atol=1e-12):
     by sqrt(S): that bounds each lane's own RMS error by ``rtol``/``atol``,
     as if it had been solved alone.
 
-    Returns the shared mesh ``taus`` (T,) and ``Phi`` (T, S, n, n),
-    Phi[m, s] = Phi_s(taus[m]).
+    Returns the shared mesh ``taus`` (T,), ``Phi`` (T, S, n, n),
+    Phi[m, s] = Phi_s(taus[m]), and the solve's counters keyed by ``_COST``.
     """
     n = chart.dim
 
@@ -473,7 +503,8 @@ def _propagators(chart: MetricChart, curve, S, rtol=1e-10, atol=1e-12):
     scale = math.sqrt(S)
     traj = nk.integrate_ode(nk.OdeProblem(rhs, y0, (0.0, 1.0), rtol / scale,
                                           atol / scale))
-    return traj.ts, traj.ys.reshape(len(traj.ts), S, n, n).swapaxes(-2, -1)
+    return (traj.ts, traj.ys.reshape(len(traj.ts), S, n, n).swapaxes(-2, -1),
+            dict(zip(_COST, _counters(traj))))
 
 
 def _pieces(chart: MetricChart, path):
@@ -543,7 +574,7 @@ def parallel_transport(chart: MetricChart, path, a0, rtol=1e-10,
     n = chart.dim
     k = A0.shape[1]
     start, _, S, curve, kind = _pieces(chart, path)
-    taus, Phi = _propagators(chart, curve, S, rtol, atol)
+    taus, Phi, cost = _propagators(chart, curve, S, rtol, atol)
     A = [A0]
     for P in Phi[-1]:
         A.append(P @ A[-1])
@@ -555,7 +586,7 @@ def parallel_transport(chart: MetricChart, path, a0, rtol=1e-10,
     drift = _transport_gram_drift(chart, ts, xs, vecs)
     final = vecs[-1]
     return TransportResult(chart, ts, xs, vecs,
-                           final[:, 0] if single else final, kind, drift)
+                           final[:, 0] if single else final, kind, drift, cost)
 
 
 @dataclass
@@ -565,6 +596,7 @@ class HolonomyResult:
     basis: np.ndarray            # columns: the orthonormal basis used
     orthogonality_residual: float
     gram_drift: float
+    cost: dict                   # the transport solve's, keyed by _COST
 
 
 def _closure_defect(chart: MetricChart, a, b):
@@ -593,7 +625,7 @@ def holonomy(chart: MetricChart, loop, closure_tol=1e-9) -> HolonomyResult:
     M = np.linalg.solve(E, res.final)
     orth = float(np.abs(M.T @ M - np.eye(chart.dim)).max())
     ang = float(math.atan2(M[1, 0], M[0, 0])) if chart.dim == 2 else None
-    return HolonomyResult(M, ang, E, orth, res.gram_drift)
+    return HolonomyResult(M, ang, E, orth, res.gram_drift, res.cost)
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +634,6 @@ def holonomy(chart: MetricChart, loop, closure_tol=1e-9) -> HolonomyResult:
 
 
 _FAN_RTOL = 1e-10                           # rtol of every Jacobi fan
-_COST = ("solves", "accepted_steps", "rejected_steps", "rhs_evals")
 
 
 class _FanExit(Exception):
@@ -643,7 +674,7 @@ def _jacobi_elements(chart: MetricChart, P, radii, U, dU, steer, cost=None):
             raise
         traj, failed = e.trajectory, e
     if cost is not None:
-        cost += (1, traj.n_accepted, traj.n_rejected, traj.n_rhs)
+        cost += _counters(traj)
         x = traj.ys.reshape(len(traj.ts), L, 2 + 2 * c, n)[:, :, 0]
         inside = np.append(chart.contains(x.T).all(axis=0), failed is None)
         if not inside.all():     # reach: the node before the first one out
@@ -967,7 +998,7 @@ def _shoot(chart, P, Q, E, first, pair, tol, max_iter, out, cost=None):
             traj, z = e.trajectory, np.full(len(lanes) * (2 + 2 * c) * n,
                                             np.nan)
         if cost is not None:
-            cost += (1, traj.n_accepted, traj.n_rejected, traj.n_rhs)
+            cost += _counters(traj)
         z = z.reshape(len(lanes), 2 + 2 * c, n)
         X = z[:, 0]
         Jac = np.swapaxes(z[:, 2:2 + c], 1, 2) if c else jac[lanes]

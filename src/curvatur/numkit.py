@@ -260,11 +260,12 @@ class Jet:
         return self.coef[pos[alpha]] * fact[pos[alpha]]
 
     def grad(self):
-        """First partials, shape (nvars, ...)."""
-        _, pos, _, _, _ = _index_space(self.nvars, self.order)
-        units = [tuple(1 if j == i else 0 for j in range(self.nvars))
-                 for i in range(self.nvars)]
-        return np.stack([self.coef[pos[u]] for u in units])
+        """First partials, shape (nvars, ...): a view of slots nvars .. 1,
+        which the graded lexicographic layout gives the unit multi-indices
+        of the last variable first."""
+        if self.order < 1:
+            raise PreconditionError("an order-0 jet has no gradient")
+        return self.coef[self.nvars:0:-1]
 
     def hessian(self):
         """Second partials, shape (nvars, nvars, ...)."""

@@ -158,7 +158,8 @@ def riemann_holonomy_oracle(chart: ig.MetricChart, x, u, v,
     pts = traj.final.reshape(len(hs), -1, 2, n)[:, :, 0, :]
     x0 = np.ascontiguousarray(pts[:, :-1].reshape(-1, n).T)
     dq = np.ascontiguousarray(np.diff(pts, axis=1).reshape(-1, n).T)
-    _, Phi = ig._propagators(chart, lambda t: (x0 + t * dq, dq), x0.shape[1])
+    _, Phi, _ = ig._propagators(chart, lambda t: (x0 + t * dq, dq),
+                                x0.shape[1])
     mats = []
     for h, props in zip(hs, Phi[-1].reshape(len(hs), -1, n, n)):
         M = np.eye(n)

@@ -177,6 +177,29 @@ def test_compile_is_linear_in_expression_size(monkeypatch):
     assert program(0.7) == [cat.eval_expr(e, {"x": 0.7})]
 
 
+def test_long_sums_compile_without_recursion(monkeypatch):
+    # a 2,000-term sum nests 2,000 deep, far past the interpreter's
+    # recursion limit: parsing, equality, printing, evaluation and the
+    # compile all walk it with explicit stacks, visiting each node once
+    terms = " + ".join(f"{k}*x^{k % 3}" for k in range(1, 2001))
+    spec = cat.parse_geometry("metric m (x,y in [-1,1]x[-1,1]) = "
+                              f"[[1 + 0*({terms}), 0], [0, 1 + ({terms})^2]]")
+    nodes = sum(1 for row in spec.exprs for e in row
+                for _ in cat._subtrees(e))
+    visits = []
+    subtrees = cat._subtrees
+    monkeypatch.setattr(cat, "_subtrees", lambda s: (
+        visits.append(1) or n for n in subtrees(s)))
+    chart = spec.build()
+    assert len(visits) <= 2 * nodes
+    x = np.array([0.3, -0.2])
+    ref = [[cat.eval_expr(e, dict(zip(spec.coords, x))) for e in row]
+           for row in spec.exprs]
+    assert np.array_equal(chart.g_at(x), ref)
+    e = spec.exprs[1][1]
+    assert cat._parse_alone(cat.print_expr(e)) == e
+
+
 def test_compile_hashes_each_node_a_constant_number_of_times(monkeypatch):
     # a node's hash is cached from its children's, so a memo lookup does
     # not rehash the subtree (2.17 M hash calls for a 600-term sum when it

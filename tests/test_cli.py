@@ -190,6 +190,44 @@ def test_curve_reconstruct_csv_closes_circle(capsys):
     assert last[2] == pytest.approx(0.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("argv", [
+    ("transport", "along", "--builtin", "sphere", "--via", "0.3,1.2",
+     "--via", "1.0,1.0", "--via", "1.4,0.6", "--vector", "1,0"),
+    ("transport", "holonomy", "--builtin", "lobachevsky_halfplane",
+     "--loop", "0,1", "--loop", "1,1", "--loop", "1,2", "--loop", "0,2")])
+def test_transport_cost_block_is_deterministic(capsys, argv):
+    _, first, _ = run(capsys, *argv)
+    _, second, _ = run(capsys, *argv)
+    assert first == second
+    cost = json.loads(first)["diagnostics"]["cost"]
+    assert list(cost) == ["solves", "accepted_steps", "rejected_steps",
+                          "rhs_evals"]
+    assert all(type(v) is int for v in cost.values())
+    # one DOPRI5 solve of every piece's propagator
+    assert cost["solves"] == 1 and cost["accepted_steps"] > 0
+    assert cost["rhs_evals"] == 1 + 6 * (cost["accepted_steps"]
+                                         + cost["rejected_steps"])
+
+
+@pytest.mark.parametrize("depth", [100, 1000])
+def test_parse_nesting_depth(tmp_path, capsys, depth):
+    # past MAX_NESTING levels the parser stops at the offending token with
+    # a ParseError document, before it could exhaust the recursion limit
+    text = ("metric m (x,y in [-1,1]x[-1,1]) = [[1 + " + "(" * depth + "x"
+            + ")" * depth + "^2, 0], [0, 1]]\n")
+    path = tmp_path / "deep.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "parse", "--check", str(path))
+    if depth <= cat.MAX_NESTING:
+        assert code == 0 and json.loads(out)["results"]["ok"], err
+        return
+    assert code == 1 and out == ""
+    info = json.loads(err)["error"]
+    assert info["type"] == "ParseError"
+    assert (info["line"], info["col"]) == (
+        1, text.index("(((") + cat.MAX_NESTING + 1)
+
+
 def test_transport_along_plane_is_identity(capsys):
     doc = run_json(capsys, "transport", "along", "--builtin", "plane",
                    "--via", "0,0", "--via", "1,0", "--via", "1,1",

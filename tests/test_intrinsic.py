@@ -1,6 +1,7 @@
 """Charts, geodesics, transport, circles, and limit-based curvature."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,28 @@ def test_christoffel_jet_matches_inverse_series(order, lanes, halfplane,
                 <= 1e-14 * np.abs(ref.coef).max()), chart.name
 
 
+@pytest.mark.parametrize("lanes", [1, 24, 288])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_contracted_christoffel_matches_full(order, lanes, halfplane,
+                                             sphere_chart, s3):
+    # Gamma^k_ij v^i solved against S(v) equals the full symbols contracted
+    # with v, every coefficient to roundoff
+    rng = np.random.default_rng([order, lanes, 7])
+    hyperboloid = cat.builtin("hyperboloid_pullback").build()
+    for chart in (halfplane, sphere_chart, hyperboloid, s3):
+        box = np.array(chart.domain)
+        x = box[:, :1] + (box[:, 1:] - box[:, :1]) * rng.uniform(
+            0.2, 0.8, (chart.dim, lanes))
+        v = rng.normal(size=(chart.dim, lanes))
+        got = ig.christoffel_jet(chart, nk.Jet.variables(x, order), v)
+        full = ig.christoffel_jet(chart, nk.Jet.variables(x, order))
+        ref = np.einsum('Kkij...,i...->Kkj...', full.coef, v)
+        assert got.order == order - 1
+        assert got.coef.shape == ref.shape
+        assert (np.abs(got.coef - ref).max()
+                <= 1e-14 * np.abs(ref).max()), chart.name
+
+
 def test_christoffel_jet_constructions(monkeypatch, halfplane, sphere_chart,
                                        s3):
     # deterministic cost guard: Jet objects built per Christoffel evaluation
@@ -189,6 +212,33 @@ def test_christoffel_jet_constructions(monkeypatch, halfplane, sphere_chart,
     built.clear()
     ig.christoffel_and_grad(s3, np.array([1.0, 0.5, 0.3]))
     assert len(built) <= 16
+    # one 1-lane variational RHS with 2 columns: its contracted symbols
+    for chart, bound in ((halfplane, 7), (s3, 15)):
+        n = chart.dim
+        y = np.full(6 * n, 0.3)
+        y[:n] = [0.2, 1.3, 0.4][:n]
+        rhs = ig._variational_rhs(chart, 1, 2)
+        built.clear()
+        rhs(0.0, y)
+        assert len(built) <= bound, chart.name
+
+
+def test_variational_rhs_peak_memory(s3):
+    # deterministic cost guard: the numpy temporaries of one 2-column RHS
+    # over a 288-lane s3_round fan (1,732 KB with the full symbols and
+    # their gradient; the contracted symbols need about 920 KB)
+    rng = np.random.default_rng(0)
+    z = rng.normal(size=(288, 6, 3)) * 0.3
+    z[:, 0] = [0.2, -0.1, 0.3] + 0.05 * rng.normal(size=(288, 3))
+    rhs = ig._variational_rhs(s3, 288, 2)
+    rhs(0.0, z.ravel())                    # fill the cached tables first
+    tracemalloc.start()
+    try:
+        rhs(0.0, z.ravel())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1100 * 1024
 
 
 def test_distance_rhs_budget(halfplane, rhs_evals, monkeypatch):

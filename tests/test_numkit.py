@@ -170,6 +170,7 @@ def test_derivative_nd_moves_each_slot(nvars, order):
             up = tuple(e + (i == axis) for i, e in enumerate(a))
             assert np.array_equal(d.coef[pos_lo[a]],
                                   j.coef[pos_hi[up]] * up[axis])
+        assert np.array_equal(j.grad()[axis], d.value)
 
 
 @pytest.mark.parametrize("nvars,order,n", [(2, 3, 2), (3, 2, 3)])
