@@ -25,9 +25,9 @@ expressions arrive as parameters.
 ``GeometrySpec.build`` compiles all component expressions of a geometry
 once into one straight-line :class:`Program`: parameters and constant
 subtrees fold to floats, and a subtree shared by several components is
-evaluated once per call.  A metric's program writes the whole matrix into
-one stacked jet, which is what :class:`~curvatur.intrinsic.MetricChart`
-evaluators return.  :func:`eval_expr` walks the tree instead; it is the
+evaluated once per call.  A built curve, surface or metric writes all its
+components into one stacked jet, the form in which curve, patch and
+chart evaluators return them.  :func:`eval_expr` walks the tree instead; it is the
 reference the programs are tested against, and it evaluates domain bounds
 and the constants the compiler folds.
 """
@@ -655,27 +655,29 @@ class GeometrySpec:
     def build(self):
         """Compile to a ParamCurve, SurfacePatch, or MetricChart.
 
-        All component expressions compile into one :class:`Program`; a
-        metric's program writes each distinct entry once into the stacked
-        metric jet."""
+        All component expressions compile into one :class:`Program`, whose
+        evaluator writes them into one stacked jet (:func:`_stacked_fn`)."""
         if self.builder is not None:
             return self.builder(self)
         periods = self.periods or (None,) * self.dim
 
         if self.kind == "curve":
-            return ParamCurve(Program(self.exprs, self.coords, self.params),
+            return ParamCurve(_stacked_fn(Program(self.exprs, self.coords,
+                                                  self.params),
+                                          (len(self.exprs),)),
                               self.domain[0], dim=len(self.exprs))
 
         if self.kind == "surface":
-            return SurfacePatch(Program(self.exprs, self.coords, self.params),
+            return SurfacePatch(_stacked_fn(Program(self.exprs, self.coords,
+                                                    self.params), (3,)),
                                 self.domain, flip_normal=self.flip_normal,
                                 periods=periods, name=self.name)
 
         if self.kind == "metric":
             program = Program([e for row in self.exprs for e in row],
                               self.coords, self.params)
-            chart = MetricChart(self.dim, self.domain,
-                                _metric_fn(program, self.dim),
+            write = _stacked_fn(program, (self.dim, self.dim))
+            chart = MetricChart(self.dim, self.domain, lambda xj: write(*xj),
                                 provenance=self.provenance, periods=periods,
                                 name=self.name)
             self._spd_check(chart)
@@ -700,31 +702,33 @@ class GeometrySpec:
                 f"(min eigenvalue {eig.min():.3g})")
 
 
-def _metric_fn(program, n):
-    """A chart evaluator that runs ``program`` (the n x n entries, row by
-    row) and writes each distinct entry once into the stacked metric jet:
-    equal entries share one register, and constant ones are written as
-    constants."""
-    consts, slots = [], {}
+def _stacked_fn(program, shape):
+    """An evaluator that runs ``program`` (the components of a tensor of
+    ``shape``, row by row) on its input jets and writes them into one jet
+    with coefficients (K, *shape, ...batch): equal components share one
+    register, copied to each slot, and constant ones are written as
+    constants.  A basic-index copy per slot costs a quarter of one
+    advanced-index write of several slots."""
+    consts, writes = [], []
     for k, r in enumerate(program.outputs):
+        at = np.unravel_index(k, shape)
         c = program.constant(r)
-        if c is not None:
-            consts.append((divmod(k, n), c))
+        if c is None:
+            writes.append(((slice(None), *at), r))
         else:
-            slots.setdefault(r, []).append(divmod(k, n))
-    writes = [(r, tuple(zip(*ij))) for r, ij in slots.items()]
+            consts.append(((0, *at), c))
 
-    def gfn(xj):
+    def fn(*xj):
         regs = program.run(xj)
         like = xj[0]
-        coef = np.zeros(like.coef.shape[:1] + (n, n) + like.coef.shape[1:])
-        for (i, j), c in consts:
-            coef[0, i, j] = c
-        for r, (rows, cols) in writes:
-            coef[:, rows, cols] = regs[r].coef[:, None]
+        coef = np.zeros(like.coef.shape[:1] + shape + like.coef.shape[1:])
+        for at, c in consts:
+            coef[at] = c
+        for at, r in writes:
+            coef[at] = regs[r].coef
         return Jet(like.nvars, like.order, coef)
 
-    return gfn
+    return fn
 
 
 def parse_geometry(text) -> GeometrySpec:

@@ -1,7 +1,7 @@
 """Parametric curves: length, curvature, torsion, frames, reconstruction.
 
-A :class:`ParamCurve` wraps an evaluator that maps a parameter jet to a
-tuple of coordinate jets, so every derived quantity (speed, curvature,
+A :class:`ParamCurve` wraps an evaluator that maps a parameter jet to one
+jet of all coordinates, so every derived quantity (speed, curvature,
 torsion, frames) is computed by exact jet arithmetic at the query point.
 Reconstruction from curvature data integrates the frame equations with the
 adaptive RK45 integrator and exposes the result as an ordinary curve whose
@@ -27,9 +27,12 @@ class ParamCurve:
     Parameters
     ----------
     fn : callable
-        Maps one parameter jet to a sequence of ``dim`` coordinate jets.
-        Any evaluator built from :mod:`curvatur.numkit` operations
-        automatically supports batched jets and orders up to 4.
+        Maps one parameter jet to the curve as one jet with coefficients
+        (K, dim, ...batch), as compiled and reconstructed curves write it.
+        Hand-written evaluators may return a list of ``dim`` jets and
+        constants instead, which the curve stacks and checks once, at
+        :meth:`_evaluate`.  Any evaluator built from :mod:`curvatur.numkit`
+        operations automatically supports batched jets and orders up to 4.
     domain : (float, float)
         Parameter interval.
     dim : int
@@ -46,25 +49,33 @@ class ParamCurve:
         self.domain = (lo, hi)
         self.dim = dim
 
-    def jets(self, t, order=3):
-        """Coordinate jets at parameter value(s) ``t``."""
-        tj, = Jet.variables(np.asarray(t, dtype=float)[None], order)
-        out = [nk.as_jet(c, tj) for c in self._fn(tj)]
-        if len(out) != self.dim:
+    def _evaluate(self, tj):
+        """The curve at the parameter jet as one jet with coefficients
+        (K, dim, ...batch): the evaluator's output, stacked once if it is a
+        list, with its component count checked."""
+        c = self._fn(tj)
+        if not isinstance(c, Jet):
+            c = nk.jet_stack(list(c), tj)
+        if c.coef.shape[1:2] != (self.dim,):
             raise PreconditionError("curve evaluator returned wrong dimension")
-        return out
+        return c
+
+    def jets(self, t, order=3):
+        """The curve as one jet at parameter value(s) ``t``, coefficients
+        (K, dim, ...batch)."""
+        return self._evaluate(Jet.variables(np.asarray(t, dtype=float)[None],
+                                            order)[0])
 
     def point(self, t):
-        return np.stack([c.value for c in self.jets(t, order=1)], axis=0).T
+        return self.jets(t, order=1).value.T
 
     def velocity(self, t):
-        return np.stack([c.partial((1,)) for c in self.jets(t, order=1)], axis=0).T
+        return self.jets(t, order=1).partial((1,)).T
 
     def derivatives(self, t, order=3):
         """Array of derivatives sigma, sigma', ..., shape (order+1, dim)."""
         js = self.jets(t, order)
-        return np.stack([[c.partial((k,)) for c in js]
-                         for k in range(order + 1)])
+        return np.stack([js.partial((k,)) for k in range(order + 1)])
 
 
 def speed(curve: ParamCurve, t):
@@ -192,27 +203,17 @@ class NaturalCurve(ParamCurve):
             t0 = t0[0]
         order = s_jet.order
         tj, = Jet.variables(np.asarray(t0, dtype=float)[None], order)
-        comps = self.source._fn(tj)
+        comps = self.source._evaluate(tj)
         # jet of s(t) at t0: value s, higher coefficients from the speed
         coef = np.zeros((order + 1,) + np.shape(tj.coef[0]))
         coef[0] = s_jet.value
-        if order >= 2:
-            vel = [nk.derivative_nd(c, 0) for c in comps]
-            spj = nk.sqrt(nk.vdot(vel, vel))
-            for k in range(order):
-                coef[k + 1] = spj.coef[k] / (k + 1)
-        else:
-            sq = sum(c.partial((1,)) ** 2 for c in comps)
-            coef[1] = np.sqrt(sq)
+        vel = nk.derivative_nd(comps, 0)
+        spj = nk.sqrt(nk.vdot(vel, vel))
+        for k in range(order):
+            coef[k + 1] = spj.coef[k] / (k + 1)
         s_of_t = Jet(1, order, coef)
         t_inv = nk.invert_univariate(s_of_t, t0)
-        t_jet = nk.compose1d(t_inv, s_jet)
-        return [nk.compose1d(c, t_jet) for c in comps]
-
-
-def natural_reparametrize(curve: ParamCurve) -> NaturalCurve:
-    """Unit-speed version of ``curve`` on the domain [0, L]."""
-    return NaturalCurve(curve)
+        return nk.compose1d(comps, nk.compose1d(t_inv, s_jet))
 
 
 class _FrameODECurve(ParamCurve):
@@ -269,11 +270,12 @@ def reconstruct_plane_curve(kbar, s_max, rtol=1e-10, atol=1e-12) -> ParamCurve:
         acoef[0] = alpha0
         for k in range(min(order, kj.order + 1)):
             acoef[k + 1] = kj.coef[k] / (k + 1)
-        alpha = Jet(1, order, acoef)
-        xj = nk.antiderivative1d(nk.cos(alpha), state[..., 0])
-        yj = nk.antiderivative1d(nk.sin(alpha), state[..., 1])
-        inner = [nk.compose1d(c, s_jet) for c in (xj, yj)]
-        return inner
+        sin_a, cos_a = Jet(1, order, acoef).sincos()
+        # the unit tangent (cos alpha, sin alpha), integrated from the
+        # trajectory's (x, y)
+        tangent = Jet(1, order, np.stack([cos_a.coef, sin_a.coef], axis=1))
+        return nk.compose1d(nk.antiderivative1d(
+            tangent, np.moveaxis(state[..., :2], -1, 0)), s_jet)
 
     return _FrameODECurve(traj, 2, float(s_max), build)
 
@@ -314,20 +316,12 @@ def reconstruct_space_curve(kbar, taubar, s_max, rtol=1e-10, atol=1e-12) -> Para
         b = np.cross(v, n)
         s1 = Jet.variables(np.asarray(s0, dtype=float)[None], 2)[0]
         kj, tj = kfn(s1), tfn(s1)
-        k0, k1 = kj.value, kj.partial((1,))
-        tau0 = tj.value
+        # k, k' and tau, broadcast against the frame vectors' last axis
+        k0, k1, tau0 = (np.asarray(a)[..., None]
+                        for a in (kj.value, kj.partial((1,)), tj.value))
         # derivatives from the frame equations
-        d1 = v
-        d2 = k0[..., None] * n if np.ndim(k0) else k0 * n
-        nprime = -(k0[..., None] if np.ndim(k0) else k0) * v \
-            + (tau0[..., None] if np.ndim(tau0) else tau0) * b
-        d3 = (k1[..., None] if np.ndim(k1) else k1) * n \
-            + (k0[..., None] if np.ndim(k0) else k0) * nprime
-        comps = []
-        for i in range(3):
-            coef = np.stack([x[..., i], d1[..., i], d2[..., i] / 2.0,
-                             d3[..., i] / 6.0])
-            comps.append(nk.compose1d(Jet(1, 3, coef), s_jet))
-        return comps
+        nprime = -k0 * v + tau0 * b
+        coef = np.stack([x, v, k0 * n / 2.0, (k1 * n + k0 * nprime) / 6.0])
+        return nk.compose1d(Jet(1, 3, np.moveaxis(coef, -1, 1)), s_jet)
 
     return _FrameODECurve(traj, 3, float(s_max), build)

@@ -51,8 +51,9 @@ class MetricChart:
         Receives a list of ``dim`` fresh coordinate jets (possibly batched)
         and returns the metric as one jet with coefficients
         (K, dim, dim, ...batch), written once per call.  Hand-written
-        evaluators may return nested lists of jets and constants instead;
-        :meth:`metric_jet` stacks those.  Entries must be symmetric.
+        evaluators may return nested lists of jets and constants instead,
+        which :meth:`metric_jet`, the chart's one evaluator boundary, stacks
+        and checks once.  Entries must be symmetric.
     provenance : str
         One of "pullback-from-patch", "builtin", "parsed".
     periods : tuple of float or None
@@ -91,18 +92,20 @@ class MetricChart:
     def metric_jet(self, xj):
         """The metric as one jet with coefficients (K, n, n, ...batch) at
         the seed variables ``xj`` (from :meth:`Jet.variables`)."""
-        g = self._gfn(list(xj))
-        if isinstance(g, Jet):
-            return g
-        return nk.jet_stack([[nk.as_jet(c, xj[0]) for c in row] for row in g])
-
-    def entries(self, xj):
-        """Metric matrix as nested lists of scalar jets at ``xj``."""
-        return nk.jet_unstack(self.metric_jet(xj), 2)
+        xj = list(xj)
+        g = self._gfn(xj)
+        if not isinstance(g, Jet):
+            g = nk.jet_stack(g, xj[0])
+        if g.coef.shape[1:3] != (self.dim, self.dim):
+            raise PreconditionError(
+                f"metric evaluator must return a {self.dim}x{self.dim} matrix")
+        return g
 
     def metric_jets(self, x, order=1):
-        """Metric entries as jets of the given order at point(s) x."""
-        return self.entries(Jet.variables(np.asarray(x, dtype=float), order))
+        """The metric jet of the given order at point(s) x.  Nothing in the
+        library calls it; it stays as the patch point of the benchmark's
+        traced run."""
+        return self.metric_jet(Jet.variables(np.asarray(x, dtype=float), order))
 
     def g_at(self, x):
         """Metric matrix, shape (n, n, ...batch)."""
@@ -231,8 +234,7 @@ def pullback_metric(surface) -> MetricChart:
                        * np.ones_like(vj.value),
                        np.asarray(vj.value, dtype=float)
                        * np.ones_like(uj.value)])
-        bu, bv = Jet.variables(uv, m + 1)
-        r = nk.jet_stack([nk.as_jet(c, bu) for c in surface._fn(bu, bv)])
+        r = surface._evaluate(*Jet.variables(uv, m + 1))
         # r_u and r_v, coefficients (K, 3, ...): jets in seed variables at
         # the chart's point, the same variables as xj truncated to order m
         ru, rv = nk.derivative_nd(r, 0), nk.derivative_nd(r, 1)

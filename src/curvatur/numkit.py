@@ -16,11 +16,13 @@ triples are cached per (nvars, order) by :func:`_index_space`.  Batch axes
 of two operands broadcast as numpy broadcasts array axes, aligned from the
 right.  Elementary functions compose over one power chain (u - u0)^k,
 which :meth:`Jet.sincos` shares between sin and cos.  A jet whose batch
-axes start with tensor axes is a tensor-valued jet: :func:`jet_stack`
-builds one from nested lists of scalar jets and :func:`jet_unstack` takes
-it apart and :func:`jet_einsum` contracts two of them, each in a single
-batched pass; a jet solved against a matrix-valued one (the Christoffel
-symbols against the metric) is solved order by order.
+axes start with tensor axes is a tensor-valued jet, the one form of
+vectors and tensors of jets in the package: :func:`jet_stack` builds one
+from an evaluator's lists, :func:`jet_einsum` contracts two in a single
+batched pass, :func:`vdot` and :func:`vcross` act on its component axis,
+and the compositions take all its components at once; a jet solved
+against a matrix-valued one (the Christoffel symbols against the
+metric) is solved order by order.
 Finite differences appear in this package only inside clearly named
 cross-check oracles.
 
@@ -357,12 +359,13 @@ class Jet:
         """Compose ``f(self)`` for each series of derivatives f^(k) of an f
         at ``self.value``, k = 0, 1, ... (entries beyond ``self.order`` are
         ignored): a list of one jet per series, all summed term by term
-        over one power chain (self - value)^k.
+        over one power chain (self - value)^k.  A series' first entry
+        has the output's batch shape, tensor axes of a composition included.
         """
         _, _, (I, J, M), _, _ = _index_space(self.nvars, self.order)
         u = self.coef.copy()
         u[0] = 0.0
-        outs = [np.zeros_like(u) for _ in series]
+        outs = [np.zeros(u.shape[:1] + np.shape(d[0])) for d in series]
         for out, derivs in zip(outs, series):
             out[0] = derivs[0]
         for k in range(1, self.order + 1):
@@ -442,13 +445,17 @@ def as_jet(x, like: Jet) -> Jet:
 def compose1d(outer: Jet, inner: Jet) -> Jet:
     """Compose a univariate jet with an arbitrary jet: ``outer(inner)``.
 
-    ``outer`` must be a 1-variable jet expanded at ``inner.value``.
+    ``outer`` must be a 1-variable jet expanded at ``inner.value``; a
+    tensor-valued one keeps its tensor axes, all over one power chain.
     """
     if outer.nvars != 1:
         raise PreconditionError("outer jet must be univariate")
     derivs = [outer.partial((k,)) for k in range(min(outer.order, inner.order) + 1)]
     derivs += [np.zeros_like(derivs[0])] * (inner.order - len(derivs) + 1)
-    return inner._compose(derivs)[0]
+    u, c = _broadcast(inner.coef, outer.coef)
+    derivs[0] = np.broadcast_to(derivs[0],
+                                np.broadcast_shapes(u.shape[1:], c.shape[1:]))
+    return Jet(inner.nvars, inner.order, u)._compose(derivs)[0]
 
 
 def invert_univariate(j: Jet, t0: float) -> Jet:
@@ -555,13 +562,18 @@ def compose_nd(outer: Jet, inners: Sequence[Jet]) -> Jet:
     The result lives in the inner jets' variable space, truncated at their
     order.  This is plain evaluation of the outer Taylor polynomial in jet
     arithmetic, which is exact because the shifted inners are nilpotent.
+    A tensor-valued ``outer`` keeps its tensor axes.
     """
     if len(inners) != outer.nvars:
         raise PreconditionError("need one inner jet per outer variable")
     idx, pos, _, _, _ = _index_space(outer.nvars, outer.order)
-    deltas = [u - u.value for u in inners]
-    proto = inners[0]
-    out = proto._like_const(outer.coef[0] * np.ones_like(proto.coef[0]))
+    # the inners gain unit axes where outer has tensor axes
+    padded = [_broadcast(u.coef, outer.coef)[0] for u in inners]
+    deltas = [Jet(u.nvars, u.order, c) - c[0] for u, c in zip(inners, padded)]
+    coef = np.zeros(padded[0].shape[:1] + np.broadcast_shapes(
+        padded[0].shape[1:], outer.coef.shape[1:]))
+    coef[0] = outer.coef[0]
+    out = Jet(inners[0].nvars, inners[0].order, coef)
     pows: dict[tuple, Jet] = {}
     for a in idx[1:]:
         i = next(k for k, e in enumerate(a) if e > 0)
@@ -596,27 +608,19 @@ def jet_einsum(subscripts: str, a: Jet, b: Jet) -> Jet:
         M, np.einsum(_triple_spec(subscripts), a.coef[I], b.coef[J])))
 
 
-def jet_stack(nested) -> Jet:
-    """One jet from nested lists of jets, at their common (lowest) order.
+def jet_stack(nested, like: Jet) -> Jet:
+    """One jet from nested lists of jets and constants, at their common
+    (lowest) order; constants become constant jets shaped like ``like``.
 
     Each level of nesting becomes a tensor axis right after the Taylor
     axis, so ``[[g11, g12], [g21, g22]]`` gives coefficients (K, 2, 2, ...).
     """
-    if isinstance(nested, Jet):
-        return nested
-    parts = [jet_stack(p) for p in nested]
+    if not isinstance(nested, (list, tuple)):
+        return as_jet(nested, like)
+    parts = [jet_stack(p, like) for p in nested]
     m = min(p.order for p in parts)
-    return Jet(parts[0].nvars, m,
+    return Jet(like.nvars, m,
                np.stack([truncate(p, m).coef for p in parts], axis=1))
-
-
-def jet_unstack(j: Jet, rank: int):
-    """Nested lists of scalar jets from the first ``rank`` tensor axes of
-    ``j``; the inverse of :func:`jet_stack`."""
-    if rank == 0:
-        return j
-    return [jet_unstack(Jet(j.nvars, j.order, j.coef[:, i]), rank - 1)
-            for i in range(j.coef.shape[1])]
 
 
 _NEXT, _AFTER = [1, 2, 0], [2, 0, 1]
@@ -647,16 +651,29 @@ def _matrix_inv(m):
     return adj / det
 
 
-# small vector helpers that work on sequences of jets or plain numbers
+# vector helpers on the component axis: axis 1 of a tensor-valued jet's
+# coefficients (right after the Taylor axis), axis 0 of an array
+
+
+def _components(x, which):
+    """The components ``which`` (a list of indices) of a jet or an array."""
+    if isinstance(x, Jet):
+        return Jet(x.nvars, x.order, x.coef[:, which])
+    return x[which]
+
 
 def vdot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    """sum_i a_i b_i over the component axis, summed in component order."""
+    p = a * b
+    if isinstance(p, Jet):
+        return Jet(p.nvars, p.order, p.coef.sum(axis=1))
+    return p.sum(axis=0)
 
 
 def vcross(a, b):
-    return [a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0]]
+    """a x b of 3-vectors, all three components in two products."""
+    return (_components(a, _NEXT) * _components(b, _AFTER)
+            - _components(a, _AFTER) * _components(b, _NEXT))
 
 
 def vtriple(a, b, c):

@@ -38,9 +38,13 @@ class SurfacePatch:
     Parameters
     ----------
     fn : callable
-        Maps a pair of coordinate jets to three coordinate jets.  Evaluators
-        composed from :mod:`curvatur.numkit` operations support any order up
-        to 4 and batched jets automatically.
+        Maps a pair of coordinate jets to the immersion as one jet with
+        coefficients (K, 3, ...batch), as compiled patches write it.
+        Hand-written evaluators may return a list of three jets and
+        constants instead, which the patch stacks and checks once, at
+        :meth:`_evaluate`.  Evaluators composed from :mod:`curvatur.numkit`
+        operations support any order up to 4 and batched jets
+        automatically.
     domain : ((u0, u1), (v0, v1))
         Parameter rectangle.
     flip_normal : bool
@@ -74,36 +78,42 @@ class SurfacePatch:
 
     # -- evaluation -----------------------------------------------------
 
-    def jets(self, u, v, order=3):
-        """Three coordinate jets in the two surface parameters."""
-        uv = np.stack([np.asarray(u, dtype=float), np.asarray(v, dtype=float)])
-        uj, vj = Jet.variables(uv, order)
-        out = [nk.as_jet(c, uj) for c in self._fn(uj, vj)]
-        if len(out) != 3:
+    def _evaluate(self, uj, vj):
+        """The immersion at the parameter jets as one jet with
+        coefficients (K, 3, ...batch): the evaluator's output, stacked
+        once if it is a list, with its component count checked."""
+        r = self._fn(uj, vj)
+        if not isinstance(r, Jet):
+            r = nk.jet_stack(list(r), uj)
+        if r.coef.shape[1:2] != (3,):
             raise PreconditionError("surface evaluator must return 3 components")
-        return out
+        return r
+
+    def jets(self, u, v, order=3):
+        """The immersion as one jet in the two surface parameters, with
+        coefficients (K, 3, ...batch)."""
+        uv = np.stack([np.asarray(u, dtype=float), np.asarray(v, dtype=float)])
+        return self._evaluate(*Jet.variables(uv, order))
 
     def point(self, u, v):
-        return np.stack([c.value for c in self.jets(u, v, order=1)], axis=0)
+        return self.jets(u, v, order=1).value
 
     def tangent_basis(self, u, v):
         """(r_u, r_v) as ambient vectors, stacked shape (2, 3, ...)."""
         js = self.jets(u, v, order=1)
-        ru = np.stack([c.partial((1, 0)) for c in js])
-        rv = np.stack([c.partial((0, 1)) for c in js])
-        return np.stack([ru, rv])
+        return np.stack([js.partial((1, 0)), js.partial((0, 1))])
 
     def normal(self, u, v):
-        basis = self.tangent_basis(u, v)
-        n = np.cross(basis[0], basis[1], axis=0)
-        nrm = np.sqrt((n * n).sum(axis=0))
+        n = nk.vcross(*self.tangent_basis(u, v))
+        nrm = np.sqrt(nk.vdot(n, n))
         if np.any(nrm <= 1e-12):
             raise PreconditionError("patch is not regular at the query point")
         n = n / nrm
         return -n if self.flip_normal else n
 
     def normal_jets(self, u, v, order=2):
-        """Unit-normal components as jets of the given order.
+        """The unit normal as one jet of the given order, coefficients
+        (K, 3, ...batch).
 
         Needs immersion jets one order higher, so ``order`` is capped at 3.
         """
@@ -112,13 +122,11 @@ class SurfacePatch:
         return self._unit_normal(self.jets(u, v, order + 1))
 
     def _unit_normal(self, r):
-        """Cooriented unit-normal jets, one order below immersion jets r."""
-        ru = [nk.derivative_nd(c, 0) for c in r]
-        rv = [nk.derivative_nd(c, 1) for c in r]
-        cr = nk.vcross(ru, rv)
+        """Cooriented unit normal, one order below the immersion jet r."""
+        cr = nk.vcross(nk.derivative_nd(r, 0), nk.derivative_nd(r, 1))
         inv = nk.vdot(cr, cr).sqrt().reciprocal()
         sign = -1.0 if self.flip_normal else 1.0
-        return [c * inv * sign for c in cr]
+        return cr * inv * sign
 
 
 @dataclass
@@ -136,9 +144,7 @@ class FormsAtPoint:
 def forms_at(surface: SurfacePatch, uv) -> FormsAtPoint:
     u, v = float(uv[0]), float(uv[1])
     js = surface.jets(u, v, order=2)
-    p = np.array([c.value for c in js])
-    ru = np.array([c.partial((1, 0)) for c in js])
-    rv = np.array([c.partial((0, 1)) for c in js])
+    p, ru, rv = js.value, js.partial((1, 0)), js.partial((0, 1))
     n = np.cross(ru, rv)
     nrm = np.linalg.norm(n)
     if nrm <= 1e-12 * max(np.linalg.norm(ru), np.linalg.norm(rv), 1.0):
@@ -148,9 +154,7 @@ def forms_at(surface: SurfacePatch, uv) -> FormsAtPoint:
     if surface.flip_normal:
         n = -n
     g = np.array([[ru @ ru, ru @ rv], [ru @ rv, rv @ rv]])
-    ruu = np.array([c.partial((2, 0)) for c in js])
-    ruv = np.array([c.partial((1, 1)) for c in js])
-    rvv = np.array([c.partial((0, 2)) for c in js])
+    ruu, ruv, rvv = (js.partial(a) for a in ((2, 0), (1, 1), (0, 2)))
     q = np.array([[ruu @ n, ruv @ n], [ruv @ n, rvv @ n]])
     return FormsAtPoint(p, np.stack([ru, rv]), n, g, q, surface.orientation)
 
@@ -171,11 +175,9 @@ def shape_operator_at(surface: SurfacePatch, uv, check_tol=1e-10):
     f = forms_at(surface, uv)
     W = np.linalg.solve(f.g, f.q)
     nj = surface.normal_jets(float(uv[0]), float(uv[1]), order=2)
-    n_u = np.array([nk.derivative_nd(c, 0).value for c in nj])
-    n_v = np.array([nk.derivative_nd(c, 1).value for c in nj])
+    dn = np.stack([nk.derivative_nd(nj, a).value for a in (0, 1)])
     # coordinates of -n_u, -n_v in the tangent basis via the Gram system
-    rhs = np.array([[-(f.basis[i] @ n_u) for i in range(2)],
-                    [-(f.basis[i] @ n_v) for i in range(2)]]).T
+    rhs = -(f.basis @ dn.T)
     W2 = np.linalg.solve(f.g, rhs)
     resid = float(np.abs(W - W2).max() / max(1.0, np.abs(W).max()))
     if resid > check_tol:
@@ -252,22 +254,20 @@ def _slice_curve(surface: SurfacePatch, uv, w, m_tilt, order=3):
     a = np.zeros(order + 1)   # u(xi) Taylor coefficients
     b = np.zeros(order + 1)   # v(xi)
     a[0], b[0] = u0, v0
+    xi = Jet(1, order, np.eye(order + 1)[1])  # the variable xi itself
     for m in range(1, order + 1):
-        uj = Jet(1, order, a.copy())
-        vj = Jet(1, order, b.copy())
-        r = surface._fn(uj, vj)
-        f1 = nk.vdot([ri - Pi for ri, Pi in zip(r, P)], list(c))
-        xi = Jet(1, order, np.eye(order + 1)[1])  # the variable xi itself
-        f2 = nk.vdot([ri - Pi for ri, Pi in zip(r, P)], list(w)) - xi
+        d = surface._evaluate(Jet(1, order, a.copy()),
+                              Jet(1, order, b.copy())) - P
+        f1 = nk.vdot(d, c)
+        f2 = nk.vdot(d, w) - xi
         resid = np.array([f1.coef[m], f2.coef[m]])
         corr = np.linalg.solve(jac, -resid)
         a[m] += corr[0]
         b[m] += corr[1]
 
     def fn(x_jet):
-        uj = nk.compose1d(Jet(1, order, a), x_jet)
-        vj = nk.compose1d(Jet(1, order, b), x_jet)
-        return surface._fn(uj, vj)
+        return surface._evaluate(nk.compose1d(Jet(1, order, a), x_jet),
+                                 nk.compose1d(Jet(1, order, b), x_jet))
 
     return cv.ParamCurve(fn, (-1.0, 1.0), 3), a, b
 
@@ -303,8 +303,7 @@ def section_curvature(surface: SurfacePatch, uv, phi, theta, method="euler"):
     curve, _, _ = _slice_curve(surface, uv, w, m_tilt)
     # signed plane curvature of the section inside its own plane
     js = curve.jets(0.0, order=2)
-    d1 = np.array([c.partial((1,)) for c in js])
-    d2 = np.array([c.partial((2,)) for c in js])
+    d1, d2 = js.partial((1,)), js.partial((2,))
     x1, y1 = d1 @ w, d1 @ m_tilt
     x2, y2 = d2 @ w, d2 @ m_tilt
     return float((x1 * y2 - y1 * x2) / (x1 * x1 + y1 * y1) ** 1.5)
@@ -315,9 +314,8 @@ def area(surface: SurfacePatch, tol=1e-9):
     (u0, u1), (v0, v1) = surface.domain
 
     def integrand(u, v):
-        basis = surface.tangent_basis(u, v)
-        n = np.cross(basis[0], basis[1], axis=0)
-        return np.sqrt((n * n).sum(axis=0))
+        cr = nk.vcross(*surface.tangent_basis(u, v))
+        return np.sqrt(nk.vdot(cr, cr))
 
     value, _ = nk.quadrature2d(integrand, u0, u1, v0, v1, tol=tol)
     return value
@@ -329,16 +327,15 @@ def _check_focal(surface: SurfacePatch, eps, focal_grid=16):
     U, V = np.meshgrid(np.linspace(u0, u1, focal_grid),
                        np.linspace(v0, v1, focal_grid), indexing="ij")
     js = surface.jets(U.ravel(), V.ravel(), order=2)
-    d = {a: np.stack([c.partial(a) for c in js])
-         for a in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
+    d = {a: js.partial(a) for a in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
     ru, rv = d[(1, 0)], d[(0, 1)]
-    E, F, G = (ru * ru).sum(axis=0), (ru * rv).sum(axis=0), (rv * rv).sum(axis=0)
-    cr = np.cross(ru, rv, axis=0)
-    nrm = np.sqrt((cr * cr).sum(axis=0))
+    E, F, G = nk.vdot(ru, ru), nk.vdot(ru, rv), nk.vdot(rv, rv)
+    cr = nk.vcross(ru, rv)
+    nrm = np.sqrt(nk.vdot(cr, cr))
     regular = nrm > 1e-12 * np.sqrt(np.maximum(np.maximum(E, G), 1.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         n = cr / nrm
-        L, M, N = ((d[a] * n).sum(axis=0) for a in ((2, 0), (1, 1), (0, 2)))
+        L, M, N = (nk.vdot(d[a], n) for a in ((2, 0), (1, 1), (0, 2)))
         det = E * G - F * F
         H = (E * N - 2.0 * F * M + G * L) / (2.0 * det)
         lam = np.abs(H) + np.sqrt(np.maximum(H * H - (L * N - M * M) / det, 0.0))
@@ -366,10 +363,11 @@ def offset_surface(surface: SurfacePatch, eps, focal_grid=16) -> SurfacePatch:
 
     def fn(uj: Jet, vj: Jet):
         order = min(uj.order + 1, nk.MAX_ORDER)
-        r = surface.jets(uj.value * np.ones_like(vj.value),
-                         vj.value * np.ones_like(uj.value), order)
-        return [nk.compose_nd(nk.truncate(ri, order - 1) + ni * eps, [uj, vj])
-                for ri, ni in zip(r, surface._unit_normal(r))]
+        r = surface._evaluate(*Jet.variables(np.stack(
+            [uj.value * np.ones_like(vj.value),
+             vj.value * np.ones_like(uj.value)]), order))
+        return nk.compose_nd(nk.truncate(r, order - 1)
+                             + surface._unit_normal(r) * eps, [uj, vj])
 
     return SurfacePatch(fn, surface.domain, flip_normal=surface.flip_normal,
                         periods=surface.periods,
@@ -413,10 +411,8 @@ def gauss_map_signed_area(surface: SurfacePatch, tol=1e-9):
 
     def integrand(u, v):
         nj = surface.normal_jets(u, v, order=1)
-        n = [c.value for c in nj]
-        n_u = [c.partial((1, 0)) for c in nj]
-        n_v = [c.partial((0, 1)) for c in nj]
-        return sign * nk.vtriple(n_u, n_v, n)
+        return sign * nk.vtriple(nj.partial((1, 0)), nj.partial((0, 1)),
+                                 nj.value)
 
     value, _ = nk.quadrature2d(integrand, u0, u1, v0, v1, tol=tol)
     return value
@@ -451,9 +447,9 @@ def total_curvatures(surface: SurfacePatch, fit_tol=1e-4,
         """|r_u x r_v|, mean density, Gauss density, offset area elements."""
         r = surface.jets(u, v, order=2)
         nj = surface._unit_normal(r)
-        n = [c.value for c in nj]
-        n_u, n_v, r_u, r_v = (np.stack([c.partial(a) for c in js])
-                              for js in (nj, r) for a in ((1, 0), (0, 1)))
+        n = nj.value
+        n_u, n_v, r_u, r_v = (js.partial(a) for js in (nj, r)
+                              for a in ((1, 0), (0, 1)))
         cr = nk.vcross(r_u, r_v)
         h = nk.vtriple(r_u, n_v, n) + nk.vtriple(n_u, r_v, n)
         k = nk.vtriple(n_u, n_v, n)

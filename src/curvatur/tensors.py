@@ -17,11 +17,11 @@ geodesic and variational right-hand sides of :mod:`curvatur.intrinsic`;
 they never assemble curvature from the symbols.
 
 Fields (scalar, vector, covector, bilinear) are callables from coordinate
-jets to jet components, which makes covariant derivatives composable to
+jets to one tensor jet, which makes covariant derivatives composable to
 the depth the jet order allows.  Every covariant derivative, of a field or
 of the curvature tensor itself (second Bianchi identity), is one rule: the
-components are stacked into one tensor jet and contracted with the
-Christoffel jet through :func:`numkit.jet_einsum`.
+tensor jet is contracted with the Christoffel jet through
+:func:`numkit.jet_einsum`.
 """
 
 from __future__ import annotations
@@ -274,11 +274,13 @@ def ricci_volume_oracle(chart: ig.MetricChart, x, hs=(0.2, 0.1, 0.05),
 class Field:
     """A tensor field given by a jet evaluator.
 
-    ``fn`` maps a list of coordinate jets to components: a single jet for
-    scalars, a list for vectors/covectors, nested lists for bilinear
-    forms and (1,1) tensors; constant components may be plain numbers.  Evaluating through jets keeps fields
-    composable under differentiation; each covariant derivative consumes
-    one order of the incoming jets.
+    ``fn`` maps a list of coordinate jets to one jet, with coefficients
+    (K, ...batch) for scalars, (K, n, ...batch) for vectors and covectors
+    and (K, n, n, ...batch) for bilinear forms and (1,1) tensors.
+    Hand-written evaluators may return (nested) lists of jets and
+    constants instead, which :meth:`__call__` stacks.  Evaluating through
+    jets keeps fields composable under differentiation; each covariant
+    derivative consumes one order of the incoming jets.
     """
 
     kind: str                    # scalar | vector | covector | bilinear | mixed
@@ -286,15 +288,10 @@ class Field:
     name: str = ""
 
     def __call__(self, xj):
-        """Components at the coordinate jets ``xj``, constants promoted."""
+        """The field as one tensor jet at the coordinate jets ``xj``."""
         xj = list(xj)
-
-        def promote(c):
-            if isinstance(c, (list, tuple)):
-                return [promote(e) for e in c]
-            return nk.as_jet(c, xj[0])
-
-        return promote(self.fn(xj))
+        out = self.fn(xj)
+        return out if isinstance(out, Jet) else nk.jet_stack(out, xj[0])
 
     def at(self, x, order=0):
         x = np.asarray(x, dtype=float)
@@ -303,8 +300,7 @@ class Field:
 
 def field_values(field: Field, x, order=1):
     """Component values of a field at a point (plain arrays)."""
-    return nk.jet_stack(field.at(np.asarray(x, dtype=float),
-                                 order=order)).value
+    return field.at(np.asarray(x, dtype=float), order=order).value
 
 
 def _align(jets):
@@ -327,12 +323,11 @@ def commutator(X: Field, Y: Field) -> Field:
         raise PreconditionError("commutator takes vector fields")
 
     def fn(xj):
-        Xs, Ys = _align([nk.jet_stack(X(xj)), nk.jet_stack(Y(xj))])
+        Xs, Ys = _align([X(xj), Y(xj)])
         m = Xs.order - 1
         Xm, Ym = nk.truncate(Xs, m), nk.truncate(Ys, m)
-        return nk.jet_unstack(
-            nk.jet_einsum("j...,ij...->i...", Xm, _partials(Ys, 1, m))
-            - nk.jet_einsum("j...,ij...->i...", Ym, _partials(Xs, 1, m)), 1)
+        return (nk.jet_einsum("j...,ij...->i...", Xm, _partials(Ys, 1, m))
+                - nk.jet_einsum("j...,ij...->i...", Ym, _partials(Xs, 1, m)))
 
     return Field("vector", fn, name=f"[{X.name},{Y.name}]")
 
@@ -370,12 +365,10 @@ def covariant_derivative(chart: ig.MetricChart, field: Field) -> Field:
     Gamma^i_kj v^k; covector -> bilinear T_ij = d_j phi_i - Gamma^k_ij phi_k;
     bilinear -> T_ijk = d_k b_ij - Gamma^l_ik b_lj - Gamma^l_jk b_il.
     """
-    n = chart.dim
-
     if field.kind == "scalar":
         def fn(xj):
             f = field(xj)
-            return [nk.derivative_nd(f, j) for j in range(n)]
+            return _partials(f, 0, f.order - 1)
         return Field("covector", fn, name=f"grad {field.name}")
 
     if field.kind not in _NABLA_KINDS:
@@ -384,9 +377,7 @@ def covariant_derivative(chart: ig.MetricChart, field: Field) -> Field:
     rank, up, kind = _NABLA_KINDS[field.kind]
 
     def fn(xj):
-        T = nk.jet_stack(field(xj))
-        return nk.jet_unstack(
-            _nabla(ig.christoffel_jet(chart, xj), T, rank, up), rank + 1)
+        return _nabla(ig.christoffel_jet(chart, xj), field(xj), rank, up)
 
     return Field(kind, fn, name=f"nabla {field.name}")
 
@@ -401,9 +392,8 @@ def directional(chart: ig.MetricChart, X: Field, field: Field) -> Field:
     free = "i" * rank
 
     def fn(xj):
-        T, Xs = _align([nk.jet_stack(D(xj)), nk.jet_stack(X(xj))])
-        return nk.jet_unstack(
-            nk.jet_einsum(f"{free}j...,j...->{free}...", T, Xs), rank)
+        T, Xs = _align([D(xj), X(xj)])
+        return nk.jet_einsum(f"{free}j...,j...->{free}...", T, Xs)
 
     return Field(field.kind, fn, name=f"D_{X.name} {field.name}")
 
@@ -411,7 +401,7 @@ def directional(chart: ig.MetricChart, X: Field, field: Field) -> Field:
 def metric_field(chart: ig.MetricChart) -> Field:
     """The metric itself as a bilinear field."""
 
-    return Field("bilinear", chart.entries, name="g")
+    return Field("bilinear", chart.metric_jet, name="g")
 
 
 def exterior_derivative(phi: Field) -> Field:
@@ -420,10 +410,9 @@ def exterior_derivative(phi: Field) -> Field:
         raise PreconditionError("exterior derivative here takes covectors")
 
     def fn(xj):
-        P = nk.jet_stack(phi(xj))
+        P = phi(xj)
         dP = _partials(P, 1, P.order - 1).coef     # d_j phi_i at [:, i, j]
-        return nk.jet_unstack(Jet(P.nvars, P.order - 1,
-                                  np.swapaxes(dP, 1, 2) - dP), 2)
+        return Jet(P.nvars, P.order - 1, np.swapaxes(dP, 1, 2) - dP)
 
     return Field("bilinear", fn, name=f"d {phi.name}")
 
@@ -433,9 +422,8 @@ def alt_of_nabla(chart: ig.MetricChart, phi: Field) -> Field:
     D = covariant_derivative(chart, phi)
 
     def fn(xj):
-        n = len(xj)
-        t = D(xj)
-        return [[t[j][i] - t[i][j] for j in range(n)] for i in range(n)]
+        t = D(xj)                           # nabla_j phi_i at [:, i, j]
+        return Jet(t.nvars, t.order, np.swapaxes(t.coef, 1, 2) - t.coef)
 
     return Field("bilinear", fn, name=f"alt nabla {phi.name}")
 
@@ -457,8 +445,7 @@ def potential_on_box(phi: Field, box, base=None, tol=1e-10):
             pts = np.repeat(x[:, None], len(s), axis=1)
             pts[k] = s
             # order 2 leaves headroom for phi being itself a derived field
-            jets = list(Jet.variables(pts, 2))
-            return phi(jets)[k].value
+            return phi(Jet.variables(pts, 2)).value[k]
         return f
 
     def f(x):

@@ -87,6 +87,9 @@ _PARSED = {
     "metric": "metric m (x,y in [0.1,1]x[0.1,1]) = "
               "[[exp(x*y)/(1 + x^2), -x*y/(1 + x^2)], "
               "[-x*y/(1 + x^2), 2 + sin(pi*y)]]",
+    "curve with a constant": "curve k (t in [0.1,1]) = (t^2, 1)",
+    "surface with a constant": "param c = 2\nsurface z (u,v in [0.1,1]x"
+                               "[0.1,1]) = (sin(u)*v, c^2, sin(u)*v)",
 }
 
 
@@ -95,14 +98,22 @@ def _specs():
         spec = cat.builtin(name)
         if spec.builder is None:
             yield name, spec
-    for kind, text in _PARSED.items():
-        yield "parsed " + kind, cat.parse_geometry(text)
+    for label, text in _PARSED.items():
+        yield "parsed " + label, cat.parse_geometry(text)
 
 
 def _bits(v):
     """Type, shape and bytes of a float, array or jet value."""
     a = np.asarray(v.coef if isinstance(v, nk.Jet) else v)
     return type(v), a.shape, a.tobytes()
+
+
+def _stacked(obj, x, xs):
+    """The stacked jet a built curve, surface or metric writes at the seed
+    variables ``xs`` of the point(s) ``x``."""
+    if isinstance(obj, ig.MetricChart):
+        return obj.metric_jet(xs)
+    return obj.jets(*x, order=xs[0].order)
 
 
 @pytest.mark.parametrize("lanes", [None, 1, 7])
@@ -112,6 +123,7 @@ def test_compiled_programs_match_eval_expr(lanes):
         flat = ([e for row in spec.exprs for e in row]
                 if spec.kind == "metric" else list(spec.exprs))
         program = cat.Program(flat, spec.coords, spec.params)
+        built = spec.build()
         lo, hi = np.array(spec.domain).T[:, :, None]
         x = lo + rng.uniform(0.2, 0.8, (spec.dim, lanes or 1)) * (hi - lo)
         if lanes is None:
@@ -123,12 +135,11 @@ def test_compiled_programs_match_eval_expr(lanes):
             ref = [cat.eval_expr(e, env) for e in flat]
             got = program(*xs)
             assert list(map(_bits, got)) == list(map(_bits, ref)), name
-            if spec.kind == "metric" and isinstance(xs[0], nk.Jet):
-                # the stacked write equals the stack of the promoted entries
-                stacked = nk.jet_stack([[nk.as_jet(ref[2 * i + j], xs[0])
-                                         for j in range(2)] for i in range(2)])
-                assert (_bits(spec.build().metric_jet(xs))
-                        == _bits(stacked)), name
+            if isinstance(xs[0], nk.Jet):
+                # the stacked write equals the stack of the promoted outputs
+                nested = [ref[:2], ref[2:]] if spec.kind == "metric" else ref
+                assert (_bits(_stacked(built, x, xs))
+                        == _bits(nk.jet_stack(nested, xs[0]))), name
 
 
 def test_pi_parameter_shadows_the_constant():
@@ -136,7 +147,7 @@ def test_pi_parameter_shadows_the_constant():
     assert cat.parse_expression("pi*s", params={"pi": 3.0})(2.0) == 6.0
     spec = cat.parse_geometry("param pi = 3\n"
                               "curve c (t in [0,1]) = (pi*t, t)")
-    assert spec.build().jets(0.5, order=1)[0].value == 1.5
+    assert spec.build().jets(0.5, order=1).value[0] == 1.5
 
 
 def test_programs_share_subexpressions(monkeypatch):

@@ -79,11 +79,24 @@ def test_frenet_rejects_straight_points():
 def test_natural_reparametrization_is_unit_speed():
     ellipse = cv.ParamCurve(lambda t: [2.0 * nk.cos(t), nk.sin(t)],
                             (0.0, 2 * math.pi), dim=2)
-    nat = cv.natural_reparametrize(ellipse)
+    nat = cv.NaturalCurve(ellipse)
     total = cv.arc_length(ellipse)
     assert nat.domain[1] == pytest.approx(total, abs=1e-9)
     for s in np.linspace(0.1, total - 0.1, 7):
         assert cv.speed(nat, float(s)) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_natural_curve_of_a_parsed_curve_with_a_constant():
+    c = cat.parse_geometry("curve c (t in [0,1]) = (t, 1)").build()
+    assert cv.speed(cv.NaturalCurve(c), 0.3) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_evaluator_boundary_checks_the_dimension():
+    bent = cv.ParamCurve(lambda t: [t, t * t, 1.0], (0.0, 1.0), dim=2)
+    with pytest.raises(nk.PreconditionError, match="wrong dimension"):
+        bent.jets(0.5)
+    with pytest.raises(nk.PreconditionError, match="wrong dimension"):
+        cv.NaturalCurve(bent)
 
 
 def test_reconstruct_plane_circle_closes():

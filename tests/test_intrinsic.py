@@ -9,6 +9,7 @@ import pytest
 import curvatur.catalog as cat
 import curvatur.intrinsic as ig
 import curvatur.numkit as nk
+import curvatur.surface_patch as sp
 import curvatur.verify as vf
 
 
@@ -53,6 +54,23 @@ def test_metric_reads_at_order_0_match_order_1():
             0.2, 0.8, size=(chart.dim, 50))
         first = chart.metric_jet(nk.Jet.variables(x, 1)).value
         assert np.array_equal(chart.g_at(x), first), name
+
+
+def test_evaluator_boundaries_check_component_counts():
+    # a 2-component surface evaluator fails at every read, the pullback
+    # chart's first metric read included
+    flat = sp.SurfacePatch(lambda u, v: [u, v], [(0, 1), (0, 1)])
+    with pytest.raises(nk.PreconditionError, match="must return 3 components"):
+        flat.jets(0.5, 0.5)
+    chart = ig.pullback_metric(flat)
+    with pytest.raises(nk.PreconditionError, match="must return 3 components"):
+        chart.g_at(np.array([0.5, 0.5]))
+    with pytest.raises(nk.PreconditionError, match="must return 3 components"):
+        ig.christoffel_at(chart, np.array([0.5, 0.5]))
+    wide = ig.MetricChart(2, [(0, 1), (0, 1)],
+                          lambda xj: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(nk.PreconditionError, match="2x2 matrix"):
+        wide.g_at(np.array([0.5, 0.5]))
 
 
 def test_sphere_pullback_metric(sphere_chart):
@@ -103,9 +121,9 @@ def _christoffel_embedded(surface, uv):
     2x2 normal equations.
     """
     js = surface.jets(float(uv[0]), float(uv[1]), order=2)
-    r = np.array([[c.partial(a) for c in js] for a in ((1, 0), (0, 1))])
-    rdd = np.array([[[c.partial((2 - i - j, i + j)) for c in js]
-                     for j in range(2)] for i in range(2)])
+    r = np.stack([js.partial(a) for a in ((1, 0), (0, 1))])
+    rdd = np.array([[js.partial((2 - i - j, i + j)) for j in range(2)]
+                    for i in range(2)])
     return np.linalg.solve(r @ r.T, np.einsum('la,ija->lij', r, rdd)
                            .reshape(2, 4)).reshape(2, 2, 2)
 

@@ -217,8 +217,7 @@ def test_jet_einsum_contracts_tensor_slots(nvars, order, n):
         ref = sum(nk.Jet(nvars, order, a.coef[:, i, k, m])
                   * nk.Jet(nvars, order, b.coef[:, m, l, j]) for m in range(n))
         assert np.allclose(out.coef[:, i, j, k, l], ref.coef, atol=1e-14)
-    assert np.array_equal(nk.jet_stack(nk.jet_unstack(out, 4)).coef, out.coef)
-    mixed = nk.jet_stack([a, nk.truncate(b, 1)])
+    mixed = nk.jet_stack([a, nk.truncate(b, 1)], a)
     assert mixed.order == 1 and mixed.coef.shape[:2] == (nvars + 1, 2)
 
 
@@ -435,7 +434,32 @@ def test_generalized_eigen_tie():
 
 
 def test_vector_helpers():
-    assert nk.vtriple([1, 0, 0], [0, 1, 0], [0, 0, 1]) == pytest.approx(1.0)
-    assert nk.vtriple([1, 0, 0], [2, 0, 0], [0, 0, 1]) == pytest.approx(0.0)
-    assert np.allclose(nk.vcross([1, 0, 0], [0, 1, 0]), [0, 0, 1])
-    assert nk.vdot([1, 2, 3], [4, 5, 6]) == pytest.approx(32.0)
+    # arrays carry their components on axis 0
+    e = np.eye(3)
+    assert nk.vtriple(e[0], e[1], e[2]) == pytest.approx(1.0)
+    assert nk.vtriple(e[0], 2 * e[0], e[2]) == pytest.approx(0.0)
+    assert np.allclose(nk.vcross(e[0], e[1]), e[2])
+    assert nk.vdot(np.array([1, 2, 3]), np.array([4, 5, 6])) == 32
+    rng = np.random.default_rng(5)
+    a, b = rng.uniform(-1, 1, (2, 3, 4, 5))
+    assert np.allclose(nk.vcross(a, b), np.cross(a, b, axis=0), atol=1e-15)
+    # batched jets carry them on axis 1 of the coefficients: every helper
+    # is the per-component Taylor products, summed in component order
+    K = len(nk._index_space(2, 3)[0])
+    a, b, c = (nk.Jet(2, 3, rng.uniform(-1, 1, (K, 3, 4))) for _ in range(3))
+
+    def comp(j, i):
+        return nk.Jet(2, 3, j.coef[:, i])
+
+    dot = comp(a, 0) * comp(b, 0) + comp(a, 1) * comp(b, 1) \
+        + comp(a, 2) * comp(b, 2)
+    assert np.allclose(nk.vdot(a, b).coef, dot.coef, rtol=0, atol=1e-14)
+    cross = nk.vcross(b, c)
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        ref = comp(b, j) * comp(c, k) - comp(b, k) * comp(c, j)
+        assert np.allclose(cross.coef[:, i], ref.coef, rtol=0, atol=1e-14)
+    triple = sum((comp(a, i) * comp(cross, i) for i in range(1, 3)),
+                 comp(a, 0) * comp(cross, 0))
+    assert np.allclose(nk.vtriple(a, b, c).coef, triple.coef, rtol=0,
+                       atol=1e-14)
