@@ -13,6 +13,14 @@ in chart order as declared.  Exit codes: 0 success, 1 computation failure,
 JSON error document to stderr.  Commands that integrate ODEs may add a
 ``cost`` block to ``diagnostics``: solver counters, integers only.  Wall
 times appear only in ``verify``'s text mode, never in JSON.
+
+Each command is one row of :data:`COMMANDS`: its help, the geometry kind
+it reads, whether ``--format csv`` applies, its own options and its
+handler.  One dispatcher, :func:`main`, decides what the commands
+share: the document envelope, geometry resolution (load the source, build
+it, check its kind, pull a surface back to a chart), CSV eligibility and
+the exit codes.  Handlers compute; they return the ``inputs``, ``results``
+and diagnostics of the document.
 """
 
 import argparse
@@ -23,6 +31,7 @@ import math
 import re
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,7 +86,7 @@ def _dump(obj, indent=0):
 
 
 def _write(args, text):
-    path = getattr(args, "output", None)
+    path = args.output
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -174,12 +183,11 @@ def _parse_param(text):
 
 
 def _load_spec(args):
-    builtin = getattr(args, "builtin", None)
-    path = getattr(args, "file", None)
+    builtin, path = args.builtin, args.file
     if (builtin is None) == (path is None):
         raise UsageError(
             "provide exactly one geometry source: --builtin NAME or --file PATH")
-    params = dict(_parse_param(p) for p in (getattr(args, "param", None) or []))
+    params = dict(_parse_param(p) for p in (args.param or []))
     if builtin is not None:
         try:
             return cat.builtin(builtin, params)
@@ -213,87 +221,51 @@ def _geometry_doc(spec, note=None):
     return doc
 
 
-def _require_csv_off(args, command):
-    if getattr(args, "format", "json") == "csv":
-        raise UsageError(f"{command} does not support --format csv")
-
-
-def _as_surface(spec):
-    obj = spec.build()
-    if not isinstance(obj, sp.SurfacePatch):
-        raise UsageError(f"geometry {spec.name!r} is a {spec.kind}, "
-                         "but this command needs a surface")
-    return obj
-
-
-def _as_curve(spec):
-    obj = spec.build()
-    if not isinstance(obj, cv.ParamCurve):
-        raise UsageError(f"geometry {spec.name!r} is a {spec.kind}, "
-                         "but this command needs a curve")
-    return obj
-
-
-def _as_chart(spec):
-    """Build a metric chart, pulling back surfaces through their first form."""
-    obj = spec.build()
-    if isinstance(obj, ig.MetricChart):
-        return obj, None
-    if isinstance(obj, sp.SurfacePatch):
-        return ig.pullback_metric(obj), obj
-    raise UsageError(f"geometry {spec.name!r} is a {spec.kind}, "
-                     "but this command needs a surface or metric")
-
-
 # ---------------------------------------------------------------------------
-# curve commands
+# command handlers: (args, Geometry or None) -> _emit keywords, or the exit
+# code of a handler that wrote its own output
 # ---------------------------------------------------------------------------
 
 
-def _cmd_curve_analyze(args):
-    _require_csv_off(args, "curve analyze")
-    spec = _load_spec(args)
-    curve = _as_curve(spec)
+class Geometry(NamedTuple):
+    """A loaded geometry source and what the command reads of it."""
+
+    spec: cat.GeometrySpec
+    obj: object          # the curve, surface or metric chart
+    surface: object      # the patch a chart was pulled back from, else None
+
+
+def _curve_analyze(args, g):
     ts = [float(t) for t in (args.at or [])]
     if not ts:
         raise UsageError("curve analyze needs at least one --at T")
+    curve = g.obj
     total = cv.arc_length(curve, tol=args.tol)
     points = []
     for t in ts:
         fr = cv.frenet_frame(curve, t)
-        entry = {
-            "t": t,
-            "point": fr.point,
-            "speed": cv.speed(curve, t),
-            "tangent": fr.tangent,
-            "normal": fr.normal,
-            "binormal": fr.binormal,
-            "curvature": fr.curvature,
-            "torsion": fr.torsion,
-        }
+        entry = {"t": t, "point": fr.point, "speed": cv.speed(curve, t),
+                 "tangent": fr.tangent, "normal": fr.normal,
+                 "binormal": fr.binormal, "curvature": fr.curvature,
+                 "torsion": fr.torsion}
         if curve.dim == 2:
             entry["signed_curvature"] = cv.plane_curvature(curve, t)
         points.append(entry)
-    _emit(args, "curve analyze", _geometry_doc(spec),
-          {"at": ts},
-          {"arc_length": total, "points": points},
-          tolerances={"arc_length_tol": args.tol})
-    return 0
+    return dict(inputs={"at": ts},
+                results={"arc_length": total, "points": points},
+                tolerances={"arc_length_tol": args.tol})
 
 
-def _cmd_curve_reconstruct(args):
+def _curve_reconstruct(args, _):
     kbar = cat.parse_expression(args.curvature, variables=("s",))
-    taubar = None
-    if args.torsion is not None:
-        taubar = cat.parse_expression(args.torsion, variables=("s",))
+    taubar = (None if args.torsion is None
+              else cat.parse_expression(args.torsion, variables=("s",)))
     s_max = float(args.length)
     if s_max <= 0:
         raise UsageError("--length must be positive")
     n = max(2, int(args.samples))
-    if taubar is None:
-        curve = cv.reconstruct_plane_curve(kbar, s_max)
-    else:
-        curve = cv.reconstruct_space_curve(kbar, taubar, s_max)
+    curve = (cv.reconstruct_plane_curve(kbar, s_max) if taubar is None
+             else cv.reconstruct_space_curve(kbar, taubar, s_max))
     svals = np.linspace(0.0, s_max, n)
     pts = np.array([curve.point(s) for s in svals])
     header = ["s", "x", "y", "z"][: 1 + curve.dim]
@@ -301,81 +273,40 @@ def _cmd_curve_reconstruct(args):
     if args.format == "csv":
         _emit_csv(args, header, rows)
         return 0
-    geometry = {"name": "reconstructed", "kind": "curve",
-                "coords": ["s"], "domain": [[0.0, s_max]],
-                "params": {}, "source": "reconstruction"}
-    inputs = {"curvature": args.curvature, "torsion": args.torsion,
-              "length": s_max, "samples": n}
-    _emit(args, "curve reconstruct", geometry, inputs,
-          {"endpoint": pts[-1],
-           "samples": {"columns": header, "rows": rows}},
-          tolerances={"ode_rtol": 1e-10, "ode_atol": 1e-12})
-    return 0
+    return dict(geometry={"name": "reconstructed", "kind": "curve",
+                          "coords": ["s"], "domain": [[0.0, s_max]],
+                          "params": {}, "source": "reconstruction"},
+                inputs={"curvature": args.curvature, "torsion": args.torsion,
+                        "length": s_max, "samples": n},
+                results={"endpoint": pts[-1],
+                         "samples": {"columns": header, "rows": rows}},
+                tolerances={"ode_rtol": 1e-10, "ode_atol": 1e-12})
 
 
-# ---------------------------------------------------------------------------
-# surface commands
-# ---------------------------------------------------------------------------
-
-
-def _cmd_surface_report(args):
-    _require_csv_off(args, "surface report")
-    spec = _load_spec(args)
-    surface = _as_surface(spec)
+def _surface_report(args, g):
     uv = _floats(args.at, 2, "--at")
-    rep = sp.principal_at(surface, uv)
-    results = {
-        "point": rep.point,
-        "normal": rep.normal,
-        "lambda_plus": rep.lam_plus,
-        "lambda_minus": rep.lam_minus,
-        "dir_plus": rep.dir_plus,
-        "dir_minus": rep.dir_minus,
+    rep = sp.principal_at(g.obj, uv)
+    return dict(inputs={"at": uv}, results={
+        "point": rep.point, "normal": rep.normal,
+        "lambda_plus": rep.lam_plus, "lambda_minus": rep.lam_minus,
+        "dir_plus": rep.dir_plus, "dir_minus": rep.dir_minus,
         "dirs_chart": rep.dirs_chart,
-        "mean_curvature": rep.mean_avg,
-        "mean_density": rep.mean_density,
-        "gauss_curvature": rep.gauss,
-        "scalar_curvature": rep.scalar,
-        "umbilic": rep.umbilic,
-        "orientation": rep.orientation,
-    }
-    _emit(args, "surface report", _geometry_doc(spec),
-          {"at": uv}, results)
-    return 0
+        "mean_curvature": rep.mean_avg, "mean_density": rep.mean_density,
+        "gauss_curvature": rep.gauss, "scalar_curvature": rep.scalar,
+        "umbilic": rep.umbilic, "orientation": rep.orientation})
 
 
-def _cmd_surface_area(args):
-    _require_csv_off(args, "surface area")
-    spec = _load_spec(args)
-    surface = _as_surface(spec)
-    value = sp.area(surface, tol=args.tol)
-    _emit(args, "surface area", _geometry_doc(spec), {},
-          {"area": value},
-          tolerances={"quadrature_tol": args.tol})
-    return 0
+def _surface_area(args, g):
+    return dict(inputs={}, results={"area": sp.area(g.obj, tol=args.tol)},
+                tolerances={"quadrature_tol": args.tol})
 
 
-def _cmd_surface_offset(args):
-    _require_csv_off(args, "surface offset")
-    spec = _load_spec(args)
-    surface = _as_surface(spec)
+def _surface_offset(args, g):
     eps = float(args.eps)
-    report = sp.total_curvatures(surface, fit_tol=args.fit_tol)
-    offset_area = sp.area(sp.offset_surface(surface, eps))
+    report = sp.total_curvatures(g.obj, fit_tol=args.fit_tol)
+    offset_area = sp.area(sp.offset_surface(g.obj, eps))
     predicted = (report.area + report.mean_total * eps
                  + report.gauss_total * eps ** 2)
-    results = {
-        "eps": eps,
-        "offset_area": offset_area,
-        "predicted_area": predicted,
-        "base_area": report.area,
-        "mean_total": report.mean_total,
-        "gauss_total": report.gauss_total,
-        "fit_area": report.fit_area,
-        "fit_mean": report.fit_mean,
-        "fit_gauss": report.fit_gauss,
-        "orientation": report.orientation,
-    }
     warnings = []
     scale = max(abs(offset_area), 1.0)
     if abs(offset_area - predicted) / scale > 10 * args.fit_tol:
@@ -383,30 +314,22 @@ def _cmd_surface_offset(args):
             f"offset area deviates from the quadratic expansion by "
             f"{abs(offset_area - predicted):.3g}; eps may be beyond the "
             "focal radius")
-    _emit(args, "surface offset", _geometry_doc(spec),
-          {"eps": eps, "fit_epsilons": list(report.epsilons)},
-          results,
-          tolerances={"fit_tol": args.fit_tol},
-          error_estimates={"fit_rel_mismatch": report.rel_mismatch},
-          warnings=warnings)
-    return 0
+    return dict(inputs={"eps": eps, "fit_epsilons": list(report.epsilons)},
+                results={"eps": eps, "offset_area": offset_area,
+                         "predicted_area": predicted, "base_area": report.area,
+                         "mean_total": report.mean_total,
+                         "gauss_total": report.gauss_total,
+                         "fit_area": report.fit_area,
+                         "fit_mean": report.fit_mean,
+                         "fit_gauss": report.fit_gauss,
+                         "orientation": report.orientation},
+                tolerances={"fit_tol": args.fit_tol},
+                error_estimates={"fit_rel_mismatch": report.rel_mismatch},
+                warnings=warnings)
 
 
-# ---------------------------------------------------------------------------
-# geodesic commands
-# ---------------------------------------------------------------------------
-
-
-def _trace_columns(spec, surface):
-    cols = ["t"] + list(spec.coords)
-    if surface is not None:
-        cols += ["x", "y", "z"]
-    return cols
-
-
-def _cmd_geodesic_trace(args):
-    spec = _load_spec(args)
-    chart, surface = _as_chart(spec)
+def _geodesic_trace(args, g):
+    chart, surface = g.obj, g.surface
     x0 = _floats(getattr(args, "from"), chart.dim, "--from")
     v0 = _floats(args.dir, chart.dim, "--dir")
     length = float(args.length)
@@ -414,14 +337,11 @@ def _cmd_geodesic_trace(args):
                              rtol=args.rtol, atol=args.atol)
     n = max(2, int(args.samples))
     ts = np.linspace(0.0, path.length, n)
-    xs = path.position(ts)
-    rows = []
-    for t, x in zip(ts, xs):
-        row = [t, *x]
-        if surface is not None:
-            row += list(surface.point(*x))
-        rows.append(row)
-    header = _trace_columns(spec, surface)
+    rows = [[t, *x] for t, x in zip(ts, path.position(ts))]
+    header = ["t", *g.spec.coords]
+    if surface is not None:
+        header += ["x", "y", "z"]
+        rows = [[*row, *surface.point(*row[1:])] for row in rows]
     if args.format == "csv":
         _emit_csv(args, header, rows)
         return 0
@@ -431,60 +351,41 @@ def _cmd_geodesic_trace(args):
                         f"at length {path.length:.17g}")
     drift = path.speed_drift()
     traj = path.trajectory         # read last: dense output adds RHS calls
-    _emit(args, "geodesic trace",
-          _geometry_doc(spec, note="surface pullback" if surface else None),
-          {"from": x0, "dir": v0, "length": length, "samples": n},
-          {"length_traced": path.length,
-           "reason": path.reason,
-           "end": path.end,
-           "end_velocity": path.end_velocity,
-           "samples": {"columns": header, "rows": rows}},
-          tolerances={"ode_rtol": args.rtol, "ode_atol": args.atol},
-          error_estimates={"speed_drift": drift},
-          warnings=warnings,
-          cost=dict(zip(ig._COST, ig._counters(traj))))
-    return 0
+    return dict(inputs={"from": x0, "dir": v0, "length": length,
+                        "samples": n},
+                results={"length_traced": path.length,
+                         "reason": path.reason,
+                         "end": path.end,
+                         "end_velocity": path.end_velocity,
+                         "samples": {"columns": header, "rows": rows}},
+                tolerances={"ode_rtol": args.rtol, "ode_atol": args.atol},
+                error_estimates={"speed_drift": drift},
+                warnings=warnings,
+                cost=dict(zip(ig._COST, ig._counters(traj))))
 
 
-def _cmd_geodesic_distance(args):
-    _require_csv_off(args, "geodesic distance")
-    spec = _load_spec(args)
-    chart, surface = _as_chart(spec)
-    p = _floats(getattr(args, "from"), chart.dim, "--from")
-    q = _floats(args.to, chart.dim, "--to")
+def _geodesic_distance(args, g):
+    p = _floats(getattr(args, "from"), g.obj.dim, "--from")
+    q = _floats(args.to, g.obj.dim, "--to")
     cost, miss = np.zeros(len(ig._COST), int), np.zeros(1)
-    dist = ig.geodesic_distance(chart, p, q, tol=args.tol, cost=cost,
+    dist = ig.geodesic_distance(g.obj, p, q, tol=args.tol, cost=cost,
                                 miss=miss)
-    _emit(args, "geodesic distance",
-          _geometry_doc(spec, note="surface pullback" if surface else None),
-          {"from": p, "to": q},
-          {"distance": dist},
-          tolerances={"shooting_tol": args.tol},
-          error_estimates={"miss": float(miss[0])},
-          cost=dict(zip(ig._COST, cost.tolist())))
-    return 0
+    return dict(inputs={"from": p, "to": q}, results={"distance": dist},
+                tolerances={"shooting_tol": args.tol},
+                error_estimates={"miss": float(miss[0])},
+                cost=dict(zip(ig._COST, cost.tolist())))
 
 
-def _cmd_geodesic_circle(args):
-    _require_csv_off(args, "geodesic circle")
-    spec = _load_spec(args)
-    chart, surface = _as_chart(spec)
-    center = _floats(args.at, chart.dim, "--at")
+def _geodesic_circle(args, g):
+    center = _floats(args.at, g.obj.dim, "--at")
     radius = float(args.radius)
-    res = ig.geodesic_circle(chart, center, radius, samples=args.samples)
-    _emit(args, "geodesic circle",
-          _geometry_doc(spec, note="surface pullback" if surface else None),
-          {"at": center, "radius": radius, "samples": args.samples},
-          {"length": res.length, "disk_area": res.disk_area},
-          error_estimates={"length": res.length_error,
-                           "ds_dr_residual": res.ds_dr_residual},
-          warnings=res.warnings, cost=res.cost)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# transport commands
-# ---------------------------------------------------------------------------
+    res = ig.geodesic_circle(g.obj, center, radius, samples=args.samples)
+    return dict(inputs={"at": center, "radius": radius,
+                        "samples": args.samples},
+                results={"length": res.length, "disk_area": res.disk_area},
+                error_estimates={"length": res.length_error,
+                                 "ds_dr_residual": res.ds_dr_residual},
+                warnings=res.warnings, cost=res.cost)
 
 
 def _waypoints(items, dim, label):
@@ -494,139 +395,85 @@ def _waypoints(items, dim, label):
     return np.array(pts)
 
 
-def _cmd_transport_along(args):
-    _require_csv_off(args, "transport along")
-    spec = _load_spec(args)
-    chart, surface = _as_chart(spec)
-    pts = _waypoints(args.via or [], chart.dim, "--via")
-    a0 = _floats(args.vector, chart.dim, "--vector")
-    res = ig.parallel_transport(chart, pts, a0)
-    _emit(args, "transport along",
-          _geometry_doc(spec, note="surface pullback" if surface else None),
-          {"via": pts, "vector": a0},
-          {"transported": res.final,
-           "path_kind": res.path_kind},
-          error_estimates={"gram_drift": res.gram_drift}, cost=res.cost)
-    return 0
+def _transport_along(args, g):
+    pts = _waypoints(args.via or [], g.obj.dim, "--via")
+    a0 = _floats(args.vector, g.obj.dim, "--vector")
+    res = ig.parallel_transport(g.obj, pts, a0)
+    return dict(inputs={"via": pts, "vector": a0},
+                results={"transported": res.final,
+                         "path_kind": res.path_kind},
+                error_estimates={"gram_drift": res.gram_drift},
+                cost=res.cost)
 
 
-def _cmd_transport_holonomy(args):
-    _require_csv_off(args, "transport holonomy")
-    spec = _load_spec(args)
-    chart, surface = _as_chart(spec)
-    pts = _waypoints(args.loop or [], chart.dim, "--loop")
+def _transport_holonomy(args, g):
+    pts = _waypoints(args.loop or [], g.obj.dim, "--loop")
     if not np.allclose(pts[0], pts[-1]):
         pts = np.vstack([pts, pts[:1]])
-    res = ig.holonomy(chart, pts)
-    _emit(args, "transport holonomy",
-          _geometry_doc(spec, note="surface pullback" if surface else None),
-          {"loop": pts},
-          {"matrix": res.matrix,
-           "angle": res.angle,
-           "basis": res.basis},
-          error_estimates={"orthogonality_residual": res.orthogonality_residual,
-                           "gram_drift": res.gram_drift},
-          cost=res.cost)
-    return 0
+    res = ig.holonomy(g.obj, pts)
+    return dict(inputs={"loop": pts},
+                results={"matrix": res.matrix, "angle": res.angle,
+                         "basis": res.basis},
+                error_estimates={
+                    "orthogonality_residual": res.orthogonality_residual,
+                    "gram_drift": res.gram_drift},
+                cost=res.cost)
 
 
-# ---------------------------------------------------------------------------
-# curvature commands
-# ---------------------------------------------------------------------------
-
-
-def _cmd_curvature_scalar(args):
-    _require_csv_off(args, "curvature scalar")
-    spec = _load_spec(args)
-    chart, surface = _as_chart(spec)
-    x = _floats(args.at, chart.dim, "--at")
-    est = ig.scalar_curvature_estimate(chart, x, r0=args.r0,
+def _curvature_scalar(args, g):
+    x = _floats(args.at, g.obj.dim, "--at")
+    est = ig.scalar_curvature_estimate(g.obj, x, r0=args.r0,
                                        rungs=args.rungs,
                                        samples=args.samples)
-    _emit(args, "curvature scalar",
-          _geometry_doc(spec, note="surface pullback" if surface else None),
-          {"at": x, "r0": args.r0, "rungs": args.rungs,
-           "samples": args.samples},
-          {"tau": est.tau,
-           "tau_circle": est.tau_circle,
-           "tau_disk": est.tau_disk,
-           "routes_agree": est.routes_agree,
-           "monotone": est.monotone},
-          tolerances={"radii": list(est.radii)},
-          error_estimates={"tau": est.error},
-          warnings=est.warnings, cost=est.cost)
-    return 0
+    return dict(inputs={"at": x, "r0": args.r0, "rungs": args.rungs,
+                        "samples": args.samples},
+                results={"tau": est.tau,
+                         "tau_circle": est.tau_circle,
+                         "tau_disk": est.tau_disk,
+                         "routes_agree": est.routes_agree,
+                         "monotone": est.monotone},
+                tolerances={"radii": list(est.radii)},
+                error_estimates={"tau": est.error},
+                warnings=est.warnings, cost=est.cost)
 
 
-def _cmd_curvature_riemann(args):
-    _require_csv_off(args, "curvature riemann")
-    spec = _load_spec(args)
-    chart, surface = _as_chart(spec)
-    x = _floats(args.at, chart.dim, "--at")
-    riem = tn.riemann_at(chart, x)
-    _emit(args, "curvature riemann",
-          _geometry_doc(spec, note="surface pullback" if surface else None),
-          {"at": x},
-          {"R_up": riem.R_up,
-           "R_down": riem.R_down,
-           "metric": riem.g,
-           "convention": riem.convention})
-    return 0
+def _curvature_riemann(args, g):
+    x = _floats(args.at, g.obj.dim, "--at")
+    riem = tn.riemann_at(g.obj, x)
+    return dict(inputs={"at": x},
+                results={"R_up": riem.R_up, "R_down": riem.R_down,
+                         "metric": riem.g, "convention": riem.convention})
 
 
-def _cmd_curvature_ricci(args):
-    _require_csv_off(args, "curvature ricci")
-    spec = _load_spec(args)
-    chart, surface = _as_chart(spec)
-    x = _floats(args.at, chart.dim, "--at")
-    ric = tn.ricci_at(chart, x)
-    _emit(args, "curvature ricci",
-          _geometry_doc(spec, note="surface pullback" if surface else None),
-          {"at": x},
-          {"rho": ric.rho,
-           "rho_tilde": ric.rho_tilde,
-           "tau": ric.tau,
-           "metric": ric.g})
-    return 0
+def _curvature_ricci(args, g):
+    x = _floats(args.at, g.obj.dim, "--at")
+    ric = tn.ricci_at(g.obj, x)
+    return dict(inputs={"at": x},
+                results={"rho": ric.rho, "rho_tilde": ric.rho_tilde,
+                         "tau": ric.tau, "metric": ric.g})
 
 
-def _cmd_curvature_sectional(args):
-    _require_csv_off(args, "curvature sectional")
-    spec = _load_spec(args)
-    chart, surface = _as_chart(spec)
-    x = _floats(args.at, chart.dim, "--at")
-    u = _floats(args.u, chart.dim, "--u")
-    v = _floats(args.v, chart.dim, "--v")
-    sigma = tn.sectional_at(chart, x, u, v)
-    _emit(args, "curvature sectional",
-          _geometry_doc(spec, note="surface pullback" if surface else None),
-          {"at": x, "u": u, "v": v},
-          {"sectional": sigma})
-    return 0
+def _curvature_sectional(args, g):
+    x = _floats(args.at, g.obj.dim, "--at")
+    u = _floats(args.u, g.obj.dim, "--u")
+    v = _floats(args.v, g.obj.dim, "--v")
+    return dict(inputs={"at": x, "u": u, "v": v},
+                results={"sectional": tn.sectional_at(g.obj, x, u, v)})
 
 
-# ---------------------------------------------------------------------------
-# hyperbolic, verify, parse
-# ---------------------------------------------------------------------------
-
-
-def _cmd_hyperbolic_distance(args):
-    _require_csv_off(args, "hyperbolic distance")
+def _hyperbolic_distance(args, _):
     p = _floats(getattr(args, "from"), 2, "--from")
     q = _floats(args.to, 2, "--to")
     if p[1] <= 0 or q[1] <= 0:
         raise UsageError("half-plane points need y > 0")
     dist = cat.hyperbolic_distance(complex(p[0], p[1]), complex(q[0], q[1]))
-    geometry = {"name": "lobachevsky_halfplane", "kind": "model",
-                "coords": ["x", "y"], "domain": [], "params": {},
-                "source": "closed-form"}
-    _emit(args, "hyperbolic distance", geometry,
-          {"from": p, "to": q}, {"distance": dist})
-    return 0
+    return dict(geometry={"name": "lobachevsky_halfplane", "kind": "model",
+                          "coords": ["x", "y"], "domain": [], "params": {},
+                          "source": "closed-form"},
+                inputs={"from": p, "to": q}, results={"distance": dist})
 
 
-def _cmd_verify(args):
-    _require_csv_off(args, "verify")
+def _verify(args, _):
     names = args.suite or ["all"]
     text = args.format != "json"
     stream = text and not args.output
@@ -668,38 +515,169 @@ def _cmd_verify(args):
     return 0
 
 
-def _cmd_parse(args):
-    _require_csv_off(args, "parse")
+def _parse(args, _):
     with open(args.check) as fh:
-        text = fh.read()
-    spec = cat.parse_geometry(text)
+        spec = cat.parse_geometry(fh.read())
     spec.build()
-    _emit(args, "parse", _geometry_doc(spec),
-          {"file": args.check},
-          {"ok": True, "kind": spec.kind, "name": spec.name},
-          warnings=spec.warnings)
-    return 0
+    return dict(geometry=_geometry_doc(spec), inputs={"file": args.check},
+                results={"ok": True, "kind": spec.kind, "name": spec.name},
+                warnings=spec.warnings)
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# the command table
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, geometry=True):
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="output format (default json)")
-    p.add_argument("--output", metavar="PATH",
-                   help="write output to PATH instead of stdout")
-    if geometry:
-        p.add_argument("--builtin", metavar="NAME",
-                       help="use a catalog builtin geometry")
-        p.add_argument("--file", metavar="PATH",
-                       help="load a geometry definition file")
-        p.add_argument("--param", action="append", metavar="NAME=VALUE",
-                       help="bind a geometry parameter (repeatable); "
-                            "values parse as numbers, else as expressions "
-                            "for builtins that accept them")
+class Command(NamedTuple):
+    """One row of the command table."""
+
+    name: str            # "group op", or a command without a group
+    help: str
+    kind: str | None     # geometry the handler reads: a key of _KINDS
+    csv: bool            # whether --format csv applies
+    run: object          # the handler
+    options: tuple = ()  # _opt(...) entries after the common options
+
+
+def _opt(*flags, **kw):
+    """One ``add_argument`` call; with no flags, ``set_defaults`` instead.
+
+    A callable ``choices`` is called when the parser is built, so that it
+    sees names registered after import (``verify --suite``)."""
+    return flags, kw
+
+
+_KINDS = {"curve": (cv.ParamCurve, "a curve"),
+          "surface": (sp.SurfacePatch, "a surface"),
+          "chart": (ig.MetricChart, "a surface or metric")}
+
+_GROUPS = {"curve": "parametric curve operations",
+           "surface": "embedded surface operations",
+           "geodesic": "geodesics on charts and surfaces",
+           "transport": "parallel transport",
+           "curvature": "curvature tensors",
+           "hyperbolic": "half-plane closed forms"}
+
+_OUTPUT = (_opt("--format", choices=("json", "csv"), default="json",
+                help="output format (default json)"),
+           _opt("--output", metavar="PATH",
+                help="write output to PATH instead of stdout"))
+_SOURCE = (_opt("--builtin", metavar="NAME",
+                help="use a catalog builtin geometry"),
+           _opt("--file", metavar="PATH",
+                help="load a geometry definition file"),
+           _opt("--param", action="append", metavar="NAME=VALUE",
+                help="bind a geometry parameter (repeatable); values parse "
+                     "as numbers, else as expressions for builtins that "
+                     "accept them"))
+_AT = _opt("--at", required=True, metavar="P")
+
+COMMANDS = (
+    Command("curve analyze", "Frenet data and arc length", "curve", False,
+            _curve_analyze, (
+                _opt("--at", action="append", metavar="T",
+                     help="curve parameter (repeatable)"),
+                _opt("--tol", type=float, default=1e-10,
+                     help="arc-length quadrature tolerance"))),
+    Command("curve reconstruct", "rebuild a curve from natural equations",
+            None, True, _curve_reconstruct, (
+                _opt("--curvature", required=True, metavar="EXPR",
+                     help="curvature as an expression in s"),
+                _opt("--torsion", metavar="EXPR",
+                     help="torsion as an expression in s; giving it "
+                          "selects a space curve"),
+                _opt("--length", required=True, type=float,
+                     help="arc length to integrate"),
+                _opt("--samples", type=int, default=200,
+                     help="number of output samples"))),
+    Command("surface report", "principal curvature report", "surface",
+            False, _surface_report, (
+                _opt("--at", required=True, metavar="U,V"),)),
+    Command("surface area", "patch area", "surface", False, _surface_area, (
+        _opt("--tol", type=float, default=1e-9, help="quadrature tolerance"),
+    )),
+    Command("surface offset", "offset area and curvature totals", "surface",
+            False, _surface_offset, (
+                _opt("--eps", required=True, type=float,
+                     help="offset distance along the unit normal"),
+                _opt("--fit-tol", type=float, default=1e-4,
+                     help="relative tolerance for the offset-area "
+                          "cross-check"))),
+    Command("geodesic trace", "trace a geodesic from initial data", "chart",
+            True, _geodesic_trace, (
+                _opt("--from", required=True, metavar="X0",
+                     help="start point, comma-separated chart coordinates"),
+                _opt("--dir", required=True, metavar="V0",
+                     help="initial direction in chart coordinates"),
+                _opt("--length", required=True, type=float,
+                     help="arc length to trace"),
+                _opt("--samples", type=int, default=200,
+                     help="number of output samples"),
+                _opt("--rtol", type=float, default=1e-10),
+                _opt("--atol", type=float, default=1e-12))),
+    Command("geodesic distance", "two-point geodesic distance", "chart",
+            False, _geodesic_distance, (
+                _opt("--from", required=True, metavar="P"),
+                _opt("--to", required=True, metavar="Q"),
+                _opt("--tol", type=float, default=1e-10,
+                     help="shooting tolerance on the endpoint miss"))),
+    Command("geodesic circle", "geodesic circle length and disk area",
+            "chart", False, _geodesic_circle, (
+                _opt("--at", required=True, metavar="P", help="center"),
+                _opt("--radius", required=True, type=float),
+                _opt("--samples", type=_fan_samples, default=24,
+                     help="directions around the center (even, >= 8; "
+                          "every other one gives the error estimate)"))),
+    Command("transport along", "transport a vector along a polyline",
+            "chart", False, _transport_along, (
+                _opt("--via", action="append", metavar="PT", required=True,
+                     help="waypoint (repeatable, at least two)"),
+                _opt("--vector", required=True, metavar="V",
+                     help="vector to transport, in chart coordinates"))),
+    Command("transport holonomy", "holonomy of a closed loop", "chart",
+            False, _transport_holonomy, (
+                _opt("--loop", action="append", metavar="PT", required=True,
+                     help="loop waypoint (repeatable; closed "
+                          "automatically)"),)),
+    Command("curvature scalar", "limit-based scalar curvature", "chart",
+            False, _curvature_scalar, (
+                _AT,
+                _opt("--r0", type=float, default=0.2,
+                     help="largest ladder radius"),
+                _opt("--rungs", type=int, default=3,
+                     help="halving ladder length"),
+                _opt("--samples", type=_fan_samples, default=24,
+                     help="directions per circle in 2D, azimuths by "
+                          "samples/2 polar nodes per sphere in 3D "
+                          "(even, >= 8)"))),
+    Command("curvature riemann", "Riemann tensor components", "chart",
+            False, _curvature_riemann, (_AT,)),
+    Command("curvature ricci", "Ricci form, operator, and scalar", "chart",
+            False, _curvature_ricci, (_AT,)),
+    Command("curvature sectional", "sectional curvature of a 2-plane",
+            "chart", False, _curvature_sectional, (
+                _AT,
+                _opt("--u", required=True, metavar="U",
+                     help="first span vector"),
+                _opt("--v", required=True, metavar="V",
+                     help="second span vector"))),
+    Command("hyperbolic distance", "closed-form half-plane distance", None,
+            False, _hyperbolic_distance, (
+                _opt("--from", required=True, metavar="X,Y"),
+                _opt("--to", required=True, metavar="X,Y"))),
+    Command("verify", "run verification suites", None, False, _verify, (
+        _opt("--suite", action="append", metavar="NAME",
+             choices=lambda: sorted(vf.SUITES) + ["all"],
+             help="suite name or 'all' (repeatable; default all)"),
+        _opt("--seed", type=int, default=0,
+             help="seed for randomized property checks"),
+        _opt(format="text"))),
+    Command("parse", "check a geometry definition file", None, False,
+            _parse, (
+                _opt("--check", required=True, metavar="FILE",
+                     help="file to parse and compile"),)),
+)
 
 
 def build_parser():
@@ -707,183 +685,81 @@ def build_parser():
                    description="Numerical curve, surface, and metric "
                                "geometry toolkit. Angles are radians; "
                                "coordinates are in declared chart order.")
-    sub = root.add_subparsers(dest="group", metavar="COMMAND")
-    sub.required = True
-
-    curve = sub.add_parser("curve", help="parametric curve operations")
-    csub = curve.add_subparsers(dest="op", metavar="OP")
-    csub.required = True
-    p = csub.add_parser("analyze", help="Frenet data and arc length")
-    _add_common(p)
-    p.add_argument("--at", action="append", metavar="T",
-                   help="curve parameter (repeatable)")
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="arc-length quadrature tolerance")
-    p.set_defaults(func=_cmd_curve_analyze)
-    p = csub.add_parser("reconstruct",
-                        help="rebuild a curve from natural equations")
-    _add_common(p, geometry=False)
-    p.add_argument("--curvature", required=True, metavar="EXPR",
-                   help="curvature as an expression in s")
-    p.add_argument("--torsion", metavar="EXPR",
-                   help="torsion as an expression in s; giving it selects "
-                        "a space curve")
-    p.add_argument("--length", required=True, type=float,
-                   help="arc length to integrate")
-    p.add_argument("--samples", type=int, default=200,
-                   help="number of output samples")
-    p.set_defaults(func=_cmd_curve_reconstruct)
-
-    surface = sub.add_parser("surface", help="embedded surface operations")
-    ssub = surface.add_subparsers(dest="op", metavar="OP")
-    ssub.required = True
-    p = ssub.add_parser("report", help="principal curvature report")
-    _add_common(p)
-    p.add_argument("--at", required=True, metavar="U,V")
-    p.set_defaults(func=_cmd_surface_report)
-    p = ssub.add_parser("area", help="patch area")
-    _add_common(p)
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="quadrature tolerance")
-    p.set_defaults(func=_cmd_surface_area)
-    p = ssub.add_parser("offset", help="offset area and curvature totals")
-    _add_common(p)
-    p.add_argument("--eps", required=True, type=float,
-                   help="offset distance along the unit normal")
-    p.add_argument("--fit-tol", type=float, default=1e-4,
-                   help="relative tolerance for the offset-area cross-check")
-    p.set_defaults(func=_cmd_surface_offset)
-
-    geod = sub.add_parser("geodesic", help="geodesics on charts and surfaces")
-    gsub = geod.add_subparsers(dest="op", metavar="OP")
-    gsub.required = True
-    p = gsub.add_parser("trace", help="trace a geodesic from initial data")
-    _add_common(p)
-    p.add_argument("--from", required=True, metavar="X0",
-                   help="start point, comma-separated chart coordinates")
-    p.add_argument("--dir", required=True, metavar="V0",
-                   help="initial direction in chart coordinates")
-    p.add_argument("--length", required=True, type=float,
-                   help="arc length to trace")
-    p.add_argument("--samples", type=int, default=200,
-                   help="number of output samples")
-    p.add_argument("--rtol", type=float, default=1e-10)
-    p.add_argument("--atol", type=float, default=1e-12)
-    p.set_defaults(func=_cmd_geodesic_trace)
-    p = gsub.add_parser("distance", help="two-point geodesic distance")
-    _add_common(p)
-    p.add_argument("--from", required=True, metavar="P")
-    p.add_argument("--to", required=True, metavar="Q")
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="shooting tolerance on the endpoint miss")
-    p.set_defaults(func=_cmd_geodesic_distance)
-    p = gsub.add_parser("circle", help="geodesic circle length and disk area")
-    _add_common(p)
-    p.add_argument("--at", required=True, metavar="P", help="center")
-    p.add_argument("--radius", required=True, type=float)
-    p.add_argument("--samples", type=_fan_samples, default=24,
-                   help="directions around the center (even, >= 8; "
-                   "every other one gives the error estimate)")
-    p.set_defaults(func=_cmd_geodesic_circle)
-
-    trans = sub.add_parser("transport", help="parallel transport")
-    tsub = trans.add_subparsers(dest="op", metavar="OP")
-    tsub.required = True
-    p = tsub.add_parser("along", help="transport a vector along a polyline")
-    _add_common(p)
-    p.add_argument("--via", action="append", metavar="PT", required=True,
-                   help="waypoint (repeatable, at least two)")
-    p.add_argument("--vector", required=True, metavar="V",
-                   help="vector to transport, in chart coordinates")
-    p.set_defaults(func=_cmd_transport_along)
-    p = tsub.add_parser("holonomy", help="holonomy of a closed loop")
-    _add_common(p)
-    p.add_argument("--loop", action="append", metavar="PT", required=True,
-                   help="loop waypoint (repeatable; closed automatically)")
-    p.set_defaults(func=_cmd_transport_holonomy)
-
-    curvature = sub.add_parser("curvature", help="curvature tensors")
-    ksub = curvature.add_subparsers(dest="op", metavar="OP")
-    ksub.required = True
-    p = ksub.add_parser("scalar", help="limit-based scalar curvature")
-    _add_common(p)
-    p.add_argument("--at", required=True, metavar="P")
-    p.add_argument("--r0", type=float, default=0.2,
-                   help="largest ladder radius")
-    p.add_argument("--rungs", type=int, default=3,
-                   help="halving ladder length")
-    p.add_argument("--samples", type=_fan_samples, default=24,
-                   help="directions per circle in 2D, azimuths by "
-                   "samples/2 polar nodes per sphere in 3D (even, >= 8)")
-    p.set_defaults(func=_cmd_curvature_scalar)
-    p = ksub.add_parser("riemann", help="Riemann tensor components")
-    _add_common(p)
-    p.add_argument("--at", required=True, metavar="P")
-    p.set_defaults(func=_cmd_curvature_riemann)
-    p = ksub.add_parser("ricci", help="Ricci form, operator, and scalar")
-    _add_common(p)
-    p.add_argument("--at", required=True, metavar="P")
-    p.set_defaults(func=_cmd_curvature_ricci)
-    p = ksub.add_parser("sectional", help="sectional curvature of a 2-plane")
-    _add_common(p)
-    p.add_argument("--at", required=True, metavar="P")
-    p.add_argument("--u", required=True, metavar="U", help="first span vector")
-    p.add_argument("--v", required=True, metavar="V", help="second span vector")
-    p.set_defaults(func=_cmd_curvature_sectional)
-
-    hyp = sub.add_parser("hyperbolic", help="half-plane closed forms")
-    hsub = hyp.add_subparsers(dest="op", metavar="OP")
-    hsub.required = True
-    p = hsub.add_parser("distance", help="closed-form half-plane distance")
-    _add_common(p, geometry=False)
-    p.add_argument("--from", required=True, metavar="X,Y")
-    p.add_argument("--to", required=True, metavar="X,Y")
-    p.set_defaults(func=_cmd_hyperbolic_distance)
-
-    p = sub.add_parser("verify", help="run verification suites")
-    _add_common(p, geometry=False)
-    p.add_argument("--suite", action="append", metavar="NAME",
-                   choices=sorted(vf.SUITES) + ["all"],
-                   help="suite name or 'all' (repeatable; default all)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized property checks")
-    p.set_defaults(func=_cmd_verify, format="text")
-
-    p = sub.add_parser("parse", help="check a geometry definition file")
-    _add_common(p, geometry=False)
-    p.add_argument("--check", required=True, metavar="FILE",
-                   help="file to parse and compile")
-    p.set_defaults(func=_cmd_parse)
-
+    sub = root.add_subparsers(metavar="COMMAND", required=True)
+    groups = {}
+    for cmd in COMMANDS:
+        group, _, op = cmd.name.partition(" ")
+        if op and group not in groups:
+            groups[group] = sub.add_parser(group, help=_GROUPS[group]) \
+                .add_subparsers(metavar="OP", required=True)
+        p = (groups[group] if op else sub).add_parser(op or group,
+                                                     help=cmd.help)
+        common = _OUTPUT + (_SOURCE if cmd.kind else ())
+        for flags, kw in common + cmd.options:
+            if callable(kw.get("choices")):
+                kw = {**kw, "choices": kw["choices"]()}
+            if flags:
+                p.add_argument(*flags, **kw)
+            else:
+                p.set_defaults(**kw)
+        p.set_defaults(command=cmd)
     return root
 
 
-def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    command = " ".join(argv[:2]) if argv else "curvatur"
-    try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        _error_doc(command, exc, extra={"exit_code": 2})
-        return 2
-    except SystemExit as exc:
-        return int(exc.code or 0)
+# ---------------------------------------------------------------------------
+# the dispatcher
+# ---------------------------------------------------------------------------
 
-    command = " ".join(p for p in (args.group, getattr(args, "op", None)) if p)
+
+def main(argv=None):
+    """Parse one command line and run it; returns the exit code.
+
+    The one place for the protocol every command shares: refuse
+    ``--format csv`` where it does not apply, load the geometry source and
+    build the geometry of the command's kind (a surface read as a chart is
+    pulled back through its first fundamental form, and the geometry
+    document says so), wrap what the handler returns in the document
+    envelope, and map failures to exit codes and error documents.
+    """
+    argv = list(sys.argv[1:] if argv is None else argv)
+    name = " ".join(argv[:2]) if argv else "curvatur"
     try:
-        return int(args.func(args) or 0)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:          # --help
+            return int(exc.code or 0)
+        cmd = args.command
+        name = cmd.name
+        if args.format == "csv" and not cmd.csv:
+            raise UsageError(f"{name} does not support --format csv")
+        g = doc = None
+        if cmd.kind:
+            spec = _load_spec(args)
+            obj, surface = spec.build(), None
+            if cmd.kind == "chart" and isinstance(obj, sp.SurfacePatch):
+                obj, surface = ig.pullback_metric(obj), obj
+            cls, needs = _KINDS[cmd.kind]
+            if not isinstance(obj, cls):
+                raise UsageError(f"geometry {spec.name!r} is a {spec.kind}, "
+                                 f"but this command needs {needs}")
+            g = Geometry(spec, obj, surface)
+            doc = _geometry_doc(spec, "surface pullback" if surface else None)
+        out = cmd.run(args, g)
+        if isinstance(out, int):
+            return out
+        _emit(args, name, **{"geometry": doc, **out})
+        return 0
     except UsageError as exc:
-        _error_doc(command, exc, extra={"exit_code": 2})
+        _error_doc(name, exc, extra={"exit_code": 2})
         return 2
     except cat.ParseError as exc:
-        _error_doc(command, exc, extra={
+        _error_doc(name, exc, extra={
             "line": exc.line, "col": exc.col,
             "expected": list(exc.expected)})
         return 1
     except (nk.NumericalError, nk.PreconditionError, ValueError,
             OSError, ZeroDivisionError) as exc:
-        _error_doc(command, exc)
+        _error_doc(name, exc)
         return 1
 
 

@@ -106,7 +106,10 @@ def plane_curvature(curve: ParamCurve, t):
     return float((x1 * y2 - y1 * x2) / sp2 ** 1.5)
 
 
-def space_curvature_torsion(curve: ParamCurve, t, biregular_tol=1e-12):
+_BIREGULAR_TOL = 1e-12     # |v x a| / |v|^3 below this is not biregular
+
+
+def space_curvature_torsion(curve: ParamCurve, t):
     """Curvature and torsion of a space curve at parameter ``t``.
 
     Returns (k, kappa).  Raises :class:`PreconditionError` at points that
@@ -122,7 +125,7 @@ def space_curvature_torsion(curve: ParamCurve, t, biregular_tol=1e-12):
     cn = float(np.linalg.norm(cr))
     if sp <= 0:
         raise PreconditionError("curve is not regular at this parameter")
-    if cn <= biregular_tol * sp ** 3:
+    if cn <= _BIREGULAR_TOL * sp ** 3:
         raise PreconditionError("curve is not biregular at this parameter")
     k = cn / sp ** 3
     kappa = float(np.dot(cr, jerk)) / cn ** 2

@@ -609,18 +609,21 @@ def _closure_defect(chart: MetricChart, a, b):
     return float(d.max())
 
 
-def holonomy(chart: MetricChart, loop, closure_tol=1e-9) -> HolonomyResult:
+_CLOSURE_TOL = 1e-9        # loop closure, coordinates modulo the periods
+
+
+def holonomy(chart: MetricChart, loop) -> HolonomyResult:
     """Parallel transport around a closed loop.
 
     ``loop`` is any path :func:`parallel_transport` takes: a coordinate
     polyline or a list of geodesic sides.  It must close within
-    ``closure_tol`` (coordinates compared modulo the chart's periods).  The
+    ``_CLOSURE_TOL`` (coordinates compared modulo the chart's periods).  The
     returned matrix expresses the transport in a positively oriented
     g-orthonormal basis at the basepoint; for 2D charts the rotation angle
     atan2(M[1,0], M[0,0]) is included.
     """
     start, end, _, _, _ = _pieces(chart, loop)
-    if _closure_defect(chart, start, end) > closure_tol:
+    if _closure_defect(chart, start, end) > _CLOSURE_TOL:
         raise PreconditionError("loop is not closed in chart coordinates")
     E = chart.orthonormal_basis(start)
     res = parallel_transport(chart, loop, E)
@@ -719,17 +722,19 @@ def geodesic_circle_lengths(chart: MetricChart, P, radii, samples=24,
     return dict(zip(radii, full.tolist())), dict(zip(radii, err.tolist()))
 
 
-def circles_and_disks(chart: MetricChart, P, radii, samples=24,
-                      radial_nodes=24, cost=None):
+_RADIAL_NODES = 24         # Gauss-Legendre nodes of each disk area
+
+
+def circles_and_disks(chart: MetricChart, P, radii, samples=24, cost=None):
     """Circle lengths L(R), disk areas S(R) and the lengths' error
     estimates for each R in ``radii``, as three dicts keyed by R.
 
-    S(R) integrates L(rho) over [0, R] with ``radial_nodes`` Gauss-Legendre
+    S(R) integrates L(rho) over [0, R] with ``_RADIAL_NODES`` Gauss-Legendre
     nodes; every length comes from one :func:`geodesic_circle_lengths`
     call (given ``cost``) over the union of the radii and their nodes.
     """
     radii = [float(R) for R in radii]
-    rules = {R: nk.gauss_legendre(radial_nodes, 0.0, R) for R in radii}
+    rules = {R: nk.gauss_legendre(_RADIAL_NODES, 0.0, R) for R in radii}
     all_r = sorted(set(radii) | set(float(x) for xs, _ in rules.values()
                                     for x in xs))
     lengths, errors = geodesic_circle_lengths(chart, P, all_r, samples,
@@ -753,8 +758,7 @@ class CircleResult:
     cost: dict
 
 
-def geodesic_circle(chart: MetricChart, P, R, samples=24,
-                    radial_nodes=24) -> CircleResult:
+def geodesic_circle(chart: MetricChart, P, R, samples=24) -> CircleResult:
     """Circumference L(R) and disk area S(R) of a geodesic circle.
 
     L integrates the Jacobi-column speed over ``samples`` directions
@@ -772,7 +776,7 @@ def geodesic_circle(chart: MetricChart, P, R, samples=24,
     counts = np.zeros(len(_COST), int)
     try:
         lengths, areas, errors = circles_and_disks(
-            chart, P, (R - delta, R, R + delta), samples, radial_nodes, counts)
+            chart, P, (R - delta, R, R + delta), samples, counts)
     except _FanExit as e:       # the solver's own error, where it failed
         raise e.__cause__ or PreconditionError("the circle leaves the chart")
     dS = (areas[R + delta] - areas[R - delta]) / (2 * delta)
@@ -842,8 +846,7 @@ def scalar_curvature_estimate(chart: MetricChart, P, r0=0.2, rungs=3,
         raise PreconditionError("no usable circle radius inside the domain")
 
     def extrapolate(defects):
-        return nk.richardson(nk.ExtrapolationLadder(np.array(ladder),
-                                                    np.array(defects), p=2))
+        return nk.richardson(ladder, defects, p=2)
 
     if chart.dim == 2:
         lengths, areas, _ = out
@@ -911,8 +914,7 @@ def plane_scalar_estimate(chart: MetricChart, P, u, v, r0=0.2, rungs=3,
                                          np.stack([f1, f2], axis=1))
     d = [6.0 * (2 * math.pi * r - lengths[r]) / (math.pi * r ** 3)
          for r in ladder]
-    rr = nk.richardson(nk.ExtrapolationLadder(np.array(ladder), np.array(d),
-                                              p=2))
+    rr = nk.richardson(ladder, d, p=2)
     return rr.value, rr.error
 
 

@@ -1170,63 +1170,42 @@ def gauss_legendre(n, a, b):
 
 
 @dataclass
-class ExtrapolationLadder:
-    """Samples f(h) on a halving ladder of step sizes.
-
-    Parameters
-    ----------
-    hs : array of step sizes, strictly decreasing, ratio 2 between rungs
-    fs : corresponding samples
-    p : leading error order of the expansion f(h) = L + c h^p + ...
-    stride : gap between consecutive error orders (defaults to p, so p=2
-        models even-power expansions h^2, h^4, ... and p=1 models full
-        expansions h, h^2, ...)
-    """
-
-    hs: np.ndarray
-    fs: np.ndarray
-    p: int = 2
-    stride: int | None = None
-
-
-@dataclass
 class RichardsonResult:
     value: float
     error: float
     monotone: bool
-    table: list
 
 
-def richardson(ladder: ExtrapolationLadder) -> RichardsonResult:
-    """Richardson-extrapolate a ladder of samples.
+def richardson(hs, fs, p=2, stride=None) -> RichardsonResult:
+    """Richardson-extrapolate samples f(h) on a halving ladder of steps.
 
-    Builds the standard triangular tableau assuming error orders
-    p, p+stride, p+2*stride, ... and a step ratio of 2.  The returned
-    ``error`` is the last diagonal increment; ``monotone`` is False when
-    the diagonal increments fail to shrink, which flags ladders whose
-    asymptotic regime was not reached (callers surface this as a warning).
+    ``hs`` are the step sizes, strictly decreasing with ratio 2 between
+    rungs; ``fs`` the samples, one per rung along axis 0, with any trailing
+    axes extrapolated elementwise.  The tableau assumes the expansion
+    f(h) = L + c h^p + ... with error orders p, p+stride, p+2*stride, ...
+    (``stride`` defaults to p, so p=2 models even-power expansions h^2,
+    h^4, ... and p=1 full expansions h, h^2, ...).  ``value``, ``error``
+    and ``monotone`` take the trailing shape of ``fs``.  ``error`` is the
+    last diagonal increment; ``monotone`` is False when the diagonal
+    increments fail to shrink, which flags ladders whose asymptotic regime
+    was not reached (callers surface this as a warning).
     """
-    hs = np.asarray(ladder.hs, dtype=float)
-    fs = np.asarray(ladder.fs, dtype=float)
-    if len(hs) < 2:
-        raise PreconditionError("ladder needs at least two rungs")
-    ratios = hs[:-1] / hs[1:]
-    if not np.allclose(ratios, 2.0, rtol=1e-8):
+    hs = np.asarray(hs, dtype=float)
+    fs = np.asarray(fs, dtype=float)
+    if len(hs) < 2 or len(fs) != len(hs):
+        raise PreconditionError("ladder needs at least two rungs, "
+                                "one sample each")
+    if not np.allclose(hs[:-1] / hs[1:], 2.0, rtol=1e-8):
         raise PreconditionError("ladder must halve the step between rungs")
-    stride = ladder.stride if ladder.stride is not None else ladder.p
-    rows = [list(fs)]
-    col = list(fs)
+    stride = p if stride is None else stride
+    col, diag = fs, [fs[-1]]
     for j in range(1, len(fs)):
-        power = 2.0 ** (ladder.p + (j - 1) * stride)
-        col = [(power * col[i + 1] - col[i]) / (power - 1.0)
-               for i in range(len(col) - 1)]
-        rows.append(list(col))
-    diag = [rows[j][-1] for j in range(len(rows))]
-    increments = [abs(diag[j + 1] - diag[j]) for j in range(len(diag) - 1)]
-    monotone = all(increments[i + 1] <= increments[i] * 1.5
-                   for i in range(len(increments) - 1))
-    error = increments[-1] if increments else math.inf
-    return RichardsonResult(diag[-1], error, monotone, rows)
+        power = 2.0 ** (p + (j - 1) * stride)
+        col = (power * col[1:] - col[:-1]) / (power - 1.0)
+        diag.append(col[-1])
+    increments = np.abs(np.diff(diag, axis=0))
+    monotone = np.all(increments[1:] <= increments[:-1] * 1.5, axis=0)
+    return RichardsonResult(diag[-1], increments[-1], monotone)
 
 
 # ---------------------------------------------------------------------------
@@ -1234,7 +1213,10 @@ def richardson(ladder: ExtrapolationLadder) -> RichardsonResult:
 # ---------------------------------------------------------------------------
 
 
-def generalized_symmetric_eigen(q, g, tie_tol=1e-10):
+_TIE_TOL = 1e-10           # relative eigenvalue gap read as a tie
+
+
+def generalized_symmetric_eigen(q, g):
     """Solve det(q - lam*g) = 0 for symmetric 2x2 ``q`` and SPD 2x2 ``g``.
 
     Returns
@@ -1245,7 +1227,7 @@ def generalized_symmetric_eigen(q, g, tie_tol=1e-10):
         Columns are g-orthonormal eigenvectors (g(v, v) = 1), sign-fixed so
         the first nonzero component is positive.
     degenerate : bool
-        True when the eigenvalues are equal to within ``tie_tol`` relative
+        True when the eigenvalues are equal to within ``_TIE_TOL`` relative
         to their scale; in that case any direction is an eigendirection and
         the returned basis is the canonical one: the first coordinate
         direction normalized, and its g-orthogonal complement.
@@ -1269,7 +1251,7 @@ def generalized_symmetric_eigen(q, g, tie_tol=1e-10):
     lam_lo = (-b - root) / (2 * a)
 
     scale = max(abs(lam_hi), abs(lam_lo), 1e-300)
-    degenerate = abs(lam_hi - lam_lo) <= tie_tol * max(scale, 1.0)
+    degenerate = abs(lam_hi - lam_lo) <= _TIE_TOL * max(scale, 1.0)
 
     def g_normalize(v):
         nrm = math.sqrt(max(v @ g @ v, 0.0))

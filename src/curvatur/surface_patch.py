@@ -103,14 +103,6 @@ class SurfacePatch:
         js = self.jets(u, v, order=1)
         return np.stack([js.partial((1, 0)), js.partial((0, 1))])
 
-    def normal(self, u, v):
-        n = nk.vcross(*self.tangent_basis(u, v))
-        nrm = np.sqrt(nk.vdot(n, n))
-        if np.any(nrm <= 1e-12):
-            raise PreconditionError("patch is not regular at the query point")
-        n = n / nrm
-        return -n if self.flip_normal else n
-
     def normal_jets(self, u, v, order=2):
         """The unit normal as one jet of the given order, coefficients
         (K, 3, ...batch).
@@ -159,13 +151,16 @@ def forms_at(surface: SurfacePatch, uv) -> FormsAtPoint:
     return FormsAtPoint(p, np.stack([ru, rv]), n, g, q, surface.orientation)
 
 
-def shape_operator_at(surface: SurfacePatch, uv, check_tol=1e-10):
+_ROUTE_TOL = 1e-10         # agreement of the two shape-operator routes
+
+
+def shape_operator_at(surface: SurfacePatch, uv):
     """Shape operator matrix in the (r_u, r_v) basis.
 
     Computes g^{-1} q and independently the matrix sending coordinates of a
     tangent vector a to coordinates of the normal's directional derivative
     -dn/da (from unit-normal jets).  The two routes must agree to
-    ``check_tol`` relative; their disagreement is returned for diagnostics.
+    ``_ROUTE_TOL`` relative; their disagreement is returned for diagnostics.
 
     Returns
     -------
@@ -180,7 +175,7 @@ def shape_operator_at(surface: SurfacePatch, uv, check_tol=1e-10):
     rhs = -(f.basis @ dn.T)
     W2 = np.linalg.solve(f.g, rhs)
     resid = float(np.abs(W - W2).max() / max(1.0, np.abs(W).max()))
-    if resid > check_tol:
+    if resid > _ROUTE_TOL:
         raise VerificationError(
             f"shape operator routes disagree by {resid:.3g} at {uv}")
     return W, resid
@@ -321,11 +316,14 @@ def area(surface: SurfacePatch, tol=1e-9):
     return value
 
 
-def _check_focal(surface: SurfacePatch, eps, focal_grid=16):
+_FOCAL_GRID = 16           # focal-set check samples per coordinate
+
+
+def _check_focal(surface: SurfacePatch, eps):
     """The focal-set check of :func:`offset_surface`."""
     (u0, u1), (v0, v1) = surface.domain
-    U, V = np.meshgrid(np.linspace(u0, u1, focal_grid),
-                       np.linspace(v0, v1, focal_grid), indexing="ij")
+    U, V = np.meshgrid(np.linspace(u0, u1, _FOCAL_GRID),
+                       np.linspace(v0, v1, _FOCAL_GRID), indexing="ij")
     js = surface.jets(U.ravel(), V.ravel(), order=2)
     d = {a: js.partial(a) for a in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
     ru, rv = d[(1, 0)], d[(0, 1)]
@@ -350,16 +348,16 @@ def _check_focal(surface: SurfacePatch, eps, focal_grid=16):
             f"offset {eps} crosses the focal set at (u,v)=({u:.4g},{v:.4g})")
 
 
-def offset_surface(surface: SurfacePatch, eps, focal_grid=16) -> SurfacePatch:
+def offset_surface(surface: SurfacePatch, eps) -> SurfacePatch:
     """Parallel surface r + eps * n with jets routed through the normal.
 
     Fails when |eps| reaches the focal distance (|eps * lambda| >= 1 at a
     sample point), where the offset stops being an immersion.  The check
-    runs on one batched jet evaluation over a focal_grid x focal_grid grid,
+    runs on one batched jet evaluation over a _FOCAL_GRID x _FOCAL_GRID grid,
     with max |lambda| = |H| + sqrt(H^2 - K) from the fundamental forms.
     """
     eps = float(eps)
-    _check_focal(surface, eps, focal_grid)
+    _check_focal(surface, eps)
 
     def fn(uj: Jet, vj: Jet):
         order = min(uj.order + 1, nk.MAX_ORDER)

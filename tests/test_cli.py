@@ -3,7 +3,9 @@
 import itertools
 import json
 import math
+import pathlib
 import re
+import shlex
 import types
 
 import numpy as np
@@ -492,3 +494,95 @@ def test_unknown_flag_is_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "geodesic", "--help")[0] == 0
+
+
+# the fewest arguments each command's parser accepts; the dispatcher's
+# refusals come before any geometry is loaded, so nothing here is computed
+_MINIMAL = {
+    "curve analyze": ("--builtin", "helix", "--at", "0.5"),
+    "curve reconstruct": ("--curvature", "1", "--length", "1"),
+    "surface report": ("--builtin", "sphere", "--at", "1,1"),
+    "surface area": ("--builtin", "sphere"),
+    "surface offset": ("--builtin", "sphere", "--eps", "0.1"),
+    "geodesic trace": ("--builtin", "plane", "--from", "0,0", "--dir", "1,0",
+                       "--length", "1"),
+    "geodesic distance": ("--builtin", "plane", "--from", "0,0",
+                          "--to", "1,1"),
+    "geodesic circle": ("--builtin", "plane", "--at", "0,0",
+                        "--radius", "0.5"),
+    "transport along": ("--builtin", "plane", "--via", "0,0", "--via", "1,0",
+                        "--vector", "1,0"),
+    "transport holonomy": ("--builtin", "plane", "--loop", "0,0",
+                           "--loop", "1,0", "--loop", "1,1"),
+    "curvature scalar": ("--builtin", "plane", "--at", "0,0"),
+    "curvature riemann": ("--builtin", "plane", "--at", "0,0"),
+    "curvature ricci": ("--builtin", "plane", "--at", "0,0"),
+    "curvature sectional": ("--builtin", "plane", "--at", "0,0",
+                            "--u", "1,0", "--v", "0,1"),
+    "hyperbolic distance": ("--from", "0,1", "--to", "3,1"),
+    "verify": (),
+    "parse": ("--check", "geometry.txt"),
+}
+
+
+def test_minimal_arguments_cover_the_command_table():
+    assert sorted(_MINIMAL) == sorted(c.name for c in cli.COMMANDS)
+
+
+@pytest.mark.parametrize("cmd", cli.COMMANDS, ids=lambda c: c.name)
+def test_dispatcher_protocol(capsys, cmd):
+    argv = (*cmd.name.split(), *_MINIMAL[cmd.name])
+    assert run(capsys, *argv, "--help")[0] == 0
+    if cmd.csv:
+        assert cmd.name in ("geodesic trace", "curve reconstruct")
+        return
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert (code, out) == (2, "")
+    info = json.loads(err)
+    assert info["command"] == cmd.name
+    assert info["error"] == {
+        "type": "UsageError", "exit_code": 2,
+        "message": f"{cmd.name} does not support --format csv"}
+
+
+@pytest.mark.parametrize("name, builtin, needs", [
+    ("curve analyze", "sphere", "a curve"),
+    ("surface area", "lobachevsky_halfplane", "a surface"),
+    ("curvature riemann", "helix", "a surface or metric"),
+])
+def test_dispatcher_checks_the_geometry_kind(capsys, name, builtin, needs):
+    argv = [*name.split(), *_MINIMAL[name]]
+    argv[argv.index("--builtin") + 1] = builtin
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    message = json.loads(err)["error"]["message"]
+    assert message.endswith(f"but this command needs {needs}")
+
+
+@pytest.mark.parametrize("group", sorted(
+    {c.name.split()[0] for c in cli.COMMANDS if " " in c.name}))
+def test_help_exits_zero_for_every_group(capsys, group):
+    code, out, _ = run(capsys, group, "--help")
+    assert code == 0 and out.startswith(f"usage: curvatur {group}")
+
+
+def _readme_command_lines():
+    """The ``curvatur ...`` lines of README's "Command line" code block,
+    with backslash continuations joined."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```", 2)[1].replace("\\\n", " ")
+    return [line.strip() for line in block.splitlines()
+            if line.strip().startswith("curvatur ")]
+
+
+def test_readme_command_block_matches_the_command_table():
+    lines = _readme_command_lines()
+    parser = cli.build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert args.command in cli.COMMANDS, line
+    shown = {" ".join(shlex.split(line)[1:3]) for line in lines}
+    shown |= {line.split()[1] for line in lines}
+    missing = [c.name for c in cli.COMMANDS if c.name not in shown]
+    assert not missing, f"README's command block lacks {missing}"

@@ -400,7 +400,7 @@ def test_integrate_ode_blowup_raises():
 def test_richardson_even_powers():
     hs = np.array([0.4, 0.2, 0.1, 0.05])
     fs = math.pi + 3 * hs ** 2 - 2 * hs ** 4
-    res = nk.richardson(nk.ExtrapolationLadder(hs, fs, p=2))
+    res = nk.richardson(hs, fs, p=2)
     assert res.value == pytest.approx(math.pi, abs=1e-12)
     assert res.error < 1e-10
     assert res.monotone
@@ -408,8 +408,7 @@ def test_richardson_even_powers():
 
 def test_richardson_requires_halving():
     with pytest.raises(nk.PreconditionError):
-        nk.richardson(nk.ExtrapolationLadder(np.array([0.4, 0.3]),
-                                             np.array([1.0, 1.0]), p=2))
+        nk.richardson([0.4, 0.3], [1.0, 1.0], p=2)
 
 
 def test_generalized_symmetric_eigen():
