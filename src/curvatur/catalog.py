@@ -11,16 +11,18 @@ The text format is line-oriented UTF-8 with ``#`` comments:
 
     curve helix (t in [0,10]) = (cos(t), sin(t), 0.5*t)
 
+A curve takes one coordinate and a surface two; a metric takes two or
+three and an n-by-n matrix.
+
 Expressions support + - * / ^ (right-associative power), unary minus, the
 functions sin, cos, tan, exp, log, sqrt, sinh, cosh, the constant pi, and
 names bound by ``param`` lines.  The grammar is deliberately minimal: no
 conditionals and no user functions, so jet evaluation is total on the
 declared domain.
 
-Most builtins are defined as source text in this same language and go
-through the parser; the exceptions are the 3D round-sphere chart (the
-grammar is two-dimensional) and function-shaped builtins whose defining
-expressions arrive as parameters.
+Every builtin is source text in this same language and goes through the
+parser; the function-shaped builtins fill their defining expressions, which
+arrive as parameters, into a template first.
 
 ``GeometrySpec.build`` compiles all component expressions of a geometry
 once into one straight-line :class:`Program`: parameters and constant
@@ -38,7 +40,6 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -273,9 +274,10 @@ class Program:
     ``pi``) folds to a constant through :func:`eval_expr`, the reference
     evaluator, and constant exponents are resolved as it resolves them.
     Structurally equal subtrees share one register across all the
-    expressions, quotients by one divisor share its reciprocal, and sin and
-    cos of one argument share one :meth:`numkit.Jet.sincos`, so each is
-    evaluated once per call.  An instruction is an operator or a
+    expressions, quotients by one divisor share its reciprocal (which is
+    the quotient of 1 by it, bit for bit), and sin and cos of one argument
+    share one :meth:`numkit.Jet.sincos`, so each is evaluated once per
+    call.  An instruction is an operator or a
     :mod:`numkit` function applied at run time, the operation
     :func:`eval_expr` applies, so on floats, arrays and jets alike a
     program's outputs are bit-identical to it.
@@ -393,6 +395,8 @@ class Program:
         if rhs[0] == "c":
             return self._op(operator.truediv, lhs, rhs)
         rb = self._memoized(("1/", rhs), lambda: self._op(_reciprocal, rhs))
+        if lhs[0] == "c" and self.consts[lhs[1]] == 1:
+            return rb
         return self._op(_divide, lhs, rhs, rb)
 
 
@@ -625,10 +629,9 @@ class GeometrySpec:
     """A parsed or built-in geometry: curve, surface, or metric.
 
     ``exprs`` is a tuple of component expressions (curve, surface) or a
-    nested tuple matrix (metric); builtins that cannot be expressed in the
-    grammar provide a ``builder`` instead.  ``params`` are the bound
-    constants; ``warnings`` collects non-fatal diagnostics such as a
-    metric that fails positive definiteness at domain samples.
+    nested tuple matrix (metric).  ``params`` are the bound constants;
+    ``warnings`` collects non-fatal diagnostics such as a metric that fails
+    positive definiteness at domain samples.
     """
 
     kind: str
@@ -639,7 +642,6 @@ class GeometrySpec:
     params: dict = field(default_factory=dict)
     periods: tuple = None
     flip_normal: bool = False
-    builder: Optional[Callable] = None
     provenance: str = "parsed"
     warnings: list = field(default_factory=list)
 
@@ -657,8 +659,6 @@ class GeometrySpec:
 
         All component expressions compile into one :class:`Program`, whose
         evaluator writes them into one stacked jet (:func:`_stacked_fn`)."""
-        if self.builder is not None:
-            return self.builder(self)
         periods = self.periods or (None,) * self.dim
 
         if self.kind == "curve":
@@ -678,8 +678,7 @@ class GeometrySpec:
                               self.coords, self.params)
             write = _stacked_fn(program, (self.dim, self.dim))
             chart = MetricChart(self.dim, self.domain, lambda xj: write(*xj),
-                                provenance=self.provenance, periods=periods,
-                                name=self.name)
+                                periods=periods, name=self.name)
             self._spd_check(chart)
             return chart
 
@@ -706,16 +705,16 @@ def _stacked_fn(program, shape):
     """An evaluator that runs ``program`` (the components of a tensor of
     ``shape``, row by row) on its input jets and writes them into one jet
     with coefficients (K, *shape, ...batch): equal components share one
-    register, copied to each slot, and constant ones are written as
-    constants.  A basic-index copy per slot costs a quarter of one
-    advanced-index write of several slots."""
+    register, copied to each slot, and constant ones other than +0 are
+    written as constants.  A basic-index copy per slot costs a quarter of
+    one advanced-index write of several slots."""
     consts, writes = [], []
     for k, r in enumerate(program.outputs):
         at = np.unravel_index(k, shape)
         c = program.constant(r)
         if c is None:
             writes.append(((slice(None), *at), r))
-        else:
+        elif c != 0 or np.signbit(c):
             consts.append(((0, *at), c))
 
     def fn(*xj):
@@ -800,8 +799,10 @@ def _parse_declaration(p: _Parser, kind, params):
         coords.append(p.expect_ident("coordinate name").text)
     if kind == "curve" and len(coords) != 1:
         p.fail("curves take exactly one coordinate")
-    if kind in ("surface", "metric") and len(coords) != 2:
-        p.fail(f"{kind} declarations take exactly two coordinates")
+    if kind == "surface" and len(coords) != 2:
+        p.fail("surface declarations take exactly two coordinates")
+    if kind == "metric" and len(coords) not in (2, 3):
+        p.fail("metric declarations take two or three coordinates")
     p.expect_keyword("in")
     ranges = [p.parse_range(coords, params)]
     for _ in coords[1:]:
@@ -825,18 +826,20 @@ def _parse_declaration(p: _Parser, kind, params):
         return GeometrySpec(kind, name, tuple(coords), tuple(ranges),
                             tuple(comps), dict(params))
 
-    # metric: [[e, e], [e, e]]
-    p.expect_sym("[")
+    # metric: n rows of n entries, [[e, e], [e, e]] for n = 2
     rows = []
-    for i in range(2):
+    p.expect_sym("[")
+    for i in range(len(coords)):
+        if i:
+            p.expect_sym(",")
         p.expect_sym("[")
-        row = [_check_bound(p.parse_expr(), names)]
-        p.expect_sym(",")
-        row.append(_check_bound(p.parse_expr(), names))
+        row = []
+        for j in range(len(coords)):
+            if j:
+                p.expect_sym(",")
+            row.append(_check_bound(p.parse_expr(), names))
         p.expect_sym("]")
         rows.append(tuple(row))
-        if i == 0:
-            p.expect_sym(",")
     p.expect_sym("]")
     return GeometrySpec("metric", name, tuple(coords), tuple(ranges),
                         tuple(rows), dict(params))
@@ -905,6 +908,12 @@ _BUILTIN_SOURCES = {
             [[1 - x^2/(1 + x^2 + y^2), -(x*y)/(1 + x^2 + y^2)],
              [-(x*y)/(1 + x^2 + y^2), 1 - y^2/(1 + x^2 + y^2)]]
     """,
+    # the unit 3-sphere in stereographic coordinates scaled by 2: the
+    # conformal factor f = 1/(1 + |x|^2/4)^2 times the identity
+    "s3_round": """
+        metric s3_round (x,y,z in [-2.5,2.5]x[-2.5,2.5]x[-2.5,2.5]) =
+            [[{f}, 0, 0], [0, {f}, 0], [0, 0, {f}]]
+    """.format(f="1/(1 + 0.25*(x*x + y*y + z*z))^2"),
 }
 
 _BUILTIN_PERIODS = {
@@ -928,23 +937,7 @@ _EXPR_PARAM_BUILTINS = {
 }
 
 BUILTIN_NAMES = tuple(sorted(list(_BUILTIN_SOURCES) +
-                             list(_EXPR_PARAM_BUILTINS) + ["s3_round"]))
-
-
-def _s3_builder(spec: GeometrySpec) -> MetricChart:
-    def gfn(xj):
-        x, y, z = xj
-        r2 = x * x + y * y + z * z
-        f = ((nk.as_jet(1.0, x) + 0.25 * r2) ** 2).reciprocal()
-        # f times the identity; the off-diagonal zeros are written, not
-        # computed as 0 * f, which can give -0.0
-        coef = np.zeros(f.coef.shape[:1] + (3, 3) + f.coef.shape[1:])
-        for i in range(3):
-            coef[:, i, i] = f.coef
-        return Jet(f.nvars, f.order, coef)
-
-    return MetricChart(3, spec.domain, gfn, provenance="builtin",
-                       name="s3_round")
+                             list(_EXPR_PARAM_BUILTINS)))
 
 
 def _expression_parameter(key, text, names):
@@ -966,14 +959,6 @@ def builtin(name, params=None) -> GeometrySpec:
     conformal(lam) accept expression strings for those parameters.
     """
     params = dict(params or {})
-
-    if name == "s3_round":
-        spec = GeometrySpec("metric", "s3_round", ("x", "y", "z"),
-                            ((-2.5, 2.5),) * 3, builder=_s3_builder,
-                            provenance="builtin")
-        if params:
-            raise PreconditionError("s3_round takes no parameters")
-        return spec
 
     if name in _EXPR_PARAM_BUILTINS:
         template, coords, defaults = _EXPR_PARAM_BUILTINS[name]

@@ -475,7 +475,7 @@ def _hyperbolic_distance(args, _):
 
 def _verify(args, _):
     names = args.suite or ["all"]
-    text = args.format != "json"
+    text = args.format == "text"
     stream = text and not args.output
     lines, checks = [], []
 
@@ -541,7 +541,7 @@ class Command(NamedTuple):
 
 
 def _opt(*flags, **kw):
-    """One ``add_argument`` call; with no flags, ``set_defaults`` instead.
+    """One ``add_argument`` call.
 
     A callable ``choices`` is called when the parser is built, so that it
     sees names registered after import (``verify --suite``)."""
@@ -672,7 +672,10 @@ COMMANDS = (
              help="suite name or 'all' (repeatable; default all)"),
         _opt("--seed", type=int, default=0,
              help="seed for randomized property checks"),
-        _opt(format="text"))),
+        # csv stays a choice so that the dispatcher refuses it, as it does
+        # for every command without csv
+        _opt("--format", choices=("text", "json", "csv"), default="text",
+             metavar="{text,json}", help="output format (default text)"))),
     Command("parse", "check a geometry definition file", None, False,
             _parse, (
                 _opt("--check", required=True, metavar="FILE",
@@ -692,16 +695,15 @@ def build_parser():
         if op and group not in groups:
             groups[group] = sub.add_parser(group, help=_GROUPS[group]) \
                 .add_subparsers(metavar="OP", required=True)
-        p = (groups[group] if op else sub).add_parser(op or group,
-                                                     help=cmd.help)
+        # "resolve": a command's own option replaces a common option of the
+        # same flag (verify's --format)
+        p = (groups[group] if op else sub).add_parser(
+            op or group, help=cmd.help, conflict_handler="resolve")
         common = _OUTPUT + (_SOURCE if cmd.kind else ())
         for flags, kw in common + cmd.options:
             if callable(kw.get("choices")):
                 kw = {**kw, "choices": kw["choices"]()}
-            if flags:
-                p.add_argument(*flags, **kw)
-            else:
-                p.set_defaults(**kw)
+            p.add_argument(*flags, **kw)
         p.set_defaults(command=cmd)
     return root
 
@@ -709,6 +711,17 @@ def build_parser():
 # ---------------------------------------------------------------------------
 # the dispatcher
 # ---------------------------------------------------------------------------
+
+
+def _command_name(argv):
+    """The name an error document gives a command line that may not parse:
+    the row of :data:`COMMANDS` or the group it starts with, else the
+    program."""
+    known = {c.name for c in COMMANDS} | set(_GROUPS)
+    for n in (2, 1):
+        if " ".join(argv[:n]) in known:
+            return " ".join(argv[:n])
+    return "curvatur"
 
 
 def main(argv=None):
@@ -722,7 +735,7 @@ def main(argv=None):
     envelope, and map failures to exit codes and error documents.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
-    name = " ".join(argv[:2]) if argv else "curvatur"
+    name = _command_name(argv)
     try:
         try:
             args = build_parser().parse_args(argv)

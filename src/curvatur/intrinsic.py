@@ -1,10 +1,10 @@
 """Intrinsic geometry over metric charts.
 
 A :class:`MetricChart` is a coordinate box with a metric evaluator that
-returns the whole metric as one matrix-valued jet per call: parsed charts
-run a compiled program of :mod:`curvatur.catalog`, pullback charts contract
-the stacked tangent jets of their patch, and builder charts write their
-entries into the stacked coefficients directly.  The Christoffel symbols
+returns the whole metric as one matrix-valued jet per call: parsed charts,
+every builtin metric among them, run a compiled program of
+:mod:`curvatur.catalog`, and pullback charts contract the stacked tangent
+jets of their patch.  The Christoffel symbols
 have one derivation, :func:`christoffel_jet`: the metric jet is
 differentiated and the symbols solved against it order by order, so they
 come out as one jet, exact (within roundoff) rather than differenced.
@@ -54,21 +54,13 @@ class MetricChart:
         evaluators may return nested lists of jets and constants instead,
         which :meth:`metric_jet`, the chart's one evaluator boundary, stacks
         and checks once.  Entries must be symmetric.
-    provenance : str
-        One of "pullback-from-patch", "builtin", "parsed".
     periods : tuple of float or None
         Period per coordinate for charts that close up (angles); used for
         loop-closure tests and distance representatives.
     name : str
     """
 
-    # unit-ball volumes and unit-sphere areas used by the n-dimensional
-    # scalar-curvature limit: V_2 = pi, V_3 = 4pi/3, S_2 = 2pi, S_3 = 4pi
-    BALL_VOLUME = {2: math.pi, 3: 4.0 * math.pi / 3.0}
-    SPHERE_AREA = {2: 2.0 * math.pi, 3: 4.0 * math.pi}
-
-    def __init__(self, dim, domain, gfn, provenance="builtin", periods=None,
-                 name=""):
+    def __init__(self, dim, domain, gfn, periods=None, name=""):
         if dim not in (2, 3):
             raise PreconditionError("charts support dimension 2 or 3")
         self.dim = dim
@@ -76,7 +68,6 @@ class MetricChart:
         if len(self.domain) != dim:
             raise PreconditionError("domain must provide one interval per axis")
         self._gfn = gfn
-        self.provenance = provenance
         self.periods = tuple(periods) if periods is not None else (None,) * dim
         self.name = name
         self._box = np.array([(-np.inf, np.inf) if p is not None else b
@@ -243,9 +234,7 @@ def pullback_metric(surface) -> MetricChart:
         return Jet(2, m, np.stack([np.stack([E, F], 1),
                                    np.stack([F, G], 1)], 1))
 
-    return MetricChart(2, surface.domain, gfn,
-                       provenance="pullback-from-patch",
-                       periods=surface.periods,
+    return MetricChart(2, surface.domain, gfn, periods=surface.periods,
                        name=surface.name or "pullback")
 
 
@@ -814,6 +803,9 @@ class TauEstimate:
         return abs(self.tau_circle - self.tau_disk) <= max(self.error, 1e-9)
 
 
+_BALL_VOLUME_3 = 4.0 * math.pi / 3.0        # volume of the unit 3-ball
+
+
 def scalar_curvature_estimate(chart: MetricChart, P, r0=0.2, rungs=3,
                               samples=24) -> TauEstimate:
     """Scalar curvature at P from comparison limits of circles or spheres.
@@ -859,8 +851,7 @@ def scalar_curvature_estimate(chart: MetricChart, P, r0=0.2, rungs=3,
         monotone = head.monotone and rd.monotone
     else:                              # 3D: geodesic-sphere area defect
         head = extrapolate([6.0 * (4 * math.pi * R ** 2 - out[R])
-                            / (MetricChart.BALL_VOLUME[3] * R ** 4)
-                            for R in ladder])
+                            / (_BALL_VOLUME_3 * R ** 4) for R in ladder])
         err, routes, monotone = head.error, (None, None), head.monotone
     warnings = [] if monotone else ["extrapolation ladder not monotone"]
     return TauEstimate(head.value, float(err), *routes, tuple(ladder),

@@ -1,6 +1,7 @@
 """Geometry grammar, builtins, and hyperbolic closed forms."""
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -87,6 +88,9 @@ _PARSED = {
     "metric": "metric m (x,y in [0.1,1]x[0.1,1]) = "
               "[[exp(x*y)/(1 + x^2), -x*y/(1 + x^2)], "
               "[-x*y/(1 + x^2), 2 + sin(pi*y)]]",
+    "3-coordinate metric": "param a = 2\nmetric m3 (x,y,z in [0.1,1]x[0.1,1]"
+                           "x[0.1,1]) = [[1 + x^2, x*y, 0], "
+                           "[x*y, a, sin(z)/4], [0, sin(z)/4, exp(z)]]",
     "curve with a constant": "curve k (t in [0.1,1]) = (t^2, 1)",
     "surface with a constant": "param c = 2\nsurface z (u,v in [0.1,1]x"
                                "[0.1,1]) = (sin(u)*v, c^2, sin(u)*v)",
@@ -95,9 +99,7 @@ _PARSED = {
 
 def _specs():
     for name in cat.BUILTIN_NAMES:
-        spec = cat.builtin(name)
-        if spec.builder is None:
-            yield name, spec
+        yield name, cat.builtin(name)
     for label, text in _PARSED.items():
         yield "parsed " + label, cat.parse_geometry(text)
 
@@ -137,9 +139,37 @@ def test_compiled_programs_match_eval_expr(lanes):
             assert list(map(_bits, got)) == list(map(_bits, ref)), name
             if isinstance(xs[0], nk.Jet):
                 # the stacked write equals the stack of the promoted outputs
-                nested = [ref[:2], ref[2:]] if spec.kind == "metric" else ref
+                n = spec.dim
+                nested = ([ref[k:k + n] for k in range(0, n * n, n)]
+                          if spec.kind == "metric" else ref)
                 assert (_bits(_stacked(built, x, xs))
                         == _bits(nk.jet_stack(nested, xs[0]))), name
+
+
+def _s3_reference(xj):
+    """The round 3-sphere's metric written out by hand: the conformal factor
+    1/(1 + |x|^2/4)^2 on the diagonal, the off-diagonal zeros written rather
+    than computed as 0 * f, which can give -0.0."""
+    x, y, z = xj
+    r2 = x * x + y * y + z * z
+    f = ((nk.as_jet(1.0, x) + 0.25 * r2) ** 2).reciprocal()
+    coef = np.zeros(f.coef.shape[:1] + (3, 3) + f.coef.shape[1:])
+    for i in range(3):
+        coef[:, i, i] = f.coef
+    return nk.Jet(f.nvars, f.order, coef)
+
+
+@pytest.mark.parametrize("lanes", [None, 1, 24, 288])
+def test_s3_round_matches_the_hand_written_metric(lanes):
+    chart = cat.builtin("s3_round").build()
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-2.5, 2.5, (3, lanes or 1))
+    x[:, 0] = (0.0, -1.3, 2.5)          # a zero, a negative and an edge
+    if lanes is None:
+        x = x[:, 0]
+    for order in range(4):
+        xj = nk.Jet.variables(x, order)
+        assert _bits(chart.metric_jet(xj)) == _bits(_s3_reference(xj)), order
 
 
 def test_pi_parameter_shadows_the_constant():
@@ -301,6 +331,22 @@ def test_malformed_documents_raise(text, needle):
     assert needle in str(exc.value)
 
 
+@pytest.mark.parametrize("text, at, needle", [
+    ("metric m (x,y,z in [0,1]x[0,1]x[0,1]) =\n  [[1, 0], [0, 1]]", (2, 9),
+     "found ']'"),
+    ("metric m (w,x,y,z in [0,1]x[0,1]x[0,1]x[0,1]) = [[1]]", (1, 19),
+     "two or three coordinates"),
+    ("surface s (u,v,w in [0,1]x[0,1]x[0,1]) = (u, v, w)", (1, 18),
+     "exactly two coordinates"),
+], ids=["3-coordinate metric, 2x2 matrix", "4-coordinate metric",
+        "3-coordinate surface"])
+def test_coordinate_count_errors_carry_location(text, at, needle):
+    with pytest.raises(cat.ParseError) as exc:
+        cat.parse_geometry(text)
+    assert (exc.value.line, exc.value.col) == at
+    assert needle in str(exc.value)
+
+
 def test_parse_error_carries_location():
     bad = "surface s (u,v in [0,1]x[0,1]) =\n  (u, v, 1 +)"
     with pytest.raises(cat.ParseError) as exc:
@@ -315,6 +361,24 @@ def test_non_spd_metric_warns_but_builds():
         "metric bad (x,y in [-1,1]x[-1,1]) = [[x, 0], [0, 1]]")
     spec.build()
     assert any("positive definite" in w for w in spec.warnings)
+
+
+def _readme_documents():
+    """The documents of README's text-format block, one per paragraph."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("`catalog.parse_geometry`:", 1)[1].split("```")[1]
+    return [doc for doc in block.split("\n\n") if doc.strip()]
+
+
+def test_readme_text_format_block_parses_and_builds():
+    docs = _readme_documents()
+    dims = set()
+    for doc in docs:
+        spec = cat.parse_geometry(doc)
+        spec.build()
+        assert not spec.warnings, (spec.name, spec.warnings)
+        dims.add((spec.kind, spec.dim))
+    assert ("metric", 3) in dims
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,22 @@ def test_file_geometry_round_trip(capsys, tmp_path):
     assert doc["geometry"]["source"] == "parsed"
 
 
+def test_three_coordinate_metric_file(capsys, tmp_path):
+    # hyperbolic 3-space in the upper half-space: scalar curvature -6
+    path = tmp_path / "h3.txt"
+    path.write_text("metric h3 (x,y,z in [-2,2]x[-2,2]x[0.2,4]) =\n"
+                    "  [[1/z^2, 0, 0], [0, 1/z^2, 0], [0, 0, 1/z^2]]\n")
+    doc = run_json(capsys, "parse", "--check", str(path))
+    assert doc["results"] == {"ok": True, "kind": "metric", "name": "h3"}
+    assert doc["geometry"]["coords"] == ["x", "y", "z"]
+    assert doc["diagnostics"]["warnings"] == []
+    doc = run_json(capsys, "curvature", "ricci", "--file", str(path),
+                   "--at", "0.3,-0.2,1.5")
+    assert doc["results"]["tau"] == pytest.approx(-6.0, abs=1e-9)
+    assert np.allclose(doc["results"]["rho_tilde"], -2 * np.eye(3),
+                       rtol=0, atol=1e-9)
+
+
 def test_parse_check_good_file(capsys, tmp_path):
     path = tmp_path / "ok.txt"
     path.write_text("param R = 2\n"
@@ -333,6 +349,17 @@ def test_verify_text_lines(capsys):
     lines = out.strip().splitlines()
     assert lines[:-1] and all(line.startswith("PASS") for line in lines[:-1])
     assert re.fullmatch(r"TIME euler-meusnier: \d+\.\d\d s", lines[-1])
+
+
+def test_verify_format_text_is_the_default(capsys):
+    def checks(*flags):
+        code, out, err = run(capsys, "verify", "--suite", "parser", *flags)
+        assert (code, err) == (0, "")
+        return [line for line in out.splitlines()
+                if not line.startswith("TIME")]
+
+    assert checks("--format", "text") == checks()
+    assert "(default text)" in run(capsys, "verify", "--help")[1]
 
 
 def test_verify_times_suites_in_text_mode_only(capsys):
@@ -469,6 +496,19 @@ def test_usage_errors_exit_2(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert json.loads(err)["error"]["type"], argv
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("verify", "--seed", "x"), "verify"),
+    (("parse", "--bogus"), "parse"),
+    (("surface", "report", "--bogus"), "surface report"),
+    (("surface", "--bogus"), "surface"),
+    (("nosuch", "op"), "curvatur"),
+])
+def test_argparse_failures_name_the_command(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["command"] == name
 
 
 def test_missing_file_exits_1(capsys, tmp_path):
