@@ -313,6 +313,9 @@ class Program:
 
         self.tape = [(fn, tuple(map(reg, args))) for fn, args in self._tape]
         self.outputs = [reg(r) for r in refs]
+        # each instruction's operand fetch, bound once
+        self._steps = [(fn, operator.itemgetter(*args), len(args) > 1)
+                       for fn, args in self.tape]
         del self._memo, self._tape, self._params, self._paired, \
             self._varies
 
@@ -327,8 +330,8 @@ class Program:
             raise PreconditionError(f"program takes {len(self.inputs)} "
                                     f"inputs, got {len(inputs)}")
         regs = [*inputs, *self.consts]
-        for fn, args in self.tape:
-            regs.append(fn(*[regs[k] for k in args]))
+        for fn, fetch, many in self._steps:
+            regs.append(fn(*fetch(regs)) if many else fn(fetch(regs)))
         return regs
 
     def __call__(self, *inputs):

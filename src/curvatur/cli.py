@@ -280,7 +280,8 @@ def _curve_reconstruct(args, _):
                         "length": s_max, "samples": n},
                 results={"endpoint": pts[-1],
                          "samples": {"columns": header, "rows": rows}},
-                tolerances={"ode_rtol": 1e-10, "ode_atol": 1e-12})
+                tolerances={"ode_rtol": 1e-10, "ode_atol": 1e-12},
+                cost=dict(zip(ig._COST, ig._counters(curve.trajectory))))
 
 
 def _surface_report(args, g):

@@ -72,13 +72,18 @@ class MetricChart:
         self.name = name
         self._box = np.array([(-np.inf, np.inf) if p is not None else b
                               for p, b in zip(self.periods, self.domain)])
+        self._bounds = {}
 
     def contains(self, x, margin=0.0):
         """Whether the points x (n, ...batch) lie in the box shrunk by
         ``margin`` (periodic axes never bound), shape (...batch)."""
         x = np.asarray(x, dtype=float)
-        lo, hi = self._box.T.reshape((2, self.dim) + (1,) * (x.ndim - 1))
-        return ((x >= lo + margin) & (x <= hi - margin)).all(axis=0)
+        bounds = self._bounds.get((x.ndim, margin))
+        if bounds is None:     # one entry per (rank, margin) a caller uses
+            lo, hi = self._box.T.reshape((2, self.dim) + (1,) * (x.ndim - 1))
+            bounds = self._bounds[x.ndim, margin] = lo + margin, hi - margin
+        lo, hi = bounds
+        return ((x >= lo) & (x <= hi)).all(axis=0)
 
     def metric_jet(self, xj):
         """The metric as one jet with coefficients (K, n, n, ...batch) at
@@ -108,7 +113,7 @@ class MetricChart:
         G = self.metric_jet(Jet.variables(np.asarray(x, dtype=float), order))
         if order == 1:
             return G.value, G.grad()
-        return G.value, G.grad(), G.hessian()
+        return G.value, G.grad(), nk.gradient(nk.gradient(G)).value
 
     def orthonormal_basis(self, x):
         """Columns form a positively oriented g-orthonormal basis at x."""
@@ -120,18 +125,14 @@ class MetricChart:
 
 @lru_cache(maxsize=None)
 def _christoffel_tables(nvars: int, order: int):
-    """For a metric jet of ``order``: the derivative tables of every axis,
-    stacked (K, nvars), and per degree d = 1 .. order - 1 of the symbols its
-    slot range (lo, hi) and Taylor triples (I, J, M) with i != 0."""
-    src, fac = zip(*(nk._derivative_table(nvars, order, a)
-                     for a in range(nvars)))
+    """For a metric jet of ``order``: per degree d = 1 .. order - 1 of the
+    symbols its slot range (lo, hi) and Taylor triples (I, J, M), i != 0."""
     idx, _, (I, J, M), mask, _ = nk._index_space(nvars, order - 1)
     deg = np.array([sum(a) for a in idx])
     k = deg[np.nonzero(mask)[0]]                  # degree of each triple's k
     sel = [(k == d) & (I != 0) for d in range(1, order)]
-    return np.stack(src, 1), np.stack(fac, 1), tuple(
-        (*np.searchsorted(deg, (d, d + 1)), I[s], J[s], M[deg == d][:, s])
-        for d, s in enumerate(sel, 1))
+    return tuple((*np.searchsorted(deg, (d, d + 1)), I[s], J[s],
+                  M[deg == d][:, s]) for d, s in enumerate(sel, 1))
 
 
 def christoffel_jet(chart: MetricChart, xj, v=None):
@@ -151,19 +152,16 @@ def christoffel_jet(chart: MetricChart, xj, v=None):
     d_v g summed one axis at a time.
     """
     G = chart.metric_jet(xj)
-    src, fac, degrees = _christoffel_tables(G.nvars, G.order)
+    src, fac = nk._gradient_table(G.nvars, G.order)
     g = G.coef
-
-    def grad(c):                # d_a c at [:, a], c of the metric's order
-        return c[src] * fac.reshape(fac.shape + (1,) * (c.ndim - 1))
-
     if v is None:
-        dg = grad(g)                                 # d_a g_ij at [:, a, i, j]
+        dg = nk._lower(g, src, fac)                  # d_a g_ij at [:, a, i, j]
         A = dg.swapaxes(1, 2)                        # d_i g_lj at [:, l, i, j]
         S = 0.5 * (A + A.swapaxes(2, 3) - dg)
     else:                       # S(v) at [:, l, j], its 1/2 folded into v
         v = 0.5 * v
-        dgv = grad(np.einsum('Kls...,s...->Kl...', g, v))  # d_j (g v)_l
+        dgv = nk._lower(np.einsum('Kls...,s...->Kl...', g, v), src,
+                        fac)                         # d_j (g v)_l
         S = dgv.swapaxes(1, 2) - dgv
         w = fac.reshape(fac.shape + (1,) * (v.ndim - 1)) * v
         for a in range(G.nvars):                # d_v g, one axis at a time
@@ -171,7 +169,7 @@ def christoffel_jet(chart: MetricChart, xj, v=None):
     ginv = nk._matrix_inv(g[0])
     gamma = np.empty_like(S)
     gamma[0] = np.einsum('rs...,s...->r...', ginv, S[0])
-    for lo, hi, I, J, M in degrees:
+    for lo, hi, I, J, M in _christoffel_tables(G.nvars, G.order):
         known = nk._taylor_sum(M, np.einsum('Prs...,Ps...->Pr...', g[I],
                                             gamma[J]))
         gamma[lo:hi] = np.einsum('rs...,Ps...->Pr...', ginv, S[lo:hi] - known)
@@ -190,9 +188,7 @@ def riemann_jet(chart: MetricChart, xj):
     derivatives are exact Taylor coefficients.
     """
     gamma = christoffel_jet(chart, xj)
-    # d_a Gamma^i_lj at [:, a, i, l, j]
-    dgamma = np.stack([nk.derivative_nd(gamma, a).coef
-                       for a in range(chart.dim)], axis=1)
+    dgamma = nk.gradient(gamma).coef        # d_a Gamma^i_lj at [:, a, i, l, j]
     low = nk.truncate(gamma, gamma.order - 1)
     quad = nk.jet_einsum("ikm...,mlj...->ijkl...", low, low).coef
     return Jet(gamma.nvars, low.order,
@@ -214,25 +210,17 @@ def christoffel_and_grad(chart: MetricChart, x):
 
 
 def pullback_metric(surface) -> MetricChart:
-    """First fundamental form of a patch as a 2D metric chart."""
+    """First fundamental form of a patch as a 2D metric chart: the patch
+    seeded once at the chart's point, one order above the metric (whose
+    entries top out one below the jet capacity), its gradient D[a, c] =
+    d_a r_c one gather, and g_ab = sum_c D[a, c] D[b, c] one contraction."""
 
     def gfn(xj):
-        uj, vj = xj
-        # one jet order is spent on d/du, d/dv of the embedding, so the
-        # entries top out one below the jet capacity
-        m = min(uj.order, nk.MAX_ORDER - 1)
-        uv = np.stack([np.asarray(uj.value, dtype=float)
-                       * np.ones_like(vj.value),
-                       np.asarray(vj.value, dtype=float)
-                       * np.ones_like(uj.value)])
-        r = surface._evaluate(*Jet.variables(uv, m + 1))
-        # r_u and r_v, coefficients (K, 3, ...): jets in seed variables at
-        # the chart's point, the same variables as xj truncated to order m
-        ru, rv = nk.derivative_nd(r, 0), nk.derivative_nd(r, 1)
-        E, F, G = ((a * b).coef.sum(axis=1)
-                   for a, b in ((ru, ru), (ru, rv), (rv, rv)))
-        return Jet(2, m, np.stack([np.stack([E, F], 1),
-                                   np.stack([F, G], 1)], 1))
+        m = min(xj[0].order, nk.MAX_ORDER - 1)
+        r = surface._evaluate(*Jet.variables(np.stack([x.value for x in xj]),
+                                             m + 1))
+        d = nk.gradient(r)
+        return nk.jet_einsum("ac...,bc...->ab...", d, d)
 
     return MetricChart(2, surface.domain, gfn, periods=surface.periods,
                        name=surface.name or "pullback")
@@ -396,9 +384,9 @@ def _variational_rhs(chart: MetricChart, lanes: int, ncols: int,
             dz[:, 2 + ncols:] = (-(dgvv[:, :, None] * J[:, None]).sum(0)
                                  - 2.0 * (gv[:, :, None] * Jd).sum(1))
         if freeze:
-            out[~(inside & np.isfinite(out).all(axis=(1, 2)))] = 0.0
-        else:
-            out[~inside] = np.nan
+            inside &= np.isfinite(out).all(axis=(1, 2))
+        if not inside.all():
+            out[~inside] = 0.0 if freeze else np.nan
         return out.ravel()
 
     return rhs

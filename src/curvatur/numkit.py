@@ -14,15 +14,15 @@ Derivatives, 2nd ed., ch. 13): one gather of the P products a_i b_j per call,
 then one (K x P) 0/1 matrix that sums them into their K output slots.  The
 triples are cached per (nvars, order) by :func:`_index_space`.  Batch axes
 of two operands broadcast as numpy broadcasts array axes, aligned from the
-right.  Elementary functions compose over one power chain (u - u0)^k,
-which :meth:`Jet.sincos` shares between sin and cos.  A jet whose batch
-axes start with tensor axes is a tensor-valued jet, the one form of
-vectors and tensors of jets in the package: :func:`jet_stack` builds one
-from an evaluator's lists, :func:`jet_einsum` contracts two in a single
-batched pass, :func:`vdot` and :func:`vcross` act on its component axis,
-and the compositions take all its components at once; a jet solved
-against a matrix-valued one (the Christoffel symbols against the
-metric) is solved order by order.
+right.  Elementary functions sum their series in Horner form over the
+nilpotent u - u0, and :func:`gradient` reads all first partials in one
+gather.  A jet whose batch axes start with tensor axes is a tensor-valued
+jet, the one form of vectors and tensors of jets in the package:
+:func:`jet_stack` builds one from an evaluator's lists, :func:`jet_einsum`
+contracts two in a single batched pass, :func:`vdot` and :func:`vcross`
+act on its component axis, and the compositions take all its components
+at once; a jet solved against a matrix-valued one (the Christoffel
+symbols against the metric) is solved order by order.
 Finite differences appear in this package only inside clearly named
 cross-check oracles.
 
@@ -155,9 +155,24 @@ def _index_space(nvars: int, order: int):
     return idx, pos, (np.array(I, dtype=np.intp), J, M), mask, fact
 
 
+@lru_cache(maxsize=None)
+def _unit_slots(nvars: int):
+    """(variable, slot) index arrays of the unit multi-index of each variable:
+    the graded lexicographic layout puts variable i at slot nvars - i."""
+    return np.arange(nvars), np.arange(nvars, 0, -1)
+
+
 def _taylor_sum(M, terms):
     """Sum the per-triple products ``terms`` (P, ...) into their K slots."""
     return (M @ terms.reshape(len(terms), -1)).reshape(M.shape[:1] + terms.shape[1:])
+
+
+_INV_FACT = (1.0, 1.0, 1 / 2, 1 / 6, 1 / 24)      # 1 / k!, k = 0 .. MAX_ORDER
+
+
+def _scaled(x, f):
+    """``x * f``, skipping the product when f is 1."""
+    return x if f == 1 else x * f
 
 
 def _broadcast(a, b):
@@ -201,46 +216,20 @@ class Jet:
     # -- construction -------------------------------------------------
 
     @staticmethod
-    def constant(value, nvars, order, batch_shape=()):
-        K = len(_index_space(nvars, order)[0])
-        value = np.asarray(value, dtype=float)
-        coef = np.zeros((K,) + tuple(batch_shape or value.shape))
-        coef[0] = value
-        return Jet(nvars, order, coef)
-
-    @staticmethod
     def variables(values, order):
-        """Seed one jet per independent variable.
-
-        Parameters
-        ----------
-        values : array_like, shape (nvars, ...) or sequence of scalars
-            Expansion point; trailing axes become batch axes.
-        order : int
-            0..MAX_ORDER; order 0 carries values only, for plain reads
-
-        Returns
-        -------
-        list of Jet, one per variable
-        """
+        """One jet per independent variable, seeded at ``values`` (nvars,
+        ...) or a sequence of scalars, whose trailing axes become batch axes,
+        to ``order`` 0 .. MAX_ORDER (0 carries values only, for plain reads).
+        The jets are views of one (nvars, K, ...) array, written with the
+        values and the unit slots in two stores."""
         values = np.asarray(values, dtype=float)
         nvars = values.shape[0]
-        idx, pos, _, _, _ = _index_space(nvars, order)
-        K = len(idx)
-        out = []
-        for i in range(nvars):
-            coef = np.zeros((K,) + values.shape[1:])
-            coef[0] = values[i]
-            if order:
-                coef[pos[tuple(int(j == i) for j in range(nvars))]] = 1.0
-            out.append(Jet(nvars, order, coef))
-        return out
-
-    @staticmethod
-    def variable(value, i, nvars, order):
-        vals = np.zeros((nvars,) + np.shape(value))
-        vals[i] = value
-        return Jet.variables(vals, order)[i]
+        K = len(_index_space(nvars, order)[0])
+        coef = np.zeros((nvars, K) + values.shape[1:])
+        coef[:, 0] = values
+        if order:
+            coef[_unit_slots(nvars)] = 1.0
+        return [Jet(nvars, order, c) for c in coef]
 
     def _like_const(self, value):
         coef = np.zeros_like(self.coef)
@@ -268,14 +257,6 @@ class Jet:
         if self.order < 1:
             raise PreconditionError("an order-0 jet has no gradient")
         return self.coef[self.nvars:0:-1]
-
-    def hessian(self):
-        """Second partials, shape (nvars, nvars, ...)."""
-        n = self.nvars
-        out = np.stack([np.stack([self.partial(tuple(
-            (1 if a == i else 0) + (1 if a == j else 0) for a in range(n)))
-            for j in range(n)]) for i in range(n)])
-        return out
 
     # -- arithmetic ---------------------------------------------------
 
@@ -319,10 +300,7 @@ class Jet:
     def reciprocal(self):
         v = self.coef[0]
         with np.errstate(divide="ignore", invalid="ignore"):
-            derivs = [1.0 / v]
-            for k in range(1, self.order + 1):
-                derivs.append(derivs[-1] * (-k) / v)
-        return self._compose(derivs)[0]
+            return self._binomial(-1.0, 1.0 / v, v)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -343,43 +321,53 @@ class Jet:
             for _ in range(p - 1):
                 out = out * self
             return out
-        # real exponent through the power series of t**p at the point value
         v = self.coef[0]
         with np.errstate(divide="ignore", invalid="ignore"):
-            derivs = [np.power(v, p)]
-            c = p
-            for k in range(1, self.order + 1):
-                derivs.append(derivs[0] * c / np.power(v, k))
-                c = c * (p - k)
-        return self._compose(derivs)[0]
+            return self._binomial(p, np.power(v, p), v)
 
     # -- composition with a scalar function ---------------------------
 
     def _compose(self, *series):
-        """Compose ``f(self)`` for each series of derivatives f^(k) of an f
-        at ``self.value``, k = 0, 1, ... (entries beyond ``self.order`` are
-        ignored): a list of one jet per series, all summed term by term
-        over one power chain (self - value)^k.  A series' first entry
-        has the output's batch shape, tensor axes of a composition included.
-        """
-        _, _, (I, J, M), _, _ = _index_space(self.nvars, self.order)
+        """``f(self)`` for each series c_k = f^(k)(value) / k!, k = 0 ..
+        order, of an f: one jet per series, each summed in Horner form
+        c_0 + u (c_1 + u (c_2 + ...)) over the nilpotent u = self - value,
+        so order m costs m - 1 Taylor products sharing one gather of u
+        (Griewank & Walther, Evaluating Derivatives, 13.2).  The c_k
+        broadcast against the batch axes of ``self``, tensor axes of a
+        composition included."""
+        n = self.order
         u = self.coef.copy()
         u[0] = 0.0
-        outs = [np.zeros(u.shape[:1] + np.shape(d[0])) for d in series]
-        for out, derivs in zip(outs, series):
-            out[0] = derivs[0]
+        if not n:                       # values only
+            return [Jet(self.nvars, 0, u + c[0]) for c in series]
+        _, _, (I, J, M), _, _ = _index_space(self.nvars, n)
+        uI = u[I]
+        outs = []
+        for c in series:
+            acc = u * c[n]
+            for k in range(n - 1, 0, -1):
+                acc[0] += c[k]
+                acc = _taylor_sum(M, uI * acc[J])
+            acc[0] += c[0]
+            outs.append(Jet(self.nvars, n, acc))
+        return outs
+
+    def _binomial(self, p, head, v):
+        """``self ** p`` from head = v^p at the value v, through the
+        coefficients binom(p, k) head / v^k of the binomial series."""
+        c = [head]
         for k in range(1, self.order + 1):
-            upow = u if k == 1 else _taylor_sum(M, upow[I] * u[J])
-            for out, derivs in zip(outs, series):
-                out += upow * (np.asarray(derivs[k], dtype=float)
-                               / math.factorial(k))
-        return [Jet(self.nvars, self.order, out) for out in outs]
+            c.append(c[-1] * ((p - k + 1) / k) / v)
+        return self._compose(c)[0]
 
     def _cycle(self, f, g, sign, *starts):
-        """One jet per start (0: f, 1: g) of the cycle f, g, sign f, sign g."""
-        a, b = f(self.coef[0]), g(self.coef[0])
-        cycle = [a, b, sign * a, sign * b] * 2
-        return self._compose(*[cycle[m:m + self.order + 1] for m in starts])
+        """One jet per start (0: f, 1: g) of the derivative cycle f, g,
+        sign f, sign g, whose signs and 1/k! fold into one scale per term."""
+        ab = f(self.coef[0]), g(self.coef[0])
+        return self._compose(*[[_scaled(ab[(m + k) % 2],
+                                        sign ** ((m + k) // 2) * _INV_FACT[k])
+                                for k in range(self.order + 1)]
+                               for m in starts])
 
     def sin(self):
         return self._cycle(np.sin, np.cos, -1, 0)[0]
@@ -388,39 +376,32 @@ class Jet:
         return self._cycle(np.sin, np.cos, -1, 1)[0]
 
     def sincos(self):
-        """``(self.sin(), self.cos())`` over one shared power chain."""
+        """``(self.sin(), self.cos())``, from one sin and cos of the value."""
         return tuple(self._cycle(np.sin, np.cos, -1, 0, 1))
 
     def tan(self):
         t = np.tan(self.coef[0])
         sec2 = 1.0 + t * t
-        derivs = [t, sec2, 2 * t * sec2, sec2 * (2 + 6 * t * t),
-                  sec2 * (16 * t + 24 * t ** 3)]
-        return self._compose(derivs[: self.order + 1])[0]
+        c = [t, sec2, t * sec2, sec2 * (1 / 3 + t * t),
+             sec2 * t * (2 / 3 + t * t)]
+        return self._compose(c[: self.order + 1])[0]
 
     def exp(self):
         e = np.exp(self.coef[0])
-        return self._compose([e] * (self.order + 1))[0]
+        return self._compose([_scaled(e, f)
+                              for f in _INV_FACT[: self.order + 1]])[0]
 
     def log(self):
         v = self.coef[0]
         with np.errstate(divide="ignore", invalid="ignore"):
-            derivs = [np.log(v)]
-            for k in range(1, self.order + 1):
-                derivs.append(((-1.0) ** (k - 1)) * math.factorial(k - 1)
-                              / np.power(v, k))
-        return self._compose(derivs)[0]
+            w = -1.0 / v                # c_k = (-1)^(k-1) / (k v^k)
+            return self._compose([np.log(v)] + [-w ** k / k for k in range(
+                1, self.order + 1)])[0]
 
     def sqrt(self):
         v = self.coef[0]
         with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.sqrt(v)
-            derivs = [s]
-            c = 0.5
-            for k in range(1, self.order + 1):
-                derivs.append(c * s / np.power(v, k))
-                c = c * (0.5 - k)
-        return self._compose(derivs)[0]
+            return self._binomial(0.5, np.sqrt(v), v)
 
     def sinh(self):
         return self._cycle(np.sinh, np.cosh, 1, 0)[0]
@@ -446,16 +427,14 @@ def compose1d(outer: Jet, inner: Jet) -> Jet:
     """Compose a univariate jet with an arbitrary jet: ``outer(inner)``.
 
     ``outer`` must be a 1-variable jet expanded at ``inner.value``; a
-    tensor-valued one keeps its tensor axes, all over one power chain.
+    tensor-valued one keeps its tensor axes, all in one Horner sum.
     """
     if outer.nvars != 1:
         raise PreconditionError("outer jet must be univariate")
-    derivs = [outer.partial((k,)) for k in range(min(outer.order, inner.order) + 1)]
-    derivs += [np.zeros_like(derivs[0])] * (inner.order - len(derivs) + 1)
     u, c = _broadcast(inner.coef, outer.coef)
-    derivs[0] = np.broadcast_to(derivs[0],
-                                np.broadcast_shapes(u.shape[1:], c.shape[1:]))
-    return Jet(inner.nvars, inner.order, u)._compose(derivs)[0]
+    c = list(c[: inner.order + 1])
+    c += [np.zeros_like(c[0])] * (inner.order + 1 - len(c))
+    return Jet(inner.nvars, inner.order, u)._compose(c)[0]
 
 
 def invert_univariate(j: Jet, t0: float) -> Jet:
@@ -525,23 +504,37 @@ def antiderivative1d(j: Jet, value0) -> Jet:
 
 
 @lru_cache(maxsize=None)
-def _derivative_table(nvars: int, order: int, axis: int):
-    """Slots of an order-``order`` jet that d/d(axis) moves into the slots of
-    an order ``order - 1`` jet, and the exponent factor of each."""
-    idx_lo, _, _, _, _ = _index_space(nvars, order - 1)
-    _, pos_hi, _, _, _ = _index_space(nvars, order)
-    up = [tuple(e + (i == axis) for i, e in enumerate(a)) for a in idx_lo]
-    return (np.array([pos_hi[u] for u in up], dtype=np.intp),
-            np.array([u[axis] for u in up], dtype=float))
+def _gradient_table(nvars: int, order: int):
+    """For a jet of ``order`` and each slot of an order ``order - 1`` jet:
+    the slot that d/d(axis a) moves there and its exponent factor, as two
+    (K', nvars) arrays over (slot, a)."""
+    if order < 1:
+        raise PreconditionError("cannot lower an order-0 jet")
+    pos_hi = _index_space(nvars, order)[1]
+    up = [[tuple(e + (i == a) for i, e in enumerate(m)) for a in range(nvars)]
+          for m in _index_space(nvars, order - 1)[0]]
+    return (np.array([[pos_hi[u] for u in row] for row in up], dtype=np.intp),
+            np.array([[u[a] for a, u in enumerate(row)] for row in up], float))
+
+
+def _lower(coef, src, fac):
+    """``coef[src]`` times the exponent factors ``fac`` of a gradient table
+    (or of one of its columns), over the trailing axes of ``coef``."""
+    return coef[src] * fac.reshape(fac.shape + (1,) * (coef.ndim - 1))
+
+
+def gradient(j: Jet) -> Jet:
+    """Jet of all first partials, one order lower, with the derivative axis
+    a as a new tensor axis right after the Taylor axis: coefficients
+    (K', nvars, ...), one gather for every axis."""
+    return Jet(j.nvars, j.order - 1,
+               _lower(j.coef, *_gradient_table(j.nvars, j.order)))
 
 
 def derivative_nd(j: Jet, axis: int) -> Jet:
     """Jet of the partial derivative along ``axis`` (order drops by one)."""
-    if j.order < 1:
-        raise PreconditionError("cannot lower an order-0 jet")
-    src, factor = _derivative_table(j.nvars, j.order, axis)
-    return Jet(j.nvars, j.order - 1,
-               j.coef[src] * factor.reshape(factor.shape + (1,) * (j.coef.ndim - 1)))
+    src, fac = (t[:, axis] for t in _gradient_table(j.nvars, j.order))
+    return Jet(j.nvars, j.order - 1, _lower(j.coef, src, fac))
 
 
 def truncate(j: Jet, order: int) -> Jet:
@@ -684,29 +677,43 @@ def vtriple(a, b, c):
 # ---------------------------------------------------------------------------
 # ODE integration: embedded Runge-Kutta pairs DOPRI5 and DOP853
 # ---------------------------------------------------------------------------
-# Tableau rows keep their nonzero entries only, as {stage: coefficient}.
+# Tableau rows are written with their nonzero entries only, as {stage:
+# coefficient}; a pair holds them as dense arrays, so that a stage input, an
+# error vector or a dense vector is one product with the stages.
 
 
-def _stage_sum(row, ks):
-    """sum_j row[j] ks[j] over the nonzero entries of a tableau row."""
-    return sum(a * ks[j] for j, a in row.items())
+def _combine(rows, ks):
+    """sum_j rows[..., j] ks[j] over the stages ks (s, N), summed in stage
+    order as a Python sum would be, so it rounds as that sum does."""
+    return np.einsum("...j,jn->...n", rows, ks)
+
+
+def _dense(rows, width):
+    """Tableau rows {stage: coefficient} as one (len(rows), width) array."""
+    out = np.zeros((len(rows), width))
+    for r, row in enumerate(rows):
+        out[r, list(row)] = list(row.values())
+    return out
 
 
 class RungeKuttaPair:
     """An explicit embedded Runge-Kutta pair in first-same-as-last form.
 
-    Stage i of a step of size h from (t, y) is
-    k_i = f(t + c_i h, y + h sum_j a_ij k_j).  The last row of ``a`` holds
-    the solution weights, so the last stage is f(t + h, y_new) and starts
-    the next step.  ``exponent`` is -1/(q + 1) for an error estimate of
-    order q, and ``grow`` the largest factor by which h grows after an
-    accepted step.  A pair picks its first step, computes its scaled error
-    norm, says what an accepted step stores for dense output and
-    interpolates between two nodes.
+    Stage i < ``stages`` of a step of size h from (t, y) is
+    k_i = f(t + c_i h, y + h sum_j a_ij k_j); rows of ``a`` past them are
+    dense-output stages.  The last stage row holds the solution weights, so
+    the last stage is f(t + h, y_new) and starts the next step.  ``e`` and
+    ``d`` hold the rows of the error estimates and dense vectors.
+    ``exponent`` is -1/(q + 1) for an error estimate of order q, and
+    ``grow`` the largest factor by which h grows after an accepted step.  A
+    pair picks its first step, computes its scaled error norm, says what an
+    accepted step stores for dense output and interpolates between nodes.
     """
 
-    def __init__(self, c, a, exponent, grow):
-        self.c, self.a, self.exponent, self.grow = c, a, exponent, grow
+    def __init__(self, c, a, stages, e, d, exponent, grow):
+        self.c, self.a, self.stages = c, _dense(a, len(a)), stages
+        self.e, self.d = _dense(e, stages), _dense(d, len(a))
+        self.exponent, self.grow = exponent, grow
 
     def first_step(self, f, t0, y, k1, h, rms):
         return h
@@ -717,11 +724,11 @@ class _Dopri5(RungeKuttaPair):
     continuous extension, one stored vector per step."""
 
     def error_norm(self, h, ks, scale, sel):
-        err_vec = h * _stage_sum(_DP_E, ks)
+        err_vec = h * _combine(self.e[0], ks)
         return np.sqrt(np.mean((err_vec[sel] / scale[sel]) ** 2))
 
     def step_dense(self, h, ks):
-        return h * _stage_sum(_DP_D, ks)
+        return h * _combine(self.d[0], ks)
 
     def interpolate(self, traj, k, s):
         """Cubic Hermite on the step plus s^2 (1 - s)^2 times its vector."""
@@ -753,8 +760,7 @@ class _Dop853(RungeKuttaPair):
 
     def error_norm(self, h, ks, scale, sel):
         """The 5th- and 3rd-order estimates combined as in dop853.f."""
-        e5 = _stage_sum(_DOP853_E5, ks)[sel] / scale[sel]
-        e3 = _stage_sum(_DOP853_E3, ks)[sel] / scale[sel]
+        e5, e3 = (_combine(row, ks)[sel] / scale[sel] for row in self.e)
         n5, n3 = float(e5 @ e5), float(e3 @ e3)
         den = n5 + 0.01 * n3
         return abs(h) * n5 / math.sqrt(den * e5.size) if den > 0 else 0.0
@@ -767,7 +773,7 @@ class _Dop853(RungeKuttaPair):
         with r = 1 - s, F3..F6 the step's dense vectors and F1, F2 from the
         end values and slopes; exact at both nodes."""
         for i in np.unique(k):
-            if isinstance(traj.dense[i], list):
+            if len(traj.dense[i]) == self.stages:
                 traj.dense[i] = self._dense_vectors(traj, i)
         F = np.array([traj.dense[i] for i in k])             # (Q, 4, N)
         h = (traj.ts[k + 1] - traj.ts[k])[:, None]
@@ -782,13 +788,15 @@ class _Dop853(RungeKuttaPair):
         return r * y0 + s * y1 + s * r * p
 
     def _dense_vectors(self, traj, i):
-        ks = traj.dense[i]
+        """Step i's four dense vectors, from its stages and 3 dense ones."""
         t, h, y = traj.ts[i], traj.ts[i + 1] - traj.ts[i], traj.ys[i]
-        for c, row in zip(_DOP853_C[13:], _DOP853_A[13:]):
-            yc = y + h * _stage_sum(row, ks)
-            ks.append(np.asarray(traj.rhs(t + c * h, yc), dtype=float))
-        traj.n_rhs += 3
-        return np.stack([h * _stage_sum(row, ks) for row in _DOP853_D])
+        ks = np.empty((len(self.a), len(y)))
+        ks[:self.stages] = traj.dense[i]
+        for j in range(self.stages, len(self.a)):
+            ks[j] = traj.rhs(t + self.c[j] * h,
+                             y + h * _combine(self.a[j, :j], ks[:j]))
+        traj.n_rhs += len(self.a) - self.stages
+        return h * _combine(self.d, ks)
 
 
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -880,8 +888,9 @@ _DOP853_E3 = {**_DOP853_A[12], 0: _DOP853_A[12][0] - 0.2440944881889764,
               8: _DOP853_A[12][8] - 0.7338466882816118,
               11: _DOP853_A[12][11] - 0.022058823529411766}
 
-DOPRI5 = _Dopri5(_DP_C, _DP_A, -0.2, 5.0)
-DOP853 = _Dop853(_DOP853_C, _DOP853_A[:13], -1 / 8, 10.0)
+DOPRI5 = _Dopri5(_DP_C, _DP_A, 7, [_DP_E], [_DP_D], -0.2, 5.0)
+DOP853 = _Dop853(_DOP853_C, _DOP853_A, 13, [_DOP853_E5, _DOP853_E3],
+                 _DOP853_D, -1 / 8, 10.0)
 
 
 @dataclass
@@ -971,12 +980,14 @@ class Trajectory:
 def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajectory:
     """Integrate an :class:`OdeProblem` with its embedded pair.
 
-    One adaptive step loop serves both pairs: each attempt evaluates the
-    pair's stages, accepts the step when the scaled error norm is at most
-    1, and scales h by 0.9 err^(-1/(q+1)) within [0.2, grow] after an
-    accepted step (grow 5 for DOPRI5, 10 for DOP853) and within [0.1, 1]
-    after a rejected one.  A step with a non-finite stage is halved.
-    DOP853 refines the first step with one Euler probe.  Without
+    One adaptive step loop serves both pairs: each attempt holds the
+    pair's stages as the rows of one array, forms every stage input, error
+    and dense vector as one product with the pair's dense tableau rows,
+    accepts the step when the scaled error norm is at most 1, and scales h
+    by 0.9 err^(-1/(q+1)) within [0.2, grow] after an accepted step (grow 5
+    for DOPRI5, 10 for DOP853) and within [0.1, 1] after a rejected one.  A
+    step with a non-finite stage is halved; the RHS never sees a non-finite
+    input.  DOP853 refines the first step with one Euler probe.  Without
     non-finite stages, ``n_rhs`` is 1 + 6 (accepted + rejected) under
     DOPRI5 and 2 + 12 (accepted + rejected) under DOP853, before any dense
     stage is read.
@@ -1012,10 +1023,9 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
     def f(t, yy):
         nonlocal n_rhs
         n_rhs += 1
-        out = np.asarray(problem.rhs(t, yy), dtype=float)
-        return out
+        return problem.rhs(t, yy)
 
-    k1 = f(t0, y)
+    k1 = np.asarray(f(t0, y), dtype=float)
     scale0 = atol + rtol * np.abs(y)
 
     def rms(v):
@@ -1052,19 +1062,17 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
         if h < hmin:
             raise underflow(f"step size underflow at t={t:.6g}", nan_fail > 0)
 
-        ks = [k1]
-        bad = False
-        for i in range(1, len(pair.a)):
-            yi = y + h * _stage_sum(pair.a[i], ks)
-            if not np.all(np.isfinite(yi)):
-                bad = True
+        # a non-finite stage reaches the next input through the tableau's
+        # nonzero subdiagonal, so only the last stage needs its own check
+        ks = np.empty((pair.stages, y.size))
+        ks[0] = k1
+        for i in range(1, pair.stages):
+            yi = y + h * _combine(pair.a[i, :i], ks[:i])
+            bad = not np.isfinite(yi).all()
+            if bad:
                 break
-            ki = f(t + pair.c[i] * h, yi)
-            if not np.all(np.isfinite(ki)):
-                bad = True
-                break
-            ks.append(ki)
-        if bad:
+            ks[i] = f(t + pair.c[i] * h, yi)
+        if bad or not np.isfinite(ks[-1]).all():
             nan_fail += 1
             n_rejected += 1
             h *= 0.5
@@ -1083,8 +1091,8 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
             y = y_new
             k1 = ks[-1]
             ts.append(t)
-            ys.append(y.copy())
-            fs.append(k1.copy())
+            ys.append(y)
+            fs.append(k1.copy())          # not a view that keeps ks alive
             nan_fail = 0
             factor = pair.grow if err == 0.0 else min(
                 pair.grow, max(0.2, 0.9 * err ** pair.exponent))

@@ -170,7 +170,7 @@ def shape_operator_at(surface: SurfacePatch, uv):
     f = forms_at(surface, uv)
     W = np.linalg.solve(f.g, f.q)
     nj = surface.normal_jets(float(uv[0]), float(uv[1]), order=2)
-    dn = np.stack([nk.derivative_nd(nj, a).value for a in (0, 1)])
+    dn = nk.gradient(nj).value
     # coordinates of -n_u, -n_v in the tangent basis via the Gram system
     rhs = -(f.basis @ dn.T)
     W2 = np.linalg.solve(f.g, rhs)

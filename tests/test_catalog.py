@@ -28,7 +28,7 @@ def test_eval_expr_matches_math():
 
 def test_parse_expression_works_on_jets():
     fn = cat.parse_expression("exp(s)*s", variables=("s",))
-    j = fn(nk.Jet.variable(0.4, 0, 1, 2))
+    j = fn(nk.Jet.variables([0.4], 2)[0])
     assert j.value == pytest.approx(0.4 * math.exp(0.4), abs=1e-14)
     assert j.partial((1,)) == pytest.approx(1.4 * math.exp(0.4), abs=1e-14)
 

@@ -126,6 +126,24 @@ def test_circle_cost_block_is_deterministic(capsys):
                                          + cost["rejected_steps"])
 
 
+@pytest.mark.parametrize("argv", [
+    ("--curvature", "1", "--length", "6.283185307179586"),
+    ("--curvature", "1+0.3*s", "--torsion", "0.5", "--length", "5"),
+], ids=["plane", "space"])
+def test_reconstruct_cost_block_is_deterministic(capsys, argv):
+    _, first, _ = run(capsys, "curve", "reconstruct", *argv)
+    _, second, _ = run(capsys, "curve", "reconstruct", *argv)
+    assert first == second
+    cost = json.loads(first)["diagnostics"]["cost"]
+    assert list(cost) == ["solves", "accepted_steps", "rejected_steps",
+                          "rhs_evals"]
+    assert all(type(v) is int for v in cost.values())
+    # one DOPRI5 solve of the frame equations: 1 + 6 per attempted step
+    assert cost["solves"] == 1 and cost["accepted_steps"] > 0
+    assert cost["rhs_evals"] == 1 + 6 * (cost["accepted_steps"]
+                                         + cost["rejected_steps"])
+
+
 def test_distance_cost_block_is_deterministic(capsys):
     argv = ("geodesic", "distance", "--builtin", "lobachevsky_halfplane",
             "--from", "0,1", "--to", "3,1")

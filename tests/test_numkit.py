@@ -32,7 +32,7 @@ def test_jet_partials_match_hand_derivatives():
 
 
 def test_jet_division_and_sqrt():
-    t = nk.Jet.variable(2.0, 0, 1, 4)
+    t = nk.Jet.variables([2.0], 4)[0]
     j = nk.sqrt(t * t + 1.0) / t
     # d/dt sqrt(t^2+1)/t = 1/sqrt(t^2+1) - sqrt(t^2+1)/t^2 at t=2
     expected = 1 / math.sqrt(5) - math.sqrt(5) / 4
@@ -49,10 +49,82 @@ def test_sincos_is_sin_and_cos_bit_for_bit():
         assert c.coef.tobytes() == arg.cos().coef.tobytes()
 
 
+def _binom(p, k):
+    return math.prod(p - i for i in range(k)) / math.factorial(k)
+
+
+# closed-form univariate Taylor coefficients f^(k)(x) / k!, k = 0 .. 4
+_TAYLOR = {
+    "sin": lambda x: [np.sin(x), np.cos(x), -np.sin(x) / 2, -np.cos(x) / 6,
+                      np.sin(x) / 24],
+    "cos": lambda x: [np.cos(x), -np.sin(x), -np.cos(x) / 2, np.sin(x) / 6,
+                      np.cos(x) / 24],
+    "tan": lambda x: (lambda t: [t, 1 + t * t, t * (1 + t * t),
+                                 (1 + t * t) * (1 + 3 * t * t) / 3,
+                                 t * (1 + t * t) * (2 + 3 * t * t) / 3])(
+                                     np.tan(x)),
+    "exp": lambda x: [np.exp(x) / math.factorial(k) for k in range(5)],
+    "log": lambda x: [np.log(x)] + [(-1) ** (k - 1) / (k * x ** k)
+                                    for k in range(1, 5)],
+    "sqrt": lambda x: [_binom(0.5, k) * x ** (0.5 - k) for k in range(5)],
+    "sinh": lambda x: [np.sinh(x), np.cosh(x), np.sinh(x) / 2,
+                       np.cosh(x) / 6, np.sinh(x) / 24],
+    "cosh": lambda x: [np.cosh(x), np.sinh(x), np.cosh(x) / 2,
+                       np.sinh(x) / 6, np.cosh(x) / 24],
+    "reciprocal": lambda x: [(-1) ** k / x ** (k + 1) for k in range(5)],
+    "pow": lambda x: [_binom(1.7, k) * x ** (1.7 - k) for k in range(5)],
+}
+
+
+def _linear_image(c, w, nvars, order):
+    """Coefficients of f(x0 + w . t) from f's univariate coefficients c_k at
+    x0: slot alpha holds c_|alpha| |alpha|! / alpha! w^alpha."""
+    idx = nk._index_space(nvars, order)[0]
+    return np.stack([c[sum(a)] * math.factorial(sum(a))
+                     / math.prod(math.factorial(e) for e in a)
+                     * math.prod(wi ** e for wi, e in zip(w, a))
+                     for a in idx])
+
+
+@pytest.mark.parametrize("name", sorted(_TAYLOR))
+@pytest.mark.parametrize("batched", [False, True], ids=["unbatched", "lanes"])
+def test_elementary_functions_match_closed_form_taylor(name, batched):
+    # each function of a linear inner jet x0 + w . t against its closed-form
+    # univariate series, at every order and variable count
+    x0 = np.array([0.7, 1.3, 0.45, 1.05]) if batched else np.array(0.7)
+    w = (0.3, -0.6, 1.1)
+    for nvars, order in product(range(1, 4), range(nk.MAX_ORDER + 1)):
+        t = nk.Jet.variables(np.zeros((nvars,) + x0.shape), order)
+        inner = sum((ti * wi for ti, wi in zip(t[1:], w[1:])), t[0] * w[0]) + x0
+        got = (inner ** 1.7 if name == "pow" else getattr(inner, name)()).coef
+        ref = _linear_image(_TAYLOR[name](x0), w, nvars, order)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), \
+            (name, nvars, order)
+
+
+def test_compose1d_keeps_tensor_axes_of_the_outer():
+    # a 3-vector-valued outer series over 4 lanes, composed with a linear
+    # inner jet in 2 variables: slot alpha is outer_|alpha| |alpha|!/alpha!
+    # w^alpha, for every component and lane
+    rng = np.random.default_rng(5)
+    x0 = np.array([0.2, -0.4, 1.0, 0.6])
+    w = (0.8, -1.3)
+    for outer_order, order in ((4, 3), (2, 4), (3, 3), (0, 2)):
+        outer = nk.Jet(1, outer_order, rng.normal(size=(outer_order + 1, 3, 4)))
+        t = nk.Jet.variables(np.zeros((2, 4)), order)
+        inner = t[0] * w[0] + t[1] * w[1] + x0
+        got = nk.compose1d(outer, inner).coef
+        c = list(outer.coef) + [np.zeros((3, 4))] * (order - outer_order)
+        ref = _linear_image(c, w, 2, order)
+        assert got.shape == (len(ref), 3, 4)
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+
+
 def test_compose1d_chain_rule():
-    t = nk.Jet.variable(0.4, 0, 1, 3)
+    t = nk.Jet.variables([0.4], 3)[0]
     inner = t * t + 1.0
-    outer = nk.Jet.variable(inner.value, 0, 1, 3)
+    outer = nk.Jet.variables([inner.value], 3)[0]
     composed = nk.compose1d(nk.log(outer), inner)
     direct = nk.log(t * t + 1.0)
     assert np.allclose(composed.coef, direct.coef, atol=1e-14)
@@ -60,18 +132,18 @@ def test_compose1d_chain_rule():
 
 def test_invert_univariate_round_trip():
     t0 = 0.3
-    t = nk.Jet.variable(t0, 0, 1, 3)
+    t = nk.Jet.variables([t0], 3)[0]
     j = nk.exp(t) - 1.0                  # strictly monotone near t0
     inv = nk.invert_univariate(j, t0)
     back = nk.compose1d(inv, j)
-    ident = nk.Jet.variable(t0, 0, 1, 3)
+    ident = nk.Jet.variables([t0], 3)[0]
     assert np.allclose(back.coef, ident.coef, atol=1e-12)
     with pytest.raises(nk.PreconditionError):
-        nk.invert_univariate(nk.Jet.variable(t0, 0, 1, 4), t0)
+        nk.invert_univariate(nk.Jet.variables([t0], 4)[0], t0)
 
 
 def test_derivative_antiderivative_round_trip():
-    t = nk.Jet.variable(1.1, 0, 1, 3)
+    t = nk.Jet.variables([1.1], 3)[0]
     j = nk.sin(t) * t
     back = nk.derivative_nd(nk.antiderivative1d(j, 5.0), 0)
     assert np.allclose(back.coef, nk.truncate(j, 3).coef, atol=1e-14)
@@ -395,6 +467,49 @@ def test_integrate_ode_blowup_raises():
                          rtol=1e-10, atol=1e-12)
     with pytest.raises(nk.NumericalError):
         nk.integrate_ode(prob)
+
+
+def test_non_finite_stages_never_reach_the_rhs():
+    # the RHS turns NaN past t = 0.5: the solve fails with nan_seen, and no
+    # stage input it is called on is ever non-finite
+    seen = []
+
+    def rhs(t, y):
+        seen.append(np.isfinite(y).all())
+        return -y if t <= 0.5 else np.full_like(y, np.nan)
+
+    for pair in (nk.DOPRI5, nk.DOP853):
+        seen.clear()
+        with pytest.raises(nk.StepUnderflowError) as info:
+            nk.integrate_ode(nk.OdeProblem(rhs, np.ones(12), (0.0, 1.0),
+                                           pair=pair))
+        err = info.value
+        assert err.nan_seen and err.t <= 0.5
+        assert err.trajectory.n_rhs == len(seen) and all(seen)
+        assert err.trajectory.n_rejected > 0
+
+
+@pytest.mark.parametrize("pair,start,per_step", [(nk.DOPRI5, 1, 6),
+                                                 (nk.DOP853, 2, 12)],
+                         ids=["DOPRI5", "DOP853"])
+def test_rhs_counter_identity_with_error_index(pair, start, per_step):
+    # 12 floats, error norm over the first 4, with rejected steps: the
+    # counters obey the pair's identity, and the RHS is called n_rhs times
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        x, v = y[:2], y[2:4]         # an oscillator whose stiffness varies
+        return np.concatenate([v, -25.0 * (1.0 + 0.5 * np.sin(3.0 * t)) * x,
+                               np.cos(20.0 * t) * y[4:]])
+
+    traj = nk.integrate_ode(nk.OdeProblem(
+        rhs, np.linspace(1.0, 2.0, 12), (0.0, 3.0), 1e-10, 1e-12,
+        error_index=np.arange(4), pair=pair))
+    assert traj.n_rhs == len(calls)
+    assert traj.n_rhs == start + per_step * (traj.n_accepted
+                                             + traj.n_rejected)
+    assert traj.n_rejected > 0
 
 
 def test_richardson_even_powers():
