@@ -361,33 +361,35 @@ def _variational_rhs(chart: MetricChart, lanes: int, ncols: int,
     n = chart.dim
 
     def rhs(t, y):
-        # (n, 2 + 2 ncols, lanes) views of the state and of the derivative
-        z = y.reshape(lanes, 2 + 2 * ncols, n).transpose(2, 1, 0)
-        out = np.empty((lanes, 2 + 2 * ncols, n))
-        dz = out.transpose(2, 1, 0)
-        x, v = z[:, 0], z[:, 1]
+        # the state is lane-major, (lanes, 2 + 2 ncols, n); the kernels read
+        # it as one contiguous (2 + 2 ncols, n, lanes) copy, a view at one
+        # lane, and write the derivative in that layout too
+        z = np.ascontiguousarray(
+            y.reshape(lanes, 2 + 2 * ncols, n).transpose(1, 2, 0))
+        dz = np.empty_like(z)
+        x, v = z[0], z[1]
         inside = chart.contains(x, margin=-1e-9)
-        dz[:, 0] = v
+        dz[0] = v
         if not ncols:
             gamma = christoffel_at(chart, x)
-            dz[:, 1] = -np.einsum('kij...,i...,j...->k...', gamma, v, v)
+            dz[1] = -np.einsum('kij...,i...,j...->k...', gamma, v, v)
         else:
-            J, Jd = z[:, 2:2 + ncols], z[:, 2 + ncols:]       # (n, ncols, L)
+            J, Jd = z[2:2 + ncols], z[2 + ncols:]            # (ncols, n, L)
             # gv^k_j = Gamma^k_ij v^i, as one jet with v held constant,
             # serves acc and the linearized equation
             # Jdd^k = -dGamma^k_ij/dx_a J^a v^i v^j - 2 Gamma^k_ij v^i Jd^j
             Gv = christoffel_jet(chart, Jet.variables(x, 2), v)
             gv = Gv.value                                    # (k, j, L)
             dgvv = (Gv.grad() * v).sum(2)                    # (a, k, L)
-            dz[:, 1] = -(gv * v).sum(1)
-            dz[:, 2:2 + ncols] = Jd
-            dz[:, 2 + ncols:] = (-(dgvv[:, :, None] * J[:, None]).sum(0)
-                                 - 2.0 * (gv[:, :, None] * Jd).sum(1))
+            dz[1] = -(gv * v).sum(1)
+            dz[2:2 + ncols] = Jd
+            dz[2 + ncols:] = (-(dgvv * J[:, :, None]).sum(1)
+                              - 2.0 * (gv * Jd[:, None]).sum(2))
         if freeze:
-            inside &= np.isfinite(out).all(axis=(1, 2))
+            inside &= np.isfinite(dz).all(axis=(0, 1))
         if not inside.all():
-            out[~inside] = 0.0 if freeze else np.nan
-        return out.ravel()
+            dz[..., ~inside] = 0.0 if freeze else np.nan
+        return dz.transpose(2, 0, 1).ravel()
 
     return rhs
 
@@ -474,9 +476,10 @@ def _propagators(chart: MetricChart, curve, S, rtol=1e-10, atol=1e-12):
 
     def rhs(t, y):
         x, dx = curve(t)
+        # Gamma^k_ij dx^i first, then its product with the propagators;
         # row c of lane s holds column c of Phi_s
-        return -np.einsum('kijS,iS,Scj->Sck', christoffel_at(chart, x), dx,
-                          y.reshape(S, n, n)).ravel()
+        gdx = np.einsum('kijS,iS->kjS', christoffel_at(chart, x), dx)
+        return -np.einsum('kjS,Scj->Sck', gdx, y.reshape(S, n, n)).ravel()
 
     y0 = np.tile(np.eye(n), (S, 1, 1)).ravel()
     scale = math.sqrt(S)

@@ -361,13 +361,39 @@ class Jet:
         return self._compose(c)[0]
 
     def _cycle(self, f, g, sign, *starts):
-        """One jet per start (0: f, 1: g) of the derivative cycle f, g,
-        sign f, sign g, whose signs and 1/k! fold into one scale per term."""
-        ab = f(self.coef[0]), g(self.coef[0])
-        return self._compose(*[[_scaled(ab[(m + k) % 2],
-                                        sign ** ((m + k) // 2) * _INV_FACT[k])
-                                for k in range(self.order + 1)]
-                               for m in starts])
+        """One jet per start (0: f, 1: g) of a pair with f' = g, g' = sign f
+        (sin and cos, or sinh and cosh), by the addition theorem
+        f(x0 + u) = f0 C(u) + g0 S(u), g(x0 + u) = g0 C(u) + sign f0 S(u)
+        over the nilpotent u = self - x0, where C and S are the pair's even
+        and odd series at 0.  Both read one chain of powers u^2 .. u^order,
+        so order m costs m - 1 Taylor products for the whole pair."""
+        n = self.order
+        x0 = self.coef[0]
+        S = self.coef.copy()            # u, then S(u)
+        S[0] = 0.0
+        C = None                        # C(u) - 1
+        if n > 1:
+            _, _, (I, J, M), _, _ = _index_space(self.nvars, n)
+            uI, power = S[I], S
+            for k in range(2, n + 1):
+                power = _taylor_sum(M, uI * power[J])
+                term = power * (sign ** (k // 2) * _INV_FACT[k])
+                if k % 2:
+                    S += term
+                elif C is None:
+                    C = term
+                else:
+                    C += term
+        f0, g0 = f(x0), g(x0)
+        pairs = (f0, g0), (g0, sign * f0)
+        outs = []
+        for a, b in (pairs[m] for m in starts):
+            out = b * S
+            if C is not None:
+                out += a * C
+            out[0] += a
+            outs.append(Jet(self.nvars, n, out))
+        return outs
 
     def sin(self):
         return self._cycle(np.sin, np.cos, -1, 0)[0]

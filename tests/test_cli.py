@@ -110,6 +110,24 @@ def test_scalar_cost_block_is_deterministic(capsys):
                                          + cost["rejected_steps"])
 
 
+def test_scalar_3d_takes_the_sphere_area_route(capsys):
+    # a 3D chart reads tau off the areas of geodesic spheres: one 288-lane
+    # DOPRI5 fan (10 accepted steps, 61 RHS evaluations), no circle routes
+    argv = ("curvature", "scalar", "--builtin", "s3_round",
+            "--at", "0.2,-0.1,0.3")
+    _, first, _ = run(capsys, *argv)
+    _, second, _ = run(capsys, *argv)
+    assert first == second
+    doc = json.loads(first)
+    res, diag = doc["results"], doc["diagnostics"]
+    assert abs(res["tau"] - 6.0) <= diag["error_estimates"]["tau"]
+    assert res["tau_circle"] is None and res["tau_disk"] is None
+    cost = diag["cost"]
+    assert cost["solves"] == 1 and cost["accepted_steps"] > 0
+    assert cost["rhs_evals"] == 1 + 6 * (cost["accepted_steps"]
+                                         + cost["rejected_steps"])
+
+
 def test_circle_cost_block_is_deterministic(capsys):
     argv = ("geodesic", "circle", "--builtin", "sphere", "--at", "1.0,1.2",
             "--radius", "0.4")

@@ -302,7 +302,8 @@ def test_christoffel_jet_constructions(monkeypatch, halfplane, sphere_chart,
 def test_variational_rhs_peak_memory(s3):
     # deterministic cost guard: the numpy temporaries of one 2-column RHS
     # over a 288-lane s3_round fan (1,732 KB with the full symbols and
-    # their gradient; the contracted symbols need about 920 KB)
+    # their gradient; the contracted symbols need about 956 KB, 40 KB more
+    # since the RHS copies its state into contiguous lane blocks)
     rng = np.random.default_rng(0)
     z = rng.normal(size=(288, 6, 3)) * 0.3
     z[:, 0] = [0.2, -0.1, 0.3] + 0.05 * rng.normal(size=(288, 3))
@@ -315,6 +316,23 @@ def test_variational_rhs_peak_memory(s3):
     finally:
         tracemalloc.stop()
     assert peak <= 1100 * 1024
+
+
+@pytest.mark.parametrize("ncols", [0, 1, 2])
+@pytest.mark.parametrize("lanes", [2, 24, 288])
+def test_variational_rhs_is_batch_invariant_on_the_halfplane(halfplane,
+                                                             lanes, ncols):
+    # lane k of a wide RHS is the one-lane RHS of its own state, bit for
+    # bit; the pullback and s3_round metric reads round differently with
+    # the batch width, so only the half-plane holds this exactly
+    rng = np.random.default_rng(lanes + ncols)
+    z = rng.normal(size=(lanes, 2 + 2 * ncols, 2)) * 0.3
+    z[:, 0] = [0.3, 1.5] + 0.05 * rng.normal(size=(lanes, 2))
+    wide = ig._variational_rhs(halfplane, lanes, ncols)(0.0, z.ravel())
+    solo = ig._variational_rhs(halfplane, 1, ncols)
+    for k in (0, lanes // 2, lanes - 1):
+        assert np.array_equal(wide.reshape(z.shape)[k],
+                              solo(0.0, z[k].ravel()).reshape(z[k].shape))
 
 
 def test_distance_rhs_budget(halfplane, rhs_evals, monkeypatch):
