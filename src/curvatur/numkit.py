@@ -667,7 +667,7 @@ def _matrix_inv(m):
         raise PreconditionError(f"matrix inverse supports n = 2 or 3, got {n}")
     if not np.all(det):
         raise np.linalg.LinAlgError("Singular matrix")
-    return adj / det
+    return np.divide(adj, det, order="C")   # C order for the batched einsums
 
 
 # vector helpers on the component axis: axis 1 of a tensor-valued jet's
