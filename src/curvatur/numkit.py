@@ -15,8 +15,9 @@ then one (K x P) 0/1 matrix that sums them into their K output slots.  The
 triples are cached per (nvars, order) by :func:`_index_space`.  Batch axes
 of two operands broadcast as numpy broadcasts array axes, aligned from the
 right.  Elementary functions sum their series in Horner form over the
-nilpotent u - u0, and :func:`gradient` reads all first partials in one
-gather.  A jet whose batch axes start with tensor axes is a tensor-valued
+nilpotent u - u0, except sin, cos, sinh and cosh, whose pairs share one
+chain of powers of u through the addition theorem; :func:`gradient` reads
+all first partials in one gather.  A jet whose batch axes start with tensor axes is a tensor-valued
 jet, the one form of vectors and tensors of jets in the package:
 :func:`jet_stack` builds one from an evaluator's lists, :func:`jet_einsum`
 contracts two in a single batched pass, :func:`vdot` and :func:`vcross`
@@ -168,11 +169,6 @@ def _taylor_sum(M, terms):
 
 
 _INV_FACT = (1.0, 1.0, 1 / 2, 1 / 6, 1 / 24)      # 1 / k!, k = 0 .. MAX_ORDER
-
-
-def _scaled(x, f):
-    """``x * f``, skipping the product when f is 1."""
-    return x if f == 1 else x * f
 
 
 def _broadcast(a, b):
@@ -385,13 +381,14 @@ class Jet:
                 else:
                     C += term
         f0, g0 = f(x0), g(x0)
-        pairs = (f0, g0), (g0, sign * f0)
         outs = []
-        for a, b in (pairs[m] for m in starts):
-            out = b * S
+        for i, m in enumerate(starts):
+            a, b = (f0, g0) if m == 0 else (g0, sign * f0)
+            last = i == len(starts) - 1    # S and C are free to overwrite
+            out = np.multiply(b, S, out=S if last else None)
             if C is not None:
-                out += a * C
-            out[0] += a
+                out += np.multiply(a, C, out=C if last else None)
+            out[0] = a                  # S(0) = C(0) - 1 = 0
             outs.append(Jet(self.nvars, n, out))
         return outs
 
@@ -414,8 +411,7 @@ class Jet:
 
     def exp(self):
         e = np.exp(self.coef[0])
-        return self._compose([_scaled(e, f)
-                              for f in _INV_FACT[: self.order + 1]])[0]
+        return self._compose([e * f for f in _INV_FACT[: self.order + 1]])[0]
 
     def log(self):
         v = self.coef[0]

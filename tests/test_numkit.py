@@ -103,6 +103,17 @@ def test_elementary_functions_match_closed_form_taylor(name, batched):
             (name, nvars, order)
 
 
+@pytest.mark.parametrize("name", ["sinh", "cosh", "exp"])
+def test_order0_overflow_keeps_the_infinite_value(name):
+    # an order-0 jet is its value alone: sinh(800) is inf, and the empty
+    # higher series must not turn it into inf * 0 = nan
+    x = nk.Jet.variables([[800.0, -800.0, 0.3]], 0)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = getattr(x, name)().coef
+        ref = getattr(np, name)(x.coef[0])
+    assert np.array_equal(got, ref[None])
+
+
 def test_compose1d_keeps_tensor_axes_of_the_outer():
     # a 3-vector-valued outer series over 4 lanes, composed with a linear
     # inner jet in 2 variables: slot alpha is outer_|alpha| |alpha|!/alpha!

@@ -2,10 +2,12 @@
 
     python tools/cli_json_ab.py OLD_SRC NEW_SRC
 
-Runs every invocation in ``INVOCATIONS`` (the commands of the cost-block
-tests in ``tests/test_cli.py`` plus ``verify --suite all --format json``)
-as ``python -m curvatur.cli`` with each tree first on ``PYTHONPATH``, and
-prints every JSON leaf that differs, with its relative change.  A leaf is
+Runs every invocation in ``INVOCATIONS``, a fixed sample with at least
+one invocation of each command that reports a cost block plus ``verify
+--suite all --format json``, as ``python -m curvatur.cli`` with each tree
+first on ``PYTHONPATH``, and prints every JSON leaf that differs, with its
+relative change.  The sample is not derived from the test suite: a new
+command has to be added to it by hand.  A leaf is
 named by its path; a list item that carries a unique ``name`` is named by
 it, so an inserted check moves one leaf, not every later one.
 Exits 0 when no leaf moved, 1 when one did.  Standard library only.
