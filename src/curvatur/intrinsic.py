@@ -450,7 +450,7 @@ class TransportResult:
     cost: dict
 
 
-def _transport_gram_drift(chart, ts, xs, vecs):
+def _transport_gram_drift(chart, xs, vecs):
     g = chart.g_at(xs.T)                       # (n, n, S)
     gram = np.einsum('ijS,Sia,Sjb->Sab', g, vecs, vecs)
     scale = max(np.abs(gram[0]).max(), 1e-300)
@@ -570,7 +570,7 @@ def parallel_transport(chart: MetricChart, path, a0, rtol=1e-10,
     xs = np.stack([curve(t)[0] for t in taus[1:]], axis=1)    # (n, T-1, S)
     xs = np.vstack([start[None], xs.T.reshape(-1, n)])
     vecs = np.concatenate([A0[None], vecs.reshape(-1, n, k)])
-    drift = _transport_gram_drift(chart, ts, xs, vecs)
+    drift = _transport_gram_drift(chart, xs, vecs)
     final = vecs[-1]
     return TransportResult(chart, ts, xs, vecs,
                            final[:, 0] if single else final, kind, drift, cost)

@@ -1206,6 +1206,19 @@ class RichardsonResult:
     monotone: bool
 
 
+def halving_ladder(hs):
+    """``hs`` as a float array, checked to be a ladder :func:`richardson`
+    takes: at least two positive step sizes, each half the one before."""
+    hs = np.asarray(hs, dtype=float)
+    if hs.ndim != 1 or len(hs) < 2:
+        raise PreconditionError("ladder needs at least two rungs")
+    if not (hs > 0).all() or not np.allclose(hs[:-1] / hs[1:], 2.0,
+                                             rtol=1e-8):
+        raise PreconditionError("ladder must be positive and halve the step "
+                                "between rungs")
+    return hs
+
+
 def richardson(hs, fs, p=2, stride=None) -> RichardsonResult:
     """Richardson-extrapolate samples f(h) on a halving ladder of steps.
 
@@ -1220,13 +1233,10 @@ def richardson(hs, fs, p=2, stride=None) -> RichardsonResult:
     increments fail to shrink, which flags ladders whose asymptotic regime
     was not reached (callers surface this as a warning).
     """
-    hs = np.asarray(hs, dtype=float)
+    hs = halving_ladder(hs)
     fs = np.asarray(fs, dtype=float)
-    if len(hs) < 2 or len(fs) != len(hs):
-        raise PreconditionError("ladder needs at least two rungs, "
-                                "one sample each")
-    if not np.allclose(hs[:-1] / hs[1:], 2.0, rtol=1e-8):
-        raise PreconditionError("ladder must halve the step between rungs")
+    if len(fs) != len(hs):
+        raise PreconditionError("ladder needs one sample per rung")
     stride = p if stride is None else stride
     col, diag = fs, [fs[-1]]
     for j in range(1, len(fs)):

@@ -14,7 +14,11 @@ v-side first, is E + h^2 R(u, v) + O(h^3).  Two independent oracles are
 provided: parallelogram holonomy for the full tensor and geodesic-cube
 volumes for the Ricci form.  They reach Gamma and dGamma only through the
 geodesic and variational right-hand sides of :mod:`curvatur.intrinsic`;
-they never assemble curvature from the symbols.
+they never assemble curvature from the symbols.  Each reads its halving
+ladder of sizes h off one fan of geodesics out to the largest size (one
+fan per loop or cube), through the solver's dense output at h / max(h);
+the holonomy oracle then multiplies each rung's segment propagators
+pairwise.
 
 Fields (scalar, vector, covector, bilinear) are callables from coordinate
 jets to one tensor jet, which makes covariant derivatives composable to
@@ -27,6 +31,7 @@ tensor jet is contracted with the Christoffel jet through
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -125,6 +130,50 @@ def ricci_at(chart: ig.MetricChart, x, riem: Optional[RiemannAt] = None):
 _SIDE_SAMPLES = 24         # exponential-map points per parallelogram side
 
 
+def _base_point(chart, x):
+    """An oracle's base point, checked to lie in the chart's box before
+    any solve."""
+    x = np.asarray(x, dtype=float)
+    if not chart.contains(x[:, None])[0]:
+        raise PreconditionError("oracle base point lies outside the chart")
+    return x
+
+
+@contextmanager
+def _leaving_chart(what):
+    """Re-raise a solve that fails by leaving the chart (a NaN-driven step
+    underflow) as :class:`PreconditionError` naming ``what``."""
+    try:
+        yield
+    except nk.StepUnderflowError as e:
+        if not e.nan_seen:
+            raise
+        raise PreconditionError(f"the {what} leaves the chart") from e
+
+
+def _loop_tangents(u, v, h):
+    """The (4 S + 1, n) tangent vectors whose exponentials are the loop
+    vertices of rung h: S = ``_SIDE_SAMPLES`` per side of the parallelogram
+    spanned by (h u, h v), v-side first, and the closing zero."""
+    ss = np.linspace(0.0, 1.0, _SIDE_SAMPLES, endpoint=False)[:, None]
+    corners = h * np.array([np.zeros_like(u), v, u + v, u, np.zeros_like(u)])
+    return np.vstack([a + ss * (b - a)
+                      for a, b in zip(corners[:-1], corners[1:])]
+                     + [corners[-1:]])
+
+
+def _ordered_products(props):
+    """P_{m-1} ... P_1 P_0 of each stack (..., m, n, n), multiplied
+    pairwise (the later factor on the left, an odd last factor carried) in
+    log2(m) batched products."""
+    while props.shape[-3] > 1:
+        k = props.shape[-3] // 2
+        props = np.concatenate([props[..., 1:2 * k:2, :, :]
+                                @ props[..., 0:2 * k:2, :, :],
+                                props[..., 2 * k:, :, :]], axis=-3)
+    return props[..., 0, :, :]
+
+
 def riemann_holonomy_oracle(chart: ig.MetricChart, x, u, v,
                             hs=(0.1, 0.05, 0.025, 0.0125)):
     """R(u, v) as a matrix, from holonomy of shrinking parallelograms.
@@ -132,15 +181,22 @@ def riemann_holonomy_oracle(chart: ig.MetricChart, x, u, v,
     The loop exp_x of the boundary of the parallelogram spanned by
     (h u, h v), traversed v-side first, transports the coordinate basis to
     sigma(h) = E + h^2 R(u, v) + O(h^3); the quotient is Richardson
-    extrapolated over the halving ladder ``hs``.  The whole ladder costs
-    two solves: one exponential-map batch for the loop vertices of every
-    rung, and one batch of segment propagators
+    extrapolated over the halving ladder ``hs`` (largest first).  The whole
+    ladder costs two solves.  The loop vertices of every rung come from one
+    exponential-map fan of the largest rung's tangent vectors T, since
+    exp_x(s T) is the geodesic of T at time s: rung h reads the fan's dense
+    output at s = h / max(hs).  One batch of segment propagators
     (:func:`intrinsic._propagators`, each segment held to the transport
-    tolerance on its own) whose per-rung products are the
-    holonomies.  Parallel u, v give the zero operator by convention.
-    Returns (matrix, error_estimate).
+    tolerance on its own) follows, and each rung's holonomy is the ordered
+    product of its propagators, formed pairwise.  Parallel u, v give the
+    zero operator by convention.  A base point outside the box or a ladder
+    that :func:`nk.halving_ladder` rejects raises
+    :class:`PreconditionError` before any solve; a loop that leaves the
+    chart raises it too, chained from the solver's underflow.  Returns
+    (matrix, error_estimate).
     """
-    x = np.asarray(x, dtype=float)
+    x = _base_point(chart, x)
+    hs = nk.halving_ladder(hs)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     n = chart.dim
@@ -149,29 +205,18 @@ def riemann_holonomy_oracle(chart: ig.MetricChart, x, u, v,
     if np.linalg.det(gram) <= 1e-12 * max(gram[0, 0] * gram[1, 1], 1e-300):
         return np.zeros((n, n)), 0.0
 
-    ss = np.linspace(0.0, 1.0, _SIDE_SAMPLES, endpoint=False)
-    loops = []
-    for h in hs:
-        corners = [np.zeros(n), h * v, h * (u + v), h * u, np.zeros(n)]
-        loops += [a[None, :] + ss[:, None] * (b - a)[None, :]
-                  for a, b in zip(corners[:-1], corners[1:])]
-        loops.append(np.zeros((1, n)))
-    T = np.vstack(loops)                          # (rungs * (4 S + 1), n)
-    traj = ig._exp_batch(chart, x, T.T)
-    pts = traj.final.reshape(len(hs), -1, 2, n)[:, :, 0, :]
+    with _leaving_chart("holonomy loop"):
+        traj = ig._exp_batch(chart, x, _loop_tangents(u, v, hs[0]).T)
+    pts = traj.eval(hs / hs[0]).reshape(len(hs), -1, 2, n)[:, :, 0, :]
     x0 = np.ascontiguousarray(pts[:, :-1].reshape(-1, n).T)
     dq = np.ascontiguousarray(np.diff(pts, axis=1).reshape(-1, n).T)
     _, Phi, _ = ig._propagators(chart, lambda t: (x0 + t * dq, dq),
                                 x0.shape[1])
-    mats = []
-    for h, props in zip(hs, Phi[-1].reshape(len(hs), -1, n, n)):
-        M = np.eye(n)
-        for P in props:
-            M = P @ M
-        mats.append((M - np.eye(n)) / h ** 2)
+    M = _ordered_products(Phi[-1].reshape(len(hs), -1, n, n))
+    mats = (M - np.eye(n)) / hs[:, None, None] ** 2
 
     rr = nk.richardson(hs, mats, p=1, stride=1)
-    return rr.value, rr.error.max()
+    return rr.value, float(rr.error.max())
 
 
 # ---------------------------------------------------------------------------
@@ -219,17 +264,21 @@ def ricci_volume_oracle(chart: ig.MetricChart, x, hs=(0.2, 0.1, 0.05),
     satisfies 6 (h^n - V(h)) / h^(n+2) -> integral of rho(C xi, C xi) over
     the unit cube, a known linear functional of the Ricci entries.  Several
     cubes give a full-rank linear system; defects are Richardson
-    extrapolated in h before solving.  Returns (rho_matrix, error_estimate).
+    extrapolated in h before solving.  The base point, the ladder ``hs``
+    (in any order) and a cube that leaves the chart raise
+    :class:`PreconditionError` as in :func:`riemann_holonomy_oracle`.
+    Returns (rho_matrix, error_estimate).
     """
-    x = np.asarray(x, dtype=float)
+    x = _base_point(chart, x)
+    hs = nk.halving_ladder(sorted(hs, reverse=True))
     n = chart.dim
     E = chart.orthonormal_basis(x)
-    hs = sorted(hs, reverse=True)
 
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     rows, rhs, errs = [], [], []
     for C in _cube_systems(n):
-        vols = _cube_volume_ladder(chart, x, E @ C, hs, grid)
+        with _leaving_chart("geodesic cube"):
+            vols = _cube_volume_ladder(chart, x, E @ C, hs, grid)
         defect = [6.0 * (h ** n - vols[h]) / h ** (n + 2) for h in hs]
         rr = nk.richardson(hs, defect, p=1, stride=1)
         rhs.append(rr.value)

@@ -10,11 +10,12 @@ import curvatur.numkit as nk
 
 @pytest.fixture
 def solves(monkeypatch):
-    """A list that gains one entry per ``nk.integrate_ode`` call."""
+    """A list that gains the problem of each ``nk.integrate_ode`` call."""
     calls = []
     integrate = nk.integrate_ode
     monkeypatch.setattr(nk, "integrate_ode",
-                        lambda *a, **kw: calls.append(1) or integrate(*a, **kw))
+                        lambda problem, *a, **kw: calls.append(problem)
+                        or integrate(problem, *a, **kw))
     return calls
 
 

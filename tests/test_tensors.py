@@ -95,18 +95,106 @@ def test_holonomy_oracle_matches_components_3d(s3):
     assert np.abs(m - tn.riemann_at(s3, x).operator(u, v)).max() < 1e-3
 
 
-def test_holonomy_oracle_is_two_solves(halfplane, solves):
+def test_holonomy_oracle_is_two_solves(halfplane, solves, rhs_evals):
     tn.riemann_holonomy_oracle(halfplane, np.array([0.3, 2.0]),
                                np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     assert len(solves) == 2
+    # one exponential-map fan of 4 * 24 side samples and the closing zero,
+    # (x, v) per lane, serves every rung
+    assert solves[0].y0.size == 97 * 2 * 2
+    # 25 for the fan, 19 for the 384 propagators
+    assert len(rhs_evals) == 44
 
 
-def test_volume_oracle_matches_ricci():
-    chart = ig.pullback_metric(cat.builtin("sphere").build())
+@pytest.mark.parametrize("m", [1, 2, 7, 96])
+def test_ordered_products_match_the_sequential_chain(m):
+    # pairwise products sum in another order: equal to rounding
+    rng = np.random.default_rng(m)
+    props = np.eye(3) + 0.05 * rng.standard_normal((4, m, 3, 3))
+    for rung, got in zip(props, tn._ordered_products(props)):
+        want = np.eye(3)
+        for P in rung:
+            want = P @ want
+        assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
+
+
+@pytest.fixture(scope="module")
+def sphere():
+    return ig.pullback_metric(cat.builtin("sphere").build())
+
+
+# (chart fixture, base point, the two basis directions spanning the loop)
+_ORACLE_POINTS = [
+    ("halfplane", (0.3, 2.0), (0, 1)), ("halfplane", (-0.5, 0.8), (0, 1)),
+    ("halfplane", (0.7, 2.4), (0, 1)),
+    ("s3", (0.3, -0.2, 0.4), (0, 2)), ("s3", (0.0, 0.0, 0.0), (0, 1)),
+    ("s3", (-0.4, 0.4, 0.1), (1, 2)),
+    ("sphere", (1.0, 1.5), (0, 1)), ("sphere", (4.0, 1.6), (0, 1)),
+    ("sphere", (2.0, 1.45), (0, 1)),
+]
+
+
+@pytest.mark.parametrize("name, x, ij", _ORACLE_POINTS[::3])
+def test_holonomy_ladder_is_one_fan(name, x, ij, request):
+    # exp_x(s T) is the geodesic of T at time s, so the largest rung's fan
+    # read at s = h / max(hs) gives rung h's vertices
+    chart = request.getfixturevalue(name)
+    u, v = np.eye(chart.dim)[list(ij)]
+    T = tn._loop_tangents(u, v, 0.1).T
+    fan = ig._exp_batch(chart, np.array(x), T)
+    for s in (0.5, 0.25, 0.125):
+        alone = ig._exp_batch(chart, np.array(x), s * T).final
+        read = fan.eval(s)
+        assert np.abs((read - alone).reshape(-1, 2, chart.dim)[:, 0]).max() \
+            < 1e-9
+
+
+@pytest.mark.parametrize("name, x, ij", _ORACLE_POINTS)
+def test_holonomy_oracle_error_covers_true_error(name, x, ij, request):
+    chart = request.getfixturevalue(name)
+    x = np.array(x)
+    u, v = np.eye(chart.dim)[list(ij)]
+    m, err = tn.riemann_holonomy_oracle(chart, x, u, v)
+    assert isinstance(err, float)
+    assert err >= np.abs(m - tn.riemann_at(chart, x).operator(u, v)).max()
+
+
+@pytest.mark.parametrize("oracle, args", [
+    ("holonomy", ((9.0, 2.0),)), ("ricci", ((9.0, 2.0),)),
+    ("holonomy", ((0.3, 2.0), (0.1, 0.0))),
+    ("ricci", ((0.3, 2.0), (0.1, 0.0))),
+    ("holonomy", ((0.3, 2.0), (0.1,))),
+    ("holonomy", ((0.3, 2.0), (0.05, 0.1))),
+    ("holonomy", ((0.3, 2.0), (-0.1, -0.05))),
+])
+def test_oracles_reject_bad_input_before_solving(halfplane, solves, oracle,
+                                                 args):
+    e1, e2 = np.eye(2)
+    with pytest.raises(nk.PreconditionError, match="outside|ladder"):
+        if oracle == "holonomy":
+            x, *hs = args
+            tn.riemann_holonomy_oracle(halfplane, x, e1, e2, *hs)
+        else:
+            tn.ricci_volume_oracle(halfplane, *args)
+    assert not solves
+
+
+def test_oracles_report_leaving_the_chart(halfplane):
+    x = np.array([0.3, 0.06])             # 0.01 above the box's lower edge
+    with pytest.raises(nk.PreconditionError, match="loop leaves") as exc:
+        tn.riemann_holonomy_oracle(halfplane, x, *np.eye(2))
+    assert isinstance(exc.value.__cause__, nk.StepUnderflowError)
+    with pytest.raises(nk.PreconditionError, match="cube leaves") as exc:
+        tn.ricci_volume_oracle(halfplane, x)
+    assert isinstance(exc.value.__cause__, nk.StepUnderflowError)
+
+
+def test_volume_oracle_matches_ricci(sphere):
     x = np.array([2.0, 1.3])
-    ric = tn.ricci_at(chart, x)
-    rho, err = tn.ricci_volume_oracle(chart, x)
+    ric = tn.ricci_at(sphere, x)
+    rho, err = tn.ricci_volume_oracle(sphere, x)
     assert np.abs(rho - ric.rho).max() < 5e-3
+    assert isinstance(err, float)
 
 
 def test_second_bianchi_residual(halfplane):
