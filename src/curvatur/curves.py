@@ -12,8 +12,8 @@ from differencing the trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -169,56 +169,6 @@ def frenet_frame(curve: ParamCurve, t) -> FrenetFrame:
     return FrenetFrame(p, tang, normal, binormal, k, kappa)
 
 
-class NaturalCurve(ParamCurve):
-    """A curve reparametrized by arc length.
-
-    Evaluation solves s(t) = s by Newton iteration (the monotone arc length
-    function makes this safe), then transports the original jets through
-    the exact inverse-function jet, so derivatives with respect to arc
-    length are as accurate as the underlying quadrature.
-    """
-
-    def __init__(self, source: ParamCurve, tol=1e-12):
-        self.source = source
-        self._tol = tol
-        self.length = arc_length(source)
-        super().__init__(self._eval, (0.0, self.length), source.dim)
-
-    def t_of_s(self, s):
-        """Parameter value at arc length ``s`` (scalar)."""
-        lo, hi = self.source.domain
-        s = float(s)
-        if not -1e-9 <= s <= self.length + 1e-9:
-            raise PreconditionError("arc length outside [0, L]")
-        t = lo + (hi - lo) * min(max(s / self.length, 0.0), 1.0)
-        target = min(max(s, 0.0), self.length)
-        for _ in range(60):
-            g = arc_length(self.source, lo, t) - target
-            if abs(g) <= self._tol * max(1.0, self.length):
-                return t
-            t = min(max(t - g / speed(self.source, t), lo), hi)
-        raise nk.NonConvergenceError("arc length inversion stalled", best=t)
-
-    def _eval(self, s_jet: Jet):
-        s0 = np.atleast_1d(np.asarray(s_jet.value, dtype=float))
-        t0 = np.array([self.t_of_s(s) for s in s0.ravel()]).reshape(s0.shape)
-        if np.asarray(s_jet.value).ndim == 0:
-            t0 = t0[0]
-        order = s_jet.order
-        tj, = Jet.variables(np.asarray(t0, dtype=float)[None], order)
-        comps = self.source._evaluate(tj)
-        # jet of s(t) at t0: value s, higher coefficients from the speed
-        coef = np.zeros((order + 1,) + np.shape(tj.coef[0]))
-        coef[0] = s_jet.value
-        vel = nk.derivative_nd(comps, 0)
-        spj = nk.sqrt(nk.vdot(vel, vel))
-        for k in range(order):
-            coef[k + 1] = spj.coef[k] / (k + 1)
-        s_of_t = Jet(1, order, coef)
-        t_inv = nk.invert_univariate(s_of_t, t0)
-        return nk.compose1d(comps, nk.compose1d(t_inv, s_jet))
-
-
 class _FrameODECurve(ParamCurve):
     """Common plumbing for curves rebuilt from curvature data.
 
@@ -239,10 +189,12 @@ class _FrameODECurve(ParamCurve):
         return self._build(s_jet, s0, state)
 
 
-def _as_jet_fn(fn):
-    """Wrap user curvature data so constants and plain callables both work."""
-
-    return lambda s_jet: nk.as_jet(fn(s_jet), s_jet)
+def _as_fn(data):
+    """Curvature data as a callable of s: a constant c becomes s -> c."""
+    if callable(data):
+        return data
+    const = float(data)
+    return lambda s: const
 
 
 def reconstruct_plane_curve(kbar, s_max, rtol=1e-10, atol=1e-12) -> ParamCurve:
@@ -252,10 +204,7 @@ def reconstruct_plane_curve(kbar, s_max, rtol=1e-10, atol=1e-12) -> ParamCurve:
     or a callable accepting jets (any evaluator composed of numkit
     operations qualifies).
     """
-    if not callable(kbar):
-        const = float(kbar)
-        kbar = lambda s: const  # noqa: E731 - tiny adaptor
-    kfn = _as_jet_fn(kbar)
+    kbar = _as_fn(kbar)
 
     def rhs(s, y):
         k = float(nk.value_of(kbar(s)))
@@ -267,8 +216,9 @@ def reconstruct_plane_curve(kbar, s_max, rtol=1e-10, atol=1e-12) -> ParamCurve:
     def build(s_jet, s0, state):
         alpha0 = state[..., 2]
         order = s_jet.order
-        kj = kfn(Jet.variables(np.asarray(s0, dtype=float)[None],
-                               max(order - 1, 1))[0])
+        sj = Jet.variables(np.asarray(s0, dtype=float)[None],
+                           max(order - 1, 1))[0]
+        kj = nk.as_jet(kbar(sj), sj)
         acoef = np.zeros((order + 1,) + np.shape(alpha0))
         acoef[0] = alpha0
         for k in range(min(order, kj.order + 1)):
@@ -290,13 +240,7 @@ def reconstruct_space_curve(kbar, taubar, s_max, rtol=1e-10, atol=1e-12) -> Para
     starting from the origin with the standard frame (e1, e2, e3).
     ``kbar`` must stay positive on [0, s_max].
     """
-    if not callable(kbar):
-        kconst = float(kbar)
-        kbar = lambda s: kconst  # noqa: E731
-    if not callable(taubar):
-        tconst = float(taubar)
-        taubar = lambda s: tconst  # noqa: E731
-    kfn, tfn = _as_jet_fn(kbar), _as_jet_fn(taubar)
+    kbar, taubar = _as_fn(kbar), _as_fn(taubar)
 
     def rhs(s, y):
         x, v, n = y[0:3], y[3:6], y[6:9]
@@ -318,7 +262,7 @@ def reconstruct_space_curve(kbar, taubar, s_max, rtol=1e-10, atol=1e-12) -> Para
         n = state[..., 6:9]
         b = np.cross(v, n)
         s1 = Jet.variables(np.asarray(s0, dtype=float)[None], 2)[0]
-        kj, tj = kfn(s1), tfn(s1)
+        kj, tj = (nk.as_jet(f(s1), s1) for f in (kbar, taubar))
         # k, k' and tau, broadcast against the frame vectors' last axis
         k0, k1, tau0 = (np.asarray(a)[..., None]
                         for a in (kj.value, kj.partial((1,)), tj.value))

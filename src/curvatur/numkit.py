@@ -459,31 +459,6 @@ def compose1d(outer: Jet, inner: Jet) -> Jet:
     return Jet(inner.nvars, inner.order, u)._compose(c)[0]
 
 
-def invert_univariate(j: Jet, t0: float) -> Jet:
-    """Jet of the inverse function of a univariate jet.
-
-    Given the jet of s(t) at t0 (with s'(t0) != 0), returns the jet of the
-    inverse t(s) at s0 = s(t0), carrying t0 as its value.  Supports order
-    up to 3, which covers reparametrization of curves.
-    """
-    if j.nvars != 1:
-        raise PreconditionError("inversion needs a univariate jet")
-    if j.order > 3:
-        raise PreconditionError("inversion implemented through order 3")
-    s1 = j.partial((1,))
-    derivs = [np.asarray(t0, dtype=float), 1.0 / s1]
-    if j.order >= 2:
-        s2 = j.partial((2,))
-        derivs.append(-s2 / s1 ** 3)
-    if j.order >= 3:
-        s3 = j.partial((3,))
-        derivs.append((3 * s2 ** 2 - s1 * s3) / s1 ** 5)
-    coef = np.zeros_like(j.coef)
-    for k in range(j.order + 1):
-        coef[k] = derivs[k] / math.factorial(k) if k < len(derivs) else 0.0
-    return Jet(1, j.order, coef)
-
-
 # dispatching math functions: work on jets, floats and arrays alike
 
 def _dispatch(name):

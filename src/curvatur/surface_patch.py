@@ -1,10 +1,10 @@
 """Extrinsic geometry of cooriented surface patches in R^3.
 
 A patch is an immersion evaluator on a rectangle, differentiated by jets.
-Everything extrinsic lives here: fundamental forms, the shape operator
-(computed two independent ways and cross-checked), principal and section
-curvatures with a plane-slicing oracle, areas, offset surfaces, and total
-curvature integrals with their offset-area expansion check.
+Everything extrinsic lives here: fundamental forms, principal curvatures
+as the eigenvalues of the second fundamental form against the first,
+section curvatures with a plane-slicing oracle, areas, offset surfaces, and
+total curvature integrals with their offset-area expansion check.
 
 Orientation matters throughout: the default unit normal is
 r_u x r_v / |r_u x r_v| and can be flipped per patch.  Every report records
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -149,36 +148,6 @@ def forms_at(surface: SurfacePatch, uv) -> FormsAtPoint:
     ruu, ruv, rvv = (js.partial(a) for a in ((2, 0), (1, 1), (0, 2)))
     q = np.array([[ruu @ n, ruv @ n], [ruv @ n, rvv @ n]])
     return FormsAtPoint(p, np.stack([ru, rv]), n, g, q, surface.orientation)
-
-
-_ROUTE_TOL = 1e-10         # agreement of the two shape-operator routes
-
-
-def shape_operator_at(surface: SurfacePatch, uv):
-    """Shape operator matrix in the (r_u, r_v) basis.
-
-    Computes g^{-1} q and independently the matrix sending coordinates of a
-    tangent vector a to coordinates of the normal's directional derivative
-    -dn/da (from unit-normal jets).  The two routes must agree to
-    ``_ROUTE_TOL`` relative; their disagreement is returned for diagnostics.
-
-    Returns
-    -------
-    W : ndarray (2, 2)
-    route_residual : float
-    """
-    f = forms_at(surface, uv)
-    W = np.linalg.solve(f.g, f.q)
-    nj = surface.normal_jets(float(uv[0]), float(uv[1]), order=2)
-    dn = nk.gradient(nj).value
-    # coordinates of -n_u, -n_v in the tangent basis via the Gram system
-    rhs = -(f.basis @ dn.T)
-    W2 = np.linalg.solve(f.g, rhs)
-    resid = float(np.abs(W - W2).max() / max(1.0, np.abs(W).max()))
-    if resid > _ROUTE_TOL:
-        raise VerificationError(
-            f"shape operator routes disagree by {resid:.3g} at {uv}")
-    return W, resid
 
 
 @dataclass

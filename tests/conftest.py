@@ -1,6 +1,8 @@
 """Shared fixtures."""
 
 import dataclasses
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,3 +52,12 @@ def quad_grids(monkeypatch):
 
     monkeypatch.setattr(nk, "quadrature2d", recorded)
     return calls
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    """The benchmark's ``perfbench/tracer.py`` module, freshly imported."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    import tracer
+    return tracer

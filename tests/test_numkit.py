@@ -141,18 +141,6 @@ def test_compose1d_chain_rule():
     assert np.allclose(composed.coef, direct.coef, atol=1e-14)
 
 
-def test_invert_univariate_round_trip():
-    t0 = 0.3
-    t = nk.Jet.variables([t0], 3)[0]
-    j = nk.exp(t) - 1.0                  # strictly monotone near t0
-    inv = nk.invert_univariate(j, t0)
-    back = nk.compose1d(inv, j)
-    ident = nk.Jet.variables([t0], 3)[0]
-    assert np.allclose(back.coef, ident.coef, atol=1e-12)
-    with pytest.raises(nk.PreconditionError):
-        nk.invert_univariate(nk.Jet.variables([t0], 4)[0], t0)
-
-
 def test_derivative_antiderivative_round_trip():
     t = nk.Jet.variables([1.1], 3)[0]
     j = nk.sin(t) * t

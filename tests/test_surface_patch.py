@@ -67,14 +67,6 @@ def test_saddle_origin(sphere):
     assert rep.lam_minus == pytest.approx(-1.0, abs=1e-12)
 
 
-def test_shape_operator_self_adjoint(torus):
-    w, residual = sp.shape_operator_at(torus, (1.3, 2.1))
-    assert residual < 1e-10
-    forms = sp.forms_at(torus, (1.3, 2.1))
-    gw = forms.g @ w
-    assert np.allclose(gw, gw.T, atol=1e-10)
-
-
 def test_euler_formula_section_curvatures(torus):
     uv = (0.9, 1.4)
     rep = sp.principal_at(torus, uv)

@@ -3,13 +3,14 @@
     python tools/cli_json_ab.py OLD_SRC NEW_SRC
 
 Runs every invocation in ``INVOCATIONS``, a fixed sample with at least
-one invocation of each command that reports a cost block plus ``verify
---suite all --format json``, as ``python -m curvatur.cli`` with each tree
-first on ``PYTHONPATH``, and prints every JSON leaf that differs, with its
-relative change.  The sample is not derived from the test suite: a new
-command has to be added to it by hand.  A leaf is
-named by its path; a list item that carries a unique ``name`` is named by
-it, so an inserted check moves one leaf, not every later one.
+one invocation of each command that reports a cost block, ``curve
+analyze`` and ``surface report`` (the curve and surface modules' own
+commands) and ``verify --suite all --format json``, as ``python -m
+curvatur.cli`` with each tree first on ``PYTHONPATH``, and prints every
+JSON leaf that differs, with its relative change.  The sample is not
+derived from the test suite: a new command has to be added to it by hand.
+A leaf is named by its path; a list item that carries a unique ``name`` is
+named by it, so an inserted check moves one leaf, not every later one.
 Exits 0 when no leaf moved, 1 when one did.  Standard library only.
 """
 
@@ -36,6 +37,8 @@ INVOCATIONS = (
      "--via", "1.0,1.0", "--via", "1.4,0.6", "--vector", "1,0"),
     ("transport", "holonomy", "--builtin", "lobachevsky_halfplane",
      "--loop", "0,1", "--loop", "1,1", "--loop", "1,2", "--loop", "0,2"),
+    ("curve", "analyze", "--builtin", "helix", "--at", "0.5", "--at", "1.5"),
+    ("surface", "report", "--builtin", "torus", "--at", "1.3,2.1"),
     ("verify", "--suite", "all", "--format", "json"),
 )
 
