@@ -124,8 +124,7 @@ def _emit_csv(args, header, rows):
 def _error_doc(command, exc, extra=None):
     info = {"type": type(exc).__name__, "message": str(exc)}
     # diagnostic state carried by numerical failures (see numkit)
-    for key in ("t", "y", "nan_seen", "estimate", "error_estimate", "best",
-                "residual"):
+    for key in ("t", "y", "estimate", "error_estimate", "best", "residual"):
         if getattr(exc, key, None) is not None:
             info[key] = getattr(exc, key)
     if extra:

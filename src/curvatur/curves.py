@@ -179,6 +179,9 @@ class _FrameODECurve(ParamCurve):
     """
 
     def __init__(self, traj, dim, s_max, jet_builder):
+        if traj.stopped:        # kbar non-finite, or <= 0 for a space curve
+            raise PreconditionError("the frame equations turn non-finite "
+                                    f"near s={traj.ts[-1]:.6g}")
         self.trajectory = traj
         self._build = jet_builder
         super().__init__(self._eval, (0.0, s_max), dim)

@@ -300,8 +300,9 @@ def geodesic_trace(chart: MetricChart, x0, v0, length, rtol=1e-10,
     """Trace the unit-speed geodesic from x0 in direction v0 for ``length``.
 
     The initial velocity is normalized in g, so the parameter is arc
-    length.  If the trace leaves the coordinate box the path is truncated
-    at the last state inside and marked with reason "domain-exit".
+    length.  A trace that leaves the coordinate box stops (its stages turn
+    NaN 1e-9 past the box) and is cut, by bisection, at the last state
+    inside, with reason "domain-exit".
     """
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -314,15 +315,9 @@ def geodesic_trace(chart: MetricChart, x0, v0, length, rtol=1e-10,
     n = chart.dim
     y0 = np.concatenate([x0, v0])
     rhs = _variational_rhs(chart, 1, 0)
-    reason = "completed"
-    try:
-        traj = nk.integrate_ode(nk.OdeProblem(rhs, y0, (0.0, float(length)),
-                                              rtol, atol, pair=nk.DOP853))
-    except nk.StepUnderflowError as e:
-        if not e.nan_seen:
-            raise
-        traj = e.trajectory
-        reason = "domain-exit"
+    traj = nk.integrate_ode(nk.OdeProblem(rhs, y0, (0.0, float(length)),
+                                          rtol, atol, pair=nk.DOP853))
+    reason = "domain-exit" if traj.stopped else "completed"
 
     ts, ys = traj.ts, traj.ys
     inside = chart.contains(ys[:, :n].T)
@@ -402,10 +397,11 @@ def _exp_batch(chart: MetricChart, P, U, dU=None, rtol=1e-10, atol=1e-12,
     (ncols, n, L), the derivative of the initial velocity in each variation
     parameter, each lane also carries the columns J = dx/d(param_c), with
     J(0) = 0 and Jdot(0) = dU.  With ``freeze`` lanes stop outside the box
-    (see :func:`_variational_rhs`).  Unless ``steer``, the error norm covers
-    x and v only and the columns, which solve a linear equation along each
-    lane, leave step control to the geodesics (as sensitivities do in
-    CVODES).  Returns the trajectory; states reshape as (L, 2 + 2 ncols, n).
+    (see :func:`_variational_rhs`); else one that leaves stops the solve.
+    Unless ``steer``, the error norm covers x and v only and the columns,
+    which solve a linear equation along each lane, leave step control to
+    the geodesics (as sensitivities do in CVODES).  Returns the trajectory,
+    ``stopped`` or not; states reshape as (L, 2 + 2 ncols, n).
     """
     n = chart.dim
     L = U.shape[1]
@@ -490,6 +486,9 @@ def _propagators(chart: MetricChart, curve, S, rtol=1e-10, atol=1e-12):
     scale = math.sqrt(S)
     traj = nk.integrate_ode(nk.OdeProblem(rhs, y0, (0.0, 1.0), rtol / scale,
                                           atol / scale))
+    if traj.stopped:
+        raise PreconditionError("the Christoffel symbols turn non-finite "
+                                f"along the path near tau={traj.ts[-1]:.6g}")
     return (traj.ts, traj.ys.reshape(len(traj.ts), S, n, n).swapaxes(-2, -1),
             dict(zip(_COST, _counters(traj))))
 
@@ -626,10 +625,6 @@ def holonomy(chart: MetricChart, loop) -> HolonomyResult:
 _FAN_RTOL = 1e-10                           # rtol of every Jacobi fan
 
 
-class _FanExit(Exception):
-    """A fan failed; args[0]: the share of its radius every lane kept in."""
-
-
 def fan_samples(samples):
     """Check a fan's direction count M, an even integer >= 8: M directions
     per geodesic circle, M azimuths by M/2 polar nodes per sphere."""
@@ -647,29 +642,26 @@ def _jacobi_elements(chart: MetricChart, P, radii, U, dU, steer, cost=None):
     One variational fan out to the largest radius carries the Jacobi
     columns J = d exp_P(r U) / d(params), every radius is read off its
     dense output, and one metric read gives sqrt(det(J^T g J)), shape
-    (radii, L).  ``steer`` goes to :func:`_exp_batch`.
-    Given ``cost`` (int array, ``_COST``) it adds its counters, and a failed
-    solve (the exit's cause) or an accepted node outside the box raises
-    :class:`_FanExit`.
+    (radii, L).  ``steer`` goes to :func:`_exp_batch`; ``cost`` (int array,
+    ``_COST``) gains the counters.  A fan that stops or has a node outside
+    the box raises :class:`PreconditionError` with ``reach``, the share of
+    the largest radius that all lanes kept inside.
     """
     radii = np.asarray(radii, dtype=float)
     rmax = radii.max()
     n = chart.dim
     c, _, L = dU.shape
-    try:
-        traj, failed = _exp_batch(
-            chart, P, rmax * U, rmax * dU, _FAN_RTOL, steer=steer), None
-    except nk.StepUnderflowError as e:
-        if cost is None:
-            raise
-        traj, failed = e.trajectory, e
+    traj = _exp_batch(chart, P, rmax * U, rmax * dU, _FAN_RTOL, steer=steer)
     if cost is not None:
         cost += _counters(traj)
-        x = traj.ys.reshape(len(traj.ts), L, 2 + 2 * c, n)[:, :, 0]
-        inside = np.append(chart.contains(x.T).all(axis=0), failed is None)
-        if not inside.all():     # reach: the node before the first one out
-            raise _FanExit(traj.ts[max(np.argmin(inside) - 1, 0)]) \
-                from failed
+    x = traj.ys.reshape(len(traj.ts), L, 2 + 2 * c, n)[:, :, 0]
+    inside = np.append(chart.contains(x.T).all(axis=0), not traj.stopped)
+    if not inside.all():         # reach: the node before the first one out
+        reach = traj.ts[max(np.argmin(inside) - 1, 0)]
+        exc = PreconditionError("the geodesic fan leaves the chart; all lanes "
+                                f"stay inside to radius {reach * rmax:.6g}")
+        exc.reach = reach
+        raise exc
     z = traj.eval(radii / rmax).reshape(len(radii), L, 2 + 2 * c, n)
     J = z[:, :, 2:2 + c]                                  # (R, L, c, n)
     gram = np.einsum('RLcn,nmRL,RLdm->RLcd', J,
@@ -759,11 +751,8 @@ def geodesic_circle(chart: MetricChart, P, R, samples=24) -> CircleResult:
         raise PreconditionError("radius must be positive")
     delta = 1e-3 * R
     counts = np.zeros(len(_COST), int)
-    try:
-        lengths, areas, errors = circles_and_disks(
-            chart, P, (R - delta, R, R + delta), samples, counts)
-    except _FanExit as e:       # the solver's own error, where it failed
-        raise e.__cause__ or PreconditionError("the circle leaves the chart")
+    lengths, areas, errors = circles_and_disks(
+        chart, P, (R - delta, R, R + delta), samples, counts)
     dS = (areas[R + delta] - areas[R - delta]) / (2 * delta)
     resid = abs(dS - lengths[R]) / max(abs(lengths[R]), 1e-300)
     warnings = []
@@ -828,8 +817,10 @@ def scalar_curvature_estimate(chart: MetricChart, P, r0=0.2, rungs=3,
         try:
             out = fan(chart, P, ladder, samples, cost=counts)
             break
-        except _FanExit as e:   # the largest r0 / 2^k within its reach
-            k += max(1, math.ceil(-math.log2(max(e.args[0], 2.0 ** -8))))
+        except PreconditionError as e:  # the largest r0 / 2^k in its reach
+            if not hasattr(e, "reach"):
+                raise
+            k += max(1, math.ceil(-math.log2(max(e.reach, 2.0 ** -8))))
     else:
         raise PreconditionError("no usable circle radius inside the domain")
 
@@ -984,13 +975,12 @@ def _shoot(chart, P, Q, E, first, pair, tol, max_iter, out, cost=None):
                 chart, P[p].T, np.einsum('Lic,Lc->iL', El, W),
                 np.transpose(El, (2, 1, 0))[:c], rtol, 1e-2 * rtol,
                 freeze=True, steer=False, pair=rk)
-            z = traj.final
         except nk.StepUnderflowError as e:
-            traj, z = e.trajectory, np.full(len(lanes) * (2 + 2 * c) * n,
-                                            np.nan)
+            traj = e.trajectory
         if cost is not None:
             cost += _counters(traj)
-        z = z.reshape(len(lanes), 2 + 2 * c, n)
+        z = np.where(traj.stopped, np.nan, traj.final).reshape(
+            len(lanes), 2 + 2 * c, n)
         X = z[:, 0]
         Jac = np.swapaxes(z[:, 2:2 + c], 1, 2) if c else jac[lanes]
         lane_miss = np.abs(X - Q[p]).max(axis=1)

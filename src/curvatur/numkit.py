@@ -61,7 +61,8 @@ class NumericalError(Exception):
 
 
 class StepUnderflowError(NumericalError):
-    """Raised when the adaptive step controller cannot make progress.
+    """Raised when error control stalls; a solve stopped by non-finite
+    stages returns instead (:func:`integrate_ode`).
 
     Attributes
     ----------
@@ -69,19 +70,14 @@ class StepUnderflowError(NumericalError):
         Time of the last accepted state.
     y : ndarray
         Last accepted state vector.
-    nan_seen : bool
-        True when failure was driven by NaN/inf in the right hand side
-        (typically the trajectory left the domain of the problem), False
-        when the error estimate itself refused to shrink.
     trajectory : Trajectory
         The accepted steps up to ``t``, with their dense output.
     """
 
-    def __init__(self, message, t, y, nan_seen, trajectory):
+    def __init__(self, message, t, y, trajectory):
         super().__init__(message)
         self.t = t
         self.y = np.asarray(y)
-        self.nan_seen = nan_seen
         self.trajectory = trajectory
 
 
@@ -898,8 +894,8 @@ class OdeProblem:
     ----------
     rhs : callable (t, y) -> ndarray
         Right hand side; must return an array of ``y``'s shape.  NaN or inf
-        in the output makes the controller shrink the step, so evaluating
-        slightly outside the natural domain is tolerated.
+        in the output halves the step, so evaluating slightly outside the
+        natural domain is tolerated, and a solve that cannot pass them stops.
     y0 : ndarray
         Initial state (flat vector).
     t_span : (float, float)
@@ -943,7 +939,8 @@ class Trajectory:
     everywhere and returns ``ys`` exactly at the nodes.  ``n_rhs`` counts
     right-hand-side evaluations, dense stages included, ``n_accepted``
     accepted steps and ``n_rejected`` steps retried with a smaller size
-    (failed error test or non-finite stage).
+    (failed error test or non-finite stage).  ``stopped`` marks a solve
+    that ended before the end of its span, at the last accepted node.
     """
 
     ts: np.ndarray
@@ -955,6 +952,7 @@ class Trajectory:
     n_rhs: int = 0
     n_accepted: int = 0
     n_rejected: int = 0
+    stopped: bool = False
 
     @property
     def final(self):
@@ -984,10 +982,11 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
     by 0.9 err^(-1/(q+1)) within [0.2, grow] after an accepted step (grow 5
     for DOPRI5, 10 for DOP853) and within [0.1, 1] after a rejected one.  A
     step with a non-finite stage is halved; the RHS never sees a non-finite
-    input.  DOP853 refines the first step with one Euler probe.  Without
-    non-finite stages, ``n_rhs`` is 1 + 6 (accepted + rejected) under
-    DOPRI5 and 2 + 12 (accepted + rejected) under DOP853, before any dense
-    stage is read.
+    input, and once the halved step is below its floor the solve stops: it
+    returns its accepted part marked ``stopped``.  DOP853 refines the first
+    step with one Euler probe.  Without non-finite stages, ``n_rhs`` is
+    1 + 6 (accepted + rejected) under DOPRI5 and 2 + 12 (accepted +
+    rejected) under DOP853, before any dense stage is read.
 
     Parameters
     ----------
@@ -1002,9 +1001,8 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
     Raises
     ------
     StepUnderflowError
-        When the controller cannot make progress; the exception carries the
-        accepted part of the trajectory, its last state and whether NaNs
-        drove the failure.
+        When error control stalls; the exception carries the accepted part
+        of the trajectory, marked ``stopped``, and its last state.
     """
     t0, t1 = map(float, problem.t_span)
     if not t1 > t0:
@@ -1040,13 +1038,10 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
     nan_fail = 0
     n_rejected = 0
 
-    def trajectory():
+    def trajectory(stopped=False):
         return Trajectory(np.array(ts), np.array(ys), np.array(fs), dense,
-                          pair, problem.rhs, n_rhs=n_rhs,
-                          n_accepted=len(ts) - 1, n_rejected=n_rejected)
-
-    def underflow(message, nan_seen):
-        return StepUnderflowError(message, t, y, nan_seen, trajectory())
+                          pair, problem.rhs, n_rhs, len(ts) - 1, n_rejected,
+                          stopped)
 
     while t < t1 - hmin:
         while hit_i < len(hits) and hits[hit_i] <= t + hmin:
@@ -1057,7 +1052,10 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
             h = target - t
             clamped = True
         if h < hmin:
-            raise underflow(f"step size underflow at t={t:.6g}", nan_fail > 0)
+            if nan_fail:
+                return trajectory(True)
+            raise StepUnderflowError(f"step size underflow at t={t:.6g}", t,
+                                     y, trajectory(True))
 
         # a non-finite stage reaches the next input through the tableau's
         # nonzero subdiagonal, so only the last stage needs its own check
@@ -1074,8 +1072,7 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
             n_rejected += 1
             h *= 0.5
             if h < hmin:
-                raise underflow("right hand side produced non-finite values "
-                                f"near t={t:.6g}", True)
+                return trajectory(True)
             continue
 
         y_new = yi  # the last stage's state is the solution (FSAL)
@@ -1100,7 +1097,8 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
             n_rejected += 1
             h *= min(1.0, max(0.1, 0.9 * err ** pair.exponent))
             if h < hmin:
-                raise underflow(f"error control stalled at t={t:.6g}", False)
+                raise StepUnderflowError(f"error control stalled at t={t:.6g}",
+                                         t, y, trajectory(True))
 
     return trajectory()
 

@@ -31,7 +31,6 @@ tensor jet is contracted with the Christoffel jet through
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -139,18 +138,6 @@ def _base_point(chart, x):
     return x
 
 
-@contextmanager
-def _leaving_chart(what):
-    """Re-raise a solve that fails by leaving the chart (a NaN-driven step
-    underflow) as :class:`PreconditionError` naming ``what``."""
-    try:
-        yield
-    except nk.StepUnderflowError as e:
-        if not e.nan_seen:
-            raise
-        raise PreconditionError(f"the {what} leaves the chart") from e
-
-
 def _loop_tangents(u, v, h):
     """The (4 S + 1, n) tangent vectors whose exponentials are the loop
     vertices of rung h: S = ``_SIDE_SAMPLES`` per side of the parallelogram
@@ -191,9 +178,8 @@ def riemann_holonomy_oracle(chart: ig.MetricChart, x, u, v,
     product of its propagators, formed pairwise.  Parallel u, v give the
     zero operator by convention.  A base point outside the box or a ladder
     that :func:`nk.halving_ladder` rejects raises
-    :class:`PreconditionError` before any solve; a loop that leaves the
-    chart raises it too, chained from the solver's underflow.  Returns
-    (matrix, error_estimate).
+    :class:`PreconditionError` before any solve; a loop whose fan stops at
+    the chart's edge raises it too.  Returns (matrix, error_estimate).
     """
     x = _base_point(chart, x)
     hs = nk.halving_ladder(hs)
@@ -205,8 +191,9 @@ def riemann_holonomy_oracle(chart: ig.MetricChart, x, u, v,
     if np.linalg.det(gram) <= 1e-12 * max(gram[0, 0] * gram[1, 1], 1e-300):
         return np.zeros((n, n)), 0.0
 
-    with _leaving_chart("holonomy loop"):
-        traj = ig._exp_batch(chart, x, _loop_tangents(u, v, hs[0]).T)
+    traj = ig._exp_batch(chart, x, _loop_tangents(u, v, hs[0]).T)
+    if traj.stopped:
+        raise PreconditionError("the holonomy loop leaves the chart")
     pts = traj.eval(hs / hs[0]).reshape(len(hs), -1, 2, n)[:, :, 0, :]
     x0 = np.ascontiguousarray(pts[:, :-1].reshape(-1, n).T)
     dq = np.ascontiguousarray(np.diff(pts, axis=1).reshape(-1, n).T)
@@ -265,8 +252,9 @@ def ricci_volume_oracle(chart: ig.MetricChart, x, hs=(0.2, 0.1, 0.05),
     the unit cube, a known linear functional of the Ricci entries.  Several
     cubes give a full-rank linear system; defects are Richardson
     extrapolated in h before solving.  The base point, the ladder ``hs``
-    (in any order) and a cube that leaves the chart raise
-    :class:`PreconditionError` as in :func:`riemann_holonomy_oracle`.
+    (in any order) raise :class:`PreconditionError` as in
+    :func:`riemann_holonomy_oracle`, and so does a cube that leaves the
+    chart, chained from its fan's error, which states the fan's reach.
     Returns (rho_matrix, error_estimate).
     """
     x = _base_point(chart, x)
@@ -277,8 +265,11 @@ def ricci_volume_oracle(chart: ig.MetricChart, x, hs=(0.2, 0.1, 0.05),
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     rows, rhs, errs = [], [], []
     for C in _cube_systems(n):
-        with _leaving_chart("geodesic cube"):
+        try:
             vols = _cube_volume_ladder(chart, x, E @ C, hs, grid)
+        except PreconditionError as e:
+            raise PreconditionError(
+                "the geodesic cube leaves the chart") from e
         defect = [6.0 * (h ** n - vols[h]) / h ** (n + 2) for h in hs]
         rr = nk.richardson(hs, defect, p=1, stride=1)
         rhs.append(rr.value)

@@ -21,6 +21,8 @@ from curvatur import cli
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
+    # every error document any CLI test produces names a public type
+    assert '"type": "_' not in captured.err, captured.err
     return code, captured.out, captured.err
 
 
@@ -283,6 +285,20 @@ def test_transport_along_outside_chart_exits_1(capsys):
     info = json.loads(err)["error"]
     assert info["type"] == "PreconditionError"
     assert "outside the chart domain" in info["message"]
+
+
+def test_circle_leaving_the_chart_exits_1(capsys):
+    # the fan runs down from y = 0.1 toward the box's edge y = 0.05, which
+    # the geodesic x = 0, y = 0.1 exp(-s) reaches at s = ln 2
+    code, out, err = run(capsys, "geodesic", "circle", "--builtin",
+                         "lobachevsky_halfplane", "--at", "0,0.1",
+                         "--radius", "2")
+    assert (code, out) == (1, "")
+    info = json.loads(err)["error"]
+    assert info["type"] == "PreconditionError"
+    reach = re.fullmatch(r"the geodesic fan leaves the chart; all lanes "
+                         r"stay inside to radius (\S+)", info["message"])
+    assert float(reach[1]) == pytest.approx(math.log(2.0), abs=1e-6)
 
 
 def test_transport_holonomy_closes_loop(capsys):

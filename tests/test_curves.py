@@ -99,6 +99,12 @@ def test_reconstruct_space_constants_give_helix():
         assert cv.speed(c, s) == pytest.approx(1.0, abs=1e-8)
 
 
+def test_reconstruct_space_curve_with_vanishing_curvature_fails():
+    # kbar = 1 - s reaches 0 at s = 1, where the frame equations stop
+    with pytest.raises(nk.PreconditionError, match="non-finite near s=1$"):
+        cv.reconstruct_space_curve(lambda s: 1.0 - s, 0.5, 2.0)
+
+
 def test_reconstruct_variable_curvature_round_trip():
     kbar = lambda s: 1.0 + 0.3 * nk.sin(s)
     c = cv.reconstruct_plane_curve(kbar, 4.0)

@@ -492,6 +492,15 @@ def test_polyline_transport_samples(sphere_chart):
     assert np.array_equal(res.vectors[0], np.eye(2))
 
 
+def test_transport_through_non_finite_symbols_fails():
+    # g_22 = 1 + (y - 1)^1.5 is NaN below y = 1, halfway down the segment
+    chart = ig.MetricChart(2, [(-1.0, 1.0), (0.5, 2.0)], lambda x: [
+        [1.0, 0.0], [0.0, 1.0 + nk.sqrt(x[1] - 1.0) ** 3]])
+    with pytest.raises(nk.PreconditionError, match="near tau=0.625"):
+        ig.parallel_transport(chart, np.array([[0.0, 1.5], [0.0, 0.7]]),
+                              [1.0, 0.0])
+
+
 def test_polyline_transport_is_one_solve(sphere_chart, solves):
     pts = np.array([[0.2, 1.0], [1.0, 1.3], [1.5, 0.9], [2.4, 1.6]])
     ig.parallel_transport(sphere_chart, pts, np.eye(2))
@@ -612,7 +621,7 @@ def test_sphere_areas_converge_in_samples(s3):
 
 
 def test_circle_leaving_the_chart_fails(halfplane):
-    with pytest.raises(nk.StepUnderflowError, match="non-finite"):
+    with pytest.raises(nk.PreconditionError, match="leaves the chart"):
         ig.geodesic_circle(halfplane, [0.0, 0.1], 2.0)
 
 
@@ -659,6 +668,20 @@ def test_shrink_radii_at_chart_edges(sphere_chart, halfplane):
         est = ig.scalar_curvature_estimate(chart, np.array(P), 0.2)
         assert est.radii[0] == r0
         assert est.cost["solves"] == (1 if r0 == 0.2 else 2)
+
+
+def test_sphere_fan_shrinks_its_radius_at_a_chart_edge(s3):
+    # the 3D fan leaves the box the way the circle fans do: it stops, and
+    # reruns at the largest r0 / 2^k its lanes reached
+    est = ig.scalar_curvature_estimate(s3, np.array([2.3, 0.0, 0.0]))
+    assert est.radii == (0.05, 0.025, 0.0125)
+    assert est.cost["solves"] == 2
+
+
+def test_plane_scalar_estimate_leaving_the_chart_fails(s3):
+    e1, e2, _ = np.eye(3)
+    with pytest.raises(nk.PreconditionError, match="leaves the chart"):
+        ig.plane_scalar_estimate(s3, np.array([2.3, 0.0, 0.0]), e1, e2)
 
 
 def test_scalar_curvature_on_a_skewed_chart_edge():

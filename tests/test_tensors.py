@@ -181,12 +181,10 @@ def test_oracles_reject_bad_input_before_solving(halfplane, solves, oracle,
 
 def test_oracles_report_leaving_the_chart(halfplane):
     x = np.array([0.3, 0.06])             # 0.01 above the box's lower edge
-    with pytest.raises(nk.PreconditionError, match="loop leaves") as exc:
+    with pytest.raises(nk.PreconditionError, match="loop leaves"):
         tn.riemann_holonomy_oracle(halfplane, x, *np.eye(2))
-    assert isinstance(exc.value.__cause__, nk.StepUnderflowError)
-    with pytest.raises(nk.PreconditionError, match="cube leaves") as exc:
+    with pytest.raises(nk.PreconditionError, match="cube leaves"):
         tn.ricci_volume_oracle(halfplane, x)
-    assert isinstance(exc.value.__cause__, nk.StepUnderflowError)
 
 
 def test_volume_oracle_matches_ricci(sphere):

@@ -5,13 +5,18 @@
 Runs every invocation in ``INVOCATIONS``, a fixed sample with at least
 one invocation of each command that reports a cost block, ``curve
 analyze`` and ``surface report`` (the curve and surface modules' own
-commands) and ``verify --suite all --format json``, as ``python -m
-curvatur.cli`` with each tree first on ``PYTHONPATH``, and prints every
-JSON leaf that differs, with its relative change.  The sample is not
-derived from the test suite: a new command has to be added to it by hand.
-A leaf is named by its path; a list item that carries a unique ``name`` is
-named by it, so an inserted check moves one leaf, not every later one.
-Exits 0 when no leaf moved, 1 when one did.  Standard library only.
+commands), ``verify --suite all --format json``, two scalar estimates at
+chart edges (a circle fan and a sphere fan that leave the box and rerun
+at a smaller radius) and one circle that fails by leaving the chart, as
+``python -m curvatur.cli`` with each tree first on ``PYTHONPATH``, and
+prints every JSON leaf that differs, with its relative change.  An
+invocation whose stdout is not JSON, such as the failing circle, is
+compared by its exit code and its raw stdout and stderr.  The sample is
+not derived from the test suite: a new command has to be added to it by
+hand.  A leaf is named by its path; a list item that carries a unique
+``name`` is named by it, so an inserted check moves one leaf, not every
+later one.  Exits 0 when no leaf moved, 1 when one did.  Standard library
+only.
 """
 
 import json
@@ -25,6 +30,10 @@ INVOCATIONS = (
      "--samples", "40"),
     ("curvature", "scalar", "--builtin", "sphere", "--at", "1.0,1.2"),
     ("curvature", "scalar", "--builtin", "s3_round", "--at", "0.2,-0.1,0.3"),
+    ("curvature", "scalar", "--builtin", "s3_round", "--at", "2.3,0,0"),
+    ("curvature", "scalar", "--builtin", "sphere", "--at", "1.0,0.25"),
+    ("geodesic", "circle", "--builtin", "lobachevsky_halfplane", "--at",
+     "0,0.1", "--radius", "2"),
     ("geodesic", "circle", "--builtin", "sphere", "--at", "1.0,1.2",
      "--radius", "0.4"),
     ("curve", "reconstruct", "--curvature", "1", "--length",
