@@ -384,6 +384,7 @@ def _geodesic_circle(args, g):
                         "samples": args.samples},
                 results={"length": res.length, "disk_area": res.disk_area},
                 error_estimates={"length": res.length_error,
+                                 "disk_area": res.disk_area_error,
                                  "ds_dr_residual": res.ds_dr_residual},
                 warnings=res.warnings, cost=res.cost)
 

@@ -703,12 +703,14 @@ _RADIAL_NODES = 24         # Gauss-Legendre nodes of each disk area
 
 
 def circles_and_disks(chart: MetricChart, P, radii, samples=24, cost=None):
-    """Circle lengths L(R), disk areas S(R) and the lengths' error
-    estimates for each R in ``radii``, as three dicts keyed by R.
+    """Circle lengths L(R), disk areas S(R) and the error estimates of
+    both for each R in ``radii``, as four dicts keyed by R.
 
     S(R) integrates L(rho) over [0, R] with ``_RADIAL_NODES`` Gauss-Legendre
-    nodes; every length comes from one :func:`geodesic_circle_lengths`
-    call (given ``cost``) over the union of the radii and their nodes.
+    nodes, and its error estimate integrates the lengths' estimates with
+    the same weights; every length comes from one
+    :func:`geodesic_circle_lengths` call (given ``cost``) over the union
+    of the radii and their nodes.
     """
     radii = [float(R) for R in radii]
     rules = {R: nk.gauss_legendre(_RADIAL_NODES, 0.0, R) for R in radii}
@@ -716,10 +718,13 @@ def circles_and_disks(chart: MetricChart, P, radii, samples=24, cost=None):
                                     for x in xs))
     lengths, errors = geodesic_circle_lengths(chart, P, all_r, samples,
                                               cost=cost)
-    areas = {R: float(sum(w * lengths[float(x)] for x, w in zip(xs, ws)))
-             for R, (xs, ws) in rules.items()}
-    return ({R: lengths[R] for R in radii}, areas,
-            {R: errors[R] for R in radii})
+
+    def over_disks(per_radius):
+        return {R: float(sum(w * per_radius[float(x)] for x, w in zip(xs, ws)))
+                for R, (xs, ws) in rules.items()}
+
+    return ({R: lengths[R] for R in radii}, over_disks(lengths),
+            {R: errors[R] for R in radii}, over_disks(errors))
 
 
 @dataclass
@@ -730,6 +735,7 @@ class CircleResult:
     length: float
     disk_area: float
     length_error: float
+    disk_area_error: float
     ds_dr_residual: float
     warnings: list
     cost: dict
@@ -740,7 +746,8 @@ def geodesic_circle(chart: MetricChart, P, R, samples=24) -> CircleResult:
 
     L integrates the Jacobi-column speed over ``samples`` directions
     (:func:`geodesic_circle_lengths`); S integrates L(rho) over [0, R] with
-    Gauss-Legendre nodes read from the same batched geodesic fan.  The
+    Gauss-Legendre nodes read from the same batched geodesic fan, and
+    ``disk_area_error`` integrates the lengths' error estimates alike.  The
     derivative law S'(R) = L(R) is checked by central differences and
     reported as ``ds_dr_residual``; ``cost`` counts the fan's solver work.
     """
@@ -751,15 +758,16 @@ def geodesic_circle(chart: MetricChart, P, R, samples=24) -> CircleResult:
         raise PreconditionError("radius must be positive")
     delta = 1e-3 * R
     counts = np.zeros(len(_COST), int)
-    lengths, areas, errors = circles_and_disks(
+    lengths, areas, errors, area_errors = circles_and_disks(
         chart, P, (R - delta, R, R + delta), samples, counts)
     dS = (areas[R + delta] - areas[R - delta]) / (2 * delta)
     resid = abs(dS - lengths[R]) / max(abs(lengths[R]), 1e-300)
     warnings = []
     if resid > 1e-5:
         warnings.append(f"dS/dR check off by {resid:.3g} relative")
-    return CircleResult(R, lengths[R], areas[R], errors[R], float(resid),
-                        warnings, dict(zip(_COST, counts.tolist())))
+    return CircleResult(R, lengths[R], areas[R], errors[R], area_errors[R],
+                        float(resid), warnings,
+                        dict(zip(_COST, counts.tolist())))
 
 
 @dataclass
@@ -828,7 +836,7 @@ def scalar_curvature_estimate(chart: MetricChart, P, r0=0.2, rungs=3,
         return nk.richardson(ladder, defects, p=2)
 
     if chart.dim == 2:
-        lengths, areas, _ = out
+        lengths, areas, _, _ = out
         head = extrapolate([6.0 * (2 * math.pi * R - lengths[R])
                             / (math.pi * R ** 3) for R in ladder])
         rd = extrapolate([24.0 * (math.pi * R ** 2 - areas[R])

@@ -754,7 +754,8 @@ class _Dop853(RungeKuttaPair):
     def error_norm(self, h, ks, scale, sel):
         """The 5th- and 3rd-order estimates combined as in dop853.f."""
         e5, e3 = (_combine(row, ks)[sel] / scale[sel] for row in self.e)
-        n5, n3 = float(e5 @ e5), float(e3 @ e3)
+        # einsum, not a BLAS dot, whose rounding hangs on operand placement
+        n5, n3 = (float(np.einsum('i,i->', e, e)) for e in (e5, e3))
         den = n5 + 0.01 * n3
         return abs(h) * n5 / math.sqrt(den * e5.size) if den > 0 else 0.0
 
@@ -975,18 +976,21 @@ class Trajectory:
 def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajectory:
     """Integrate an :class:`OdeProblem` with its embedded pair.
 
-    One adaptive step loop serves both pairs: each attempt holds the
-    pair's stages as the rows of one array, forms every stage input, error
-    and dense vector as one product with the pair's dense tableau rows,
-    accepts the step when the scaled error norm is at most 1, and scales h
-    by 0.9 err^(-1/(q+1)) within [0.2, grow] after an accepted step (grow 5
-    for DOPRI5, 10 for DOP853) and within [0.1, 1] after a rejected one.  A
-    step with a non-finite stage is halved; the RHS never sees a non-finite
-    input, and once the halved step is below its floor the solve stops: it
-    returns its accepted part marked ``stopped``.  DOP853 refines the first
-    step with one Euler probe.  Without non-finite stages, ``n_rhs`` is
-    1 + 6 (accepted + rejected) under DOPRI5 and 2 + 12 (accepted +
-    rejected) under DOP853, before any dense stage is read.
+    One adaptive step loop serves both pairs.  The first step is
+    0.01 |y0| / |f(t0, y0)| in the error norm over the components with a
+    nonzero initial value, or 1e-6 if none is (Solving ODEs I, II.4): one
+    starting at 0 is weighted by 1/atol alone and would set it.  DOP853
+    refines it with one Euler probe.  A step passes when its scaled error
+    norm is at most 1; h then scales by 0.9 err^(-1/(q+1)) within [0.2,
+    grow] (grow 5 for DOPRI5, 10 for DOP853), and within [0.1, 1] after a
+    failure.  A new step ending within 10 % of its length of t1 or of a
+    ``must_hit`` time is stretched onto it, a retry only clamped (ode45's
+    rule).  A step with a non-finite stage is halved; the RHS never sees a
+    non-finite input, and once the halved step is below its floor the
+    solve stops: it returns its accepted part marked ``stopped``.  Without
+    non-finite stages, ``n_rhs`` is 1 + 6 (accepted + rejected) under
+    DOPRI5 and 2 + 12 (accepted + rejected) under DOP853, before any dense
+    stage is read.
 
     Parameters
     ----------
@@ -1021,15 +1025,17 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
         return problem.rhs(t, yy)
 
     k1 = np.asarray(f(t0, y), dtype=float)
-    scale0 = atol + rtol * np.abs(y)
+    start = np.arange(y.size)[sel]
+    start = start[y[start] != 0] if y[start].any() else start
+    scale0 = atol + rtol * np.abs(y[start])
 
     def rms(v):
-        return np.sqrt(np.mean((v[sel] / scale0[sel]) ** 2))
+        return np.sqrt(np.mean((v[start] / scale0) ** 2))
 
-    d0 = rms(y) if y.size else 0.0
+    d0 = rms(y) if start.size else 0.0
     d1 = rms(k1)
     h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
-    h = min(pair.first_step(f, t0, y, k1, h, rms), t1 - t0)
+    h = pair.first_step(f, t0, y, k1, h, rms)
 
     ts, ys, fs, dense = [t0], [y.copy()], [k1.copy()], []
     t = t0
@@ -1037,6 +1043,7 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
     hit_i = 0
     nan_fail = 0
     n_rejected = 0
+    err = 0.0
 
     def trajectory(stopped=False):
         return Trajectory(np.array(ts), np.array(ys), np.array(fs), dense,
@@ -1048,7 +1055,7 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
             hit_i += 1
         target = hits[hit_i] if hit_i < len(hits) else t1
         clamped = False
-        if t + h >= target - hmin:
+        if t + (h if nan_fail or err > 1.0 else 1.1 * h) >= target - hmin:
             h = target - t
             clamped = True
         if h < hmin:

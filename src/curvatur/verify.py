@@ -87,7 +87,7 @@ def suite_circle_law(seed=0):
     chart = ig.pullback_metric(cat.builtin("sphere").build())
     P = np.array([1.0, math.pi / 2])
     radii = [0.1 * k for k in range(1, 11)]
-    lengths, areas, _ = ig.circles_and_disks(chart, P, radii)
+    lengths, areas, _, _ = ig.circles_and_disks(chart, P, radii)
     worst_l = worst_s = 0.0
     for R in radii:
         worst_l = max(worst_l, abs(lengths[R] - TWO_PI * math.sin(R)))

@@ -193,6 +193,17 @@ def test_geodesic_circle_plane(capsys):
     assert "length" in doc["diagnostics"]["error_estimates"]
 
 
+def test_geodesic_circle_disk_area_error_covers_true_error(capsys):
+    # unit sphere: S(R) = 2 pi (1 - cos R)
+    doc = run_json(capsys, "geodesic", "circle", "--builtin", "sphere",
+                   "--at", "1.0,1.2", "--radius", "0.4")
+    true = abs(doc["results"]["disk_area"] - 2 * math.pi * (1 - math.cos(0.4)))
+    est = doc["diagnostics"]["error_estimates"]["disk_area"]
+    print(f"disk_area error estimate {est:.3g}, true {true:.3g}, "
+          f"ratio {est / max(true, 1e-300):.3g}")
+    assert true <= est
+
+
 @pytest.mark.parametrize("argv", [
     ("geodesic", "circle", "--builtin", "plane", "--at", "0,0",
      "--radius", "0.5", "--samples", "0"),

@@ -3,6 +3,8 @@
 import importlib.util
 import pathlib
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SPEC = importlib.util.spec_from_file_location(
     "cli_json_ab", ROOT / "tools" / "cli_json_ab.py")
@@ -34,3 +36,15 @@ def test_moved_leaves_are_named_and_scaled():
         ("results.x[0]", 1.0, 1, 0.0),
         ("results.x[1]", True, False, None),
         ("results.x[3]", None, 5.0, None)]
+
+
+@pytest.mark.parametrize("bad", [0, 1])
+def test_tree_without_the_package_exits_2_before_running(bad, capsys,
+                                                         monkeypatch):
+    # a repository root in place of its src/ would fail to import on both
+    # sides, and two equal crashes must not read as identical output
+    monkeypatch.setattr(ab, "run", lambda *a: pytest.fail("ran an invocation"))
+    trees = [str(ROOT / "src")] * 2
+    trees[bad] = str(ROOT)
+    assert ab.main(trees) == 2
+    assert repr(str(ROOT)) in capsys.readouterr().err

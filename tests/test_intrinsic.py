@@ -336,7 +336,7 @@ def test_variational_rhs_is_batch_invariant_on_the_halfplane(halfplane,
 
 
 def test_distance_rhs_budget(halfplane, rhs_evals, monkeypatch):
-    # deterministic cost guard: 1,287 RHS evaluations here (1,883 with
+    # deterministic cost guard: 1,167 RHS evaluations here (1,883 with
     # levels 1e-6, 1e-8, 1e-10 and Jacobi columns in every shot); after the
     # first improving 1e-10 shot, chord shots carry x and v only
     shots = []
@@ -643,7 +643,7 @@ def test_scalar_curvature_solve_count(request, solves, name, P, count):
                                              ("halfplane", [0.5, 2.0], 70),
                                              ("s3", [0.2, -0.3, 0.5], 70)])
 def test_scalar_curvature_rhs_budget(request, rhs_evals, name, P, budget):
-    # deterministic cost guard: one fan, no probe solve (43, 67 and 67 RHS
+    # deterministic cost guard: one fan, no probe solve (43, 67 and 55 RHS
     # evaluations here; the probe added 55, 73 and 43)
     est = ig.scalar_curvature_estimate(request.getfixturevalue(name), P)
     assert len(rhs_evals) == est.cost["rhs_evals"] <= budget

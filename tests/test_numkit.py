@@ -488,8 +488,9 @@ def test_non_finite_stages_never_reach_the_rhs():
                                                  (nk.DOP853, 2, 12)],
                          ids=["DOPRI5", "DOP853"])
 def test_rhs_counter_identity_with_error_index(pair, start, per_step):
-    # 12 floats, error norm over the first 4, with rejected steps: the
-    # counters obey the pair's identity, and the RHS is called n_rhs times
+    # 12 floats, error norm over the first 4, two of them and one other
+    # starting at exactly 0, with rejected steps: the counters obey the
+    # pair's identity, and the RHS is called n_rhs times
     calls = []
 
     def rhs(t, y):
@@ -498,13 +499,77 @@ def test_rhs_counter_identity_with_error_index(pair, start, per_step):
         return np.concatenate([v, -25.0 * (1.0 + 0.5 * np.sin(3.0 * t)) * x,
                                np.cos(20.0 * t) * y[4:]])
 
+    y0 = np.linspace(1.0, 2.0, 12)
+    y0[[1, 3, 6]] = 0.0
     traj = nk.integrate_ode(nk.OdeProblem(
-        rhs, np.linspace(1.0, 2.0, 12), (0.0, 3.0), 1e-10, 1e-12,
-        error_index=np.arange(4), pair=pair))
+        rhs, y0, (0.0, 3.0), 1e-10, 1e-12, error_index=np.arange(4),
+        pair=pair))
     assert traj.n_rhs == len(calls)
     assert traj.n_rhs == start + per_step * (traj.n_accepted
                                              + traj.n_rejected)
     assert traj.n_rejected > 0
+
+
+def test_dop853_error_norm_ignores_buffer_offset():
+    # the same stage values at other offsets in memory give the same norm,
+    # bit for bit, with the norm over every component or over a subset
+    rng = np.random.default_rng(3)
+    ks = rng.normal(size=(13, 9)) * 10.0 ** rng.uniform(-3, 4, size=9)
+    scale = 1e-12 + 1e-10 * np.abs(rng.normal(size=9))
+    for sel in (slice(None), np.array([0, 2, 3, 5, 8])):
+        want = nk.DOP853.error_norm(0.1, ks, scale, sel)
+        for off in range(1, 8):
+            buf = np.empty(ks.size + off)
+            buf[off:] = ks.ravel()
+            got = nk.DOP853.error_norm(0.1, buf[off:].reshape(ks.shape),
+                                       scale, sel)
+            assert got == want
+
+
+def test_propagator_from_the_identity_takes_one_step():
+    # Phi' = -A(t) Phi, Phi(0) = I: the off-diagonals start at exactly 0
+    # and do not set the first step, so one DOPRI5 step covers [0, 1]
+    A0 = np.array([[1.0, 2.0, -0.5], [0.3, -1.0, 1.5], [-2.0, 0.7, 0.5]])
+    A1 = np.array([[0.5, -1.0, 0.2], [1.0, 0.4, -0.3], [0.6, -0.8, 1.0]])
+
+    def rhs(t, y):
+        return -(1e-4 * (A0 + t * A1) @ y.reshape(3, 3)).ravel()
+
+    traj = nk.integrate_ode(nk.OdeProblem(rhs, np.eye(3).ravel(), (0.0, 1.0)))
+    assert (traj.n_accepted, traj.n_rejected, traj.n_rhs) == (1, 0, 7)
+    ref = nk.integrate_ode(nk.OdeProblem(rhs, np.eye(3).ravel(), (0.0, 1.0),
+                                         rtol=1e-13, atol=1e-16))
+    assert np.abs(traj.final - ref.final).max() < 1e-12
+
+
+def _decay_steps():
+    """y' = -y from 1: its first node and the regular step after it."""
+    traj = nk.integrate_ode(nk.OdeProblem(lambda t, y: -y, np.ones(1),
+                                          (0.0, 10.0)))
+    return traj.ts[1], traj.ts[2] - traj.ts[1]
+
+
+def test_last_step_stretches_over_a_sliver():
+    # the regular step from node 1 would leave 5 % of itself before t1
+    t_a, h = _decay_steps()
+    t1 = t_a + 1.05 * h
+    traj = nk.integrate_ode(nk.OdeProblem(lambda t, y: -y, np.ones(1),
+                                          (0.0, t1)))
+    assert traj.ts.tolist() == [0.0, t_a, t1]
+    assert traj.n_rejected == 0
+    assert traj.final[0] == pytest.approx(math.exp(-t1), rel=1e-10)
+
+
+def test_rejected_stretched_step_is_retried_shorter():
+    # a kink just past the regular step fails the stretched last step; the
+    # retry ends before the kink instead of being stretched to t1 again
+    t_a, h = _decay_steps()
+    kink, t1 = t_a + h, t_a + 1.05 * h
+    traj = nk.integrate_ode(nk.OdeProblem(
+        lambda t, y: -y + 1e-4 * max(0.0, t - kink), np.ones(1), (0.0, t1)))
+    assert traj.n_rejected == 1
+    assert traj.ts[1] == t_a and traj.ts[2] < kink
+    assert traj.ts[-1] == t1
 
 
 def test_richardson_even_powers():

@@ -15,7 +15,8 @@ compared by its exit code and its raw stdout and stderr.  The sample is
 not derived from the test suite: a new command has to be added to it by
 hand.  A leaf is named by its path; a list item that carries a unique
 ``name`` is named by it, so an inserted check moves one leaf, not every
-later one.  Exits 0 when no leaf moved, 1 when one did.  Standard library
+later one.  Exits 0 when no leaf moved, 1 when one did, and 2, before any
+run, when either tree holds no ``curvatur`` package.  Standard library
 only.
 """
 
@@ -114,6 +115,11 @@ def main(argv=None):
     if len(args) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
+    for src in args:        # a tree that cannot import runs nothing to compare
+        if not os.path.isfile(os.path.join(src, "curvatur", "__init__.py")):
+            print(f"no curvatur package in {src!r}: pass a source tree such "
+                  "as src/, not a repository root", file=sys.stderr)
+            return 2
     diffs = compare(*args)
     for cmd, rows in diffs.items():
         print(cmd)
