@@ -776,8 +776,9 @@ class TauEstimate:
 
     ``tau`` is the headline estimate (circle route for 2D, sphere-area
     route for 3D).  For 2D charts ``tau_circle`` and ``tau_disk`` hold the
-    two independent comparison limits, which must agree within the combined
-    ``error``.  ``cost`` sums the solver counters of every radius attempt.
+    two independent comparison limits, which must agree within ``error``:
+    both routes' errors plus their disagreement.  ``cost`` sums the solver
+    counters of every radius attempt.
     """
 
     tau: float
@@ -791,12 +792,45 @@ class TauEstimate:
 
     @property
     def routes_agree(self):
-        if self.tau_circle is None or self.tau_disk is None:
-            return True
-        return abs(self.tau_circle - self.tau_disk) <= max(self.error, 1e-9)
+        return self.tau_disk is None or abs(
+            self.tau_circle - self.tau_disk) <= max(self.error, 1e-9)
 
 
 _BALL_VOLUME_3 = 4.0 * math.pi / 3.0        # volume of the unit 3-ball
+
+
+def _comparison_limit(ladder, defects, deltas, p=2):
+    """:func:`numkit.richardson` of the defects, whose error adds the
+    samples' errors through the weights w: sum_k |w_k| deltas_k (Sidi,
+    Practical Extrapolation Methods, CUP 2003, ch. 1)."""
+    rr = nk.richardson(ladder, defects, p)
+    rr.error = rr.error + np.abs(rr.weights) @ np.asarray(deltas, float)
+    return rr
+
+
+def _circle_limit(ladder, lengths, errors):
+    """The limit of the circle defect 6 (2 pi R - L(R)) / (pi R^3)."""
+    return _comparison_limit(
+        ladder, [6.0 * (2 * math.pi * R - lengths[R]) / (math.pi * R ** 3)
+                 for R in ladder],
+        [6.0 * errors[R] / (math.pi * R ** 3) for R in ladder])
+
+
+def _within_reach(fan, r0, rungs):
+    """(ladder, fan(ladder)) for the first ladder {r0 / 2^k, ...} whose fan
+    stays inside.  The fan is its own radius probe: one that leaves the box
+    reruns at the largest r0 / 2^k, k <= 7, that all its lanes reached (at
+    least one halving lower)."""
+    k = 0
+    while k < 8:
+        ladder = [float(r0) / 2 ** (k + j) for j in range(rungs)]
+        try:
+            return ladder, fan(ladder)
+        except PreconditionError as e:  # the largest r0 / 2^k in its reach
+            if not hasattr(e, "reach"):
+                raise
+            k += max(1, math.ceil(-math.log2(max(e.reach, 2.0 ** -8))))
+    raise PreconditionError("no usable circle radius inside the domain")
 
 
 def scalar_curvature_estimate(chart: MetricChart, P, r0=0.2, rungs=3,
@@ -810,43 +844,30 @@ def scalar_curvature_estimate(chart: MetricChart, P, r0=0.2, rungs=3,
     charts the geodesic-sphere area defect 6 (4 pi R^2 - S(R)) /
     ((4 pi / 3) R^4) is used instead.  ``samples`` is the fan's direction
     count M (:func:`fan_samples`): M directions per circle, M azimuths by
-    M/2 polar nodes per sphere.
-
-    The fan is its own radius probe: the ladder starts at r0, and a fan
-    that fails or leaves the box at an accepted node runs again at the
-    largest r0 / 2^k, k <= 7, that all its lanes reached inside (at least
-    one halving lower).  ``cost`` sums the solver counters of every attempt.
+    M/2 polar nodes per sphere.  A fan that leaves the chart reruns at a
+    smaller r0 (:func:`_within_reach`); ``cost`` sums the solver counters
+    of every attempt.
     """
-    P = np.asarray(P, dtype=float)
     fan = circles_and_disks if chart.dim == 2 else _geodesic_sphere_areas
-    counts, k = np.zeros(len(_COST), int), 0
-    while k < 8:
-        ladder = [float(r0) / 2 ** (k + j) for j in range(rungs)]
-        try:
-            out = fan(chart, P, ladder, samples, cost=counts)
-            break
-        except PreconditionError as e:  # the largest r0 / 2^k in its reach
-            if not hasattr(e, "reach"):
-                raise
-            k += max(1, math.ceil(-math.log2(max(e.reach, 2.0 ** -8))))
-    else:
-        raise PreconditionError("no usable circle radius inside the domain")
-
-    def extrapolate(defects):
-        return nk.richardson(ladder, defects, p=2)
-
+    counts = np.zeros(len(_COST), int)
+    ladder, out = _within_reach(
+        lambda radii: fan(chart, P, radii, samples, cost=counts), r0, rungs)
     if chart.dim == 2:
-        lengths, areas, _, _ = out
-        head = extrapolate([6.0 * (2 * math.pi * R - lengths[R])
-                            / (math.pi * R ** 3) for R in ladder])
-        rd = extrapolate([24.0 * (math.pi * R ** 2 - areas[R])
-                          / (math.pi * R ** 4) for R in ladder])
+        lengths, areas, errors, area_errors = out
+        head = _circle_limit(ladder, lengths, errors)
+        rd = _comparison_limit(
+            ladder, [24.0 * (math.pi * R ** 2 - areas[R]) / (math.pi * R ** 4)
+                     for R in ladder],
+            [24.0 * area_errors[R] / (math.pi * R ** 4) for R in ladder])
         err = head.error + rd.error + abs(head.value - rd.value)
         routes = (head.value, rd.value)
         monotone = head.monotone and rd.monotone
     else:                              # 3D: geodesic-sphere area defect
-        head = extrapolate([6.0 * (4 * math.pi * R ** 2 - out[R])
-                            / (_BALL_VOLUME_3 * R ** 4) for R in ladder])
+        areas, errors = out
+        head = _comparison_limit(
+            ladder, [6.0 * (4 * math.pi * R ** 2 - areas[R])
+                     / (_BALL_VOLUME_3 * R ** 4) for R in ladder],
+            [6.0 * errors[R] / (_BALL_VOLUME_3 * R ** 4) for R in ladder])
         err, routes, monotone = head.error, (None, None), head.monotone
     warnings = [] if monotone else ["extrapolation ladder not monotone"]
     return TauEstimate(head.value, float(err), *routes, tuple(ladder),
@@ -860,7 +881,10 @@ def _geodesic_sphere_areas(chart: MetricChart, P, radii, samples=24,
     Directions are a Gauss-Legendre (M/2 polar nodes) x trapezoid (M =
     ``samples`` azimuths) grid on the unit g-sphere; the surface element
     uses d(exp)/d(direction) from the variational state, so no differencing
-    across lanes is needed.  ``cost`` goes to :func:`_jacobi_elements`.
+    across lanes is needed.  As for circle lengths, the error estimate is
+    |S_M - S_{M/2}| (every other azimuth) plus the fan's rtol times S.
+    Returns (areas dict, error dict); ``cost`` goes to
+    :func:`_jacobi_elements`.
     """
     M = fan_samples(samples)
     E = chart.orthonormal_basis(np.asarray(P, dtype=float))
@@ -872,8 +896,11 @@ def _geodesic_sphere_areas(chart: MetricChart, P, radii, samples=24,
     u = np.stack([st * cf, st * sf, ct])
     du = np.stack([[ct * cf, ct * sf, -st], [-st * sf, st * cf, 0.0 * st]])
     area = _jacobi_elements(chart, P, radii, E @ u, E @ du, True, cost)
-    W = np.repeat(tw * (2.0 * math.pi / M), M)
-    return dict(zip([float(r) for r in radii], (area @ W).tolist()))
+    full = area @ np.repeat(tw * (2.0 * math.pi / M), M)
+    half = area.reshape(-1, M // 2, M)[:, :, ::2].sum(axis=2) @ tw
+    err = np.abs(full - 4.0 * math.pi / M * half) + _FAN_RTOL * full
+    radii = [float(r) for r in radii]
+    return dict(zip(radii, full.tolist())), dict(zip(radii, err.tolist()))
 
 
 def plane_scalar_estimate(chart: MetricChart, P, u, v, r0=0.2, rungs=3,
@@ -881,11 +908,11 @@ def plane_scalar_estimate(chart: MetricChart, P, u, v, r0=0.2, rungs=3,
     """Scalar curvature of the geodesic surface spanned by u, v at P.
 
     Radial geodesics of the ambient chart lying in exp(span(u, v)) are
-    geodesics of that surface, so its circle-length defect is computed
-    with the same machinery restricted to directions in the plane.
-    Returns (tau, error).
+    geodesics of that surface, so its circle-length defect is the circle
+    route of :func:`scalar_curvature_estimate` over a g-orthonormal frame
+    of the plane, error and chart-edge shrink included.  Returns (tau,
+    error).
     """
-    P = np.asarray(P, dtype=float)
     g = chart.g_at(P)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -894,14 +921,12 @@ def plane_scalar_estimate(chart: MetricChart, P, u, v, r0=0.2, rungs=3,
     nv = math.sqrt(w @ g @ w)
     if nv <= 1e-12 * math.sqrt(float(v @ g @ v)):
         raise PreconditionError("directions do not span a plane")
-    f2 = w / nv
-    ladder = [float(r0) / 2 ** k for k in range(rungs)]
-    lengths, _ = geodesic_circle_lengths(chart, P, ladder, samples,
-                                         np.stack([f1, f2], axis=1))
-    d = [6.0 * (2 * math.pi * r - lengths[r]) / (math.pi * r ** 3)
-         for r in ladder]
-    rr = nk.richardson(ladder, d, p=2)
-    return rr.value, rr.error
+    frame = np.stack([f1, w / nv], axis=1)
+    ladder, out = _within_reach(
+        lambda radii: geodesic_circle_lengths(chart, P, radii, samples, frame),
+        r0, rungs)
+    rr = _circle_limit(ladder, *out)
+    return rr.value, float(rr.error)
 
 
 # ---------------------------------------------------------------------------

@@ -1184,6 +1184,7 @@ class RichardsonResult:
     value: float
     error: float
     monotone: bool
+    weights: np.ndarray
 
 
 def halving_ladder(hs):
@@ -1199,33 +1200,34 @@ def halving_ladder(hs):
     return hs
 
 
-def richardson(hs, fs, p=2, stride=None) -> RichardsonResult:
+def richardson(hs, fs, p=2) -> RichardsonResult:
     """Richardson-extrapolate samples f(h) on a halving ladder of steps.
 
     ``hs`` are the step sizes, strictly decreasing with ratio 2 between
     rungs; ``fs`` the samples, one per rung along axis 0, with any trailing
     axes extrapolated elementwise.  The tableau assumes the expansion
-    f(h) = L + c h^p + ... with error orders p, p+stride, p+2*stride, ...
-    (``stride`` defaults to p, so p=2 models even-power expansions h^2,
-    h^4, ... and p=1 full expansions h, h^2, ...).  ``value``, ``error``
-    and ``monotone`` take the trailing shape of ``fs``.  ``error`` is the
-    last diagonal increment; ``monotone`` is False when the diagonal
-    increments fail to shrink, which flags ladders whose asymptotic regime
-    was not reached (callers surface this as a warning).
+    f(h) = L + c h^p + ... with error orders p, 2p, 3p, ... (p=2 for
+    even-power expansions, p=1 for full ones).  ``value``, ``error`` and
+    ``monotone`` take the trailing shape of ``fs``.  ``error`` is the last
+    diagonal increment; ``monotone`` is False when the diagonal increments
+    fail to shrink, which flags ladders whose asymptotic regime was not
+    reached (callers surface this as a warning).  The tableau is linear:
+    ``weights``, the tableau carried on the unit samples, sum to 1 and give
+    ``value`` as ``weights @ fs``.
     """
     hs = halving_ladder(hs)
     fs = np.asarray(fs, dtype=float)
     if len(fs) != len(hs):
         raise PreconditionError("ladder needs one sample per rung")
-    stride = p if stride is None else stride
-    col, diag = fs, [fs[-1]]
+    col, diag, w = fs, [fs[-1]], np.eye(len(fs))
     for j in range(1, len(fs)):
-        power = 2.0 ** (p + (j - 1) * stride)
+        power = 2.0 ** (p * j)
         col = (power * col[1:] - col[:-1]) / (power - 1.0)
+        w = (power * w[1:] - w[:-1]) / (power - 1.0)
         diag.append(col[-1])
     increments = np.abs(np.diff(diag, axis=0))
     monotone = np.all(increments[1:] <= increments[:-1] * 1.5, axis=0)
-    return RichardsonResult(diag[-1], increments[-1], monotone)
+    return RichardsonResult(diag[-1], increments[-1], monotone, w[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -202,7 +202,7 @@ def riemann_holonomy_oracle(chart: ig.MetricChart, x, u, v,
     M = _ordered_products(Phi[-1].reshape(len(hs), -1, n, n))
     mats = (M - np.eye(n)) / hs[:, None, None] ** 2
 
-    rr = nk.richardson(hs, mats, p=1, stride=1)
+    rr = nk.richardson(hs, mats, p=1)
     return rr.value, float(rr.error.max())
 
 
@@ -211,31 +211,11 @@ def riemann_holonomy_oracle(chart: ig.MetricChart, x, u, v,
 # ---------------------------------------------------------------------------
 
 
-def _cube_volume_ladder(chart, P, cols, hs, grid):
-    """Riemannian volumes of exp_P(h * cols * [0,1]^n) for each h in hs.
-
-    ``cols`` (n, n) spans the cube in tangent coordinates.  One variational
-    batch per cube provides exact Jacobians d exp / d xi
-    (:func:`intrinsic._jacobi_elements`), so the volume is a pure
-    Gauss-Legendre sum, with each h read off the solver's dense output.
-    """
-    n = chart.dim
-    xs, ws = nk.gauss_legendre(grid, 0.0, 1.0)
-    XI = np.stack([a.ravel() for a in
-                   np.meshgrid(*([xs] * n), indexing="ij")])  # (n, grid^n)
-    W = np.prod(np.meshgrid(*([ws] * n), indexing="ij"), axis=0).ravel()
-    dU = np.repeat(cols.T[:, :, None], XI.shape[1], axis=2)
-    vols = ig._jacobi_elements(chart, P, hs, cols @ XI, dU, steer=True) @ W
-    return dict(zip(hs, vols.tolist()))
-
-
 def _cube_systems(n):
     """Tangent cubes whose volume defects determine the Ricci form."""
-    if n == 2:
-        c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
-        return [np.eye(2), np.diag([1.0, -1.0]),
-                np.array([[c, -s], [s, c]])]
     c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
+    if n == 2:
+        return [np.eye(2), np.diag([1.0, -1.0]), np.array([[c, -s], [s, c]])]
     r12 = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     r23 = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
     r13 = np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
@@ -250,53 +230,47 @@ def ricci_volume_oracle(chart: ig.MetricChart, x, hs=(0.2, 0.1, 0.05),
     For a cube spanned by h-scaled orthonormal combinations C, the volume
     satisfies 6 (h^n - V(h)) / h^(n+2) -> integral of rho(C xi, C xi) over
     the unit cube, a known linear functional of the Ricci entries.  Several
-    cubes give a full-rank linear system; defects are Richardson
-    extrapolated in h before solving.  The base point, the ladder ``hs``
-    (in any order) raise :class:`PreconditionError` as in
+    cubes give a full-rank linear system.  Each cube's volume is a
+    Gauss-Legendre sum (``grid`` nodes per axis) of the exact volume
+    element of one variational fan (:func:`intrinsic._jacobi_elements`),
+    read at every h off its dense output.  All cubes' defects are
+    Richardson extrapolated in h in one call before solving, each volume
+    carrying the fan's rtol as its error
+    (:func:`intrinsic._comparison_limit`).  The base point, the ladder
+    ``hs`` (in any order) raise :class:`PreconditionError` as in
     :func:`riemann_holonomy_oracle`, and so does a cube that leaves the
     chart, chained from its fan's error, which states the fan's reach.
-    Returns (rho_matrix, error_estimate).
+    Returns (rho_matrix, error_estimate), the largest cube's limit error.
     """
     x = _base_point(chart, x)
     hs = nk.halving_ladder(sorted(hs, reverse=True))
     n = chart.dim
     E = chart.orthonormal_basis(x)
-
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    rows, rhs, errs = [], [], []
-    for C in _cube_systems(n):
-        try:
-            vols = _cube_volume_ladder(chart, x, E @ C, hs, grid)
-        except PreconditionError as e:
-            raise PreconditionError(
-                "the geodesic cube leaves the chart") from e
-        defect = [6.0 * (h ** n - vols[h]) / h ** (n + 2) for h in hs]
-        rr = nk.richardson(hs, defect, p=1, stride=1)
-        rhs.append(rr.value)
-        errs.append(rr.error)
-        # integral of rho_hat(C xi, C xi) over the unit cube: moments
-        # E[xi_a xi_b] = 1/3 (a = b) or 1/4 (a != b)
-        row = np.zeros(len(pairs))
-        for col, (p, q) in enumerate(pairs):
-            acc = 0.0
-            for a in range(n):
-                for b in range(n):
-                    mom = (1.0 / 3.0) if a == b else 0.25
-                    w = C[p, a] * C[q, b] + (C[q, a] * C[p, b] if p != q
-                                             else 0.0)
-                    acc += w * mom
-            row[col] = acc
-        rows.append(row)
-
-    A = np.array(rows)
-    b = np.array(rhs)
-    vech, *_ = np.linalg.lstsq(A, b, rcond=None)
+    cubes = np.array(_cube_systems(n))
+    xs, ws = nk.gauss_legendre(grid, 0.0, 1.0)
+    XI = np.stack([a.ravel() for a in
+                   np.meshgrid(*([xs] * n), indexing="ij")])  # (n, grid^n)
+    W = np.prod(np.meshgrid(*([ws] * n), indexing="ij"), axis=0).ravel()
+    try:                                    # one fan per cube: (h, cube)
+        vols = np.stack([ig._jacobi_elements(
+            chart, x, hs, cols @ XI,
+            np.repeat(cols.T[:, :, None], XI.shape[1], axis=2), True) @ W
+            for cols in [E @ C for C in cubes]], axis=1)
+    except PreconditionError as e:
+        raise PreconditionError("the geodesic cube leaves the chart") from e
+    defects = [6.0 * (h ** n - V) / h ** (n + 2) for h, V in zip(hs, vols)]
+    deltas = [6.0 * ig._FAN_RTOL * V / h ** (n + 2) for h, V in zip(hs, vols)]
+    rr = ig._comparison_limit(hs, defects, deltas, p=1)
+    # integral of rho_hat(C xi, C xi) over the unit cube, with moments
+    # E[xi_a xi_b] = 1/4 + delta_ab / 12, paired over the upper triangle
+    i, j = np.triu_indices(n)
+    rows = (2.0 - np.eye(n)) * (cubes @ (0.25 + np.eye(n) / 12.0)
+                                @ cubes.transpose(0, 2, 1))
+    vech = np.linalg.lstsq(rows[:, i, j], rr.value, rcond=None)[0]
     rho_hat = np.zeros((n, n))
-    for col, (p, q) in enumerate(pairs):
-        rho_hat[p, q] = rho_hat[q, p] = vech[col]
+    rho_hat[i, j] = rho_hat[j, i] = vech
     Einv = np.linalg.inv(E)
-    rho = Einv.T @ rho_hat @ Einv
-    return rho, float(max(errs))
+    return Einv.T @ rho_hat @ Einv, float(rr.error.max())
 
 
 # ---------------------------------------------------------------------------

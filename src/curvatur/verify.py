@@ -438,13 +438,14 @@ def suite_ricci(seed=0):
               np.array([1.0, math.pi / 2])),
              ("round 3-sphere", cat.builtin("s3_round").build(),
               np.array([0.2, 0.1, -0.3]))]
-    worst = 0.0
+    worst, errors = 0.0, []
     for name, chart, x in cases:
-        rho, _ = tn.ricci_volume_oracle(chart, x)
+        rho, err = tn.ricci_volume_oracle(chart, x)
         riem = tn.ricci_at(chart, x)
         worst = max(worst, float(np.abs(rho - riem.rho).max()))
+        errors.append(f"{name} {err:.3g}")
     yield _check(suite, "contraction vs volume-defect oracle",
-                 worst, 5e-3)
+                 worst, 5e-3, detail="oracle errors " + ", ".join(errors))
 
     worst_tr = worst_2d = 0.0
     for name, chart in _catalog_charts():
@@ -469,22 +470,19 @@ def suite_ricci(seed=0):
     u = E @ (w / np.linalg.norm(w))
     # complete u to a g-orthonormal triple by Gram-Schmidt
     basis = [u]
-    for col in E.T:
-        v = col.copy()
+    for v in E.T:
         for b in basis:
             v = v - (b @ g @ v) * b
         nrm = math.sqrt(float(v @ g @ v))
         if nrm > 1e-8:
             basis.append(v / nrm)
-        if len(basis) == 3:
-            break
-    tau12, _ = ig.plane_scalar_estimate(s3, x, basis[0], basis[1])
-    tau13, _ = ig.plane_scalar_estimate(s3, x, basis[0], basis[2])
+    tau12, err12 = ig.plane_scalar_estimate(s3, x, basis[0], basis[1])
+    tau13, err13 = ig.plane_scalar_estimate(s3, x, basis[0], basis[2])
     r = tn.ricci_at(s3, x)
     lhs = 2.0 * float(u @ r.rho @ u)
     yield _check(suite, "2 rho(u,u) equals the sum of section scalars",
                  abs(lhs - (tau12 + tau13)), 2e-3,
-                 detail=f"lhs={lhs:.6f}")
+                 detail=f"lhs={lhs:.6f}, errors {err12:.3g} {err13:.3g}")
 
 
 # -- curve-roundtrip ------------------------------------------------------

@@ -614,8 +614,8 @@ def test_sphere_areas_converge_in_samples(s3):
                                     [0.0, 0.0, 1.0]], name="S2xR")
     radii = [0.05, 0.1, 0.2]
     for chart, P in ((s3, [0.2, -0.3, 0.5]), (s2r, [1.1, 0.4, 0.2])):
-        coarse = ig._geodesic_sphere_areas(chart, np.array(P), radii, 24)
-        fine = ig._geodesic_sphere_areas(chart, np.array(P), radii, 48)
+        coarse, _ = ig._geodesic_sphere_areas(chart, np.array(P), radii, 24)
+        fine, _ = ig._geodesic_sphere_areas(chart, np.array(P), radii, 48)
         for r in radii:
             assert coarse[r] == pytest.approx(fine[r], rel=1e-12)
 
@@ -678,10 +678,33 @@ def test_sphere_fan_shrinks_its_radius_at_a_chart_edge(s3):
     assert est.cost["solves"] == 2
 
 
-def test_plane_scalar_estimate_leaving_the_chart_fails(s3):
+def test_plane_scalar_estimate_shrinks_its_radius_at_a_chart_edge(s3,
+                                                                   solves):
+    # the plane route shares the full estimate's chart-edge shrink: its
+    # circle fan leaves the box at r0 = 0.2 and reruns at r0 = 0.05
     e1, e2, _ = np.eye(3)
-    with pytest.raises(nk.PreconditionError, match="leaves the chart"):
-        ig.plane_scalar_estimate(s3, np.array([2.3, 0.0, 0.0]), e1, e2)
+    P = np.array([2.3, 0.0, 0.0])
+    tau, err = ig.plane_scalar_estimate(s3, P, e1, e2)
+    assert len(solves) == 2
+    assert (tau, err) == ig.plane_scalar_estimate(s3, P, e1, e2, r0=0.05)
+    assert abs(tau - 2.0) < 2e-3 and err >= abs(tau - 2.0)
+    with pytest.raises(nk.PreconditionError, match="no usable circle radius"):
+        ig.plane_scalar_estimate(s3, np.array([3.0, 0.0, 0.0]), e1, e2)
+
+
+@pytest.mark.parametrize("name, P, tau", [
+    ("sphere_chart", (1.0, 1.2), 2.0), ("sphere_chart", (2.0, 1.5), 2.0),
+    ("sphere_chart", (0.3, 0.8), 2.0), ("sphere_chart", (4.0, 2.0), 2.0),
+    ("sphere_chart", (1.0, 0.5), 2.0), ("halfplane", (0.5, 2.0), -2.0),
+    ("halfplane", (-0.5, 0.8), -2.0), ("halfplane", (0.0, 1.0), -2.0),
+    ("s3", (0.2, -0.1, 0.3), 6.0), ("s3", (0.0, 0.0, 0.0), 6.0),
+    ("s3", (0.4, 0.3, -0.2), 6.0)])
+def test_scalar_curvature_error_covers_the_true_error(request, name, P, tau):
+    # the fan's sample errors, carried through the Richardson weights, are
+    # most of the error: the last increment alone covered 0.46x of it at
+    # the sphere's (2.0, 1.5)
+    est = ig.scalar_curvature_estimate(request.getfixturevalue(name), P)
+    assert est.error >= abs(est.tau - tau)
 
 
 def test_scalar_curvature_on_a_skewed_chart_edge():

@@ -9,6 +9,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import curvatur.intrinsic as ig
 import curvatur.numkit as nk
 
 
@@ -579,6 +580,15 @@ def test_richardson_even_powers():
     assert res.value == pytest.approx(math.pi, abs=1e-12)
     assert res.error < 1e-10
     assert res.monotone
+    # the tableau is linear: its weights on the samples reproduce the value
+    assert res.weights @ fs == pytest.approx(res.value, abs=1e-14)
+    assert res.weights.sum() == pytest.approx(1.0, abs=1e-14)
+    # and carry each sample's error into the comparison limit's error
+    deltas = np.array([4e-9, 1e-9, 3e-9, 2e-9])
+    lim = ig._comparison_limit(hs, fs, deltas)
+    assert lim.value == res.value
+    assert lim.error == pytest.approx(
+        res.error + np.abs(res.weights) @ deltas, rel=1e-15)
 
 
 def test_richardson_requires_halving():

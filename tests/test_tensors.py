@@ -201,6 +201,41 @@ def test_volume_oracle_matches_ricci(sphere):
     assert isinstance(err, float)
 
 
+@pytest.mark.parametrize("name, x", [("lobachevsky_halfplane", (0.3, 2.0)),
+                                     ("s3_round", (0.2, 0.1, -0.3))])
+def test_volume_oracle_inverts_the_cube_moments(monkeypatch, name, x):
+    # cube volumes whose defect is exactly row(C) . vech(rho_hat), with each
+    # row built by the moment loop the oracle's closed form replaced: the
+    # oracle must give back rho_hat in coordinates
+    chart = cat.builtin(name).build()
+    n, x = chart.dim, np.array(x)
+    E = chart.orthonormal_basis(x)
+    A = np.random.default_rng(1).normal(size=(n, n))
+    rho_hat = A + A.T
+    pairs = [(p, q) for p in range(n) for q in range(p, n)]
+
+    def row(C):
+        out = np.zeros(len(pairs))
+        for col, (p, q) in enumerate(pairs):
+            for a in range(n):
+                for b in range(n):
+                    mom = (1.0 / 3.0) if a == b else 0.25
+                    out[col] += mom * (C[p, a] * C[q, b] + (
+                        C[q, a] * C[p, b] if p != q else 0.0))
+        return out
+
+    def volumes(chart, P, radii, U, dU, steer, cost=None):
+        C = np.linalg.solve(E, dU[:, :, 0].T)
+        d = row(C) @ np.array([rho_hat[p, q] for p, q in pairs])
+        return np.array([[r ** n - r ** (n + 2) * d / 6.0] * U.shape[1]
+                         for r in radii])
+
+    monkeypatch.setattr(ig, "_jacobi_elements", volumes)
+    rho, _ = tn.ricci_volume_oracle(chart, x)
+    Einv = np.linalg.inv(E)
+    assert np.abs(rho - Einv.T @ rho_hat @ Einv).max() < 1e-9
+
+
 def test_second_bianchi_residual(halfplane):
     resid, scale = tn.second_bianchi_residual(halfplane, np.array([0.2, 1.5]))
     assert resid < 1e-4

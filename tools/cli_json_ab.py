@@ -5,8 +5,9 @@
 Runs every invocation in ``INVOCATIONS``, a fixed sample with at least
 one invocation of each command that reports a cost block, ``curve
 analyze`` and ``surface report`` (the curve and surface modules' own
-commands), ``verify --suite all --format json``, two scalar estimates at
-chart edges (a circle fan and a sphere fan that leave the box and rerun
+commands), ``verify --suite all --format json``, a scalar estimate
+at the sphere point (2.0, 1.5), where its error covers the true error by
+the least margin, two at chart edges (a circle fan and a sphere fan that leave the box and rerun
 at a smaller radius) and one circle that fails by leaving the chart, as
 ``python -m curvatur.cli`` with each tree first on ``PYTHONPATH``, and
 prints every JSON leaf that differs, with its relative change.  An
@@ -30,6 +31,7 @@ INVOCATIONS = (
      "--param", "r=1", "--from", "0,0", "--dir", "1,1", "--length", "20",
      "--samples", "40"),
     ("curvature", "scalar", "--builtin", "sphere", "--at", "1.0,1.2"),
+    ("curvature", "scalar", "--builtin", "sphere", "--at", "2.0,1.5"),
     ("curvature", "scalar", "--builtin", "s3_round", "--at", "0.2,-0.1,0.3"),
     ("curvature", "scalar", "--builtin", "s3_round", "--at", "2.3,0,0"),
     ("curvature", "scalar", "--builtin", "sphere", "--at", "1.0,0.25"),
