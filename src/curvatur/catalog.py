@@ -207,7 +207,7 @@ def _wrap(text_prec, prec):
     return f"({text})" if prec > own else text
 
 
-def print_expr(e, parent_prec=0):
+def print_expr(e):
     """Render an expression; parse(print(e)) reproduces e exactly."""
     def apply(e, *args):            # (text, how tightly the text binds)
         if isinstance(e, Num):
@@ -231,7 +231,7 @@ def print_expr(e, parent_prec=0):
         return (f"{ls} {e.op} {rs}" if e.op in ("+", "-")
                 else f"{ls}{e.op}{rs}"), p
 
-    return _wrap(_fold(e, apply), parent_prec)
+    return _fold(e, apply)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +644,6 @@ class GeometrySpec:
     exprs: object = None
     params: dict = field(default_factory=dict)
     periods: tuple = None
-    flip_normal: bool = False
     provenance: str = "parsed"
     warnings: list = field(default_factory=list)
 
@@ -673,8 +672,7 @@ class GeometrySpec:
         if self.kind == "surface":
             return SurfacePatch(_stacked_fn(Program(self.exprs, self.coords,
                                                     self.params), (3,)),
-                                self.domain, flip_normal=self.flip_normal,
-                                periods=periods, name=self.name)
+                                self.domain, periods=periods, name=self.name)
 
         if self.kind == "metric":
             program = Program([e for row in self.exprs for e in row],
@@ -687,8 +685,8 @@ class GeometrySpec:
 
         raise PreconditionError(f"unknown geometry kind {self.kind}")
 
-    def _spd_check(self, chart, grid=8):
-        axes = [np.linspace(lo, hi, grid) for lo, hi in self.domain]
+    def _spd_check(self, chart):
+        axes = [np.linspace(lo, hi, 8) for lo, hi in self.domain]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh])
         g = chart.g_at(pts)
@@ -954,6 +952,14 @@ def _expression_parameter(key, text, names):
                          exc.col, exc.expected) from None
 
 
+def _number(name, k, v):
+    try:
+        return float(v)
+    except ValueError:
+        raise PreconditionError(f"{name}: parameter {k} must be a number, "
+                                f"got {v!r}") from None
+
+
 def builtin(name, params=None) -> GeometrySpec:
     """A ready-made geometry spec by name.
 
@@ -971,13 +977,14 @@ def builtin(name, params=None) -> GeometrySpec:
             if k in texts:
                 texts[k] = str(v)
             else:
-                numeric[k] = float(v)
+                numeric[k] = v
         exprs = {k: _expression_parameter(k, text, set(coords) | set(numeric))
                  for k, text in texts.items()}
         used = set().union(*map(free_names, exprs.values())) - set(coords)
         for k in numeric:
             if k not in used:
                 raise PreconditionError(f"{name} has no parameter {k!r}")
+        numeric = {k: _number(name, k, v) for k, v in numeric.items()}
         # the printed expressions parse back to the same trees
         spec = parse_geometry("".join(f"param {k} = {v!r}\n"
                                       for k, v in numeric.items())
@@ -995,7 +1002,7 @@ def builtin(name, params=None) -> GeometrySpec:
     for k, v in params.items():
         if k not in spec.params:
             raise PreconditionError(f"{name} has no parameter {k!r}")
-        spec.params[k] = float(v)
+        spec.params[k] = _number(name, k, v)
     for k in ("R", "r"):
         if k in spec.params and spec.params[k] <= 0:
             raise PreconditionError(f"{name}: parameter {k} must be "

@@ -213,8 +213,6 @@ def _geometry_doc(spec, note=None):
     }
     if spec.periods and any(p is not None for p in spec.periods):
         doc["periods"] = list(spec.periods)
-    if spec.flip_normal:
-        doc["flip_normal"] = True
     if note:
         doc["metric"] = note
     return doc
@@ -279,7 +277,8 @@ def _curve_reconstruct(args, _):
                         "length": s_max, "samples": n},
                 results={"endpoint": pts[-1],
                          "samples": {"columns": header, "rows": rows}},
-                tolerances={"ode_rtol": 1e-10, "ode_atol": 1e-12},
+                tolerances={"ode_rtol": cv._FRAME_RTOL,
+                            "ode_atol": cv._FRAME_ATOL},
                 cost=dict(zip(ig._COST, ig._counters(curve.trajectory))))
 
 

@@ -84,12 +84,10 @@ def speed(curve: ParamCurve, t):
     return float(s[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else s
 
 
-def arc_length(curve: ParamCurve, a=None, b=None, tol=1e-10):
-    """Length of the curve between parameters a and b (defaults: domain)."""
-    lo, hi = curve.domain
-    a = lo if a is None else float(a)
-    b = hi if b is None else float(b)
-    value, _ = nk.quadrature(lambda t: speed(curve, t), a, b, tol=tol)
+def arc_length(curve: ParamCurve, tol=1e-10):
+    """Length of the curve over its parameter domain."""
+    value, _ = nk.quadrature(lambda t: speed(curve, t), *curve.domain,
+                             tol=tol)
     return value
 
 
@@ -107,6 +105,7 @@ def plane_curvature(curve: ParamCurve, t):
 
 
 _BIREGULAR_TOL = 1e-12     # |v x a| / |v|^3 below this is not biregular
+_FRAME_RTOL, _FRAME_ATOL = 1e-10, 1e-12     # of the frame-equation solves
 
 
 def space_curvature_torsion(curve: ParamCurve, t):
@@ -200,7 +199,7 @@ def _as_fn(data):
     return lambda s: const
 
 
-def reconstruct_plane_curve(kbar, s_max, rtol=1e-10, atol=1e-12) -> ParamCurve:
+def reconstruct_plane_curve(kbar, s_max) -> ParamCurve:
     """Plane curve with prescribed signed curvature kbar(s), unit speed.
 
     Starts at the origin with tangent (1, 0).  ``kbar`` may be a constant
@@ -214,7 +213,8 @@ def reconstruct_plane_curve(kbar, s_max, rtol=1e-10, atol=1e-12) -> ParamCurve:
         return np.array([math.cos(y[2]), math.sin(y[2]), k])
 
     traj = nk.integrate_ode(nk.OdeProblem(rhs, np.array([0.0, 0.0, 0.0]),
-                                          (0.0, float(s_max)), rtol, atol))
+                                          (0.0, float(s_max)), _FRAME_RTOL,
+                                          _FRAME_ATOL))
 
     def build(s_jet, s0, state):
         alpha0 = state[..., 2]
@@ -236,7 +236,7 @@ def reconstruct_plane_curve(kbar, s_max, rtol=1e-10, atol=1e-12) -> ParamCurve:
     return _FrameODECurve(traj, 2, float(s_max), build)
 
 
-def reconstruct_space_curve(kbar, taubar, s_max, rtol=1e-10, atol=1e-12) -> ParamCurve:
+def reconstruct_space_curve(kbar, taubar, s_max) -> ParamCurve:
     """Space curve with prescribed curvature and torsion, unit speed.
 
     Integrates the frame equations v' = k n, n' = -k v + tau (v x n)
@@ -257,7 +257,7 @@ def reconstruct_space_curve(kbar, taubar, s_max, rtol=1e-10, atol=1e-12) -> Para
     y0 = np.concatenate([np.zeros(3), np.array([1.0, 0.0, 0.0]),
                          np.array([0.0, 1.0, 0.0])])
     traj = nk.integrate_ode(nk.OdeProblem(rhs, y0, (0.0, float(s_max)),
-                                          rtol, atol))
+                                          _FRAME_RTOL, _FRAME_ATOL))
 
     def build(s_jet, s0, state):
         x = state[..., 0:3]

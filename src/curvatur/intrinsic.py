@@ -232,6 +232,7 @@ def pullback_metric(surface) -> MetricChart:
 
 
 _COST = ("solves", "accepted_steps", "rejected_steps", "rhs_evals")
+_TRANSPORT_RTOL, _TRANSPORT_ATOL = 1e-10, 1e-12     # per transported lane
 
 
 def _counters(traj):
@@ -278,9 +279,9 @@ class GeodesicPath:
         y = self.trajectory.eval(t)
         return y[..., self.chart.dim: 2 * self.chart.dim]
 
-    def speed_drift(self, samples=64):
-        """Max relative drift of g(x', x') along the path."""
-        ts = np.linspace(self.ts[0], self.ts[-1], samples)
+    def speed_drift(self):
+        """Max relative drift of g(x', x') along the path, at 64 samples."""
+        ts = np.linspace(self.ts[0], self.ts[-1], 64)
         y = self.trajectory.eval(ts)
         n = self.chart.dim
         x, v = y[:, :n].T, y[:, n:2 * n].T
@@ -453,7 +454,7 @@ def _transport_gram_drift(chart, xs, vecs):
     return float(np.abs(gram - gram[0]).max() / scale)
 
 
-def _propagators(chart: MetricChart, curve, S, rtol=1e-10, atol=1e-12):
+def _propagators(chart: MetricChart, curve, S):
     """Transport maps along S curves on tau in [0, 1], as one batched solve.
 
     ``curve(tau)`` returns the curves' positions and velocities, (n, S)
@@ -462,8 +463,8 @@ def _propagators(chart: MetricChart, curve, S, rtol=1e-10, atol=1e-12):
     others, and all S integrate as the lanes of one solve with one
     :func:`christoffel_at` call over every lane per RHS.  The solver's
     error norm is an RMS over the whole state, so the tolerances are divided
-    by sqrt(S): that bounds each lane's own RMS error by ``rtol``/``atol``,
-    as if it had been solved alone.
+    by sqrt(S): that bounds each lane's own RMS error by
+    ``_TRANSPORT_RTOL``/``_TRANSPORT_ATOL``, as if it had been solved alone.
 
     Returns the shared mesh ``taus`` (T,), ``Phi`` (T, S, n, n),
     Phi[m, s] = Phi_s(taus[m]), and the solve's counters keyed by ``_COST``.
@@ -484,8 +485,9 @@ def _propagators(chart: MetricChart, curve, S, rtol=1e-10, atol=1e-12):
 
     y0 = np.tile(np.eye(n), (S, 1, 1)).ravel()
     scale = math.sqrt(S)
-    traj = nk.integrate_ode(nk.OdeProblem(rhs, y0, (0.0, 1.0), rtol / scale,
-                                          atol / scale))
+    traj = nk.integrate_ode(nk.OdeProblem(rhs, y0, (0.0, 1.0),
+                                          _TRANSPORT_RTOL / scale,
+                                          _TRANSPORT_ATOL / scale))
     if traj.stopped:
         raise PreconditionError("the Christoffel symbols turn non-finite "
                                 f"along the path near tau={traj.ts[-1]:.6g}")
@@ -536,8 +538,7 @@ def _pieces(chart: MetricChart, path):
         "polyline"
 
 
-def parallel_transport(chart: MetricChart, path, a0, rtol=1e-10,
-                       atol=1e-12) -> TransportResult:
+def parallel_transport(chart: MetricChart, path, a0) -> TransportResult:
     """Transport vector(s) a0 along a coordinate polyline or geodesic sides.
 
     ``path`` is an (M, n) array of waypoints joined by straight coordinate
@@ -547,8 +548,8 @@ def parallel_transport(chart: MetricChart, path, a0, rtol=1e-10,
     vector (n,) or a matrix of columns (n, k).
 
     Every path is one solve: :func:`_propagators` integrates each piece's
-    propagator Phi_s as a lane of one batch (each lane held to
-    ``rtol``/``atol``), and the vectors chain as A_{s+1} = Phi_s(1) A_s.
+    propagator Phi_s as a lane of one batch (each lane held to rtol 1e-10
+    and atol 1e-12), and the vectors chain as A_{s+1} = Phi_s(1) A_s.
     The samples are the shared mesh on every piece, at times s + tau, with
     vectors Phi_s(tau) A_s.  Waypoints outside the chart's box raise
     :class:`PreconditionError` (the box is convex, so the segments stay
@@ -560,7 +561,7 @@ def parallel_transport(chart: MetricChart, path, a0, rtol=1e-10,
     n = chart.dim
     k = A0.shape[1]
     start, _, S, curve, kind = _pieces(chart, path)
-    taus, Phi, cost = _propagators(chart, curve, S, rtol, atol)
+    taus, Phi, cost = _propagators(chart, curve, S)
     A = [A0]
     for P in Phi[-1]:
         A.append(P @ A[-1])
@@ -777,7 +778,7 @@ class TauEstimate:
     ``tau`` is the headline estimate (circle route for 2D, sphere-area
     route for 3D).  For 2D charts ``tau_circle`` and ``tau_disk`` hold the
     two independent comparison limits, which must agree within ``error``:
-    both routes' errors plus their disagreement.  ``cost`` sums the solver
+    the sum of both routes' errors.  ``cost`` sums the solver
     counters of every radius attempt.
     """
 
@@ -859,7 +860,7 @@ def scalar_curvature_estimate(chart: MetricChart, P, r0=0.2, rungs=3,
             ladder, [24.0 * (math.pi * R ** 2 - areas[R]) / (math.pi * R ** 4)
                      for R in ladder],
             [24.0 * area_errors[R] / (math.pi * R ** 4) for R in ladder])
-        err = head.error + rd.error + abs(head.value - rd.value)
+        err = head.error + rd.error
         routes = (head.value, rd.value)
         monotone = head.monotone and rd.monotone
     else:                              # 3D: geodesic-sphere area defect

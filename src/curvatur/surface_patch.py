@@ -102,16 +102,6 @@ class SurfacePatch:
         js = self.jets(u, v, order=1)
         return np.stack([js.partial((1, 0)), js.partial((0, 1))])
 
-    def normal_jets(self, u, v, order=2):
-        """The unit normal as one jet of the given order, coefficients
-        (K, 3, ...batch).
-
-        Needs immersion jets one order higher, so ``order`` is capped at 3.
-        """
-        if order > 3:
-            raise PreconditionError("normal jets available up to order 3")
-        return self._unit_normal(self.jets(u, v, order + 1))
-
     def _unit_normal(self, r):
         """Cooriented unit normal, one order below the immersion jet r."""
         cr = nk.vcross(nk.derivative_nd(r, 0), nk.derivative_nd(r, 1))
@@ -197,7 +187,7 @@ def principal_at(surface: SurfacePatch, uv) -> ExtrinsicReport:
     )
 
 
-def _slice_curve(surface: SurfacePatch, uv, w, m_tilt, order=3):
+def _slice_curve(surface: SurfacePatch, uv, w, m_tilt):
     """Plane-section curve through the patch point, as a space curve.
 
     The cutting plane passes through the point and is spanned by the unit
@@ -206,6 +196,7 @@ def _slice_curve(surface: SurfacePatch, uv, w, m_tilt, order=3):
     order for the chart functions u(xi), v(xi); this construction never
     consults curvature formulas, so it can act as an independent oracle.
     """
+    order = 3
     u0, v0 = float(uv[0]), float(uv[1])
     f = forms_at(surface, uv)
     P = f.point
@@ -286,6 +277,8 @@ def area(surface: SurfacePatch, tol=1e-9):
 
 
 _FOCAL_GRID = 16           # focal-set check samples per coordinate
+_TOTALS_TOL = 1e-9         # quadrature tolerance of the curvature totals
+_OFFSET_EPSILONS = (1e-2, 5e-3, 2.5e-3)    # offsets +-eps, largest first
 
 
 def _check_focal(surface: SurfacePatch, eps):
@@ -366,7 +359,7 @@ class TotalCurvatureReport:
     offset_areas: tuple = ()
 
 
-def gauss_map_signed_area(surface: SurfacePatch, tol=1e-9):
+def gauss_map_signed_area(surface: SurfacePatch):
     """Signed area of the Gauss-map image, the total Gaussian curvature.
 
     The triple product is projected onto the natural r_u x r_v direction so
@@ -377,24 +370,24 @@ def gauss_map_signed_area(surface: SurfacePatch, tol=1e-9):
     sign = -1.0 if surface.flip_normal else 1.0
 
     def integrand(u, v):
-        nj = surface.normal_jets(u, v, order=1)
+        nj = surface._unit_normal(surface.jets(u, v, 2))
         return sign * nk.vtriple(nj.partial((1, 0)), nj.partial((0, 1)),
                                  nj.value)
 
-    value, _ = nk.quadrature2d(integrand, u0, u1, v0, v1, tol=tol)
+    value, _ = nk.quadrature2d(integrand, u0, u1, v0, v1, tol=_TOTALS_TOL)
     return value
 
 
-def total_curvatures(surface: SurfacePatch, fit_tol=1e-4,
-                     epsilons=(1e-2, 5e-3, 2.5e-3), tol=1e-9) -> TotalCurvatureReport:
+def total_curvatures(surface: SurfacePatch, fit_tol=1e-4) -> TotalCurvatureReport:
     """Area, total mean curvature and total Gaussian curvature of a patch.
 
     The two curvature totals are the surface integrals whose first-order
     and second-order roles in the offset-area expansion
     area(eps) = area + mean_total * eps + gauss_total * eps^2
     are verified against a quadratic fit through the report's
-    ``offset_areas`` at +-epsilons.  A mismatch above ``fit_tol`` (relative) raises
-    :class:`VerificationError` carrying the report.
+    ``offset_areas`` at +-``_OFFSET_EPSILONS``.  A mismatch above
+    ``fit_tol`` (relative) raises :class:`VerificationError` carrying the
+    report.
 
     One quadrature takes the area element, both curvature densities and
     each offset's |(r_u + eps n_u) x (r_v + eps n_v)| from one order-2 jet
@@ -406,9 +399,8 @@ def total_curvatures(surface: SurfacePatch, fit_tol=1e-4,
     # element must stay positive against the natural r_u x r_v direction,
     # so flipped patches need the projection sign compensated.
     sign = -1.0 if surface.flip_normal else 1.0
-    eps_ladder = sorted({abs(float(e)) for e in epsilons}, reverse=True)
-    eps_all = [e for mag in eps_ladder for e in (mag, -mag)]
-    _check_focal(surface, eps_ladder[0])
+    eps_all = [e for mag in _OFFSET_EPSILONS for e in (mag, -mag)]
+    _check_focal(surface, _OFFSET_EPSILONS[0])
 
     def integrands(u, v):
         """|r_u x r_v|, mean density, Gauss density, offset area elements."""
@@ -424,7 +416,7 @@ def total_curvatures(surface: SurfacePatch, fit_tol=1e-4,
         return np.stack([np.sqrt(nk.vdot(cr, cr)), sign * h, sign * k]
                         + [np.sqrt(nk.vdot(c, c)) for c in offsets])
 
-    totals, _ = nk.quadrature2d(integrands, u0, u1, v0, v1, tol=tol)
+    totals, _ = nk.quadrature2d(integrands, u0, u1, v0, v1, tol=_TOTALS_TOL)
     S, H, K = map(float, totals[:3])
     areas = tuple(map(float, totals[3:]))
     A = np.column_stack([np.ones(len(eps_all)), eps_all,

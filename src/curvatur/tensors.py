@@ -82,13 +82,11 @@ def riemann_at(chart: ig.MetricChart, x) -> RiemannAt:
     return RiemannAt(x, g, R, R_down)
 
 
-def sectional_at(chart: ig.MetricChart, x, u, v, riem: Optional[RiemannAt]
-                 = None) -> float:
+def sectional_at(chart: ig.MetricChart, x, u, v) -> float:
     """Sectional curvature of the plane spanned by u and v at x."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if riem is None:
-        riem = riemann_at(chart, x)
+    riem = riemann_at(chart, x)
     g = riem.g
     uu = u @ g @ u
     vv = v @ g @ v
@@ -223,21 +221,20 @@ def _cube_systems(n):
             np.diag([-1.0, 1.0, 1.0]), r12, r23, r13]
 
 
-def ricci_volume_oracle(chart: ig.MetricChart, x, hs=(0.2, 0.1, 0.05),
-                        grid=6):
+def ricci_volume_oracle(chart: ig.MetricChart, x, hs=(0.2, 0.1, 0.05)):
     """Ricci form from volume defects of small geodesic cubes.
 
     For a cube spanned by h-scaled orthonormal combinations C, the volume
     satisfies 6 (h^n - V(h)) / h^(n+2) -> integral of rho(C xi, C xi) over
     the unit cube, a known linear functional of the Ricci entries.  Several
     cubes give a full-rank linear system.  Each cube's volume is a
-    Gauss-Legendre sum (``grid`` nodes per axis) of the exact volume
+    Gauss-Legendre sum (6 nodes per axis) of the exact volume
     element of one variational fan (:func:`intrinsic._jacobi_elements`),
     read at every h off its dense output.  All cubes' defects are
     Richardson extrapolated in h in one call before solving, each volume
     carrying the fan's rtol as its error
-    (:func:`intrinsic._comparison_limit`).  The base point, the ladder
-    ``hs`` (in any order) raise :class:`PreconditionError` as in
+    (:func:`intrinsic._comparison_limit`).  A bad base point or ladder
+    ``hs`` (given in any order) raises :class:`PreconditionError` as in
     :func:`riemann_holonomy_oracle`, and so does a cube that leaves the
     chart, chained from its fan's error, which states the fan's reach.
     Returns (rho_matrix, error_estimate), the largest cube's limit error.
@@ -247,9 +244,9 @@ def ricci_volume_oracle(chart: ig.MetricChart, x, hs=(0.2, 0.1, 0.05),
     n = chart.dim
     E = chart.orthonormal_basis(x)
     cubes = np.array(_cube_systems(n))
-    xs, ws = nk.gauss_legendre(grid, 0.0, 1.0)
+    xs, ws = nk.gauss_legendre(6, 0.0, 1.0)
     XI = np.stack([a.ravel() for a in
-                   np.meshgrid(*([xs] * n), indexing="ij")])  # (n, grid^n)
+                   np.meshgrid(*([xs] * n), indexing="ij")])  # (n, 6^n)
     W = np.prod(np.meshgrid(*([ws] * n), indexing="ij"), axis=0).ravel()
     try:                                    # one fan per cube: (h, cube)
         vols = np.stack([ig._jacobi_elements(
@@ -436,17 +433,16 @@ def alt_of_nabla(chart: ig.MetricChart, phi: Field) -> Field:
     return Field("bilinear", fn, name=f"alt nabla {phi.name}")
 
 
-def potential_on_box(phi: Field, box, base=None, tol=1e-10):
+def potential_on_box(phi: Field, box):
     """A potential for a closed covector field on a coordinate box.
 
-    Integrates phi first along the x-axis from the base corner, then along
-    each remaining axis.  If phi is exact (d phi = 0), the gradient of the
-    result reproduces phi; the caller checks that.  Returns a scalar
-    callable f(x).
+    Integrates phi first along the x-axis from the box's lower corner,
+    then along each remaining axis.  If phi is exact (d phi = 0), the
+    gradient of the result reproduces phi; the caller checks that.  Returns
+    a scalar callable f(x).
     """
     n = len(box)
-    base = np.array([lo for lo, hi in box]) if base is None else \
-        np.asarray(base, dtype=float)
+    base = np.array([lo for lo, hi in box], dtype=float)
 
     def comp(k, x):
         def f(s):
@@ -464,7 +460,7 @@ def potential_on_box(phi: Field, box, base=None, tol=1e-10):
             if abs(x[k] - cur[k]) > 0:
                 val, _ = nk.quadrature(comp(k, np.where(
                     np.arange(n) > k, base, x).astype(float)), cur[k], x[k],
-                    tol=tol)
+                    tol=1e-10)
                 total += val
             cur[k] = x[k]
         return total

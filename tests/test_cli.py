@@ -97,6 +97,24 @@ def test_trace_cost_block_is_deterministic(capsys):
             <= 2 + 12 * steps + 3 * cost["accepted_steps"])
 
 
+def test_distance_cost_block_sums_its_solves(capsys, monkeypatch):
+    # each shot that ran to its end costs its pair's stages per attempted
+    # step, DOPRI5 1 + 6 and DOP853 2 + 12, and the block adds them all up
+    trajs = []
+    integrate = nk.integrate_ode
+    monkeypatch.setattr(nk, "integrate_ode", lambda *a, **kw: trajs.append(
+        integrate(*a, **kw)) or trajs[-1])
+    doc = run_json(capsys, "geodesic", "distance", "--builtin",
+                   "lobachevsky_halfplane", "--from", "0,1", "--to", "3,1")
+    for t in trajs:
+        first, per_step = (1, 6) if t.pair is nk.DOPRI5 else (2, 12)
+        assert t.pair in (nk.DOPRI5, nk.DOP853)
+        assert t.stopped or t.n_rhs == first + per_step * (t.n_accepted
+                                                           + t.n_rejected)
+    total = np.sum([ig._counters(t) for t in trajs], axis=0).tolist()
+    assert doc["diagnostics"]["cost"] == dict(zip(ig._COST, total))
+
+
 def test_scalar_cost_block_is_deterministic(capsys):
     argv = ("curvature", "scalar", "--builtin", "sphere", "--at", "1.0,1.2")
     _, first, _ = run(capsys, *argv)
@@ -559,6 +577,19 @@ def test_usage_errors_exit_2(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert json.loads(err)["error"]["type"], argv
+
+
+def test_non_numeric_param_is_a_usage_error(capsys):
+    # parameter names are checked before their values are converted
+    for source, param, message in (
+            ("torus", "R=abc", "torus: parameter R must be a number, got "
+             "'abc'"),
+            ("graph", "g=abc", "graph has no parameter 'g'")):
+        code, out, err = run(capsys, "surface", "area", "--builtin", source,
+                             "--param", param)
+        assert (code, out) == (2, "")
+        info = json.loads(err)["error"]
+        assert (info["type"], info["message"]) == ("UsageError", message)
 
 
 @pytest.mark.parametrize("argv, name", [

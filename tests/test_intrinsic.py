@@ -731,6 +731,20 @@ def test_scalar_curvature_plane_and_halfplane(plane, halfplane):
     assert hyp.routes_agree
 
 
+def test_routes_disagree_when_the_disk_areas_move(halfplane, monkeypatch):
+    # the routes are held to the sum of their own errors, so scaling every
+    # disk area by 1 + 1e-6 parts them
+    fan = ig.circles_and_disks
+
+    def scaled(*a, **kw):
+        lengths, areas, errors, area_errors = fan(*a, **kw)
+        return (lengths, {R: S * (1 + 1e-6) for R, S in areas.items()},
+                errors, area_errors)
+
+    monkeypatch.setattr(ig, "circles_and_disks", scaled)
+    assert not ig.scalar_curvature_estimate(halfplane, (0.5, 2)).routes_agree
+
+
 def test_geodesic_distance_plane_is_euclidean(plane):
     d = ig.geodesic_distance(plane, [0.1, 0.2], [1.0, 1.4])
     assert d == pytest.approx(math.hypot(0.9, 1.2), abs=1e-10)

@@ -7,8 +7,10 @@ one invocation of each command that reports a cost block, ``curve
 analyze`` and ``surface report`` (the curve and surface modules' own
 commands), ``verify --suite all --format json``, a scalar estimate
 at the sphere point (2.0, 1.5), where its error covers the true error by
-the least margin, two at chart edges (a circle fan and a sphere fan that leave the box and rerun
-at a smaller radius) and one circle that fails by leaving the chart, as
+the least margin, two at chart edges (a circle fan and a sphere fan that
+leave the box and rerun at a smaller radius), one circle that fails by
+leaving the chart, ``surface offset`` (the offset-area totals) and
+``curvature sectional`` (the sectional curvature of a 3D chart), as
 ``python -m curvatur.cli`` with each tree first on ``PYTHONPATH``, and
 prints every JSON leaf that differs, with its relative change.  An
 invocation whose stdout is not JSON, such as the failing circle, is
@@ -51,6 +53,9 @@ INVOCATIONS = (
      "--loop", "0,1", "--loop", "1,1", "--loop", "1,2", "--loop", "0,2"),
     ("curve", "analyze", "--builtin", "helix", "--at", "0.5", "--at", "1.5"),
     ("surface", "report", "--builtin", "torus", "--at", "1.3,2.1"),
+    ("surface", "offset", "--builtin", "torus", "--eps", "0.1"),
+    ("curvature", "sectional", "--builtin", "s3_round", "--at", "0.2,-0.1,0.3",
+     "--u", "1,0,0", "--v", "0,1,0"),
     ("verify", "--suite", "all", "--format", "json"),
 )
 
