@@ -408,7 +408,7 @@ def _transport_along(args, g):
 
 def _transport_holonomy(args, g):
     pts = _waypoints(args.loop or [], g.obj.dim, "--loop")
-    if not np.allclose(pts[0], pts[-1]):
+    if ig._closure_defect(g.obj, pts[0], pts[-1]) > ig._CLOSURE_TOL:
         pts = np.vstack([pts, pts[:1]])
     res = ig.holonomy(g.obj, pts)
     return dict(inputs={"loop": pts},

@@ -670,34 +670,38 @@ def _jacobi_elements(chart: MetricChart, P, radii, U, dU, steer, cost=None):
     return np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
 
 
+def _azimuth_rule(f):
+    """2 pi times the mean of f over its last axis, the M azimuths, and its
+    error: the change when every other azimuth is dropped (the trapezoid
+    rule's embedded estimate; Trefethen & Weideman, SIAM Review 56, 2014)
+    plus the fan's rtol times the sum."""
+    full = 2.0 * math.pi * f.mean(axis=-1)
+    half = 2.0 * math.pi * f[..., ::2].mean(axis=-1)
+    return full, np.abs(full - half) + _FAN_RTOL * full
+
+
 def geodesic_circle_lengths(chart: MetricChart, P, radii, samples=24,
                             frame=None, cost=None):
-    """Circle lengths L(r) for each radius, with error estimates.
+    """Circle lengths L(r) and their error estimates, two arrays aligned
+    with ``radii``.
 
     The circles lie in exp_P of the plane spanned by the g-orthonormal
     columns of ``frame`` (n, 2), by default the first two columns of
-    :meth:`MetricChart.orthonormal_basis`.  L(r) is the trapezoid sum of
-    |J_theta(r)|_g over M = ``samples`` directions u(theta), where
+    :meth:`MetricChart.orthonormal_basis`.  L(r) is :func:`_azimuth_rule`
+    over |J_theta(r)|_g at M = ``samples`` directions u(theta), where
     J_theta = d exp_P(r u(theta)) / d theta is the Jacobi column of one
-    variational fan (do Carmo, Riemannian Geometry, ch. 5).  The rule
-    converges geometrically in M for a smooth periodic integrand
-    (Trefethen & Weideman, SIAM Review 56, 2014), so the error estimate is
-    |L_M - L_{M/2}| (every other direction) plus the fan's rtol times L.
-    Returns (lengths dict, error dict); ``cost`` goes to the fan.
+    variational fan (do Carmo, Riemannian Geometry, ch. 5); ``cost`` goes
+    to the fan.
     """
     M = fan_samples(samples)
-    radii = [float(r) for r in radii]
     if frame is None:
         frame = chart.orthonormal_basis(np.asarray(P, dtype=float))[:, :2]
     phis = 2.0 * math.pi * np.arange(M) / M
     c, s = np.cos(phis), np.sin(phis)
     U = c * frame[:, :1] + s * frame[:, 1:2]
     dU = (c * frame[:, 1:2] - s * frame[:, :1])[None]
-    speed = _jacobi_elements(chart, P, radii, U, dU, False, cost)
-    full = 2.0 * math.pi * speed.mean(axis=1)
-    half = 2.0 * math.pi * speed[:, ::2].mean(axis=1)
-    err = np.abs(full - half) + _FAN_RTOL * full
-    return dict(zip(radii, full.tolist())), dict(zip(radii, err.tolist()))
+    return _azimuth_rule(_jacobi_elements(chart, P, radii, U, dU, False,
+                                          cost))
 
 
 _RADIAL_NODES = 24         # Gauss-Legendre nodes of each disk area
@@ -705,27 +709,21 @@ _RADIAL_NODES = 24         # Gauss-Legendre nodes of each disk area
 
 def circles_and_disks(chart: MetricChart, P, radii, samples=24, cost=None):
     """Circle lengths L(R), disk areas S(R) and the error estimates of
-    both for each R in ``radii``, as four dicts keyed by R.
+    both, four arrays aligned with ``radii``.
 
     S(R) integrates L(rho) over [0, R] with ``_RADIAL_NODES`` Gauss-Legendre
-    nodes, and its error estimate integrates the lengths' estimates with
-    the same weights; every length comes from one
-    :func:`geodesic_circle_lengths` call (given ``cost``) over the union
-    of the radii and their nodes.
+    nodes, summed in node order, and its error estimate integrates the
+    lengths' estimates alike; every length comes from one
+    :func:`geodesic_circle_lengths` call (given ``cost``) over the radii
+    and their nodes.
     """
-    radii = [float(R) for R in radii]
-    rules = {R: nk.gauss_legendre(_RADIAL_NODES, 0.0, R) for R in radii}
-    all_r = sorted(set(radii) | set(float(x) for xs, _ in rules.values()
-                                    for x in xs))
-    lengths, errors = geodesic_circle_lengths(chart, P, all_r, samples,
-                                              cost=cost)
-
-    def over_disks(per_radius):
-        return {R: float(sum(w * per_radius[float(x)] for x, w in zip(xs, ws)))
-                for R, (xs, ws) in rules.items()}
-
-    return ({R: lengths[R] for R in radii}, over_disks(lengths),
-            {R: errors[R] for R in radii}, over_disks(errors))
+    radii = np.asarray(radii, dtype=float)
+    n = len(radii)
+    xs, ws = nk.gauss_legendre(_RADIAL_NODES, 0.0, radii[:, None])
+    f = np.stack(geodesic_circle_lengths(
+        chart, P, np.concatenate([radii, xs.ravel()]), samples, cost=cost))
+    S = (ws * f[:, n:].reshape(2, n, -1)).cumsum(axis=2)[:, :, -1]
+    return f[0, :n], S[0], f[1, :n], S[1]
 
 
 @dataclass
@@ -759,15 +757,15 @@ def geodesic_circle(chart: MetricChart, P, R, samples=24) -> CircleResult:
         raise PreconditionError("radius must be positive")
     delta = 1e-3 * R
     counts = np.zeros(len(_COST), int)
-    lengths, areas, errors, area_errors = circles_and_disks(
-        chart, P, (R - delta, R, R + delta), samples, counts)
-    dS = (areas[R + delta] - areas[R - delta]) / (2 * delta)
-    resid = abs(dS - lengths[R]) / max(abs(lengths[R]), 1e-300)
+    L, S, eL, eS = circles_and_disks(chart, P, (R - delta, R, R + delta),
+                                     samples, counts)
+    dS = (S[2] - S[0]) / (2 * delta)
+    resid = abs(dS - L[1]) / max(abs(L[1]), 1e-300)
     warnings = []
     if resid > 1e-5:
         warnings.append(f"dS/dR check off by {resid:.3g} relative")
-    return CircleResult(R, lengths[R], areas[R], errors[R], area_errors[R],
-                        float(resid), warnings,
+    return CircleResult(R, float(L[1]), float(S[1]), float(eL[1]),
+                        float(eS[1]), float(resid), warnings,
                         dict(zip(_COST, counts.tolist())))
 
 
@@ -810,11 +808,12 @@ def _comparison_limit(ladder, defects, deltas, p=2):
 
 
 def _circle_limit(ladder, lengths, errors):
-    """The limit of the circle defect 6 (2 pi R - L(R)) / (pi R^3)."""
+    """The limit of the circle defect 6 (2 pi R - L(R)) / (pi R^3), from
+    lengths and errors aligned with ``ladder``."""
+    R = np.asarray(ladder)
     return _comparison_limit(
-        ladder, [6.0 * (2 * math.pi * R - lengths[R]) / (math.pi * R ** 3)
-                 for R in ladder],
-        [6.0 * errors[R] / (math.pi * R ** 3) for R in ladder])
+        ladder, 6.0 * (2 * math.pi * R - lengths) / (math.pi * R ** 3),
+        6.0 * errors / (math.pi * R ** 3))
 
 
 def _within_reach(fan, r0, rungs):
@@ -843,32 +842,33 @@ def scalar_curvature_estimate(chart: MetricChart, P, r0=0.2, rungs=3,
     halving ladder {r0, r0/2, ...}; the circle route is the headline value
     and the two routes must agree within the combined error.  For 3D
     charts the geodesic-sphere area defect 6 (4 pi R^2 - S(R)) /
-    ((4 pi / 3) R^4) is used instead.  ``samples`` is the fan's direction
-    count M (:func:`fan_samples`): M directions per circle, M azimuths by
-    M/2 polar nodes per sphere.  A fan that leaves the chart reruns at a
-    smaller r0 (:func:`_within_reach`); ``cost`` sums the solver counters
-    of every attempt.
+    ((4 pi / 3) R^4) is used instead.  Each defect and its error is one
+    array over the ladder (:func:`_comparison_limit`).  ``samples`` is the
+    fan's direction count M (:func:`fan_samples`): M directions per circle,
+    M azimuths by M/2 polar nodes per sphere.  A fan that leaves the chart
+    reruns at a smaller r0 (:func:`_within_reach`); ``cost`` sums the
+    solver counters of every attempt.
     """
     fan = circles_and_disks if chart.dim == 2 else _geodesic_sphere_areas
     counts = np.zeros(len(_COST), int)
     ladder, out = _within_reach(
         lambda radii: fan(chart, P, radii, samples, cost=counts), r0, rungs)
+    R = np.asarray(ladder)
     if chart.dim == 2:
         lengths, areas, errors, area_errors = out
         head = _circle_limit(ladder, lengths, errors)
         rd = _comparison_limit(
-            ladder, [24.0 * (math.pi * R ** 2 - areas[R]) / (math.pi * R ** 4)
-                     for R in ladder],
-            [24.0 * area_errors[R] / (math.pi * R ** 4) for R in ladder])
+            ladder, 24.0 * (math.pi * R ** 2 - areas) / (math.pi * R ** 4),
+            24.0 * area_errors / (math.pi * R ** 4))
         err = head.error + rd.error
         routes = (head.value, rd.value)
         monotone = head.monotone and rd.monotone
     else:                              # 3D: geodesic-sphere area defect
         areas, errors = out
         head = _comparison_limit(
-            ladder, [6.0 * (4 * math.pi * R ** 2 - areas[R])
-                     / (_BALL_VOLUME_3 * R ** 4) for R in ladder],
-            [6.0 * errors[R] / (_BALL_VOLUME_3 * R ** 4) for R in ladder])
+            ladder, 6.0 * (4 * math.pi * R ** 2 - areas)
+            / (_BALL_VOLUME_3 * R ** 4),
+            6.0 * errors / (_BALL_VOLUME_3 * R ** 4))
         err, routes, monotone = head.error, (None, None), head.monotone
     warnings = [] if monotone else ["extrapolation ladder not monotone"]
     return TauEstimate(head.value, float(err), *routes, tuple(ladder),
@@ -877,15 +877,14 @@ def scalar_curvature_estimate(chart: MetricChart, P, r0=0.2, rungs=3,
 
 def _geodesic_sphere_areas(chart: MetricChart, P, radii, samples=24,
                            cost=None):
-    """Areas of geodesic spheres via one variational geodesic fan.
+    """Areas of geodesic spheres and their error estimates, two arrays
+    aligned with ``radii``, from one variational geodesic fan.
 
     Directions are a Gauss-Legendre (M/2 polar nodes) x trapezoid (M =
     ``samples`` azimuths) grid on the unit g-sphere; the surface element
     uses d(exp)/d(direction) from the variational state, so no differencing
-    across lanes is needed.  As for circle lengths, the error estimate is
-    |S_M - S_{M/2}| (every other azimuth) plus the fan's rtol times S.
-    Returns (areas dict, error dict); ``cost`` goes to
-    :func:`_jacobi_elements`.
+    across lanes is needed.  The polar sum comes first, then
+    :func:`_azimuth_rule`; ``cost`` goes to :func:`_jacobi_elements`.
     """
     M = fan_samples(samples)
     E = chart.orthonormal_basis(np.asarray(P, dtype=float))
@@ -897,11 +896,7 @@ def _geodesic_sphere_areas(chart: MetricChart, P, radii, samples=24,
     u = np.stack([st * cf, st * sf, ct])
     du = np.stack([[ct * cf, ct * sf, -st], [-st * sf, st * cf, 0.0 * st]])
     area = _jacobi_elements(chart, P, radii, E @ u, E @ du, True, cost)
-    full = area @ np.repeat(tw * (2.0 * math.pi / M), M)
-    half = area.reshape(-1, M // 2, M)[:, :, ::2].sum(axis=2) @ tw
-    err = np.abs(full - 4.0 * math.pi / M * half) + _FAN_RTOL * full
-    radii = [float(r) for r in radii]
-    return dict(zip(radii, full.tolist())), dict(zip(radii, err.tolist()))
+    return _azimuth_rule(tw @ area.reshape(-1, M // 2, M))
 
 
 def plane_scalar_estimate(chart: MetricChart, P, u, v, r0=0.2, rungs=3,
@@ -910,9 +905,9 @@ def plane_scalar_estimate(chart: MetricChart, P, u, v, r0=0.2, rungs=3,
 
     Radial geodesics of the ambient chart lying in exp(span(u, v)) are
     geodesics of that surface, so its circle-length defect is the circle
-    route of :func:`scalar_curvature_estimate` over a g-orthonormal frame
-    of the plane, error and chart-edge shrink included.  Returns (tau,
-    error).
+    route of :func:`scalar_curvature_estimate` (:func:`_circle_limit` of
+    the lengths array) over a g-orthonormal frame of the plane, error and
+    chart-edge shrink included.  Returns (tau, error).
     """
     g = chart.g_at(P)
     u = np.asarray(u, dtype=float)

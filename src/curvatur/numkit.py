@@ -524,12 +524,6 @@ def gradient(j: Jet) -> Jet:
                _lower(j.coef, *_gradient_table(j.nvars, j.order)))
 
 
-def derivative_nd(j: Jet, axis: int) -> Jet:
-    """Jet of the partial derivative along ``axis`` (order drops by one)."""
-    src, fac = (t[:, axis] for t in _gradient_table(j.nvars, j.order))
-    return Jet(j.nvars, j.order - 1, _lower(j.coef, src, fac))
-
-
 def truncate(j: Jet, order: int) -> Jet:
     """Drop coefficients above ``order`` (graded layout makes this a prefix)."""
     if order > j.order:

@@ -104,7 +104,9 @@ class SurfacePatch:
 
     def _unit_normal(self, r):
         """Cooriented unit normal, one order below the immersion jet r."""
-        cr = nk.vcross(nk.derivative_nd(r, 0), nk.derivative_nd(r, 1))
+        d = nk.gradient(r)                      # d_a r at [:, a]
+        cr = nk.vcross(Jet(r.nvars, d.order, d.coef[:, 0]),
+                       Jet(r.nvars, d.order, d.coef[:, 1]))
         inv = nk.vdot(cr, cr).sqrt().reciprocal()
         sign = -1.0 if self.flip_normal else 1.0
         return cr * inv * sign

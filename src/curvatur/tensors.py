@@ -230,9 +230,9 @@ def ricci_volume_oracle(chart: ig.MetricChart, x, hs=(0.2, 0.1, 0.05)):
     cubes give a full-rank linear system.  Each cube's volume is a
     Gauss-Legendre sum (6 nodes per axis) of the exact volume
     element of one variational fan (:func:`intrinsic._jacobi_elements`),
-    read at every h off its dense output.  All cubes' defects are
-    Richardson extrapolated in h in one call before solving, each volume
-    carrying the fan's rtol as its error
+    read at every h off its dense output.  All cubes' defects, one (h,
+    cube) array, are Richardson extrapolated in h in one call before
+    solving, each volume carrying the fan's rtol as its error
     (:func:`intrinsic._comparison_limit`).  A bad base point or ladder
     ``hs`` (given in any order) raises :class:`PreconditionError` as in
     :func:`riemann_holonomy_oracle`, and so does a cube that leaves the
@@ -255,9 +255,9 @@ def ricci_volume_oracle(chart: ig.MetricChart, x, hs=(0.2, 0.1, 0.05)):
             for cols in [E @ C for C in cubes]], axis=1)
     except PreconditionError as e:
         raise PreconditionError("the geodesic cube leaves the chart") from e
-    defects = [6.0 * (h ** n - V) / h ** (n + 2) for h, V in zip(hs, vols)]
-    deltas = [6.0 * ig._FAN_RTOL * V / h ** (n + 2) for h, V in zip(hs, vols)]
-    rr = ig._comparison_limit(hs, defects, deltas, p=1)
+    h = hs[:, None]
+    rr = ig._comparison_limit(hs, 6.0 * (h ** n - vols) / h ** (n + 2),
+                              6.0 * ig._FAN_RTOL * vols / h ** (n + 2), p=1)
     # integral of rho_hat(C xi, C xi) over the unit cube, with moments
     # E[xi_a xi_b] = 1/4 + delta_ab / 12, paired over the upper triangle
     i, j = np.triu_indices(n)
@@ -316,10 +316,10 @@ def _align(jets):
 
 def _partials(T: Jet, rank: int, m: int) -> Jet:
     """d_c T of a tensor jet with ``rank`` slots, c as the new last slot,
-    truncated to order m."""
-    return Jet(T.nvars, m, np.stack(
-        [nk.truncate(nk.derivative_nd(T, c), m).coef for c in range(T.nvars)],
-        axis=rank + 1))
+    truncated to order m: the gradient jet, copied C-contiguous, since
+    :func:`numkit.jet_einsum` sums in the order of its operands' strides."""
+    d = nk.gradient(nk.truncate(T, m + 1)).coef
+    return Jet(T.nvars, m, np.ascontiguousarray(np.moveaxis(d, 1, rank + 1)))
 
 
 def commutator(X: Field, Y: Field) -> Field:

@@ -88,10 +88,8 @@ def suite_circle_law(seed=0):
     P = np.array([1.0, math.pi / 2])
     radii = [0.1 * k for k in range(1, 11)]
     lengths, areas, _, _ = ig.circles_and_disks(chart, P, radii)
-    worst_l = worst_s = 0.0
-    for R in radii:
-        worst_l = max(worst_l, abs(lengths[R] - TWO_PI * math.sin(R)))
-        worst_s = max(worst_s, abs(areas[R] - TWO_PI * (1 - math.cos(R))))
+    worst_l = np.abs(lengths - TWO_PI * np.sin(radii)).max()
+    worst_s = np.abs(areas - TWO_PI * (1 - np.cos(radii))).max()
     res = ig.geodesic_circle(chart, P, 1.0)
     worst_l = max(worst_l, abs(res.length - TWO_PI * math.sin(1.0)))
     worst_s = max(worst_s, abs(res.disk_area - TWO_PI * (1 - math.cos(1.0))))

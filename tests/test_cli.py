@@ -340,6 +340,28 @@ def test_transport_holonomy_closes_loop(capsys):
     assert doc["results"]["angle"] == pytest.approx(expected, abs=1e-6)
 
 
+def test_transport_holonomy_keeps_a_loop_closed_modulo_the_period(capsys):
+    # (2 pi, 1) is the start on the cone, so the loop is not run back
+    doc = run_json(capsys, "transport", "holonomy", "--builtin", "cone",
+                   "--loop", "0,1", "--loop", "6.283185307179586,1")
+    assert doc["inputs"]["loop"] == [[0.0, 1.0], [2 * math.pi, 1.0]]
+    angle = doc["results"]["angle"]
+    assert abs(angle) == pytest.approx(2 * math.pi * (1 - 1 / math.sqrt(2)),
+                                       abs=1e-6)
+    cone = ig.pullback_metric(cat.builtin("cone").build())
+    assert angle == ig.holonomy(cone, [[0.0, 1.0], [2 * math.pi, 1.0]]).angle
+
+
+def test_transport_holonomy_closes_a_loop_that_ends_near_its_start(capsys):
+    # 1e-6 from the start is within np.allclose but not within the
+    # library's closure tolerance, so the CLI closes the loop
+    doc = run_json(capsys, "transport", "holonomy", "--builtin",
+                   "lobachevsky_halfplane", "--loop", "0,1", "--loop", "1,1",
+                   "--loop", "1,2", "--loop", "0,1.000001")
+    assert doc["inputs"]["loop"][-1] == [0.0, 1.0]
+    assert len(doc["inputs"]["loop"]) == 5
+
+
 def test_curvature_scalar_halfplane(capsys):
     doc = run_json(capsys, "curvature", "scalar", "--builtin",
                    "lobachevsky_halfplane", "--at", "0.5,2.0")

@@ -209,8 +209,7 @@ def _christoffel_by_inverse_series(chart, xj):
     a^-1 = sum_p (-a0^-1 d)^p a0^-1 with d = a - a0, contracted with the
     lowered symbols as Taylor products."""
     g = chart.metric_jet(xj)
-    dg = np.stack([nk.derivative_nd(g, a).coef for a in range(chart.dim)],
-                  axis=1)
+    dg = nk.gradient(g).coef
     sym = (np.einsum('Kilj...->Klij...', dg)
            + np.einsum('Kjli...->Klij...', dg) - dg)
     low = nk.truncate(g, g.order - 1)
@@ -567,8 +566,25 @@ def test_circle_lengths_batch_matches_single(halfplane):
     P = np.array([0.0, 2.0])
     lengths, errs = ig.geodesic_circle_lengths(halfplane, P, [0.3, 0.6])
     single = ig.geodesic_circle(halfplane, P, 0.6)
-    assert lengths[0.6] == pytest.approx(single.length, abs=1e-9)
-    assert all(e < 1e-3 for e in errs.values())
+    assert lengths[1] == pytest.approx(single.length, abs=1e-9)
+    assert (errs < 1e-3).all()
+
+
+def test_fans_align_with_unsorted_repeated_radii(halfplane, s3):
+    # each entry is the entry for its radius from the sorted unique radii:
+    # the largest radius, and with it the fan, is the same, and the
+    # half-plane's and s3_round's metric reads are batch-invariant
+    radii, unique = [0.3, 0.1, 0.3, 0.2], [0.1, 0.2, 0.3]
+    at = [2, 0, 2, 1]
+    for fan, chart, P in (
+            (ig.geodesic_circle_lengths, halfplane, [0.3, 2.0]),
+            (ig.circles_and_disks, halfplane, [0.3, 2.0]),
+            (ig._geodesic_sphere_areas, s3, [0.2, -0.1, 0.3])):
+        got, ref = fan(chart, np.array(P), radii), fan(chart, np.array(P),
+                                                       unique)
+        for a, b in zip(got, ref):
+            assert a.shape == (4,)
+            assert np.array_equal(a, b[at])
 
 
 @pytest.mark.parametrize("name, P, law", [
@@ -580,9 +596,9 @@ def test_circle_length_error_covers_true_error(request, name, P, law):
     radii = [0.1, 0.3, 0.6]
     lengths, errors = ig.geodesic_circle_lengths(
         request.getfixturevalue(name), P, radii)
-    for r in radii:
-        true = abs(lengths[r] - 2 * math.pi * law(r))
-        assert true <= errors[r] <= max(100 * true, 1e-9)
+    for r, length, error in zip(radii, lengths, errors):
+        true = abs(length - 2 * math.pi * law(r))
+        assert true <= error <= max(100 * true, 1e-9)
 
 
 def test_jacobi_circle_length_matches_polygon():
@@ -604,7 +620,7 @@ def test_jacobi_circle_length_matches_polygon():
 
     lengths, _ = ig.geodesic_circle_lengths(chart, P, [R])
     fine = (4 * polygon(pts) - polygon(pts[:, ::2])) / 3
-    assert lengths[R] == pytest.approx(fine, rel=1e-9)
+    assert lengths[0] == pytest.approx(fine, rel=1e-9)
 
 
 def test_sphere_areas_converge_in_samples(s3):
@@ -616,8 +632,7 @@ def test_sphere_areas_converge_in_samples(s3):
     for chart, P in ((s3, [0.2, -0.3, 0.5]), (s2r, [1.1, 0.4, 0.2])):
         coarse, _ = ig._geodesic_sphere_areas(chart, np.array(P), radii, 24)
         fine, _ = ig._geodesic_sphere_areas(chart, np.array(P), radii, 48)
-        for r in radii:
-            assert coarse[r] == pytest.approx(fine[r], rel=1e-12)
+        assert coarse == pytest.approx(fine, rel=1e-12)
 
 
 def test_circle_leaving_the_chart_fails(halfplane):
@@ -738,8 +753,7 @@ def test_routes_disagree_when_the_disk_areas_move(halfplane, monkeypatch):
 
     def scaled(*a, **kw):
         lengths, areas, errors, area_errors = fan(*a, **kw)
-        return (lengths, {R: S * (1 + 1e-6) for R, S in areas.items()},
-                errors, area_errors)
+        return lengths, areas * (1 + 1e-6), errors, area_errors
 
     monkeypatch.setattr(ig, "circles_and_disks", scaled)
     assert not ig.scalar_curvature_estimate(halfplane, (0.5, 2)).routes_agree
@@ -763,6 +777,22 @@ def test_halfplane_distance_closed_form(halfplane):
     d = ig.geodesic_distance(halfplane, [z1.real, z1.imag],
                              [z2.real, z2.imag])
     assert d == pytest.approx(cat.hyperbolic_distance(z1, z2), abs=1e-8)
+
+
+def test_shooting_converges_through_the_turned_starts(monkeypatch):
+    # on the torus this pair's first shot fails; a turned start converges
+    torus = ig.pullback_metric(cat.builtin("torus").build())
+    P, Q = np.array([4.1, 4.4]), np.array([3.9, 5.8])
+    d = ig.geodesic_distance(torus, P, Q)
+    assert d == pytest.approx(1.4710648182560162, abs=1e-10)
+    assert abs(ig.geodesic_distance(torus, Q, P) - d) < 1e-11
+    # at most the g-length of the straight coordinate segment, 1.4782
+    xs, ws = nk.gauss_legendre(24, 0.0, 1.0)
+    g = torus.g_at(P[:, None] + xs * (Q - P)[:, None])
+    assert d <= ws @ np.sqrt(np.einsum('ijL,i,j->L', g, Q - P, Q - P))
+    monkeypatch.setattr(ig, "_RETRY_TURNS", ())
+    with pytest.raises(nk.NonConvergenceError):
+        ig.geodesic_distance(torus, P, Q)
 
 
 def _s3_closed_form(p, q):

@@ -145,8 +145,8 @@ def test_compose1d_chain_rule():
 def test_derivative_antiderivative_round_trip():
     t = nk.Jet.variables([1.1], 3)[0]
     j = nk.sin(t) * t
-    back = nk.derivative_nd(nk.antiderivative1d(j, 5.0), 0)
-    assert np.allclose(back.coef, nk.truncate(j, 3).coef, atol=1e-14)
+    back = nk.gradient(nk.antiderivative1d(j, 5.0))
+    assert np.allclose(back.coef[:, 0], nk.truncate(j, 3).coef, atol=1e-14)
 
 
 def test_jet_order_bounds():
@@ -236,13 +236,13 @@ def test_derivative_nd_moves_each_slot(nvars, order):
     idx, pos_hi = nk._index_space(nvars, order)[:2]
     idx_lo, pos_lo = nk._index_space(nvars, order - 1)[:2]
     j = nk.Jet(nvars, order, np.arange(len(idx) * 2.0).reshape(len(idx), 2))
+    d = nk.gradient(j)
     for axis in range(nvars):
-        d = nk.derivative_nd(j, axis)
         for a in idx_lo:
             up = tuple(e + (i == axis) for i, e in enumerate(a))
-            assert np.array_equal(d.coef[pos_lo[a]],
+            assert np.array_equal(d.coef[pos_lo[a], axis],
                                   j.coef[pos_hi[up]] * up[axis])
-        assert np.array_equal(j.grad()[axis], d.value)
+        assert np.array_equal(j.grad()[axis], d.value[axis])
 
 
 @pytest.mark.parametrize("nvars,order,n", [(2, 3, 2), (3, 2, 3)])

@@ -9,8 +9,11 @@ commands), ``verify --suite all --format json``, a scalar estimate
 at the sphere point (2.0, 1.5), where its error covers the true error by
 the least margin, two at chart edges (a circle fan and a sphere fan that
 leave the box and rerun at a smaller radius), one circle that fails by
-leaving the chart, ``surface offset`` (the offset-area totals) and
-``curvature sectional`` (the sectional curvature of a 3D chart), as
+leaving the chart, ``surface offset`` (the offset-area totals),
+``curvature sectional`` (the sectional curvature of a 3D chart), a torus
+``geodesic distance`` that converges only from a turned start (the
+shooting retry phase) and a cone ``transport holonomy`` whose loop
+closes modulo the period, as
 ``python -m curvatur.cli`` with each tree first on ``PYTHONPATH``, and
 prints every JSON leaf that differs, with its relative change.  An
 invocation whose stdout is not JSON, such as the failing circle, is
@@ -47,10 +50,14 @@ INVOCATIONS = (
      "--length", "5"),
     ("geodesic", "distance", "--builtin", "lobachevsky_halfplane",
      "--from", "0,1", "--to", "3,1"),
+    ("geodesic", "distance", "--builtin", "torus", "--from", "4.1,4.4",
+     "--to", "3.9,5.8"),
     ("transport", "along", "--builtin", "sphere", "--via", "0.3,1.2",
      "--via", "1.0,1.0", "--via", "1.4,0.6", "--vector", "1,0"),
     ("transport", "holonomy", "--builtin", "lobachevsky_halfplane",
      "--loop", "0,1", "--loop", "1,1", "--loop", "1,2", "--loop", "0,2"),
+    ("transport", "holonomy", "--builtin", "cone", "--loop", "0,1",
+     "--loop", "6.283185307179586,1"),
     ("curve", "analyze", "--builtin", "helix", "--at", "0.5", "--at", "1.5"),
     ("surface", "report", "--builtin", "torus", "--at", "1.3,2.1"),
     ("surface", "offset", "--builtin", "torus", "--eps", "0.1"),
