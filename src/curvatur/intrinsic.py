@@ -74,14 +74,14 @@ class MetricChart:
                               for p, b in zip(self.periods, self.domain)])
         self._bounds = {}
 
-    def contains(self, x, margin=0.0):
-        """Whether the points x (n, ...batch) lie in the box shrunk by
-        ``margin`` (periodic axes never bound), shape (...batch)."""
+    def contains(self, x):
+        """Whether the points x (n, ...batch) lie in the closed box
+        (periodic axes never bound), shape (...batch)."""
         x = np.asarray(x, dtype=float)
-        bounds = self._bounds.get((x.ndim, margin))
-        if bounds is None:     # one entry per (rank, margin) a caller uses
-            lo, hi = self._box.T.reshape((2, self.dim) + (1,) * (x.ndim - 1))
-            bounds = self._bounds[x.ndim, margin] = lo + margin, hi - margin
+        bounds = self._bounds.get(x.ndim)
+        if bounds is None:     # a contiguous copy: strided views test slower
+            bounds = self._bounds[x.ndim] = tuple(np.ascontiguousarray(
+                self._box.T.reshape((2, self.dim) + (1,) * (x.ndim - 1))))
         lo, hi = bounds
         return ((x >= lo) & (x <= hi)).all(axis=0)
 
@@ -233,6 +233,7 @@ def pullback_metric(surface) -> MetricChart:
 
 _COST = ("solves", "accepted_steps", "rejected_steps", "rhs_evals")
 _TRANSPORT_RTOL, _TRANSPORT_ATOL = 1e-10, 1e-12     # per transported lane
+_CLOSURE_TOL = 1e-9      # joins and loop closure, coordinates modulo periods
 
 
 def _counters(traj):
@@ -245,10 +246,9 @@ class GeodesicPath:
     """A traced geodesic with dense output.
 
     ``ts`` is arc length (the trace normalizes to unit speed), ``xs`` and
-    ``vs`` are coordinates and coordinate velocities at the accepted nodes
-    (plus the exit point after a domain exit).  ``trajectory`` is the
-    solver's own dense output; after a domain exit it may run past
-    ``length``, so it is read on [0, length] only.
+    ``vs`` are coordinates and coordinate velocities at the solver's
+    accepted nodes, all inside the chart's box; ``trajectory`` is the
+    solver's own dense output on [0, length].
     """
 
     chart: MetricChart
@@ -301,9 +301,10 @@ def geodesic_trace(chart: MetricChart, x0, v0, length, rtol=1e-10,
     """Trace the unit-speed geodesic from x0 in direction v0 for ``length``.
 
     The initial velocity is normalized in g, so the parameter is arc
-    length.  A trace that leaves the coordinate box stops (its stages turn
-    NaN 1e-9 past the box) and is cut, by bisection, at the last state
-    inside, with reason "domain-exit".
+    length.  A trace that leaves the coordinate box stops at its last
+    accepted node, within the solver's step floor of the box's edge, with
+    reason "domain-exit"; one that leaves at its start point raises
+    :class:`PreconditionError`.
     """
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -312,33 +313,17 @@ def geodesic_trace(chart: MetricChart, x0, v0, length, rtol=1e-10,
     nrm = g_norm(chart, x0, v0)
     if nrm <= 0 or not np.isfinite(nrm):
         raise PreconditionError("initial velocity must have positive g-norm")
-    v0 = v0 / nrm
     n = chart.dim
-    y0 = np.concatenate([x0, v0])
-    rhs = _variational_rhs(chart, 1, 0)
-    traj = nk.integrate_ode(nk.OdeProblem(rhs, y0, (0.0, float(length)),
-                                          rtol, atol, pair=nk.DOP853))
-    reason = "domain-exit" if traj.stopped else "completed"
-
-    ts, ys = traj.ts, traj.ys
-    inside = chart.contains(ys[:, :n].T)
-    if not inside.all():
-        first_out = int(np.argmax(~inside))
-        t_lo = traj.ts[max(first_out - 1, 0)]
-        t_hi = traj.ts[first_out]
-        for _ in range(60):
-            mid = 0.5 * (t_lo + t_hi)
-            if chart.contains(traj.eval(mid)[:n, None])[0]:
-                t_lo = mid
-            else:
-                t_hi = mid
-        keep = traj.ts <= t_lo
-        ts = np.append(traj.ts[keep], t_lo)
-        ys = np.vstack([traj.ys[keep], traj.eval(t_lo)])
-        reason = "domain-exit"
-
-    return GeodesicPath(chart, ts, ys[:, :n], ys[:, n:], float(ts[-1]),
-                        reason, traj)
+    y0 = np.concatenate([x0, v0 / nrm])
+    traj = nk.integrate_ode(nk.OdeProblem(_variational_rhs(chart, 1, 0), y0,
+                                          (0.0, float(length)), rtol, atol,
+                                          pair=nk.DOP853))
+    if len(traj.ts) < 2:
+        raise PreconditionError("the geodesic leaves the chart at its start "
+                                "point")
+    return GeodesicPath(chart, traj.ts, traj.ys[:, :n], traj.ys[:, n:],
+                        float(traj.ts[-1]),
+                        "domain-exit" if traj.stopped else "completed", traj)
 
 
 def _variational_rhs(chart: MetricChart, lanes: int, ncols: int,
@@ -350,9 +335,11 @@ def _variational_rhs(chart: MetricChart, lanes: int, ncols: int,
     Gamma^k_ij v^i and its gradient only: one :func:`christoffel_jet` with
     the lanes' velocities, no full symbols and no dGamma.  With ``ncols``
     = 0 it is the geodesic equation alone, which reads Gamma only.  A lane
-    outside the box has a NaN derivative, unless ``freeze``: then it stops
-    (zero derivative), as does a lane with a non-finite derivative, instead
-    of stalling the step all lanes share.
+    outside the closed box has a NaN derivative, so the solver rejects any
+    step that ends with a lane outside and every accepted node lies in the
+    chart; with ``freeze`` such a lane stops instead (zero derivative), as
+    does a lane with a non-finite derivative, rather than stalling the step
+    all lanes share.
     """
     n = chart.dim
 
@@ -364,7 +351,7 @@ def _variational_rhs(chart: MetricChart, lanes: int, ncols: int,
             y.reshape(lanes, 2 + 2 * ncols, n).transpose(1, 2, 0))
         dz = np.empty_like(z)
         x, v = z[0], z[1]
-        inside = chart.contains(x, margin=-1e-9)
+        inside = chart.contains(x)
         dz[0] = v
         if not ncols:
             gamma = christoffel_at(chart, x)
@@ -398,7 +385,8 @@ def _exp_batch(chart: MetricChart, P, U, dU=None, rtol=1e-10, atol=1e-12,
     (ncols, n, L), the derivative of the initial velocity in each variation
     parameter, each lane also carries the columns J = dx/d(param_c), with
     J(0) = 0 and Jdot(0) = dU.  With ``freeze`` lanes stop outside the box
-    (see :func:`_variational_rhs`); else one that leaves stops the solve.
+    (see :func:`_variational_rhs`); else one that leaves stops the solve at
+    its last accepted node, where every lane is still inside.
     Unless ``steer``, the error norm covers x and v only and the columns,
     which solve a linear equation along each lane, leave step control to
     the geodesics (as sensitivities do in CVODES).  Returns the trajectory,
@@ -510,7 +498,7 @@ def _pieces(chart: MetricChart, path):
                                                                GeodesicPath):
         for i in range(1, len(path)):
             gap = _closure_defect(chart, path[i - 1].end, path[i].start)
-            if gap > 1e-9:
+            if gap > _CLOSURE_TOL:
                 raise PreconditionError(
                     f"geodesic side {i} starts {gap:.3g} away from the end "
                     f"of side {i - 1}")
@@ -543,7 +531,7 @@ def parallel_transport(chart: MetricChart, path, a0) -> TransportResult:
 
     ``path`` is an (M, n) array of waypoints joined by straight coordinate
     segments, a :class:`GeodesicPath`, or a list of them that join end to
-    start (within 1e-9, modulo the chart's periods, else
+    start (within ``_CLOSURE_TOL``, modulo the chart's periods, else
     :class:`PreconditionError` names the side).  ``a0`` may be a single
     vector (n,) or a matrix of columns (n, k).
 
@@ -594,9 +582,6 @@ def _closure_defect(chart: MetricChart, a, b):
     return float(d.max())
 
 
-_CLOSURE_TOL = 1e-9        # loop closure, coordinates modulo the periods
-
-
 def holonomy(chart: MetricChart, loop) -> HolonomyResult:
     """Parallel transport around a closed loop.
 
@@ -644,9 +629,9 @@ def _jacobi_elements(chart: MetricChart, P, radii, U, dU, steer, cost=None):
     columns J = d exp_P(r U) / d(params), every radius is read off its
     dense output, and one metric read gives sqrt(det(J^T g J)), shape
     (radii, L).  ``steer`` goes to :func:`_exp_batch`; ``cost`` (int array,
-    ``_COST``) gains the counters.  A fan that stops or has a node outside
-    the box raises :class:`PreconditionError` with ``reach``, the share of
-    the largest radius that all lanes kept inside.
+    ``_COST``) gains the counters.  A fan that leaves the box stops at its
+    last node inside and raises :class:`PreconditionError` with ``reach``,
+    that node's share of the largest radius.
     """
     radii = np.asarray(radii, dtype=float)
     rmax = radii.max()
@@ -655,10 +640,8 @@ def _jacobi_elements(chart: MetricChart, P, radii, U, dU, steer, cost=None):
     traj = _exp_batch(chart, P, rmax * U, rmax * dU, _FAN_RTOL, steer=steer)
     if cost is not None:
         cost += _counters(traj)
-    x = traj.ys.reshape(len(traj.ts), L, 2 + 2 * c, n)[:, :, 0]
-    inside = np.append(chart.contains(x.T).all(axis=0), not traj.stopped)
-    if not inside.all():         # reach: the node before the first one out
-        reach = traj.ts[max(np.argmin(inside) - 1, 0)]
+    if traj.stopped:
+        reach = traj.ts[-1]
         exc = PreconditionError("the geodesic fan leaves the chart; all lanes "
                                 f"stay inside to radius {reach * rmax:.6g}")
         exc.reach = reach
@@ -824,6 +807,7 @@ def _within_reach(fan, r0, rungs):
     k = 0
     while k < 8:
         ladder = [float(r0) / 2 ** (k + j) for j in range(rungs)]
+        nk.halving_ladder(ladder)     # a bad ladder raises before any fan
         try:
             return ladder, fan(ladder)
         except PreconditionError as e:  # the largest r0 / 2^k in its reach

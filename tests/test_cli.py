@@ -330,6 +330,24 @@ def test_circle_leaving_the_chart_exits_1(capsys):
     assert float(reach[1]) == pytest.approx(math.log(2.0), abs=1e-6)
 
 
+def test_trace_leaving_at_its_start_point_exits_1(capsys):
+    code, out, err = run(capsys, "geodesic", "trace", "--builtin",
+                         "lobachevsky_halfplane", "--from", "0,0.05",
+                         "--dir", "0,-1", "--length", "1")
+    assert (code, out) == (1, "")
+    info = json.loads(err)["error"]
+    assert info["type"] == "PreconditionError"
+    assert info["message"] == ("the geodesic leaves the chart at its start "
+                               "point")
+
+
+def test_scalar_curvature_with_no_ladder_exits_1(capsys):
+    code, out, err = run(capsys, "curvature", "scalar", "--builtin", "sphere",
+                         "--at", "1.0,1.2", "--rungs", "0")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["type"] == "PreconditionError"
+
+
 def test_transport_holonomy_closes_loop(capsys):
     doc = run_json(capsys, "transport", "holonomy", "--builtin", "sphere",
                    "--loop", "0,1.4707963267948965", "--loop", "0,0.1",

@@ -397,6 +397,37 @@ def test_trace_from_outside_chart_rejected(halfplane):
         ig.geodesic_trace(halfplane, [0.0, 0.01], [0.0, 1.0], 1.0)
 
 
+@pytest.mark.parametrize("name, x0, v0, length", [
+    ("lobachevsky_halfplane", [0.0, 1.0], [0.0, -1.0], 5.0),
+    ("saddle", [0.0, 0.0], [1.0, 0.0], 50.0)])
+def test_exit_trace_ends_at_its_last_node_inside(name, x0, v0, length):
+    # the solver's own last node is the exit: the dense output stops at
+    # the path's length and no node lies past the box's edge
+    chart = cat.builtin(name).build()
+    if not isinstance(chart, ig.MetricChart):
+        chart = ig.pullback_metric(chart)
+    path = ig.geodesic_trace(chart, x0, v0, length)
+    assert path.reason == "domain-exit"
+    assert path.trajectory.ts[-1] == path.length
+    assert chart.contains(path.trajectory.ys[:, :chart.dim].T).all()
+
+
+def test_trace_leaving_at_its_start_point_rejected(halfplane):
+    # (0, 0.05) lies on the box's lower edge, heading out
+    with pytest.raises(nk.PreconditionError,
+                       match="leaves the chart at its start point"):
+        ig.geodesic_trace(halfplane, [0.0, 0.05], [0.0, -1.0], 1.0)
+
+
+def test_stopped_exp_batch_keeps_every_lane_inside(halfplane):
+    # lane 1 heads for y = e^-5, below the box, and stops the solve
+    U = np.array([[0.5, 0.0], [0.2, -5.0]])
+    traj = ig._exp_batch(halfplane, np.array([0.0, 1.0]), U)
+    assert traj.stopped
+    x = traj.ys.reshape(len(traj.ts), 2, 2, 2)[:, :, 0]    # (T, L, n)
+    assert halfplane.contains(x.T).all()
+
+
 def test_exp_map_matches_trace(halfplane):
     P = np.array([0.3, 1.0])
     u = np.array([0.0, 0.7])
@@ -671,6 +702,22 @@ def test_scalar_curvature_checks_samples_before_solving(halfplane, s3, solves,
         with pytest.raises(nk.PreconditionError, match="even integer >= 8"):
             ig.scalar_curvature_estimate(chart, P, samples=samples)
     assert not solves
+
+
+@pytest.mark.parametrize("ladder", [dict(rungs=0), dict(rungs=1),
+                                    dict(r0=0.0), dict(r0=-0.1)])
+def test_scalar_estimates_check_the_ladder_before_any_fan(sphere_chart,
+                                                          monkeypatch, ladder):
+    fans = []
+    exp_batch = ig._exp_batch
+    monkeypatch.setattr(ig, "_exp_batch", lambda *a, **kw: fans.append(a)
+                        or exp_batch(*a, **kw))
+    P, (e1, e2) = np.array([1.0, 1.2]), np.eye(2)
+    with pytest.raises(nk.PreconditionError, match="ladder"):
+        ig.scalar_curvature_estimate(sphere_chart, P, **ladder)
+    with pytest.raises(nk.PreconditionError, match="ladder"):
+        ig.plane_scalar_estimate(sphere_chart, P, e1, e2, **ladder)
+    assert not fans
 
 
 def test_shrink_radii_at_chart_edges(sphere_chart, halfplane):

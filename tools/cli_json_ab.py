@@ -12,8 +12,9 @@ leave the box and rerun at a smaller radius), one circle that fails by
 leaving the chart, ``surface offset`` (the offset-area totals),
 ``curvature sectional`` (the sectional curvature of a 3D chart), a torus
 ``geodesic distance`` that converges only from a turned start (the
-shooting retry phase) and a cone ``transport holonomy`` whose loop
-closes modulo the period, as
+shooting retry phase), a cone ``transport holonomy`` whose loop
+closes modulo the period and two ``geodesic trace`` runs that leave the
+chart (a saddle ray and a half-plane ray), as
 ``python -m curvatur.cli`` with each tree first on ``PYTHONPATH``, and
 prints every JSON leaf that differs, with its relative change.  An
 invocation whose stdout is not JSON, such as the failing circle, is
@@ -63,6 +64,10 @@ INVOCATIONS = (
     ("surface", "offset", "--builtin", "torus", "--eps", "0.1"),
     ("curvature", "sectional", "--builtin", "s3_round", "--at", "0.2,-0.1,0.3",
      "--u", "1,0,0", "--v", "0,1,0"),
+    ("geodesic", "trace", "--builtin", "saddle", "--from", "0,0", "--dir",
+     "1,0", "--length", "50", "--samples", "3"),
+    ("geodesic", "trace", "--builtin", "lobachevsky_halfplane", "--from",
+     "0,1", "--dir", "0,-1", "--length", "5", "--samples", "7"),
     ("verify", "--suite", "all", "--format", "json"),
 )
 
