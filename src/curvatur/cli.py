@@ -86,9 +86,8 @@ def _dump(obj, indent=0):
 
 
 def _write(args, text):
-    path = args.output
-    if path:
-        with open(path, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
@@ -422,11 +421,11 @@ def _transport_holonomy(args, g):
 
 def _curvature_scalar(args, g):
     x = _floats(args.at, g.obj.dim, "--at")
+    M = ig.fan_samples(args.samples, g.obj.dim)
     est = ig.scalar_curvature_estimate(g.obj, x, r0=args.r0,
-                                       rungs=args.rungs,
-                                       samples=args.samples)
+                                       rungs=args.rungs, samples=M)
     return dict(inputs={"at": x, "r0": args.r0, "rungs": args.rungs,
-                        "samples": args.samples},
+                        "samples": M},
                 results={"tau": est.tau,
                          "tau_circle": est.tau_circle,
                          "tau_disk": est.tau_disk,
@@ -647,10 +646,10 @@ COMMANDS = (
                      help="largest ladder radius"),
                 _opt("--rungs", type=int, default=3,
                      help="halving ladder length"),
-                _opt("--samples", type=_fan_samples, default=24,
-                     help="directions per circle in 2D, azimuths by "
-                          "samples/2 polar nodes per sphere in 3D "
-                          "(even, >= 8)"))),
+                _opt("--samples", type=_fan_samples,
+                     help="directions per circle in 2D (default 24, even, "
+                          ">= 8); azimuths by samples/2 - 1 polar nodes "
+                          "per sphere in 3D (default 8, a multiple of 4)"))),
     Command("curvature riemann", "Riemann tensor components", "chart",
             False, _curvature_riemann, (_AT,)),
     Command("curvature ricci", "Ricci form, operator, and scalar", "chart",

@@ -272,12 +272,10 @@ class GeodesicPath:
         return self.vs[-1]
 
     def position(self, t):
-        y = self.trajectory.eval(t)
-        return y[..., : self.chart.dim]
+        return self.trajectory.eval(t)[..., :self.chart.dim]
 
     def velocity(self, t):
-        y = self.trajectory.eval(t)
-        return y[..., self.chart.dim: 2 * self.chart.dim]
+        return self.trajectory.eval(t)[..., self.chart.dim:2 * self.chart.dim]
 
     def speed_drift(self):
         """Max relative drift of g(x', x') along the path, at 64 samples."""
@@ -611,12 +609,19 @@ def holonomy(chart: MetricChart, loop) -> HolonomyResult:
 _FAN_RTOL = 1e-10                           # rtol of every Jacobi fan
 
 
-def fan_samples(samples):
-    """Check a fan's direction count M, an even integer >= 8: M directions
-    per geodesic circle, M azimuths by M/2 polar nodes per sphere."""
+def fan_samples(samples, dim=2):
+    """A fan's direction count M on a ``dim``-chart, checked: M directions
+    per geodesic circle (None: 24), or M azimuths by M/2 - 1 polar nodes
+    per geodesic sphere (None: 8).  M is an even integer >= 8, and in 3D a
+    multiple of 4, so that the polar rule nests (:func:`_fejer2`)."""
+    if samples is None:
+        return 24 if dim == 2 else 8
     if samples != int(samples) or samples < 8 or samples % 2:
         raise PreconditionError(
             f"samples must be an even integer >= 8, got {samples}")
+    if dim == 3 and samples % 4:
+        raise PreconditionError(
+            f"samples must be a multiple of 4 on a 3D chart, got {samples}")
     return int(samples)
 
 
@@ -818,7 +823,7 @@ def _within_reach(fan, r0, rungs):
 
 
 def scalar_curvature_estimate(chart: MetricChart, P, r0=0.2, rungs=3,
-                              samples=24) -> TauEstimate:
+                              samples=None) -> TauEstimate:
     """Scalar curvature at P from comparison limits of circles or spheres.
 
     For 2D charts: both 6 (2 pi R - L(R)) / (pi R^3) and the disk variant
@@ -827,16 +832,17 @@ def scalar_curvature_estimate(chart: MetricChart, P, r0=0.2, rungs=3,
     and the two routes must agree within the combined error.  For 3D
     charts the geodesic-sphere area defect 6 (4 pi R^2 - S(R)) /
     ((4 pi / 3) R^4) is used instead.  Each defect and its error is one
-    array over the ladder (:func:`_comparison_limit`).  ``samples`` is the
-    fan's direction count M (:func:`fan_samples`): M directions per circle,
-    M azimuths by M/2 polar nodes per sphere.  A fan that leaves the chart
-    reruns at a smaller r0 (:func:`_within_reach`); ``cost`` sums the
-    solver counters of every attempt.
+    array over the ladder (:func:`_comparison_limit`).  ``samples``, the
+    fan's direction count M (24 per circle, 8 azimuths per sphere unless
+    given), is checked by :func:`fan_samples` before any fan.  A fan that
+    leaves the chart reruns at a smaller r0 (:func:`_within_reach`);
+    ``cost`` sums the solver counters of every attempt.
     """
     fan = circles_and_disks if chart.dim == 2 else _geodesic_sphere_areas
+    M = fan_samples(samples, chart.dim)
     counts = np.zeros(len(_COST), int)
     ladder, out = _within_reach(
-        lambda radii: fan(chart, P, radii, samples, cost=counts), r0, rungs)
+        lambda radii: fan(chart, P, radii, M, cost=counts), r0, rungs)
     R = np.asarray(ladder)
     if chart.dim == 2:
         lengths, areas, errors, area_errors = out
@@ -859,28 +865,43 @@ def scalar_curvature_estimate(chart: MetricChart, P, r0=0.2, rungs=3,
                        monotone, warnings, dict(zip(_COST, counts.tolist())))
 
 
-def _geodesic_sphere_areas(chart: MetricChart, P, radii, samples=24,
+def _fejer2(n):
+    """Nodes theta_j = j pi / (n + 1), j = 1..n, of Fejer's second rule in
+    x = cos theta, and its weights over sin theta_j, so that sum_j w_j
+    f(theta_j) integrates f over [0, pi] exactly when f / sin theta is a
+    polynomial of degree < n in cos theta (Waldvogel, BIT 46, 2006)."""
+    thetas = math.pi * np.arange(1, n + 1) / (n + 1)
+    k = np.arange(1, n + 1, 2)[:, None]
+    return thetas, 4.0 / (n + 1) * (np.sin(k * thetas) / k).sum(axis=0)
+
+
+def _geodesic_sphere_areas(chart: MetricChart, P, radii, samples=None,
                            cost=None):
     """Areas of geodesic spheres and their error estimates, two arrays
     aligned with ``radii``, from one variational geodesic fan.
 
-    Directions are a Gauss-Legendre (M/2 polar nodes) x trapezoid (M =
-    ``samples`` azimuths) grid on the unit g-sphere; the surface element
-    uses d(exp)/d(direction) from the variational state, so no differencing
-    across lanes is needed.  The polar sum comes first, then
-    :func:`_azimuth_rule`; ``cost`` goes to :func:`_jacobi_elements`.
+    Directions are a Fejer (n = M/2 - 1 polar nodes, :func:`_fejer2`) x
+    trapezoid (M = ``samples`` azimuths) grid on the unit g-sphere; the
+    surface element uses d(exp)/d(direction) from the variational state.
+    The polar sum comes first, then :func:`_azimuth_rule`, whose error
+    gains 2 pi |mean over azimuths of (full - half)|, the half rule being
+    every other polar node; ``cost`` goes to :func:`_jacobi_elements`.
     """
-    M = fan_samples(samples)
+    M = fan_samples(samples, 3)
+    n = M // 2 - 1
     E = chart.orthonormal_basis(np.asarray(P, dtype=float))
-    thetas, tw = nk.gauss_legendre(M // 2, 0.0, math.pi)
-    T, F = np.meshgrid(thetas, 2.0 * math.pi * np.arange(M) / M,
-                       indexing="ij")
-    st, ct = np.sin(T.ravel()), np.cos(T.ravel())
-    sf, cf = np.sin(F.ravel()), np.cos(F.ravel())
+    thetas, tw = _fejer2(n)
+    st, ct = np.repeat(np.sin(thetas), M), np.repeat(np.cos(thetas), M)
+    phis = np.tile(2.0 * math.pi * np.arange(M) / M, n)
+    sf, cf = np.sin(phis), np.cos(phis)
     u = np.stack([st * cf, st * sf, ct])
     du = np.stack([[ct * cf, ct * sf, -st], [-st * sf, st * cf, 0.0 * st]])
-    area = _jacobi_elements(chart, P, radii, E @ u, E @ du, True, cost)
-    return _azimuth_rule(tw @ area.reshape(-1, M // 2, M))
+    area = _jacobi_elements(chart, P, radii, E @ u, E @ du, True,
+                            cost).reshape(-1, n, M)
+    polar = tw @ area
+    S, err = _azimuth_rule(polar)
+    gap = polar - _fejer2(n // 2)[1] @ area[:, 1::2]        # full - half
+    return S, err + 2.0 * math.pi * np.abs(gap.mean(axis=-1))
 
 
 def plane_scalar_estimate(chart: MetricChart, P, u, v, r0=0.2, rungs=3,

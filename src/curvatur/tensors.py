@@ -84,13 +84,10 @@ def riemann_at(chart: ig.MetricChart, x) -> RiemannAt:
 
 def sectional_at(chart: ig.MetricChart, x, u, v) -> float:
     """Sectional curvature of the plane spanned by u and v at x."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     riem = riemann_at(chart, x)
     g = riem.g
-    uu = u @ g @ u
-    vv = v @ g @ v
-    uv = u @ g @ v
+    uu, vv, uv = u @ g @ u, v @ g @ v, u @ g @ v
     area2 = uu * vv - uv * uv
     if area2 <= 1e-12 * max(uu * vv, 1e-300):
         raise PreconditionError("sectional curvature needs independent "
@@ -181,8 +178,7 @@ def riemann_holonomy_oracle(chart: ig.MetricChart, x, u, v,
     """
     x = _base_point(chart, x)
     hs = nk.halving_ladder(hs)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     n = chart.dim
     g = chart.g_at(x)
     gram = np.array([[u @ g @ u, u @ g @ v], [u @ g @ v, v @ g @ v]])
@@ -299,8 +295,7 @@ class Field:
         return out if isinstance(out, Jet) else nk.jet_stack(out, xj[0])
 
     def at(self, x, order=0):
-        x = np.asarray(x, dtype=float)
-        return self(Jet.variables(x, max(order, 1)))
+        return self(Jet.variables(np.asarray(x, dtype=float), max(order, 1)))
 
 
 def field_values(field: Field, x, order=1):

@@ -54,23 +54,16 @@ def format_check(c: CheckResult) -> str:
 
 def _interior_point(chart, rng, band=(0.3, 0.7)):
     """A deterministic point in the middle band of the chart box."""
-    lo_f, hi_f = band
-    out = []
-    for lo, hi in chart.domain:
-        out.append(lo + rng.uniform(lo_f, hi_f) * (hi - lo))
-    return np.array(out)
+    return np.array([lo + rng.uniform(*band) * (hi - lo)
+                     for lo, hi in chart.domain])
 
 
 def _catalog_charts():
     """Every builtin geometry as a metric chart (patches via pullback)."""
-    charts = []
-    for name in cat.BUILTIN_NAMES:
-        obj = cat.builtin(name).build()
-        if isinstance(obj, sp.SurfacePatch):
-            charts.append((name, ig.pullback_metric(obj)))
-        elif isinstance(obj, ig.MetricChart):
-            charts.append((name, obj))
-    return charts
+    objs = [(name, cat.builtin(name).build()) for name in cat.BUILTIN_NAMES]
+    return [(name, ig.pullback_metric(obj)
+             if isinstance(obj, sp.SurfacePatch) else obj) for name, obj in objs
+            if isinstance(obj, (sp.SurfacePatch, ig.MetricChart))]
 
 
 # -- circle-law -----------------------------------------------------------
@@ -114,14 +107,17 @@ def suite_scalar_curvature(seed=0):
          np.array([0.3, 2.0]), -2.0, 2e-3),
         ("hyperboloid pullback", cat.builtin("hyperboloid_pullback").build(),
          np.array([0.4, -0.3]), -2.0, 5e-3),
+        ("round 3-sphere", cat.builtin("s3_round").build(),
+         np.array([0.2, -0.3, 0.5]), 6.0, 2e-3),
     ]
     for name, chart, P, target, tol in cases:
         est = ig.scalar_curvature_estimate(chart, P)
         yield _check(suite, f"tau on {name}", abs(est.tau - target), tol,
                      detail=f"tau={est.tau:.6f}")
-        yield _check(suite, f"circle and disk routes agree on {name}",
-                     abs(est.tau_circle - est.tau_disk),
-                     max(est.error, 1e-9))
+        if chart.dim == 2:
+            yield _check(suite, f"circle and disk routes agree on {name}",
+                         abs(est.tau_circle - est.tau_disk),
+                         max(est.error, 1e-9))
 
 
 # -- egregium -------------------------------------------------------------
@@ -321,8 +317,7 @@ def suite_transport(seed=0):
     suite = "transport"
 
     chart, to_chart, chart_vel = _tilted_sphere_chart()
-    verts = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
-             np.array([0.0, 0.0, 1.0])]
+    verts = np.eye(3)
     sides = []
     miss = 0.0
     for i in range(3):
@@ -370,8 +365,7 @@ def suite_riemann(seed=0):
     charts = _catalog_charts()
     rng = np.random.default_rng([seed, 8])
 
-    worst_oracle = 0.0
-    worst_name = ""
+    worst_oracle, worst_name = 0.0, ""
     for name, chart in charts:
         x = _interior_point(chart, rng)
         if name == "lobachevsky_halfplane":
@@ -379,8 +373,7 @@ def suite_riemann(seed=0):
         riem = tn.riemann_at(chart, x)
         pairs = [(0, 1)] if chart.dim == 2 else [(0, 1), (0, 2), (1, 2)]
         for i, j in pairs:
-            u = np.eye(chart.dim)[i]
-            v = np.eye(chart.dim)[j]
+            u, v = np.eye(chart.dim)[[i, j]]
             mat, _ = tn.riemann_holonomy_oracle(chart, x, u, v)
             dev = float(np.abs(mat - riem.operator(u, v)).max())
             if dev > worst_oracle:
@@ -717,9 +710,7 @@ def suite_calculus(seed=0):
                            for lo, hi in box])
             grad = tn.field_values(exact, pt, order=2)
             h = 1e-6
-            for k in range(n):
-                e = np.zeros(n)
-                e[k] = h
+            for k, e in enumerate(h * np.eye(n)):
                 gk = (F(pt + e) - F(pt - e)) / (2 * h)
                 worst = max(worst, abs(gk - grad[k]))
         yield _check(suite, f"closed covectors integrate back ({label})",
@@ -869,12 +860,5 @@ def run_suite(name, seed=0, report=None):
 
 def suite_names(names):
     """Suite names in run order; 'all' expands to every suite."""
-    if isinstance(names, str):
-        names = [names]
-    expanded = []
-    for n in names:
-        if n == "all":
-            expanded.extend(SUITES)
-        else:
-            expanded.append(n)
-    return expanded
+    names = [names] if isinstance(names, str) else names
+    return [s for n in names for s in (SUITES if n == "all" else [n])]

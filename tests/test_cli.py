@@ -131,8 +131,8 @@ def test_scalar_cost_block_is_deterministic(capsys):
 
 
 def test_scalar_3d_takes_the_sphere_area_route(capsys):
-    # a 3D chart reads tau off the areas of geodesic spheres: one 288-lane
-    # DOPRI5 fan (10 accepted steps, 61 RHS evaluations), no circle routes
+    # a 3D chart reads tau off the areas of geodesic spheres: one 24-lane
+    # DOPRI5 fan (9 accepted steps, 55 RHS evaluations), no circle routes
     argv = ("curvature", "scalar", "--builtin", "s3_round",
             "--at", "0.2,-0.1,0.3")
     _, first, _ = run(capsys, *argv)
@@ -142,6 +142,7 @@ def test_scalar_3d_takes_the_sphere_area_route(capsys):
     res, diag = doc["results"], doc["diagnostics"]
     assert abs(res["tau"] - 6.0) <= diag["error_estimates"]["tau"]
     assert res["tau_circle"] is None and res["tau_disk"] is None
+    assert doc["inputs"]["samples"] == 8
     cost = diag["cost"]
     assert cost["solves"] == 1 and cost["accepted_steps"] > 0
     assert cost["rhs_evals"] == 1 + 6 * (cost["accepted_steps"]
@@ -339,6 +340,16 @@ def test_trace_leaving_at_its_start_point_exits_1(capsys):
     assert info["type"] == "PreconditionError"
     assert info["message"] == ("the geodesic leaves the chart at its start "
                                "point")
+
+
+def test_sphere_samples_off_the_nested_rule_exit_1(capsys):
+    # --samples 10 is a valid circle fan, but its 4 polar nodes do not nest
+    code, out, err = run(capsys, "curvature", "scalar", "--builtin",
+                         "s3_round", "--at", "0.2,-0.1,0.3", "--samples", "10")
+    assert (code, out) == (1, "")
+    info = json.loads(err)["error"]
+    assert info["type"] == "PreconditionError"
+    assert "multiple of 4" in info["message"]
 
 
 def test_scalar_curvature_with_no_ladder_exits_1(capsys):

@@ -666,6 +666,23 @@ def test_sphere_areas_converge_in_samples(s3):
         assert coarse == pytest.approx(fine, rel=1e-12)
 
 
+def test_sphere_area_error_covers_true_error(s3):
+    # the 3D twin of the circle-length check: the azimuth and polar
+    # halving terms cover each area's true error at every grid
+    s2r = ig.MetricChart(3, [(0.3, 2.8), (-3.0, 3.0), (-2.0, 2.0)],
+                         lambda x: [[1.0, 0.0, 0.0],
+                                    [0.0, nk.sin(x[0]) ** 2, 0.0],
+                                    [0.0, 0.0, 1.0]], name="S2xR")
+    radii = np.array([0.05, 0.1, 0.2, 0.4])
+    P3, P2 = np.array([0.2, -0.3, 0.5]), np.array([1.1, 0.4, 0.2])
+    ref, _ = ig._geodesic_sphere_areas(s2r, P2, radii, 48)
+    for M in (8, 12, 16, 20, 24):
+        areas, errors = ig._geodesic_sphere_areas(s3, P3, radii, M)
+        assert (abs(areas - 4 * math.pi * np.sin(radii) ** 2) <= errors).all()
+        areas, errors = ig._geodesic_sphere_areas(s2r, P2, radii, M)
+        assert (abs(areas - ref) <= errors).all()
+
+
 def test_circle_leaving_the_chart_fails(halfplane):
     with pytest.raises(nk.PreconditionError, match="leaves the chart"):
         ig.geodesic_circle(halfplane, [0.0, 0.1], 2.0)
@@ -689,7 +706,7 @@ def test_scalar_curvature_solve_count(request, solves, name, P, count):
                                              ("halfplane", [0.5, 2.0], 70),
                                              ("s3", [0.2, -0.3, 0.5], 70)])
 def test_scalar_curvature_rhs_budget(request, rhs_evals, name, P, budget):
-    # deterministic cost guard: one fan, no probe solve (43, 67 and 55 RHS
+    # deterministic cost guard: one fan, no probe solve (43, 67 and 61 RHS
     # evaluations here; the probe added 55, 73 and 43)
     est = ig.scalar_curvature_estimate(request.getfixturevalue(name), P)
     assert len(rhs_evals) == est.cost["rhs_evals"] <= budget
@@ -702,6 +719,19 @@ def test_scalar_curvature_checks_samples_before_solving(halfplane, s3, solves,
         with pytest.raises(nk.PreconditionError, match="even integer >= 8"):
             ig.scalar_curvature_estimate(chart, P, samples=samples)
     assert not solves
+
+
+@pytest.mark.parametrize("samples", [10, 14])
+def test_sphere_samples_must_nest_before_any_fan(s3, monkeypatch, samples):
+    # in 3D the M/2 - 1 polar nodes must be odd, so that every other node
+    # is a rule of its own: M is a multiple of 4
+    fans = []
+    exp_batch = ig._exp_batch
+    monkeypatch.setattr(ig, "_exp_batch", lambda *a, **kw: fans.append(a)
+                        or exp_batch(*a, **kw))
+    with pytest.raises(nk.PreconditionError, match="multiple of 4"):
+        ig.scalar_curvature_estimate(s3, [0.2, -0.3, 0.5], samples=samples)
+    assert not fans
 
 
 @pytest.mark.parametrize("ladder", [dict(rungs=0), dict(rungs=1),
@@ -767,6 +797,16 @@ def test_scalar_curvature_error_covers_the_true_error(request, name, P, tau):
     # the sphere's (2.0, 1.5)
     est = ig.scalar_curvature_estimate(request.getfixturevalue(name), P)
     assert est.error >= abs(est.tau - tau)
+
+
+@pytest.mark.parametrize("P", [(0.2, -0.1, 0.3), (0.0, 0.0, 0.0),
+                               (0.4, 0.3, -0.2), (1.0, 0.5, -0.7)])
+def test_sphere_route_error_covers_the_true_error_at_every_grid(s3, P):
+    # tau's error carries the polar rule's own, so it covers the true error
+    # down to the coarsest grid, 8 azimuths by 3 polar nodes
+    for samples in (8, 12, 16, 24):
+        est = ig.scalar_curvature_estimate(s3, P, samples=samples)
+        assert est.error >= abs(est.tau - 6.0), samples
 
 
 def test_scalar_curvature_on_a_skewed_chart_edge():

@@ -7,7 +7,9 @@ one invocation of each command that reports a cost block, ``curve
 analyze`` and ``surface report`` (the curve and surface modules' own
 commands), ``verify --suite all --format json``, a scalar estimate
 at the sphere point (2.0, 1.5), where its error covers the true error by
-the least margin, two at chart edges (a circle fan and a sphere fan that
+the least margin, two ``s3_round`` estimates at ``--samples`` 12 and 10
+(a nested polar rule, and one refused because its M/2 - 1 polar nodes
+are even), two at chart edges (a circle fan and a sphere fan that
 leave the box and rerun at a smaller radius), one circle that fails by
 leaving the chart, ``surface offset`` (the offset-area totals),
 ``curvature sectional`` (the sectional curvature of a 3D chart), a torus
@@ -39,6 +41,10 @@ INVOCATIONS = (
     ("curvature", "scalar", "--builtin", "sphere", "--at", "1.0,1.2"),
     ("curvature", "scalar", "--builtin", "sphere", "--at", "2.0,1.5"),
     ("curvature", "scalar", "--builtin", "s3_round", "--at", "0.2,-0.1,0.3"),
+    ("curvature", "scalar", "--builtin", "s3_round", "--at", "0.2,-0.1,0.3",
+     "--samples", "12"),
+    ("curvature", "scalar", "--builtin", "s3_round", "--at", "0.2,-0.1,0.3",
+     "--samples", "10"),
     ("curvature", "scalar", "--builtin", "s3_round", "--at", "2.3,0,0"),
     ("curvature", "scalar", "--builtin", "sphere", "--at", "1.0,0.25"),
     ("geodesic", "circle", "--builtin", "lobachevsky_halfplane", "--at",
