@@ -10,17 +10,18 @@ Numbers are serialized with 17 significant digits so identical invocations
 produce byte-identical output.  Angles are radians; coordinates are listed
 in chart order as declared.  Exit codes: 0 success, 1 computation failure,
 2 usage error, 3 verification-suite failure.  Every failure also writes a
-JSON error document to stderr.  Commands that integrate ODEs may add a
-``cost`` block to ``diagnostics``: solver counters, integers only.  Wall
-times appear only in ``verify``'s text mode, never in JSON.
+JSON error document to stderr.  A command whose handler ran at least one
+ODE solve gets a ``cost`` block in ``diagnostics``: the solver counters of
+:func:`numkit.solver_cost`, integers only.  Wall times appear only in
+``verify``'s text mode, never in JSON.
 
 Each command is one row of :data:`COMMANDS`: its help, the geometry kind
 it reads, whether ``--format csv`` applies, its own options and its
 handler.  One dispatcher, :func:`main`, decides what the commands
 share: the document envelope, geometry resolution (load the source, build
 it, check its kind, pull a surface back to a chart), CSV eligibility and
-the exit codes.  Handlers compute; they return the ``inputs``, ``results``
-and diagnostics of the document.
+the exit codes and the cost block.  Handlers compute; they return the
+``inputs``, ``results`` and diagnostics of the document.
 """
 
 import argparse
@@ -93,9 +94,9 @@ def _write(args, text):
         sys.stdout.write(text + "\n")
 
 
-def _emit(args, command, geometry, inputs, results, tolerances=None,
-          error_estimates=None, warnings=None, cost=None):
-    doc = {
+def _document(command, geometry, inputs, results, tolerances=None,
+              error_estimates=None, warnings=None):
+    return {
         "command": command,
         "geometry": geometry,
         "inputs": inputs,
@@ -106,9 +107,6 @@ def _emit(args, command, geometry, inputs, results, tolerances=None,
             "warnings": [str(w) for w in (warnings or [])],
         },
     }
-    if cost is not None:
-        doc["diagnostics"]["cost"] = cost
-    _write(args, _dump(doc))
 
 
 def _emit_csv(args, header, rows):
@@ -160,11 +158,12 @@ def _floats(text, n=None, label="value"):
     return np.array(vals, dtype=float)
 
 
-def _fan_samples(text):
+def _fan_samples(args, dim):
+    """``--samples`` by :func:`intrinsic.fan_samples`, or a usage error."""
     try:
-        return ig.fan_samples(int(text))
-    except (ValueError, nk.PreconditionError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+        return ig.fan_samples(args.samples, dim)
+    except nk.PreconditionError as exc:
+        raise UsageError(str(exc))
 
 
 def _parse_param(text):
@@ -218,8 +217,8 @@ def _geometry_doc(spec, note=None):
 
 
 # ---------------------------------------------------------------------------
-# command handlers: (args, Geometry or None) -> _emit keywords, or the exit
-# code of a handler that wrote its own output
+# command handlers: (args, Geometry or None) -> _document keywords, or the
+# exit code of a handler that wrote its own output
 # ---------------------------------------------------------------------------
 
 
@@ -277,8 +276,7 @@ def _curve_reconstruct(args, _):
                 results={"endpoint": pts[-1],
                          "samples": {"columns": header, "rows": rows}},
                 tolerances={"ode_rtol": cv._FRAME_RTOL,
-                            "ode_atol": cv._FRAME_ATOL},
-                cost=dict(zip(ig._COST, ig._counters(curve.trajectory))))
+                            "ode_atol": cv._FRAME_ATOL})
 
 
 def _surface_report(args, g):
@@ -347,8 +345,6 @@ def _geodesic_trace(args, g):
     if path.reason != "completed":
         warnings.append(f"trace stopped early ({path.reason}) "
                         f"at length {path.length:.17g}")
-    drift = path.speed_drift()
-    traj = path.trajectory         # read last: dense output adds RHS calls
     return dict(inputs={"from": x0, "dir": v0, "length": length,
                         "samples": n},
                 results={"length_traced": path.length,
@@ -357,34 +353,30 @@ def _geodesic_trace(args, g):
                          "end_velocity": path.end_velocity,
                          "samples": {"columns": header, "rows": rows}},
                 tolerances={"ode_rtol": args.rtol, "ode_atol": args.atol},
-                error_estimates={"speed_drift": drift},
-                warnings=warnings,
-                cost=dict(zip(ig._COST, ig._counters(traj))))
+                error_estimates={"speed_drift": path.speed_drift()},
+                warnings=warnings)
 
 
 def _geodesic_distance(args, g):
     p = _floats(getattr(args, "from"), g.obj.dim, "--from")
     q = _floats(args.to, g.obj.dim, "--to")
-    cost, miss = np.zeros(len(ig._COST), int), np.zeros(1)
-    dist = ig.geodesic_distance(g.obj, p, q, tol=args.tol, cost=cost,
-                                miss=miss)
+    miss = np.zeros(1)
+    dist = ig.geodesic_distance(g.obj, p, q, tol=args.tol, miss=miss)
     return dict(inputs={"from": p, "to": q}, results={"distance": dist},
                 tolerances={"shooting_tol": args.tol},
-                error_estimates={"miss": float(miss[0])},
-                cost=dict(zip(ig._COST, cost.tolist())))
+                error_estimates={"miss": float(miss[0])})
 
 
 def _geodesic_circle(args, g):
     center = _floats(args.at, g.obj.dim, "--at")
-    radius = float(args.radius)
-    res = ig.geodesic_circle(g.obj, center, radius, samples=args.samples)
-    return dict(inputs={"at": center, "radius": radius,
-                        "samples": args.samples},
+    M = _fan_samples(args, 2)
+    res = ig.geodesic_circle(g.obj, center, args.radius, samples=M)
+    return dict(inputs={"at": center, "radius": args.radius, "samples": M},
                 results={"length": res.length, "disk_area": res.disk_area},
                 error_estimates={"length": res.length_error,
                                  "disk_area": res.disk_area_error,
                                  "ds_dr_residual": res.ds_dr_residual},
-                warnings=res.warnings, cost=res.cost)
+                warnings=res.warnings)
 
 
 def _waypoints(items, dim, label):
@@ -401,8 +393,7 @@ def _transport_along(args, g):
     return dict(inputs={"via": pts, "vector": a0},
                 results={"transported": res.final,
                          "path_kind": res.path_kind},
-                error_estimates={"gram_drift": res.gram_drift},
-                cost=res.cost)
+                error_estimates={"gram_drift": res.gram_drift})
 
 
 def _transport_holonomy(args, g):
@@ -415,13 +406,12 @@ def _transport_holonomy(args, g):
                          "basis": res.basis},
                 error_estimates={
                     "orthogonality_residual": res.orthogonality_residual,
-                    "gram_drift": res.gram_drift},
-                cost=res.cost)
+                    "gram_drift": res.gram_drift})
 
 
 def _curvature_scalar(args, g):
     x = _floats(args.at, g.obj.dim, "--at")
-    M = ig.fan_samples(args.samples, g.obj.dim)
+    M = _fan_samples(args, g.obj.dim)
     est = ig.scalar_curvature_estimate(g.obj, x, r0=args.r0,
                                        rungs=args.rungs, samples=M)
     return dict(inputs={"at": x, "r0": args.r0, "rungs": args.rungs,
@@ -433,7 +423,7 @@ def _curvature_scalar(args, g):
                          "monotone": est.monotone},
                 tolerances={"radii": list(est.radii)},
                 error_estimates={"tau": est.error},
-                warnings=est.warnings, cost=est.cost)
+                warnings=est.warnings)
 
 
 def _curvature_riemann(args, g):
@@ -499,11 +489,10 @@ def _verify(args, _):
                 for c in checks]
         geometry = {"name": "catalog", "kind": "suite", "coords": [],
                     "domain": [], "params": {}, "source": "builtin"}
-        _emit(args, "verify", geometry,
-              {"suites": list(names), "seed": args.seed},
-              {"checks": rows,
-               "passed": len(checks) - len(failed),
-               "failed": len(failed)})
+        _write(args, _dump(_document(
+            "verify", geometry, {"suites": list(names), "seed": args.seed},
+            {"checks": rows, "passed": len(checks) - len(failed),
+             "failed": len(failed)})))
     elif not stream:
         _write(args, "\n".join(lines))
     if failed:
@@ -625,9 +614,10 @@ COMMANDS = (
             "chart", False, _geodesic_circle, (
                 _opt("--at", required=True, metavar="P", help="center"),
                 _opt("--radius", required=True, type=float),
-                _opt("--samples", type=_fan_samples, default=24,
-                     help="directions around the center (even, >= 8; "
-                          "every other one gives the error estimate)"))),
+                _opt("--samples", type=int,
+                     help="directions around the center (default 24, even, "
+                          ">= 8; every other one gives the error "
+                          "estimate)"))),
     Command("transport along", "transport a vector along a polyline",
             "chart", False, _transport_along, (
                 _opt("--via", action="append", metavar="PT", required=True,
@@ -646,7 +636,7 @@ COMMANDS = (
                      help="largest ladder radius"),
                 _opt("--rungs", type=int, default=3,
                      help="halving ladder length"),
-                _opt("--samples", type=_fan_samples,
+                _opt("--samples", type=int,
                      help="directions per circle in 2D (default 24, even, "
                           ">= 8); azimuths by samples/2 - 1 polar nodes "
                           "per sphere in 3D (default 8, a multiple of 4)"))),
@@ -731,7 +721,8 @@ def main(argv=None):
     build the geometry of the command's kind (a surface read as a chart is
     pulled back through its first fundamental form, and the geometry
     document says so), wrap what the handler returns in the document
-    envelope, and map failures to exit codes and error documents.
+    envelope, add the cost block when the handler ran an ODE solve, and
+    map failures to exit codes and error documents.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
     name = _command_name(argv)
@@ -744,7 +735,7 @@ def main(argv=None):
         name = cmd.name
         if args.format == "csv" and not cmd.csv:
             raise UsageError(f"{name} does not support --format csv")
-        g = doc = None
+        g = geo = None
         if cmd.kind:
             spec = _load_spec(args)
             obj, surface = spec.build(), None
@@ -755,11 +746,15 @@ def main(argv=None):
                 raise UsageError(f"geometry {spec.name!r} is a {spec.kind}, "
                                  f"but this command needs {needs}")
             g = Geometry(spec, obj, surface)
-            doc = _geometry_doc(spec, "surface pullback" if surface else None)
-        out = cmd.run(args, g)
+            geo = _geometry_doc(spec, "surface pullback" if surface else None)
+        with nk.solver_cost() as cost:
+            out = cmd.run(args, g)
         if isinstance(out, int):
             return out
-        _emit(args, name, **{"geometry": doc, **out})
+        doc = _document(name, **{"geometry": geo, **out})
+        if cost["solves"]:
+            doc["diagnostics"]["cost"] = cost
+        _write(args, _dump(doc))
         return 0
     except UsageError as exc:
         _error_doc(name, exc, extra={"exit_code": 2})

@@ -181,13 +181,13 @@ class _FrameODECurve(ParamCurve):
         if traj.stopped:        # kbar non-finite, or <= 0 for a space curve
             raise PreconditionError("the frame equations turn non-finite "
                                     f"near s={traj.ts[-1]:.6g}")
-        self.trajectory = traj
+        self._traj = traj
         self._build = jet_builder
         super().__init__(self._eval, (0.0, s_max), dim)
 
     def _eval(self, s_jet: Jet):
         s0 = np.asarray(s_jet.value, dtype=float)
-        state = self.trajectory.eval(s0)
+        state = self._traj.eval(s0)
         return self._build(s_jet, s0, state)
 
 

@@ -231,14 +231,8 @@ def pullback_metric(surface) -> MetricChart:
 # ---------------------------------------------------------------------------
 
 
-_COST = ("solves", "accepted_steps", "rejected_steps", "rhs_evals")
 _TRANSPORT_RTOL, _TRANSPORT_ATOL = 1e-10, 1e-12     # per transported lane
 _CLOSURE_TOL = 1e-9      # joins and loop closure, coordinates modulo periods
-
-
-def _counters(traj):
-    """One solve's solver counters, in the order of ``_COST``."""
-    return (1, traj.n_accepted, traj.n_rejected, traj.n_rhs)
 
 
 @dataclass
@@ -419,8 +413,7 @@ class TransportResult:
     ``positions`` and ``vectors`` the point and the transported columns
     there.  ``final`` is the last sample.  ``gram_drift`` is the max
     relative drift of the g-Gram matrix of the transported columns, which
-    transport should preserve.  ``cost`` holds the solve's counters, keyed
-    by ``_COST``.
+    transport should preserve.
     """
 
     chart: MetricChart
@@ -430,7 +423,6 @@ class TransportResult:
     final: np.ndarray            # (n, ncols)
     path_kind: str
     gram_drift: float
-    cost: dict
 
 
 def _transport_gram_drift(chart, xs, vecs):
@@ -452,8 +444,8 @@ def _propagators(chart: MetricChart, curve, S):
     by sqrt(S): that bounds each lane's own RMS error by
     ``_TRANSPORT_RTOL``/``_TRANSPORT_ATOL``, as if it had been solved alone.
 
-    Returns the shared mesh ``taus`` (T,), ``Phi`` (T, S, n, n),
-    Phi[m, s] = Phi_s(taus[m]), and the solve's counters keyed by ``_COST``.
+    Returns the shared mesh ``taus`` (T,) and ``Phi`` (T, S, n, n),
+    Phi[m, s] = Phi_s(taus[m]).
     """
     n = chart.dim
 
@@ -477,8 +469,7 @@ def _propagators(chart: MetricChart, curve, S):
     if traj.stopped:
         raise PreconditionError("the Christoffel symbols turn non-finite "
                                 f"along the path near tau={traj.ts[-1]:.6g}")
-    return (traj.ts, traj.ys.reshape(len(traj.ts), S, n, n).swapaxes(-2, -1),
-            dict(zip(_COST, _counters(traj))))
+    return traj.ts, traj.ys.reshape(len(traj.ts), S, n, n).swapaxes(-2, -1)
 
 
 def _pieces(chart: MetricChart, path):
@@ -547,7 +538,7 @@ def parallel_transport(chart: MetricChart, path, a0) -> TransportResult:
     n = chart.dim
     k = A0.shape[1]
     start, _, S, curve, kind = _pieces(chart, path)
-    taus, Phi, cost = _propagators(chart, curve, S)
+    taus, Phi = _propagators(chart, curve, S)
     A = [A0]
     for P in Phi[-1]:
         A.append(P @ A[-1])
@@ -559,7 +550,7 @@ def parallel_transport(chart: MetricChart, path, a0) -> TransportResult:
     drift = _transport_gram_drift(chart, xs, vecs)
     final = vecs[-1]
     return TransportResult(chart, ts, xs, vecs,
-                           final[:, 0] if single else final, kind, drift, cost)
+                           final[:, 0] if single else final, kind, drift)
 
 
 @dataclass
@@ -569,7 +560,6 @@ class HolonomyResult:
     basis: np.ndarray            # columns: the orthonormal basis used
     orthogonality_residual: float
     gram_drift: float
-    cost: dict                   # the transport solve's, keyed by _COST
 
 
 def _closure_defect(chart: MetricChart, a, b):
@@ -598,7 +588,7 @@ def holonomy(chart: MetricChart, loop) -> HolonomyResult:
     M = np.linalg.solve(E, res.final)
     orth = float(np.abs(M.T @ M - np.eye(chart.dim)).max())
     ang = float(math.atan2(M[1, 0], M[0, 0])) if chart.dim == 2 else None
-    return HolonomyResult(M, ang, E, orth, res.gram_drift, res.cost)
+    return HolonomyResult(M, ang, E, orth, res.gram_drift)
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +615,7 @@ def fan_samples(samples, dim=2):
     return int(samples)
 
 
-def _jacobi_elements(chart: MetricChart, P, radii, U, dU, steer, cost=None):
+def _jacobi_elements(chart: MetricChart, P, radii, U, dU, steer):
     """Length, area or volume elements of exp_P(r U) at every radius r.
 
     ``U`` (n, L) are directions and ``dU`` (c, n, L) their derivatives in
@@ -633,18 +623,16 @@ def _jacobi_elements(chart: MetricChart, P, radii, U, dU, steer, cost=None):
     One variational fan out to the largest radius carries the Jacobi
     columns J = d exp_P(r U) / d(params), every radius is read off its
     dense output, and one metric read gives sqrt(det(J^T g J)), shape
-    (radii, L).  ``steer`` goes to :func:`_exp_batch`; ``cost`` (int array,
-    ``_COST``) gains the counters.  A fan that leaves the box stops at its
-    last node inside and raises :class:`PreconditionError` with ``reach``,
-    that node's share of the largest radius.
+    (radii, L).  ``steer`` goes to :func:`_exp_batch`.  A fan that leaves
+    the box stops at its last node inside and raises
+    :class:`PreconditionError` with ``reach``, that node's share of the
+    largest radius.
     """
     radii = np.asarray(radii, dtype=float)
     rmax = radii.max()
     n = chart.dim
     c, _, L = dU.shape
     traj = _exp_batch(chart, P, rmax * U, rmax * dU, _FAN_RTOL, steer=steer)
-    if cost is not None:
-        cost += _counters(traj)
     if traj.stopped:
         reach = traj.ts[-1]
         exc = PreconditionError("the geodesic fan leaves the chart; all lanes "
@@ -669,7 +657,7 @@ def _azimuth_rule(f):
 
 
 def geodesic_circle_lengths(chart: MetricChart, P, radii, samples=24,
-                            frame=None, cost=None):
+                            frame=None):
     """Circle lengths L(r) and their error estimates, two arrays aligned
     with ``radii``.
 
@@ -678,8 +666,7 @@ def geodesic_circle_lengths(chart: MetricChart, P, radii, samples=24,
     :meth:`MetricChart.orthonormal_basis`.  L(r) is :func:`_azimuth_rule`
     over |J_theta(r)|_g at M = ``samples`` directions u(theta), where
     J_theta = d exp_P(r u(theta)) / d theta is the Jacobi column of one
-    variational fan (do Carmo, Riemannian Geometry, ch. 5); ``cost`` goes
-    to the fan.
+    variational fan (do Carmo, Riemannian Geometry, ch. 5).
     """
     M = fan_samples(samples)
     if frame is None:
@@ -688,28 +675,26 @@ def geodesic_circle_lengths(chart: MetricChart, P, radii, samples=24,
     c, s = np.cos(phis), np.sin(phis)
     U = c * frame[:, :1] + s * frame[:, 1:2]
     dU = (c * frame[:, 1:2] - s * frame[:, :1])[None]
-    return _azimuth_rule(_jacobi_elements(chart, P, radii, U, dU, False,
-                                          cost))
+    return _azimuth_rule(_jacobi_elements(chart, P, radii, U, dU, False))
 
 
 _RADIAL_NODES = 24         # Gauss-Legendre nodes of each disk area
 
 
-def circles_and_disks(chart: MetricChart, P, radii, samples=24, cost=None):
+def circles_and_disks(chart: MetricChart, P, radii, samples=24):
     """Circle lengths L(R), disk areas S(R) and the error estimates of
     both, four arrays aligned with ``radii``.
 
     S(R) integrates L(rho) over [0, R] with ``_RADIAL_NODES`` Gauss-Legendre
     nodes, summed in node order, and its error estimate integrates the
     lengths' estimates alike; every length comes from one
-    :func:`geodesic_circle_lengths` call (given ``cost``) over the radii
-    and their nodes.
+    :func:`geodesic_circle_lengths` call over the radii and their nodes.
     """
     radii = np.asarray(radii, dtype=float)
     n = len(radii)
     xs, ws = nk.gauss_legendre(_RADIAL_NODES, 0.0, radii[:, None])
     f = np.stack(geodesic_circle_lengths(
-        chart, P, np.concatenate([radii, xs.ravel()]), samples, cost=cost))
+        chart, P, np.concatenate([radii, xs.ravel()]), samples))
     S = (ws * f[:, n:].reshape(2, n, -1)).cumsum(axis=2)[:, :, -1]
     return f[0, :n], S[0], f[1, :n], S[1]
 
@@ -725,7 +710,6 @@ class CircleResult:
     disk_area_error: float
     ds_dr_residual: float
     warnings: list
-    cost: dict
 
 
 def geodesic_circle(chart: MetricChart, P, R, samples=24) -> CircleResult:
@@ -736,25 +720,23 @@ def geodesic_circle(chart: MetricChart, P, R, samples=24) -> CircleResult:
     Gauss-Legendre nodes read from the same batched geodesic fan, and
     ``disk_area_error`` integrates the lengths' error estimates alike.  The
     derivative law S'(R) = L(R) is checked by central differences and
-    reported as ``ds_dr_residual``; ``cost`` counts the fan's solver work.
+    reported as ``ds_dr_residual``.
     """
     if chart.dim != 2:
         raise PreconditionError("geodesic circles are defined on 2D charts")
     R = float(R)
-    if R <= 0:
-        raise PreconditionError("radius must be positive")
+    if not 0 < R < math.inf:                  # NaN fails both comparisons
+        raise PreconditionError(f"radius must be positive and finite, got {R}")
     delta = 1e-3 * R
-    counts = np.zeros(len(_COST), int)
     L, S, eL, eS = circles_and_disks(chart, P, (R - delta, R, R + delta),
-                                     samples, counts)
+                                     samples)
     dS = (S[2] - S[0]) / (2 * delta)
     resid = abs(dS - L[1]) / max(abs(L[1]), 1e-300)
     warnings = []
     if resid > 1e-5:
         warnings.append(f"dS/dR check off by {resid:.3g} relative")
     return CircleResult(R, float(L[1]), float(S[1]), float(eL[1]),
-                        float(eS[1]), float(resid), warnings,
-                        dict(zip(_COST, counts.tolist())))
+                        float(eS[1]), float(resid), warnings)
 
 
 @dataclass
@@ -764,8 +746,7 @@ class TauEstimate:
     ``tau`` is the headline estimate (circle route for 2D, sphere-area
     route for 3D).  For 2D charts ``tau_circle`` and ``tau_disk`` hold the
     two independent comparison limits, which must agree within ``error``:
-    the sum of both routes' errors.  ``cost`` sums the solver
-    counters of every radius attempt.
+    the sum of both routes' errors.
     """
 
     tau: float
@@ -775,7 +756,6 @@ class TauEstimate:
     radii: tuple
     monotone: bool
     warnings: list
-    cost: dict
 
     @property
     def routes_agree(self):
@@ -835,14 +815,12 @@ def scalar_curvature_estimate(chart: MetricChart, P, r0=0.2, rungs=3,
     array over the ladder (:func:`_comparison_limit`).  ``samples``, the
     fan's direction count M (24 per circle, 8 azimuths per sphere unless
     given), is checked by :func:`fan_samples` before any fan.  A fan that
-    leaves the chart reruns at a smaller r0 (:func:`_within_reach`);
-    ``cost`` sums the solver counters of every attempt.
+    leaves the chart reruns at a smaller r0 (:func:`_within_reach`).
     """
     fan = circles_and_disks if chart.dim == 2 else _geodesic_sphere_areas
     M = fan_samples(samples, chart.dim)
-    counts = np.zeros(len(_COST), int)
-    ladder, out = _within_reach(
-        lambda radii: fan(chart, P, radii, M, cost=counts), r0, rungs)
+    ladder, out = _within_reach(lambda radii: fan(chart, P, radii, M), r0,
+                                rungs)
     R = np.asarray(ladder)
     if chart.dim == 2:
         lengths, areas, errors, area_errors = out
@@ -862,7 +840,7 @@ def scalar_curvature_estimate(chart: MetricChart, P, r0=0.2, rungs=3,
         err, routes, monotone = head.error, (None, None), head.monotone
     warnings = [] if monotone else ["extrapolation ladder not monotone"]
     return TauEstimate(head.value, float(err), *routes, tuple(ladder),
-                       monotone, warnings, dict(zip(_COST, counts.tolist())))
+                       monotone, warnings)
 
 
 def _fejer2(n):
@@ -875,8 +853,7 @@ def _fejer2(n):
     return thetas, 4.0 / (n + 1) * (np.sin(k * thetas) / k).sum(axis=0)
 
 
-def _geodesic_sphere_areas(chart: MetricChart, P, radii, samples=None,
-                           cost=None):
+def _geodesic_sphere_areas(chart: MetricChart, P, radii, samples=None):
     """Areas of geodesic spheres and their error estimates, two arrays
     aligned with ``radii``, from one variational geodesic fan.
 
@@ -885,7 +862,7 @@ def _geodesic_sphere_areas(chart: MetricChart, P, radii, samples=None,
     surface element uses d(exp)/d(direction) from the variational state.
     The polar sum comes first, then :func:`_azimuth_rule`, whose error
     gains 2 pi |mean over azimuths of (full - half)|, the half rule being
-    every other polar node; ``cost`` goes to :func:`_jacobi_elements`.
+    every other polar node.
     """
     M = fan_samples(samples, 3)
     n = M // 2 - 1
@@ -896,8 +873,8 @@ def _geodesic_sphere_areas(chart: MetricChart, P, radii, samples=None,
     sf, cf = np.sin(phis), np.cos(phis)
     u = np.stack([st * cf, st * sf, ct])
     du = np.stack([[ct * cf, ct * sf, -st], [-st * sf, st * cf, 0.0 * st]])
-    area = _jacobi_elements(chart, P, radii, E @ u, E @ du, True,
-                            cost).reshape(-1, n, M)
+    area = _jacobi_elements(chart, P, radii, E @ u, E @ du,
+                            True).reshape(-1, n, M)
     polar = tw @ area
     S, err = _azimuth_rule(polar)
     gap = polar - _fejer2(n // 2)[1] @ area[:, 1::2]        # full - half
@@ -917,7 +894,10 @@ def plane_scalar_estimate(chart: MetricChart, P, u, v, r0=0.2, rungs=3,
     g = chart.g_at(P)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    f1 = u / math.sqrt(u @ g @ u)
+    nu = math.sqrt(u @ g @ u)
+    if not nu > 0:                           # u = 0, or NaN
+        raise PreconditionError("directions do not span a plane")
+    f1 = u / nu
     w = v - (f1 @ g @ v) * f1
     nv = math.sqrt(w @ g @ w)
     if nv <= 1e-12 * math.sqrt(float(v @ g @ v)):
@@ -964,7 +944,7 @@ _LEVELS = ((1e-4, nk.DOPRI5), (1e-6, nk.DOPRI5), (1e-10, nk.DOP853))
 _RTOLS = np.array([rtol for rtol, _ in _LEVELS])
 
 
-def _shoot(chart, P, Q, E, first, pair, tol, max_iter, out, cost=None):
+def _shoot(chart, P, Q, E, first, pair, tol, max_iter, out):
     """Newton shooting for tasks in lockstep, one solve per iterate.
 
     Task t shoots pair ``pair[t]`` from w = 0 (endpoint P) with the step
@@ -979,8 +959,7 @@ def _shoot(chart, P, Q, E, first, pair, tol, max_iter, out, cost=None):
     step; Deuflhard, *Newton Methods for Nonlinear Problems*, 2.1).  Each
     solve runs the tasks that ask for the loosest level present, column
     shots before chord shots, so the dear tight solves come last and carry
-    every pair.  Given ``cost`` (int array, ``_COST``) it adds the
-    counters of every solve.
+    every pair.
     """
     n = chart.dim
     w, jac = np.zeros((len(pair), n)), np.zeros((len(pair), n, n))
@@ -1011,8 +990,6 @@ def _shoot(chart, P, Q, E, first, pair, tol, max_iter, out, cost=None):
                 freeze=True, steer=False, pair=rk)
         except nk.StepUnderflowError as e:
             traj = e.trajectory
-        if cost is not None:
-            cost += _counters(traj)
         z = np.where(traj.stopped, np.nan, traj.final).reshape(
             len(lanes), 2 + 2 * c, n)
         X = z[:, 0]
@@ -1040,8 +1017,7 @@ def _shoot(chart, P, Q, E, first, pair, tol, max_iter, out, cost=None):
                 live[t], halving[t] = not halving[t], True
 
 
-def geodesic_distances(chart: MetricChart, Ps, Qs, tol=1e-10, max_iter=64,
-                       cost=None):
+def geodesic_distances(chart: MetricChart, Ps, Qs, tol=1e-10, max_iter=64):
     """Geodesic distances of (P, Q) pairs, (N, n) each: a DistanceBatch.
 
     The unknown is w, the initial velocity in the g-orthonormal frame E at
@@ -1054,7 +1030,6 @@ def geodesic_distances(chart: MetricChart, Ps, Qs, tol=1e-10, max_iter=64,
     step from w = 0, where the Jacobian is E: w = E^-1 (Q - P); unconverged
     pairs retry, as one batch, from it turned by ``_RETRY_TURNS`` about each
     normal axis.  Pairs with an end outside the box, or that fail, read NaN.
-    ``cost`` goes to every :func:`_shoot`.
     """
     P = np.asarray(Ps, dtype=float).reshape(-1, chart.dim)
     Q = _nearest_representatives(
@@ -1070,7 +1045,7 @@ def geodesic_distances(chart: MetricChart, Ps, Qs, tol=1e-10, max_iter=64,
     gap = np.abs(Q - P).max(axis=1)
     tol = np.maximum(tol, 1e-12 * np.maximum(gap, 1e-6))
     aim = np.linalg.solve(E[todo], (Q - P)[todo, :, None])[..., 0]
-    _shoot(chart, P, Q, E, aim, todo, tol, max_iter, out, cost)
+    _shoot(chart, P, Q, E, aim, todo, tol, max_iter, out)
     retry = np.isnan(out.distance[todo])
     turned = [math.cos(a) * w + math.sin(a) * np.linalg.norm(w) * e
               for w in aim[retry] for a in _RETRY_TURNS
@@ -1078,24 +1053,24 @@ def geodesic_distances(chart: MetricChart, Ps, Qs, tol=1e-10, max_iter=64,
     if turned:
         _shoot(chart, P, Q, E, turned,
                np.repeat(todo[retry], len(_RETRY_TURNS) * (n - 1)), tol,
-               max_iter, out, cost)
+               max_iter, out)
     return out
 
 
 def geodesic_distance(chart: MetricChart, P, Q, tol=1e-10, max_iter=64,
-                      cost=None, miss=None):
+                      miss=None):
     """Two-point geodesic distance: the one-pair :func:`geodesic_distances`.
 
     Raises :class:`PreconditionError` when P or Q lies outside the box, and
     :class:`NonConvergenceError` with the best miss (``residual``) and its
-    initial coordinate velocity (``best``) when shooting fails.  ``cost``
-    goes to :func:`geodesic_distances`; given ``miss`` (float array of one
-    entry) it stores there the endpoint miss of the converged shot.
+    initial coordinate velocity (``best``) when shooting fails.  Given
+    ``miss`` (float array of one entry) it stores there the endpoint miss
+    of the converged shot.
     """
     P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
     if not chart.contains(np.stack([P, Q], axis=1)).all():
         raise PreconditionError("distance end points must lie in the chart")
-    res = geodesic_distances(chart, P[None], Q[None], tol, max_iter, cost)
+    res = geodesic_distances(chart, P[None], Q[None], tol, max_iter)
     d, best, m = res.distance[0], res.velocity[0], float(res.miss[0])
     if np.isnan(d):
         raise nk.NonConvergenceError(

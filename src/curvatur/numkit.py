@@ -34,7 +34,8 @@ read).  DOP853 serves the long tight geodesic traces and the tight distance
 shots; DOPRI5 the short fans and everything else.  It integrates flat state
 vectors; callers that want many geodesics at once flatten a (lanes, dim)
 state and share step control across lanes, which is how the circle and
-volume routines stay fast.
+volume routines stay fast.  Every solve adds its counters to the open
+:func:`solver_cost` blocks, which callers read around any computation.
 
 Quadrature is a tensor Gauss-Legendre rule that doubles its nodes per axis
 until two successive rules agree.  Integrands see whole node arrays, so a
@@ -44,6 +45,7 @@ surface integral costs a few batched jet evaluations, not one per point.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -784,6 +786,7 @@ class _Dop853(RungeKuttaPair):
             ks[j] = traj.rhs(t + self.c[j] * h,
                              y + h * _combine(self.a[j, :j], ks[:j]))
         traj.n_rhs += len(self.a) - self.stages
+        _charge(0, 0, 0, len(self.a) - self.stages)
         return h * _combine(self.d, ks)
 
 
@@ -967,6 +970,31 @@ class Trajectory:
         return out[0] if scalar else out
 
 
+_METERS = []                     # the open solver_cost blocks, innermost last
+
+
+@contextmanager
+def solver_cost():
+    """Yield a dict of ints keyed ``solves``, ``accepted_steps``,
+    ``rejected_steps`` and ``rhs_evals``, which every :func:`integrate_ode`
+    solve that ends inside the block (returned, stopped or raised) and
+    every DOP853 dense stage computed inside it add to.  Blocks nest, each
+    counting all the work inside it; a block keeps counts, no trajectory."""
+    _METERS.append(dict.fromkeys(
+        ("solves", "accepted_steps", "rejected_steps", "rhs_evals"), 0))
+    try:
+        yield _METERS[-1]
+    finally:
+        _METERS.pop()          # blocks close last in, first out
+
+
+def _charge(*counts):
+    """Add ``counts`` to every open block, in the order of its keys."""
+    for cost in _METERS:
+        for key, n in zip(cost, counts):
+            cost[key] += n
+
+
 def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajectory:
     """Integrate an :class:`OdeProblem` with its embedded pair.
 
@@ -1039,7 +1067,8 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
     n_rejected = 0
     err = 0.0
 
-    def trajectory(stopped=False):
+    def trajectory(stopped=False):         # every exit builds one, once
+        _charge(1, len(ts) - 1, n_rejected, n_rhs)
         return Trajectory(np.array(ts), np.array(ys), np.array(fs), dense,
                           pair, problem.rhs, n_rhs, len(ts) - 1, n_rejected,
                           stopped)

@@ -18,7 +18,8 @@ they never assemble curvature from the symbols.  Each reads its halving
 ladder of sizes h off one fan of geodesics out to the largest size (one
 fan per loop or cube), through the solver's dense output at h / max(h);
 the holonomy oracle then multiplies each rung's segment propagators
-pairwise.
+pairwise.  A :func:`numkit.solver_cost` block around either oracle reads
+its solver work.
 
 Fields (scalar, vector, covector, bilinear) are callables from coordinate
 jets to one tensor jet, which makes covariant derivatives composable to
@@ -191,8 +192,7 @@ def riemann_holonomy_oracle(chart: ig.MetricChart, x, u, v,
     pts = traj.eval(hs / hs[0]).reshape(len(hs), -1, 2, n)[:, :, 0, :]
     x0 = np.ascontiguousarray(pts[:, :-1].reshape(-1, n).T)
     dq = np.ascontiguousarray(np.diff(pts, axis=1).reshape(-1, n).T)
-    _, Phi, _ = ig._propagators(chart, lambda t: (x0 + t * dq, dq),
-                                x0.shape[1])
+    _, Phi = ig._propagators(chart, lambda t: (x0 + t * dq, dq), x0.shape[1])
     M = _ordered_products(Phi[-1].reshape(len(hs), -1, n, n))
     mats = (M - np.eye(n)) / hs[:, None, None] ** 2
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import curvatur.intrinsic as ig
 import curvatur.numkit as nk
 
 
@@ -18,6 +19,17 @@ def solves(monkeypatch):
     monkeypatch.setattr(nk, "integrate_ode",
                         lambda problem, *a, **kw: calls.append(problem)
                         or integrate(problem, *a, **kw))
+    return calls
+
+
+@pytest.fixture
+def fans(monkeypatch):
+    """A list that gains the arguments of each ``intrinsic._exp_batch``
+    call: one per geodesic fan."""
+    calls = []
+    exp_batch = ig._exp_batch
+    monkeypatch.setattr(ig, "_exp_batch", lambda *a, **kw: calls.append(a)
+                        or exp_batch(*a, **kw))
     return calls
 
 

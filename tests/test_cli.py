@@ -111,8 +111,10 @@ def test_distance_cost_block_sums_its_solves(capsys, monkeypatch):
         assert t.pair in (nk.DOPRI5, nk.DOP853)
         assert t.stopped or t.n_rhs == first + per_step * (t.n_accepted
                                                            + t.n_rejected)
-    total = np.sum([ig._counters(t) for t in trajs], axis=0).tolist()
-    assert doc["diagnostics"]["cost"] == dict(zip(ig._COST, total))
+    total = np.sum([(1, t.n_accepted, t.n_rejected, t.n_rhs) for t in trajs],
+                   axis=0).tolist()
+    assert doc["diagnostics"]["cost"] == dict(zip(
+        ("solves", "accepted_steps", "rejected_steps", "rhs_evals"), total))
 
 
 def test_scalar_cost_block_is_deterministic(capsys):
@@ -147,6 +149,16 @@ def test_scalar_3d_takes_the_sphere_area_route(capsys):
     assert cost["solves"] == 1 and cost["accepted_steps"] > 0
     assert cost["rhs_evals"] == 1 + 6 * (cost["accepted_steps"]
                                          + cost["rejected_steps"])
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf"])
+def test_circle_radius_that_is_not_finite_exits_1(capsys, radius):
+    code, out, err = run(capsys, "geodesic", "circle", "--builtin", "sphere",
+                         "--at", "1.0,1.2", "--radius", radius)
+    assert (code, out) == (1, "")
+    info = json.loads(err)["error"]
+    assert info["type"] == "PreconditionError"
+    assert "positive and finite" in info["message"]
 
 
 def test_circle_cost_block_is_deterministic(capsys):
@@ -342,13 +354,14 @@ def test_trace_leaving_at_its_start_point_exits_1(capsys):
                                "point")
 
 
-def test_sphere_samples_off_the_nested_rule_exit_1(capsys):
-    # --samples 10 is a valid circle fan, but its 4 polar nodes do not nest
+def test_sphere_samples_off_the_nested_rule_exit_2(capsys):
+    # --samples 10 is a valid circle fan, but its 4 polar nodes do not nest:
+    # a usage error once the chart's dimension is known, as --samples 9 is
     code, out, err = run(capsys, "curvature", "scalar", "--builtin",
                          "s3_round", "--at", "0.2,-0.1,0.3", "--samples", "10")
-    assert (code, out) == (1, "")
+    assert (code, out) == (2, "")
     info = json.loads(err)["error"]
-    assert info["type"] == "PreconditionError"
+    assert info["type"] == "UsageError"
     assert "multiple of 4" in info["message"]
 
 

@@ -683,6 +683,14 @@ def test_sphere_area_error_covers_true_error(s3):
         assert (abs(areas - ref) <= errors).all()
 
 
+@pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf, 0.0, -0.4])
+def test_circle_radius_must_be_positive_and_finite(sphere_chart, fans, R):
+    # a NaN radius used to pass the R <= 0 test and run a fan
+    with pytest.raises(nk.PreconditionError, match="positive and finite"):
+        ig.geodesic_circle(sphere_chart, [1.0, 1.2], R)
+    assert not fans
+
+
 def test_circle_leaving_the_chart_fails(halfplane):
     with pytest.raises(nk.PreconditionError, match="leaves the chart"):
         ig.geodesic_circle(halfplane, [0.0, 0.1], 2.0)
@@ -698,8 +706,9 @@ def test_fan_samples_must_be_even_and_at_least_8(plane, samples):
                                             ("s3", [0.2, -0.3, 0.5], 1)])
 def test_scalar_curvature_solve_count(request, solves, name, P, count):
     # the Jacobi fan is its own radius probe
-    est = ig.scalar_curvature_estimate(request.getfixturevalue(name), P)
-    assert len(solves) == count == est.cost["solves"]
+    with nk.solver_cost() as cost:
+        ig.scalar_curvature_estimate(request.getfixturevalue(name), P)
+    assert len(solves) == count == cost["solves"]
 
 
 @pytest.mark.parametrize("name, P, budget", [("sphere_chart", [1.0, 1.2], 45),
@@ -708,8 +717,9 @@ def test_scalar_curvature_solve_count(request, solves, name, P, count):
 def test_scalar_curvature_rhs_budget(request, rhs_evals, name, P, budget):
     # deterministic cost guard: one fan, no probe solve (43, 67 and 61 RHS
     # evaluations here; the probe added 55, 73 and 43)
-    est = ig.scalar_curvature_estimate(request.getfixturevalue(name), P)
-    assert len(rhs_evals) == est.cost["rhs_evals"] <= budget
+    with nk.solver_cost() as cost:
+        ig.scalar_curvature_estimate(request.getfixturevalue(name), P)
+    assert len(rhs_evals) == cost["rhs_evals"] <= budget
 
 
 @pytest.mark.parametrize("samples", [6, 9])
@@ -722,13 +732,9 @@ def test_scalar_curvature_checks_samples_before_solving(halfplane, s3, solves,
 
 
 @pytest.mark.parametrize("samples", [10, 14])
-def test_sphere_samples_must_nest_before_any_fan(s3, monkeypatch, samples):
+def test_sphere_samples_must_nest_before_any_fan(s3, fans, samples):
     # in 3D the M/2 - 1 polar nodes must be odd, so that every other node
     # is a rule of its own: M is a multiple of 4
-    fans = []
-    exp_batch = ig._exp_batch
-    monkeypatch.setattr(ig, "_exp_batch", lambda *a, **kw: fans.append(a)
-                        or exp_batch(*a, **kw))
     with pytest.raises(nk.PreconditionError, match="multiple of 4"):
         ig.scalar_curvature_estimate(s3, [0.2, -0.3, 0.5], samples=samples)
     assert not fans
@@ -736,12 +742,8 @@ def test_sphere_samples_must_nest_before_any_fan(s3, monkeypatch, samples):
 
 @pytest.mark.parametrize("ladder", [dict(rungs=0), dict(rungs=1),
                                     dict(r0=0.0), dict(r0=-0.1)])
-def test_scalar_estimates_check_the_ladder_before_any_fan(sphere_chart,
-                                                          monkeypatch, ladder):
-    fans = []
-    exp_batch = ig._exp_batch
-    monkeypatch.setattr(ig, "_exp_batch", lambda *a, **kw: fans.append(a)
-                        or exp_batch(*a, **kw))
+def test_scalar_estimates_check_the_ladder_before_any_fan(sphere_chart, fans,
+                                                          ladder):
     P, (e1, e2) = np.array([1.0, 1.2]), np.eye(2)
     with pytest.raises(nk.PreconditionError, match="ladder"):
         ig.scalar_curvature_estimate(sphere_chart, P, **ladder)
@@ -757,17 +759,19 @@ def test_shrink_radii_at_chart_edges(sphere_chart, halfplane):
     for chart, P, r0 in ((sphere_chart, [1.0, 0.25], 0.1),
                          (hyperboloid, [1.9, 0.0], 0.025),
                          (halfplane, [0.0, 0.12], 0.2)):
-        est = ig.scalar_curvature_estimate(chart, np.array(P), 0.2)
+        with nk.solver_cost() as cost:
+            est = ig.scalar_curvature_estimate(chart, np.array(P), 0.2)
         assert est.radii[0] == r0
-        assert est.cost["solves"] == (1 if r0 == 0.2 else 2)
+        assert cost["solves"] == (1 if r0 == 0.2 else 2)
 
 
 def test_sphere_fan_shrinks_its_radius_at_a_chart_edge(s3):
     # the 3D fan leaves the box the way the circle fans do: it stops, and
     # reruns at the largest r0 / 2^k its lanes reached
-    est = ig.scalar_curvature_estimate(s3, np.array([2.3, 0.0, 0.0]))
+    with nk.solver_cost() as cost:
+        est = ig.scalar_curvature_estimate(s3, np.array([2.3, 0.0, 0.0]))
     assert est.radii == (0.05, 0.025, 0.0125)
-    assert est.cost["solves"] == 2
+    assert cost["solves"] == 2
 
 
 def test_plane_scalar_estimate_shrinks_its_radius_at_a_chart_edge(s3,
@@ -782,6 +786,15 @@ def test_plane_scalar_estimate_shrinks_its_radius_at_a_chart_edge(s3,
     assert abs(tau - 2.0) < 2e-3 and err >= abs(tau - 2.0)
     with pytest.raises(nk.PreconditionError, match="no usable circle radius"):
         ig.plane_scalar_estimate(s3, np.array([3.0, 0.0, 0.0]), e1, e2)
+
+
+@pytest.mark.parametrize("u", [(0.0, 0.0, 0.0), (math.nan, 0.0, 0.0)])
+def test_plane_estimate_checks_u_before_any_fan(s3, fans, u):
+    # a zero u used to run NaN fans and fail for want of a usable radius
+    with pytest.raises(nk.PreconditionError, match="do not span a plane"):
+        ig.plane_scalar_estimate(s3, np.array([0.1, 0.2, 0.0]), u,
+                                 np.array([0.0, 1.0, 0.0]))
+    assert not fans
 
 
 @pytest.mark.parametrize("name, P, tau", [
@@ -814,9 +827,10 @@ def test_scalar_curvature_on_a_skewed_chart_edge():
     # between them left the box; the fan now finds the radius itself
     skew = ig.MetricChart(2, [(-1.0, 1.0), (-1.0, 1.0)],
                           lambda x: [[1.0, 0.9], [0.9, 1.0]])
-    est = ig.scalar_curvature_estimate(skew, np.array([0.55, 0.0]))
+    with nk.solver_cost() as cost:
+        est = ig.scalar_curvature_estimate(skew, np.array([0.55, 0.0]))
     assert est.radii[0] == 0.1
-    assert abs(est.tau) < 1e-9 and est.cost["solves"] == 2
+    assert abs(est.tau) < 1e-9 and cost["solves"] == 2
 
 
 def test_scalar_curvature_outside_the_chart_fails(halfplane):

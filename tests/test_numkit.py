@@ -389,6 +389,39 @@ def test_integrate_ode_step_counters():
     assert traj.n_rhs == 1 + 6 * (traj.n_accepted + traj.n_rejected)
 
 
+def _counters(traj):
+    return {"solves": 1, "accepted_steps": traj.n_accepted,
+            "rejected_steps": traj.n_rejected, "rhs_evals": traj.n_rhs}
+
+
+def test_solver_cost_blocks_nest():
+    prob = nk.OdeProblem(lambda t, y: y, np.array([1.0]), (0.0, 1.0))
+    with nk.solver_cost() as outer:
+        with nk.solver_cost() as inner:
+            traj = nk.integrate_ode(prob)
+        # the blocks hold equal counts here, and the inner one closed
+        assert outer == inner == _counters(traj)
+        assert all(type(v) is int for v in outer.values())
+        nk.integrate_ode(prob)
+    assert list(outer) == ["solves", "accepted_steps", "rejected_steps",
+                           "rhs_evals"]
+    assert outer == {k: 2 * v for k, v in inner.items()}
+
+
+def test_solver_cost_counts_a_raised_solve_and_closes_on_it():
+    # y' jumps by 1e10 at t = 0.5, where error control stalls
+    stall = nk.OdeProblem(lambda t, y: np.array([0.0 if t < 0.5 else 1e10]),
+                          np.array([0.0]), (0.0, 1.0))
+    with pytest.raises(nk.StepUnderflowError) as info:
+        with nk.solver_cost() as outer, nk.solver_cost() as inner:
+            nk.integrate_ode(stall)
+    counted = _counters(info.value.trajectory)
+    assert outer == inner == counted and counted["rejected_steps"] > 0
+    nk.integrate_ode(nk.OdeProblem(lambda t, y: y, np.array([1.0]),
+                                   (0.0, 1.0)))
+    assert outer == inner == counted          # both blocks are closed
+
+
 def _oscillator(pair, rtol, T=20.0):
     return nk.integrate_ode(nk.OdeProblem(
         lambda t, y: np.array([y[1], -y[0]]), np.array([0.0, 1.0]),
@@ -418,6 +451,17 @@ def test_dop853_counts_and_lazy_dense_output():
     ts = np.linspace(0.0, 20.0, 2001)
     exact = np.stack([np.sin(ts), np.cos(ts)], axis=1)
     assert np.abs(traj.eval(ts) - exact).max() < 1e-9
+
+
+def test_solver_cost_counts_dense_stages_read_inside_it():
+    with nk.solver_cost() as cost:
+        traj = _oscillator(nk.DOP853, 1e-10)
+        solve = traj.n_rhs
+        traj.eval(traj.ts[:2].mean())             # step 0's dense stages
+    assert cost["rhs_evals"] == solve + 3
+    traj.eval(traj.ts)                            # the rest, after the block
+    assert traj.n_rhs == solve + 3 * traj.n_accepted
+    assert cost["rhs_evals"] == solve + 3
     assert traj.n_rhs == solve + 3 * traj.n_accepted
 
 

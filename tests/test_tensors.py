@@ -101,15 +101,24 @@ def test_holonomy_oracle_is_two_solves(halfplane, solves, rhs_evals,
     integrate = nk.integrate_ode
     monkeypatch.setattr(nk, "integrate_ode", lambda problem, *a: trajs.append(
         integrate(problem, *a)) or trajs[-1])
-    tn.riemann_holonomy_oracle(halfplane, np.array([0.3, 2.0]),
-                               np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    assert len(solves) == 2
+    with nk.solver_cost() as cost:
+        tn.riemann_holonomy_oracle(halfplane, np.array([0.3, 2.0]),
+                                   np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    assert len(solves) == 2 == cost["solves"]
     # one exponential-map fan of 4 * 24 side samples and the closing zero,
     # (x, v) per lane, serves every rung
     assert solves[0].y0.size == 97 * 2 * 2
     # 25 for the fan; the 384 propagators from the identity take one step
     assert [traj.n_rhs for traj in trajs] == [25, 7]
-    assert len(rhs_evals) == 32
+    assert len(rhs_evals) == 32 == cost["rhs_evals"]
+
+
+def test_volume_oracle_cost(s3, solves, rhs_evals):
+    # one fan per cube: 7 cubes in 3D
+    with nk.solver_cost() as cost:
+        tn.ricci_volume_oracle(s3, np.array([0.2, 0.1, -0.3]))
+    assert len(solves) == 7 == cost["solves"]
+    assert len(rhs_evals) == cost["rhs_evals"] == 523
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 96])
@@ -224,7 +233,7 @@ def test_volume_oracle_inverts_the_cube_moments(monkeypatch, name, x):
                         C[q, a] * C[p, b] if p != q else 0.0))
         return out
 
-    def volumes(chart, P, radii, U, dU, steer, cost=None):
+    def volumes(chart, P, radii, U, dU, steer):
         C = np.linalg.solve(E, dU[:, :, 0].T)
         d = row(C) @ np.array([rho_hat[p, q] for p, q in pairs])
         return np.array([[r ** n - r ** (n + 2) * d / 6.0] * U.shape[1]

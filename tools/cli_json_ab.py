@@ -5,28 +5,27 @@
 Runs every invocation in ``INVOCATIONS``, a fixed sample with at least
 one invocation of each command that reports a cost block, ``curve
 analyze`` and ``surface report`` (the curve and surface modules' own
-commands), ``verify --suite all --format json``, a scalar estimate
-at the sphere point (2.0, 1.5), where its error covers the true error by
+commands), ``verify --suite all --format json``, a scalar estimate at
+the sphere point (2.0, 1.5), where its error covers the true error by
 the least margin, two ``s3_round`` estimates at ``--samples`` 12 and 10
 (a nested polar rule, and one refused because its M/2 - 1 polar nodes
-are even), two at chart edges (a circle fan and a sphere fan that
-leave the box and rerun at a smaller radius), one circle that fails by
-leaving the chart, ``surface offset`` (the offset-area totals),
-``curvature sectional`` (the sectional curvature of a 3D chart), a torus
-``geodesic distance`` that converges only from a turned start (the
-shooting retry phase), a cone ``transport holonomy`` whose loop
-closes modulo the period and two ``geodesic trace`` runs that leave the
-chart (a saddle ray and a half-plane ray), as
-``python -m curvatur.cli`` with each tree first on ``PYTHONPATH``, and
-prints every JSON leaf that differs, with its relative change.  An
-invocation whose stdout is not JSON, such as the failing circle, is
-compared by its exit code and its raw stdout and stderr.  The sample is
-not derived from the test suite: a new command has to be added to it by
-hand.  A leaf is named by its path; a list item that carries a unique
-``name`` is named by it, so an inserted check moves one leaf, not every
-later one.  Exits 0 when no leaf moved, 1 when one did, and 2, before any
-run, when either tree holds no ``curvatur`` package.  Standard library
-only.
+are even), two at chart edges (a circle fan and a sphere fan that leave
+the box and rerun at a smaller radius), one circle that fails by leaving
+the chart and one refused for its NaN radius, ``surface offset`` (the
+offset-area totals), ``curvature sectional`` (the sectional curvature of
+a 3D chart), a torus ``geodesic distance`` that converges only from a
+turned start (the shooting retry phase), a cone ``transport holonomy``
+whose loop closes modulo the period and two ``geodesic trace`` runs that
+leave the chart (a saddle ray and a half-plane ray), as ``python -m
+curvatur.cli`` with each tree first on ``PYTHONPATH``, and prints every
+JSON leaf that differs, with its relative change.  An invocation whose
+stdout is not JSON, such as a failing circle, is compared by its exit
+code and its raw stdout and stderr.  The sample is not derived from the
+test suite: a new command has to be added to it by hand.  A leaf is
+named by its path; a list item that carries a unique ``name`` is named
+by it, so an inserted check moves one leaf, not every later one.  Exits
+0 when no leaf moved, 1 when one did, and 2, before any run, when either
+tree holds no ``curvatur`` package.  Standard library only.
 """
 
 import json
@@ -51,6 +50,8 @@ INVOCATIONS = (
      "0,0.1", "--radius", "2"),
     ("geodesic", "circle", "--builtin", "sphere", "--at", "1.0,1.2",
      "--radius", "0.4"),
+    ("geodesic", "circle", "--builtin", "sphere", "--at", "1.0,1.2",
+     "--radius", "nan"),
     ("curve", "reconstruct", "--curvature", "1", "--length",
      "6.283185307179586"),
     ("curve", "reconstruct", "--curvature", "1+0.3*s", "--torsion", "0.5",
