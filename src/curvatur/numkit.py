@@ -34,8 +34,8 @@ read).  DOP853 serves the long tight geodesic traces and the tight distance
 shots; DOPRI5 the short fans and everything else.  It integrates flat state
 vectors; callers that want many geodesics at once flatten a (lanes, dim)
 state and share step control across lanes, which is how the circle and
-volume routines stay fast.  Every solve adds its counters to the open
-:func:`solver_cost` blocks, which callers read around any computation.
+volume routines stay fast.  Every solve adds its counters to one running
+total, which a :func:`solver_cost` block reads around any computation.
 
 Quadrature is a tensor Gauss-Legendre rule that doubles its nodes per axis
 until two successive rules agree.  Integrands see whole node arrays, so a
@@ -785,7 +785,6 @@ class _Dop853(RungeKuttaPair):
         for j in range(self.stages, len(self.a)):
             ks[j] = traj.rhs(t + self.c[j] * h,
                              y + h * _combine(self.a[j, :j], ks[:j]))
-        traj.n_rhs += len(self.a) - self.stages
         _charge(0, 0, 0, len(self.a) - self.stages)
         return h * _combine(self.d, ks)
 
@@ -934,11 +933,9 @@ class Trajectory:
     stages, replaced by its four 7th-order dense vectors when :meth:`eval`
     first reads the step (3 more RHS evaluations, through ``rhs``).
     :meth:`eval` is therefore accurate to the integrator's tolerance
-    everywhere and returns ``ys`` exactly at the nodes.  ``n_rhs`` counts
-    right-hand-side evaluations, dense stages included, ``n_accepted``
-    accepted steps and ``n_rejected`` steps retried with a smaller size
-    (failed error test or non-finite stage).  ``stopped`` marks a solve
-    that ended before the end of its span, at the last accepted node.
+    everywhere and returns ``ys`` exactly at the nodes.  ``stopped`` marks
+    a solve that ended before the end of its span, at the last accepted
+    node.  Its work is counted by :func:`solver_cost`.
     """
 
     ts: np.ndarray
@@ -947,9 +944,6 @@ class Trajectory:
     dense: list
     pair: RungeKuttaPair
     rhs: Callable[[float, np.ndarray], np.ndarray]
-    n_rhs: int = 0
-    n_accepted: int = 0
-    n_rejected: int = 0
     stopped: bool = False
 
     @property
@@ -970,29 +964,29 @@ class Trajectory:
         return out[0] if scalar else out
 
 
-_METERS = []                     # the open solver_cost blocks, innermost last
+_KEYS = ("solves", "accepted_steps", "rejected_steps", "rhs_evals")
+_TOTAL = [0, 0, 0, 0]            # all solver work so far, in _KEYS order
 
 
 @contextmanager
 def solver_cost():
     """Yield a dict of ints keyed ``solves``, ``accepted_steps``,
-    ``rejected_steps`` and ``rhs_evals``, which every :func:`integrate_ode`
-    solve that ends inside the block (returned, stopped or raised) and
-    every DOP853 dense stage computed inside it add to.  Blocks nest, each
-    counting all the work inside it; a block keeps counts, no trajectory."""
-    _METERS.append(dict.fromkeys(
-        ("solves", "accepted_steps", "rejected_steps", "rhs_evals"), 0))
+    ``rejected_steps`` and ``rhs_evals``, filled in when the block closes
+    with the work of every :func:`integrate_ode` solve that ended inside it
+    (returned, stopped or raised) and every DOP853 dense stage computed
+    inside it.  Blocks nest, each counting all the work inside it; a block
+    keeps counts, no trajectory."""
+    cost, start = dict.fromkeys(_KEYS, 0), list(_TOTAL)
     try:
-        yield _METERS[-1]
+        yield cost
     finally:
-        _METERS.pop()          # blocks close last in, first out
+        cost.update(zip(_KEYS, (n - n0 for n, n0 in zip(_TOTAL, start))))
 
 
 def _charge(*counts):
-    """Add ``counts`` to every open block, in the order of its keys."""
-    for cost in _METERS:
-        for key, n in zip(cost, counts):
-            cost[key] += n
+    """Add ``counts``, in ``_KEYS`` order, to the running total."""
+    for i, n in enumerate(counts):
+        _TOTAL[i] += n
 
 
 def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajectory:
@@ -1010,9 +1004,9 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
     rule).  A step with a non-finite stage is halved; the RHS never sees a
     non-finite input, and once the halved step is below its floor the
     solve stops: it returns its accepted part marked ``stopped``.  Without
-    non-finite stages, ``n_rhs`` is 1 + 6 (accepted + rejected) under
-    DOPRI5 and 2 + 12 (accepted + rejected) under DOP853, before any dense
-    stage is read.
+    non-finite stages, a solve makes 1 + 6 (accepted + rejected) RHS calls
+    under DOPRI5 and 2 + 12 (accepted + rejected) under DOP853, before any
+    dense stage is read.
 
     Parameters
     ----------
@@ -1070,8 +1064,7 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
     def trajectory(stopped=False):         # every exit builds one, once
         _charge(1, len(ts) - 1, n_rejected, n_rhs)
         return Trajectory(np.array(ts), np.array(ys), np.array(fs), dense,
-                          pair, problem.rhs, n_rhs, len(ts) - 1, n_rejected,
-                          stopped)
+                          pair, problem.rhs, stopped)
 
     while t < t1 - hmin:
         while hit_i < len(hits) and hits[hit_i] <= t + hmin:

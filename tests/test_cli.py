@@ -100,18 +100,26 @@ def test_trace_cost_block_is_deterministic(capsys):
 def test_distance_cost_block_sums_its_solves(capsys, monkeypatch):
     # each shot that ran to its end costs its pair's stages per attempted
     # step, DOPRI5 1 + 6 and DOP853 2 + 12, and the block adds them all up
-    trajs = []
+    shots = []
     integrate = nk.integrate_ode
-    monkeypatch.setattr(nk, "integrate_ode", lambda *a, **kw: trajs.append(
-        integrate(*a, **kw)) or trajs[-1])
+
+    def metered(*a, **kw):
+        with nk.solver_cost() as cost:
+            traj = integrate(*a, **kw)
+        shots.append((traj, cost))
+        return traj
+
+    monkeypatch.setattr(nk, "integrate_ode", metered)
     doc = run_json(capsys, "geodesic", "distance", "--builtin",
                    "lobachevsky_halfplane", "--from", "0,1", "--to", "3,1")
-    for t in trajs:
+    for t, cost in shots:
         first, per_step = (1, 6) if t.pair is nk.DOPRI5 else (2, 12)
         assert t.pair in (nk.DOPRI5, nk.DOP853)
-        assert t.stopped or t.n_rhs == first + per_step * (t.n_accepted
-                                                           + t.n_rejected)
-    total = np.sum([(1, t.n_accepted, t.n_rejected, t.n_rhs) for t in trajs],
+        assert cost["solves"] == 1
+        assert cost["accepted_steps"] == len(t.ts) - 1
+        assert t.stopped or cost["rhs_evals"] == first + per_step * (
+            cost["accepted_steps"] + cost["rejected_steps"])
+    total = np.sum([list(cost.values()) for _, cost in shots],
                    axis=0).tolist()
     assert doc["diagnostics"]["cost"] == dict(zip(
         ("solves", "accepted_steps", "rejected_steps", "rhs_evals"), total))

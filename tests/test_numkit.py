@@ -377,45 +377,58 @@ def test_integrate_ode_exponential():
     assert traj.eval(0.5)[0] == pytest.approx(math.sqrt(math.e), abs=1e-9)
 
 
+def _metered(problem, *must_hit):
+    """A solve's trajectory and the solver_cost block around it."""
+    with nk.solver_cost() as cost:
+        traj = nk.integrate_ode(problem, *must_hit)
+    return traj, cost
+
+
 def test_integrate_ode_step_counters():
     # harmonic oscillator y'' = -25 y: smooth, but the controller rejects
     # a few steps on the way
     prob = nk.OdeProblem(lambda t, y: np.array([y[1], -25.0 * y[0]]),
                          np.array([1.0, 0.0]), (0.0, 3.0),
                          rtol=1e-10, atol=1e-12)
-    traj = nk.integrate_ode(prob)
-    assert traj.n_accepted == len(traj.ts) - 1
-    assert traj.n_rejected > 0
-    assert traj.n_rhs == 1 + 6 * (traj.n_accepted + traj.n_rejected)
-
-
-def _counters(traj):
-    return {"solves": 1, "accepted_steps": traj.n_accepted,
-            "rejected_steps": traj.n_rejected, "rhs_evals": traj.n_rhs}
+    traj, cost = _metered(prob)
+    assert cost["accepted_steps"] == len(traj.ts) - 1
+    assert cost["rejected_steps"] > 0
+    assert cost["rhs_evals"] == 1 + 6 * (cost["accepted_steps"]
+                                         + cost["rejected_steps"])
 
 
 def test_solver_cost_blocks_nest():
-    prob = nk.OdeProblem(lambda t, y: y, np.array([1.0]), (0.0, 1.0))
+    calls = []
+    prob = nk.OdeProblem(lambda t, y: calls.append(t) or y, np.array([1.0]),
+                         (0.0, 1.0))
     with nk.solver_cost() as outer:
         with nk.solver_cost() as inner:
             traj = nk.integrate_ode(prob)
-        # the blocks hold equal counts here, and the inner one closed
-        assert outer == inner == _counters(traj)
-        assert all(type(v) is int for v in outer.values())
         nk.integrate_ode(prob)
     assert list(outer) == ["solves", "accepted_steps", "rejected_steps",
                            "rhs_evals"]
+    assert all(type(v) is int for v in outer.values())
+    assert inner["solves"] == 1
+    assert inner["accepted_steps"] == len(traj.ts) - 1
+    assert inner["rhs_evals"] == len(calls) / 2 == 1 + 6 * (
+        inner["accepted_steps"] + inner["rejected_steps"])
     assert outer == {k: 2 * v for k, v in inner.items()}
 
 
 def test_solver_cost_counts_a_raised_solve_and_closes_on_it():
     # y' jumps by 1e10 at t = 0.5, where error control stalls
-    stall = nk.OdeProblem(lambda t, y: np.array([0.0 if t < 0.5 else 1e10]),
-                          np.array([0.0]), (0.0, 1.0))
+    calls = []
+    stall = nk.OdeProblem(lambda t, y: calls.append(t) or np.array(
+        [0.0 if t < 0.5 else 1e10]), np.array([0.0]), (0.0, 1.0))
     with pytest.raises(nk.StepUnderflowError) as info:
         with nk.solver_cost() as outer, nk.solver_cost() as inner:
             nk.integrate_ode(stall)
-    counted = _counters(info.value.trajectory)
+    # no stage is non-finite: DOPRI5 makes 1 + 6 calls per attempted step
+    accepted = len(info.value.trajectory.ts) - 1
+    steps, rest = divmod(len(calls) - 1, 6)
+    counted = {"solves": 1, "accepted_steps": accepted,
+               "rejected_steps": steps - accepted, "rhs_evals": len(calls)}
+    assert rest == 0
     assert outer == inner == counted and counted["rejected_steps"] > 0
     nk.integrate_ode(nk.OdeProblem(lambda t, y: y, np.array([1.0]),
                                    (0.0, 1.0)))
@@ -436,33 +449,37 @@ def test_empirical_order(pair, order):
     errs = [np.abs(tr.final - [math.sin(20.0), math.cos(20.0)]).max()
             for tr in runs]
     slope = (math.log(errs[0] / errs[1])
-             / math.log(runs[1].n_accepted / runs[0].n_accepted))
+             / math.log((len(runs[1].ts) - 1) / (len(runs[0].ts) - 1)))
     assert abs(slope - order) < 0.5
 
 
 def test_dop853_counts_and_lazy_dense_output():
-    traj = _oscillator(nk.DOP853, 1e-10)
+    with nk.solver_cost() as solve:
+        traj = _oscillator(nk.DOP853, 1e-10)
     # one start derivative, one Euler probe for the first step, 12 per step
-    assert traj.n_rhs == 2 + 12 * (traj.n_accepted + traj.n_rejected)
-    solve = traj.n_rhs
+    assert solve["rhs_evals"] == 2 + 12 * (solve["accepted_steps"]
+                                           + solve["rejected_steps"])
     # reading every step adds its 3 dense stages once
-    assert np.array_equal(traj.eval(traj.ts), traj.ys)
-    assert traj.n_rhs == solve + 3 * traj.n_accepted
+    with nk.solver_cost() as first:
+        assert np.array_equal(traj.eval(traj.ts), traj.ys)
+    assert first["rhs_evals"] == 3 * solve["accepted_steps"]
     ts = np.linspace(0.0, 20.0, 2001)
     exact = np.stack([np.sin(ts), np.cos(ts)], axis=1)
-    assert np.abs(traj.eval(ts) - exact).max() < 1e-9
+    with nk.solver_cost() as again:
+        assert np.abs(traj.eval(ts) - exact).max() < 1e-9
+    assert again["rhs_evals"] == 0
 
 
 def test_solver_cost_counts_dense_stages_read_inside_it():
     with nk.solver_cost() as cost:
-        traj = _oscillator(nk.DOP853, 1e-10)
-        solve = traj.n_rhs
+        with nk.solver_cost() as solve:
+            traj = _oscillator(nk.DOP853, 1e-10)
         traj.eval(traj.ts[:2].mean())             # step 0's dense stages
-    assert cost["rhs_evals"] == solve + 3
-    traj.eval(traj.ts)                            # the rest, after the block
-    assert traj.n_rhs == solve + 3 * traj.n_accepted
-    assert cost["rhs_evals"] == solve + 3
-    assert traj.n_rhs == solve + 3 * traj.n_accepted
+    assert cost["rhs_evals"] == solve["rhs_evals"] + 3
+    with nk.solver_cost() as after:
+        traj.eval(traj.ts)                        # the rest, after the block
+    assert after["rhs_evals"] == 3 * (solve["accepted_steps"] - 1)
+    assert cost["rhs_evals"] == solve["rhs_evals"] + 3
 
 
 def test_integrate_ode_must_hit_and_forward_only():
@@ -479,8 +496,8 @@ def test_integrate_ode_must_hit_and_forward_only():
 def test_zero_step_trajectory_eval_raises_precondition():
     prob = nk.OdeProblem(lambda t, y: np.full_like(y, np.nan),
                          np.array([1.0, 2.0]), (0.0, 1.0))
-    traj = nk.integrate_ode(prob)
-    assert traj.stopped and traj.n_accepted == 0
+    traj, cost = _metered(prob)
+    assert traj.stopped and cost["accepted_steps"] == 0
     assert np.array_equal(traj.ys, [[1.0, 2.0]])
     for t in (0.0, 0.5):
         with pytest.raises(nk.PreconditionError):
@@ -500,7 +517,7 @@ def test_error_index_limits_step_control():
     part = nk.integrate_ode(nk.OdeProblem(rhs, y0, (0.0, 1.0),
                                           error_index=np.array([0])))
     assert np.array_equal(same.ys, full.ys)
-    assert part.n_accepted < full.n_accepted / 2
+    assert len(part.ts) - 1 < (len(full.ts) - 1) / 2
     assert part.final[0] == pytest.approx(math.exp(-1.0), abs=1e-9)
 
 
@@ -522,11 +539,11 @@ def test_non_finite_stages_never_reach_the_rhs():
 
     for pair in (nk.DOPRI5, nk.DOP853):
         seen.clear()
-        traj = nk.integrate_ode(nk.OdeProblem(rhs, np.ones(12), (0.0, 1.0),
-                                              pair=pair))
+        traj, cost = _metered(nk.OdeProblem(rhs, np.ones(12), (0.0, 1.0),
+                                            pair=pair))
         assert traj.stopped and traj.ts[-1] <= 0.5
-        assert traj.n_rhs == len(seen) and all(seen)
-        assert traj.n_rejected > 0
+        assert cost["rhs_evals"] == len(seen) and all(seen)
+        assert cost["rejected_steps"] > 0
 
 
 @pytest.mark.parametrize("pair,start,per_step", [(nk.DOPRI5, 1, 6),
@@ -535,7 +552,7 @@ def test_non_finite_stages_never_reach_the_rhs():
 def test_rhs_counter_identity_with_error_index(pair, start, per_step):
     # 12 floats, error norm over the first 4, two of them and one other
     # starting at exactly 0, with rejected steps: the counters obey the
-    # pair's identity, and the RHS is called n_rhs times
+    # pair's identity, and the RHS is called rhs_evals times
     calls = []
 
     def rhs(t, y):
@@ -546,13 +563,13 @@ def test_rhs_counter_identity_with_error_index(pair, start, per_step):
 
     y0 = np.linspace(1.0, 2.0, 12)
     y0[[1, 3, 6]] = 0.0
-    traj = nk.integrate_ode(nk.OdeProblem(
+    _, cost = _metered(nk.OdeProblem(
         rhs, y0, (0.0, 3.0), 1e-10, 1e-12, error_index=np.arange(4),
         pair=pair))
-    assert traj.n_rhs == len(calls)
-    assert traj.n_rhs == start + per_step * (traj.n_accepted
-                                             + traj.n_rejected)
-    assert traj.n_rejected > 0
+    assert cost["rhs_evals"] == len(calls)
+    assert cost["rhs_evals"] == start + per_step * (cost["accepted_steps"]
+                                                    + cost["rejected_steps"])
+    assert cost["rejected_steps"] > 0
 
 
 def test_dop853_error_norm_ignores_buffer_offset():
@@ -580,8 +597,9 @@ def test_propagator_from_the_identity_takes_one_step():
     def rhs(t, y):
         return -(1e-4 * (A0 + t * A1) @ y.reshape(3, 3)).ravel()
 
-    traj = nk.integrate_ode(nk.OdeProblem(rhs, np.eye(3).ravel(), (0.0, 1.0)))
-    assert (traj.n_accepted, traj.n_rejected, traj.n_rhs) == (1, 0, 7)
+    traj, cost = _metered(nk.OdeProblem(rhs, np.eye(3).ravel(), (0.0, 1.0)))
+    assert (cost["accepted_steps"], cost["rejected_steps"],
+            cost["rhs_evals"]) == (1, 0, 7)
     ref = nk.integrate_ode(nk.OdeProblem(rhs, np.eye(3).ravel(), (0.0, 1.0),
                                          rtol=1e-13, atol=1e-16))
     assert np.abs(traj.final - ref.final).max() < 1e-12
@@ -598,10 +616,10 @@ def test_last_step_stretches_over_a_sliver():
     # the regular step from node 1 would leave 5 % of itself before t1
     t_a, h = _decay_steps()
     t1 = t_a + 1.05 * h
-    traj = nk.integrate_ode(nk.OdeProblem(lambda t, y: -y, np.ones(1),
-                                          (0.0, t1)))
+    traj, cost = _metered(nk.OdeProblem(lambda t, y: -y, np.ones(1),
+                                        (0.0, t1)))
     assert traj.ts.tolist() == [0.0, t_a, t1]
-    assert traj.n_rejected == 0
+    assert cost["rejected_steps"] == 0
     assert traj.final[0] == pytest.approx(math.exp(-t1), rel=1e-10)
 
 
@@ -610,9 +628,9 @@ def test_rejected_stretched_step_is_retried_shorter():
     # retry ends before the kink instead of being stretched to t1 again
     t_a, h = _decay_steps()
     kink, t1 = t_a + h, t_a + 1.05 * h
-    traj = nk.integrate_ode(nk.OdeProblem(
+    traj, cost = _metered(nk.OdeProblem(
         lambda t, y: -y + 1e-4 * max(0.0, t - kink), np.ones(1), (0.0, t1)))
-    assert traj.n_rejected == 1
+    assert cost["rejected_steps"] == 1
     assert traj.ts[1] == t_a and traj.ts[2] < kink
     assert traj.ts[-1] == t1
 
