@@ -626,7 +626,8 @@ def _jacobi_elements(chart: MetricChart, P, radii, U, dU, steer):
     (radii, L).  ``steer`` goes to :func:`_exp_batch`.  A fan that leaves
     the box stops at its last node inside and raises
     :class:`PreconditionError` with ``reach``, that node's share of the
-    largest radius.
+    largest radius; a Gram determinant under the smallest normal float (a
+    tiny radius) raises it without ``reach``.
     """
     radii = np.asarray(radii, dtype=float)
     rmax = radii.max()
@@ -641,9 +642,12 @@ def _jacobi_elements(chart: MetricChart, P, radii, U, dU, steer):
         raise exc
     z = traj.eval(radii / rmax).reshape(len(radii), L, 2 + 2 * c, n)
     J = z[:, :, 2:2 + c]                                  # (R, L, c, n)
-    gram = np.einsum('RLcn,nmRL,RLdm->RLcd', J,
-                     chart.g_at(np.moveaxis(z[:, :, 0], -1, 0)), J)
-    return np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
+    det = np.linalg.det(np.einsum('RLcn,nmRL,RLdm->RLcd', J, chart.g_at(
+        np.moveaxis(z[:, :, 0], -1, 0)), J))
+    if not (det >= np.finfo(float).tiny).all():
+        raise PreconditionError("the fan's Gram determinant underflows; "
+                                "the radius is too small")
+    return np.sqrt(det)
 
 
 def _azimuth_rule(f):

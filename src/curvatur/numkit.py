@@ -896,7 +896,7 @@ class OdeProblem:
     y0 : ndarray
         Initial state (flat vector).
     t_span : (float, float)
-        Integration interval; t1 > t0.
+        Integration interval: finite, with t1 > t0.
     rtol, atol : float
         Error-control tolerances for the embedded pair.
     error_index : ndarray of int or None
@@ -1027,6 +1027,8 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
     t0, t1 = map(float, problem.t_span)
     if not t1 > t0:
         raise PreconditionError("t_span must satisfy t1 > t0")
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise PreconditionError("t_span must be finite")
     y = np.array(problem.y0, dtype=float)
     rtol, atol, pair = problem.rtol, problem.atol, problem.pair
     sel = slice(None) if problem.error_index is None else problem.error_index

@@ -16,10 +16,10 @@ volumes for the Ricci form.  They reach Gamma and dGamma only through the
 geodesic and variational right-hand sides of :mod:`curvatur.intrinsic`;
 they never assemble curvature from the symbols.  Each reads its halving
 ladder of sizes h off one fan of geodesics out to the largest size (one
-fan per loop or cube), through the solver's dense output at h / max(h);
-the holonomy oracle then multiplies each rung's segment propagators
-pairwise.  A :func:`numkit.solver_cost` block around either oracle reads
-its solver work.
+fan per oracle call, every cube's lanes in one), through the solver's
+dense output at h / max(h); the holonomy oracle then chains each rung's
+segment propagators.  A :func:`numkit.solver_cost` block around either
+oracle reads its solver work.
 
 Fields (scalar, vector, covector, bilinear) are callables from coordinate
 jets to one tensor jet, which makes covariant derivatives composable to
@@ -122,7 +122,8 @@ def ricci_at(chart: ig.MetricChart, x, riem: Optional[RiemannAt] = None):
 # ---------------------------------------------------------------------------
 
 
-_SIDE_SAMPLES = 24         # exponential-map points per parallelogram side
+_SIDE_SAMPLES = 4          # exponential-map points per parallelogram side
+_CUBE_NODES = 3            # Gauss-Legendre nodes per cube axis
 
 
 def _base_point(chart, x):
@@ -145,18 +146,6 @@ def _loop_tangents(u, v, h):
                      + [corners[-1:]])
 
 
-def _ordered_products(props):
-    """P_{m-1} ... P_1 P_0 of each stack (..., m, n, n), multiplied
-    pairwise (the later factor on the left, an odd last factor carried) in
-    log2(m) batched products."""
-    while props.shape[-3] > 1:
-        k = props.shape[-3] // 2
-        props = np.concatenate([props[..., 1:2 * k:2, :, :]
-                                @ props[..., 0:2 * k:2, :, :],
-                                props[..., 2 * k:, :, :]], axis=-3)
-    return props[..., 0, :, :]
-
-
 def riemann_holonomy_oracle(chart: ig.MetricChart, x, u, v,
                             hs=(0.1, 0.05, 0.025, 0.0125)):
     """R(u, v) as a matrix, from holonomy of shrinking parallelograms.
@@ -171,8 +160,10 @@ def riemann_holonomy_oracle(chart: ig.MetricChart, x, u, v,
     output at s = h / max(hs).  One batch of segment propagators
     (:func:`intrinsic._propagators`, each segment held to the transport
     tolerance on its own) follows, and each rung's holonomy is the ordered
-    product of its propagators, formed pairwise.  Parallel u, v give the
-    zero operator by convention.  A base point outside the box or a ladder
+    product of its propagators.  Their chords between the S =
+    ``_SIDE_SAMPLES`` points of a side add O(h / S^2) to the quotient, an
+    O(h) term the p = 1 ladder removes.  Parallel u, v give the zero
+    operator by convention.  A base point outside the box or a ladder
     that :func:`nk.halving_ladder` rejects raises
     :class:`PreconditionError` before any solve; a loop whose fan stops at
     the chart's edge raises it too.  Returns (matrix, error_estimate).
@@ -193,7 +184,9 @@ def riemann_holonomy_oracle(chart: ig.MetricChart, x, u, v,
     x0 = np.ascontiguousarray(pts[:, :-1].reshape(-1, n).T)
     dq = np.ascontiguousarray(np.diff(pts, axis=1).reshape(-1, n).T)
     _, Phi = ig._propagators(chart, lambda t: (x0 + t * dq, dq), x0.shape[1])
-    M = _ordered_products(Phi[-1].reshape(len(hs), -1, n, n))
+    M = np.eye(n)
+    for seg in np.moveaxis(Phi[-1].reshape(len(hs), -1, n, n), 1, 0):
+        M = seg @ M                           # the later factor on the left
     mats = (M - np.eye(n)) / hs[:, None, None] ** 2
 
     rr = nk.richardson(hs, mats, p=1)
@@ -224,13 +217,13 @@ def ricci_volume_oracle(chart: ig.MetricChart, x, hs=(0.2, 0.1, 0.05)):
     satisfies 6 (h^n - V(h)) / h^(n+2) -> integral of rho(C xi, C xi) over
     the unit cube, a known linear functional of the Ricci entries.  Several
     cubes give a full-rank linear system.  Each cube's volume is a
-    Gauss-Legendre sum (6 nodes per axis) of the exact volume
-    element of one variational fan (:func:`intrinsic._jacobi_elements`),
-    read at every h off its dense output.  All cubes' defects, one (h,
-    cube) array, are Richardson extrapolated in h in one call before
-    solving, each volume carrying the fan's rtol as its error
-    (:func:`intrinsic._comparison_limit`).  A bad base point or ladder
-    ``hs`` (given in any order) raises :class:`PreconditionError` as in
+    Gauss-Legendre sum (``_CUBE_NODES`` per axis) of the exact volume
+    element; one variational fan (:func:`intrinsic._jacobi_elements`)
+    carries every cube's nodes, read at every h off its dense output.  All
+    cubes' defects, one (h, cube) array, are Richardson extrapolated in h
+    in one call before solving, each volume carrying the fan's rtol as its
+    error (:func:`intrinsic._comparison_limit`).  A bad base point or
+    ladder ``hs`` (given in any order) raises :class:`PreconditionError` as in
     :func:`riemann_holonomy_oracle`, and so does a cube that leaves the
     chart, chained from its fan's error, which states the fan's reach.
     Returns (rho_matrix, error_estimate), the largest cube's limit error.
@@ -240,15 +233,16 @@ def ricci_volume_oracle(chart: ig.MetricChart, x, hs=(0.2, 0.1, 0.05)):
     n = chart.dim
     E = chart.orthonormal_basis(x)
     cubes = np.array(_cube_systems(n))
-    xs, ws = nk.gauss_legendre(6, 0.0, 1.0)
+    cols = E @ cubes                                    # (cube, n, n)
+    xs, ws = nk.gauss_legendre(_CUBE_NODES, 0.0, 1.0)
     XI = np.stack([a.ravel() for a in
-                   np.meshgrid(*([xs] * n), indexing="ij")])  # (n, 6^n)
+                   np.meshgrid(*([xs] * n), indexing="ij")])  # (n, N)
     W = np.prod(np.meshgrid(*([ws] * n), indexing="ij"), axis=0).ravel()
-    try:                                    # one fan per cube: (h, cube)
-        vols = np.stack([ig._jacobi_elements(
-            chart, x, hs, cols @ XI,
-            np.repeat(cols.T[:, :, None], XI.shape[1], axis=2), True) @ W
-            for cols in [E @ C for C in cubes]], axis=1)
+    try:                      # one fan, lane cube * N + node: (h, cube)
+        vols = ig._jacobi_elements(
+            chart, x, hs, (cols @ XI).transpose(1, 0, 2).reshape(n, -1),
+            np.repeat(cols.transpose(2, 1, 0), len(W), axis=2),
+            True).reshape(len(hs), len(cubes), -1) @ W
     except PreconditionError as e:
         raise PreconditionError("the geodesic cube leaves the chart") from e
     h = hs[:, None]

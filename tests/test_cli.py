@@ -362,6 +362,35 @@ def test_trace_leaving_at_its_start_point_exits_1(capsys):
                                "point")
 
 
+def test_trace_of_infinite_length_exits_1(capsys):
+    code, out, err = run(capsys, "geodesic", "trace", "--builtin", "sphere",
+                         "--from", "1.0,1.2", "--dir", "1,0", "--length",
+                         "inf")
+    assert (code, out) == (1, "")
+    info = json.loads(err)["error"]
+    assert info == {"type": "PreconditionError",
+                    "message": "t_span must be finite"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("geodesic", "circle", "--at", "1.0,1.2", "--radius", "1e-300"),
+    ("geodesic", "circle", "--at", "1.0,1.2", "--radius", "1e-160"),
+    ("curvature", "scalar", "--at", "1.0,1.2", "--r0", "1e-160"),
+    ("curvature", "scalar", "--at", "0.2,-0.1,0.3", "--rungs", "300"),
+], ids=["circle-1e-300", "circle-1e-160", "scalar-r0", "scalar-rungs"])
+@pytest.mark.filterwarnings("error")
+def test_fan_whose_gram_determinant_underflows_exits_1(capsys, argv):
+    # a Jacobi Gram determinant scales like r^(2c): below the smallest
+    # normal float the fan refuses, instead of reading 0, inf or nan
+    builtin = "s3_round" if "0.2,-0.1,0.3" in argv else "sphere"
+    code, out, err = run(capsys, *argv[:2], "--builtin", builtin, *argv[2:])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "type": "PreconditionError",
+        "message": "the fan's Gram determinant underflows; the radius is "
+                   "too small"}
+
+
 def test_sphere_samples_off_the_nested_rule_exit_2(capsys):
     # --samples 10 is a valid circle fan, but its 4 polar nodes do not nest:
     # a usage error once the chart's dimension is known, as --samples 9 is

@@ -493,6 +493,14 @@ def test_integrate_ode_must_hit_and_forward_only():
         nk.integrate_ode(back)
 
 
+@pytest.mark.parametrize("t_span", [(0.0, math.inf), (-math.inf, 1.0),
+                                    (0.0, math.nan)])
+def test_integrate_ode_refuses_a_span_that_is_not_finite(t_span):
+    prob = nk.OdeProblem(lambda t, y: -y, np.array([1.0]), t_span)
+    with pytest.raises(nk.PreconditionError, match="t_span must"):
+        nk.integrate_ode(prob)
+
+
 def test_zero_step_trajectory_eval_raises_precondition():
     prob = nk.OdeProblem(lambda t, y: np.full_like(y, np.nan),
                          np.array([1.0, 2.0]), (0.0, 1.0))

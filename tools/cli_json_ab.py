@@ -11,21 +11,24 @@ the least margin, two ``s3_round`` estimates at ``--samples`` 12 and 10
 (a nested polar rule, and one refused because its M/2 - 1 polar nodes
 are even), two at chart edges (a circle fan and a sphere fan that leave
 the box and rerun at a smaller radius), one circle that fails by leaving
-the chart and one refused for its NaN radius, ``surface offset`` (the
-offset-area totals), ``curvature sectional`` (the sectional curvature of
-a 3D chart), a torus ``geodesic distance`` that converges only from a
-turned start (the shooting retry phase), a cone ``transport holonomy``
-whose loop closes modulo the period and two ``geodesic trace`` runs that
-leave the chart (a saddle ray and a half-plane ray), as ``python -m
-curvatur.cli`` with each tree first on ``PYTHONPATH``, and prints every
-JSON leaf that differs, with its relative change.  An invocation whose
-stdout is not JSON, such as a failing circle, is compared by its exit
-code and its raw stdout and stderr.  The sample is not derived from the
-test suite: a new command has to be added to it by hand.  A leaf is
-named by its path; a list item that carries a unique ``name`` is named
-by it, so an inserted check moves one leaf, not every later one.  Exits
-0 when no leaf moved, 1 when one did, and 2, before any run, when either
-tree holds no ``curvatur`` package.  Standard library only.
+the chart, one refused for its NaN radius and one at radius 1e-300 whose
+fan's Gram determinant underflows, a sphere estimate at ``--r0 1e-160``
+refused alike, ``surface offset`` (the offset-area totals), ``curvature
+sectional`` (the sectional curvature of a 3D chart), a torus ``geodesic
+distance`` that converges only from a turned start (the shooting retry
+phase), a cone ``transport holonomy`` whose loop closes modulo the
+period, two ``geodesic trace`` runs that leave the chart (a saddle ray
+and a half-plane ray) and one refused for its infinite ``--length``, as
+``python -m curvatur.cli`` with each tree first on ``PYTHONPATH``, and
+prints every JSON leaf that differs, with its relative change.  An
+invocation whose stdout is not JSON, such as a failing circle, is
+compared by its exit code and its raw stdout and stderr.  The sample is
+not derived from the test suite: a new command has to be added to it by
+hand.  A leaf is named by its path; a list item that carries a unique
+``name`` is named by it, so an inserted check moves one leaf, not every
+later one.  Exits 0 when no leaf moved, 1 when one did, and 2, before
+any run, when either tree holds no ``curvatur`` package.  Standard
+library only.
 """
 
 import json
@@ -52,6 +55,10 @@ INVOCATIONS = (
      "--radius", "0.4"),
     ("geodesic", "circle", "--builtin", "sphere", "--at", "1.0,1.2",
      "--radius", "nan"),
+    ("geodesic", "circle", "--builtin", "sphere", "--at", "1.0,1.2",
+     "--radius", "1e-300"),
+    ("curvature", "scalar", "--builtin", "sphere", "--at", "1.0,1.2",
+     "--r0", "1e-160"),
     ("curve", "reconstruct", "--curvature", "1", "--length",
      "6.283185307179586"),
     ("curve", "reconstruct", "--curvature", "1+0.3*s", "--torsion", "0.5",
@@ -75,6 +82,8 @@ INVOCATIONS = (
      "1,0", "--length", "50", "--samples", "3"),
     ("geodesic", "trace", "--builtin", "lobachevsky_halfplane", "--from",
      "0,1", "--dir", "0,-1", "--length", "5", "--samples", "7"),
+    ("geodesic", "trace", "--builtin", "sphere", "--from", "1.0,1.2", "--dir",
+     "1,0", "--length", "inf"),
     ("verify", "--suite", "all", "--format", "json"),
 )
 
