@@ -370,7 +370,7 @@ def _variational_rhs(chart: MetricChart, lanes: int, ncols: int,
 
 
 def _exp_batch(chart: MetricChart, P, U, dU=None, rtol=1e-10, atol=1e-12,
-               freeze=False, steer=True, pair=nk.DOPRI5):
+               freeze=False, steer=True, pair=nk.DOPRI5, h0=None):
     """Integrate exp_P(t U) for a batch of velocities U (n, L), t in [0,1].
 
     ``P`` is one base point (n,) or one per lane (n, L).  Given ``dU``
@@ -381,7 +381,8 @@ def _exp_batch(chart: MetricChart, P, U, dU=None, rtol=1e-10, atol=1e-12,
     its last accepted node, where every lane is still inside.
     Unless ``steer``, the error norm covers x and v only and the columns,
     which solve a linear equation along each lane, leave step control to
-    the geodesics (as sensitivities do in CVODES).  Returns the trajectory,
+    the geodesics (as sensitivities do in CVODES).  ``h0`` is the solve's
+    first step (:class:`numkit.OdeProblem`).  Returns the trajectory,
     ``stopped`` or not; states reshape as (L, 2 + 2 ncols, n).
     """
     n = chart.dim
@@ -396,7 +397,7 @@ def _exp_batch(chart: MetricChart, P, U, dU=None, rtol=1e-10, atol=1e-12,
         np.indices(z0.shape)[1] < 2)
     return nk.integrate_ode(nk.OdeProblem(
         _variational_rhs(chart, L, ncols, freeze), z0.ravel(), (0.0, 1.0),
-        rtol, atol, error_index=norm, pair=pair))
+        rtol, atol, error_index=norm, pair=pair, h0=h0))
 
 
 # ---------------------------------------------------------------------------
@@ -963,7 +964,12 @@ def _shoot(chart, P, Q, E, first, pair, tol, max_iter, out):
     step; Deuflhard, *Newton Methods for Nonlinear Problems*, 2.1).  Each
     solve runs the tasks that ask for the loosest level present, column
     shots before chord shots, so the dear tight solves come last and carry
-    every pair.
+    every pair.  A task keeps the largest accepted step of its last solve,
+    short of that solve's final step onto t = 1, and the solve's level.  A
+    solve starts at the least of its tasks' steps, each scaled by
+    (rtol / rtol_prev)^(1/(q + 1)) for the pair's error order q, when every
+    task has one from a solve on the same pair; else the solver picks its
+    start.
     """
     n = chart.dim
     w, jac = np.zeros((len(pair), n)), np.zeros((len(pair), n, n))
@@ -971,6 +977,7 @@ def _shoot(chart, P, Q, E, first, pair, tol, max_iter, out):
     step, iters = np.array(first, dtype=float), np.zeros(len(pair), int)
     halving, live = np.zeros(len(pair), bool), np.ones(len(pair), bool)
     chord = np.zeros(len(pair), bool)
+    hint, hint_level = np.full(len(pair), np.nan), np.zeros(len(pair), int)
     while True:
         live &= np.isnan(out.distance[pair]) & (iters < max_iter)
         if not live.any():
@@ -979,8 +986,14 @@ def _shoot(chart, P, Q, E, first, pair, tol, max_iter, out):
                            len(_RTOLS) - 1)
         key = 2 * level + chord
         tasks = np.flatnonzero(live & (key == key[live].min()))
-        rtol, rk = _LEVELS[level[tasks[0]]]
-        last = level[tasks[0]] == len(_LEVELS) - 1
+        lv = level[tasks[0]]
+        rtol, rk = _LEVELS[lv]
+        last = lv == len(_LEVELS) - 1
+        was, h0 = hint_level[tasks], None
+        if np.isfinite(hint[tasks]).all() and all(
+                _LEVELS[k][1] is rk for k in was):
+            h0 = float(np.min(hint[tasks]
+                              * (rtol / _RTOLS[was]) ** -rk.exponent))
         c = 0 if chord[tasks[0]] else n
         iters[tasks] += 1
         lanes = np.repeat(tasks, np.where(halving[tasks], len(_HALVINGS), 1))
@@ -991,9 +1004,14 @@ def _shoot(chart, P, Q, E, first, pair, tol, max_iter, out):
             traj = _exp_batch(
                 chart, P[p].T, np.einsum('Lic,Lc->iL', El, W),
                 np.transpose(El, (2, 1, 0))[:c], rtol, 1e-2 * rtol,
-                freeze=True, steer=False, pair=rk)
+                freeze=True, steer=False, pair=rk, h0=h0)
         except nk.StepUnderflowError as e:
             traj = e.trajectory
+        steps = np.diff(traj.ts)
+        if not traj.stopped:
+            steps = steps[:-1]          # the last one was clamped onto t = 1
+        hint[tasks] = steps.max() if steps.size else np.nan
+        hint_level[tasks] = lv
         z = np.where(traj.stopped, np.nan, traj.final).reshape(
             len(lanes), 2 + 2 * c, n)
         X = z[:, 0]

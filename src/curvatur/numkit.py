@@ -695,9 +695,12 @@ class RungeKuttaPair:
     ``d`` hold the rows of the error estimates and dense vectors.
     ``exponent`` is -1/(q + 1) for an error estimate of order q, and
     ``grow`` the largest factor by which h grows after an accepted step.  A
-    pair picks its first step, computes its scaled error norm, says what an
-    accepted step stores for dense output and interpolates between nodes.
+    pair refines a first step, computes its scaled error norm, says what an
+    accepted step stores for dense output and interpolates between nodes;
+    ``probes`` says whether it refines every first step or only a 1e-6 one.
     """
+
+    probes = False
 
     def __init__(self, c, a, stages, e, d, exponent, grow):
         self.c, self.a, self.stages = c, _dense(a, len(a)), stages
@@ -705,7 +708,15 @@ class RungeKuttaPair:
         self.exponent, self.grow = exponent, grow
 
     def first_step(self, f, t0, y, k1, h, rms):
-        return h
+        """Hairer's starting step: one explicit Euler probe of size ``h``
+        estimates y'', and h = (0.01 / max(|y'|, |y''|))^(1/(q + 1)), at
+        most 100 h (Solving ODEs I, II.4)."""
+        d2 = rms(f(t0 + h, y + h * k1) - k1) / h
+        if not np.isfinite(d2):
+            return h
+        d = max(rms(k1), d2)
+        return min(100 * h, (0.01 / d) ** -self.exponent if d > 1e-15
+                   else max(1e-6, 1e-3 * h))
 
 
 class _Dopri5(RungeKuttaPair):
@@ -737,15 +748,7 @@ class _Dop853(RungeKuttaPair):
     interpolant, whose 3 extra stages are computed on the first read of a
     step (Hairer, Norsett & Wanner, Solving ODEs I, II.10)."""
 
-    def first_step(self, f, t0, y, k1, h, rms):
-        """Hairer's starting step for order 8: one explicit Euler probe of
-        size ``h`` estimates y'' (Solving ODEs I, II.4)."""
-        d2 = rms(f(t0 + h, y + h * k1) - k1) / h
-        if not np.isfinite(d2):
-            return h
-        d = max(rms(k1), d2)
-        return min(100 * h, (0.01 / d) ** (1 / 8) if d > 1e-15
-                   else max(1e-6, 1e-3 * h))
+    probes = True
 
     def error_norm(self, h, ks, scale, sel):
         """The 5th- and 3rd-order estimates combined as in dop853.f."""
@@ -911,6 +914,10 @@ class OdeProblem:
         short solves (fans, transport) and on right-hand sides with
         derivative jumps, such as the loose distance shots (rtol 1e-4 and
         1e-6) whose lanes freeze at the chart's edge.
+    h0 : float or None
+        First step, clamped to the span, for a caller that knows the step
+        size of a like solve: it replaces the solver's starting-step rule
+        (:func:`integrate_ode`).  None picks the start by that rule.
     """
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
@@ -920,6 +927,7 @@ class OdeProblem:
     atol: float = 1e-12
     error_index: np.ndarray | None = None
     pair: RungeKuttaPair = DOPRI5
+    h0: float | None = None
 
 
 @dataclass
@@ -993,10 +1001,13 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
     """Integrate an :class:`OdeProblem` with its embedded pair.
 
     One adaptive step loop serves both pairs.  The first step is
+    ``problem.h0`` clamped to the span when it is set.  Else it is
     0.01 |y0| / |f(t0, y0)| in the error norm over the components with a
-    nonzero initial value, or 1e-6 if none is (Solving ODEs I, II.4): one
-    starting at 0 is weighted by 1/atol alone and would set it.  DOP853
-    refines it with one Euler probe.  A step passes when its scaled error
+    nonzero initial value, or 1e-6 if none is or if none of them moves at
+    t0 (Solving ODEs I, II.4): one starting at 0 is weighted by 1/atol
+    alone and would set it.  DOP853 refines that start with one Euler
+    probe, DOPRI5 only the 1e-6 start of components that do not move (see
+    :meth:`RungeKuttaPair.first_step`).  A step passes when its scaled error
     norm is at most 1; h then scales by 0.9 err^(-1/(q+1)) within [0.2,
     grow] (grow 5 for DOPRI5, 10 for DOP853), and within [0.1, 1] after a
     failure.  A new step ending within 10 % of its length of t1 or of a
@@ -1006,7 +1017,8 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
     solve stops: it returns its accepted part marked ``stopped``.  Without
     non-finite stages, a solve makes 1 + 6 (accepted + rejected) RHS calls
     under DOPRI5 and 2 + 12 (accepted + rejected) under DOP853, before any
-    dense stage is read.
+    dense stage is read; one more for a probed DOPRI5 start, one fewer for
+    a DOP853 solve given ``h0``.
 
     Parameters
     ----------
@@ -1043,17 +1055,21 @@ def integrate_ode(problem: OdeProblem, must_hit: Sequence[float] = ()) -> Trajec
         return problem.rhs(t, yy)
 
     k1 = np.asarray(f(t0, y), dtype=float)
-    start = np.arange(y.size)[sel]
-    start = start[y[start] != 0] if y[start].any() else start
-    scale0 = atol + rtol * np.abs(y[start])
+    if problem.h0 is not None:
+        h = min(problem.h0, t1 - t0)
+    else:
+        start = np.arange(y.size)[sel]
+        start = start[y[start] != 0] if y[start].any() else start
+        scale0 = atol + rtol * np.abs(y[start])
 
-    def rms(v):
-        return np.sqrt(np.mean((v[start] / scale0) ** 2))
+        def rms(v):
+            return np.sqrt(np.mean((v[start] / scale0) ** 2))
 
-    d0 = rms(y) if start.size else 0.0
-    d1 = rms(k1)
-    h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
-    h = pair.first_step(f, t0, y, k1, h, rms)
+        d0 = rms(y) if start.size else 0.0
+        d1 = rms(k1)
+        h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
+        if pair.probes or d0 > 1e-5 >= d1:
+            h = pair.first_step(f, t0, y, k1, h, rms)
 
     ts, ys, fs, dense = [t0], [y.copy()], [k1.copy()], []
     t = t0

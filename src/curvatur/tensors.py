@@ -225,7 +225,9 @@ def ricci_volume_oracle(chart: ig.MetricChart, x, hs=(0.2, 0.1, 0.05)):
     error (:func:`intrinsic._comparison_limit`).  A bad base point or
     ladder ``hs`` (given in any order) raises :class:`PreconditionError` as in
     :func:`riemann_holonomy_oracle`, and so does a cube that leaves the
-    chart, chained from its fan's error, which states the fan's reach.
+    chart, chained from its fan's error, which states the fan's reach; the
+    fan's other errors, such as a Gram determinant that underflows, pass
+    through as they are.
     Returns (rho_matrix, error_estimate), the largest cube's limit error.
     """
     x = _base_point(chart, x)
@@ -243,7 +245,9 @@ def ricci_volume_oracle(chart: ig.MetricChart, x, hs=(0.2, 0.1, 0.05)):
             chart, x, hs, (cols @ XI).transpose(1, 0, 2).reshape(n, -1),
             np.repeat(cols.transpose(2, 1, 0), len(W), axis=2),
             True).reshape(len(hs), len(cubes), -1) @ W
-    except PreconditionError as e:
+    except PreconditionError as e:     # only a fan's exit carries its reach
+        if not hasattr(e, "reach"):
+            raise
         raise PreconditionError("the geodesic cube leaves the chart") from e
     h = hs[:, None]
     rr = ig._comparison_limit(hs, 6.0 * (h ** n - vols) / h ** (n + 2),

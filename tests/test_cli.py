@@ -99,27 +99,32 @@ def test_trace_cost_block_is_deterministic(capsys):
 
 def test_distance_cost_block_sums_its_solves(capsys, monkeypatch):
     # each shot that ran to its end costs its pair's stages per attempted
-    # step, DOPRI5 1 + 6 and DOP853 2 + 12, and the block adds them all up
+    # step (DOPRI5 6, DOP853 12), one call at t = 0 and, unless it starts
+    # at its hint h0, one Euler probe: DOP853 probes every start, and
+    # DOPRI5 this pair's first, where no nonzero component moves.  The
+    # block adds them all up
     shots = []
     integrate = nk.integrate_ode
 
-    def metered(*a, **kw):
+    def metered(problem, *a):
         with nk.solver_cost() as cost:
-            traj = integrate(*a, **kw)
-        shots.append((traj, cost))
+            traj = integrate(problem, *a)
+        shots.append((problem, traj, cost))
         return traj
 
     monkeypatch.setattr(nk, "integrate_ode", metered)
     doc = run_json(capsys, "geodesic", "distance", "--builtin",
                    "lobachevsky_halfplane", "--from", "0,1", "--to", "3,1")
-    for t, cost in shots:
-        first, per_step = (1, 6) if t.pair is nk.DOPRI5 else (2, 12)
+    assert {p.h0 is None for p, _, _ in shots} == {True, False}
+    for problem, t, cost in shots:
+        first = 1 if problem.h0 is not None else 2
+        per_step = 6 if t.pair is nk.DOPRI5 else 12
         assert t.pair in (nk.DOPRI5, nk.DOP853)
         assert cost["solves"] == 1
         assert cost["accepted_steps"] == len(t.ts) - 1
         assert t.stopped or cost["rhs_evals"] == first + per_step * (
             cost["accepted_steps"] + cost["rejected_steps"])
-    total = np.sum([list(cost.values()) for _, cost in shots],
+    total = np.sum([list(cost.values()) for _, _, cost in shots],
                    axis=0).tolist()
     assert doc["diagnostics"]["cost"] == dict(zip(
         ("solves", "accepted_steps", "rejected_steps", "rhs_evals"), total))
@@ -185,11 +190,11 @@ def test_circle_cost_block_is_deterministic(capsys):
                                          + cost["rejected_steps"])
 
 
-@pytest.mark.parametrize("argv", [
-    ("--curvature", "1", "--length", "6.283185307179586"),
-    ("--curvature", "1+0.3*s", "--torsion", "0.5", "--length", "5"),
+@pytest.mark.parametrize("argv,start", [
+    (("--curvature", "1", "--length", "6.283185307179586"), 1),
+    (("--curvature", "1+0.3*s", "--torsion", "0.5", "--length", "5"), 2),
 ], ids=["plane", "space"])
-def test_reconstruct_cost_block_is_deterministic(capsys, argv):
+def test_reconstruct_cost_block_is_deterministic(capsys, argv, start):
     _, first, _ = run(capsys, "curve", "reconstruct", *argv)
     _, second, _ = run(capsys, "curve", "reconstruct", *argv)
     assert first == second
@@ -197,10 +202,12 @@ def test_reconstruct_cost_block_is_deterministic(capsys, argv):
     assert list(cost) == ["solves", "accepted_steps", "rejected_steps",
                           "rhs_evals"]
     assert all(type(v) is int for v in cost.values())
-    # one DOPRI5 solve of the frame equations: 1 + 6 per attempted step
+    # one DOPRI5 solve of the frame equations: one call at s = 0, 6 per
+    # attempted step and, for the space frame, whose nonzero components do
+    # not move at s = 0, one Euler probe
     assert cost["solves"] == 1 and cost["accepted_steps"] > 0
-    assert cost["rhs_evals"] == 1 + 6 * (cost["accepted_steps"]
-                                         + cost["rejected_steps"])
+    assert cost["rhs_evals"] == start + 6 * (cost["accepted_steps"]
+                                             + cost["rejected_steps"])
 
 
 def test_distance_cost_block_is_deterministic(capsys):

@@ -335,8 +335,9 @@ def test_variational_rhs_is_batch_invariant_on_the_halfplane(halfplane,
 
 
 def test_distance_rhs_budget(halfplane, rhs_evals, monkeypatch):
-    # deterministic cost guard: 1,167 RHS evaluations here (1,883 with
-    # levels 1e-6, 1e-8, 1e-10 and Jacobi columns in every shot); after the
+    # deterministic cost guard: 1,131 RHS evaluations here (1,883 with
+    # levels 1e-6, 1e-8, 1e-10 and Jacobi columns in every shot, 1,167
+    # with every shot sizing its own first step); after the
     # first improving 1e-10 shot, chord shots carry x and v only
     shots = []
     integrate = nk.integrate_ode
@@ -346,6 +347,30 @@ def test_distance_rhs_budget(halfplane, rhs_evals, monkeypatch):
     assert len(rhs_evals) <= 1325
     tight = [size for rtol, size in shots if rtol == 1e-10]
     assert sum(size > 4 for size in tight) == 1     # 4: x and v, one lane
+
+
+def test_distance_rhs_guard_near_distance_one(halfplane, sphere_chart, s3,
+                                             rhs_evals):
+    # deterministic cost guard on three pairs like the benchmark's shots,
+    # about 1 apart: 688 RHS evaluations (787 when every shot sizes its
+    # own first step), each distance within 1e-10 of its closed form
+    def sphere_xyz(p):
+        u, v = p
+        return np.array([math.cos(u) * math.sin(v),
+                         math.sin(u) * math.sin(v), math.cos(v)])
+
+    cases = [
+        (halfplane, [0.2, 1.5], [1.9, 1.8], cat.hyperbolic_distance(
+            complex(0.2, 1.5), complex(1.9, 1.8))),            # 1.0074
+        (sphere_chart, [1.0, 1.5], [2.0, 1.7], math.acos(
+            sphere_xyz([1.0, 1.5]) @ sphere_xyz([2.0, 1.7]))),  # 1.0177
+        (s3, [0.2, -0.1, 0.3], [0.9, 0.5, -0.3], _s3_closed_form(
+            [0.2, -0.1, 0.3], [0.9, 0.5, -0.3])),               # 0.9932
+    ]
+    for chart, P, Q, exact in cases:
+        assert ig.geodesic_distance(chart, P, Q) == pytest.approx(exact,
+                                                                  abs=1e-10)
+    assert len(rhs_evals) == 688
 
 
 def test_revolution_trace_rhs_budget(rhs_evals):
@@ -881,17 +906,27 @@ def test_halfplane_distance_closed_form(halfplane):
     assert d == pytest.approx(cat.hyperbolic_distance(z1, z2), abs=1e-8)
 
 
+def _segment_length(chart, P, Q):
+    # the g-length of the straight coordinate segment from P to Q
+    xs, ws = nk.gauss_legendre(24, 0.0, 1.0)
+    g = chart.g_at(P[:, None] + xs * (Q - P)[:, None])
+    return ws @ np.sqrt(np.einsum('ijL,i,j->L', g, Q - P, Q - P))
+
+
 def test_shooting_converges_through_the_turned_starts(monkeypatch):
-    # on the torus this pair's first shot fails; a turned start converges
     torus = ig.pullback_metric(cat.builtin("torus").build())
     P, Q = np.array([4.1, 4.4]), np.array([3.9, 5.8])
     d = ig.geodesic_distance(torus, P, Q)
     assert d == pytest.approx(1.4710648182560162, abs=1e-10)
     assert abs(ig.geodesic_distance(torus, Q, P) - d) < 1e-11
-    # at most the g-length of the straight coordinate segment, 1.4782
-    xs, ws = nk.gauss_legendre(24, 0.0, 1.0)
-    g = torus.g_at(P[:, None] + xs * (Q - P)[:, None])
-    assert d <= ws @ np.sqrt(np.einsum('ijL,i,j->L', g, Q - P, Q - P))
+    assert d <= _segment_length(torus, P, Q)                 # 1.4782
+    # from P this pair's first start fails and a turned start converges;
+    # from Q the first start converges to the same geodesic
+    P, Q = np.array([5.5, 1.75]), np.array([1.25, 5.4])
+    d = ig.geodesic_distance(torus, P, Q)
+    assert d == pytest.approx(5.458988644935339, abs=1e-10)
+    assert abs(ig.geodesic_distance(torus, Q, P) - d) < 1e-10
+    assert d <= _segment_length(torus, P, Q)                 # 7.4757
     monkeypatch.setattr(ig, "_RETRY_TURNS", ())
     with pytest.raises(nk.NonConvergenceError):
         ig.geodesic_distance(torus, P, Q)

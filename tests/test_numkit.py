@@ -386,15 +386,72 @@ def _metered(problem, *must_hit):
 
 def test_integrate_ode_step_counters():
     # harmonic oscillator y'' = -25 y: smooth, but the controller rejects
-    # a few steps on the way
+    # a few steps on the way; its one nonzero component y0 = 1 does not
+    # move at t = 0, so the 1e-6 start is sized by one Euler probe
     prob = nk.OdeProblem(lambda t, y: np.array([y[1], -25.0 * y[0]]),
                          np.array([1.0, 0.0]), (0.0, 3.0),
                          rtol=1e-10, atol=1e-12)
     traj, cost = _metered(prob)
     assert cost["accepted_steps"] == len(traj.ts) - 1
     assert cost["rejected_steps"] > 0
-    assert cost["rhs_evals"] == 1 + 6 * (cost["accepted_steps"]
+    assert cost["rhs_evals"] == 2 + 6 * (cost["accepted_steps"]
                                          + cost["rejected_steps"])
+
+
+def _spring(t, y):
+    return np.array([y[1], -4.0 * y[0]])
+
+
+@pytest.mark.parametrize("pair,counts,h1,final", [
+    (nk.DOPRI5, (84, 3, 523), "0x1.cebc7feda03d2p-10",
+     ["-0x1.af8947e1d1752p-1", "0x1.2fd105c06f639p+0"]),
+    (nk.DOP853, (12, 0, 146), "0x1.162d31c0edd9fp-5",
+     ["-0x1.af8947e62fccap-1", "0x1.2fd105c038518p+0"]),
+], ids=["DOPRI5", "DOP853"])
+def test_unhinted_start_keeps_its_bits(pair, counts, h1, final):
+    # without h0 the solver sizes its own start, bit for bit as it did
+    # before solves took a first step
+    prob = nk.OdeProblem(_spring, np.array([1.0, 0.5]), (0.0, 2.0),
+                         rtol=1e-9, atol=1e-12, pair=pair)
+    assert prob.h0 is None
+    traj, cost = _metered(prob, [0.7])
+    assert (cost["accepted_steps"], cost["rejected_steps"],
+            cost["rhs_evals"]) == counts
+    assert traj.ts[1].hex() == h1
+    assert [v.hex() for v in traj.final] == final
+
+
+@pytest.mark.parametrize("pair", [nk.DOPRI5, nk.DOP853],
+                         ids=["DOPRI5", "DOP853"])
+@pytest.mark.parametrize("h0,h", [(0.05, 0.05), (10.0, 2.0)])
+def test_hinted_solve_starts_at_h0(pair, h0, h):
+    # the first attempted step is h0 clamped to the span, so the second
+    # RHS call is its second stage, at c_1 h; with no probe a solve makes
+    # 1 + (stages - 1) calls per attempted step: 1 + 12 under DOP853
+    times = []
+    prob = nk.OdeProblem(lambda t, y: times.append(t) or _spring(t, y),
+                         np.array([1.0, 0.5]), (0.0, 2.0), rtol=1e-9,
+                         atol=1e-12, pair=pair, h0=h0)
+    traj, cost = _metered(prob)
+    assert times[1] == pair.c[1] * h
+    assert cost["rhs_evals"] == len(times) == 1 + (pair.stages - 1) * (
+        cost["accepted_steps"] + cost["rejected_steps"])
+    assert np.abs(traj.final - [math.cos(4.0) + 0.25 * math.sin(4.0),
+                                -2 * math.sin(4.0) + 0.5 * math.cos(4.0)]
+                  ).max() < 1e-8
+
+
+def test_dopri5_probes_only_a_start_that_does_not_move():
+    # y0 = (1, 0): the one nonzero component has y' = 0 at t = 0, so the
+    # 1e-6 start grows by one Euler probe to 100 x 1e-6; y0 = (0, 0)
+    # has no nonzero component and keeps 1e-6 unprobed
+    for y0, h1, start in (([1.0, 0.0], 1e-4, 2), ([0.0, 0.0], 1e-6, 1)):
+        prob = nk.OdeProblem(lambda t, y: _spring(t, y) + [0.0, t],
+                             np.array(y0), (0.0, 1.0))
+        traj, cost = _metered(prob)
+        assert traj.ts[1] == pytest.approx(h1, rel=1e-12)
+        assert cost["rhs_evals"] == start + 6 * (cost["accepted_steps"]
+                                                 + cost["rejected_steps"])
 
 
 def test_solver_cost_blocks_nest():

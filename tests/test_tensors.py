@@ -203,6 +203,16 @@ def test_oracles_report_leaving_the_chart(halfplane):
         tn.ricci_volume_oracle(halfplane, x)
 
 
+def test_cube_oracle_keeps_the_fans_own_error(s3):
+    # cubes this small underflow the Gram determinant inside the chart:
+    # the fan's own message comes through, not "cube leaves"
+    with pytest.raises(nk.PreconditionError,
+                       match="Gram determinant underflows") as info:
+        tn.ricci_volume_oracle(s3, np.array([0.2, 0.1, -0.3]),
+                               hs=(1e-100, 5e-101, 2.5e-101))
+    assert not hasattr(info.value, "reach")
+
+
 @pytest.mark.parametrize("name, x", [
     ("s3", (0.2, 0.1, -0.3)), ("s3", (1.0, 0.5, -0.7)),
     ("sphere", (1.0, 1.2)), ("halfplane", (0.5, 2.0))])

@@ -14,13 +14,16 @@ the box and rerun at a smaller radius), one circle that fails by leaving
 the chart, one refused for its NaN radius and one at radius 1e-300 whose
 fan's Gram determinant underflows, a sphere estimate at ``--r0 1e-160``
 refused alike, ``surface offset`` (the offset-area totals), ``curvature
-sectional`` (the sectional curvature of a 3D chart), a torus ``geodesic
-distance`` that converges only from a turned start (the shooting retry
-phase), a cone ``transport holonomy`` whose loop closes modulo the
-period, two ``geodesic trace`` runs that leave the chart (a saddle ray
-and a half-plane ray) and one refused for its infinite ``--length``, as
-``python -m curvatur.cli`` with each tree first on ``PYTHONPATH``, and
-prints every JSON leaf that differs, with its relative change.  An
+sectional`` (the sectional curvature of a 3D chart), ``geodesic
+distance`` on every chart kind the benchmark shoots on (the half-plane,
+the sphere pullback and ``s3_round``) and on a torus pair,
+(5.5, 1.75) -> (1.25, 5.4), that converges only from a turned start (the
+shooting retry phase), a cone ``transport holonomy`` whose loop closes
+modulo the period, two ``geodesic trace`` runs that leave the chart (a
+saddle ray and a half-plane ray) and one refused for its infinite
+``--length``, as ``python -m curvatur.cli`` with each tree first on
+``PYTHONPATH``, and prints every JSON leaf that differs, with its
+relative change.  An
 invocation whose stdout is not JSON, such as a failing circle, is
 compared by its exit code and its raw stdout and stderr.  The sample is
 not derived from the test suite: a new command has to be added to it by
@@ -65,8 +68,12 @@ INVOCATIONS = (
      "--length", "5"),
     ("geodesic", "distance", "--builtin", "lobachevsky_halfplane",
      "--from", "0,1", "--to", "3,1"),
-    ("geodesic", "distance", "--builtin", "torus", "--from", "4.1,4.4",
-     "--to", "3.9,5.8"),
+    ("geodesic", "distance", "--builtin", "torus", "--from", "5.5,1.75",
+     "--to", "1.25,5.4"),
+    ("geodesic", "distance", "--builtin", "sphere", "--from", "1.0,1.5",
+     "--to", "2.0,1.7"),
+    ("geodesic", "distance", "--builtin", "s3_round", "--from",
+     "0.2,-0.1,0.3", "--to", "0.9,0.5,-0.3"),
     ("transport", "along", "--builtin", "sphere", "--via", "0.3,1.2",
      "--via", "1.0,1.0", "--via", "1.4,0.6", "--vector", "1,0"),
     ("transport", "holonomy", "--builtin", "lobachevsky_halfplane",
