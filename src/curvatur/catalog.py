@@ -40,6 +40,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -264,6 +265,31 @@ def _divide(a, b, rb):
     return a * rb if isinstance(b, Jet) else a / b
 
 
+# the coefficient kernel of each instruction that is a jet method call
+_JET_KERNELS = {operator.pow: nk._power, _reciprocal: nk._reciprocal,
+                _sincos: nk._sincos, **{_FN_TABLE[f]: nk._KERNELS[f]
+                                        for f in FUNCTIONS}}
+
+
+def _steps(tape):
+    """(fn, operand fetch, whether it fetches several) per instruction."""
+    return [(fn, operator.itemgetter(*args), len(args) > 1)
+            for fn, args in tape]
+
+
+def _coefficients(jets):
+    """The coefficient arrays of a program's jet inputs, at one batch rank
+    as jet arithmetic aligns them (:func:`numkit._broadcast`)."""
+    try:
+        if len({(x.nvars, x.order, x.coef.ndim) for x in jets}) == 1:
+            return [x.coef for x in jets]
+    except AttributeError:
+        raise PreconditionError("program inputs must be all jets or all "
+                                "numbers") from None
+    top = max(jets, key=lambda x: x.coef.ndim)
+    return [nk._broadcast(top._coerce(x).coef, top.coef)[0] for x in jets]
+
+
 class Program:
     """Expressions compiled once into a straight-line program over one
     register list (Griewank & Walther, Evaluating Derivatives, 2nd ed.,
@@ -279,8 +305,13 @@ class Program:
     share one :meth:`numkit.Jet.sincos`, so each is evaluated once per
     call.  An instruction is an operator or a
     :mod:`numkit` function applied at run time, the operation
-    :func:`eval_expr` applies, so on floats, arrays and jets alike a
-    program's outputs are bit-identical to it.
+    :func:`eval_expr` applies.  Jet inputs run as bare coefficient arrays:
+    each instruction is bound once per (nvars, order) to the numkit
+    coefficient kernel that the jet method it stands for calls, with the
+    Taylor tables resolved (:meth:`_jet_steps`), so no instruction builds
+    a :class:`numkit.Jet` or dispatches on its operands' types.  On floats,
+    arrays and jets alike a program's outputs are bit-identical to
+    :func:`eval_expr`.
 
     Calling a program with one value per input returns the list of the
     expressions' values; ``outputs`` holds their registers.
@@ -313,9 +344,10 @@ class Program:
 
         self.tape = [(fn, tuple(map(reg, args))) for fn, args in self._tape]
         self.outputs = [reg(r) for r in refs]
-        # each instruction's operand fetch, bound once
-        self._steps = [(fn, operator.itemgetter(*args), len(args) > 1)
-                       for fn, args in self.tape]
+        # each instruction's operand fetch, bound once; for jets once per
+        # (nvars, order)
+        self._steps = _steps(self.tape)
+        self._jet = {}
         del self._memo, self._tape, self._params, self._paired, \
             self._varies
 
@@ -325,18 +357,59 @@ class Program:
         return self.consts[k] if 0 <= k < len(self.consts) else None
 
     def run(self, inputs):
-        """All registers for one value per input."""
+        """All registers for one value per input; for jets of one (nvars,
+        order) the registers that vary hold coefficient arrays."""
         if len(inputs) != len(self.inputs):
             raise PreconditionError(f"program takes {len(self.inputs)} "
                                     f"inputs, got {len(inputs)}")
+        steps = self._steps
+        if inputs and isinstance(inputs[0], Jet):
+            x = inputs[0]
+            steps = self._jet.get((x.nvars, x.order)) \
+                or self._jet_steps(x.nvars, x.order)
+            inputs = _coefficients(inputs)
         regs = [*inputs, *self.consts]
-        for fn, fetch, many in self._steps:
+        for fn, fetch, many in steps:
             regs.append(fn(*fetch(regs)) if many else fn(fetch(regs)))
         return regs
 
     def __call__(self, *inputs):
         regs = self.run(inputs)
-        return [regs[k] for k in self.outputs]
+        out = [regs[k] for k in self.outputs]
+        if inputs and isinstance(inputs[0], Jet):
+            x = inputs[0]
+            out = [v if self.constant(k) is not None else
+                   Jet(x.nvars, x.order, v) for k, v in zip(self.outputs, out)]
+        return out
+
+    def _jet_steps(self, nvars, order):
+        """The tape bound to coefficient kernels for jets of (nvars, order):
+        Taylor products, powers, quotients and functions call their numkit
+        kernel with its tables; sums, negation and scaling by a constant are
+        plain array arithmetic, which is what the jet methods compute."""
+        T = nk._tables(nvars, order)
+        tape = []
+        for fn, args in self.tape:
+            const = [self.constant(r) is not None for r in args]
+            if fn is _power:
+                raise PreconditionError("a jet power needs a constant "
+                                        "exponent")
+            if fn is operator.add and any(const):    # the value slot moves
+                fn, args = nk._shift, args[::-1] if const[0] else args
+            elif fn is operator.sub and const[1]:    # a - c = a + (-c)
+                fn, args = partial(nk._shift, c=-self.constant(args[1])), \
+                    args[:1]
+            elif fn is operator.sub and const[0]:
+                fn, args = nk._rsub, args[::-1]
+            elif fn is _divide and const[0]:         # c * (1/b)
+                fn, args = operator.mul, (args[2], args[0])
+            elif fn is _divide or fn is operator.mul and not any(const):
+                fn, args = partial(nk._mul, T), (args[0], args[-1])
+            elif fn in _JET_KERNELS:
+                fn = partial(_JET_KERNELS[fn], T)
+            tape.append((fn, args))
+        steps = self._jet[nvars, order] = _steps(tape)
+        return steps
 
     # -- compilation ----------------------------------------------------
 
@@ -725,7 +798,7 @@ def _stacked_fn(program, shape):
         for at, c in consts:
             coef[at] = c
         for at, r in writes:
-            coef[at] = regs[r].coef
+            coef[at] = regs[r]
         return Jet(like.nvars, like.order, coef)
 
     return fn

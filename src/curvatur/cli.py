@@ -12,8 +12,9 @@ in chart order as declared.  Exit codes: 0 success, 1 computation failure,
 2 usage error, 3 verification-suite failure.  Every failure also writes a
 JSON error document to stderr.  A command whose handler ran at least one
 ODE solve gets a ``cost`` block in ``diagnostics``: the solver counters of
-:func:`numkit.solver_cost`, integers only.  Wall times appear only in
-``verify``'s text mode, never in JSON.
+:func:`numkit.solver_cost`, integers only; ``verify``'s holds one
+such block per suite, by name.  Wall times appear only in ``verify``'s
+text mode, never in JSON.
 
 Each command is one row of :data:`COMMANDS`: its help, the geometry kind
 it reads, whether ``--format csv`` applies, its own options and its
@@ -466,7 +467,7 @@ def _verify(args, _):
     names = args.suite or ["all"]
     text = args.format == "text"
     stream = text and not args.output
-    lines, checks = [], []
+    lines, checks, costs = [], [], {}
 
     def say(line):
         if stream:
@@ -477,10 +478,15 @@ def _verify(args, _):
 
     for name in vf.suite_names(names):
         t0 = time.perf_counter()
+        cost = costs[name] = {}
         checks += vf.run_suite(name, seed=args.seed, report=(
-            lambda c: say(vf.format_check(c))) if text else None)
+            lambda c: say(vf.format_check(c))) if text else None, cost=cost)
         if text:
             say(f"TIME {name}: {time.perf_counter() - t0:.2f} s")
+            say(f"COST {name}: {cost['solves']} solves, "
+                f"{cost['accepted_steps']} accepted and "
+                f"{cost['rejected_steps']} rejected steps, "
+                f"{cost['rhs_evals']} RHS calls")
     failed = [c for c in checks if not c.passed]
     if args.format == "json":
         rows = [{"suite": c.suite, "name": c.name,
@@ -489,10 +495,12 @@ def _verify(args, _):
                 for c in checks]
         geometry = {"name": "catalog", "kind": "suite", "coords": [],
                     "domain": [], "params": {}, "source": "builtin"}
-        _write(args, _dump(_document(
+        doc = _document(
             "verify", geometry, {"suites": list(names), "seed": args.seed},
             {"checks": rows, "passed": len(checks) - len(failed),
-             "failed": len(failed)})))
+             "failed": len(failed)})
+        doc["diagnostics"]["cost"] = costs
+        _write(args, _dump(doc))
     elif not stream:
         _write(args, "\n".join(lines))
     if failed:

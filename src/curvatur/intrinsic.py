@@ -85,6 +85,16 @@ class MetricChart:
         lo, hi = bounds
         return ((x >= lo) & (x <= hi)).all(axis=0)
 
+    def base_point(self, x):
+        """The point x (n,) as a float array, refused with
+        :class:`PreconditionError` outside the closed box: the check every
+        estimator and oracle at a point makes before any fan, solve or
+        metric read."""
+        x = np.asarray(x, dtype=float)
+        if not self.contains(x[:, None])[0]:
+            raise PreconditionError("base point lies outside the chart")
+        return x
+
     def metric_jet(self, xj):
         """The metric as one jet with coefficients (K, n, n, ...batch) at
         the seed variables ``xj`` (from :meth:`Jet.variables`)."""
@@ -125,14 +135,14 @@ class MetricChart:
 
 @lru_cache(maxsize=None)
 def _christoffel_tables(nvars: int, order: int):
-    """For a metric jet of ``order``: per degree d = 1 .. order - 1 of the
+    """For a metric jet of ``order``: per degree d = 2 .. order - 1 of the
     symbols its slot range (lo, hi) and Taylor triples (I, J, M), i != 0."""
     idx, _, (I, J, M), mask, _ = nk._index_space(nvars, order - 1)
     deg = np.array([sum(a) for a in idx])
     k = deg[np.nonzero(mask)[0]]                  # degree of each triple's k
-    sel = [(k == d) & (I != 0) for d in range(1, order)]
+    sel = [(k == d) & (I != 0) for d in range(2, order)]
     return tuple((*np.searchsorted(deg, (d, d + 1)), I[s], J[s],
-                  M[deg == d][:, s]) for d, s in enumerate(sel, 1))
+                  M[deg == d][:, s]) for d, s in enumerate(sel, 2))
 
 
 def christoffel_jet(chart: MetricChart, xj, v=None):
@@ -142,8 +152,12 @@ def christoffel_jet(chart: MetricChart, xj, v=None):
     g^kl S_lij, S_lij = (d_i g_lj + d_j g_li - d_l g_ij) / 2, at the seed
     variables ``xj``, solved from g Gamma = S degree by degree: Gamma_d =
     g_0^-1 (S_d - sum_{i != 0} g_i Gamma_j) (jet division; Griewank &
-    Walther, Evaluating Derivatives, ch. 13).  This is the only derivation
-    of the symbols: values, gradients and higher jets are all read off it.
+    Walther, Evaluating Derivatives, ch. 13).  Degree 1 is solved
+    directly, as its only triples are (k, k, 0), so its known term is
+    g_k Gamma_0; the Taylor tables serve degrees 2 and up, and a metric of
+    order 2 or less (values, and the gradient the geodesic equations read)
+    needs none.  This is the only derivation of the symbols: values,
+    gradients and higher jets are all read off it.
 
     Given a vector field ``v`` (n, ...batch), constant in x, the jet is
     that of Gamma^k_ij v^i instead, coefficients (K, k, j, ...batch): the
@@ -154,6 +168,7 @@ def christoffel_jet(chart: MetricChart, xj, v=None):
     G = chart.metric_jet(xj)
     src, fac = nk._gradient_table(G.nvars, G.order)
     g = G.coef
+    n = G.nvars
     if v is None:
         dg = nk._lower(g, src, fac)                  # d_a g_ij at [:, a, i, j]
         A = dg.swapaxes(1, 2)                        # d_i g_lj at [:, l, i, j]
@@ -164,16 +179,20 @@ def christoffel_jet(chart: MetricChart, xj, v=None):
                         fac)                         # d_j (g v)_l
         S = dgv.swapaxes(1, 2) - dgv
         w = fac.reshape(fac.shape + (1,) * (v.ndim - 1)) * v
-        for a in range(G.nvars):                # d_v g, one axis at a time
+        for a in range(n):                      # d_v g, one axis at a time
             S += g[src[:, a]] * w[:, a, None, None]
     ginv = nk._matrix_inv(g[0])
-    gamma = np.empty_like(S)
-    gamma[0] = np.einsum('rs...,s...->r...', ginv, S[0])
-    for lo, hi, I, J, M in _christoffel_tables(G.nvars, G.order):
+    gamma = np.einsum('rs...,s...->r...', ginv, S[0])[None]
+    if G.order > 1:
+        known = np.einsum('Prs...,s...->Pr...', g[1:n + 1], gamma[0])
+        gamma = np.concatenate([gamma, np.einsum('rs...,Ps...->Pr...', ginv,
+                                                 S[1:n + 1] - known)])
+    for lo, hi, I, J, M in _christoffel_tables(n, G.order):
         known = nk._taylor_sum(M, np.einsum('Prs...,Ps...->Pr...', g[I],
                                             gamma[J]))
-        gamma[lo:hi] = np.einsum('rs...,Ps...->Pr...', ginv, S[lo:hi] - known)
-    return Jet(G.nvars, G.order - 1, gamma)
+        gamma = np.concatenate([gamma, np.einsum('rs...,Ps...->Pr...', ginv,
+                                                 S[lo:hi] - known)])
+    return Jet(n, G.order - 1, gamma)
 
 
 def riemann_jet(chart: MetricChart, xj):
@@ -673,9 +692,10 @@ def geodesic_circle_lengths(chart: MetricChart, P, radii, samples=24,
     J_theta = d exp_P(r u(theta)) / d theta is the Jacobi column of one
     variational fan (do Carmo, Riemannian Geometry, ch. 5).
     """
+    P = chart.base_point(P)
     M = fan_samples(samples)
     if frame is None:
-        frame = chart.orthonormal_basis(np.asarray(P, dtype=float))[:, :2]
+        frame = chart.orthonormal_basis(P)[:, :2]
     phis = 2.0 * math.pi * np.arange(M) / M
     c, s = np.cos(phis), np.sin(phis)
     U = c * frame[:, :1] + s * frame[:, 1:2]
@@ -819,9 +839,11 @@ def scalar_curvature_estimate(chart: MetricChart, P, r0=0.2, rungs=3,
     ((4 pi / 3) R^4) is used instead.  Each defect and its error is one
     array over the ladder (:func:`_comparison_limit`).  ``samples``, the
     fan's direction count M (24 per circle, 8 azimuths per sphere unless
-    given), is checked by :func:`fan_samples` before any fan.  A fan that
-    leaves the chart reruns at a smaller r0 (:func:`_within_reach`).
+    given), is checked by :func:`fan_samples` before any fan, and P by
+    :meth:`MetricChart.base_point`.  A fan that leaves the chart reruns at
+    a smaller r0 (:func:`_within_reach`).
     """
+    P = chart.base_point(P)
     fan = circles_and_disks if chart.dim == 2 else _geodesic_sphere_areas
     M = fan_samples(samples, chart.dim)
     ladder, out = _within_reach(lambda radii: fan(chart, P, radii, M), r0,
@@ -894,8 +916,11 @@ def plane_scalar_estimate(chart: MetricChart, P, u, v, r0=0.2, rungs=3,
     geodesics of that surface, so its circle-length defect is the circle
     route of :func:`scalar_curvature_estimate` (:func:`_circle_limit` of
     the lengths array) over a g-orthonormal frame of the plane, error and
-    chart-edge shrink included.  Returns (tau, error).
+    chart-edge shrink included.  A P outside the chart raises
+    :class:`PreconditionError` before any metric read.  Returns
+    (tau, error).
     """
+    P = chart.base_point(P)
     g = chart.g_at(P)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)

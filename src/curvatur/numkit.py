@@ -17,7 +17,11 @@ of two operands broadcast as numpy broadcasts array axes, aligned from the
 right.  Elementary functions sum their series in Horner form over the
 nilpotent u - u0, except sin, cos, sinh and cosh, whose pairs share one
 chain of powers of u through the addition theorem; :func:`gradient` reads
-all first partials in one gather.  A jet whose batch axes start with tensor axes is a tensor-valued
+all first partials in one gather.  This arithmetic is written once, as
+coefficient kernels on bare arrays that take the tables of their
+(nvars, order) first: :class:`Jet`'s methods wrap them, and the compiled
+programs of :mod:`curvatur.catalog` call them directly.
+A jet whose batch axes start with tensor axes is a tensor-valued
 jet, the one form of vectors and tensors of jets in the package:
 :func:`jet_stack` builds one from an evaluator's lists, :func:`jet_einsum`
 contracts two in a single batched pass, :func:`vdot` and :func:`vcross`
@@ -154,11 +158,22 @@ def _index_space(nvars: int, order: int):
     return idx, pos, (np.array(I, dtype=np.intp), J, M), mask, fact
 
 
+@lru_cache(maxsize=64)
+def _seed(nvars: int, order: int, batch: tuple):
+    """Seed coefficients (nvars, K, *batch) of :meth:`Jet.variables`, the
+    values 0 and each variable's unit slot 1: the graded lexicographic
+    layout puts variable i at slot nvars - i.  Shared; callers copy it."""
+    coef = np.zeros((nvars, len(_index_space(nvars, order)[0])) + batch)
+    if order:
+        coef[np.arange(nvars), np.arange(nvars, 0, -1)] = 1.0
+    return coef
+
+
 @lru_cache(maxsize=None)
-def _unit_slots(nvars: int):
-    """(variable, slot) index arrays of the unit multi-index of each variable:
-    the graded lexicographic layout puts variable i at slot nvars - i."""
-    return np.arange(nvars), np.arange(nvars, 0, -1)
+def _tables(nvars: int, order: int):
+    """(order, I, J, M) in ``nvars`` variables: the first argument of every
+    coefficient kernel below."""
+    return (order, *_index_space(nvars, order)[2])
 
 
 def _taylor_sum(M, terms):
@@ -180,6 +195,192 @@ def _broadcast(a, b):
     return a, b
 
 
+# -- coefficient kernels ------------------------------------------------------
+# Taylor arithmetic on bare coefficient arrays (K, ...batch) whose batch axes
+# are already aligned (:func:`_broadcast`).  Every kernel past the two
+# constant shifts takes the tables T of :func:`_tables` first, so a caller
+# can bind them once per (nvars, order): the methods of :class:`Jet` wrap
+# these kernels, and compiled programs (:class:`curvatur.catalog.Program`)
+# call them directly.
+
+
+def _shift(a, c):
+    """a + c for a constant c: a copy with c added to the value slot."""
+    out = a.copy()
+    out[0] = out[0] + c
+    return out
+
+
+def _rsub(a, c):
+    """c - a for a constant c, as (-a) + c."""
+    out = -a
+    out[0] = out[0] + c
+    return out
+
+
+def _mul(T, a, b):
+    """Taylor product: one gather of the P products a_i b_j, one sum."""
+    return _taylor_sum(T[3], a[T[1]] * b[T[2]])
+
+
+def _compose(T, a, *series):
+    """``f(a)`` for each series c_k = f^(k)(value) / k!, k = 0 .. order, of
+    an f: one array per series, each summed in Horner form
+    c_0 + u (c_1 + u (c_2 + ...)) over the nilpotent u = a - value, so
+    order m costs m - 1 Taylor products sharing one gather of u (Griewank &
+    Walther, Evaluating Derivatives, 13.2).  The c_k broadcast against the
+    batch axes of ``a``, tensor axes of a composition included."""
+    n, I, J, M = T
+    u = a.copy()
+    u[0] = 0.0
+    if not n:                           # values only
+        return [u + c[0] for c in series]
+    uI = u[I]
+    outs = []
+    for c in series:
+        acc = u * c[n]
+        for k in range(n - 1, 0, -1):
+            acc[0] += c[k]
+            acc = _taylor_sum(M, uI * acc[J])
+        acc[0] += c[0]
+        outs.append(acc)
+    return outs
+
+
+def _binomial(T, a, p, head, v):
+    """``a ** p`` from head = v^p at the value v, through the coefficients
+    binom(p, k) head / v^k of the binomial series."""
+    c = [head]
+    for k in range(1, T[0] + 1):
+        c.append(c[-1] * ((p - k + 1) / k) / v)
+    return _compose(T, a, c)[0]
+
+
+def _cycle(T, a, f, g, sign, *starts):
+    """One array per start (0: f, 1: g) of a pair with f' = g, g' = sign f
+    (sin and cos, or sinh and cosh), by the addition theorem
+    f(x0 + u) = f0 C(u) + g0 S(u), g(x0 + u) = g0 C(u) + sign f0 S(u)
+    over the nilpotent u = a - x0, where C and S are the pair's even and odd
+    series at 0.  Both read one chain of powers u^2 .. u^order, so order m
+    costs m - 1 Taylor products for the whole pair."""
+    n, I, J, M = T
+    x0 = a[0]
+    S = a.copy()                        # u, then S(u)
+    S[0] = 0.0
+    C = None                            # C(u) - 1
+    if n > 1:
+        uI, power = S[I], S
+        for k in range(2, n + 1):
+            power = _taylor_sum(M, uI * power[J])
+            term = power * (sign ** (k // 2) * _INV_FACT[k])
+            if k % 2:
+                S += term
+            elif C is None:
+                C = term
+            else:
+                C += term
+    f0, g0 = f(x0), g(x0)
+    outs = []
+    for i, m in enumerate(starts):
+        c0, s0 = (f0, g0) if m == 0 else (g0, sign * f0)
+        last = i == len(starts) - 1     # S and C are free to overwrite
+        out = np.multiply(s0, S, out=S if last else None)
+        if C is not None:
+            out += np.multiply(c0, C, out=C if last else None)
+        out[0] = c0                     # S(0) = C(0) - 1 = 0
+        outs.append(out)
+    return outs
+
+
+def _reciprocal(T, a):
+    v = a[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _binomial(T, a, -1.0, 1.0 / v, v)
+
+
+def _power(T, a, p):
+    """``a ** p``: an integral p as a chain of products (through the
+    reciprocal when negative), any other through the binomial series."""
+    if isinstance(p, (int, np.integer)):
+        if p == 0:
+            out = np.zeros_like(a)
+            out[0] = 1.0
+            return out
+        if p < 0:
+            return _power(T, _reciprocal(T, a), -p)
+        out = a
+        for _ in range(p - 1):
+            out = _mul(T, out, a)
+        return out
+    v = a[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _binomial(T, a, p, np.power(v, p), v)
+
+
+def _sin(T, a):
+    return _cycle(T, a, np.sin, np.cos, -1, 0)[0]
+
+
+def _cos(T, a):
+    return _cycle(T, a, np.sin, np.cos, -1, 1)[0]
+
+
+def _sincos(T, a):
+    """``(sin(a), cos(a))``, from one sin and cos of the value."""
+    return tuple(_cycle(T, a, np.sin, np.cos, -1, 0, 1))
+
+
+def _sinh(T, a):
+    return _cycle(T, a, np.sinh, np.cosh, 1, 0)[0]
+
+
+def _cosh(T, a):
+    return _cycle(T, a, np.sinh, np.cosh, 1, 1)[0]
+
+
+def _tan(T, a):
+    t = np.tan(a[0])
+    sec2 = 1.0 + t * t
+    c = [t, sec2, t * sec2, sec2 * (1 / 3 + t * t), sec2 * t * (2 / 3 + t * t)]
+    return _compose(T, a, c[: T[0] + 1])[0]
+
+
+def _exp(T, a):
+    e = np.exp(a[0])
+    return _compose(T, a, [e * f for f in _INV_FACT[: T[0] + 1]])[0]
+
+
+def _log(T, a):
+    v = a[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = -1.0 / v                    # c_k = (-1)^(k-1) / (k v^k)
+        return _compose(T, a, [np.log(v)] + [-w ** k / k for k in range(
+            1, T[0] + 1)])[0]
+
+
+def _sqrt(T, a):
+    v = a[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _binomial(T, a, 0.5, np.sqrt(v), v)
+
+
+# the kernel of each elementary function, by name: its Jet method and the
+# jet instructions of compiled programs both call it
+_KERNELS = {"sin": _sin, "cos": _cos, "tan": _tan, "exp": _exp, "log": _log,
+            "sqrt": _sqrt, "sinh": _sinh, "cosh": _cosh}
+
+
+def _method(kernel):
+    """A Jet method that applies a one-operand kernel to the coefficients."""
+    def method(self):
+        return Jet(self.nvars, self.order,
+                   kernel(_tables(self.nvars, self.order), self.coef))
+
+    method.__name__ = kernel.__name__[1:]
+    method.__doc__ = kernel.__doc__
+    return method
+
+
 class Jet:
     """Truncated Taylor expansion of a function at a point.
 
@@ -187,7 +388,8 @@ class Jet:
     the mixed partial of multi-index ``alpha`` divided by ``alpha!``.  The
     coefficient array may carry trailing batch axes, in which case the jet
     represents the same function expanded at a whole batch of points and
-    all arithmetic maps over the batch.
+    all arithmetic maps over the batch.  Its arithmetic is the coefficient
+    kernels of this module, applied to ``coef``.
 
     Parameters
     ----------
@@ -214,21 +416,14 @@ class Jet:
         """One jet per independent variable, seeded at ``values`` (nvars,
         ...) or a sequence of scalars, whose trailing axes become batch axes,
         to ``order`` 0 .. MAX_ORDER (0 carries values only, for plain reads).
-        The jets are views of one (nvars, K, ...) array, written with the
-        values and the unit slots in two stores."""
+        The jets are views of one (nvars, K, ...) array: a copy of the
+        cached seed of its shape (:func:`_seed`) with the values written in
+        one store, so no caller ever shares the cache."""
         values = np.asarray(values, dtype=float)
         nvars = values.shape[0]
-        K = len(_index_space(nvars, order)[0])
-        coef = np.zeros((nvars, K) + values.shape[1:])
+        coef = _seed(nvars, order, values.shape[1:]).copy()
         coef[:, 0] = values
-        if order:
-            coef[_unit_slots(nvars)] = 1.0
         return [Jet(nvars, order, c) for c in coef]
-
-    def _like_const(self, value):
-        coef = np.zeros_like(self.coef)
-        coef[0] = value
-        return Jet(self.nvars, self.order, coef)
 
     # -- extraction ---------------------------------------------------
 
@@ -266,9 +461,7 @@ class Jet:
         if o is not None:
             a, b = _broadcast(self.coef, o.coef)
             return Jet(self.nvars, self.order, a + b)
-        coef = self.coef.copy()
-        coef[0] = coef[0] + other
-        return Jet(self.nvars, self.order, coef)
+        return Jet(self.nvars, self.order, _shift(self.coef, other))
 
     __radd__ = __add__
 
@@ -279,22 +472,18 @@ class Jet:
         return self + (-other if isinstance(other, Jet) else -np.asarray(other))
 
     def __rsub__(self, other):
-        return (-self) + other
+        return Jet(self.nvars, self.order, _rsub(self.coef, other))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return Jet(self.nvars, self.order, self.coef * np.asarray(other))
-        a, b = _broadcast(self.coef, o.coef)
-        _, _, (I, J, M), _, _ = _index_space(self.nvars, self.order)
-        return Jet(self.nvars, self.order, _taylor_sum(M, a[I] * b[J]))
+        return Jet(self.nvars, self.order, _mul(_tables(self.nvars, self.order),
+                                                *_broadcast(self.coef, o.coef)))
 
     __rmul__ = __mul__
 
-    def reciprocal(self):
-        v = self.coef[0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self._binomial(-1.0, 1.0 / v, v)
+    reciprocal = _method(_reciprocal)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -306,141 +495,33 @@ class Jet:
         return self.reciprocal() * other
 
     def __pow__(self, p):
-        if isinstance(p, (int, np.integer)):
-            if p == 0:
-                return self._like_const(np.ones_like(self.coef[0]))
-            if p < 0:
-                return self.reciprocal() ** (-p)
-            out = self
-            for _ in range(p - 1):
-                out = out * self
-            return out
-        v = self.coef[0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self._binomial(p, np.power(v, p), v)
+        return Jet(self.nvars, self.order,
+                   _power(_tables(self.nvars, self.order), self.coef, p))
 
-    # -- composition with a scalar function ---------------------------
-
-    def _compose(self, *series):
-        """``f(self)`` for each series c_k = f^(k)(value) / k!, k = 0 ..
-        order, of an f: one jet per series, each summed in Horner form
-        c_0 + u (c_1 + u (c_2 + ...)) over the nilpotent u = self - value,
-        so order m costs m - 1 Taylor products sharing one gather of u
-        (Griewank & Walther, Evaluating Derivatives, 13.2).  The c_k
-        broadcast against the batch axes of ``self``, tensor axes of a
-        composition included."""
-        n = self.order
-        u = self.coef.copy()
-        u[0] = 0.0
-        if not n:                       # values only
-            return [Jet(self.nvars, 0, u + c[0]) for c in series]
-        _, _, (I, J, M), _, _ = _index_space(self.nvars, n)
-        uI = u[I]
-        outs = []
-        for c in series:
-            acc = u * c[n]
-            for k in range(n - 1, 0, -1):
-                acc[0] += c[k]
-                acc = _taylor_sum(M, uI * acc[J])
-            acc[0] += c[0]
-            outs.append(Jet(self.nvars, n, acc))
-        return outs
-
-    def _binomial(self, p, head, v):
-        """``self ** p`` from head = v^p at the value v, through the
-        coefficients binom(p, k) head / v^k of the binomial series."""
-        c = [head]
-        for k in range(1, self.order + 1):
-            c.append(c[-1] * ((p - k + 1) / k) / v)
-        return self._compose(c)[0]
-
-    def _cycle(self, f, g, sign, *starts):
-        """One jet per start (0: f, 1: g) of a pair with f' = g, g' = sign f
-        (sin and cos, or sinh and cosh), by the addition theorem
-        f(x0 + u) = f0 C(u) + g0 S(u), g(x0 + u) = g0 C(u) + sign f0 S(u)
-        over the nilpotent u = self - x0, where C and S are the pair's even
-        and odd series at 0.  Both read one chain of powers u^2 .. u^order,
-        so order m costs m - 1 Taylor products for the whole pair."""
-        n = self.order
-        x0 = self.coef[0]
-        S = self.coef.copy()            # u, then S(u)
-        S[0] = 0.0
-        C = None                        # C(u) - 1
-        if n > 1:
-            _, _, (I, J, M), _, _ = _index_space(self.nvars, n)
-            uI, power = S[I], S
-            for k in range(2, n + 1):
-                power = _taylor_sum(M, uI * power[J])
-                term = power * (sign ** (k // 2) * _INV_FACT[k])
-                if k % 2:
-                    S += term
-                elif C is None:
-                    C = term
-                else:
-                    C += term
-        f0, g0 = f(x0), g(x0)
-        outs = []
-        for i, m in enumerate(starts):
-            a, b = (f0, g0) if m == 0 else (g0, sign * f0)
-            last = i == len(starts) - 1    # S and C are free to overwrite
-            out = np.multiply(b, S, out=S if last else None)
-            if C is not None:
-                out += np.multiply(a, C, out=C if last else None)
-            out[0] = a                  # S(0) = C(0) - 1 = 0
-            outs.append(Jet(self.nvars, n, out))
-        return outs
-
-    def sin(self):
-        return self._cycle(np.sin, np.cos, -1, 0)[0]
-
-    def cos(self):
-        return self._cycle(np.sin, np.cos, -1, 1)[0]
+    # -- elementary functions: sin, cos, ... from _KERNELS (below) ------
 
     def sincos(self):
         """``(self.sin(), self.cos())``, from one sin and cos of the value."""
-        return tuple(self._cycle(np.sin, np.cos, -1, 0, 1))
-
-    def tan(self):
-        t = np.tan(self.coef[0])
-        sec2 = 1.0 + t * t
-        c = [t, sec2, t * sec2, sec2 * (1 / 3 + t * t),
-             sec2 * t * (2 / 3 + t * t)]
-        return self._compose(c[: self.order + 1])[0]
-
-    def exp(self):
-        e = np.exp(self.coef[0])
-        return self._compose([e * f for f in _INV_FACT[: self.order + 1]])[0]
-
-    def log(self):
-        v = self.coef[0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = -1.0 / v                # c_k = (-1)^(k-1) / (k v^k)
-            return self._compose([np.log(v)] + [-w ** k / k for k in range(
-                1, self.order + 1)])[0]
-
-    def sqrt(self):
-        v = self.coef[0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self._binomial(0.5, np.sqrt(v), v)
-
-    def sinh(self):
-        return self._cycle(np.sinh, np.cosh, 1, 0)[0]
-
-    def cosh(self):
-        return self._cycle(np.sinh, np.cosh, 1, 1)[0]
+        return tuple(Jet(self.nvars, self.order, c) for c in _sincos(
+            _tables(self.nvars, self.order), self.coef))
 
     def __repr__(self):
         return (f"Jet(nvars={self.nvars}, order={self.order}, "
                 f"value={np.asarray(self.coef[0])!r})")
 
 
+for _name, _kernel in _KERNELS.items():
+    setattr(Jet, _name, _method(_kernel))
+del _name, _kernel
+
 def as_jet(x, like: Jet) -> Jet:
     """``x`` itself if it is a jet, else the constant jet ``x`` shaped like
     ``like`` (same variables, order and batch shape)."""
     if isinstance(x, Jet):
         return x
-    return like._like_const(np.asarray(x, dtype=float)
-                            * np.ones_like(like.coef[0]))
+    coef = np.zeros_like(like.coef)
+    coef[0] = np.asarray(x, dtype=float) * np.ones_like(like.coef[0])
+    return Jet(like.nvars, like.order, coef)
 
 
 def compose1d(outer: Jet, inner: Jet) -> Jet:
@@ -454,7 +535,8 @@ def compose1d(outer: Jet, inner: Jet) -> Jet:
     u, c = _broadcast(inner.coef, outer.coef)
     c = list(c[: inner.order + 1])
     c += [np.zeros_like(c[0])] * (inner.order + 1 - len(c))
-    return Jet(inner.nvars, inner.order, u)._compose(c)[0]
+    return Jet(inner.nvars, inner.order,
+               _compose(_tables(inner.nvars, inner.order), u, c)[0])
 
 
 # dispatching math functions: work on jets, floats and arrays alike
@@ -628,7 +710,7 @@ def _matrix_inv(m):
         det = (m[0] * cof[0]).sum(axis=0)
     else:
         raise PreconditionError(f"matrix inverse supports n = 2 or 3, got {n}")
-    if not np.all(det):
+    if not det.all():
         raise np.linalg.LinAlgError("Singular matrix")
     return np.divide(adj, det, order="C")   # C order for the batched einsums
 

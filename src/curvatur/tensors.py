@@ -75,8 +75,10 @@ class RiemannAt:
 
 
 def riemann_at(chart: ig.MetricChart, x) -> RiemannAt:
-    """Curvature tensor at x: the value of :func:`intrinsic.riemann_jet`."""
-    x = np.asarray(x, dtype=float)
+    """Curvature tensor at x: the value of :func:`intrinsic.riemann_jet`.
+    An x outside the chart raises :class:`PreconditionError`
+    (:meth:`intrinsic.MetricChart.base_point`)."""
+    x = chart.base_point(x)
     R = ig.riemann_jet(chart, Jet.variables(x, 2)).value
     g = chart.g_at(x)
     R_down = np.einsum('im,mjkl->ijkl', g, R)
@@ -126,15 +128,6 @@ _SIDE_SAMPLES = 4          # exponential-map points per parallelogram side
 _CUBE_NODES = 3            # Gauss-Legendre nodes per cube axis
 
 
-def _base_point(chart, x):
-    """An oracle's base point, checked to lie in the chart's box before
-    any solve."""
-    x = np.asarray(x, dtype=float)
-    if not chart.contains(x[:, None])[0]:
-        raise PreconditionError("oracle base point lies outside the chart")
-    return x
-
-
 def _loop_tangents(u, v, h):
     """The (4 S + 1, n) tangent vectors whose exponentials are the loop
     vertices of rung h: S = ``_SIDE_SAMPLES`` per side of the parallelogram
@@ -168,7 +161,7 @@ def riemann_holonomy_oracle(chart: ig.MetricChart, x, u, v,
     :class:`PreconditionError` before any solve; a loop whose fan stops at
     the chart's edge raises it too.  Returns (matrix, error_estimate).
     """
-    x = _base_point(chart, x)
+    x = chart.base_point(x)
     hs = nk.halving_ladder(hs)
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     n = chart.dim
@@ -230,7 +223,7 @@ def ricci_volume_oracle(chart: ig.MetricChart, x, hs=(0.2, 0.1, 0.05)):
     through as they are.
     Returns (rho_matrix, error_estimate), the largest cube's limit error.
     """
-    x = _base_point(chart, x)
+    x = chart.base_point(x)
     hs = nk.halving_ladder(sorted(hs, reverse=True))
     n = chart.dim
     E = chart.orthonormal_basis(x)

@@ -845,16 +845,21 @@ SUITES = {
 }
 
 
-def run_suite(name, seed=0, report=None):
-    """Run one named suite; ``report`` receives each CheckResult as it lands."""
+def run_suite(name, seed=0, report=None, cost=None):
+    """Run one named suite; ``report`` receives each CheckResult as it
+    lands, and a ``cost`` dict the suite's solver counters
+    (:func:`numkit.solver_cost`)."""
     if name not in SUITES:
         known = ", ".join(sorted(SUITES))
         raise nk.PreconditionError(f"unknown suite {name!r} (known: {known})")
     results = []
-    for c in SUITES[name](seed=seed):
-        if report is not None:
-            report(c)
-        results.append(c)
+    with nk.solver_cost() as spent:
+        for c in SUITES[name](seed=seed):
+            if report is not None:
+                report(c)
+            results.append(c)
+    if cost is not None:
+        cost.update(spent)
     return results
 
 

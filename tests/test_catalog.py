@@ -146,6 +146,18 @@ def test_compiled_programs_match_eval_expr(lanes):
                         == _bits(nk.jet_stack(nested, xs[0]))), name
 
 
+def test_jet_power_needs_a_constant_exponent():
+    # floats take any exponent; a jet program refuses a varying one, with
+    # a PreconditionError, when it binds
+    f = cat.parse_expression("x^y", variables=("x", "y"))
+    assert f(1.5, 0.5) == 1.5 ** 0.5
+    with pytest.raises(nk.PreconditionError, match="constant exponent"):
+        f(*nk.Jet.variables([1.5, 0.5], 1))
+    with pytest.raises(nk.PreconditionError, match="constant exponent"):
+        cat.parse_geometry("metric m (x,y in [0.5,2]x[0.5,2]) = "
+                           "[[x^y, 0], [0, 1]]").build()
+
+
 def _s3_reference(xj):
     """The round 3-sphere's metric written out by hand: the conformal factor
     1/(1 + |x|^2/4)^2 on the diagonal, the off-diagonal zeros written rather
@@ -180,28 +192,41 @@ def test_pi_parameter_shadows_the_constant():
     assert spec.build().jets(0.5, order=1).value[0] == 1.5
 
 
+def _counted(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def _count_kernels(monkeypatch, **instructions):
+    """Calls of the coefficient kernel that jet programs bind to each
+    instruction function, counted under the given names."""
+    calls = dict.fromkeys(instructions, 0)
+    for name, fn in instructions.items():
+        monkeypatch.setitem(cat._JET_KERNELS, fn, _counted(
+            calls, name, cat._JET_KERNELS[fn]))
+    return calls
+
+
 def test_programs_share_subexpressions(monkeypatch):
     halfplane = cat.builtin("lobachevsky_halfplane").build()
     hyperboloid = cat.builtin("hyperboloid_pullback").build()
-    calls = {"reciprocal": 0, "__radd__": 0}
-    for method in calls:
-        original = getattr(nk.Jet, method)
-
-        def counted(*args, _method=method, _original=original):
-            calls[_method] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(nk.Jet, method, counted)
+    # jet programs run the coefficient kernels, bound on a program's first
+    # jet call: count the reciprocal and the float + jet sum (nk._shift)
+    calls = _count_kernels(monkeypatch, reciprocal=cat._reciprocal)
+    monkeypatch.setattr(nk, "_shift", _counted(calls, "shift", nk._shift))
     xj = nk.Jet.variables(np.array([0.3, 1.2]), 2)
     halfplane.metric_jet(xj)
     # 1/y^2 appears in both diagonal entries
     assert calls["reciprocal"] == 1
-    calls.update(reciprocal=0, __radd__=0)
+    calls.update(reciprocal=0, shift=0)
     hyperboloid.metric_jet(xj)
     # 1 + x^2 is the only float + jet sum of the hyperboloid metric, so it
     # and 1 + x^2 + y^2 are evaluated once, and the three quotients by that
     # sum share one reciprocal
-    assert calls == {"reciprocal": 1, "__radd__": 1}
+    assert calls == {"reciprocal": 1, "shift": 1}
 
 
 def test_compile_is_linear_in_expression_size(monkeypatch):
@@ -264,15 +289,8 @@ def test_compile_hashes_each_node_a_constant_number_of_times(monkeypatch):
 
 
 def test_programs_share_sin_and_cos(monkeypatch):
-    calls = {"sin": 0, "cos": 0, "sincos": 0}
-    for method in calls:
-        original = getattr(nk.Jet, method)
-
-        def counted(*args, _method=method, _original=original):
-            calls[_method] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(nk.Jet, method, counted)
+    calls = _count_kernels(monkeypatch, sin=nk.sin, cos=nk.cos,
+                           sincos=cat._sincos)
     spec = cat.parse_geometry("surface s (u,v in [0,1]x[0,1]) = "
                               "(sin(u)*v, cos(u)*v, sin(2*v))")
     spec.build().jets(0.3, 0.6, order=2)

@@ -344,6 +344,30 @@ def test_transport_along_outside_chart_exits_1(capsys):
     assert "outside the chart domain" in info["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("curvature", "scalar", "--builtin", "lobachevsky_halfplane",
+     "--at", "0,-1"),
+    ("curvature", "scalar", "--builtin", "s3_round", "--at", "3,0,0"),
+    ("geodesic", "circle", "--builtin", "lobachevsky_halfplane",
+     "--at", "0,-1", "--radius", "0.1"),
+    ("curvature", "riemann", "--builtin", "lobachevsky_halfplane",
+     "--at", "0,-1"),
+    ("curvature", "ricci", "--builtin", "lobachevsky_halfplane",
+     "--at", "0,-1"),
+    ("curvature", "sectional", "--builtin", "s3_round", "--at", "3,0,0",
+     "--u", "1,0,0", "--v", "0,1,0"),
+], ids=lambda argv: " ".join(argv[:4]))
+def test_point_outside_the_chart_exits_1(capsys, solves, argv):
+    # refused before any solve or metric read, with one error document
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    doc = json.loads(err)
+    assert doc["command"] == " ".join(argv[:2])
+    assert doc["error"] == {"type": "PreconditionError",
+                            "message": "base point lies outside the chart"}
+    assert not solves
+
+
 def test_circle_leaving_the_chart_exits_1(capsys):
     # the fan runs down from y = 0.1 toward the box's edge y = 0.05, which
     # the geodesic x = 0, y = 0.1 exp(-s) reaches at s = ln 2
@@ -536,8 +560,10 @@ def test_verify_text_lines(capsys):
     code, out, err = run(capsys, "verify", "--suite", "euler-meusnier")
     assert code == 0 and err == ""
     lines = out.strip().splitlines()
-    assert lines[:-1] and all(line.startswith("PASS") for line in lines[:-1])
-    assert re.fullmatch(r"TIME euler-meusnier: \d+\.\d\d s", lines[-1])
+    assert lines[:-2] and all(line.startswith("PASS") for line in lines[:-2])
+    assert re.fullmatch(r"TIME euler-meusnier: \d+\.\d\d s", lines[-2])
+    assert lines[-1] == ("COST euler-meusnier: 0 solves, 0 accepted and "
+                         "0 rejected steps, 0 RHS calls")
 
 
 def test_verify_format_text_is_the_default(capsys):
@@ -552,8 +578,9 @@ def test_verify_format_text_is_the_default(capsys):
 
 
 def test_verify_times_suites_in_text_mode_only(capsys):
-    # text: each suite's time follows its last check; JSON: no times, and
-    # a rerun gives the same bytes
+    # text: each suite's time and then its solver cost follow its last
+    # check; JSON: no times, one integer cost block per suite, and a rerun
+    # gives the same bytes
     code, out, _ = run(capsys, "verify", "--suite", "parser",
                        "--suite", "curve-roundtrip")
     assert code == 0
@@ -561,17 +588,30 @@ def test_verify_times_suites_in_text_mode_only(capsys):
     stamps = [i for i, line in enumerate(lines) if line.startswith("TIME")]
     assert [lines[i].split(":")[0] for i in stamps] == [
         "TIME parser", "TIME curve-roundtrip"]
-    assert stamps[1] == len(lines) - 1
+    assert [lines[i + 1].split(":")[0] for i in stamps] == [
+        "COST parser", "COST curve-roundtrip"]
+    assert stamps[1] == len(lines) - 2
     assert all(line.startswith("PASS parser")
                for line in lines[:stamps[0]])
     assert all(line.startswith("PASS curve-roundtrip")
-               for line in lines[stamps[0] + 1:stamps[1]])
+               for line in lines[stamps[0] + 2:stamps[1]])
     argv = ("verify", "--suite", "parser", "--suite", "curve-roundtrip",
             "--format", "json")
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
     assert "TIME" not in first
+    cost = json.loads(first)["diagnostics"]["cost"]
+    assert list(cost) == ["parser", "curve-roundtrip"]
+    assert cost["parser"] == dict.fromkeys(
+        ("solves", "accepted_steps", "rejected_steps", "rhs_evals"), 0)
+    assert cost["curve-roundtrip"]["solves"] > 0
+    assert all(type(n) is int for block in cost.values()
+               for n in block.values())
+    assert lines[-1] == ("COST curve-roundtrip: {solves} solves, "
+                         "{accepted_steps} accepted and {rejected_steps} "
+                         "rejected steps, {rhs_evals} RHS calls").format(
+                             **cost["curve-roundtrip"])
 
 
 def test_verify_circle_law_json_is_byte_stable(capsys):
@@ -637,9 +677,10 @@ def test_verify_streams_each_check(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "demo")
     assert code == 0
     assert printed == ["PASS demo: first (value 0, bound 1)\n"]
-    second, stamp = out.splitlines()
+    second, stamp, cost = out.splitlines()
     assert second == "PASS demo: second (value 0, bound 1)"
     assert re.fullmatch(r"TIME demo: \d+\.\d\d s", stamp)
+    assert cost.startswith("COST demo: 0 solves")
 
 
 def test_numerical_failure_keeps_diagnostics(capsys, monkeypatch):

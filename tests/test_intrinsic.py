@@ -1,6 +1,7 @@
 """Charts, geodesics, transport, circles, and limit-based curvature."""
 
 import math
+import sys
 import tracemalloc
 from itertools import product
 
@@ -296,6 +297,36 @@ def test_christoffel_jet_constructions(monkeypatch, halfplane, sphere_chart,
         built.clear()
         rhs(0.0, y)
         assert len(built) <= bound, chart.name
+
+
+def _python_calls(fn, *args):
+    """Python-level calls (``call`` and ``c_call`` profile events) of one
+    warm ``fn(*args)``, that call included."""
+    fn(*args)                             # cached tables, bound programs
+    calls = []
+    sys.setprofile(lambda frame, event, arg: event in ("call", "c_call")
+                   and calls.append(event))
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return len(calls) - 1                 # less the closing setprofile
+
+
+@pytest.mark.parametrize("name, plain, columns", [
+    ("halfplane", 88, 118), ("sphere_chart", 154, 187), ("s3", 124, 154),
+    ("hyperboloid", 131, 161)])
+def test_variational_rhs_python_calls(request, name, plain, columns):
+    # deterministic dispatch guard: Python-level calls of one 1-lane RHS,
+    # plain and with n columns, on every chart the benchmark runs
+    chart = (cat.builtin("hyperboloid_pullback").build()
+             if name == "hyperboloid" else request.getfixturevalue(name))
+    n = chart.dim
+    x, v = [0.3, 1.2, 0.1][:n], [0.4, -0.7, 0.2][:n]
+    y = np.concatenate([x, v, np.zeros(n * n), np.eye(n).ravel()])
+    assert _python_calls(ig._variational_rhs(chart, 1, 0), 0.0,
+                         y[:2 * n]) <= plain
+    assert _python_calls(ig._variational_rhs(chart, 1, n), 0.0, y) <= columns
 
 
 def test_variational_rhs_peak_memory(s3):
@@ -801,7 +832,8 @@ def test_sphere_fan_shrinks_its_radius_at_a_chart_edge(s3):
 
 
 def test_plane_scalar_estimate_shrinks_its_radius_at_a_chart_edge(s3,
-                                                                   solves):
+                                                                   solves,
+                                                                   fans):
     # the plane route shares the full estimate's chart-edge shrink: its
     # circle fan leaves the box at r0 = 0.2 and reruns at r0 = 0.05
     e1, e2, _ = np.eye(3)
@@ -810,8 +842,11 @@ def test_plane_scalar_estimate_shrinks_its_radius_at_a_chart_edge(s3,
     assert len(solves) == 2
     assert (tau, err) == ig.plane_scalar_estimate(s3, P, e1, e2, r0=0.05)
     assert abs(tau - 2.0) < 2e-3 and err >= abs(tau - 2.0)
-    with pytest.raises(nk.PreconditionError, match="no usable circle radius"):
+    fans.clear()
+    with pytest.raises(nk.PreconditionError,
+                       match="base point lies outside the chart"):
         ig.plane_scalar_estimate(s3, np.array([3.0, 0.0, 0.0]), e1, e2)
+    assert not fans
 
 
 @pytest.mark.parametrize("u", [(0.0, 0.0, 0.0), (math.nan, 0.0, 0.0)])
@@ -859,9 +894,12 @@ def test_scalar_curvature_on_a_skewed_chart_edge():
     assert abs(est.tau) < 1e-9 and cost["solves"] == 2
 
 
-def test_scalar_curvature_outside_the_chart_fails(halfplane):
-    with pytest.raises(nk.PreconditionError, match="no usable circle radius"):
+def test_scalar_curvature_outside_the_chart_fails(halfplane, fans):
+    # refused before any fan
+    with pytest.raises(nk.PreconditionError,
+                       match="base point lies outside the chart"):
         ig.scalar_curvature_estimate(halfplane, np.array([0.0, -1.0]))
+    assert not fans
 
 
 def test_scalar_curvature_plane_and_halfplane(plane, halfplane):

@@ -161,6 +161,26 @@ def test_jet_order_bounds():
                           np.sin([0.3, 1.0]) * [2.0, -0.5] + 1.0)
 
 
+@pytest.mark.parametrize("values", [[0.3, -1.2, 2.0],
+                                    [[0.3, 0.1], [-1.2, 2.0], [2.0, 0.5]]])
+def test_variables_never_share_the_cached_seed(values):
+    # Jet.variables copies a cached seed array; writing into the jets it
+    # returned must not reach the cache or the next call's jets
+    first = nk.Jet.variables(values, 2)
+    K = len(nk._index_space(3, 2)[0])
+    ref = np.zeros((3, K) + np.shape(values)[1:])
+    ref[:, 0] = values
+    for i in range(3):
+        ref[i, 3 - i] = 1.0                   # variable i's unit slot
+    assert np.array_equal([j.coef for j in first], ref)
+    for j in first:
+        j.coef[...] = np.nan
+    again = nk.Jet.variables(values, 2)
+    assert np.array_equal([j.coef for j in again], ref)
+    assert not np.shares_memory(first[0].coef, again[0].coef)
+    assert nk._seed.cache_info().maxsize is not None     # bounded
+
+
 def _cauchy_terms(nvars, order):
     """(k, i, j) slot triples of the truncated product, found by plain
     multi-index arithmetic over ``idx`` and ``pos`` alone."""

@@ -1,7 +1,35 @@
-"""Failure paths of the verify suites: a failing check reports FAIL."""
+"""Failure paths of the verify suites: a failing check reports FAIL; and
+each suite's solver cost."""
+
+import pytest
 
 import curvatur.surface_patch as sp
 import curvatur.verify as vf
+
+# (solves, accepted steps, rejected steps, RHS calls) of every suite that
+# integrates an ODE, at seed 0.  A change that moves one names the cause.
+SUITE_COSTS = {
+    "circle-law": (2, 56, 0, 338),
+    "scalar-curvature": (5, 40, 1, 251),
+    "egregium": (40, 266, 21, 1763),
+    "geodesic": (3, 352, 13, 5154),
+    "transport": (6, 316, 6, 2219),
+    "riemann": (28, 104, 7, 696),
+    "ricci": (5, 57, 1, 353),
+    "curve-roundtrip": (4, 465, 4, 2819),
+    "hyperbolic": (16, 400, 137, 3623),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_COSTS))
+def test_suite_cost_is_pinned(suite):
+    cost = {}
+    checks = vf.run_suite(suite, seed=0, cost=cost)
+    assert all(c.passed for c in checks)
+    assert tuple(cost[k] for k in ("solves", "accepted_steps",
+                                   "rejected_steps", "rhs_evals")) \
+        == SUITE_COSTS[suite]
+    assert all(type(n) is int for n in cost.values())
 
 
 def test_failed_offset_fit_reports_fail(monkeypatch):

@@ -16,9 +16,12 @@ fan's Gram determinant underflows, a sphere estimate at ``--r0 1e-160``
 refused alike, ``surface offset`` (the offset-area totals), ``curvature
 sectional`` (the sectional curvature of a 3D chart), ``geodesic
 distance`` on every chart kind the benchmark shoots on (the half-plane,
-the sphere pullback and ``s3_round``) and on a torus pair,
-(5.5, 1.75) -> (1.25, 5.4), that converges only from a turned start (the
-shooting retry phase), a cone ``transport holonomy`` whose loop closes
+the sphere pullback and ``s3_round``), on ``hyperboloid_pullback`` (a
+non-diagonal parsed metric through the column RHS, where the order of a
+sum shows) and on a torus pair, (5.5, 1.75) -> (1.25, 5.4), that
+converges only from a turned start (the shooting retry phase), a
+``curvature riemann`` refused for its point outside the chart's box, a
+cone ``transport holonomy`` whose loop closes
 modulo the period, two ``geodesic trace`` runs that leave the chart (a
 saddle ray and a half-plane ray) and one refused for its infinite
 ``--length``, as ``python -m curvatur.cli`` with each tree first on
@@ -74,6 +77,10 @@ INVOCATIONS = (
      "--to", "2.0,1.7"),
     ("geodesic", "distance", "--builtin", "s3_round", "--from",
      "0.2,-0.1,0.3", "--to", "0.9,0.5,-0.3"),
+    ("geodesic", "distance", "--builtin", "hyperboloid_pullback", "--from",
+     "0.2,-0.3", "--to", "0.9,0.4"),
+    ("curvature", "riemann", "--builtin", "lobachevsky_halfplane", "--at",
+     "0,-1"),
     ("transport", "along", "--builtin", "sphere", "--via", "0.3,1.2",
      "--via", "1.0,1.0", "--via", "1.4,0.6", "--vector", "1,0"),
     ("transport", "holonomy", "--builtin", "lobachevsky_halfplane",
