@@ -250,19 +250,22 @@ def _power(a, b):
     return a ** _exponent(b)
 
 
+# Three instructions that only numbers run: jets run their coefficient
+# kernels instead (:meth:`Program._jet_steps`).
+
 def _reciprocal(b):
-    return b.reciprocal() if isinstance(b, Jet) else 1.0 / b
+    return 1.0 / b
 
 
 def _sincos(a):
-    return a.sincos() if isinstance(a, Jet) else (nk.sin(a), nk.cos(a))
+    return nk.sin(a), nk.cos(a)
 
 
 def _divide(a, b, rb):
-    """``a / b`` given ``rb = _reciprocal(b)``.  A jet quotient is
-    ``a * b.reciprocal()``, as ``Jet.__truediv__`` computes it, so every
+    """``a / b`` of numbers.  A jet quotient is ``a`` times ``rb``, the
+    reciprocal of ``b``, as ``Jet.__truediv__`` computes it, so every
     quotient by one jet shares its reciprocal."""
-    return a * rb if isinstance(b, Jet) else a / b
+    return a / b
 
 
 # the coefficient kernel of each instruction that is a jet method call
@@ -363,11 +366,11 @@ class Program:
             raise PreconditionError(f"program takes {len(self.inputs)} "
                                     f"inputs, got {len(inputs)}")
         steps = self._steps
-        if inputs and isinstance(inputs[0], Jet):
+        if Jet in map(type, inputs):            # any input a jet
             x = inputs[0]
+            inputs = _coefficients(inputs)      # refuses numbers among jets
             steps = self._jet.get((x.nvars, x.order)) \
                 or self._jet_steps(x.nvars, x.order)
-            inputs = _coefficients(inputs)
         regs = [*inputs, *self.consts]
         for fn, fetch, many in steps:
             regs.append(fn(*fetch(regs)) if many else fn(fetch(regs)))

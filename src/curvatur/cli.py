@@ -12,9 +12,9 @@ in chart order as declared.  Exit codes: 0 success, 1 computation failure,
 2 usage error, 3 verification-suite failure.  Every failure also writes a
 JSON error document to stderr.  A command whose handler ran at least one
 ODE solve gets a ``cost`` block in ``diagnostics``: the solver counters of
-:func:`numkit.solver_cost`, integers only; ``verify``'s holds one
-such block per suite, by name.  Wall times appear only in ``verify``'s
-text mode, never in JSON.
+:func:`numkit.solver_cost`, integers only; ``verify`` instead gets a
+``suite_costs`` map of one such block per suite, by name.  Wall times
+appear only in ``verify``'s text mode, never in JSON.
 
 Each command is one row of :data:`COMMANDS`: its help, the geometry kind
 it reads, whether ``--format csv`` applies, its own options and its
@@ -499,7 +499,7 @@ def _verify(args, _):
             "verify", geometry, {"suites": list(names), "seed": args.seed},
             {"checks": rows, "passed": len(checks) - len(failed),
              "failed": len(failed)})
-        doc["diagnostics"]["cost"] = costs
+        doc["diagnostics"]["suite_costs"] = costs
         _write(args, _dump(doc))
     elif not stream:
         _write(args, "\n".join(lines))

@@ -158,6 +158,19 @@ def test_jet_power_needs_a_constant_exponent():
                            "[[x^y, 0], [0, 1]]").build()
 
 
+def test_program_refuses_numbers_among_jets():
+    # a program runs all-number inputs or all-jet inputs, whichever input
+    # comes first: one quotient, sin and cos, so every number-only
+    # instruction is on the tape
+    f = cat.parse_expression("sin(y)/x + cos(y)", variables=("x", "y"))
+    x, y = nk.Jet.variables([1.5, 0.5], 2)
+    for args in ((1.5, y), (x, 0.5)):
+        with pytest.raises(nk.PreconditionError, match="all jets or all"):
+            f(*args)
+    assert f(1.5, 0.5) == math.sin(0.5) / 1.5 + math.cos(0.5)
+    assert f(x, y).value == f(1.5, 0.5)
+
+
 def _s3_reference(xj):
     """The round 3-sphere's metric written out by hand: the conformal factor
     1/(1 + |x|^2/4)^2 on the diagonal, the off-diagonal zeros written rather

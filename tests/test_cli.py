@@ -601,7 +601,9 @@ def test_verify_times_suites_in_text_mode_only(capsys):
     _, second, _ = run(capsys, *argv)
     assert first == second
     assert "TIME" not in first
-    cost = json.loads(first)["diagnostics"]["cost"]
+    diag = json.loads(first)["diagnostics"]
+    assert "cost" not in diag
+    cost = diag["suite_costs"]
     assert list(cost) == ["parser", "curve-roundtrip"]
     assert cost["parser"] == dict.fromkeys(
         ("solves", "accepted_steps", "rejected_steps", "rhs_evals"), 0)
