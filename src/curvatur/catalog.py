@@ -317,7 +317,9 @@ class Program:
     :func:`eval_expr`.
 
     Calling a program with one value per input returns the list of the
-    expressions' values; ``outputs`` holds their registers.
+    expressions' values; ``outputs`` holds their registers.  The inputs
+    are all jets or all numbers: a number among jets raises
+    :class:`PreconditionError`.
     """
 
     def __init__(self, exprs, inputs, params):
